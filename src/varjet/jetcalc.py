@@ -33,7 +33,7 @@ def remove_one(I: MultiIndex):
 
 def total_derivative(e: Expr, i: int, ctx: JetContext) -> Expr:
     """D_i e for a jet-side expression; raises the jet order by at most one."""
-    out = e.partial(CoordinateId.independent(i))
+    parts = [e.partial(CoordinateId.independent(i))]
     for c in e.coordinates():
         if c.kind == MOMENTUM:
             raise WrongDomainError(
@@ -42,8 +42,8 @@ def total_derivative(e: Expr, i: int, ctx: JetContext) -> Expr:
         if c.kind == JET:
             lifted = c.index.with_index(i)
             ctx.check_order(lifted)
-            out = out + e.partial(c) * Expr.coord(CoordinateId.jet(c.alpha, lifted))
-    return out
+            parts.append(e.partial(c) * Expr.coord(CoordinateId.jet(c.alpha, lifted)))
+    return Expr.sum(parts)
 
 
 def iterated_total_derivative(e: Expr, J: MultiIndex, ctx: JetContext) -> Expr:

@@ -132,13 +132,13 @@ def elh_system(lag: LagrangianDensity, level: Optional[int] = None) -> EquationS
     rows: List[Tuple[str, Expr]] = []
     for alpha in range(ctx.m):
         for I in multiindices_up_to(ctx.n, l + 1):
-            res = dc.embed(lag.L.partial(CoordinateId.jet(alpha, I)))
-            for J, i, _mult in I.removals():
-                res = res - Expr.coord(dc.dep(CoordinateId.momentum(alpha, J, i)))
+            parts = [dc.embed(lag.L.partial(CoordinateId.jet(alpha, I)))]
+            parts += [-Expr.coord(dc.dep(CoordinateId.momentum(alpha, J, i)))
+                      for J, i, _mult in I.removals()]
             if len(I) <= l:
-                for i in range(ctx.n):
-                    res = res - Expr.coord(dc.comma(CoordinateId.momentum(alpha, I, i), i))
-            rows.append((_momentum_label(ctx, alpha, I), res))
+                parts += [-Expr.coord(dc.comma(CoordinateId.momentum(alpha, I, i), i))
+                          for i in range(ctx.n)]
+            rows.append((_momentum_label(ctx, alpha, I), Expr.sum(parts)))
     for alpha in range(ctx.m):
         for I in multiindices_up_to(ctx.n, l):
             for i in range(ctx.n):
@@ -165,9 +165,8 @@ def constraints(lag: LagrangianDensity, level: Optional[int] = None) -> Equation
     rows: List[Tuple[str, Expr]] = []
     for alpha in range(ctx.m):
         for I in multiindices(ctx.n, l + 1):
-            res = lag.L.partial(CoordinateId.jet(alpha, I))
-            for J, i, _mult in I.removals():
-                res = res - Expr.coord(CoordinateId.momentum(alpha, J, i))
+            res = Expr.sum([lag.L.partial(CoordinateId.jet(alpha, I))] + [
+                -Expr.coord(CoordinateId.momentum(alpha, J, i)) for J, i, _mult in I.removals()])
             rows.append((f"constraint:{ctx.dependents[alpha]}:{ctx.index_word(I)}", res))
     return EquationSystem(ctx, tuple(rows))
 
@@ -288,13 +287,12 @@ def energy_density(lag: LagrangianDensity, level: Optional[int] = None) -> Energ
     l = lag.level if level is None else level
     if lag.order > l + 1:
         raise VarjetError(f"density order {lag.order} exceeds l+1 = {l + 1}")
-    acc = -lag.L
-    for alpha in range(ctx.m):
-        for I in multiindices_up_to(ctx.n, l):
-            for i in range(ctx.n):
-                acc = acc + Expr.coord(CoordinateId.momentum(alpha, I, i)) \
-                    * Expr.coord(CoordinateId.jet(alpha, I.with_index(i)))
-    return EnergyDensity(ctx, l, acc)
+    pairings = [Expr.coord(CoordinateId.momentum(alpha, I, i))
+                * Expr.coord(CoordinateId.jet(alpha, I.with_index(i)))
+                for alpha in range(ctx.m)
+                for I in multiindices_up_to(ctx.n, l)
+                for i in range(ctx.n)]
+    return EnergyDensity(ctx, l, Expr.sum([-lag.L] + pairings))
 
 
 def momentum_shift(system: EquationSystem, rho: Sequence[Expr]) -> EquationSystem:
@@ -506,12 +504,9 @@ def _comma_image(dc: DerivedContext, subs: Dict[CoordinateId, Expr],
     if dc.contains(pm):
         return Expr.coord(dc.comma(pm, i))
     phi = subs[pm]
-    out = dc.embed(phi.partial(CoordinateId.independent(i)))
-    for c in phi.coordinates():
-        if c.kind == INDEPENDENT:
-            continue
-        out = out + dc.embed(phi.partial(c)) * Expr.coord(dc.comma(c, i))
-    return out
+    return Expr.sum([dc.embed(phi.partial(CoordinateId.independent(i)))] + [
+        dc.embed(phi.partial(c)) * Expr.coord(dc.comma(c, i))
+        for c in phi.coordinates() if c.kind != INDEPENDENT])
 
 
 def _reduced_system(lag: LagrangianDensity, l: int, subs: Dict[CoordinateId, Expr],
@@ -522,9 +517,9 @@ def _reduced_system(lag: LagrangianDensity, l: int, subs: Dict[CoordinateId, Exp
     for alpha in range(ctx.m):
         for I in multiindices_up_to(ctx.n, l):
             jet = CoordinateId.jet(alpha, I)
-            res = -dc.embed(energy_p.partial(jet))
-            for i in range(ctx.n):
-                res = res - _comma_image(dc, subs, CoordinateId.momentum(alpha, I, i), i)
+            res = Expr.sum([-dc.embed(energy_p.partial(jet))] + [
+                -_comma_image(dc, subs, CoordinateId.momentum(alpha, I, i), i)
+                for i in range(ctx.n)])
             if not res.is_zero():
                 rows.append((_momentum_label(ctx, alpha, I), res))
     eliminated = [(pm, phi) for pm, phi in subs.items() if pm.kind == MOMENTUM]
@@ -534,14 +529,14 @@ def _reduced_system(lag: LagrangianDensity, l: int, subs: Dict[CoordinateId, Exp
                 pm = CoordinateId.momentum(alpha, I, j)
                 if not dc.contains(pm):
                     continue
-                res = Expr.coord(dc.comma(CoordinateId.jet(alpha, I), j))
+                parts = [Expr.coord(dc.comma(CoordinateId.jet(alpha, I), j))]
                 for other, phi in eliminated:
                     weight = phi.partial(pm)
-                    if weight.is_zero():
-                        continue
-                    res = res + dc.embed(weight) * Expr.coord(
-                        dc.comma(CoordinateId.jet(other.alpha, other.index), other.i))
-                res = res - dc.embed(energy_p.partial(pm))
+                    if not weight.is_zero():
+                        parts.append(dc.embed(weight) * Expr.coord(
+                            dc.comma(CoordinateId.jet(other.alpha, other.index), other.i)))
+                parts.append(-dc.embed(energy_p.partial(pm)))
+                res = Expr.sum(parts)
                 if not res.is_zero():
                     rows.append((_contact_label(ctx, alpha, I, j), res))
     return EquationSystem(dc.ctx, tuple(rows), _with_zero_jets(dc, rows), derived=dc)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .symcore import Expr, JetContext, VarjetError, parse
+from .symcore import _NAME_RE, Expr, JetContext, VarjetError, parse
 from .variational import LagrangianDensity
 
 _KNOWN_KEYS = {"independents", "dependents", "lagrangian", "order",
@@ -52,21 +52,8 @@ class Problem:
         return [parse(text, ctx) for text in self.rho_texts]
 
 
-def _split_names(value: str) -> Tuple[str, ...]:
-    return tuple(tok for tok in value.replace(",", " ").split() if tok)
-
-
-def _parse_bool(value: str, key: str, lineno: int) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise VarjetError(f"line {lineno}: {key} expects a boolean, got {value!r}")
-
-
 def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
-    values: Dict[str, str] = {}
+    entries: Dict[str, Tuple[str, int]] = {}  # key -> (value, line number)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -77,33 +64,66 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
         key = key.strip()
         if key not in _KNOWN_KEYS:
             raise VarjetError(f"{source}, line {lineno}: unknown key {key!r}")
-        if key in values:
+        if key in entries:
             raise VarjetError(f"{source}, line {lineno}: duplicate key {key!r}")
-        values[key] = value.strip()
+        entries[key] = (value.strip(), lineno)
 
     for required in ("independents", "dependents", "lagrangian"):
-        if required not in values:
+        if required not in entries:
             raise VarjetError(f"{source}: missing required key {required!r}")
 
-    independents = _split_names(values["independents"])
-    dependents = _split_names(values["dependents"])
-    order = int(values.get("order", "0"))
-    max_order = int(values.get("max_order", "0"))
+    def fail(key: str, message: str):
+        raise VarjetError(f"{source}, line {entries[key][1]}: {message}")
+
+    def names(key: str) -> Tuple[str, ...]:
+        out = tuple(tok for tok in entries[key][0].replace(",", " ").split() if tok)
+        if not out:
+            fail(key, f"{key} lists no names")
+        for k, name in enumerate(out):
+            if not _NAME_RE.match(name):
+                fail(key, f"invalid name {name!r}")
+            if name in out[:k]:
+                fail(key, f"name {name!r} is declared twice")
+        return out
+
+    def integer(key: str, default: int) -> int:
+        if key not in entries:
+            return default
+        try:
+            return int(entries[key][0])
+        except ValueError:
+            fail(key, f"{key} expects an integer, got {entries[key][0]!r}")
+
+    def boolean(key: str) -> bool:
+        if key not in entries:
+            return False
+        lowered = entries[key][0].lower()
+        if lowered in ("true", "yes", "1", "on"):
+            return True
+        if lowered in ("false", "no", "0", "off"):
+            return False
+        fail(key, f"{key} expects a boolean, got {entries[key][0]!r}")
+
+    independents = names("independents")
+    dependents = names("dependents")
+    for name in dependents:
+        if name in independents:
+            fail("dependents",
+                 f"name {name!r} is declared both as an independent and as a dependent")
     problem = Problem(
         independents=independents,
         dependents=dependents,
-        lagrangian_text=values["lagrangian"],
-        order=order,
-        max_order=max_order,
-        auto_extend=_parse_bool(values["auto_extend"], "auto_extend", 0)
-        if "auto_extend" in values else False,
-        seed=int(values.get("seed", "0")),
-        rank_samples=int(values.get("rank_samples", "5")),
-        rho_texts=tuple(part.strip() for part in values["rho"].split(";"))
-        if "rho" in values else (),
+        lagrangian_text=entries["lagrangian"][0],
+        order=integer("order", 0),
+        max_order=integer("max_order", 0),
+        auto_extend=boolean("auto_extend"),
+        seed=integer("seed", 0),
+        rank_samples=integer("rank_samples", 5),
+        rho_texts=tuple(part.strip() for part in entries["rho"][0].split(";"))
+        if "rho" in entries else (),
     )
     if problem.order < 0:
-        raise VarjetError(f"{source}: order must be >= 1")
+        fail("order", "order must be >= 1")
     # infer declared order from the density when absent
     probe_ctx = JetContext(independents, dependents,
                            max_order=max(problem.max_order, 8), auto_extend=True)
@@ -112,8 +132,7 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
     if problem.order == 0:
         problem.order = minimal
     elif problem.order < minimal:
-        raise VarjetError(
-            f"{source}: declared order {problem.order} below the density order {minimal}")
+        fail("order", f"declared order {problem.order} below the density order {minimal}")
     if problem.max_order == 0:
         problem.max_order = max(4, 2 * problem.order)
     return problem

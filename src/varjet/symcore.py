@@ -7,6 +7,16 @@ form is unique: no zero coefficients, like monomials merged, monomials and
 factors sorted by a fixed total order.  Structural equality therefore decides
 mathematical equality.
 
+Every result that can break the normal form goes through one normalisation
+path, ``_normal_form``: summands and products stream their terms into one
+dict and the merged monomials are sorted once, by keys built from each
+coordinate's stored sort key.  Sums of many parts (the parser, substitution,
+total derivatives, the variational and reduction constructions) make one
+builder call, ``Expr.sum`` or ``Expr(terms)``, so a result is normalised
+once, not once per partial sum.
+Negation, scaling by a nonzero rational and powers of a single term keep the
+order and skip it.
+
 All values are immutable; every operation is a pure function.
 """
 
@@ -14,8 +24,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .multiindex import EMPTY, MultiIndex
@@ -61,13 +72,32 @@ class CoordinateId:
 
     ``alpha`` is the 0-based dependent index (jets and momenta), ``i`` the
     0-based independent index (independents and momenta).  A jet with empty
-    multiindex is the dependent variable itself.
+    multiindex is the dependent variable itself.  The sort key and the hash
+    are computed once, at construction, in fields that equality ignores.
     """
 
     kind: str
     alpha: int = -1
     index: MultiIndex = EMPTY
     i: int = -1
+    _key: Tuple[int, int, int, Tuple[int, ...], int] = field(
+        init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # independents before jets before momenta; jets by (alpha, |I|, I);
+        # momenta by (alpha, |I|, I, i).
+        if self.kind == INDEPENDENT:
+            key = (0, self.i, 0, (), 0)
+        else:
+            key = (_KIND_RANK[self.kind], self.alpha, len(self.index), self.index.entries, self.i)
+        object.__setattr__(self, "_key", key)
+        # hashed from the key, which equal fields give equal and which holds
+        # only ints, so the cached value is the same in every process
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def independent(cls, i: int) -> "CoordinateId":
@@ -82,18 +112,11 @@ class CoordinateId:
         return cls(MOMENTUM, alpha=alpha, index=index, i=i)
 
     def sort_key(self) -> Tuple[int, int, int, Tuple[int, ...], int]:
-        # independents before jets before momenta; jets by (alpha, |I|, I);
-        # momenta by (alpha, |I|, I, i).
-        if self.kind == INDEPENDENT:
-            return (0, self.i, 0, (), 0)
-        return (_KIND_RANK[self.kind], self.alpha, len(self.index), self.index.entries, self.i)
+        return self._key
 
     def __lt__(self, other: "CoordinateId") -> bool:
-        return self.sort_key() < other.sort_key()
+        return self._key < other._key
 
-
-# sentinel key sorting after every coordinate; used for the constant monomial
-_CONSTANT_KEY = (9, 0, 0, (), 0)
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
 
@@ -140,9 +163,6 @@ class JetContext:
     @property
     def m(self) -> int:
         return len(self.dependents)
-
-    def order_bound(self) -> int:
-        return self.max_order
 
     def check_order(self, index: MultiIndex) -> None:
         if len(index) > self.max_order and not self.auto_extend:
@@ -293,17 +313,29 @@ class JetContext:
 
 
 Monomial = Tuple[Tuple[CoordinateId, int], ...]
+Term = Tuple[Monomial, Fraction]
+
+# the key of the constant monomial, sorting after every other monomial
+_CONSTANT_MONO_KEY = ((9, 0, 0, (), 0), 0, ())
+_ONE_Q = Fraction(1)
 
 
 def _mono_key(mono: Monomial):
     # Canonical sum order: leading (largest) coordinate ascending, then total
     # degree descending, then exponents on the larger coordinates first.
+    # Factors are stored ascending, so the leading one is the last.
     if not mono:
-        return (_CONSTANT_KEY, 0, ())
-    lead = max(c.sort_key() for c, _ in mono)
-    degree = sum(e for _, e in mono)
-    tail = tuple((c.sort_key(), -e) for c, e in sorted(mono, key=lambda f: f[0].sort_key(), reverse=True))
-    return (lead, -degree, tail)
+        return _CONSTANT_MONO_KEY
+    tail = tuple([(c._key, -e) for c, e in reversed(mono)])
+    return (tail[0][0], -sum([e for _, e in mono]), tail)
+
+
+def _coord_key(c: CoordinateId):
+    return c._key
+
+
+def _factor_key(factor: Tuple[CoordinateId, int]):
+    return factor[0]._key
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -314,32 +346,53 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     powers: Dict[CoordinateId, int] = dict(a)
     for c, e in b:
         powers[c] = powers.get(c, 0) + e
-    return tuple(sorted(powers.items(), key=lambda f: f[0].sort_key()))
+    return tuple(sorted(powers.items(), key=_factor_key))
+
+
+def _normal_form(terms: Iterable[Term]) -> Tuple[Term, ...]:
+    """The kernel's one normalisation path: merge like monomials in one dict,
+    drop zero coefficients and sort the monomials once.
+
+    Coefficients that are not Fractions (ints from callers) are converted;
+    every factor tuple must already be ascending and free of repeats.
+    """
+    merged: Dict[Monomial, Fraction] = {}
+    get = merged.get
+    for mono, coeff in terms:
+        if coeff.__class__ is not Fraction:
+            coeff = Fraction(coeff)
+        prev = get(mono)
+        merged[mono] = coeff if prev is None else prev + coeff
+    monos = sorted([m for m, c in merged.items() if c], key=_mono_key)
+    return tuple([(m, merged[m]) for m in monos])
+
+
+def _canonical(terms: Tuple[Term, ...]) -> "Expr":
+    """An Expr over terms already in normal form (no normalisation)."""
+    out = Expr.__new__(Expr)
+    out.terms = terms
+    out._hash = None
+    return out
 
 
 class Expr:
     """A polynomial in canonical normal form.
 
     Stored as a sorted tuple of (monomial, coefficient) pairs with nonzero
-    Fraction coefficients; a monomial is a sorted tuple of (coordinate,
-    positive exponent) pairs.  Structural equality coincides with polynomial
-    equality.
+    Fraction coefficients; a monomial is a tuple of (coordinate, positive
+    exponent) pairs, ascending by coordinate.  Structural equality coincides
+    with polynomial equality.
+
+    ``Expr(terms)`` and ``Expr.sum(summands)`` are the builders: both feed
+    ``_normal_form``, which merges and sorts once.  Products, partials,
+    substitution and parsing build their results through it too.  Negation,
+    ``scale`` and powers of a single term keep the order and skip it.
     """
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: Iterable[Tuple[Monomial, Fraction]] = ()):
-        merged: Dict[Monomial, Fraction] = {}
-        for mono, coeff in terms:
-            coeff = Fraction(coeff)
-            if coeff:
-                acc = merged.get(mono, Fraction(0)) + coeff
-                if acc:
-                    merged[mono] = acc
-                elif mono in merged:
-                    del merged[mono]
-        self.terms: Tuple[Tuple[Monomial, Fraction], ...] = tuple(
-            sorted(merged.items(), key=lambda t: _mono_key(t[0])))
+    def __init__(self, terms: Iterable[Term] = ()):
+        self.terms: Tuple[Term, ...] = _normal_form(terms)
         self._hash = None
 
     # -- constructors ---------------------------------------------------
@@ -350,11 +403,17 @@ class Expr:
 
     @classmethod
     def number(cls, value) -> "Expr":
-        return cls([((), Fraction(value))])
+        k = Fraction(value)
+        return _canonical((((), k),)) if k else _ZERO
 
     @classmethod
     def coord(cls, c: CoordinateId) -> "Expr":
-        return cls([(((c, 1),), Fraction(1))])
+        return _canonical(((((c, 1),), _ONE_Q),))
+
+    @classmethod
+    def sum(cls, summands: Iterable["Expr"]) -> "Expr":
+        """The sum of any number of expressions, normalised once."""
+        return cls(chain.from_iterable([e.terms for e in summands]))
 
     # -- ring operations -------------------------------------------------
 
@@ -363,26 +422,25 @@ class Expr:
             return self
         if not self.terms:
             return other
+        # the merged monomials come in two ascending runs, which the sort
+        # merges in linear time
         return Expr(self.terms + other.terms)
 
     def __sub__(self, other: "Expr") -> "Expr":
-        return self + (-other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
+        return Expr(chain(self.terms, [(m, -c) for m, c in other.terms]))
 
     def __neg__(self) -> "Expr":
-        out = Expr.__new__(Expr)
-        out.terms = tuple((m, -c) for m, c in self.terms)
-        out._hash = None
-        return out
+        return _canonical(tuple([(m, -c) for m, c in self.terms]))
 
     def __mul__(self, other) -> "Expr":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        acc: Dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = _mono_mul(m1, m2)
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
-        return Expr(acc.items())
+        return Expr([(_mono_mul(m1, m2), c1 * c2)
+                     for m1, c1 in self.terms for m2, c2 in other.terms])
 
     __rmul__ = __mul__
 
@@ -390,22 +448,23 @@ class Expr:
         k = Fraction(k)
         if not k:
             return _ZERO
-        out = Expr.__new__(Expr)
-        out.terms = tuple((m, c * k) for m, c in self.terms)
-        out._hash = None
-        return out
+        return _canonical(tuple([(m, c * k) for m, c in self.terms]))
 
     def __pow__(self, e: int) -> "Expr":
         if e < 0:
             raise UnsupportedExpressionError("negative exponents are not polynomial")
-        result = Expr.number(1)
+        if len(self.terms) == 1 and e:
+            # a power of one term multiplies its exponents and stays canonical
+            mono, coeff = self.terms[0]
+            return _canonical((((tuple([(c, k * e) for c, k in mono]), coeff ** e),)))
+        result = None
         base = self
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if e > 1 else base
             e >>= 1
-        return result
+        return _ONE if result is None else result
 
     # -- structure -------------------------------------------------------
 
@@ -422,7 +481,7 @@ class Expr:
 
     def coordinates(self) -> List[CoordinateId]:
         seen = {c for mono, _ in self.terms for c, _ in mono}
-        return sorted(seen, key=lambda c: c.sort_key())
+        return sorted(seen, key=_coord_key)
 
     def constant_value(self) -> Optional[Fraction]:
         """The value as a rational number, or None if not constant."""
@@ -450,43 +509,63 @@ class Expr:
 
     def partial(self, c: CoordinateId) -> "Expr":
         """Formal partial derivative; all distinct coordinates are independent symbols."""
-        acc: List[Tuple[Monomial, Fraction]] = []
+        key = c._key  # equal coordinates have equal keys: a cheap first test
+        acc: List[Term] = []
         for mono, coeff in self.terms:
             for k, (cc, e) in enumerate(mono):
-                if cc == c:
-                    rest = mono[:k] + ((cc, e - 1),) + mono[k + 1:] if e > 1 \
-                        else mono[:k] + mono[k + 1:]
-                    acc.append((rest, coeff * e))
+                if cc._key == key and cc == c:
+                    if e > 1:
+                        acc.append((mono[:k] + ((cc, e - 1),) + mono[k + 1:], coeff * e))
+                    else:
+                        acc.append((mono[:k] + mono[k + 1:], coeff))
                     break
         return Expr(acc)
 
     def coefficient_of(self, c: CoordinateId) -> "Expr":
         """Coefficient of the first power of c; meaningful when affine in c."""
+        key = c._key
         acc = []
         for mono, coeff in self.terms:
             for k, (cc, e) in enumerate(mono):
-                if cc == c and e == 1:
+                if e == 1 and cc._key == key and cc == c:
                     acc.append((mono[:k] + mono[k + 1:], coeff))
         return Expr(acc)
 
     def substitute(self, bindings: Mapping[CoordinateId, "Expr"]) -> "Expr":
-        """Simultaneous substitution followed by normalization."""
+        """Simultaneous substitution followed by normalization.
+
+        Each power of a bound coordinate is expanded once per call; every
+        monomial's image streams into one normalisation.
+        """
         if not bindings:
             return self
-        out = _ZERO
+        powers: Dict[Tuple[CoordinateId, int], Expr] = {}
+        images: List[Term] = []
         for mono, coeff in self.terms:
-            term = Expr.number(coeff)
+            kept: List[Tuple[CoordinateId, int]] = []
+            bound = None
             for c, e in mono:
                 base = bindings.get(c)
-                term = term * (base ** e if base is not None else Expr([(((c, e),), Fraction(1))]))
-            out = out + term
-        return out
+                if base is None:
+                    kept.append((c, e))
+                    continue
+                power = powers.get((c, e))
+                if power is None:
+                    power = powers[(c, e)] = base ** e
+                bound = power if bound is None else bound * power
+            rest = tuple(kept)
+            if bound is None:
+                images.append((rest, coeff))
+            else:
+                images.extend([(_mono_mul(m, rest), k * coeff) for m, k in bound.terms])
+        return Expr(images)
 
     def __repr__(self):
         return f"Expr<{len(self.terms)} terms>"
 
 
 _ZERO = Expr()
+_ONE = Expr.number(1)
 
 
 # -- parsing ---------------------------------------------------------------
@@ -526,6 +605,7 @@ class _Parser:
         self.ctx = ctx
         self.tokens = _tokenize(text)
         self.k = 0
+        self.resolved: Dict[str, Expr] = {}  # names met so far in this text
 
     def peek(self):
         return self.tokens[self.k]
@@ -553,17 +633,15 @@ class _Parser:
         if kind == "op" and val in "+-":
             self.next()
             negate = val == "-"
-        out = self.term()
-        if negate:
-            out = -out
+        summands = []
         while True:
+            rhs = self.term()
+            summands.append(-rhs if negate else rhs)
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                out = out - rhs if val == "-" else out + rhs
-            else:
-                return out
+            if kind != "op" or val not in "+-":
+                return summands[0] if len(summands) == 1 else Expr.sum(summands)
+            self.next()
+            negate = val == "-"
 
     def term(self) -> Expr:
         out = self.factor()
@@ -614,10 +692,13 @@ class _Parser:
             if val in self._TRANSCENDENTAL and follow[:2] == ("op", "("):
                 raise UnsupportedExpressionError(
                     f"transcendental function {val!r} is not polynomial")
-            try:
-                return Expr.coord(self.ctx.resolve(val))
-            except UnknownCoordinateError:
-                raise ParseError(f"unknown identifier {val!r}", self.text, pos)
+            coord = self.resolved.get(val)
+            if coord is None:
+                try:
+                    coord = self.resolved[val] = Expr.coord(self.ctx.resolve(val))
+                except UnknownCoordinateError:
+                    raise ParseError(f"unknown identifier {val!r}", self.text, pos)
+            return coord
         if kind == "op" and val == "(":
             e = self.expr()
             self.expect_op(")")
@@ -636,10 +717,6 @@ def parse(text: str, ctx: JetContext) -> Expr:
 
 
 # -- rendering ---------------------------------------------------------------
-
-def _coeff_plain(c: Fraction) -> str:
-    return str(c)
-
 
 def _coeff_latex(c: Fraction) -> str:
     if c.denominator == 1:
@@ -666,11 +743,11 @@ def _render_plain(e: Expr, ctx: JetContext) -> str:
         factors = [ctx.name(c) + (f"^{p}" if p > 1 else "") for c, p in mono]
         mag = abs(coeff)
         if not factors:
-            body = _coeff_plain(mag)
+            body = str(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([_coeff_plain(mag)] + factors)
+            body = "*".join([str(mag)] + factors)
         if not parts:
             parts.append(body if coeff > 0 else "-" + body)
         else:

@@ -174,14 +174,14 @@ def euler_lagrange(lag: LagrangianDensity) -> SourceForm:
     work = ctx.extended(2 * lag.order) if not ctx.auto_extend else ctx
     components: Dict[Tuple[int, MultiIndex], Expr] = {}
     for alpha in range(ctx.m):
-        acc = Expr.zero()
+        parts = []
         for I in multiindices_up_to(ctx.n, lag.order):
             part = lag.L.partial(CoordinateId.jet(alpha, I))
             if part.is_zero():
                 continue
             term = iterated_total_derivative(part, I, work)
-            acc = acc + (term if len(I) % 2 == 0 else -term)
-        components[(alpha, EMPTY)] = acc
+            parts.append(term if len(I) % 2 == 0 else -term)
+        components[(alpha, EMPTY)] = Expr.sum(parts)
     return SourceForm(ctx, components)
 
 
@@ -205,18 +205,14 @@ def horizontal_d_legendre(theta: LegendreForm) -> CartanValuedForm:
     ctx = theta.context
     top = max([e.max_jet_order() for e in theta.coeffs.values()] + [ctx.max_order])
     work = ctx if ctx.auto_extend else ctx.extended(top + 1)
-    acc: Dict[Tuple[int, MultiIndex], Expr] = {}
-
-    def add(key, e):
-        acc[key] = acc.get(key, Expr.zero()) + e
-
+    parts: Dict[Tuple[int, MultiIndex], List[Expr]] = {}
     for (alpha, index, i), coeff in theta.coeffs.items():
         for c in coeff.coordinates():
             if c.kind == MOMENTUM:
                 raise WrongDomainError("Legendre form coefficients are jet-side expressions")
-        add((alpha, index), -total_derivative(coeff, i, work))
-        add((alpha, index.with_index(i)), -coeff)
-    return CartanValuedForm(ctx, acc)
+        parts.setdefault((alpha, index), []).append(-total_derivative(coeff, i, work))
+        parts.setdefault((alpha, index.with_index(i)), []).append(-coeff)
+    return CartanValuedForm(ctx, {key: Expr.sum(terms) for key, terms in parts.items()})
 
 
 def legendre_form(lag: LagrangianDensity) -> LegendreForm:
@@ -239,11 +235,9 @@ def legendre_form(lag: LagrangianDensity) -> LegendreForm:
     for k in range(lag.order, 0, -1):
         for alpha in range(ctx.m):
             for I in multiindices(ctx.n, k):
-                rhs = lag.L.partial(CoordinateId.jet(alpha, I))
-                for i in range(ctx.n):
-                    upper = coeffs.get((alpha, I, i))
-                    if upper is not None:
-                        rhs = rhs - total_derivative(upper, i, work)
+                rhs = Expr.sum([lag.L.partial(CoordinateId.jet(alpha, I))] + [
+                    -total_derivative(coeffs[(alpha, I, i)], i, work)
+                    for i in range(ctx.n) if (alpha, I, i) in coeffs])
                 if rhs.is_zero():
                     continue
                 size = len(I)

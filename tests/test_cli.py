@@ -253,3 +253,27 @@ def test_order_override(capsys, tmp_path):
     assert base.count("=") == 2
     lifted = run(capsys, "constraints", str(path), "--order", "2")[1]
     assert lifted.count("=") == 3  # three second-order constraint rows
+
+
+BASE_LINES = ["independents = t x", "dependents = u", "lagrangian = 1/2*u_t^2 - 1/2*u_x^2"]
+
+
+@pytest.mark.parametrize("extra, lineno, message", [
+    ("order = abc", 4, "order expects an integer, got 'abc'"),
+    ("seed = x", 4, "seed expects an integer, got 'x'"),
+    ("max_order = 2.5", 4, "max_order expects an integer, got '2.5'"),
+    ("rank_samples = 1.5", 4, "rank_samples expects an integer, got '1.5'"),
+    ("auto_extend = maybe", 4, "auto_extend expects a boolean, got 'maybe'"),
+    ("", 2, "name 'x' is declared both as an independent and as a dependent"),
+], ids=["order", "seed", "max_order", "rank_samples", "auto_extend", "shared_name"])
+def test_malformed_problem_value_is_positioned(capsys, tmp_path, extra, lineno, message):
+    lines = list(BASE_LINES)
+    if extra:
+        lines.append(extra)
+    else:
+        lines[1] = "dependents = u x"
+    path = tmp_path / "bad.problem"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "el", str(path))
+    assert code == 1 and out == ""
+    assert err == f"varjet: {path}, line {lineno}: {message}\n"

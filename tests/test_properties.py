@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from varjet.jetcalc import total_derivative
 from varjet.multiindex import MultiIndex, multiindices_up_to
-from varjet.symcore import CoordinateId, Expr, JetContext, parse, render
+from varjet.symcore import INDEPENDENT, JET, CoordinateId, Expr, JetContext, parse, render
 
 CTX = JetContext(("t", "x"), ("u",), max_order=6)
 POOL = [CoordinateId.jet(0, I) for I in multiindices_up_to(2, 3)] \
@@ -30,6 +30,71 @@ def exprs(draw):
             term = term * Expr.coord(coord) ** power
         out = out + term
     return out
+
+
+# independents, jets of two dependents and momenta, for the normal-form checks
+MIXED_CTX = JetContext(("t", "x"), ("u", "v"), max_order=6)
+MIXED_POOL = [CoordinateId.independent(i) for i in range(2)] \
+    + [CoordinateId.jet(a, I) for a in range(2) for I in multiindices_up_to(2, 2)] \
+    + [CoordinateId.momentum(a, I, i)
+       for a in range(2) for I in multiindices_up_to(2, 1) for i in range(2)]
+
+
+@st.composite
+def mixed_exprs(draw):
+    terms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        term = Expr.number(draw(coefficients))
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            term = term * Expr.coord(draw(st.sampled_from(MIXED_POOL))) \
+                ** draw(st.integers(min_value=1, max_value=2))
+        terms.append(term)
+    return Expr.sum(terms)
+
+
+def reference_coordinate_rank(c):
+    """The documented coordinate order, from the fields: independents by i,
+    then jets by (alpha, |I|, I), then momenta by (alpha, |I|, I, i)."""
+    if c.kind == INDEPENDENT:
+        return (0, c.i)
+    return (1 if c.kind == JET else 2, c.alpha, len(c.index), tuple(c.index), c.i)
+
+
+def reference_monomial_rank(mono):
+    """The documented sum order: leading coordinate ascending, total degree
+    descending, then exponents on the larger coordinates first; the constant
+    monomial last."""
+    if not mono:
+        return (1,)
+    desc = sorted(mono, key=lambda f: reference_coordinate_rank(f[0]), reverse=True)
+    return (0, reference_coordinate_rank(desc[0][0]), -sum(e for _, e in mono),
+            [(reference_coordinate_rank(c), -e) for c, e in desc])
+
+
+def assert_canonical(e):
+    monos = [mono for mono, _ in e.terms]
+    ranks = [reference_monomial_rank(mono) for mono in monos]
+    assert all(a < b for a, b in zip(ranks, ranks[1:])), "terms not strictly ascending"
+    for mono, coeff in e.terms:
+        assert isinstance(coeff, Fraction) and coeff != 0
+        factor_ranks = [reference_coordinate_rank(c) for c, _ in mono]
+        assert all(a < b for a, b in zip(factor_ranks, factor_ranks[1:])), \
+            "factors not strictly ascending"
+        for c, power in mono:
+            assert isinstance(power, int) and power > 0
+            twin = CoordinateId(c.kind, c.alpha, MultiIndex(tuple(reversed(c.index.entries))), c.i)
+            assert twin == c and hash(twin) == hash(c)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_exprs(), mixed_exprs(), st.sampled_from(MIXED_POOL), coefficients,
+       st.integers(min_value=0, max_value=3))
+def test_every_result_is_in_normal_form(a, b, c, k, power):
+    results = [a, a + b, a - b, a * b, a ** power, a.scale(k), a.partial(c),
+               a.coefficient_of(c), a.substitute({c: b}),
+               parse(render(a, MIXED_CTX), MIXED_CTX), Expr.sum([a, b, -a])]
+    for e in results:
+        assert_canonical(e)
 
 
 @settings(max_examples=60, deadline=None)

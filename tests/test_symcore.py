@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import KDV_L, jet_pool, random_expr
+from varjet import symcore
 from varjet.multiindex import MultiIndex
 from varjet.symcore import (
     CoordinateId,
@@ -204,3 +205,25 @@ def test_context_validation():
         JetContext(("x",), ("x",))
     with pytest.raises(ValueError):
         JetContext(("x",), ("u v",))
+
+
+def test_reparse_normalises_each_term_a_bounded_number_of_times(monkeypatch):
+    # re-parsing a plain rendering must cost linear work: summing the running
+    # result term by term would pass about N^2/2 terms through normalisation
+    ctx = JetContext(("t", "x"), ("u",))
+    expansions = [parse(f"(u + u_t + u_x)^{power}", ctx) for power in (18, 38)]
+    assert [len(e.terms) for e in expansions] == [190, 780]
+    texts = [render(e, ctx) for e in expansions]
+    normalise = symcore._normal_form
+    counts = []
+
+    def counting(terms):
+        terms = list(terms)
+        counts[-1] += len(terms)
+        return normalise(terms)
+
+    monkeypatch.setattr(symcore, "_normal_form", counting)
+    for e, text in zip(expansions, texts):
+        counts.append(0)
+        assert parse(text, ctx) == e
+    assert counts[1] < 6 * counts[0], counts
