@@ -230,6 +230,16 @@ _COMMANDS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="varjet",
@@ -243,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", type=int, default=None,
                        help="override the declared density order l+1")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--rank-samples", type=int, default=None)
+        p.add_argument("--rank-samples", type=_positive_int, default=None)
         p.add_argument("--grid", default=None, help="grid file (see docs/gridfile.md)")
         p.add_argument("--momenta", default=None, help="grid file with momentum fields")
         p.add_argument("--out", default=None, help="write output to a file")

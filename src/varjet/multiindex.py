@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 
 @dataclass(frozen=True, order=True)
@@ -76,7 +76,3 @@ def multiindices_up_to(n: int, max_length: int) -> List[MultiIndex]:
         out.extend(multiindices(n, k))
     return out
 
-
-def from_names(word: Iterable[str], independents: Tuple[str, ...]) -> MultiIndex:
-    lookup = {name: i for i, name in enumerate(independents)}
-    return MultiIndex(tuple(lookup[w] for w in word))

@@ -5,20 +5,31 @@ Grid data lives on uniform rectangular grids; jets are estimated with
 composition-order independent), and only interior points ever enter a
 residual: stencil application poisons the boundary band with NaN, evaluation
 trims the accumulated margin and checks that nothing non-finite survives.
+
+Every differenced array is named by its pass chain: a root array (a
+dependent field or a momentum field) and the sequence of ``(axis, order)``
+stencil passes applied to it.  The jet u_I is the root u with one pass per
+axis that I contains, in ascending axis order (u_tx is ``u, ((0,1),(1,1))``);
+a comma-derivative appends ``(axis, 1)`` to its operand's chain.  Arrays are
+shared between equal chains only, so a reused array is bit-for-bit the one a
+fresh computation would give: u_tx reuses the u_t pass, and the
+comma-derivative u_{,t} is the jet u_t itself.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .multiindex import multiindices_up_to
+from .multiindex import MultiIndex, multiindices_up_to
 from .symcore import JET, CoordinateId, Expr, JetContext, VarjetError
 from .jetcalc import EquationSystem
 from .variational import LegendreForm
@@ -62,7 +73,7 @@ class GridFunction:
         self.axes = tuple(self.axes)
         self.origin = tuple(float(v) for v in self.origin)
         self.spacing = tuple(float(v) for v in self.spacing)
-        if any(h <= 0 for h in self.spacing):
+        if not all(h > 0 for h in self.spacing):
             raise VarjetError("grid spacings must be positive")
         shapes = {f.shape for f in self.fields.values()}
         if len(shapes) > 1:
@@ -80,8 +91,9 @@ class GridFunction:
         return self.origin[a] + self.spacing[a] * np.arange(self.shape[a])
 
     def meshes(self) -> List[np.ndarray]:
+        """Coordinate arrays of the grid points, as read-only broadcast views."""
         return list(np.meshgrid(*(self.axis_values(a) for a in range(len(self.axes))),
-                                indexing="ij"))
+                                indexing="ij", copy=False))
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +110,6 @@ def fd_weights(order: int, radius: int) -> Tuple[float, ...]:
         raise GridTooSmallError("stencil too narrow for the requested derivative")
     rows = [[Fraction(o) ** k for o in offsets] for k in range(npts)]
     rhs = [Fraction(0)] * npts
-    import math
     rhs[order] = Fraction(math.factorial(order))
     # Gaussian elimination with exact arithmetic
     aug = [row + [rhs[k]] for k, row in enumerate(rows)]
@@ -118,75 +129,153 @@ def stencil_radius(order: int) -> int:
     return 0 if order == 0 else (order + 3) // 2
 
 
+# elements per band of the stencil kernel: the band's two work buffers
+# (512 KiB each) stay in cache while every tap streams through them
+BAND_ELEMENTS = 1 << 16
+
+
+def _check_axis(n: int, r: int) -> None:
+    if n < 2 * r + 1:
+        raise GridTooSmallError(f"axis of {n} points cannot host a radius-{r} stencil")
+
+
 def _apply_stencil(arr: np.ndarray, axis: int, order: int, h: float) -> np.ndarray:
-    """1-D central stencil along one axis; the boundary band becomes NaN."""
+    """1-D central stencil along one axis; the boundary band becomes NaN.
+
+    Every interior point gets
+    ``(((0 + w_0 (a_{-r} - a_0)) + w_1 (a_{1-r} - a_0)) + ...) / h**order``
+    over the taps other than the center: the weights sum to zero exactly, so
+    constants are annihilated bit-exactly.  The output is computed in bands
+    of about BAND_ELEMENTS elements along axis 0, in place in two preallocated
+    buffers, with the operations above in that order for each element.
+    """
     if order == 0:
         return arr
+    arr = np.asarray(arr, dtype=np.float64)
     r = stencil_radius(order)
     n = arr.shape[axis]
-    if n < 2 * r + 1:
-        raise GridTooSmallError(
-            f"axis of {n} points cannot host a radius-{r} stencil")
-    weights = fd_weights(order, r)
-    out = np.full_like(arr, np.nan)
-    core = [slice(None)] * arr.ndim
-    core[axis] = slice(r, n - r)
-    center = arr[tuple(core)]
-    # weights sum to zero exactly, so accumulate weighted differences from the
-    # center tap: constants are annihilated bit-exactly
-    acc = np.zeros(center.shape)
-    for k, w in enumerate(weights):
-        o = k - r
-        if o == 0:
-            continue
-        src = [slice(None)] * arr.ndim
-        src[axis] = slice(r + o, n - r + o if n - r + o != 0 else None)
-        acc = acc + w * (arr[tuple(src)] - center)
-    out[tuple(core)] = acc / h ** order
+    _check_axis(n, r)
+    taps = [(k - r, w) for k, w in enumerate(fd_weights(order, r)) if k != r]
+    scale = h ** order
+    out = np.empty(arr.shape)
+    edge = (slice(None),) * axis
+    out[edge + (slice(0, r),)] = np.nan
+    out[edge + (slice(n - r, n),)] = np.nan
+
+    def window(lo: int, hi: int, o: int) -> tuple:
+        """Rows lo..hi of axis 0, shifted by the tap offset o along the axis."""
+        if axis == 0:
+            return (slice(lo + o, hi + o),)
+        return (slice(lo, hi),) + edge[1:] + (slice(r + o, n - r + o),)
+
+    first, last = (r, n - r) if axis == 0 else (0, arr.shape[0])
+    inner = list(arr.shape[1:])
+    if axis:
+        inner[axis - 1] = n - 2 * r
+    step = max(1, BAND_ELEMENTS // max(1, math.prod(inner)))
+    acc_buf = np.empty([min(step, last - first)] + inner)
+    term_buf = np.empty_like(acc_buf)
+    for lo in range(first, last, step):
+        hi = min(lo + step, last)
+        acc, term = acc_buf[:hi - lo], term_buf[:hi - lo]
+        center = arr[window(lo, hi, 0)]
+        for tap, (o, w) in enumerate(taps):
+            np.subtract(arr[window(lo, hi, o)], center, out=term)
+            np.multiply(term, w, out=term)
+            if tap:
+                np.add(acc, term, out=acc)
+            else:  # 0 + x, not x: a first term of -0 sums to +0
+                np.add(term, 0.0, out=acc)
+        np.divide(acc, scale, out=out[window(lo, hi, 0)])
     return out
+
+
+Chain = Tuple[Tuple[int, int], ...]
+
+
+def _chain(index: MultiIndex) -> Chain:
+    """The pass chain of the jet u_I: one (axis, count) pass per axis of I, ascending."""
+    return tuple((axis, index.count(axis)) for axis in sorted(set(index.entries)))
+
+
+def _differenced(passes: Dict[Tuple[CoordinateId, Chain], np.ndarray],
+                 root: CoordinateId, chain: Chain,
+                 spacing: Tuple[float, ...]) -> np.ndarray:
+    """The root array after the passes of ``chain``, computing only the passes
+    no cached prefix of the chain already holds.  ``passes`` maps
+    (root, chain) to arrays and holds each root array under the empty chain."""
+    key = (root, chain)
+    if key not in passes:
+        axis, order = chain[-1]
+        passes[key] = _apply_stencil(_differenced(passes, root, chain[:-1], spacing),
+                                     axis, order, spacing[axis])
+    return passes[key]
 
 
 @dataclass
 class ProlongedGrid:
-    """Finite-difference jet estimates; arrays are full-shape with NaN margins."""
+    """Finite-difference jet estimates; arrays are full-shape with NaN margins.
+
+    ``passes`` is the pass cache the estimates came from, keyed by (root,
+    pass chain); differencing further arrays through it reuses their passes.
+    """
 
     context: JetContext
     grid: GridFunction
     order: int
     samples: Dict[CoordinateId, np.ndarray]
     margin: Tuple[int, ...]
+    passes: Dict[Tuple[CoordinateId, Chain], np.ndarray]
 
     def interior(self) -> Tuple[slice, ...]:
         return tuple(slice(m, s - m) for m, s in zip(self.margin, self.grid.shape))
 
 
-def fd_prolong(grid: GridFunction, order: int, ctx: JetContext) -> ProlongedGrid:
-    """Central 4th-order estimates of all jets u_I^a with |I| <= order."""
+def fd_prolong(grid: GridFunction, order: int, ctx: JetContext,
+               jets: Optional[Iterable[CoordinateId]] = None) -> ProlongedGrid:
+    """Central 4th-order estimates of the jets u_I^a with |I| <= order.
+
+    ``jets`` selects the jet coordinates to estimate (default: all of them).
+    The margin and the grid-size check follow ``order`` whatever the
+    selection: the margin is stencil_radius(order) on every axis, and a grid
+    too small for any jet of that order raises GridTooSmallError.
+    """
     if order > MAX_FD_ORDER:
         raise VarjetError(f"finite-difference prolongation supports order <= {MAX_FD_ORDER}")
     if tuple(grid.axes) != ctx.independents:
         raise VarjetError("grid axes do not match the context independents")
-    samples: Dict[CoordinateId, np.ndarray] = {}
-    for i, mesh in enumerate(grid.meshes()):
-        samples[CoordinateId.independent(i)] = mesh
-    margin = [0] * ctx.n
+    passes: Dict[Tuple[CoordinateId, Chain], np.ndarray] = {}
     for alpha, dep in enumerate(ctx.dependents):
         if dep not in grid.fields:
             raise MissingFieldError(f"grid is missing the dependent field {dep!r}")
-        base = grid.fields[dep]
-        for I in multiindices_up_to(ctx.n, order):
-            arr = base
-            for axis in range(ctx.n):
-                m = I.count(axis)
-                if m:
-                    arr = _apply_stencil(arr, axis, m, grid.spacing[axis])
-                    margin[axis] = max(margin[axis], stencil_radius(m))
-            samples[CoordinateId.jet(alpha, I)] = arr
-    return ProlongedGrid(ctx, grid, order, samples, tuple(margin))
+        if alpha == 0:
+            # the first too-wide pass of the full prolongation, in its order
+            for I in multiindices_up_to(ctx.n, order):
+                for axis, m in _chain(I):
+                    _check_axis(grid.shape[axis], stencil_radius(m))
+        passes[(CoordinateId.jet(alpha), ())] = grid.fields[dep]
+    if jets is None:
+        jets = [CoordinateId.jet(alpha, I) for alpha in range(ctx.m)
+                for I in multiindices_up_to(ctx.n, order)]
+    samples: Dict[CoordinateId, np.ndarray] = {}
+    for i, mesh in enumerate(grid.meshes()):
+        samples[CoordinateId.independent(i)] = mesh
+    for c in jets:
+        if len(c.index) > order:
+            raise VarjetError(
+                f"jet of order {len(c.index)} exceeds the prolongation order {order}")
+        samples[c] = _differenced(passes, CoordinateId.jet(c.alpha), _chain(c.index),
+                                  grid.spacing)
+    margin = (stencil_radius(order),) * ctx.n
+    return ProlongedGrid(ctx, grid, order, samples, margin, passes)
 
 
 def _max_jet_order(exprs) -> int:
     return max((e.max_jet_order() for e in exprs), default=0)
+
+
+def _jets_of(exprs) -> set:
+    return {c for e in exprs for c in e.coordinates() if c.kind == JET}
 
 
 def residual(system: EquationSystem, grid: GridFunction,
@@ -194,57 +283,60 @@ def residual(system: EquationSystem, grid: GridFunction,
              legendre: Optional[LegendreForm] = None) -> Dict[str, float]:
     """Max-abs interior residual of every equation against sampled field data.
 
-    Jet unknowns come from finite-difference prolongation of the grid.  For
-    mixed first-order systems the momentum unknowns are either read from
-    ``momentum_fields`` (matching plain names) or generated by evaluating the
-    Legendre-form coefficients along the prolonged field; comma-derivatives of
-    all unknowns are differenced with the same stencils.
+    Jet unknowns come from finite-difference prolongation of the grid,
+    restricted to the jets the equations read.  For mixed first-order systems
+    the momentum unknowns the equations read are either read from ``momentum_fields``
+    (matching plain names) or generated by evaluating the Legendre-form
+    coefficients along the prolonged field; comma-derivatives of all
+    unknowns are differenced with the same stencils, through the pass cache.
     """
+    rows = [res for _, res in system.equations]
     dc = system.derived
     if dc is None:
-        ctx = system.context
-        order = _max_jet_order([res for _, res in system.equations])
-        pr = fd_prolong(grid, order, ctx)
+        pr = fd_prolong(grid, _max_jet_order(rows), system.context, _jets_of(rows))
         return _collect(system, pr.samples, grid.shape, pr.margin)
 
     base = dc.base
     need = max([len(c.index) for c in dc.fiber if c.kind == JET], default=0)
     if legendre is not None:
         need = max(need, _max_jet_order(legendre.coeffs.values()))
-    pr = fd_prolong(grid, need, base)
+    read = _jets_of(rows)
+    fibers = {dc.fiber[c.alpha] for c in read}
 
-    dep_arrays: Dict[int, np.ndarray] = {}
-    for k, c in enumerate(dc.fiber):
+    def supplied(c: CoordinateId) -> bool:
+        return momentum_fields is not None and base.name(c) in momentum_fields.fields
+
+    coeffs = {c: legendre.coefficient(c.alpha, c.index, c.i) for c in fibers
+              if legendre is not None and c.kind != JET and not supplied(c)}
+    pr = fd_prolong(grid, need, base,
+                    {c for c in fibers if c.kind == JET} | _jets_of(coeffs.values()))
+    for c in fibers:
         if c.kind == JET:
-            dep_arrays[k] = pr.samples[c]
+            continue
+        if supplied(c):
+            arr = momentum_fields.fields[base.name(c)]
+        elif c in coeffs:
+            # a constant coefficient evaluates to a float
+            arr = np.broadcast_to(evaluate(coeffs[c], pr.samples), grid.shape)
         else:
-            name = base.name(c)
-            if momentum_fields is not None and name in momentum_fields.fields:
-                dep_arrays[k] = momentum_fields.fields[name]
-            elif legendre is not None:
-                coeff = legendre.coefficient(c.alpha, c.index, c.i)
-                dep_arrays[k] = evaluate(coeff, pr.samples) \
-                    if not coeff.is_zero() else np.zeros(grid.shape)
-            else:
-                raise MissingFieldError(
-                    f"no field or Legendre form supplies the momentum {name}")
+            raise MissingFieldError(
+                f"no field or Legendre form supplies the momentum {base.name(c)}")
+        pr.passes[(c, ())] = arr
 
     sample: Dict[CoordinateId, np.ndarray] = {
         CoordinateId.independent(i): pr.samples[CoordinateId.independent(i)]
         for i in range(base.n)}
     margin = list(pr.margin)
-    needed = {c for _, res in system.equations for c in res.coordinates()}
-    for c in needed:
-        if c.kind != JET:
-            continue
-        arr = dep_arrays[c.alpha]
-        if len(c.index) == 0:
-            sample[c] = arr
-        else:
+    for c in read:
+        f = dc.fiber[c.alpha]
+        root, chain = (CoordinateId.jet(f.alpha), _chain(f.index)) if f.kind == JET \
+            else (f, ())
+        if len(c.index):
             # comma-derivatives of unknowns use the same first-order stencil
             axis = c.index.entries[0]
-            sample[c] = _apply_stencil(arr, axis, 1, grid.spacing[axis])
+            chain += ((axis, 1),)
             margin[axis] = max(margin[axis], pr.margin[axis] + stencil_radius(1))
+        sample[c] = _differenced(pr.passes, root, chain, grid.spacing)
     return _collect(system, sample, grid.shape, tuple(margin))
 
 
@@ -289,19 +381,65 @@ def save_grid(grid: GridFunction, path: str) -> None:
             fh.write(np.ascontiguousarray(grid.fields[name], dtype="<f8").tobytes())
 
 
+_HEADER_KEYS = ("axes", "shape", "origin", "spacing", "fields")
+
+
 def load_grid(path: str) -> GridFunction:
+    """Read the layout save_grid writes; a malformed file raises a VarjetError
+    that names it (the rules are in docs/gridfile.md)."""
+    def bad(message: str) -> VarjetError:
+        return VarjetError(f"{path}: {message}")
+
+    def numbers(value, count: int) -> bool:
+        return isinstance(value, list) and len(value) == count and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
-            raise VarjetError(f"{path}: not a varjet grid file")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        shape = tuple(header["shape"])
-        count = int(np.prod(shape))
+            raise bad("not a varjet grid file")
+        size = os.fstat(fh.fileno()).st_size
+        word = fh.read(4)
+        if len(word) != 4:
+            raise bad("truncated header length")
+        (hlen,) = struct.unpack("<I", word)
+        if fh.tell() + hlen > size:
+            raise bad(f"truncated header: {hlen} bytes declared, "
+                      f"{size - fh.tell()} present")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except ValueError:  # invalid UTF-8 or invalid JSON
+            raise bad("header is not valid JSON") from None
+        if not isinstance(header, dict):
+            raise bad("header is not a JSON object")
+        for key in _HEADER_KEYS:
+            if key not in header:
+                raise bad(f"header is missing the key {key!r}")
+        axes, shape, origin, spacing, names = (header[key] for key in _HEADER_KEYS)
+        if not (isinstance(axes, list) and all(isinstance(a, str) for a in axes)):
+            raise bad("axes must be a list of names")
+        if not (isinstance(shape, list)
+                and all(type(k) is int and k > 0 for k in shape)):
+            raise bad(f"shape entries must be positive integers, got {shape!r}")
+        if len(shape) != len(axes):
+            raise bad(f"shape has {len(shape)} entries for {len(axes)} axes")
+        if not (numbers(origin, len(axes)) and numbers(spacing, len(axes))):
+            raise bad(f"origin and spacing must be lists of {len(axes)} numbers")
+        if not (isinstance(names, list) and names
+                and all(isinstance(f, str) for f in names)
+                and len(set(names)) == len(names)):
+            raise bad("fields must be a non-empty list of distinct names")
+        nbytes = 8 * math.prod(shape)
+        present = size - fh.tell()
+        if present != nbytes * len(names):
+            raise bad(f"field data is {present} bytes, {len(names)} field(s) of "
+                      f"shape {tuple(shape)} take {nbytes * len(names)}")
         fields = {}
-        for name in header["fields"]:
-            raw = fh.read(8 * count)
-            if len(raw) != 8 * count:
-                raise VarjetError(f"{path}: truncated field {name!r}")
-            fields[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    return GridFunction(tuple(header["axes"]), tuple(header["origin"]),
-                        tuple(header["spacing"]), fields)
+        for name in names:
+            arr = np.empty(shape, dtype="<f8")
+            if fh.readinto(memoryview(arr).cast("B")) != nbytes:
+                raise bad(f"truncated field {name!r}")
+            fields[name] = arr
+    try:
+        return GridFunction(tuple(axes), tuple(origin), tuple(spacing), fields)
+    except VarjetError as exc:
+        raise bad(str(exc)) from None

@@ -124,6 +124,10 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
     )
     if problem.order < 0:
         fail("order", "order must be >= 1")
+    if problem.max_order < 0:
+        fail("max_order", "max_order must be >= 0")
+    if problem.rank_samples < 1:
+        fail("rank_samples", "rank_samples must be >= 1")
     # infer declared order from the density when absent
     probe_ctx = JetContext(independents, dependents,
                            max_order=max(problem.max_order, 8), auto_extend=True)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -239,6 +240,9 @@ def test_usage_error_exits_2(kdv_problem):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["hessian", kdv_problem, "--rank-samples", "0"])
+    assert exc.value.code == 2
 
 
 def test_check_solution_requires_grid(capsys, kdv_problem):
@@ -265,7 +269,10 @@ BASE_LINES = ["independents = t x", "dependents = u", "lagrangian = 1/2*u_t^2 - 
     ("rank_samples = 1.5", 4, "rank_samples expects an integer, got '1.5'"),
     ("auto_extend = maybe", 4, "auto_extend expects a boolean, got 'maybe'"),
     ("", 2, "name 'x' is declared both as an independent and as a dependent"),
-], ids=["order", "seed", "max_order", "rank_samples", "auto_extend", "shared_name"])
+    ("max_order = -3", 4, "max_order must be >= 0"),
+    ("rank_samples = 0", 4, "rank_samples must be >= 1"),
+], ids=["order", "seed", "max_order", "rank_samples", "auto_extend", "shared_name",
+        "max_order_negative", "rank_samples_below_one"])
 def test_malformed_problem_value_is_positioned(capsys, tmp_path, extra, lineno, message):
     lines = list(BASE_LINES)
     if extra:
@@ -277,3 +284,54 @@ def test_malformed_problem_value_is_positioned(capsys, tmp_path, extra, lineno, 
     code, out, err = run(capsys, "el", str(path))
     assert code == 1 and out == ""
     assert err == f"varjet: {path}, line {lineno}: {message}\n"
+
+
+GRID_HEADER = {"axes": ["t", "x"], "shape": [4, 6], "origin": [0.0, 0.0],
+               "spacing": [0.5, 0.5], "fields": ["u"]}
+
+
+def grid_bytes(header=None, data=8 * 24, **changes):
+    """A grid file: magic, u32 header length, JSON header, `data` zero bytes."""
+    head = dict(GRID_HEADER if header is None else header, **changes)
+    text = json.dumps(head).encode("utf-8")
+    return b"VJGRID1\n" + struct.pack("<I", len(text)) + text + bytes(data)
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"not a grid", "not a varjet grid file"),
+    (b"VJGRID1\n\x00\x01", "truncated header length"),
+    (b"VJGRID1\n" + struct.pack("<I", 99) + b"{}",
+     "truncated header: 99 bytes declared, 2 present"),
+    (b"VJGRID1\n" + struct.pack("<I", 3) + b"{x}", "header is not valid JSON"),
+    (b"VJGRID1\n" + struct.pack("<I", 2) + b"[]", "header is not a JSON object"),
+    (grid_bytes({k: v for k, v in GRID_HEADER.items() if k != "axes"}),
+     "header is missing the key 'axes'"),
+    (grid_bytes({k: v for k, v in GRID_HEADER.items() if k != "shape"}),
+     "header is missing the key 'shape'"),
+    (grid_bytes({k: v for k, v in GRID_HEADER.items() if k != "origin"}),
+     "header is missing the key 'origin'"),
+    (grid_bytes({k: v for k, v in GRID_HEADER.items() if k != "spacing"}),
+     "header is missing the key 'spacing'"),
+    (grid_bytes({k: v for k, v in GRID_HEADER.items() if k != "fields"}),
+     "header is missing the key 'fields'"),
+    (grid_bytes(axes="t"), "axes must be a list of names"),
+    (grid_bytes(shape=[4, 6, 2]), "shape has 3 entries for 2 axes"),
+    (grid_bytes(shape=[-4, 16]), "shape entries must be positive integers, got [-4, 16]"),
+    (grid_bytes(shape=[4.0, 6]), "shape entries must be positive integers, got [4.0, 6]"),
+    (grid_bytes(origin=[0.0]), "origin and spacing must be lists of 2 numbers"),
+    (grid_bytes(spacing=[0.5, "x"]), "origin and spacing must be lists of 2 numbers"),
+    (grid_bytes(spacing=[0.5, 0.0]), "grid spacings must be positive"),
+    (grid_bytes(fields=["u", "u"]), "fields must be a non-empty list of distinct names"),
+    (grid_bytes(data=8 * 23), "field data is 184 bytes, 1 field(s) of shape (4, 6) take 192"),
+    (grid_bytes(data=8 * 24 + 5), "field data is 197 bytes, 1 field(s) of shape (4, 6) take 192"),
+], ids=["magic", "header_length", "header_short", "header_json", "header_object",
+        "no_axes", "no_shape", "no_origin", "no_spacing", "no_fields", "axes_type",
+        "rank", "shape_negative", "shape_float", "origin_length", "spacing_type",
+        "spacing_zero", "fields_repeat", "data_short", "data_extra"])
+def test_malformed_grid_file_is_domain_error(capsys, tmp_path, kdv_problem,
+                                             content, message):
+    path = tmp_path / "bad.grid"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "check-solution", kdv_problem, "--grid", str(path))
+    assert code == 1 and out == ""
+    assert err == f"varjet: {path}: {message}\n"

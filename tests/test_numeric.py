@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import KDV_L, jet_pool, random_expr
+from varjet import numeric
 from varjet.jetcalc import EquationSystem
-from varjet.multiindex import MultiIndex
+from varjet.multiindex import MultiIndex, multiindices_up_to
 from varjet.numeric import (
     GridFunction,
     GridTooSmallError,
@@ -21,8 +22,8 @@ from varjet.numeric import (
     save_grid,
     stencil_radius,
 )
-from varjet.pdham import constraints, derived_context, elh_system
-from varjet.symcore import CoordinateId, Expr, JetContext, parse
+from varjet.pdham import constraints, derived_context, elh_system, reduce_lagrangian
+from varjet.symcore import JET, CoordinateId, Expr, JetContext, parse
 from varjet.variational import LagrangianDensity, euler_lagrange, legendre_form
 
 
@@ -169,6 +170,158 @@ def test_fd_prolong_mixed_partial_order_independent(ctx_tx):
     assert np.allclose(dtx[interior], dxt[interior], equal_nan=False)
     assert np.allclose(pr.samples[CoordinateId.jet(0, MultiIndex.of(0, 1))][interior],
                        dtx[interior])
+
+
+def reference_stencil(arr, axis, order, h):
+    """The unbanded kernel, as it was before banding: the bit-exact reference."""
+    if order == 0:
+        return arr
+    r = stencil_radius(order)
+    n = arr.shape[axis]
+    if n < 2 * r + 1:
+        raise GridTooSmallError(
+            f"axis of {n} points cannot host a radius-{r} stencil")
+    weights = fd_weights(order, r)
+    out = np.full_like(arr, np.nan)
+    core = [slice(None)] * arr.ndim
+    core[axis] = slice(r, n - r)
+    center = arr[tuple(core)]
+    acc = np.zeros(center.shape)
+    for k, w in enumerate(weights):
+        o = k - r
+        if o == 0:
+            continue
+        src = [slice(None)] * arr.ndim
+        src[axis] = slice(r + o, n - r + o if n - r + o != 0 else None)
+        acc = acc + w * (arr[tuple(src)] - center)
+    out[tuple(core)] = acc / h ** order
+    return out
+
+
+def stencil_input(shape, seed):
+    """Random data with a block of randomly signed zeros (so terms of either
+    zero sign), a constant block and a NaN, as chained passes see them."""
+    rng = np.random.default_rng(seed)
+    arr = rng.standard_normal(shape)
+    zeros = tuple(slice(0, max(1, k // 2)) for k in shape)
+    arr[zeros] = np.copysign(0.0, rng.standard_normal(arr[zeros].shape))
+    arr[tuple(slice(k // 2, None) for k in shape)] = 1.5
+    arr[tuple(k // 3 for k in shape)] = np.nan
+    return arr
+
+
+@pytest.mark.parametrize("shape, band", [
+    ((5,), None), ((7,), None), ((200,), None), ((200,), 7), ((200_003,), None),
+    ((5, 7), None), ((7, 5), None), ((37, 23), None), ((37, 23), 64),
+    ((301, 509), None),
+    ((5, 7, 9), None), ((9, 7, 5), 16), ((13, 11, 12), 100),
+])
+def test_banded_stencil_bit_identical(monkeypatch, shape, band):
+    # sizes of exactly 2r+1 (5 and 7) and row counts the band does not divide
+    if band is not None:
+        monkeypatch.setattr(numeric, "BAND_ELEMENTS", band)
+    arr = stencil_input(shape, seed=sum(shape))
+    for axis in range(len(shape)):
+        for order in (1, 2, 3, 4):
+            if shape[axis] < 2 * stencil_radius(order) + 1:
+                continue
+            for h in (0.37, 1 / 3):
+                want = reference_stencil(arr, axis, order, h)
+                got = numeric._apply_stencil(arr, axis, order, h)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
+                    (shape, axis, order, h)
+
+
+def reference_residual(system, grid, legendre=None):
+    """Residuals from the full prolongation with the reference kernel, every
+    Legendre momentum evaluated and every comma-derivative differenced afresh."""
+    def prolong(ctx, order):
+        samples = {CoordinateId.independent(i): mesh for i, mesh in enumerate(grid.meshes())}
+        for alpha, dep in enumerate(ctx.dependents):
+            for I in multiindices_up_to(ctx.n, order):
+                arr = grid.fields[dep]
+                for axis in range(ctx.n):
+                    if I.count(axis):
+                        arr = reference_stencil(arr, axis, I.count(axis), grid.spacing[axis])
+                samples[CoordinateId.jet(alpha, I)] = arr
+        return samples
+
+    dc = system.derived
+    if dc is None:
+        order = max(res.max_jet_order() for _, res in system.equations)
+        samples = prolong(system.context, order)
+        margin = (stencil_radius(order),) * len(grid.shape)
+        return numeric._collect(system, samples, grid.shape, margin)
+    need = max(max(len(c.index) for c in dc.fiber if c.kind == JET),
+               max(e.max_jet_order() for e in legendre.coeffs.values()))
+    prolonged = prolong(dc.base, need)
+    fiber = [prolonged[c] if c.kind == JET else np.broadcast_to(
+        evaluate(legendre.coefficient(c.alpha, c.index, c.i), prolonged), grid.shape)
+        for c in dc.fiber]
+    sample = {CoordinateId.independent(i): prolonged[CoordinateId.independent(i)]
+              for i in range(dc.base.n)}
+    margin = [stencil_radius(need)] * dc.base.n
+    for c in {c for _, res in system.equations for c in res.coordinates()}:
+        if c.kind != JET:
+            continue
+        if len(c.index) == 0:
+            sample[c] = fiber[c.alpha]
+        else:
+            axis = c.index.entries[0]
+            sample[c] = reference_stencil(fiber[c.alpha], axis, 1, grid.spacing[axis])
+            margin[axis] = stencil_radius(need) + stencil_radius(1)
+    return numeric._collect(system, sample, grid.shape, tuple(margin))
+
+
+@pytest.mark.parametrize("which", ["el", "constraints", "elh", "hdw"])
+def test_residual_matches_full_prolongation(ctx_tx, which):
+    lag = LagrangianDensity(ctx_tx, parse(KDV_L, ctx_tx), order=2)
+    theta = legendre_form(lag) if which != "el" else None
+    if which == "el":
+        system = kdv_el_system(ctx_tx)
+    elif which == "constraints":
+        dc = derived_context(ctx_tx, 1)
+        system = EquationSystem(dc.ctx, tuple(
+            (lab, dc.embed(res)) for lab, res in constraints(lag, 1).equations), derived=dc)
+    elif which == "elh":
+        system = elh_system(lag, 1)
+    else:
+        system = reduce_lagrangian(lag, 1).system_hdw
+    g = soliton_grid(40, 57, c=0.9, box=5.0)
+    got = residual(system, g, legendre=theta)
+    assert got == reference_residual(system, g, legendre=theta)
+    # the constraint rows vanish identically on the Legendre momenta
+    assert any(v != 0.0 for v in got.values()) or which == "constraints"
+
+
+def test_kdv_el_residual_stencils_only_what_it_reads(ctx_tx, monkeypatch):
+    # u_tx - 6 u_x u_xx + u_xxxx: the passes u_t, u_t -> u_tx, u_x, u_xx, u_xxxx
+    passes = []
+    real = numeric._apply_stencil
+
+    def counted(arr, axis, order, h):
+        passes.append((axis, order))
+        return real(arr, axis, order, h)
+
+    monkeypatch.setattr(numeric, "_apply_stencil", counted)
+    residual(kdv_el_system(ctx_tx), soliton_grid(32, 32))
+    assert sorted(passes) == [(0, 1), (1, 1), (1, 1), (1, 2), (1, 4)]
+
+
+def test_residual_grid_too_small_keeps_full_prolongation_message(ctx_tx):
+    # the EL rows read no jet with two t's, but the order-4 prolongation has
+    # u_ttt, whose radius-3 stencil the 6-point t axis cannot host
+    message = r"^axis of 6 points cannot host a radius-3 stencil$"
+    with pytest.raises(GridTooSmallError, match=message):
+        residual(kdv_el_system(ctx_tx), soliton_grid(6, 40))
+
+
+def test_residual_constant_legendre_coefficient(ctx_tx):
+    # p^t = dL/du_t = 1 evaluates to a float, which is differenced as a field
+    lag = LagrangianDensity(ctx_tx, parse("u_t + 1/2*u_x^2", ctx_tx), order=1)
+    r = residual(elh_system(lag, 0), soliton_grid(40, 40, box=4.0),
+                 legendre=legendre_form(lag))
+    assert r["mom:u:t"] == 0.0 and np.isfinite(r["mom:u:"])
 
 
 # -- residuals -------------------------------------------------------------------
