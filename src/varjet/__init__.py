@@ -25,7 +25,6 @@ from .jetcalc import (
     EquationSystem,
     iterated_total_derivative,
     prolong,
-    remove_one,
     total_derivative,
     total_derivative_primed,
 )

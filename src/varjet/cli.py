@@ -10,13 +10,14 @@ fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
 
-from .symcore import ParseError, VarjetError, render
+from .symcore import JetContext, ParseError, VarjetError, expr_to_json, parse, render
 from .jetcalc import EquationSystem, prolong
-from .variational import euler_lagrange, legendre_form
+from .variational import LagrangianDensity, euler_lagrange, legendre_form
 from .pdham import (
     constraints,
     derived_context,
@@ -66,8 +67,20 @@ def _legendre_text(theta, fmt: str) -> str:
     return "\n".join(lines) if lines else "(zero form)"
 
 
-def cmd_el(args, problem: Problem) -> str:
-    lag = problem.lagrangian(args.order)
+def _el_system(lag: LagrangianDensity, ctx: JetContext) -> EquationSystem:
+    """The Euler-Lagrange equations as a system over ctx, one row per dependent."""
+    source = euler_lagrange(lag)
+    return EquationSystem(ctx, tuple(
+        (f"el:{ctx.dependents[a]}", source.component(a)) for a in range(ctx.m)))
+
+
+def _sampling(args, problem: Problem) -> dict:
+    """Samples and seed of the Hessian rank: the command line's, else the problem file's."""
+    return {"samples": args.rank_samples or problem.rank_samples,
+            "seed": args.seed if args.seed is not None else problem.seed}
+
+
+def cmd_el(args, problem: Problem, lag: LagrangianDensity) -> str:
     ctx = lag.context
     source = euler_lagrange(lag)
     if args.format == "json":
@@ -77,25 +90,20 @@ def cmd_el(args, problem: Problem) -> str:
         for alpha in range(ctx.m))
 
 
-def cmd_legendre(args, problem: Problem) -> str:
-    return _legendre_text(legendre_form(problem.lagrangian(args.order)), args.format)
+def cmd_legendre(args, problem: Problem, lag: LagrangianDensity) -> str:
+    return _legendre_text(legendre_form(lag), args.format)
 
 
-def cmd_elh(args, problem: Problem) -> str:
-    lag = problem.lagrangian(args.order)
+def cmd_elh(args, problem: Problem, lag: LagrangianDensity) -> str:
     return _system_text(elh_system(lag, lag.level), args.format)
 
 
-def cmd_constraints(args, problem: Problem) -> str:
-    lag = problem.lagrangian(args.order)
+def cmd_constraints(args, problem: Problem, lag: LagrangianDensity) -> str:
     return _system_text(constraints(lag, lag.level), args.format)
 
 
-def cmd_hessian(args, problem: Problem) -> str:
-    lag = problem.lagrangian(args.order)
-    matrix, report = hessian(lag, lag.level,
-                             samples=args.rank_samples or problem.rank_samples,
-                             seed=args.seed if args.seed is not None else problem.seed)
+def cmd_hessian(args, problem: Problem, lag: LagrangianDensity) -> str:
+    matrix, report = hessian(lag, lag.level, **_sampling(args, problem))
     if args.format == "json":
         payload = dict(report.to_json_dict())
         payload["matrix"] = matrix.to_json_dict()["entries"]
@@ -109,20 +117,15 @@ def cmd_hessian(args, problem: Problem) -> str:
     return "\n".join(lines)
 
 
-def cmd_energy(args, problem: Problem) -> str:
-    lag = problem.lagrangian(args.order)
+def cmd_energy(args, problem: Problem, lag: LagrangianDensity) -> str:
     energy = energy_density(lag, lag.level)
     if args.format == "json":
-        from .symcore import expr_to_json
         return _json_dump(expr_to_json(energy.expr, lag.context))
     return render(energy.expr, lag.context, args.format)
 
 
-def cmd_reduce(args, problem: Problem) -> str:
-    lag = problem.lagrangian(args.order)
-    red = reduce_lagrangian(lag, lag.level,
-                            samples=args.rank_samples or problem.rank_samples,
-                            seed=args.seed if args.seed is not None else problem.seed)
+def cmd_reduce(args, problem: Problem, lag: LagrangianDensity) -> str:
+    red = reduce_lagrangian(lag, lag.level, **_sampling(args, problem))
     if args.format == "json":
         return _json_dump(red.to_json_dict())
     ctx = lag.context
@@ -146,11 +149,9 @@ def cmd_reduce(args, problem: Problem) -> str:
     return "\n".join(lines)
 
 
-def cmd_shift(args, problem: Problem) -> str:
-    lag = problem.lagrangian(args.order)
+def cmd_shift(args, problem: Problem, lag: LagrangianDensity) -> str:
     ctx = lag.context
     if args.rho:
-        from .symcore import parse
         texts = [part.strip() for part in args.rho.split(";")]
         if len(texts) != ctx.n:
             raise VarjetError(f"--rho needs {ctx.n} ';'-separated components")
@@ -161,8 +162,7 @@ def cmd_shift(args, problem: Problem) -> str:
     return _system_text(shifted, args.format)
 
 
-def cmd_prolong(args, problem: Problem) -> str:
-    lag = problem.lagrangian(args.order)
+def cmd_prolong(args, problem: Problem, lag: LagrangianDensity) -> str:
     # the requested level is explicit, so lift the jet-order bound by exactly
     # that much; the library-level default stays strict
     ctx = lag.context.extended(lag.context.max_order + max(0, args.level))
@@ -170,40 +170,33 @@ def cmd_prolong(args, problem: Problem) -> str:
         with open(args.system, "r", encoding="utf-8") as fh:
             system = EquationSystem.from_json_dict(json.load(fh), ctx)
     else:
-        source = euler_lagrange(lag)
-        system = EquationSystem(ctx, tuple(
-            (f"el:{ctx.dependents[a]}", source.component(a)) for a in range(ctx.m)))
+        system = _el_system(lag, ctx)
     return _system_text(prolong(system, args.level), args.format)
 
 
-def cmd_check_solution(args, problem: Problem) -> str:
-    lag = problem.lagrangian(args.order)
+def cmd_check_solution(args, problem: Problem, lag: LagrangianDensity) -> str:
     ctx = lag.context
     if not args.grid:
         raise VarjetError("check-solution needs --grid <file>")
     grid = load_grid(args.grid)
     momentum_fields = load_grid(args.momenta) if args.momenta else None
     which = args.system or "el"
-    theta = None
+    # every system but el reads momenta, given as fields or by the Legendre form
+    theta = None if which == "el" else legendre_form(lag)
     if which == "el":
-        source = euler_lagrange(lag)
-        system = EquationSystem(ctx, tuple(
-            (f"el:{ctx.dependents[a]}", source.component(a)) for a in range(ctx.m)))
+        system = _el_system(lag, ctx)
     elif which == "constraints":
         dc = derived_context(ctx, lag.level)
         rows = tuple((lab, dc.embed(res))
                      for lab, res in constraints(lag, lag.level).equations)
         system = EquationSystem(dc.ctx, rows, derived=dc)
-        theta = legendre_form(lag)
     elif which == "elh":
         system = elh_system(lag, lag.level)
-        theta = legendre_form(lag)
     elif which == "hdw":
-        red = reduce_lagrangian(lag, lag.level, seed=problem.seed)
+        red = reduce_lagrangian(lag, lag.level, **_sampling(args, problem))
         if red.system_hdw is None:
             raise VarjetError(f"reduction did not produce HDW equations ({red.diagnosis})")
         system = red.system_hdw
-        theta = legendre_form(lag)
     else:
         raise VarjetError(f"unknown system {which!r}")
     report = residual(system, grid, momentum_fields=momentum_fields, legendre=theta)
@@ -240,7 +233,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call;
+    parse_args keeps no state in it, and callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="varjet",
         description="Derive Euler-Lagrange, Legendre, ELH, constraint, and "
@@ -270,11 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         problem = load_problem(args.problem)
-        text = _COMMANDS[args.command](args, problem)
+        text = _COMMANDS[args.command](args, problem, problem.lagrangian(args.order))
     except OSError as exc:
         print(f"varjet: {exc}", file=sys.stderr)
         return 1

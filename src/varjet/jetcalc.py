@@ -10,7 +10,7 @@ primed operator of first-order (derived) contexts applies instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Tuple
 
 from .multiindex import MultiIndex, multiindices_up_to
 from .symcore import (
@@ -24,11 +24,6 @@ from .symcore import (
     parse,
     render,
 )
-
-
-def remove_one(I: MultiIndex):
-    """All distinct (J, i, multiplicity I[i]) with Ji = I; see MultiIndex.removals."""
-    return I.removals()
 
 
 def total_derivative(e: Expr, i: int, ctx: JetContext) -> Expr:
@@ -97,9 +92,6 @@ class EquationSystem:
         seen = {c for _, res in self.equations for c in res.coordinates()
                 if c.kind != "independent"}
         return tuple(sorted(seen, key=lambda c: c.sort_key()))
-
-    def residuals(self) -> List[Expr]:
-        return [res for _, res in self.equations]
 
     def canonical_residual_set(self):
         """Multiset of sign-normalized residuals, for comparison up to row sign and order."""

@@ -41,10 +41,6 @@ class MultiIndex:
         """The multiindex Ii (append one copy of i)."""
         return MultiIndex(self.entries + (i,))
 
-    def concat(self, other: "MultiIndex") -> "MultiIndex":
-        """The multiindex IJ."""
-        return MultiIndex(self.entries + other.entries)
-
     def removals(self) -> List[Tuple["MultiIndex", int, int]]:
         """All distinct (J, i) with Ji = I, each with multiplicity I[i].
 

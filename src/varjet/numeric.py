@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .multiindex import MultiIndex, multiindices_up_to
-from .symcore import JET, CoordinateId, Expr, JetContext, VarjetError
+from .symcore import JET, CoordinateId, Expr, JetContext, VarjetError, row_echelon
 from .jetcalc import EquationSystem
 from .variational import LegendreForm
 
@@ -108,21 +108,15 @@ def fd_weights(order: int, radius: int) -> Tuple[float, ...]:
     npts = len(offsets)
     if order >= npts:
         raise GridTooSmallError("stencil too narrow for the requested derivative")
-    rows = [[Fraction(o) ** k for o in offsets] for k in range(npts)]
-    rhs = [Fraction(0)] * npts
-    rhs[order] = Fraction(math.factorial(order))
-    # Gaussian elimination with exact arithmetic
-    aug = [row + [rhs[k]] for k, row in enumerate(rows)]
-    for col in range(npts):
-        pivot = next(r for r in range(col, npts) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(npts):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(float(aug[k][npts]) for k in range(npts))
+    # row k: sum_j w_j offset_j^k = order! if k == order else 0; the offsets
+    # are distinct, so the echelon form has its pivots on the diagonal
+    rhs = [Fraction(math.factorial(order) if k == order else 0) for k in range(npts)]
+    rows, _ = row_echelon([[Fraction(o) ** k for o in offsets] + [rhs[k]] for k in range(npts)])
+    weights = [Fraction(0)] * npts
+    for k in reversed(range(npts)):
+        row = rows[k]
+        weights[k] = (row[npts] - sum(row[j] * weights[j] for j in range(k + 1, npts))) / row[k]
+    return tuple(float(w) for w in weights)
 
 
 def stencil_radius(order: int) -> int:

@@ -32,6 +32,7 @@ from .symcore import (
     VarjetError,
     WrongDomainError,
     render,
+    row_echelon,
 )
 from .jetcalc import EquationSystem, total_derivative
 from .variational import LagrangianDensity
@@ -90,20 +91,18 @@ class DerivedContext:
             mapping[c] = Expr.coord(self.dep(c))
         return e.substitute(mapping)
 
-    def project(self, e: Expr) -> Expr:
-        """Derived expression without comma-jets -> base expression."""
-        mapping: Dict[CoordinateId, Expr] = {}
-        for c in e.coordinates():
-            if c.kind == JET:
-                if len(c.index) > 0:
-                    raise WrongDomainError("cannot project a comma-derivative back to the base")
-                mapping[c] = Expr.coord(self.fiber[c.alpha])
-        return e.substitute(mapping)
-
 
 def derived_context(lag_or_ctx, level: int) -> DerivedContext:
     base = lag_or_ctx.context if isinstance(lag_or_ctx, LagrangianDensity) else lag_or_ctx
     return DerivedContext(base, level)
+
+
+def _level(lag: LagrangianDensity, level: Optional[int]) -> int:
+    """The momentum level l, the density's own unless given; checked against its order."""
+    l = lag.level if level is None else level
+    if lag.order > l + 1:
+        raise VarjetError(f"density order {lag.order} exceeds l+1 = {l + 1}")
+    return l
 
 
 def _momentum_label(ctx: JetContext, alpha: int, I: MultiIndex) -> str:
@@ -125,9 +124,7 @@ def elh_system(lag: LagrangianDensity, level: Optional[int] = None) -> EquationS
     and contact rows (u_I),_i - u_{Ii} = 0 for |I| <= l.
     """
     ctx = lag.context
-    l = lag.level if level is None else level
-    if lag.order > l + 1:
-        raise VarjetError(f"density order {lag.order} exceeds l+1 = {l + 1}")
+    l = _level(lag, level)
     dc = DerivedContext(ctx, l)
     rows: List[Tuple[str, Expr]] = []
     for alpha in range(ctx.m):
@@ -159,9 +156,7 @@ def constraints(lag: LagrangianDensity, level: Optional[int] = None) -> Equation
     """The algebraic rows cutting out the constraint manifold:
     dL/du_I^a - sum_{Ji=I} p_a^{J.i} = 0 for |I| = l+1, in the base context."""
     ctx = lag.context
-    l = lag.level if level is None else level
-    if lag.order > l + 1:
-        raise VarjetError(f"density order {lag.order} exceeds l+1 = {l + 1}")
+    l = _level(lag, level)
     rows: List[Tuple[str, Expr]] = []
     for alpha in range(ctx.m):
         for I in multiindices(ctx.n, l + 1):
@@ -214,29 +209,6 @@ class RankReport:
         }
 
 
-def _fraction_rank(matrix: List[List[Fraction]]) -> int:
-    """Rank by exact Gaussian elimination over the rationals."""
-    rows = [list(r) for r in matrix]
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(n_rows):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
-
-
 def hessian(lag: LagrangianDensity, level: Optional[int] = None,
             samples: int = 5, seed: int = 0) -> Tuple[HessianMatrix, RankReport]:
     """The Hessian in the jets of order l+1, with a sampled exact-rank report.
@@ -247,7 +219,7 @@ def hessian(lag: LagrangianDensity, level: Optional[int] = None,
     is probabilistic, repetitions and seed configurable).
     """
     ctx = lag.context
-    l = lag.level if level is None else level
+    l = _level(lag, level)
     idx = [(alpha, I) for alpha in range(ctx.m) for I in multiindices(ctx.n, l + 1)]
     entries = tuple(
         tuple(lag.L.partial(CoordinateId.jet(a1, I1)).partial(CoordinateId.jet(a2, I2))
@@ -265,7 +237,7 @@ def hessian(lag: LagrangianDensity, level: Optional[int] = None,
         numeric = [[e.substitute(point).constant_value() for e in row] for row in entries]
         if any(v is None for row in numeric for v in row):
             raise AssertionError("internal error: Hessian entry failed to evaluate")
-        ranks.append(_fraction_rank(numeric) if idx else 0)
+        ranks.append(len(row_echelon(numeric)[1]))
     rank = max(ranks)
     report = RankReport(dim=len(idx), rank=rank, regular=(rank == len(idx)),
                         rank_constant=(len(set(ranks)) == 1), ranks=tuple(ranks),
@@ -284,9 +256,7 @@ class EnergyDensity:
 
 def energy_density(lag: LagrangianDensity, level: Optional[int] = None) -> EnergyDensity:
     ctx = lag.context
-    l = lag.level if level is None else level
-    if lag.order > l + 1:
-        raise VarjetError(f"density order {lag.order} exceeds l+1 = {l + 1}")
+    l = _level(lag, level)
     pairings = [Expr.coord(CoordinateId.momentum(alpha, I, i))
                 * Expr.coord(CoordinateId.jet(alpha, I.with_index(i)))
                 for alpha in range(ctx.m)
@@ -392,6 +362,15 @@ def _is_affine_in(res: Expr, tops: set) -> bool:
     return True
 
 
+def _pivot(res: Expr, candidates) -> Optional[Tuple[CoordinateId, Fraction]]:
+    """The first candidate whose coefficient in res is a nonzero rational, with it."""
+    for c in candidates:
+        coeff = res.coefficient_of(c).constant_value()
+        if coeff:
+            return c, coeff
+    return None
+
+
 def reduce_lagrangian(lag: LagrangianDensity, level: Optional[int] = None,
                       samples: int = 5, seed: int = 0) -> ReducedSystem:
     """Two-stage reduction of the constraint rows.
@@ -405,12 +384,12 @@ def reduce_lagrangian(lag: LagrangianDensity, level: Optional[int] = None,
     projected coordinates and both reduced equation systems are emitted.
     """
     ctx = lag.context
-    l = lag.level if level is None else level
+    l = _level(lag, level)
     _, report = hessian(lag, l, samples=samples, seed=seed)
     energy = energy_density(lag, l).expr
     cons = constraints(lag, l)
-    tops = set(ctx.jets_up_to(l + 1)) - set(ctx.jets_up_to(l))
-    tops_ordered = [c for c in ctx.jets_up_to(l + 1) if c in tops]
+    tops_ordered = [c for c in ctx.jets_up_to(l + 1) if len(c.index) == l + 1]
+    tops = set(tops_ordered)
 
     def partial_result(diagnosis: str, offending=()) -> ReducedSystem:
         return ReducedSystem(diagnosis, report, (), (), dict(subs), energy,
@@ -420,28 +399,27 @@ def reduce_lagrangian(lag: LagrangianDensity, level: Optional[int] = None,
     if not all(_is_affine_in(res, tops) for _, res in cons.equations):
         return partial_result("irreducible: nonlinear constraints")
 
-    # stage 1: solve rows for top jets with rational coefficients
+    def eliminate(coord: CoordinateId, coeff: Fraction, res: Expr,
+                  rows: List[Tuple[str, Expr]]) -> List[Tuple[str, Expr]]:
+        """Solve res = 0 for coord; substitute it into rows (returned) and earlier solutions."""
+        solved = res.substitute({coord: Expr.zero()}).scale(Fraction(-1) / coeff)
+        subs[coord] = solved
+        rows = [(lb, r.substitute({coord: solved})) for lb, r in rows]
+        for key in list(subs):
+            subs[key] = subs[key].substitute({coord: solved})
+        return rows
+
+    # stage 1: solve rows for top jets with rational coefficients, rescanning
+    # from the first row after each elimination
     pending: List[Tuple[str, Expr]] = list(cons.equations)
-    progress = True
-    while progress:
-        progress = False
-        for k, (label, res) in enumerate(pending):
-            for jet in tops_ordered:
-                if jet in subs:
-                    continue
-                coeff = res.coefficient_of(jet).constant_value()
-                if coeff is None or coeff == 0:
-                    continue
-                solved = res.substitute({jet: Expr.zero()}).scale(Fraction(-1) / coeff)
-                subs[jet] = solved
-                pending = [(lb, r.substitute({jet: solved}))
-                           for lb, r in pending[:k] + pending[k + 1:]]
-                for key in list(subs):
-                    subs[key] = subs[key].substitute({jet: solved})
-                progress = True
-                break
-            if progress:
-                break
+    k = 0
+    while k < len(pending):
+        pivot = _pivot(pending[k][1], [jet for jet in tops_ordered if jet not in subs])
+        if pivot is None:
+            k += 1
+        else:
+            pending = eliminate(*pivot, pending[k][1], pending[:k] + pending[k + 1:])
+            k = 0
 
     leftovers = [(lb, r) for lb, r in pending if not r.is_zero()]
     offending = [lb for lb, r in leftovers
@@ -450,30 +428,16 @@ def reduce_lagrangian(lag: LagrangianDensity, level: Optional[int] = None,
         return partial_result("Assumption 1 check failed", offending)
 
     # stage 2: eliminate dependent momenta from the pure-momentum relations
-    momentum_rows = 0
     while leftovers:
         label, res = leftovers.pop(0)
-        momenta_in = [c for c in res.coordinates() if c.kind == MOMENTUM]
-        pivot = None
-        for cand in sorted(momenta_in, key=lambda c: c.sort_key(), reverse=True):
-            coeff = res.coefficient_of(cand).constant_value()
-            if coeff:
-                pivot = (cand, coeff)
-                break
+        pivot = _pivot(res, [c for c in reversed(res.coordinates()) if c.kind == MOMENTUM])
         if pivot is None:
             if res.constant_value() is not None:
                 raise DegenerateLagrangianError(
                     f"inconsistent constraint row {label!r}: "
                     f"{render(res, ctx, 'plain')} = 0")
             return partial_result("Assumption 1 check failed", [label])
-        cand, coeff = pivot
-        solved = res.substitute({cand: Expr.zero()}).scale(Fraction(-1) / coeff)
-        subs[cand] = solved
-        leftovers = [(lb, r.substitute({cand: solved})) for lb, r in leftovers]
-        leftovers = [(lb, r) for lb, r in leftovers if not r.is_zero()]
-        for key in list(subs):
-            subs[key] = subs[key].substitute({cand: solved})
-        momentum_rows += 1
+        leftovers = [(lb, r) for lb, r in eliminate(*pivot, res, leftovers) if not r.is_zero()]
 
     energy_p = energy.substitute(subs)
     if any(c in tops for c in energy_p.coordinates()):
@@ -490,7 +454,8 @@ def reduce_lagrangian(lag: LagrangianDensity, level: Optional[int] = None,
 
     system_p = _reduced_system(lag, l, subs, energy_p, DerivedContext(ctx, l, p_fiber))
     system_hdw = _reduced_system(lag, l, subs, energy_p, DerivedContext(ctx, l, p0_fiber))
-    diagnosis = "regular" if not surviving_tops and momentum_rows == 0 else "reducible"
+    regular = not surviving_tops and not any(c.kind == MOMENTUM for c in subs)
+    diagnosis = "regular" if regular else "reducible"
     return ReducedSystem(
         diagnosis, report,
         tuple(independents + p_fiber), tuple(independents + p0_fiber),
@@ -541,6 +506,3 @@ def _reduced_system(lag: LagrangianDensity, l: int, subs: Dict[CoordinateId, Exp
                     rows.append((_contact_label(ctx, alpha, I, j), res))
     return EquationSystem(dc.ctx, tuple(rows), _with_zero_jets(dc, rows), derived=dc)
 
-
-# spec-facing alias; the module-level name avoids shadowing the builtin in imports
-reduce = reduce_lagrangian

@@ -23,7 +23,7 @@ _KNOWN_KEYS = {"independents", "dependents", "lagrangian", "order",
 class Problem:
     independents: Tuple[str, ...]
     dependents: Tuple[str, ...]
-    lagrangian_text: str
+    density: Expr  # parsed once: an Expr names coordinates by index, not by name
     order: int
     max_order: int
     auto_extend: bool = False
@@ -31,17 +31,12 @@ class Problem:
     rank_samples: int = 5
     rho_texts: Tuple[str, ...] = ()
 
-    def context(self, order_override: Optional[int] = None) -> JetContext:
-        order = order_override if order_override is not None else self.order
-        return JetContext(self.independents, self.dependents,
-                          max_order=max(self.max_order, 2 * order),
-                          auto_extend=self.auto_extend)
-
     def lagrangian(self, order_override: Optional[int] = None) -> LagrangianDensity:
         order = order_override if order_override is not None else self.order
-        ctx = self.context(order_override)
-        L = parse(self.lagrangian_text, ctx)
-        return LagrangianDensity(ctx, L, order=order)
+        ctx = JetContext(self.independents, self.dependents,
+                         max_order=max(self.max_order, 2 * order),
+                         auto_extend=self.auto_extend)
+        return LagrangianDensity(ctx, self.density, order=order)
 
     def rho(self, ctx: JetContext) -> List[Expr]:
         if not self.rho_texts:
@@ -110,36 +105,38 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
         if name in independents:
             fail("dependents",
                  f"name {name!r} is declared both as an independent and as a dependent")
-    problem = Problem(
+    order = integer("order", 0)
+    max_order = integer("max_order", 0)
+    auto_extend = boolean("auto_extend")
+    seed = integer("seed", 0)
+    rank_samples = integer("rank_samples", 5)
+    if order < 0:
+        fail("order", "order must be >= 1")
+    if max_order < 0:
+        fail("max_order", "max_order must be >= 0")
+    if rank_samples < 1:
+        fail("rank_samples", "rank_samples must be >= 1")
+    # parsed without an order bound (Problem.lagrangian's context carries it);
+    # infer the declared order from the density when absent
+    density = parse(entries["lagrangian"][0],
+                    JetContext(independents, dependents, auto_extend=True))
+    minimal = max(1, density.max_jet_order())
+    if order == 0:
+        order = minimal
+    elif order < minimal:
+        fail("order", f"declared order {order} below the density order {minimal}")
+    return Problem(
         independents=independents,
         dependents=dependents,
-        lagrangian_text=entries["lagrangian"][0],
-        order=integer("order", 0),
-        max_order=integer("max_order", 0),
-        auto_extend=boolean("auto_extend"),
-        seed=integer("seed", 0),
-        rank_samples=integer("rank_samples", 5),
+        density=density,
+        order=order,
+        max_order=max_order or max(4, 2 * order),
+        auto_extend=auto_extend,
+        seed=seed,
+        rank_samples=rank_samples,
         rho_texts=tuple(part.strip() for part in entries["rho"][0].split(";"))
         if "rho" in entries else (),
     )
-    if problem.order < 0:
-        fail("order", "order must be >= 1")
-    if problem.max_order < 0:
-        fail("max_order", "max_order must be >= 0")
-    if problem.rank_samples < 1:
-        fail("rank_samples", "rank_samples must be >= 1")
-    # infer declared order from the density when absent
-    probe_ctx = JetContext(independents, dependents,
-                           max_order=max(problem.max_order, 8), auto_extend=True)
-    L = parse(problem.lagrangian_text, probe_ctx)
-    minimal = max(1, L.max_jet_order())
-    if problem.order == 0:
-        problem.order = minimal
-    elif problem.order < minimal:
-        fail("order", f"declared order {problem.order} below the density order {minimal}")
-    if problem.max_order == 0:
-        problem.max_order = max(4, 2 * problem.order)
-    return problem
 
 
 def load_problem(path: str) -> Problem:

@@ -125,8 +125,9 @@ _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
 class JetContext:
     """Declares the bundle: independent and dependent variable names plus order bounds.
 
-    ``max_order`` is the highest admitted jet order; operations that would
-    exceed it raise OrderOverflowError unless ``auto_extend`` is set.
+    ``max_order`` is the highest admitted jet order and momentum level;
+    operations that would exceed it raise OrderOverflowError unless
+    ``auto_extend`` is set.
     ``jet_style`` selects the rendering of jets: "suffix" (u_xx) for base
     contexts with simple names, "comma" (u_x,_t) for derived first-order
     contexts whose dependents carry compound names.
@@ -137,7 +138,6 @@ class JetContext:
     max_order: int = 4
     auto_extend: bool = False
     jet_style: str = "suffix"
-    momentum_order: int = -1  # highest |I| admitted in momenta; -1 follows max_order
 
     def __post_init__(self):
         object.__setattr__(self, "independents", tuple(self.independents))
@@ -174,7 +174,7 @@ class JetContext:
         if max_order <= self.max_order:
             return self
         return JetContext(self.independents, self.dependents, max_order,
-                          self.auto_extend, self.jet_style, self.momentum_order)
+                          self.auto_extend, self.jet_style)
 
     # -- naming ---------------------------------------------------------
 
@@ -275,10 +275,9 @@ class JetContext:
         if suffix is None:
             return None
         index = MultiIndex(tuple(suffix))
-        bound = self.momentum_order if self.momentum_order >= 0 else self.max_order
-        if len(index) > bound and not self.auto_extend:
+        if len(index) > self.max_order and not self.auto_extend:
             raise OrderOverflowError(
-                f"momentum level {len(index)} exceeds admitted order {bound}")
+                f"momentum level {len(index)} exceeds admitted order {self.max_order}")
         return CoordinateId.momentum(alpha, index, self.independents.index(direction))
 
     def _split_index_word(self, word: str) -> Optional[List[int]]:
@@ -498,9 +497,6 @@ class Expr:
     def total_degree(self) -> int:
         return max((sum(e for _, e in m) for m, _ in self.terms), default=0)
 
-    def leading_coefficient(self) -> Fraction:
-        return self.terms[0][1] if self.terms else Fraction(0)
-
     def sign_normalized(self) -> "Expr":
         """Multiply by -1 if the leading coefficient is negative (row-sign canonical form)."""
         return -self if self.terms and self.terms[0][1] < 0 else self
@@ -566,6 +562,34 @@ class Expr:
 
 _ZERO = Expr()
 _ONE = Expr.number(1)
+
+
+# -- exact linear algebra ------------------------------------------------------
+
+def row_echelon(matrix: Iterable[Iterable[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
+    """Forward elimination over the rationals: (echelon rows, pivot columns).
+
+    Row k < rank has its pivot at column ``pivots[k]`` and zeros to the left
+    of it; the rows from the rank on are zero.  Pivot rows are not scaled and
+    rows above a pivot are not cleared, so the rank is ``len(pivots)`` and a
+    square nonsingular system is solved by back-substitution.
+    """
+    rows = [list(r) for r in matrix]
+    pivots: List[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        pivot = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        head = rows[top]
+        for r in range(top + 1, len(rows)):
+            row = rows[r]
+            if row[col]:
+                f = row[col] / head[col]
+                rows[r] = row[:col] + [a - f * b for a, b in zip(row[col:], head[col:])]
+        pivots.append(col)
+    return rows, pivots
 
 
 # -- parsing ---------------------------------------------------------------

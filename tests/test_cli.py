@@ -10,6 +10,7 @@ import pytest
 
 import jsonschema
 
+from varjet import cli
 from varjet.cli import main
 from varjet.numeric import GridFunction, save_grid
 
@@ -202,6 +203,57 @@ def test_check_solution_hdw_and_elh(capsys, tmp_path):
         data = json.loads(out)
         assert data["equations"] and all(e["max_abs"] <= 1e-6
                                          for e in data["equations"])
+
+
+def test_check_solution_hdw_reads_rank_sampling(capsys, tmp_path, monkeypatch):
+    # the reduction behind --system hdw samples the Hessian rank like `reduce`:
+    # --rank-samples/--seed first, then the problem file's values
+    path = tmp_path / "wave.problem"
+    path.write_text(WAVE_PROBLEM + "seed = 7\nrank_samples = 3\n")
+    n = 48
+    t = np.linspace(-3, 3, n)
+    x = np.linspace(-3, 3, n)
+    T, X = np.meshgrid(t, x, indexing="ij")
+    gridfile = tmp_path / "wave.grid"
+    save_grid(GridFunction(("t", "x"), (t[0], x[0]), (t[1] - t[0], x[1] - x[0]),
+                           {"u": np.sin(X - T)}), str(gridfile))
+    argv = ["check-solution", str(path), "--grid", str(gridfile), "--system", "hdw"]
+    plain = run(capsys, *argv)
+    calls = []
+    real = cli.reduce_lagrangian
+
+    def recording(lag, level=None, samples=5, seed=0):
+        calls.append((samples, seed))
+        return real(lag, level, samples=samples, seed=seed)
+
+    monkeypatch.setattr(cli, "reduce_lagrangian", recording)
+    assert run(capsys, *argv) == plain
+    assert run(capsys, *argv, "--seed", "2", "--rank-samples", "4") == plain
+    assert calls == [(3, 7), (4, 2)]
+    assert plain[0] == 0
+
+
+def test_parser_reuse_keeps_no_option_values(capsys, kdv_problem):
+    # the parser is built once per process; a later call must not see the
+    # option values of an earlier one
+    cli.build_parser.cache_clear()
+    fresh = run(capsys, "hessian", kdv_problem, "--format", "json")
+    seeded = run(capsys, "hessian", kdv_problem, "--format", "json",
+                 "--seed", "3", "--rank-samples", "2")
+    again = run(capsys, "hessian", kdv_problem, "--format", "json")
+    assert cli.build_parser() is cli.build_parser()
+    assert again == fresh
+    assert (json.loads(seeded[1])["seed"], json.loads(seeded[1])["samples"]) == (3, 2)
+    assert (json.loads(again[1])["seed"], json.loads(again[1])["samples"]) == (0, 5)
+
+
+def test_momentum_in_density_is_domain_error(capsys, tmp_path):
+    # a density is jet-side at any momentum level, also above max_order
+    for momentum in ("p_x.x", "p_xxxxx.x"):
+        path = tmp_path / "momentum.problem"
+        path.write_text(f"independents = x\ndependents = u\nlagrangian = u_x^2 + {momentum}\n")
+        code, _, err = run(capsys, "el", str(path))
+        assert code == 1 and "momenta present" in err
 
 
 def test_byte_determinism(capsys, kdv_problem):

@@ -21,26 +21,26 @@ from varjet.symcore import (
 )
 
 
-def test_remove_one_repeated():
+def test_removals_repeated():
     I = MultiIndex.of(1, 1)  # (x, x) with t=0, x=1
     assert I.removals() == [(MultiIndex.of(1), 1, 2)]
 
 
-def test_remove_one_distinct():
+def test_removals_distinct():
     I = MultiIndex.of(0, 1)
     assert I.removals() == [(MultiIndex.of(1), 0, 1), (MultiIndex.of(0), 1, 1)]
 
 
-def test_remove_one_triple():
+def test_removals_triple():
     I = MultiIndex.of(1, 1, 1)
     assert I.removals() == [(MultiIndex.of(1, 1), 1, 3)]
 
 
-def test_remove_one_empty():
+def test_removals_empty():
     assert EMPTY.removals() == []
 
 
-def test_remove_one_multiplicities_random():
+def test_removals_multiplicities_random():
     rng = random.Random(3)
     for _ in range(200):
         I = MultiIndex(tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 6))))

@@ -109,6 +109,20 @@ def test_fd_weights_first_derivative():
     assert fd_weights(1, 2) == pytest.approx((1 / 12, -8 / 12, 0.0, 8 / 12, -1 / 12))
 
 
+def test_fd_weights_exact_values():
+    # each weight is its exact rational value rounded once, so the values are
+    # pinned bit for bit
+    assert [fd_weights(order, stencil_radius(order)) for order in (1, 2, 3, 4)] == [
+        (0.08333333333333333, -0.6666666666666666, 0.0, 0.6666666666666666,
+         -0.08333333333333333),
+        (-0.08333333333333333, 1.3333333333333333, -2.5, 1.3333333333333333,
+         -0.08333333333333333),
+        (0.125, -1.0, 1.625, 0.0, -1.625, 1.0, -0.125),
+        (-0.16666666666666666, 2.0, -6.5, 9.333333333333334, -6.5, 2.0,
+         -0.16666666666666666),
+    ]
+
+
 def test_fd_weights_reproduce_polynomials():
     # the moment conditions make a radius-r stencil exact on degrees <= 2r
     for m in (1, 2, 3, 4):

@@ -76,8 +76,10 @@ def test_elh_kdv_full_system(kdv):
 
 
 def test_elh_order_mismatch(kdv):
-    with pytest.raises(VarjetError):
-        elh_system(kdv, 0)  # density order 2 exceeds l+1 = 1
+    # density order 2 exceeds l+1 = 1 for every construction that takes a level
+    for construction in (elh_system, constraints, energy_density, hessian, reduce_lagrangian):
+        with pytest.raises(VarjetError, match="exceeds l\\+1 = 1"):
+            construction(kdv, 0)
 
 
 def test_elh_constraint_rows_match_constraints_randomized():

@@ -146,7 +146,7 @@ def test_total_derivative_leibniz(a, b, i):
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=7))
-def test_remove_one_reassembles(entries):
+def test_removals_reassembles(entries):
     I = MultiIndex(tuple(entries))
     removals = I.removals()
     assert sum(mult for _, _, mult in removals) == len(I)

@@ -20,6 +20,41 @@ from varjet.symcore import (
 )
 
 
+def test_row_echelon_rank_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    for _ in range(300):
+        n_cols = rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n_cols)]
+                for _ in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(0, 3)):
+            kind = rng.choice(("repeat", "combination", "zero column"))
+            if kind == "repeat":
+                rows.append(list(rng.choice(rows)))
+            elif kind == "combination":
+                a, b = rng.choice(rows), rng.choice(rows)
+                k = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                rows.append([x + k * y for x, y in zip(a, b)])
+            else:
+                col = rng.randrange(n_cols)
+                for row in rows:
+                    row[col] = Fraction(0)
+        echelon, pivots = symcore.row_echelon(rows)
+        matrix = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
+                               for row in rows])
+        assert len(pivots) == matrix.rank()
+        assert pivots == sorted(set(pivots))
+        for k, row in enumerate(echelon):
+            lead = pivots[k] if k < len(pivots) else n_cols
+            assert all(v == 0 for v in row[:lead])
+            assert k >= len(pivots) or row[lead] != 0
+        # elimination keeps the row space
+        stacked = matrix.col_join(sympy.Matrix(
+            [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in echelon]))
+        assert stacked.rank() == len(pivots)
+    assert symcore.row_echelon([]) == ([], [])
+
+
 def C(ctx, name):
     return ctx.resolve(name)
 
