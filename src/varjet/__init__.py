@@ -46,7 +46,6 @@ from .pdham import (
     RankReport,
     ReducedSystem,
     constraints,
-    derived_context,
     elh_system,
     energy_density,
     hessian,

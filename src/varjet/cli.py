@@ -15,12 +15,12 @@ import json
 import sys
 from typing import List, Optional
 
-from .symcore import JetContext, ParseError, VarjetError, expr_to_json, parse, render
+from .symcore import JetContext, ParseError, VarjetError, expr_to_json, render
 from .jetcalc import EquationSystem, prolong
 from .variational import LagrangianDensity, euler_lagrange, legendre_form
 from .pdham import (
+    DerivedContext,
     constraints,
-    derived_context,
     elh_system,
     energy_density,
     hessian,
@@ -95,15 +95,15 @@ def cmd_legendre(args, problem: Problem, lag: LagrangianDensity) -> str:
 
 
 def cmd_elh(args, problem: Problem, lag: LagrangianDensity) -> str:
-    return _system_text(elh_system(lag, lag.level), args.format)
+    return _system_text(elh_system(lag), args.format)
 
 
 def cmd_constraints(args, problem: Problem, lag: LagrangianDensity) -> str:
-    return _system_text(constraints(lag, lag.level), args.format)
+    return _system_text(constraints(lag), args.format)
 
 
 def cmd_hessian(args, problem: Problem, lag: LagrangianDensity) -> str:
-    matrix, report = hessian(lag, lag.level, **_sampling(args, problem))
+    matrix, report = hessian(lag, **_sampling(args, problem))
     if args.format == "json":
         payload = dict(report.to_json_dict())
         payload["matrix"] = matrix.to_json_dict()["entries"]
@@ -118,14 +118,14 @@ def cmd_hessian(args, problem: Problem, lag: LagrangianDensity) -> str:
 
 
 def cmd_energy(args, problem: Problem, lag: LagrangianDensity) -> str:
-    energy = energy_density(lag, lag.level)
+    energy = energy_density(lag)
     if args.format == "json":
         return _json_dump(expr_to_json(energy.expr, lag.context))
     return render(energy.expr, lag.context, args.format)
 
 
 def cmd_reduce(args, problem: Problem, lag: LagrangianDensity) -> str:
-    red = reduce_lagrangian(lag, lag.level, **_sampling(args, problem))
+    red = reduce_lagrangian(lag, **_sampling(args, problem))
     if args.format == "json":
         return _json_dump(red.to_json_dict())
     ctx = lag.context
@@ -150,15 +150,7 @@ def cmd_reduce(args, problem: Problem, lag: LagrangianDensity) -> str:
 
 
 def cmd_shift(args, problem: Problem, lag: LagrangianDensity) -> str:
-    ctx = lag.context
-    if args.rho:
-        texts = [part.strip() for part in args.rho.split(";")]
-        if len(texts) != ctx.n:
-            raise VarjetError(f"--rho needs {ctx.n} ';'-separated components")
-        rho = [parse(text, ctx) for text in texts]
-    else:
-        rho = problem.rho(ctx)
-    shifted = momentum_shift(elh_system(lag, lag.level), rho)
+    shifted = momentum_shift(elh_system(lag), problem.rho(lag.context, args.rho))
     return _system_text(shifted, args.format)
 
 
@@ -176,32 +168,26 @@ def cmd_prolong(args, problem: Problem, lag: LagrangianDensity) -> str:
 
 def cmd_check_solution(args, problem: Problem, lag: LagrangianDensity) -> str:
     ctx = lag.context
-    if not args.grid:
-        raise VarjetError("check-solution needs --grid <file>")
     grid = load_grid(args.grid)
     momentum_fields = load_grid(args.momenta) if args.momenta else None
-    which = args.system or "el"
     # every system but el reads momenta, given as fields or by the Legendre form
-    theta = None if which == "el" else legendre_form(lag)
-    if which == "el":
+    theta = None if args.system == "el" else legendre_form(lag)
+    if args.system == "el":
         system = _el_system(lag, ctx)
-    elif which == "constraints":
-        dc = derived_context(ctx, lag.level)
-        rows = tuple((lab, dc.embed(res))
-                     for lab, res in constraints(lag, lag.level).equations)
+    elif args.system == "constraints":
+        dc = DerivedContext(ctx, lag.level)
+        rows = tuple((lab, dc.embed(res)) for lab, res in constraints(lag).equations)
         system = EquationSystem(dc.ctx, rows, derived=dc)
-    elif which == "elh":
-        system = elh_system(lag, lag.level)
-    elif which == "hdw":
-        red = reduce_lagrangian(lag, lag.level, **_sampling(args, problem))
+    elif args.system == "elh":
+        system = elh_system(lag)
+    else:  # hdw
+        red = reduce_lagrangian(lag, **_sampling(args, problem))
         if red.system_hdw is None:
             raise VarjetError(f"reduction did not produce HDW equations ({red.diagnosis})")
         system = red.system_hdw
-    else:
-        raise VarjetError(f"unknown system {which!r}")
     report = residual(system, grid, momentum_fields=momentum_fields, legendre=theta)
     if args.format == "json":
-        return _json_dump({"system": which,
+        return _json_dump({"system": args.system,
                            "equations": [{"label": k, "max_abs": v}
                                          for k, v in report.items()]})
     width = max((len(k) for k in report), default=0)
@@ -248,20 +234,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=FORMATS, default="plain")
         p.add_argument("--order", type=int, default=None,
                        help="override the declared density order l+1")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--rank-samples", type=_positive_int, default=None)
-        p.add_argument("--grid", default=None, help="grid file (see docs/gridfile.md)")
-        p.add_argument("--momenta", default=None, help="grid file with momentum fields")
-        p.add_argument("--out", default=None, help="write output to a file")
+        if name in ("hessian", "reduce", "check-solution"):
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--rank-samples", type=_positive_int, default=None)
+        if name == "check-solution":
+            p.add_argument("--grid", required=True, help="grid file (see docs/gridfile.md)")
+            p.add_argument("--momenta", default=None, help="grid file with momentum fields")
+            p.add_argument("--system", default="el",
+                           choices=("el", "constraints", "elh", "hdw"))
         if name == "shift":
             p.add_argument("--rho", default=None,
                            help="';'-separated shift components, one per independent")
         if name == "prolong":
             p.add_argument("--level", type=int, default=1)
             p.add_argument("--system", default=None, help="equation-system JSON file")
-        if name == "check-solution":
-            p.add_argument("--system", default=None,
-                           choices=("el", "constraints", "elh", "hdw"))
+        p.add_argument("--out", default=None, help="write output to a file")
     return parser
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple
 
-from .multiindex import MultiIndex, multiindices_up_to
+from .multiindex import EMPTY, MultiIndex, multiindices_up_to
 from .symcore import (
     JET,
     MOMENTUM,
@@ -67,7 +67,8 @@ class EquationSystem:
     Each equation is (label, residual Expr) read as residual = 0; unknowns are
     the non-independent coordinates admitted by the system.  ``derived`` is
     optional metadata linking a first-order system back to the base context it
-    was generated from (see pdham.DerivedContext).
+    was generated from (see pdham.DerivedContext); such a system also admits
+    the zero jet of every fiber coordinate.
     """
 
     context: JetContext
@@ -91,6 +92,8 @@ class EquationSystem:
     def _collect_unknowns(self) -> Tuple[CoordinateId, ...]:
         seen = {c for _, res in self.equations for c in res.coordinates()
                 if c.kind != "independent"}
+        if self.derived is not None:
+            seen.update(CoordinateId.jet(a, EMPTY) for a in range(len(self.derived.fiber)))
         return tuple(sorted(seen, key=lambda c: c.sort_key()))
 
     def canonical_residual_set(self):

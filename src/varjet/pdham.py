@@ -92,19 +92,6 @@ class DerivedContext:
         return e.substitute(mapping)
 
 
-def derived_context(lag_or_ctx, level: int) -> DerivedContext:
-    base = lag_or_ctx.context if isinstance(lag_or_ctx, LagrangianDensity) else lag_or_ctx
-    return DerivedContext(base, level)
-
-
-def _level(lag: LagrangianDensity, level: Optional[int]) -> int:
-    """The momentum level l, the density's own unless given; checked against its order."""
-    l = lag.level if level is None else level
-    if lag.order > l + 1:
-        raise VarjetError(f"density order {lag.order} exceeds l+1 = {l + 1}")
-    return l
-
-
 def _momentum_label(ctx: JetContext, alpha: int, I: MultiIndex) -> str:
     return f"mom:{ctx.dependents[alpha]}:{ctx.index_word(I)}"
 
@@ -113,8 +100,14 @@ def _contact_label(ctx: JetContext, alpha: int, I: MultiIndex, i: int) -> str:
     return f"contact:{ctx.dependents[alpha]}:{ctx.index_word(I)}:{ctx.independents[i]}"
 
 
-def elh_system(lag: LagrangianDensity, level: Optional[int] = None) -> EquationSystem:
-    """The mixed first-order system at finite order l.
+def _momentum_residual(lag: LagrangianDensity, alpha: int, I: MultiIndex) -> Expr:
+    """dL/du_I^a - sum_{Ji=I} p_a^{J.i}, in the base context."""
+    return Expr.sum([lag.L.partial(CoordinateId.jet(alpha, I))] + [
+        -Expr.coord(CoordinateId.momentum(alpha, J, i)) for J, i, _mult in I.removals()])
+
+
+def elh_system(lag: LagrangianDensity) -> EquationSystem:
+    """The mixed first-order system at the density's level l.
 
     Momentum rows (residual orientation dL/du_I - contraction - divergence):
 
@@ -124,14 +117,12 @@ def elh_system(lag: LagrangianDensity, level: Optional[int] = None) -> EquationS
     and contact rows (u_I),_i - u_{Ii} = 0 for |I| <= l.
     """
     ctx = lag.context
-    l = _level(lag, level)
+    l = lag.level
     dc = DerivedContext(ctx, l)
     rows: List[Tuple[str, Expr]] = []
     for alpha in range(ctx.m):
         for I in multiindices_up_to(ctx.n, l + 1):
-            parts = [dc.embed(lag.L.partial(CoordinateId.jet(alpha, I)))]
-            parts += [-Expr.coord(dc.dep(CoordinateId.momentum(alpha, J, i)))
-                      for J, i, _mult in I.removals()]
+            parts = [dc.embed(_momentum_residual(lag, alpha, I))]
             if len(I) <= l:
                 parts += [-Expr.coord(dc.comma(CoordinateId.momentum(alpha, I, i), i))
                           for i in range(ctx.n)]
@@ -142,28 +133,17 @@ def elh_system(lag: LagrangianDensity, level: Optional[int] = None) -> EquationS
                 res = Expr.coord(dc.comma(CoordinateId.jet(alpha, I), i)) \
                     - Expr.coord(dc.dep(CoordinateId.jet(alpha, I.with_index(i))))
                 rows.append((_contact_label(ctx, alpha, I, i), res))
-    unknowns = _with_zero_jets(dc, rows)
-    return EquationSystem(dc.ctx, tuple(rows), unknowns, derived=dc)
+    return EquationSystem(dc.ctx, tuple(rows), derived=dc)
 
 
-def _with_zero_jets(dc: DerivedContext, rows) -> Tuple[CoordinateId, ...]:
-    seen = {c for _, res in rows for c in res.coordinates() if c.kind != INDEPENDENT}
-    seen.update(CoordinateId.jet(a, EMPTY) for a in range(len(dc.fiber)))
-    return tuple(sorted(seen, key=lambda c: c.sort_key()))
-
-
-def constraints(lag: LagrangianDensity, level: Optional[int] = None) -> EquationSystem:
+def constraints(lag: LagrangianDensity) -> EquationSystem:
     """The algebraic rows cutting out the constraint manifold:
     dL/du_I^a - sum_{Ji=I} p_a^{J.i} = 0 for |I| = l+1, in the base context."""
     ctx = lag.context
-    l = _level(lag, level)
-    rows: List[Tuple[str, Expr]] = []
-    for alpha in range(ctx.m):
-        for I in multiindices(ctx.n, l + 1):
-            res = Expr.sum([lag.L.partial(CoordinateId.jet(alpha, I))] + [
-                -Expr.coord(CoordinateId.momentum(alpha, J, i)) for J, i, _mult in I.removals()])
-            rows.append((f"constraint:{ctx.dependents[alpha]}:{ctx.index_word(I)}", res))
-    return EquationSystem(ctx, tuple(rows))
+    rows = tuple((f"constraint:{ctx.dependents[alpha]}:{ctx.index_word(I)}",
+                  _momentum_residual(lag, alpha, I))
+                 for alpha in range(ctx.m) for I in multiindices(ctx.n, lag.level + 1))
+    return EquationSystem(ctx, rows)
 
 
 @dataclass(frozen=True)
@@ -209,35 +189,44 @@ class RankReport:
         }
 
 
-def hessian(lag: LagrangianDensity, level: Optional[int] = None,
-            samples: int = 5, seed: int = 0) -> Tuple[HessianMatrix, RankReport]:
+def _symmetric(upper: List[list]) -> List[list]:
+    """The square symmetric matrix whose row r on and above the diagonal is upper[r]."""
+    n = len(upper)
+    return [[upper[r][c - r] if c >= r else upper[c][r - c] for c in range(n)]
+            for r in range(n)]
+
+
+def hessian(lag: LagrangianDensity, *, samples: int = 5,
+            seed: int = 0) -> Tuple[HessianMatrix, RankReport]:
     """The Hessian in the jets of order l+1, with a sampled exact-rank report.
 
     The rank is computed by exact elimination after evaluating the jet
     coordinates at random rational points; the report carries the maximum
     observed rank and whether it stayed constant across samples (the verdict
-    is probabilistic, repetitions and seed configurable).
+    is probabilistic, repetitions and seed configurable).  The matrix is
+    symmetric: each entry on or above the diagonal is built and evaluated
+    once, from the gradient in the top jets, and mirrored.
     """
     ctx = lag.context
-    l = _level(lag, level)
+    l = lag.level
     idx = [(alpha, I) for alpha in range(ctx.m) for I in multiindices(ctx.n, l + 1)]
-    entries = tuple(
-        tuple(lag.L.partial(CoordinateId.jet(a1, I1)).partial(CoordinateId.jet(a2, I2))
-              for (a2, I2) in idx)
-        for (a1, I1) in idx)
-    matrix = HessianMatrix(ctx, l, tuple(idx), entries)
+    tops = [CoordinateId.jet(alpha, I) for alpha, I in idx]
+    gradient = [lag.L.partial(top) for top in tops]
+    upper = [[gradient[r].partial(tops[c]) for c in range(r, len(tops))]
+             for r in range(len(tops))]
+    matrix = HessianMatrix(ctx, l, tuple(idx), tuple(map(tuple, _symmetric(upper))))
 
-    coords = sorted({c for row in entries for e in row for c in e.coordinates()},
+    coords = sorted({c for row in upper for e in row for c in e.coordinates()},
                     key=lambda c: c.sort_key())
     rng = random.Random(seed)
     ranks = []
     for _ in range(max(1, samples)):
         point = {c: Expr.number(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
                  for c in coords}
-        numeric = [[e.substitute(point).constant_value() for e in row] for row in entries]
-        if any(v is None for row in numeric for v in row):
+        values = [[e.substitute(point).constant_value() for e in row] for row in upper]
+        if any(v is None for row in values for v in row):
             raise AssertionError("internal error: Hessian entry failed to evaluate")
-        ranks.append(len(row_echelon(numeric)[1]))
+        ranks.append(len(row_echelon(_symmetric(values))[1]))
     rank = max(ranks)
     report = RankReport(dim=len(idx), rank=rank, regular=(rank == len(idx)),
                         rank_constant=(len(set(ranks)) == 1), ranks=tuple(ranks),
@@ -254,9 +243,9 @@ class EnergyDensity:
     expr: Expr
 
 
-def energy_density(lag: LagrangianDensity, level: Optional[int] = None) -> EnergyDensity:
+def energy_density(lag: LagrangianDensity) -> EnergyDensity:
     ctx = lag.context
-    l = _level(lag, level)
+    l = lag.level
     pairings = [Expr.coord(CoordinateId.momentum(alpha, I, i))
                 * Expr.coord(CoordinateId.jet(alpha, I.with_index(i)))
                 for alpha in range(ctx.m)
@@ -302,7 +291,7 @@ def momentum_shift(system: EquationSystem, rho: Sequence[Expr]) -> EquationSyste
                     mapping[dc.comma(pm, j)] = Expr.coord(dc.comma(pm, j)) \
                         - dc.embed(total_derivative(theta, j, work))
     rows = tuple((label, res.substitute(mapping)) for label, res in system.equations)
-    return EquationSystem(dc.ctx, rows, _with_zero_jets(dc, rows), derived=dc)
+    return EquationSystem(dc.ctx, rows, derived=dc)
 
 
 @dataclass(frozen=True)
@@ -371,8 +360,8 @@ def _pivot(res: Expr, candidates) -> Optional[Tuple[CoordinateId, Fraction]]:
     return None
 
 
-def reduce_lagrangian(lag: LagrangianDensity, level: Optional[int] = None,
-                      samples: int = 5, seed: int = 0) -> ReducedSystem:
+def reduce_lagrangian(lag: LagrangianDensity, *, samples: int = 5,
+                      seed: int = 0) -> ReducedSystem:
     """Two-stage reduction of the constraint rows.
 
     Stage 1 solves constraint rows for top jets wherever a top jet carries a
@@ -384,10 +373,10 @@ def reduce_lagrangian(lag: LagrangianDensity, level: Optional[int] = None,
     projected coordinates and both reduced equation systems are emitted.
     """
     ctx = lag.context
-    l = _level(lag, level)
-    _, report = hessian(lag, l, samples=samples, seed=seed)
-    energy = energy_density(lag, l).expr
-    cons = constraints(lag, l)
+    l = lag.level
+    _, report = hessian(lag, samples=samples, seed=seed)
+    energy = energy_density(lag).expr
+    cons = constraints(lag)
     tops_ordered = [c for c in ctx.jets_up_to(l + 1) if len(c.index) == l + 1]
     tops = set(tops_ordered)
 
@@ -448,12 +437,16 @@ def reduce_lagrangian(lag: LagrangianDensity, level: Optional[int] = None,
     lower_jets = ctx.jets_up_to(l)
     surviving_momenta = [c for c in ctx.momenta_up_to(l) if c not in subs]
     independents = [CoordinateId.independent(i) for i in range(ctx.n)]
-    p_fiber = sorted(lower_jets + surviving_tops + surviving_momenta,
-                     key=lambda c: c.sort_key())
     p0_fiber = sorted(lower_jets + surviving_momenta, key=lambda c: c.sort_key())
+    p_fiber = sorted(p0_fiber + surviving_tops, key=lambda c: c.sort_key())
 
-    system_p = _reduced_system(lag, l, subs, energy_p, DerivedContext(ctx, l, p_fiber))
-    system_hdw = _reduced_system(lag, l, subs, energy_p, DerivedContext(ctx, l, p0_fiber))
+    # the rows read P0 coordinates only; P's fiber lists P0 first, so the
+    # rows built on P0 are rows on P unchanged
+    dc_hdw = DerivedContext(ctx, l, p0_fiber)
+    rows = _reduced_rows(lag, subs, energy_p, dc_hdw)
+    system_hdw = EquationSystem(dc_hdw.ctx, rows, derived=dc_hdw)
+    dc_p = DerivedContext(ctx, l, p0_fiber + surviving_tops)
+    system_p = EquationSystem(dc_p.ctx, rows, derived=dc_p)
     regular = not surviving_tops and not any(c.kind == MOMENTUM for c in subs)
     diagnosis = "regular" if regular else "reducible"
     return ReducedSystem(
@@ -474,10 +467,11 @@ def _comma_image(dc: DerivedContext, subs: Dict[CoordinateId, Expr],
         for c in phi.coordinates() if c.kind != INDEPENDENT])
 
 
-def _reduced_system(lag: LagrangianDensity, l: int, subs: Dict[CoordinateId, Expr],
-                    energy_p: Expr, dc: DerivedContext) -> EquationSystem:
+def _reduced_rows(lag: LagrangianDensity, subs: Dict[CoordinateId, Expr],
+                  energy_p: Expr, dc: DerivedContext) -> Tuple[Tuple[str, Expr], ...]:
     """PD-Hamilton rows of the restricted system on the given fiber coordinates."""
     ctx = lag.context
+    l = lag.level
     rows: List[Tuple[str, Expr]] = []
     for alpha in range(ctx.m):
         for I in multiindices_up_to(ctx.n, l):
@@ -504,5 +498,5 @@ def _reduced_system(lag: LagrangianDensity, l: int, subs: Dict[CoordinateId, Exp
                 res = Expr.sum(parts)
                 if not res.is_zero():
                     rows.append((_contact_label(ctx, alpha, I, j), res))
-    return EquationSystem(dc.ctx, tuple(rows), _with_zero_jets(dc, rows), derived=dc)
+    return tuple(rows)
 

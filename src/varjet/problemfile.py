@@ -29,7 +29,7 @@ class Problem:
     auto_extend: bool = False
     seed: int = 0
     rank_samples: int = 5
-    rho_texts: Tuple[str, ...] = ()
+    rho_text: str = ""  # ';'-separated shift components, parsed on use
 
     def lagrangian(self, order_override: Optional[int] = None) -> LagrangianDensity:
         order = order_override if order_override is not None else self.order
@@ -38,13 +38,16 @@ class Problem:
                          auto_extend=self.auto_extend)
         return LagrangianDensity(ctx, self.density, order=order)
 
-    def rho(self, ctx: JetContext) -> List[Expr]:
-        if not self.rho_texts:
+    def rho(self, ctx: JetContext, text: Optional[str]) -> List[Expr]:
+        """The shift components, one per independent: text's if given, else the file's."""
+        text = text or self.rho_text
+        if not text:
             raise VarjetError("problem file declares no rho components (key: rho)")
-        if len(self.rho_texts) != len(self.independents):
+        parts = [part.strip() for part in text.split(";")]
+        if len(parts) != len(self.independents):
             raise VarjetError(
-                f"rho needs {len(self.independents)} ';'-separated components")
-        return [parse(text, ctx) for text in self.rho_texts]
+                f"rho needs {len(self.independents)} ';'-separated components, got {len(parts)}")
+        return [parse(part, ctx) for part in parts]
 
 
 def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
@@ -134,8 +137,7 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
         auto_extend=auto_extend,
         seed=seed,
         rank_samples=rank_samples,
-        rho_texts=tuple(part.strip() for part in entries["rho"][0].split(";"))
-        if "rho" in entries else (),
+        rho_text=entries["rho"][0] if "rho" in entries else "",
     )
 
 

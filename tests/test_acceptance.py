@@ -25,8 +25,8 @@ from varjet.jetcalc import EquationSystem, total_derivative
 from varjet.multiindex import EMPTY, MultiIndex, multiindices_up_to
 from varjet.numeric import GridFunction, evaluate, residual
 from varjet.pdham import (
+    DerivedContext,
     constraints,
-    derived_context,
     elh_system,
     energy_density,
     hessian,
@@ -82,7 +82,7 @@ def test_criterion_01_kdv_euler_lagrange():
 def test_criterion_02_kdv_constraints():
     ctx, lag = kdv_setup()
     t0 = time.perf_counter()
-    cons = constraints(lag, 1)
+    cons = constraints(lag)
     elapsed = time.perf_counter() - t0
     expected = Counter(parse(t, ctx).sign_normalized() for t in
                        ["p_t.t", "p_t.x + p_x.t", "p_x.x - u_xx"])
@@ -94,7 +94,7 @@ def test_criterion_02_kdv_constraints():
 
 def test_criterion_03_kdv_hessian():
     ctx, lag = kdv_setup()
-    matrix, report = hessian(lag, 1, samples=5, seed=0)
+    matrix, report = hessian(lag, samples=5, seed=0)
     assert report.samples >= 5 and report.seed == 0
     assert report.dim == 3 and report.rank == 1
     assert not report.regular and report.rank_constant
@@ -106,13 +106,13 @@ def test_criterion_04_kdv_energy_density():
     expected = parse(
         "p_.t*u_t + p_.x*u_x + p_t.t*u_tt + (p_t.x + p_x.t)*u_tx + p_x.x*u_xx"
         " - u_x^3 + 1/2*u_x*u_t - 1/2*u_xx^2", ctx)
-    assert energy_density(lag, 1).expr == expected
+    assert energy_density(lag).expr == expected
     stamp(4, "energy density has the expected closed form (structural equality)")
 
 
 def test_criterion_05_kdv_elh_system():
     ctx, lag = kdv_setup()
-    system = elh_system(lag, 1)
+    system = elh_system(lag)
     dc = system.derived
     by_label = dict(system.equations)
 
@@ -151,7 +151,7 @@ def test_criterion_05_kdv_elh_system():
 
 def test_criterion_06_kdv_reduction():
     ctx, lag = kdv_setup()
-    red = reduce_lagrangian(lag, 1)
+    red = reduce_lagrangian(lag)
     assert red.diagnosis == "reducible"
 
     # constraint-manifold coordinates; the level-0 momenta belong to the list
@@ -246,8 +246,8 @@ def test_criterion_09_shift_equivalence():
     ctx, lag = kdv_setup()
     rho = [Expr.zero(), parse("u^2", ctx)]
     div = total_derivative(rho[1], 1, ctx)
-    direct = elh_system(LagrangianDensity(ctx, lag.L + div, order=2), 1)
-    shifted = momentum_shift(elh_system(lag, 1), rho)
+    direct = elh_system(LagrangianDensity(ctx, lag.L + div, order=2))
+    shifted = momentum_shift(elh_system(lag), rho)
     assert canon(direct) == canon(shifted)
 
     rng = random.Random(2026)
@@ -264,8 +264,8 @@ def test_criterion_09_shift_equivalence():
         for i in range(rctx.n):
             rdiv = rdiv + total_derivative(rrho[i], i, work)
         a = elh_system(LagrangianDensity(
-            rctx, rnd.L + rdiv, order=max(rnd.order, rdiv.max_jet_order())), level)
-        b = momentum_shift(elh_system(rnd, level), rrho)
+            rctx, rnd.L + rdiv, order=max(rnd.order, rdiv.max_jet_order())))
+        b = momentum_shift(elh_system(rnd), rrho)
         assert canon(a) == canon(b)
         checked += 1
     stamp(9, f"shift equivalence holds on the KdV divergence case plus {checked} "
@@ -301,8 +301,8 @@ def test_criterion_11_numeric_soliton():
     assert 8.0 <= ratio <= 32.0
 
     theta = legendre_form(lag)
-    dc = derived_context(ctx, 1)
-    cons_rows = tuple((lab, dc.embed(res)) for lab, res in constraints(lag, 1).equations)
+    dc = DerivedContext(ctx, 1)
+    cons_rows = tuple((lab, dc.embed(res)) for lab, res in constraints(lag).equations)
     cons = EquationSystem(dc.ctx, cons_rows, derived=dc)
     transport = residual(cons, soliton_grid(512), legendre=theta)
     assert all(v <= 1e-10 for v in transport.values())
@@ -316,7 +316,7 @@ def test_criterion_11_numeric_soliton():
 def test_criterion_12_wave_regular_reduction():
     ctx = JetContext(("t", "x"), ("u",), max_order=2)
     lag = LagrangianDensity(ctx, parse("1/2*u_t^2 - 1/2*u_x^2", ctx))
-    red = reduce_lagrangian(lag, 0)
+    red = reduce_lagrangian(lag)
     assert red.diagnosis == "regular"
 
     # hand Legendre oracle: solve p_.t = u_t, p_.x = -u_x, then

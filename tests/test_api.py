@@ -1,5 +1,7 @@
-"""The public names of the varjet package, with no aliases among them."""
+"""The public names of the varjet package, with no aliases among them, and the
+signatures of the momentum-side constructions."""
 
+import inspect
 import types
 from collections import defaultdict
 
@@ -11,7 +13,7 @@ EXPORTED = {
     "LagrangianDensity", "LegendreForm", "MultiIndex", "OrderOverflowError", "ParseError",
     "RankReport", "ReducedSystem", "SourceForm", "UnknownCoordinateError",
     "UnsupportedExpressionError", "VarjetError", "WrongDomainError",
-    "constraints", "derived_context", "elh_system", "energy_density", "euler_lagrange",
+    "constraints", "elh_system", "energy_density", "euler_lagrange",
     "hessian", "horizontal_d_legendre", "iterated_total_derivative", "legendre_form",
     "momentum_shift", "multiindices", "multiindices_up_to", "parse", "prolong",
     "reduce_lagrangian", "render", "total_derivative", "total_derivative_primed",
@@ -34,3 +36,19 @@ def test_no_exported_name_is_an_alias():
     for name, value in exported().items():
         names_by_object[id(value)].append(name)
     assert [sorted(names) for names in names_by_object.values() if len(names) > 1] == []
+
+
+def test_constructions_take_the_level_from_the_density():
+    # the momentum level is the density's order minus one; sampling options
+    # are keyword-only, so a stale positional level cannot pass as samples
+    signatures = {
+        varjet.elh_system: "(lag: 'LagrangianDensity') -> 'EquationSystem'",
+        varjet.constraints: "(lag: 'LagrangianDensity') -> 'EquationSystem'",
+        varjet.energy_density: "(lag: 'LagrangianDensity') -> 'EnergyDensity'",
+        varjet.hessian: "(lag: 'LagrangianDensity', *, samples: 'int' = 5, seed: 'int' = 0)"
+                        " -> 'Tuple[HessianMatrix, RankReport]'",
+        varjet.reduce_lagrangian: "(lag: 'LagrangianDensity', *, samples: 'int' = 5,"
+                                  " seed: 'int' = 0) -> 'ReducedSystem'",
+    }
+    for function, expected in signatures.items():
+        assert str(inspect.signature(function)) == expected, function.__name__

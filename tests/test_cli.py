@@ -222,9 +222,9 @@ def test_check_solution_hdw_reads_rank_sampling(capsys, tmp_path, monkeypatch):
     calls = []
     real = cli.reduce_lagrangian
 
-    def recording(lag, level=None, samples=5, seed=0):
+    def recording(lag, *, samples=5, seed=0):
         calls.append((samples, seed))
-        return real(lag, level, samples=samples, seed=seed)
+        return real(lag, samples=samples, seed=seed)
 
     monkeypatch.setattr(cli, "reduce_lagrangian", recording)
     assert run(capsys, *argv) == plain
@@ -295,11 +295,41 @@ def test_usage_error_exits_2(kdv_problem):
     with pytest.raises(SystemExit) as exc:
         main(["hessian", kdv_problem, "--rank-samples", "0"])
     assert exc.value.code == 2
+    # each subcommand takes only the flags it reads
+    for argv in (["el", kdv_problem, "--seed", "3"],
+                 ["energy", kdv_problem, "--grid", "g"],
+                 ["reduce", kdv_problem, "--momenta", "m"],
+                 ["shift", kdv_problem, "--rank-samples", "2"],
+                 ["prolong", kdv_problem, "--grid", "g"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_check_solution_requires_grid(capsys, kdv_problem):
-    code, _, err = run(capsys, "check-solution", kdv_problem)
-    assert code == 1 and "grid" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["check-solution", kdv_problem])
+    assert exc.value.code == 2
+    assert "--grid" in capsys.readouterr().err
+
+
+def test_shift_rho_component_count(capsys, kdv_problem, tmp_path):
+    # one reading of rho serves the problem file and --rho, which wins
+    path = tmp_path / "three.problem"
+    path.write_text(KDV_PROBLEM.replace("rho = 0; u^2", "rho = 0; u^2; u"))
+    code, out, err = run(capsys, "shift", str(path))
+    assert (code, out, err) == (1, "", "varjet: rho needs 2 ';'-separated components, got 3\n")
+    assert run(capsys, "shift", str(path), "--rho", "0; u^2") == run(capsys, "shift", kdv_problem)
+    code, out, err = run(capsys, "shift", kdv_problem, "--rho", "u^2")
+    assert (code, out, err) == (1, "", "varjet: rho needs 2 ';'-separated components, got 1\n")
+
+
+def test_shift_without_rho(capsys, tmp_path):
+    path = tmp_path / "wave.problem"
+    path.write_text(WAVE_PROBLEM)
+    code, out, err = run(capsys, "shift", str(path))
+    assert (code, out) == (1, "")
+    assert err == "varjet: problem file declares no rho components (key: rho)\n"
 
 
 def test_order_override(capsys, tmp_path):

@@ -22,7 +22,7 @@ from varjet.numeric import (
     save_grid,
     stencil_radius,
 )
-from varjet.pdham import constraints, derived_context, elh_system, reduce_lagrangian
+from varjet.pdham import DerivedContext, constraints, elh_system, reduce_lagrangian
 from varjet.symcore import JET, CoordinateId, Expr, JetContext, parse
 from varjet.variational import LagrangianDensity, euler_lagrange, legendre_form
 
@@ -65,7 +65,7 @@ def test_eval_energy_consistency(ctx_tx):
     lag = LagrangianDensity(ctx_tx, parse(KDV_L, ctx_tx), order=2)
     theta = legendre_form(lag)
     from varjet.pdham import energy_density
-    E = energy_density(lag, 1)
+    E = energy_density(lag)
     point = {ctx_tx.resolve(n): v for n, v in
              {"u": 0.5, "u_t": 2.0, "u_x": 1.0, "u_tt": -1.0, "u_tx": 0.25,
               "u_xx": 2.0, "u_txx": 0.0, "u_xxx": -3.0}.items()}
@@ -294,13 +294,13 @@ def test_residual_matches_full_prolongation(ctx_tx, which):
     if which == "el":
         system = kdv_el_system(ctx_tx)
     elif which == "constraints":
-        dc = derived_context(ctx_tx, 1)
+        dc = DerivedContext(ctx_tx, 1)
         system = EquationSystem(dc.ctx, tuple(
-            (lab, dc.embed(res)) for lab, res in constraints(lag, 1).equations), derived=dc)
+            (lab, dc.embed(res)) for lab, res in constraints(lag).equations), derived=dc)
     elif which == "elh":
-        system = elh_system(lag, 1)
+        system = elh_system(lag)
     else:
-        system = reduce_lagrangian(lag, 1).system_hdw
+        system = reduce_lagrangian(lag).system_hdw
     g = soliton_grid(40, 57, c=0.9, box=5.0)
     got = residual(system, g, legendre=theta)
     assert got == reference_residual(system, g, legendre=theta)
@@ -333,7 +333,7 @@ def test_residual_grid_too_small_keeps_full_prolongation_message(ctx_tx):
 def test_residual_constant_legendre_coefficient(ctx_tx):
     # p^t = dL/du_t = 1 evaluates to a float, which is differenced as a field
     lag = LagrangianDensity(ctx_tx, parse("u_t + 1/2*u_x^2", ctx_tx), order=1)
-    r = residual(elh_system(lag, 0), soliton_grid(40, 40, box=4.0),
+    r = residual(elh_system(lag), soliton_grid(40, 40, box=4.0),
                  legendre=legendre_form(lag))
     assert r["mom:u:t"] == 0.0 and np.isfinite(r["mom:u:"])
 
@@ -374,8 +374,8 @@ def test_residual_stencil_convergence(ctx_tx):
 def test_residual_legendre_transport_constraints(ctx_tx):
     lag = LagrangianDensity(ctx_tx, parse(KDV_L, ctx_tx), order=2)
     theta = legendre_form(lag)
-    dc = derived_context(ctx_tx, 1)
-    rows = tuple((lab, dc.embed(res)) for lab, res in constraints(lag, 1).equations)
+    dc = DerivedContext(ctx_tx, 1)
+    rows = tuple((lab, dc.embed(res)) for lab, res in constraints(lag).equations)
     system = EquationSystem(dc.ctx, rows, derived=dc)
     r = residual(system, soliton_grid(256, 256), legendre=theta)
     assert all(v <= 1e-10 for v in r.values())
@@ -383,7 +383,7 @@ def test_residual_legendre_transport_constraints(ctx_tx):
 
 def test_residual_elh_with_legendre_momenta(ctx_tx):
     lag = LagrangianDensity(ctx_tx, parse(KDV_L, ctx_tx), order=2)
-    system = elh_system(lag, 1)
+    system = elh_system(lag)
     r = residual(system, soliton_grid(256, 256), legendre=legendre_form(lag))
     assert max(r.values()) <= 1e-4  # discretization-limited
 
@@ -404,8 +404,8 @@ def test_residual_momentum_fields_supplied(ctx_tx):
                     else np.zeros(g.shape)
                 fields[name] = np.nan_to_num(np.asarray(vals, dtype=float))
     mom = GridFunction(("t", "x"), g.origin, g.spacing, fields)
-    dc = derived_context(ctx_tx, 1)
-    rows = tuple((lab, dc.embed(res)) for lab, res in constraints(lag, 1).equations)
+    dc = DerivedContext(ctx_tx, 1)
+    rows = tuple((lab, dc.embed(res)) for lab, res in constraints(lag).equations)
     system = EquationSystem(dc.ctx, rows, derived=dc)
     r = residual(system, g, momentum_fields=mom)
     assert max(r.values()) <= 1e-8
@@ -413,7 +413,7 @@ def test_residual_momentum_fields_supplied(ctx_tx):
 
 def test_residual_missing_momenta_is_error(ctx_tx):
     lag = LagrangianDensity(ctx_tx, parse(KDV_L, ctx_tx), order=2)
-    system = elh_system(lag, 1)
+    system = elh_system(lag)
     with pytest.raises(MissingFieldError):
         residual(system, soliton_grid(64, 64))
 
@@ -443,7 +443,7 @@ def test_total_derivative_numeric_consistency(ctx_tx):
 
 def test_total_derivative_primed_on_momenta(ctx_tx):
     from varjet.jetcalc import total_derivative_primed
-    dc = derived_context(ctx_tx, 1)
+    dc = DerivedContext(ctx_tx, 1)
     e = parse("p_x.x*u_x", ctx_tx)
     got = total_derivative_primed(e, 0, dc)
     assert got == parse("p_x.x,_t*u_x + p_x.x*u_x,_t", dc.ctx)

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -11,14 +12,21 @@ from varjet.multiindex import EMPTY, MultiIndex, multiindices_up_to
 from varjet.pdham import (
     DerivedContext,
     constraints,
-    derived_context,
     elh_system,
     energy_density,
     hessian,
     momentum_shift,
     reduce_lagrangian,
 )
-from varjet.symcore import CoordinateId, Expr, JetContext, VarjetError, parse, render
+from varjet.symcore import (
+    CoordinateId,
+    Expr,
+    JetContext,
+    VarjetError,
+    parse,
+    render,
+    row_echelon,
+)
 from varjet.variational import LagrangianDensity, legendre_form
 
 
@@ -40,7 +48,7 @@ def expected_rows(dc, texts):
 def test_elh_mechanics_free_particle():
     ctx = JetContext(("t",), ("u",), max_order=2)
     lag = LagrangianDensity(ctx, parse("1/2*u_t^2", ctx))
-    system = elh_system(lag, 0)
+    system = elh_system(lag)
     assert canon(system) == expected_rows(system.derived, [
         "p_.t,_t", "u_t - p_.t", "u,_t - u_t"])
 
@@ -48,7 +56,7 @@ def test_elh_mechanics_free_particle():
 def test_elh_zero_lagrangian():
     ctx = JetContext(("x",), ("u",), max_order=2)
     lag = LagrangianDensity(ctx, Expr.zero(), order=1)
-    system = elh_system(lag, 0)
+    system = elh_system(lag)
     assert canon(system) == expected_rows(system.derived, [
         "p_.x,_x", "p_.x", "u,_x - u_x"])
 
@@ -57,7 +65,7 @@ def test_elh_kdv_full_system(kdv):
     """All twelve scalar rows at l = 1.  The |I| = 1 momentum rows carry the
     level-0 contraction terms (p_.t, p_.x): the general formula forces them,
     as do Legendre transport and the divergence-shift equivalence."""
-    system = elh_system(kdv, 1)
+    system = elh_system(kdv)
     assert len(system.equations) == 12
     assert canon(system) == expected_rows(system.derived, [
         "p_.t,_t + p_.x,_x",
@@ -75,21 +83,14 @@ def test_elh_kdv_full_system(kdv):
     ])
 
 
-def test_elh_order_mismatch(kdv):
-    # density order 2 exceeds l+1 = 1 for every construction that takes a level
-    for construction in (elh_system, constraints, energy_density, hessian, reduce_lagrangian):
-        with pytest.raises(VarjetError, match="exceeds l\\+1 = 1"):
-            construction(kdv, 0)
-
-
 def test_elh_constraint_rows_match_constraints_randomized():
     # the |I| = l+1 rows of the mixed system are exactly the constraint rows
     rng = random.Random(43)
     for _ in range(25):
         lag = random_lagrangian(rng, max_order=2)
-        system = elh_system(lag, lag.level)
+        system = elh_system(lag)
         dc = system.derived
-        for lab, res in constraints(lag, lag.level).equations:
+        for lab, res in constraints(lag).equations:
             assert system_row(system, f"mom:{lab.split(':', 1)[1]}") == dc.embed(res)
 
 
@@ -103,7 +104,7 @@ def system_row(system, label):
 # -- constraints --------------------------------------------------------------
 
 def test_constraints_kdv(kdv, ctx_tx):
-    cons = constraints(kdv, 1)
+    cons = constraints(kdv)
     got = canon(cons)
     assert got == Counter(parse(t, ctx_tx).sign_normalized() for t in [
         "p_t.t", "p_t.x + p_x.t", "p_x.x - u_xx"])
@@ -112,7 +113,7 @@ def test_constraints_kdv(kdv, ctx_tx):
 def test_constraints_wave_first_order():
     ctx = JetContext(("t", "x"), ("u",), max_order=2)
     lag = LagrangianDensity(ctx, parse("1/2*u_t^2 - 1/2*u_x^2", ctx))
-    cons = constraints(lag, 0)
+    cons = constraints(lag)
     assert canon(cons) == Counter(parse(t, ctx).sign_normalized() for t in [
         "p_.t - u_t", "p_.x + u_x"])
 
@@ -120,7 +121,7 @@ def test_constraints_wave_first_order():
 def test_constraints_zero_lagrangian():
     ctx = JetContext(("t", "x"), ("u",), max_order=2)
     lag = LagrangianDensity(ctx, Expr.zero(), order=1)
-    cons = constraints(lag, 0)
+    cons = constraints(lag)
     assert canon(cons) == Counter(parse(t, ctx).sign_normalized() for t in [
         "p_.t", "p_.x"])
 
@@ -132,7 +133,7 @@ def test_top_level_legendre_agreement_randomized():
     for _ in range(20):
         lag = random_lagrangian(rng, max_order=3)
         theta = legendre_form(lag)
-        cons = constraints(lag, lag.level)
+        cons = constraints(lag)
         binding = {
             CoordinateId.momentum(alpha, index, i): theta.coefficient(alpha, index, i)
             for alpha in range(lag.context.m)
@@ -145,7 +146,7 @@ def test_top_level_legendre_agreement_randomized():
 # -- Hessian -------------------------------------------------------------------
 
 def test_hessian_kdv(kdv):
-    matrix, report = hessian(kdv, 1, samples=5, seed=0)
+    matrix, report = hessian(kdv, samples=5, seed=0)
     assert report.dim == 3 and report.rank == 1 and not report.regular
     assert report.rank_constant
     # single nonzero entry at the (u_xx, u_xx) diagonal position
@@ -159,14 +160,14 @@ def test_hessian_kdv(kdv):
 def test_hessian_regular_1x1():
     ctx = JetContext(("x",), ("u",), max_order=4)
     lag = LagrangianDensity(ctx, parse("1/2*u_xx^2", ctx))
-    _, report = hessian(lag, 1)
+    _, report = hessian(lag)
     assert report.dim == 1 and report.rank == 1 and report.regular
 
 
 def test_hessian_linear_in_top_jets():
     ctx = JetContext(("t", "x"), ("u",), max_order=4)
     lag = LagrangianDensity(ctx, parse("u*u_tt + u_x*u_tx", ctx), order=2)
-    _, report = hessian(lag, 1)
+    _, report = hessian(lag)
     assert report.rank == 0 and not report.regular
 
 
@@ -174,7 +175,7 @@ def test_hessian_symmetry_randomized():
     rng = random.Random(53)
     for _ in range(20):
         lag = random_lagrangian(rng)
-        matrix, _ = hessian(lag, lag.level, samples=1)
+        matrix, _ = hessian(lag, samples=1)
         dim = matrix.dim
         for r in range(dim):
             for c in range(dim):
@@ -182,15 +183,43 @@ def test_hessian_symmetry_randomized():
 
 
 def test_hessian_seed_determinism(kdv):
-    _, r1 = hessian(kdv, 1, samples=5, seed=42)
-    _, r2 = hessian(kdv, 1, samples=5, seed=42)
+    _, r1 = hessian(kdv, samples=5, seed=42)
+    _, r2 = hessian(kdv, samples=5, seed=42)
     assert r1 == r2
+
+
+def test_hessian_matches_double_partials_randomized():
+    # the mirrored upper triangle is the matrix of second partials, and the
+    # sampled ranks are those of the full matrix at the same random points
+    rng = random.Random(89)
+    for _ in range(40):
+        n, m, order = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 3)
+        ctx = JetContext(("t", "x", "y")[:n], ("u", "v")[:m], max_order=2 * order + 2)
+        pool = jet_pool(ctx, order, include_independents=False)
+        tops = [c for c in pool if len(c.index) == order]
+        L = random_expr(rng, tops + pool, max_monomials=6)
+        lag = LagrangianDensity(ctx, L, order=order)
+        seed = rng.randint(0, 99)
+        matrix, report = hessian(lag, samples=3, seed=seed)
+        assert [CoordinateId.jet(a, I) for a, I in matrix.index] == tops
+        assert matrix.entries == tuple(tuple(L.partial(r).partial(c) for c in tops)
+                                       for r in tops)
+        coords = sorted({c for row in matrix.entries for e in row for c in e.coordinates()},
+                        key=lambda c: c.sort_key())
+        draws = random.Random(seed)
+        ranks = []
+        for _ in range(3):
+            point = {c: Expr.number(Fraction(draws.randint(-9, 9), draws.randint(1, 9)))
+                     for c in coords}
+            ranks.append(len(row_echelon([[e.substitute(point).constant_value() for e in row]
+                                          for row in matrix.entries])[1]))
+        assert report.ranks == tuple(ranks)
 
 
 # -- energy density -------------------------------------------------------------
 
 def test_energy_kdv(kdv, ctx_tx):
-    E = energy_density(kdv, 1)
+    E = energy_density(kdv)
     assert E.expr == parse(
         "p_.t*u_t + p_.x*u_x + p_t.t*u_tt + (p_t.x + p_x.t)*u_tx + p_x.x*u_xx"
         " - u_x^3 + 1/2*u_x*u_t - 1/2*u_xx^2", ctx_tx)
@@ -199,19 +228,19 @@ def test_energy_kdv(kdv, ctx_tx):
 def test_energy_zero_lagrangian():
     ctx = JetContext(("x",), ("u",), max_order=2)
     lag = LagrangianDensity(ctx, Expr.zero(), order=1)
-    assert energy_density(lag, 0).expr == parse("p_.x*u_x", ctx)
+    assert energy_density(lag).expr == parse("p_.x*u_x", ctx)
 
 
 def test_energy_mechanics():
     ctx = JetContext(("t",), ("u",), max_order=2)
     lag = LagrangianDensity(ctx, parse("1/2*u_t^2", ctx))
-    assert energy_density(lag, 0).expr == parse("p_.t*u_t - 1/2*u_t^2", ctx)
+    assert energy_density(lag).expr == parse("p_.t*u_t - 1/2*u_t^2", ctx)
 
 
 # -- momentum shift --------------------------------------------------------------
 
 def test_shift_identity(kdv):
-    system = elh_system(kdv, 1)
+    system = elh_system(kdv)
     shifted = momentum_shift(system, [Expr.zero(), Expr.zero()])
     assert shifted.equations == system.equations
 
@@ -222,16 +251,16 @@ def test_shift_mechanics_constant():
     L = parse("1/2*u_t^2", ctx)
     rho = [parse("3*u", ctx)]
     div = total_derivative(rho[0], 0, ctx)
-    direct = elh_system(LagrangianDensity(ctx, L + div, order=1), 0)
-    shifted = momentum_shift(elh_system(LagrangianDensity(ctx, L), 0), rho)
+    direct = elh_system(LagrangianDensity(ctx, L + div, order=1))
+    shifted = momentum_shift(elh_system(LagrangianDensity(ctx, L)), rho)
     assert canon(direct) == canon(shifted)
 
 
 def test_shift_kdv_x_divergence(kdv, ctx_tx):
     rho = [Expr.zero(), parse("u^2", ctx_tx)]
     div = total_derivative(rho[1], 1, ctx_tx)
-    direct = elh_system(LagrangianDensity(ctx_tx, kdv.L + div, order=2), 1)
-    shifted = momentum_shift(elh_system(kdv, 1), rho)
+    direct = elh_system(LagrangianDensity(ctx_tx, kdv.L + div, order=2))
+    shifted = momentum_shift(elh_system(kdv), rho)
     assert canon(direct) == canon(shifted)
 
 
@@ -248,20 +277,20 @@ def test_shift_equivalence_randomized():
         for i in range(ctx.n):
             div = div + total_derivative(rho[i], i, work)
         direct = elh_system(
-            LagrangianDensity(ctx, lag.L + div, order=max(lag.order, div.max_jet_order())), l)
-        shifted = momentum_shift(elh_system(lag, l), rho)
+            LagrangianDensity(ctx, lag.L + div, order=max(lag.order, div.max_jet_order())))
+        shifted = momentum_shift(elh_system(lag), rho)
         assert canon(direct) == canon(shifted)
 
 
 def test_shift_rho_order_too_high(kdv, ctx_tx):
     with pytest.raises(VarjetError):
-        momentum_shift(elh_system(kdv, 1), [Expr.zero(), parse("u_xx", ctx_tx)])
+        momentum_shift(elh_system(kdv), [Expr.zero(), parse("u_xx", ctx_tx)])
 
 
 # -- reduction --------------------------------------------------------------------
 
 def test_reduce_kdv(kdv, ctx_tx):
-    red = reduce_lagrangian(kdv, 1)
+    red = reduce_lagrangian(kdv)
     assert red.diagnosis == "reducible"
     names = [ctx_tx.name(c) for c in red.p_coordinates]
     assert names == ["t", "x", "u", "u_t", "u_x", "u_tt", "u_tx",
@@ -292,7 +321,7 @@ def test_reduce_wave_hand_legendre_oracle():
     # hand oracle: p^t = u_t, p^x = -u_x, H = (p^t)^2/2 - (p^x)^2/2
     ctx = JetContext(("t", "x"), ("u",), max_order=2)
     lag = LagrangianDensity(ctx, parse("1/2*u_t^2 - 1/2*u_x^2", ctx))
-    red = reduce_lagrangian(lag, 0)
+    red = reduce_lagrangian(lag)
     assert red.diagnosis == "regular"
     assert red.hamiltonian == parse("1/2*p_.t^2 - 1/2*p_.x^2", ctx)
     assert canon(red.system_hdw) == expected_rows(red.system_hdw.derived, [
@@ -304,7 +333,7 @@ def test_reduce_regular_first_order_consistency():
     # dH/dp_.i reproduces the constraint solve for the top jets
     ctx = JetContext(("t", "x"), ("u",), max_order=2)
     lag = LagrangianDensity(ctx, parse("1/2*u_t^2 - 1/2*u_x^2", ctx))
-    red = reduce_lagrangian(lag, 0)
+    red = reduce_lagrangian(lag)
     for i, name in enumerate(ctx.independents):
         jet = CoordinateId.jet(0, MultiIndex.of(i))
         momentum = CoordinateId.momentum(0, EMPTY, i)
@@ -326,7 +355,7 @@ def test_reduce_regular_display_randomized():
             L = L + jet * jet * Fraction(rng.choice([1, 2, 3]), 2)
             L = L + jet * Expr.coord(CoordinateId.jet(0, EMPTY)).scale(rng.randint(-2, 2))
         L = L + Expr.coord(CoordinateId.jet(0, EMPTY)).scale(rng.randint(-3, 3))
-        red = reduce_lagrangian(LagrangianDensity(ctx, L, order=1), 0)
+        red = reduce_lagrangian(LagrangianDensity(ctx, L, order=1))
         assert red.diagnosis == "regular"
         dc = red.system_hdw.derived
         H = red.hamiltonian
@@ -345,7 +374,7 @@ def test_reduce_regular_display_randomized():
 def test_reduce_zero_lagrangian():
     ctx = JetContext(("t", "x"), ("u",), max_order=2)
     lag = LagrangianDensity(ctx, Expr.zero(), order=1)
-    red = reduce_lagrangian(lag, 0)
+    red = reduce_lagrangian(lag)
     assert red.diagnosis == "reducible"
     assert red.hamiltonian == Expr.zero()
     # all level-0 momenta are constrained away
@@ -356,7 +385,7 @@ def test_reduce_zero_lagrangian():
 def test_reduce_mechanics():
     ctx = JetContext(("t",), ("u",), max_order=2)
     lag = LagrangianDensity(ctx, parse("1/2*u_t^2", ctx))
-    red = reduce_lagrangian(lag, 0)
+    red = reduce_lagrangian(lag)
     assert red.diagnosis == "regular"
     assert red.hamiltonian == parse("1/2*p_.t^2", ctx)
     assert canon(red.system_hdw) == expected_rows(red.system_hdw.derived, [
@@ -366,7 +395,7 @@ def test_reduce_mechanics():
 def test_reduce_nonlinear_constraints_diagnosed():
     ctx = JetContext(("x",), ("u",), max_order=4)
     lag = LagrangianDensity(ctx, parse("1/4*u_xx^4", ctx))
-    red = reduce_lagrangian(lag, 1)
+    red = reduce_lagrangian(lag)
     assert red.diagnosis == "irreducible: nonlinear constraints"
     assert red.system_hdw is None and red.hamiltonian is None
 
@@ -375,7 +404,7 @@ def test_reduce_jet_dependent_momentum_row_diagnosed():
     # dL/du_tx = u_x stays in the leftover pool and is not jet-free
     ctx = JetContext(("t", "x"), ("u",), max_order=4)
     lag = LagrangianDensity(ctx, parse("u_x*u_tx", ctx), order=2)
-    red = reduce_lagrangian(lag, 1)
+    red = reduce_lagrangian(lag)
     assert red.diagnosis == "Assumption 1 check failed"
     assert red.offending
 
@@ -385,11 +414,11 @@ def test_reduction_soundness_randomized():
     done = 0
     for _ in range(60):
         lag = random_lagrangian(rng, max_order=2, max_degree=2)
-        red = reduce_lagrangian(lag, lag.level, samples=2)
+        red = reduce_lagrangian(lag, samples=2)
         if red.system_hdw is None:
             continue
         done += 1
-        energy = energy_density(lag, lag.level).expr
+        energy = energy_density(lag).expr
         restricted = energy.substitute(red.substitutions)
         assert restricted == red.energy_on_constraint
         eliminated = set(red.substitutions)
@@ -403,8 +432,30 @@ def test_reduction_soundness_randomized():
     assert done >= 10
 
 
+def test_reduced_rows_on_p_and_p0_agree(kdv):
+    # the rows on the constraint manifold P read P0 coordinates only, under
+    # the same derived indices in both contexts, so the two systems agree
+    rng = random.Random(67)
+    reduced = [reduce_lagrangian(kdv)]
+    for _ in range(60):
+        reduced.append(reduce_lagrangian(random_lagrangian(rng, max_degree=2), samples=2))
+    reduced = [red for red in reduced if red.system_hdw is not None]
+    assert len(reduced) >= 10
+    for red in reduced:
+        p, p0 = red.system_constraint, red.system_hdw
+        assert p.equations == p0.equations
+        assert set(p.derived.fiber) == {c for c in red.p_coordinates if c.kind != "independent"}
+        assert set(p0.derived.fiber) == {c for c in red.p0_coordinates
+                                         if c.kind != "independent"}
+        for _, res in p.equations:
+            for c in res.coordinates():
+                if c.kind != "independent":
+                    assert p.derived.base_coordinate(c.alpha) == \
+                        p0.derived.base_coordinate(c.alpha)
+
+
 def test_reduced_json_shape(kdv):
-    red = reduce_lagrangian(kdv, 1)
+    red = reduce_lagrangian(kdv)
     data = red.to_json_dict()
     assert data["diagnosis"] == "reducible"
     assert data["substitutions"]["p_x.t"] == "-p_t.x"
