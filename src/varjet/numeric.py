@@ -13,7 +13,9 @@ axis that I contains, in ascending axis order (u_tx is ``u, ((0,1),(1,1))``);
 a comma-derivative appends ``(axis, 1)`` to its operand's chain.  Arrays are
 shared between equal chains only, so a reused array is bit-for-bit the one a
 fresh computation would give: u_tx reuses the u_t pass, and the
-comma-derivative u_{,t} is the jet u_t itself.
+comma-derivative u_{,t} is the jet u_t itself.  ``residual`` computes its
+arrays one band of rows along axis 0 at a time, each on the band plus the
+halo its later passes read, so it never holds a full-grid array of its own.
 """
 
 from __future__ import annotations
@@ -45,15 +47,28 @@ class GridTooSmallError(VarjetError):
     pass
 
 
-def evaluate(e: Expr, sample: Mapping[CoordinateId, object]):
-    """Evaluate a polynomial at a sample; values may be floats or numpy arrays."""
+def evaluate(e: Expr, sample: Mapping[CoordinateId, object],
+             powers: Optional[Dict[Tuple[CoordinateId, int], object]] = None):
+    """Evaluate a polynomial at a sample; values may be floats or numpy arrays.
+
+    Each power ``sample[c] ** p`` with p > 1 is computed once and kept in
+    ``powers`` under (c, p); calls that pass one dict for one sample share
+    their powers.
+    """
+    if powers is None:
+        powers = {}
     total = None
     for mono, coeff in e.terms:
         term = float(coeff)
         for c, p in mono:
             if c not in sample:
                 raise MissingFieldError(f"sample is missing coordinate {c}")
-            term = term * sample[c] ** p
+            if p == 1:
+                term = term * sample[c]
+                continue
+            if (c, p) not in powers:
+                powers[(c, p)] = sample[c] ** p
+            term = term * powers[(c, p)]
         total = term if total is None else total + term
     if total is None:
         return 0.0
@@ -124,7 +139,8 @@ def stencil_radius(order: int) -> int:
 
 
 # elements per band of the stencil kernel: the band's two work buffers
-# (512 KiB each) stay in cache while every tap streams through them
+# (512 KiB each) stay in cache while every tap streams through them; the
+# residual's bands (see _stream) hold about as many elements
 BAND_ELEMENTS = 1 << 16
 
 
@@ -225,6 +241,27 @@ class ProlongedGrid:
         return tuple(slice(m, s - m) for m, s in zip(self.margin, self.grid.shape))
 
 
+def _check_prolongation(grid: GridFunction, order: int, ctx: JetContext) -> None:
+    """The checks a prolongation of ``order`` makes before any work."""
+    if order > MAX_FD_ORDER:
+        raise VarjetError(f"finite-difference prolongation supports order <= {MAX_FD_ORDER}")
+    if tuple(grid.axes) != ctx.independents:
+        raise VarjetError("grid axes do not match the context independents")
+    for alpha, dep in enumerate(ctx.dependents):
+        if dep not in grid.fields:
+            raise MissingFieldError(f"grid is missing the dependent field {dep!r}")
+        if alpha == 0:
+            # the first too-wide pass of the full prolongation, in its order
+            for I in multiindices_up_to(ctx.n, order):
+                for axis, m in _chain(I):
+                    _check_axis(grid.shape[axis], stencil_radius(m))
+
+
+def _fields(grid: GridFunction, ctx: JetContext) -> Dict[CoordinateId, np.ndarray]:
+    """The zero jet of every dependent, by its field's array."""
+    return {CoordinateId.jet(alpha): grid.fields[dep] for alpha, dep in enumerate(ctx.dependents)}
+
+
 def fd_prolong(grid: GridFunction, order: int, ctx: JetContext,
                jets: Optional[Iterable[CoordinateId]] = None) -> ProlongedGrid:
     """Central 4th-order estimates of the jets u_I^a with |I| <= order.
@@ -234,20 +271,9 @@ def fd_prolong(grid: GridFunction, order: int, ctx: JetContext,
     selection: the margin is stencil_radius(order) on every axis, and a grid
     too small for any jet of that order raises GridTooSmallError.
     """
-    if order > MAX_FD_ORDER:
-        raise VarjetError(f"finite-difference prolongation supports order <= {MAX_FD_ORDER}")
-    if tuple(grid.axes) != ctx.independents:
-        raise VarjetError("grid axes do not match the context independents")
-    passes: Dict[Tuple[CoordinateId, Chain], np.ndarray] = {}
-    for alpha, dep in enumerate(ctx.dependents):
-        if dep not in grid.fields:
-            raise MissingFieldError(f"grid is missing the dependent field {dep!r}")
-        if alpha == 0:
-            # the first too-wide pass of the full prolongation, in its order
-            for I in multiindices_up_to(ctx.n, order):
-                for axis, m in _chain(I):
-                    _check_axis(grid.shape[axis], stencil_radius(m))
-        passes[(CoordinateId.jet(alpha), ())] = grid.fields[dep]
+    _check_prolongation(grid, order, ctx)
+    passes: Dict[Tuple[CoordinateId, Chain], np.ndarray] = {
+        (root, ()): arr for root, arr in _fields(grid, ctx).items()}
     if jets is None:
         jets = [CoordinateId.jet(alpha, I) for alpha in range(ctx.m)
                 for I in multiindices_up_to(ctx.n, order)]
@@ -272,6 +298,9 @@ def _jets_of(exprs) -> set:
     return {c for e in exprs for c in e.coordinates() if c.kind == JET}
 
 
+Key = Tuple[CoordinateId, Chain]
+
+
 def residual(system: EquationSystem, grid: GridFunction,
              momentum_fields: Optional[GridFunction] = None,
              legendre: Optional[LegendreForm] = None) -> Dict[str, float]:
@@ -282,13 +311,18 @@ def residual(system: EquationSystem, grid: GridFunction,
     the momentum unknowns the equations read are either read from ``momentum_fields``
     (matching plain names) or generated by evaluating the Legendre-form
     coefficients along the prolonged field; comma-derivatives of all
-    unknowns are differenced with the same stencils, through the pass cache.
+    unknowns are differenced with the same stencils, through the same pass
+    chains.  The grid-size checks of the full prolongation run first; the
+    residuals are then computed band by band along axis 0 (see _stream).
     """
     rows = [res for _, res in system.equations]
     dc = system.derived
     if dc is None:
-        pr = fd_prolong(grid, _max_jet_order(rows), system.context, _jets_of(rows))
-        return _collect(system, pr.samples, grid.shape, pr.margin)
+        order = _max_jet_order(rows)
+        _check_prolongation(grid, order, system.context)
+        keys = {c: (CoordinateId.jet(c.alpha), _chain(c.index)) for c in _jets_of(rows)}
+        return _stream(system, grid, keys, _fields(grid, system.context),
+                       (stencil_radius(order),) * len(grid.shape))
 
     base = dc.base
     need = max([len(c.index) for c in dc.fiber if c.kind == JET], default=0)
@@ -302,25 +336,24 @@ def residual(system: EquationSystem, grid: GridFunction,
 
     coeffs = {c: legendre.coefficient(c.alpha, c.index, c.i) for c in fibers
               if legendre is not None and c.kind != JET and not supplied(c)}
-    pr = fd_prolong(grid, need, base,
-                    {c for c in fibers if c.kind == JET} | _jets_of(coeffs.values()))
+    _check_prolongation(grid, need, base)
+    roots = _fields(grid, base)
     for c in fibers:
         if c.kind == JET:
             continue
         if supplied(c):
-            arr = momentum_fields.fields[base.name(c)]
+            roots[c] = momentum_fields.fields[base.name(c)]
+            if roots[c].shape != grid.shape:
+                raise VarjetError(f"momentum field {base.name(c)} has shape "
+                                  f"{roots[c].shape}, the grid {grid.shape}")
         elif c in coeffs:
-            # a constant coefficient evaluates to a float
-            arr = np.broadcast_to(evaluate(coeffs[c], pr.samples), grid.shape)
+            roots[c] = coeffs[c]
         else:
             raise MissingFieldError(
                 f"no field or Legendre form supplies the momentum {base.name(c)}")
-        pr.passes[(c, ())] = arr
 
-    sample: Dict[CoordinateId, np.ndarray] = {
-        CoordinateId.independent(i): pr.samples[CoordinateId.independent(i)]
-        for i in range(base.n)}
-    margin = list(pr.margin)
+    margin = [stencil_radius(need)] * base.n
+    keys: Dict[CoordinateId, Key] = {}
     for c in read:
         f = dc.fiber[c.alpha]
         root, chain = (CoordinateId.jet(f.alpha), _chain(f.index)) if f.kind == JET \
@@ -329,26 +362,151 @@ def residual(system: EquationSystem, grid: GridFunction,
             # comma-derivatives of unknowns use the same first-order stencil
             axis = c.index.entries[0]
             chain += ((axis, 1),)
-            margin[axis] = max(margin[axis], pr.margin[axis] + stencil_radius(1))
-        sample[c] = _differenced(pr.passes, root, chain, grid.spacing)
-    return _collect(system, sample, grid.shape, tuple(margin))
+            margin[axis] = max(margin[axis], stencil_radius(need) + stencil_radius(1))
+        keys[c] = (root, chain)
+    return _stream(system, grid, keys, roots, tuple(margin))
 
 
-def _collect(system: EquationSystem, sample, shape, margin) -> Dict[str, float]:
+def _halos(keys: Dict[CoordinateId, Key],
+           inputs: Dict[CoordinateId, Dict[CoordinateId, Key]]) -> Dict[Key, int]:
+    """The rows beyond a band that each array must cover: the axis-0 radii of
+    the passes after it, and the halo of any momentum evaluated from it."""
+    halo: Dict[Key, int] = {}
+
+    def reach(key: Key, rows: int) -> None:
+        root, chain = key
+        for k in range(len(chain), -1, -1):
+            if halo.get((root, chain[:k]), -1) >= rows:
+                return  # and so do its prefixes
+            halo[(root, chain[:k])] = rows
+            if k and chain[k - 1][0] == 0:
+                rows += stencil_radius(chain[k - 1][1])
+
+    for key in keys.values():
+        reach(key, 0)
+    for root, jets in inputs.items():  # after every read of the momentum root
+        for key in jets.values():
+            reach(key, halo[(root, ())])
+    return halo
+
+
+def _schedule(equations, inputs: Dict[CoordinateId, Dict[CoordinateId, Key]]):
+    """The steps of one band: each array (a Key) after the arrays it is made
+    from, and each equation (its index) after the arrays it reads.  Also
+    returns, for every step, the arrays it is the last to read."""
+    steps: List[object] = []
+    reads: List[List[Key]] = []
+
+    def add(key: Key) -> None:
+        if key not in done:
+            root, chain = key
+            needs = [(root, chain[:-1])] if chain else list(inputs.get(root, {}).values())
+            for k in needs:
+                add(k)
+            done.add(key)
+            steps.append(key)
+            reads.append(needs)
+
+    done: set = set()
+    for j, (_, _, read) in enumerate(equations):
+        for key in read.values():
+            add(key)
+        steps.append(j)
+        reads.append(list(read.values()))
+    last = {key: s for s, needs in enumerate(reads) for key in needs}
+    dead: List[List[Key]] = [[] for _ in steps]
+    for key, s in last.items():
+        dead[s].append(key)
+    return steps, dead
+
+
+def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId, Key],
+            roots: Dict[CoordinateId, object], margin: Tuple[int, ...]) -> Dict[str, float]:
+    """Max-abs residuals over the interior ``margin`` leaves, one band of rows
+    along axis 0 at a time.
+
+    ``keys`` maps each jet coordinate the equations read to the (root, pass
+    chain) of the array it samples; ``roots`` gives each root (a dependent
+    field's zero jet or a momentum) as a full-grid array, or a momentum as
+    the Legendre coefficient to evaluate.  Each array of a band covers the
+    band plus its halo (see _halos) and is dropped once nothing later in the
+    band reads it.  Every element a band keeps goes through the operations
+    of a full-grid computation in the same order, and a maximum is exact, so
+    the residuals are bit-identical to a full-grid computation's.  A band
+    holds about BAND_ELEMENTS elements, and is at least twice as high as the
+    deepest halo, so that no array is computed on more than twice the band.
+    """
+    shape = grid.shape
+    # the passes' own checks, before any work, in the order they are met
+    for _, chain in keys.values():
+        for axis, order in chain:
+            _check_axis(shape[axis], stencil_radius(order))
     if any(s - 2 * m <= 0 for s, m in zip(shape, margin)):
         raise GridTooSmallError("grid too small for the stencil margins")
-    interior = tuple(slice(m, s - m) for m, s in zip(margin, shape))
-    out: Dict[str, float] = {}
-    for label, res in system.equations:
-        vals = evaluate(res, sample)
-        if np.isscalar(vals) or np.ndim(vals) == 0:
-            out[label] = abs(float(vals))
-            continue
-        core = np.asarray(vals)[interior]
-        if not np.all(np.isfinite(core)):
+    inputs = {root: {c: (CoordinateId.jet(c.alpha), _chain(c.index)) for c in _jets_of([e])}
+              for root, e in roots.items() if isinstance(e, Expr)}
+    halo = _halos(keys, inputs)
+    equations = [(label, res, {c: keys[c] for c in res.coordinates() if c in keys})
+                 for label, res in system.equations]
+    steps, dead = _schedule(equations, inputs)
+
+    n0 = shape[0]
+    first, stop = margin[0], n0 - margin[0]
+    height = max(1, BAND_ELEMENTS // math.prod(shape[1:]), 2 * max(halo.values(), default=0))
+    cols = tuple(slice(m, s - m) for m, s in zip(margin[1:], shape[1:]))
+    meshes = grid.meshes()
+    peak = [0.0] * len(equations)
+    for lo in range(first, stop, height):
+        hi = min(lo + height, stop)
+        span = {key: (max(0, lo - rows), min(n0, hi + rows)) for key, rows in halo.items()}
+        arrays: Dict[Key, np.ndarray] = {}
+        powers: Dict[object, dict] = {}  # one cache per extent evaluated on
+
+        def rows(key: Key, a: int, b: int) -> np.ndarray:
+            return arrays[key][a - span[key][0]:b - span[key][0]]
+
+        def sample(a: int, b: int, read: Dict[CoordinateId, Key], within: tuple = ()):
+            """Rows a..b of the independents and of the arrays ``read`` names,
+            cut to ``within`` on the other axes."""
+            out = {CoordinateId.independent(i): mesh[(slice(a, b),) + within]
+                   for i, mesh in enumerate(meshes)}
+            for c, key in read.items():
+                out[c] = rows(key, a, b)[(slice(None),) + within]
+            return out
+
+        for s, step in enumerate(steps):
+            if isinstance(step, int):  # an equation
+                _, res, read = equations[step]
+                vals = evaluate(res, sample(lo, hi, read, cols), powers.setdefault(None, {}))
+                if np.ndim(vals) == 0:
+                    peak[step] = abs(float(vals))
+                else:
+                    top = float(np.max(np.abs(vals, out=vals)))
+                    # a NaN or an infinity in any band makes the row non-finite
+                    peak[step] = max(peak[step], top if math.isfinite(top) else math.inf)
+            else:
+                root, chain = step
+                a, b = span[step]
+                if chain:
+                    axis, order = chain[-1]
+                    r = stencil_radius(order) if axis == 0 else 0
+                    a_in, b_in = max(0, a - r), min(n0, b + r)
+                    out = _apply_stencil(rows((root, chain[:-1]), a_in, b_in),
+                                         axis, order, grid.spacing[axis])
+                    arrays[step] = out[a - a_in:b - a_in]
+                elif root in inputs:
+                    # a constant coefficient evaluates to a float
+                    vals = evaluate(roots[root], sample(a, b, inputs[root]),
+                                    powers.setdefault((a, b), {}))
+                    arrays[step] = np.broadcast_to(vals, (b - a,) + shape[1:])
+                else:
+                    arrays[step] = roots[root][a:b]
+            for key in dead[s]:
+                del arrays[key]
+    for (label, _, _), top in zip(equations, peak):
+        if top == math.inf:
             raise VarjetError(f"non-finite interior residual for equation {label!r}")
-        out[label] = float(np.max(np.abs(core)))
-    return out
+    return {label: top for (label, _, _), top in zip(equations, peak)}
 
 
 # -- grid file format --------------------------------------------------------

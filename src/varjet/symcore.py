@@ -622,13 +622,19 @@ class _Parser:
     """Recursive descent over: expr := [+-] term (('+'|'-') term)*;
     term := factor (('*'|'/') factor)*; factor := primary ['^' int];
     primary := int | name | '(' expr ')'.
+
+    Parentheses and unary minus signs nest at most MAX_DEPTH deep, which
+    keeps the recursion well inside the interpreter's stack limit.
     """
+
+    MAX_DEPTH = 100
 
     def __init__(self, text: str, ctx: JetContext):
         self.text = text
         self.ctx = ctx
         self.tokens = _tokenize(text)
         self.k = 0
+        self.depth = 0
         self.resolved: Dict[str, Expr] = {}  # names met so far in this text
 
     def peek(self):
@@ -638,6 +644,16 @@ class _Parser:
         tok = self.tokens[self.k]
         self.k += 1
         return tok
+
+    def nested(self, parse_inner, pos: int) -> Expr:
+        """parse_inner() one nesting level deeper, for the token at ``pos``."""
+        if self.depth == self.MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {self.MAX_DEPTH} levels",
+                             self.text, pos)
+        self.depth += 1
+        e = parse_inner()
+        self.depth -= 1
+        return e
 
     def expect_op(self, op: str):
         kind, val, pos = self.next()
@@ -688,10 +704,10 @@ class _Parser:
                 return out
 
     def factor(self) -> Expr:
-        kind, val, _ = self.peek()
+        kind, val, pos = self.peek()
         if kind == "op" and val == "-":
             self.next()
-            return -self.factor()
+            return -self.nested(self.factor, pos)
         base = self.primary()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
@@ -724,7 +740,7 @@ class _Parser:
                     raise ParseError(f"unknown identifier {val!r}", self.text, pos)
             return coord
         if kind == "op" and val == "(":
-            e = self.expr()
+            e = self.nested(self.expr, pos)
             self.expect_op(")")
             return e
         raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input",

@@ -1,9 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from varjet.multiindex import MultiIndex, multiindices_up_to
+from varjet.numeric import GridFunction
 from varjet.symcore import CoordinateId, Expr, JetContext, parse
 from varjet.variational import LagrangianDensity
 
@@ -24,6 +27,24 @@ def kdv(ctx_tx):
 @pytest.fixture
 def ctx_1d():
     return JetContext(("x",), ("u",), max_order=4)
+
+
+def soliton_grid(nt, nx, c=1.0, box=16.0):
+    """The KdV soliton u = -sqrt(c) tanh(sqrt(c)/2 (x - c t)) over [-box, box]^2."""
+    t = np.linspace(-box, box, nt)
+    x = np.linspace(-box, box, nx)
+    T, X = np.meshgrid(t, x, indexing="ij")
+    u = -math.sqrt(c) * np.tanh(math.sqrt(c) / 2 * (X - c * T))
+    return GridFunction(("t", "x"), (t[0], x[0]), (t[1] - t[0], x[1] - x[0]), {"u": u})
+
+
+def wave3_grid(n, box=3.0):
+    """u = sin(0.6x + 0.8y - t), which solves u_tt = u_xx + u_yy, on an n^3 grid."""
+    axis = np.linspace(-box, box, n)
+    T, X, Y = np.meshgrid(axis, axis, axis, indexing="ij")
+    h = axis[1] - axis[0]
+    return GridFunction(("t", "x", "y"), (axis[0],) * 3, (h,) * 3,
+                        {"u": np.sin(0.6 * X + 0.8 * Y - T)})
 
 
 def jet_pool(ctx, max_order, include_independents=True):
@@ -54,7 +75,7 @@ def random_lagrangian(rng: random.Random, max_n=2, max_m=2, max_order=3,
     """Random polynomial density in a random small context (jet-side, no x factors)."""
     n = rng.randint(1, max_n)
     m = rng.randint(1, max_m)
-    names_i = ("t", "x")[:n] if n > 1 else ("x",)
+    names_i = ("t", "x", "y")[:n] if n > 1 else ("x",)
     names_d = ("u", "v")[:m]
     order = rng.randint(1, max_order)
     ctx = JetContext(names_i, names_d, max_order=2 * order + 2)

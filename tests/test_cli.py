@@ -285,6 +285,16 @@ def test_bad_expression_reports_position(capsys, tmp_path):
     assert "line 1, column" in err  # position within the expression
 
 
+def test_deeply_nested_density_is_domain_error(capsys, tmp_path):
+    path = tmp_path / "deep.problem"
+    path.write_text("independents = x\ndependents = u\n"
+                    f"lagrangian = {'(' * 3000}u_x^2{')' * 3000}\norder = 1\n")
+    code, out, err = run(capsys, "el", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("varjet: ") and "nested deeper than 100 levels" in err
+    assert "line 1, column 101" in err
+
+
 def test_usage_error_exits_2(kdv_problem):
     with pytest.raises(SystemExit) as exc:
         main(["el", kdv_problem, "--format", "html"])

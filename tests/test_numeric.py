@@ -2,11 +2,12 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import KDV_L, jet_pool, random_expr
+from conftest import KDV_L, jet_pool, random_expr, soliton_grid, wave3_grid
 from varjet import numeric
 from varjet.jetcalc import EquationSystem
 from varjet.multiindex import MultiIndex, multiindices_up_to
@@ -23,22 +24,12 @@ from varjet.numeric import (
     stencil_radius,
 )
 from varjet.pdham import DerivedContext, constraints, elh_system, reduce_lagrangian
-from varjet.symcore import JET, CoordinateId, Expr, JetContext, parse
+from varjet.symcore import JET, CoordinateId, Expr, JetContext, VarjetError, parse
 from varjet.variational import LagrangianDensity, euler_lagrange, legendre_form
 
 
 def kdv_el_system(ctx):
-    lag = LagrangianDensity(ctx, parse(KDV_L, ctx), order=2)
-    E = euler_lagrange(lag)
-    return EquationSystem(ctx, (("el:u", E.component(0)),))
-
-
-def soliton_grid(nt, nx, c=1.0, box=16.0):
-    t = np.linspace(-box, box, nt)
-    x = np.linspace(-box, box, nx)
-    T, X = np.meshgrid(t, x, indexing="ij")
-    u = -math.sqrt(c) * np.tanh(math.sqrt(c) / 2 * (X - c * T))
-    return GridFunction(("t", "x"), (t[0], x[0]), (t[1] - t[0], x[1] - x[0]), {"u": u})
+    return kdv_system(ctx, "el")[0]
 
 
 def grid_1d(n, box, fn):
@@ -246,9 +237,29 @@ def test_banded_stencil_bit_identical(monkeypatch, shape, band):
                     (shape, axis, order, h)
 
 
-def reference_residual(system, grid, legendre=None):
+def reference_collect(system, sample, shape, margin):
+    """The full-grid collect the residual used before band streaming: every
+    equation evaluated on the whole grid, then reduced over the interior."""
+    if any(s - 2 * m <= 0 for s, m in zip(shape, margin)):
+        raise GridTooSmallError("grid too small for the stencil margins")
+    interior = tuple(slice(m, s - m) for m, s in zip(margin, shape))
+    out = {}
+    for label, res in system.equations:
+        vals = evaluate(res, sample)
+        if np.isscalar(vals) or np.ndim(vals) == 0:
+            out[label] = abs(float(vals))
+            continue
+        core = np.asarray(vals)[interior]
+        if not np.all(np.isfinite(core)):
+            raise VarjetError(f"non-finite interior residual for equation {label!r}")
+        out[label] = float(np.max(np.abs(core)))
+    return out
+
+
+def reference_residual(system, grid, legendre=None, momentum_fields=None):
     """Residuals from the full prolongation with the reference kernel, every
-    Legendre momentum evaluated and every comma-derivative differenced afresh."""
+    momentum supplied or Legendre-evaluated on the full grid and every
+    comma-derivative differenced afresh."""
     def prolong(ctx, order):
         samples = {CoordinateId.independent(i): mesh for i, mesh in enumerate(grid.meshes())}
         for alpha, dep in enumerate(ctx.dependents):
@@ -265,13 +276,20 @@ def reference_residual(system, grid, legendre=None):
         order = max(res.max_jet_order() for _, res in system.equations)
         samples = prolong(system.context, order)
         margin = (stencil_radius(order),) * len(grid.shape)
-        return numeric._collect(system, samples, grid.shape, margin)
+        return reference_collect(system, samples, grid.shape, margin)
     need = max(max(len(c.index) for c in dc.fiber if c.kind == JET),
                max(e.max_jet_order() for e in legendre.coeffs.values()))
     prolonged = prolong(dc.base, need)
-    fiber = [prolonged[c] if c.kind == JET else np.broadcast_to(
-        evaluate(legendre.coefficient(c.alpha, c.index, c.i), prolonged), grid.shape)
-        for c in dc.fiber]
+
+    def root(c):
+        if c.kind == JET:
+            return prolonged[c]
+        if momentum_fields is not None and dc.base.name(c) in momentum_fields.fields:
+            return momentum_fields.fields[dc.base.name(c)]
+        return np.broadcast_to(
+            evaluate(legendre.coefficient(c.alpha, c.index, c.i), prolonged), grid.shape)
+
+    fiber = [root(c) for c in dc.fiber]
     sample = {CoordinateId.independent(i): prolonged[CoordinateId.independent(i)]
               for i in range(dc.base.n)}
     margin = [stencil_radius(need)] * dc.base.n
@@ -284,28 +302,134 @@ def reference_residual(system, grid, legendre=None):
             axis = c.index.entries[0]
             sample[c] = reference_stencil(fiber[c.alpha], axis, 1, grid.spacing[axis])
             margin[axis] = stencil_radius(need) + stencil_radius(1)
-    return numeric._collect(system, sample, grid.shape, tuple(margin))
+    return reference_collect(system, sample, grid.shape, tuple(margin))
+
+
+def kdv_system(ctx, which):
+    """The KdV density's system ``which`` and, for a first-order one, its Legendre form."""
+    lag = LagrangianDensity(ctx, parse(KDV_L, ctx), order=2)
+    return system_of(lag, which), None if which == "el" else legendre_form(lag)
+
+
+def system_of(lag, which):
+    """The density's system ``which``, as `check-solution --system` builds it."""
+    if which == "el":
+        return EquationSystem(lag.context, (("el:u", euler_lagrange(lag).component(0)),))
+    if which == "constraints":
+        dc = DerivedContext(lag.context, lag.level)
+        return EquationSystem(dc.ctx, tuple(
+            (lab, dc.embed(res)) for lab, res in constraints(lag).equations), derived=dc)
+    if which == "elh":
+        return elh_system(lag)
+    return reduce_lagrangian(lag).system_hdw
 
 
 @pytest.mark.parametrize("which", ["el", "constraints", "elh", "hdw"])
 def test_residual_matches_full_prolongation(ctx_tx, which):
-    lag = LagrangianDensity(ctx_tx, parse(KDV_L, ctx_tx), order=2)
-    theta = legendre_form(lag) if which != "el" else None
-    if which == "el":
-        system = kdv_el_system(ctx_tx)
-    elif which == "constraints":
-        dc = DerivedContext(ctx_tx, 1)
-        system = EquationSystem(dc.ctx, tuple(
-            (lab, dc.embed(res)) for lab, res in constraints(lag).equations), derived=dc)
-    elif which == "elh":
-        system = elh_system(lag)
-    else:
-        system = reduce_lagrangian(lag).system_hdw
+    system, theta = kdv_system(ctx_tx, which)
     g = soliton_grid(40, 57, c=0.9, box=5.0)
     got = residual(system, g, legendre=theta)
     assert got == reference_residual(system, g, legendre=theta)
     # the constraint rows vanish identically on the Legendre momenta
     assert any(v != 0.0 for v in got.values()) or which == "constraints"
+
+
+def record_bands(monkeypatch, system, grid):
+    """Shrinks the bands to three rows of ``grid``, or the least height the
+    halos allow, and returns the list that receives the rows of each band
+    the first equation is evaluated on."""
+    heights = []
+    real = numeric.evaluate
+    first = system.equations[0][1]
+
+    def recording(e, sample, *args):
+        if e is first:
+            heights.append(np.shape(sample[CoordinateId.independent(0)])[0])
+        return real(e, sample, *args)
+
+    monkeypatch.setattr(numeric, "evaluate", recording)
+    monkeypatch.setattr(numeric, "BAND_ELEMENTS", 3 * math.prod(grid.shape[1:]))
+    return heights
+
+
+def assert_several_bands(heights):
+    # at least three bands, the last one shorter than the others
+    assert len(heights) >= 3 and heights[-1] < heights[0] and len(set(heights[:-1])) == 1
+
+
+@pytest.mark.parametrize("which", ["el", "constraints", "elh", "hdw"])
+def test_residual_in_several_bands_matches_full_prolongation(ctx_tx, monkeypatch, which):
+    system, theta = kdv_system(ctx_tx, which)
+    g = soliton_grid(40, 57, c=0.9, box=5.0)
+    want = reference_residual(system, g, legendre=theta)
+    heights = record_bands(monkeypatch, system, g)
+    assert residual(system, g, legendre=theta) == want
+    assert_several_bands(heights)
+
+
+@pytest.mark.parametrize("which", ["el", "elh", "hdw"])
+def test_residual_in_several_bands_on_three_axes(monkeypatch, which):
+    ctx = JetContext(("t", "x", "y"), ("u",), max_order=4)
+    lag = LagrangianDensity(ctx, parse("1/2*u_t^2 - 1/2*u_x^2 - 1/2*u_y^2", ctx), order=1)
+    system = system_of(lag, which)
+    theta = None if which == "el" else legendre_form(lag)
+    g = wave3_grid(37)
+    g.fields["u"] = np.ascontiguousarray(g.fields["u"][:, :17, 3:23])  # three axis lengths
+    g.origin = (g.origin[0], g.origin[1], g.origin[2] + 3 * g.spacing[2])
+    want = reference_residual(system, g, legendre=theta)
+    heights = record_bands(monkeypatch, system, g)
+    assert residual(system, g, legendre=theta) == want
+    assert_several_bands(heights)
+    assert max(want.values()) > 0.0
+
+
+def test_residual_in_several_bands_with_supplied_momenta(ctx_tx, monkeypatch):
+    # momenta from fields for some fiber coordinates, from the Legendre form
+    # for the rest
+    system, theta = kdv_system(ctx_tx, "elh")
+    g = soliton_grid(40, 57, c=0.9, box=5.0)
+    rng = np.random.default_rng(5)
+    names = ("p_.t", "p_x.x", "p_t.t")
+    mom = GridFunction(("t", "x"), g.origin, g.spacing,
+                       {name: rng.standard_normal(g.shape) for name in names})
+    want = reference_residual(system, g, legendre=theta, momentum_fields=mom)
+    heights = record_bands(monkeypatch, system, g)
+    assert residual(system, g, momentum_fields=mom, legendre=theta) == want
+    assert_several_bands(heights)
+
+
+@pytest.mark.parametrize("which", ["el", "elh"])
+def test_residual_nan_in_a_later_band(ctx_tx, monkeypatch, which):
+    system, theta = kdv_system(ctx_tx, which)
+    g = soliton_grid(40, 57, c=0.9, box=5.0)
+    g.fields["u"][31, 30] = np.nan
+    with pytest.raises(VarjetError) as full:
+        reference_residual(system, g, legendre=theta)
+    heights = record_bands(monkeypatch, system, g)
+    with pytest.raises(VarjetError) as banded:
+        residual(system, g, legendre=theta)
+    assert str(banded.value) == str(full.value)
+    assert str(full.value).startswith("non-finite interior residual for equation ")
+    assert_several_bands(heights)
+    # the NaN is 26 rows past the first band's first row, beyond its halos
+    assert heights[0] <= 8
+
+
+def test_residual_memory_is_the_fields_and_one_band():
+    # the ELH residual of a 64^3 wave: a full-grid computation (a jet, pass,
+    # momentum and temporary each on the whole grid) peaked at 13.0 times
+    # the field's bytes, the band-streamed one at 3.1
+    ctx = JetContext(("t", "x", "y"), ("u",), max_order=4)
+    lag = LagrangianDensity(ctx, parse("1/2*u_t^2 - 1/2*u_x^2 - 1/2*u_y^2", ctx), order=1)
+    g = wave3_grid(64)
+    system, theta = elh_system(lag), legendre_form(lag)
+    tracemalloc.start()
+    try:
+        residual(system, g, legendre=theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * g.fields["u"].nbytes
 
 
 def test_kdv_el_residual_stencils_only_what_it_reads(ctx_tx, monkeypatch):
@@ -409,6 +533,16 @@ def test_residual_momentum_fields_supplied(ctx_tx):
     system = EquationSystem(dc.ctx, rows, derived=dc)
     r = residual(system, g, momentum_fields=mom)
     assert max(r.values()) <= 1e-8
+
+
+def test_residual_momentum_field_of_another_shape_is_error(ctx_tx):
+    system, theta = kdv_system(ctx_tx, "elh")
+    g = soliton_grid(64, 64)
+    for shape in ((50, 64), (80, 64)):
+        mom = GridFunction(("t", "x"), g.origin, g.spacing, {"p_.t": np.zeros(shape)})
+        with pytest.raises(VarjetError, match=rf"^momentum field p_.t has shape "
+                           rf"\({shape[0]}, 64\), the grid \(64, 64\)$"):
+            residual(system, g, momentum_fields=mom, legendre=theta)
 
 
 def test_residual_missing_momenta_is_error(ctx_tx):

@@ -99,6 +99,19 @@ def test_parse_momentum_dependent_tag():
         parse("p_x.t", ctx)
 
 
+def test_parse_depth_cap(ctx_tx):
+    # nesting is capped below the interpreter's recursion limit, with a
+    # positioned message at the first sign past the cap
+    assert E(ctx_tx, "(" * 100 + "u_x" + ")" * 100) == E(ctx_tx, "u_x")
+    assert E(ctx_tx, "-" * 101 + "u_x") == E(ctx_tx, "-u_x")
+    for text, column in (("(" * 3000 + "u_x" + ")" * 3000, 101),
+                         ("-" * 3000 + "u_x", 102),
+                         ("u + " + "-(" * 3000 + "u" + ")" * 3000, 204)):
+        with pytest.raises(ParseError, match=r"^expression nested deeper than 100 levels "
+                           rf"\(line 1, column {column}\)$"):
+            parse(text, ctx_tx)
+
+
 def test_parse_errors(ctx_tx):
     with pytest.raises(ParseError):
         E(ctx_tx, "w + 1")  # unknown identifier

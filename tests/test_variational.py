@@ -7,7 +7,7 @@ import pytest
 from conftest import KDV_EL, KDV_L, jet_pool, random_expr, random_lagrangian
 from varjet.jetcalc import total_derivative
 from varjet.multiindex import EMPTY, MultiIndex
-from varjet.symcore import CoordinateId, Expr, JetContext, VarjetError, parse
+from varjet.symcore import CoordinateId, Expr, JetContext, VarjetError, parse, render
 from varjet.variational import (
     CartanValuedForm,
     LagrangianDensity,
@@ -183,3 +183,14 @@ def test_declared_order_propagates(ctx_1d):
     assert horizontal_d_legendre(theta) + vertical_differential(lag) == euler_lagrange(lag)
     with pytest.raises(VarjetError):
         LagrangianDensity(ctx_1d, parse("1/2*u_xx^2", ctx_1d), order=1)
+
+
+def test_random_lagrangian_names_only_coordinates_its_context_renders():
+    # the helper draws jets along the independents its context declares
+    rng = random.Random(97)
+    drawn = [random_lagrangian(rng, max_n=3) for _ in range(50)]
+    assert {lag.context.n for lag in drawn} == {1, 2, 3}
+    for lag in drawn:
+        ctx = lag.context
+        assert all(max(c.index.entries, default=-1) < ctx.n for c in lag.L.coordinates())
+        assert parse(render(lag.L, ctx), ctx) == lag.L
