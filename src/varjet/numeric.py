@@ -27,7 +27,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -208,41 +208,10 @@ def _chain(index: MultiIndex) -> Chain:
     return tuple((axis, index.count(axis)) for axis in sorted(set(index.entries)))
 
 
-def _differenced(passes: Dict[Tuple[CoordinateId, Chain], np.ndarray],
-                 root: CoordinateId, chain: Chain,
-                 spacing: Tuple[float, ...]) -> np.ndarray:
-    """The root array after the passes of ``chain``, computing only the passes
-    no cached prefix of the chain already holds.  ``passes`` maps
-    (root, chain) to arrays and holds each root array under the empty chain."""
-    key = (root, chain)
-    if key not in passes:
-        axis, order = chain[-1]
-        passes[key] = _apply_stencil(_differenced(passes, root, chain[:-1], spacing),
-                                     axis, order, spacing[axis])
-    return passes[key]
-
-
-@dataclass
-class ProlongedGrid:
-    """Finite-difference jet estimates; arrays are full-shape with NaN margins.
-
-    ``passes`` is the pass cache the estimates came from, keyed by (root,
-    pass chain); differencing further arrays through it reuses their passes.
-    """
-
-    context: JetContext
-    grid: GridFunction
-    order: int
-    samples: Dict[CoordinateId, np.ndarray]
-    margin: Tuple[int, ...]
-    passes: Dict[Tuple[CoordinateId, Chain], np.ndarray]
-
-    def interior(self) -> Tuple[slice, ...]:
-        return tuple(slice(m, s - m) for m, s in zip(self.margin, self.grid.shape))
-
-
 def _check_prolongation(grid: GridFunction, order: int, ctx: JetContext) -> None:
-    """The checks a prolongation of ``order`` makes before any work."""
+    """The eager checks of ``residual``, made before any work: the order bound,
+    the axes, the dependent fields, and the stencil of every jet of order
+    ``order`` or less, whether or not the equations read it."""
     if order > MAX_FD_ORDER:
         raise VarjetError(f"finite-difference prolongation supports order <= {MAX_FD_ORDER}")
     if tuple(grid.axes) != ctx.independents:
@@ -251,7 +220,7 @@ def _check_prolongation(grid: GridFunction, order: int, ctx: JetContext) -> None
         if dep not in grid.fields:
             raise MissingFieldError(f"grid is missing the dependent field {dep!r}")
         if alpha == 0:
-            # the first too-wide pass of the full prolongation, in its order
+            # the first too-wide pass over all jets up to order, in their order
             for I in multiindices_up_to(ctx.n, order):
                 for axis, m in _chain(I):
                     _check_axis(grid.shape[axis], stencil_radius(m))
@@ -260,34 +229,6 @@ def _check_prolongation(grid: GridFunction, order: int, ctx: JetContext) -> None
 def _fields(grid: GridFunction, ctx: JetContext) -> Dict[CoordinateId, np.ndarray]:
     """The zero jet of every dependent, by its field's array."""
     return {CoordinateId.jet(alpha): grid.fields[dep] for alpha, dep in enumerate(ctx.dependents)}
-
-
-def fd_prolong(grid: GridFunction, order: int, ctx: JetContext,
-               jets: Optional[Iterable[CoordinateId]] = None) -> ProlongedGrid:
-    """Central 4th-order estimates of the jets u_I^a with |I| <= order.
-
-    ``jets`` selects the jet coordinates to estimate (default: all of them).
-    The margin and the grid-size check follow ``order`` whatever the
-    selection: the margin is stencil_radius(order) on every axis, and a grid
-    too small for any jet of that order raises GridTooSmallError.
-    """
-    _check_prolongation(grid, order, ctx)
-    passes: Dict[Tuple[CoordinateId, Chain], np.ndarray] = {
-        (root, ()): arr for root, arr in _fields(grid, ctx).items()}
-    if jets is None:
-        jets = [CoordinateId.jet(alpha, I) for alpha in range(ctx.m)
-                for I in multiindices_up_to(ctx.n, order)]
-    samples: Dict[CoordinateId, np.ndarray] = {}
-    for i, mesh in enumerate(grid.meshes()):
-        samples[CoordinateId.independent(i)] = mesh
-    for c in jets:
-        if len(c.index) > order:
-            raise VarjetError(
-                f"jet of order {len(c.index)} exceeds the prolongation order {order}")
-        samples[c] = _differenced(passes, CoordinateId.jet(c.alpha), _chain(c.index),
-                                  grid.spacing)
-    margin = (stencil_radius(order),) * ctx.n
-    return ProlongedGrid(ctx, grid, order, samples, margin, passes)
 
 
 def _max_jet_order(exprs) -> int:
@@ -309,10 +250,10 @@ def residual(system: EquationSystem, grid: GridFunction,
     Jet unknowns come from finite-difference prolongation of the grid,
     restricted to the jets the equations read.  For mixed first-order systems
     the momentum unknowns the equations read are either read from ``momentum_fields``
-    (matching plain names) or generated by evaluating the Legendre-form
-    coefficients along the prolonged field; comma-derivatives of all
-    unknowns are differenced with the same stencils, through the same pass
-    chains.  The grid-size checks of the full prolongation run first; the
+    (matching plain names, on the field grid's axes, origin and spacing) or
+    generated by evaluating the Legendre-form coefficients along the
+    prolonged field; comma-derivatives of all unknowns are differenced with
+    the same stencils, through the same pass chains.  The grid checks (see _check_prolongation) run first; the
     residuals are then computed band by band along axis 0 (see _stream).
     """
     rows = [res for _, res in system.equations]
@@ -337,6 +278,11 @@ def residual(system: EquationSystem, grid: GridFunction,
     coeffs = {c: legendre.coefficient(c.alpha, c.index, c.i) for c in fibers
               if legendre is not None and c.kind != JET and not supplied(c)}
     _check_prolongation(grid, need, base)
+    if momentum_fields is not None:
+        for what in ("axes", "origin", "spacing"):
+            mine, theirs = getattr(momentum_fields, what), getattr(grid, what)
+            if mine != theirs:
+                raise VarjetError(f"momentum grid has {what} {mine}, the field grid {theirs}")
     roots = _fields(grid, base)
     for c in fibers:
         if c.kind == JET:

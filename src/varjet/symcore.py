@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .multiindex import EMPTY, MultiIndex
+from .multiindex import EMPTY, MultiIndex, multiindices_up_to
 
 INDEPENDENT = "independent"
 JET = "jet"
@@ -298,13 +298,11 @@ class JetContext:
     # -- enumeration ----------------------------------------------------
 
     def jets_up_to(self, order: int):
-        from .multiindex import multiindices_up_to
         return [CoordinateId.jet(a, I)
                 for a in range(self.m)
                 for I in multiindices_up_to(self.n, order)]
 
     def momenta_up_to(self, level: int):
-        from .multiindex import multiindices_up_to
         return [CoordinateId.momentum(a, I, i)
                 for a in range(self.m)
                 for I in multiindices_up_to(self.n, level)
@@ -767,51 +765,31 @@ def _coeff_latex(c: Fraction) -> str:
 def render(e: Expr, ctx: JetContext, fmt: str = "plain") -> str:
     """Deterministic rendering; the plain format re-parses to the same Expr."""
     if fmt == "plain":
-        return _render_plain(e, ctx)
+        return _render(e, ctx.name, "^{}".format, str, "*")
     if fmt == "latex":
-        return _render_latex(e, ctx)
+        return _render(e, ctx.latex_name, "^{{{}}}".format, _coeff_latex, " ")
     if fmt == "json":
         return json.dumps(expr_to_json(e, ctx), sort_keys=True)
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _render_plain(e: Expr, ctx: JetContext) -> str:
+def _render(e: Expr, name, power, coeff_text, joiner: str) -> str:
+    """The signed terms of e, each its coefficient (unless 1) and its factors
+    joined by ``joiner``; ``name``, ``power`` and ``coeff_text`` spell a
+    coordinate, an exponent above 1 and a coefficient's magnitude."""
     if not e.terms:
         return "0"
     parts: List[str] = []
     for mono, coeff in e.terms:
-        factors = [ctx.name(c) + (f"^{p}" if p > 1 else "") for c, p in mono]
+        factors = [name(c) + (power(p) if p > 1 else "") for c, p in mono]
         mag = abs(coeff)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
-        if not parts:
-            parts.append(body if coeff > 0 else "-" + body)
-        else:
+        if mag != 1 or not factors:
+            factors.insert(0, coeff_text(mag))
+        body = joiner.join(factors)
+        if parts:
             parts.append((" + " if coeff > 0 else " - ") + body)
-    return "".join(parts)
-
-
-def _render_latex(e: Expr, ctx: JetContext) -> str:
-    if not e.terms:
-        return "0"
-    parts: List[str] = []
-    for mono, coeff in e.terms:
-        factors = [ctx.latex_name(c) + (f"^{{{p}}}" if p > 1 else "") for c, p in mono]
-        mag = abs(coeff)
-        if not factors:
-            body = _coeff_latex(mag)
-        elif mag == 1:
-            body = " ".join(factors)
         else:
-            body = " ".join([_coeff_latex(mag)] + factors)
-        if not parts:
             parts.append(body if coeff > 0 else "-" + body)
-        else:
-            parts.append((" - " if coeff < 0 else " + ") + body)
     return "".join(parts)
 
 

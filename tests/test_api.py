@@ -1,11 +1,13 @@
-"""The public names of the varjet package, with no aliases among them, and the
-signatures of the momentum-side constructions."""
+"""The public names of the varjet package, with no aliases among them, the
+public names of its numeric layer, and the signatures of the momentum-side
+constructions."""
 
 import inspect
 import types
 from collections import defaultdict
 
 import varjet
+from varjet import numeric
 
 EXPORTED = {
     "CartanValuedForm", "CoordinateId", "DegenerateLagrangianError", "DerivedContext",
@@ -20,6 +22,13 @@ EXPORTED = {
     "vertical_differential",
 }
 
+# the functions and classes varjet.numeric defines: residual is its one
+# finite-difference path, with no second prolongation entry point
+NUMERIC = {
+    "GridFunction", "GridTooSmallError", "MissingFieldError",
+    "evaluate", "fd_weights", "load_grid", "residual", "save_grid", "stencil_radius",
+}
+
 
 def exported():
     # submodules become package attributes once imported; they are not API names
@@ -29,6 +38,12 @@ def exported():
 
 def test_exported_names_are_pinned():
     assert set(exported()) == EXPORTED
+
+
+def test_numeric_names_are_pinned():
+    defined = {name for name, value in vars(numeric).items()
+               if getattr(value, "__module__", None) == numeric.__name__}
+    assert {name for name in defined if not name.startswith("_")} == NUMERIC
 
 
 def test_no_exported_name_is_an_alias():

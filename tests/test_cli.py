@@ -10,6 +10,7 @@ import pytest
 
 import jsonschema
 
+from conftest import soliton_grid
 from varjet import cli
 from varjet.cli import main
 from varjet.numeric import GridFunction, save_grid
@@ -231,6 +232,30 @@ def test_check_solution_hdw_reads_rank_sampling(capsys, tmp_path, monkeypatch):
     assert run(capsys, *argv, "--seed", "2", "--rank-samples", "4") == plain
     assert calls == [(3, 7), (4, 2)]
     assert plain[0] == 0
+
+
+@pytest.mark.parametrize("changes", [
+    {}, {"axes": ("a", "b")}, {"origin": (100.0, 100.0)}, {"spacing": (7.0, 7.0)},
+    {"axes": ("a", "b"), "origin": (100.0, 100.0), "spacing": (7.0, 7.0)},
+], ids=["same", "axes", "origin", "spacing", "all"])
+def test_check_solution_momentum_grid_sits_on_the_field_grid(capsys, tmp_path, kdv_problem,
+                                                              changes):
+    # axes, origin and spacing must equal the field grid's exactly, after both
+    # went through the grid file's JSON header; the first mismatch is named
+    field = soliton_grid(64, 64, box=8.0)
+    save_grid(field, str(tmp_path / "u.grid"))
+    geometry = {"axes": field.axes, "origin": field.origin, "spacing": field.spacing}
+    save_grid(GridFunction(**{**geometry, **changes}, fields={"p_.t": np.zeros(field.shape)}),
+              str(tmp_path / "p.grid"))
+    code, out, err = run(capsys, "check-solution", kdv_problem, "--system", "elh",
+                         "--grid", str(tmp_path / "u.grid"), "--momenta", str(tmp_path / "p.grid"))
+    if not changes:
+        assert code == 0 and out and err == ""
+        return
+    what = next(k for k in geometry if k in changes)
+    assert (code, out) == (1, "")
+    assert err == (f"varjet: momentum grid has {what} {changes[what]}, "
+                   f"the field grid {geometry[what]}\n")
 
 
 def test_parser_reuse_keeps_no_option_values(capsys, kdv_problem):

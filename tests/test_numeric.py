@@ -1,4 +1,4 @@
-"""Finite-difference prolongation, evaluation, residual verification."""
+"""Evaluation, finite-difference stencils, residual verification."""
 
 import math
 import random
@@ -10,13 +10,12 @@ import pytest
 from conftest import KDV_L, jet_pool, random_expr, soliton_grid, wave3_grid
 from varjet import numeric
 from varjet.jetcalc import EquationSystem
-from varjet.multiindex import MultiIndex, multiindices_up_to
+from varjet.multiindex import multiindices_up_to
 from varjet.numeric import (
     GridFunction,
     GridTooSmallError,
     MissingFieldError,
     evaluate,
-    fd_prolong,
     fd_weights,
     load_grid,
     residual,
@@ -125,56 +124,53 @@ def test_fd_weights_reproduce_polynomials():
             assert val == pytest.approx(expected, abs=1e-9)
 
 
+def one_row(ctx, text):
+    """The one-equation system ``text = 0`` over ctx."""
+    return EquationSystem(ctx, (("r", parse(text, ctx)),))
+
+
 def test_fd_prolong_constant_field():
+    # the stencil weights sum to zero exactly, so every jet of a constant is 0
     ctx = JetContext(("x",), ("u",), max_order=4)
     g, _ = grid_1d(64, 1.0, lambda x: np.full_like(x, 2.5))
-    pr = fd_prolong(g, 4, ctx)
-    interior = pr.interior()
-    for I_len in range(1, 5):
-        arr = pr.samples[CoordinateId.jet(0, MultiIndex((0,) * I_len))][interior]
-        assert np.max(np.abs(arr)) <= 1e-12
+    for jet in ("u_x", "u_xx", "u_xxx", "u_xxxx"):
+        assert residual(one_row(ctx, jet), g)["r"] <= 1e-12
 
 
 def test_fd_prolong_cubic():
     ctx = JetContext(("x",), ("u",), max_order=4)
-    g, x = grid_1d(101, 1.0, lambda x: x ** 3)
-    pr = fd_prolong(g, 2, ctx)
-    interior = pr.interior()
-    got = pr.samples[CoordinateId.jet(0, MultiIndex.of(0, 0))][interior]
-    assert np.max(np.abs(got - 6 * x[interior[0]])) <= 1e-9
+    g, _ = grid_1d(101, 1.0, lambda x: x ** 3)
+    assert residual(one_row(ctx, "u_xx - 6*x"), g)["r"] <= 1e-9
 
 
 def test_fd_prolong_soliton_ux():
     # closed-form derivative oracle: u_x = -(c/2) sech^2(sqrt(c)/2 (x - c t))
-    ctx = JetContext(("t", "x"), ("u",), max_order=4)
+    ctx = JetContext(("t", "x"), ("u", "v"), max_order=4)
     g = soliton_grid(64, 512, c=1.0, box=6.0)
-    pr = fd_prolong(g, 1, ctx)
-    interior = pr.interior()
-    T = pr.samples[CoordinateId.independent(0)][interior]
-    X = pr.samples[CoordinateId.independent(1)][interior]
-    expected = -0.5 / np.cosh(0.5 * (X - T)) ** 2
-    got = pr.samples[CoordinateId.jet(0, MultiIndex.of(1))][interior]
-    assert np.max(np.abs(got - expected)) <= 1e-8
+    T, X = g.meshes()
+    g.fields["v"] = -0.5 / np.cosh(0.5 * (X - T)) ** 2
+    assert residual(one_row(ctx, "u_x - v"), g)["r"] <= 1e-8
 
 
 def test_fd_prolong_grid_too_small():
     ctx = JetContext(("x",), ("u",), max_order=4)
     g, _ = grid_1d(5, 1.0, lambda x: x)
     with pytest.raises(GridTooSmallError):
-        fd_prolong(g, 4, ctx)
+        residual(one_row(ctx, "u_xxxx"), g)
 
 
-def test_fd_prolong_mixed_partial_order_independent(ctx_tx):
+def test_fd_prolong_mixed_partial_order_independent():
+    ctx = JetContext(("t", "x"), ("u", "v"), max_order=4)
     g = soliton_grid(48, 48, box=4.0)
-    pr = fd_prolong(g, 2, ctx_tx)
     u = g.fields["u"]
-    from varjet.numeric import _apply_stencil
-    dtx = _apply_stencil(_apply_stencil(u, 0, 1, g.spacing[0]), 1, 1, g.spacing[1])
-    dxt = _apply_stencil(_apply_stencil(u, 1, 1, g.spacing[1]), 0, 1, g.spacing[0])
-    interior = pr.interior()
+    stencil = numeric._apply_stencil
+    dtx = stencil(stencil(u, 0, 1, g.spacing[0]), 1, 1, g.spacing[1])
+    dxt = stencil(stencil(u, 1, 1, g.spacing[1]), 0, 1, g.spacing[0])
+    interior = (slice(2, -2),) * 2
     assert np.allclose(dtx[interior], dxt[interior], equal_nan=False)
-    assert np.allclose(pr.samples[CoordinateId.jet(0, MultiIndex.of(0, 1))][interior],
-                       dtx[interior])
+    # u_tx is the t pass, then the x pass, bit for bit
+    g.fields["v"] = dtx
+    assert residual(one_row(ctx, "u_tx - v"), g)["r"] == 0.0
 
 
 def reference_stencil(arr, axis, order, h):
@@ -256,30 +252,33 @@ def reference_collect(system, sample, shape, margin):
     return out
 
 
+def reference_prolong(grid, ctx, order):
+    """The independents and every jet of order <= ``order`` as full-grid arrays,
+    each jet differenced afresh with the reference kernel."""
+    samples = {CoordinateId.independent(i): mesh for i, mesh in enumerate(grid.meshes())}
+    for alpha, dep in enumerate(ctx.dependents):
+        for I in multiindices_up_to(ctx.n, order):
+            arr = grid.fields[dep]
+            for axis in range(ctx.n):
+                if I.count(axis):
+                    arr = reference_stencil(arr, axis, I.count(axis), grid.spacing[axis])
+            samples[CoordinateId.jet(alpha, I)] = arr
+    return samples
+
+
 def reference_residual(system, grid, legendre=None, momentum_fields=None):
     """Residuals from the full prolongation with the reference kernel, every
     momentum supplied or Legendre-evaluated on the full grid and every
     comma-derivative differenced afresh."""
-    def prolong(ctx, order):
-        samples = {CoordinateId.independent(i): mesh for i, mesh in enumerate(grid.meshes())}
-        for alpha, dep in enumerate(ctx.dependents):
-            for I in multiindices_up_to(ctx.n, order):
-                arr = grid.fields[dep]
-                for axis in range(ctx.n):
-                    if I.count(axis):
-                        arr = reference_stencil(arr, axis, I.count(axis), grid.spacing[axis])
-                samples[CoordinateId.jet(alpha, I)] = arr
-        return samples
-
     dc = system.derived
     if dc is None:
         order = max(res.max_jet_order() for _, res in system.equations)
-        samples = prolong(system.context, order)
+        samples = reference_prolong(grid, system.context, order)
         margin = (stencil_radius(order),) * len(grid.shape)
         return reference_collect(system, samples, grid.shape, margin)
     need = max(max(len(c.index) for c in dc.fiber if c.kind == JET),
                max(e.max_jet_order() for e in legendre.coeffs.values()))
-    prolonged = prolong(dc.base, need)
+    prolonged = reference_prolong(grid, dc.base, need)
 
     def root(c):
         if c.kind == JET:
@@ -516,15 +515,14 @@ def test_residual_momentum_fields_supplied(ctx_tx):
     lag = LagrangianDensity(ctx_tx, parse(KDV_L, ctx_tx), order=2)
     theta = legendre_form(lag)
     g = soliton_grid(128, 128, box=8.0)
-    pr = fd_prolong(g, 3, ctx_tx)
+    samples = reference_prolong(g, ctx_tx, 3)
     fields = {}
     for alpha in range(1):
-        from varjet.multiindex import multiindices_up_to
         for I in multiindices_up_to(2, 1):
             for i in range(2):
                 coeff = theta.coefficient(alpha, I, i)
                 name = ctx_tx.name(CoordinateId.momentum(alpha, I, i))
-                vals = evaluate(coeff, pr.samples) if not coeff.is_zero() \
+                vals = evaluate(coeff, samples) if not coeff.is_zero() \
                     else np.zeros(g.shape)
                 fields[name] = np.nan_to_num(np.asarray(vals, dtype=float))
     mom = GridFunction(("t", "x"), g.origin, g.spacing, fields)
@@ -557,20 +555,19 @@ def test_total_derivative_numeric_consistency(ctx_tx):
     # difference of the evaluation of e, to discretization order
     rng = random.Random(71)
     g = soliton_grid(200, 200, box=6.0)
-    pr = fd_prolong(g, 3, ctx_tx)
+    samples = reference_prolong(g, ctx_tx, 3)
     from varjet.jetcalc import total_derivative
-    from varjet.numeric import _apply_stencil
     pool = jet_pool(ctx_tx, 2, include_independents=False)
     for _ in range(5):
         e = random_expr(rng, pool, max_monomials=3, max_factors=2, max_exp=2)
         direct = np.broadcast_to(
-            np.asarray(evaluate(total_derivative(e, 1, ctx_tx), pr.samples),
+            np.asarray(evaluate(total_derivative(e, 1, ctx_tx), samples),
                        dtype=float), g.shape)
         base = np.broadcast_to(
-            np.asarray(evaluate(e, pr.samples), dtype=float), g.shape).copy()
-        chained = _apply_stencil(base, 1, 1, g.spacing[1])
+            np.asarray(evaluate(e, samples), dtype=float), g.shape).copy()
+        chained = numeric._apply_stencil(base, 1, 1, g.spacing[1])
         interior = tuple(slice(m + 2, s - m - 2)
-                         for m, s in zip(pr.margin, g.shape))
+                         for m, s in zip((stencil_radius(3),) * 2, g.shape))
         scale = max(1.0, float(np.max(np.abs(direct[interior]))))
         assert np.max(np.abs(direct[interior] - chained[interior])) <= 1e-4 * scale
 
