@@ -41,7 +41,6 @@ from .variational import (
 from .pdham import (
     DegenerateLagrangianError,
     DerivedContext,
-    EnergyDensity,
     HessianMatrix,
     RankReport,
     ReducedSystem,

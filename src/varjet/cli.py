@@ -2,6 +2,7 @@
 
 Subcommands take a problem file (see docs/problemfile.md) and write the
 requested derivation to stdout or --out, as plain text, LaTeX, or JSON.
+The library returns plain values; every format, JSON included, is written here.
 Exit codes: 0 on success (a diagnosed non-regular reduction is success),
 1 on domain errors, 2 on usage errors.  Output is byte-deterministic for
 fixed inputs and seed.
@@ -10,6 +11,7 @@ fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -47,24 +49,17 @@ def _json_dump(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
+def _render(e, ctx: JetContext, fmt: str) -> str:
+    """An expression as output text; JSON outputs carry its plain rendering."""
+    return render(e, ctx, "plain" if fmt == "json" else fmt)
+
+
 def _system_text(system: EquationSystem, fmt: str) -> str:
     if fmt == "json":
         return _json_dump(system.to_json_dict())
     lines = [f"{label}: {render(res, system.context, fmt)} = 0"
              for label, res in system.equations]
     return "\n".join(lines) if lines else "(empty system)"
-
-
-def _legendre_text(theta, fmt: str) -> str:
-    ctx = theta.context
-    if fmt == "json":
-        return _json_dump(theta.to_json_list())
-    lines = []
-    for alpha, index, i in theta.support():
-        word = ctx.index_word(index)
-        coeff = render(theta.coefficient(alpha, index, i), ctx, fmt)
-        lines.append(f"theta[{ctx.dependents[alpha]};{word}.{ctx.independents[i]}] = {coeff}")
-    return "\n".join(lines) if lines else "(zero form)"
 
 
 def _el_system(lag: LagrangianDensity, ctx: JetContext) -> EquationSystem:
@@ -84,14 +79,28 @@ def cmd_el(args, problem: Problem, lag: LagrangianDensity) -> str:
     ctx = lag.context
     source = euler_lagrange(lag)
     if args.format == "json":
-        return _json_dump(source.to_json_list())
+        return _json_dump([{"alpha": alpha + 1, "I": [k + 1 for k in index],
+                            "coeff": render(source.coefficient(alpha, index), ctx, "plain")}
+                           for alpha, index in source.support()])
     return "\n".join(
         f"{render(source.component(alpha), ctx, args.format)} = 0"
         for alpha in range(ctx.m))
 
 
 def cmd_legendre(args, problem: Problem, lag: LagrangianDensity) -> str:
-    return _legendre_text(legendre_form(lag), args.format)
+    ctx, fmt = lag.context, args.format
+    theta = legendre_form(lag)
+    entries = []
+    for alpha, index, i in theta.support():
+        coeff = _render(theta.coefficient(alpha, index, i), ctx, fmt)
+        entries.append(
+            {"alpha": alpha + 1, "I": [k + 1 for k in index], "i": i + 1, "coeff": coeff}
+            if fmt == "json" else
+            f"theta[{ctx.dependents[alpha]};{ctx.index_word(index)}.{ctx.independents[i]}]"
+            f" = {coeff}")
+    if fmt == "json":
+        return _json_dump(entries)
+    return "\n".join(entries) or "(zero form)"
 
 
 def cmd_elh(args, problem: Problem, lag: LagrangianDensity) -> str:
@@ -104,46 +113,60 @@ def cmd_constraints(args, problem: Problem, lag: LagrangianDensity) -> str:
 
 def cmd_hessian(args, problem: Problem, lag: LagrangianDensity) -> str:
     matrix, report = hessian(lag, **_sampling(args, problem))
+    rows = [[_render(e, lag.context, args.format) for e in row] for row in matrix.entries]
     if args.format == "json":
-        payload = dict(report.to_json_dict())
-        payload["matrix"] = matrix.to_json_dict()["entries"]
-        return _json_dump(payload)
-    ctx = lag.context
+        return _json_dump({**dataclasses.asdict(report), "matrix": rows})
     lines = [f"dim {report.dim}  rank {report.rank}  "
              f"regular {'yes' if report.regular else 'no'}  "
              f"rank_constant {'yes' if report.rank_constant else 'no'}"]
-    for row in matrix.entries:
-        lines.append("[ " + ", ".join(render(e, ctx, args.format) for e in row) + " ]")
-    return "\n".join(lines)
+    return "\n".join(lines + ["[ " + ", ".join(row) + " ]" for row in rows])
 
 
 def cmd_energy(args, problem: Problem, lag: LagrangianDensity) -> str:
     energy = energy_density(lag)
     if args.format == "json":
-        return _json_dump(expr_to_json(energy.expr, lag.context))
-    return render(energy.expr, lag.context, args.format)
+        return _json_dump(expr_to_json(energy, lag.context))
+    return render(energy, lag.context, args.format)
 
 
 def cmd_reduce(args, problem: Problem, lag: LagrangianDensity) -> str:
     red = reduce_lagrangian(lag, **_sampling(args, problem))
-    if args.format == "json":
-        return _json_dump(red.to_json_dict())
-    ctx = lag.context
-    lines = [f"diagnosis: {red.diagnosis}"]
-    lines.append("P coordinates:  " + " ".join(ctx.name(c) for c in red.p_coordinates))
-    lines.append("P0 coordinates: " + " ".join(ctx.name(c) for c in red.p0_coordinates))
-    for c, e in sorted(red.substitutions.items(), key=lambda t: t[0].sort_key()):
-        lines.append(f"eliminate {ctx.name(c)} = {render(e, ctx, args.format)}")
-    if red.energy_on_constraint is not None:
-        lines.append("E|_P = " + render(red.energy_on_constraint, ctx, args.format))
-    if red.hamiltonian is not None:
-        lines.append("H = " + render(red.hamiltonian, ctx, args.format))
-    if red.system_constraint is not None:
-        lines.append("equations on P:")
-        lines.append(_system_text(red.system_constraint, args.format))
-    if red.system_hdw is not None:
-        lines.append("HDW equations:")
-        lines.append(_system_text(red.system_hdw, args.format))
+    ctx, fmt = lag.context, args.format
+    p_coords = [ctx.name(c) for c in red.p_coordinates]
+    p0_coords = [ctx.name(c) for c in red.p0_coordinates]
+    substitutions = [(ctx.name(c), _render(e, ctx, fmt)) for c, e in
+                     sorted(red.substitutions.items(), key=lambda t: t[0].sort_key())]
+    energy_p, hamiltonian = (None if e is None else _render(e, ctx, fmt)
+                             for e in (red.energy_on_constraint, red.hamiltonian))
+    if fmt == "json":
+        payload = {
+            "diagnosis": red.diagnosis,
+            "regular": red.diagnosis == "regular",
+            "hessian": dataclasses.asdict(red.hessian_report),
+            "p_coords": p_coords,
+            "p0_coords": p0_coords,
+            "substitutions": dict(substitutions),
+            "E_on_P": energy_p,
+            "H": hamiltonian,
+            "equations": [] if red.system_hdw is None
+                         else red.system_hdw.to_json_dict()["equations"],
+            "equations_P": [] if red.system_constraint is None
+                           else red.system_constraint.to_json_dict()["equations"],
+        }
+        if red.offending:
+            payload["offending"] = list(red.offending)
+        return _json_dump(payload)
+    lines = [f"diagnosis: {red.diagnosis}",
+             "P coordinates:  " + " ".join(p_coords),
+             "P0 coordinates: " + " ".join(p0_coords)]
+    lines += [f"eliminate {name} = {text}" for name, text in substitutions]
+    for head, text in (("E|_P", energy_p), ("H", hamiltonian)):
+        if text is not None:
+            lines.append(f"{head} = {text}")
+    for head, system in (("equations on P:", red.system_constraint),
+                         ("HDW equations:", red.system_hdw)):
+        if system is not None:
+            lines += [head, _system_text(system, fmt)]
     if red.offending:
         lines.append("offending rows: " + ", ".join(red.offending))
     return "\n".join(lines)
@@ -157,7 +180,7 @@ def cmd_shift(args, problem: Problem, lag: LagrangianDensity) -> str:
 def cmd_prolong(args, problem: Problem, lag: LagrangianDensity) -> str:
     # the requested level is explicit, so lift the jet-order bound by exactly
     # that much; the library-level default stays strict
-    ctx = lag.context.extended(lag.context.max_order + max(0, args.level))
+    ctx = lag.context.extended(lag.context.max_order + args.level)
     if args.system:
         with open(args.system, "r", encoding="utf-8") as fh:
             system = EquationSystem.from_json_dict(json.load(fh), ctx)
@@ -209,14 +232,17 @@ _COMMANDS = {
 }
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """The argparse type of an integer option whose values start at low."""
+    def bounded(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return bounded
 
 
 @functools.lru_cache(maxsize=None)
@@ -232,11 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("problem", help="problem file")
         p.add_argument("--format", choices=FORMATS, default="plain")
-        p.add_argument("--order", type=int, default=None,
+        p.add_argument("--order", type=_int_at_least(1), default=None,
                        help="override the declared density order l+1")
         if name in ("hessian", "reduce", "check-solution"):
             p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--rank-samples", type=_positive_int, default=None)
+            p.add_argument("--rank-samples", type=_int_at_least(1), default=None)
         if name == "check-solution":
             p.add_argument("--grid", required=True, help="grid file (see docs/gridfile.md)")
             p.add_argument("--momenta", default=None, help="grid file with momentum fields")
@@ -246,14 +272,17 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--rho", default=None,
                            help="';'-separated shift components, one per independent")
         if name == "prolong":
-            p.add_argument("--level", type=int, default=1)
+            p.add_argument("--level", type=_int_at_least(0), default=1)
             p.add_argument("--system", default=None, help="equation-system JSON file")
         p.add_argument("--out", default=None, help="write output to a file")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "check-solution" and args.momenta and args.system == "el":
+        parser.error("--momenta is read only by --system constraints, elh and hdw")
     try:
         problem = load_problem(args.problem)
         text = _COMMANDS[args.command](args, problem, problem.lagrangian(args.order))

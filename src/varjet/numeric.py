@@ -88,8 +88,15 @@ class GridFunction:
         self.axes = tuple(self.axes)
         self.origin = tuple(float(v) for v in self.origin)
         self.spacing = tuple(float(v) for v in self.spacing)
+        if not all(math.isfinite(v) for v in self.origin):
+            raise VarjetError(f"grid origins must be finite, got {list(self.origin)}")
         if not all(h > 0 for h in self.spacing):
             raise VarjetError("grid spacings must be positive")
+        with np.errstate(over="ignore", under="ignore"):  # the stencils divide by h**order
+            scales = np.power(self.spacing, MAX_FD_ORDER)
+        if not (np.isfinite(scales) & (scales > 0)).all():
+            raise VarjetError(f"grid spacings {list(self.spacing)} are out of range: "
+                              f"each h**{MAX_FD_ORDER} must be a finite nonzero float")
         shapes = {f.shape for f in self.fields.values()}
         if len(shapes) > 1:
             raise VarjetError("all field arrays must share one shape")

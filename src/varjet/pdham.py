@@ -150,21 +150,12 @@ def constraints(lag: LagrangianDensity) -> EquationSystem:
 class HessianMatrix:
     """Symbolic matrix of second partials in the top-order jets."""
 
-    context: JetContext
-    level: int
     index: Tuple[Tuple[int, MultiIndex], ...]
     entries: Tuple[Tuple[Expr, ...], ...]
 
     @property
     def dim(self) -> int:
         return len(self.index)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "index": [{"alpha": a + 1, "I": [i + 1 for i in I]} for a, I in self.index],
-            "entries": [[render(e, self.context, "plain") for e in row]
-                        for row in self.entries],
-        }
 
 
 @dataclass(frozen=True)
@@ -176,17 +167,6 @@ class RankReport:
     ranks: Tuple[int, ...]
     samples: int
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "rank": self.rank,
-            "regular": self.regular,
-            "rank_constant": self.rank_constant,
-            "ranks": list(self.ranks),
-            "samples": self.samples,
-            "seed": self.seed,
-        }
 
 
 def _symmetric(upper: List[list]) -> List[list]:
@@ -214,7 +194,7 @@ def hessian(lag: LagrangianDensity, *, samples: int = 5,
     gradient = [lag.L.partial(top) for top in tops]
     upper = [[gradient[r].partial(tops[c]) for c in range(r, len(tops))]
              for r in range(len(tops))]
-    matrix = HessianMatrix(ctx, l, tuple(idx), tuple(map(tuple, _symmetric(upper))))
+    matrix = HessianMatrix(tuple(idx), tuple(map(tuple, _symmetric(upper))))
 
     coords = sorted({c for row in upper for e in row for c in e.coordinates()},
                     key=lambda c: c.sort_key())
@@ -234,16 +214,8 @@ def hessian(lag: LagrangianDensity, *, samples: int = 5,
     return matrix, report
 
 
-@dataclass(frozen=True)
-class EnergyDensity:
+def energy_density(lag: LagrangianDensity) -> Expr:
     """E_l = sum_{|I|<=l} p_a^{I.i} u_{Ii}^a - L, in the base context."""
-
-    context: JetContext
-    level: int
-    expr: Expr
-
-
-def energy_density(lag: LagrangianDensity) -> EnergyDensity:
     ctx = lag.context
     l = lag.level
     pairings = [Expr.coord(CoordinateId.momentum(alpha, I, i))
@@ -251,7 +223,7 @@ def energy_density(lag: LagrangianDensity) -> EnergyDensity:
                 for alpha in range(ctx.m)
                 for I in multiindices_up_to(ctx.n, l)
                 for i in range(ctx.n)]
-    return EnergyDensity(ctx, l, Expr.sum([-lag.L] + pairings))
+    return Expr.sum([-lag.L] + pairings)
 
 
 def momentum_shift(system: EquationSystem, rho: Sequence[Expr]) -> EquationSystem:
@@ -311,37 +283,11 @@ class ReducedSystem:
     p_coordinates: Tuple[CoordinateId, ...]
     p0_coordinates: Tuple[CoordinateId, ...]
     substitutions: Dict[CoordinateId, Expr]
-    energy: Expr
     energy_on_constraint: Optional[Expr]
     hamiltonian: Optional[Expr]
     system_constraint: Optional[EquationSystem]
     system_hdw: Optional[EquationSystem]
-    context: JetContext
     offending: Tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        ctx = self.context
-        out = {
-            "diagnosis": self.diagnosis,
-            "regular": self.diagnosis == "regular",
-            "hessian": self.hessian_report.to_json_dict(),
-            "p_coords": [ctx.name(c) for c in self.p_coordinates],
-            "p0_coords": [ctx.name(c) for c in self.p0_coordinates],
-            "substitutions": {ctx.name(c): render(e, ctx, "plain")
-                              for c, e in sorted(self.substitutions.items(),
-                                                 key=lambda t: t[0].sort_key())},
-            "E_on_P": render(self.energy_on_constraint, ctx, "plain")
-                      if self.energy_on_constraint is not None else None,
-            "H": render(self.hamiltonian, ctx, "plain")
-                 if self.hamiltonian is not None else None,
-            "equations": self.system_hdw.to_json_dict()["equations"]
-                         if self.system_hdw is not None else [],
-            "equations_P": self.system_constraint.to_json_dict()["equations"]
-                           if self.system_constraint is not None else [],
-        }
-        if self.offending:
-            out["offending"] = list(self.offending)
-        return out
 
 
 def _is_affine_in(res: Expr, tops: set) -> bool:
@@ -375,14 +321,14 @@ def reduce_lagrangian(lag: LagrangianDensity, *, samples: int = 5,
     ctx = lag.context
     l = lag.level
     _, report = hessian(lag, samples=samples, seed=seed)
-    energy = energy_density(lag).expr
+    energy = energy_density(lag)
     cons = constraints(lag)
     tops_ordered = [c for c in ctx.jets_up_to(l + 1) if len(c.index) == l + 1]
     tops = set(tops_ordered)
 
     def partial_result(diagnosis: str, offending=()) -> ReducedSystem:
-        return ReducedSystem(diagnosis, report, (), (), dict(subs), energy,
-                             None, None, None, None, ctx, tuple(offending))
+        return ReducedSystem(diagnosis, report, (), (), dict(subs),
+                             None, None, None, None, tuple(offending))
 
     subs: Dict[CoordinateId, Expr] = {}
     if not all(_is_affine_in(res, tops) for _, res in cons.equations):
@@ -452,8 +398,7 @@ def reduce_lagrangian(lag: LagrangianDensity, *, samples: int = 5,
     return ReducedSystem(
         diagnosis, report,
         tuple(independents + p_fiber), tuple(independents + p0_fiber),
-        subs, energy, energy_p,
-        energy_p, system_p, system_hdw, ctx)
+        subs, energy_p, energy_p, system_p, system_hdw)
 
 
 def _comma_image(dc: DerivedContext, subs: Dict[CoordinateId, Expr],

@@ -113,7 +113,7 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
     auto_extend = boolean("auto_extend")
     seed = integer("seed", 0)
     rank_samples = integer("rank_samples", 5)
-    if order < 0:
+    if "order" in entries and order < 1:
         fail("order", "order must be >= 1")
     if max_order < 0:
         fail("max_order", "max_order must be >= 0")

@@ -26,7 +26,6 @@ from .symcore import (
     JetContext,
     VarjetError,
     WrongDomainError,
-    render,
 )
 from .jetcalc import iterated_total_derivative, total_derivative
 
@@ -102,15 +101,6 @@ class CartanValuedForm:
     def __eq__(self, other) -> bool:
         return isinstance(other, CartanValuedForm) and self.coeffs == other.coeffs
 
-    def to_json_list(self) -> list:
-        return [
-            {"alpha": alpha + 1,
-             "I": [i + 1 for i in index],
-             "coeff": render(e, self.context, "plain")}
-            for (alpha, index), e in sorted(self.coeffs.items(),
-                                            key=lambda t: (t[0][0], t[0][1].sort_key()))
-        ]
-
 
 class SourceForm(CartanValuedForm):
     """A Cartan-valued form supported only on |I| = 0 (membership checked)."""
@@ -155,16 +145,6 @@ class LegendreForm:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LegendreForm) and self.coeffs == other.coeffs
-
-    def to_json_list(self) -> list:
-        return [
-            {"alpha": alpha + 1,
-             "I": [k + 1 for k in index],
-             "i": i + 1,
-             "coeff": render(e, self.context, "plain")}
-            for (alpha, index, i), e in sorted(self.coeffs.items(),
-                                               key=lambda t: (t[0][0], t[0][1].sort_key(), t[0][2]))
-        ]
 
 
 def euler_lagrange(lag: LagrangianDensity) -> SourceForm:

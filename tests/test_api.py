@@ -11,7 +11,7 @@ from varjet import numeric
 
 EXPORTED = {
     "CartanValuedForm", "CoordinateId", "DegenerateLagrangianError", "DerivedContext",
-    "EnergyDensity", "EquationSystem", "Expr", "HessianMatrix", "JetContext",
+    "EquationSystem", "Expr", "HessianMatrix", "JetContext",
     "LagrangianDensity", "LegendreForm", "MultiIndex", "OrderOverflowError", "ParseError",
     "RankReport", "ReducedSystem", "SourceForm", "UnknownCoordinateError",
     "UnsupportedExpressionError", "VarjetError", "WrongDomainError",
@@ -59,7 +59,7 @@ def test_constructions_take_the_level_from_the_density():
     signatures = {
         varjet.elh_system: "(lag: 'LagrangianDensity') -> 'EquationSystem'",
         varjet.constraints: "(lag: 'LagrangianDensity') -> 'EquationSystem'",
-        varjet.energy_density: "(lag: 'LagrangianDensity') -> 'EnergyDensity'",
+        varjet.energy_density: "(lag: 'LagrangianDensity') -> 'Expr'",
         varjet.hessian: "(lag: 'LagrangianDensity', *, samples: 'int' = 5, seed: 'int' = 0)"
                         " -> 'Tuple[HessianMatrix, RankReport]'",
         varjet.reduce_lagrangian: "(lag: 'LagrangianDensity', *, samples: 'int' = 5,"

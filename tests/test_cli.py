@@ -327,9 +327,13 @@ def test_usage_error_exits_2(kdv_problem):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["hessian", kdv_problem, "--rank-samples", "0"])
-    assert exc.value.code == 2
+    # integer options below the least value they can mean
+    for argv in (["hessian", kdv_problem, "--rank-samples", "0"],
+                 ["constraints", kdv_problem, "--order", "0"],
+                 ["prolong", kdv_problem, "--level", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
     # each subcommand takes only the flags it reads
     for argv in (["el", kdv_problem, "--seed", "3"],
                  ["energy", kdv_problem, "--grid", "g"],
@@ -339,6 +343,20 @@ def test_usage_error_exits_2(kdv_problem):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+def test_check_solution_el_rejects_momenta(capsys, tmp_path, kdv_problem):
+    # the EL system reads no momenta, so a momentum grid beside it is a usage error
+    save_grid(soliton_grid(64, 64, box=8.0), str(tmp_path / "u.grid"))
+    save_grid(GridFunction(("a", "b"), (100.0, 100.0), (7.0, 7.0), {"junk": np.zeros((3, 3))}),
+              str(tmp_path / "p.grid"))
+    with pytest.raises(SystemExit) as exc:
+        main(["check-solution", kdv_problem, "--grid", str(tmp_path / "u.grid"),
+              "--momenta", str(tmp_path / "p.grid")])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--momenta is read only by --system constraints, elh and hdw" in out.err
 
 
 def test_check_solution_requires_grid(capsys, kdv_problem):
@@ -388,8 +406,9 @@ BASE_LINES = ["independents = t x", "dependents = u", "lagrangian = 1/2*u_t^2 - 
     ("", 2, "name 'x' is declared both as an independent and as a dependent"),
     ("max_order = -3", 4, "max_order must be >= 0"),
     ("rank_samples = 0", 4, "rank_samples must be >= 1"),
+    ("order = 0", 4, "order must be >= 1"),
 ], ids=["order", "seed", "max_order", "rank_samples", "auto_extend", "shared_name",
-        "max_order_negative", "rank_samples_below_one"])
+        "max_order_negative", "rank_samples_below_one", "order_zero"])
 def test_malformed_problem_value_is_positioned(capsys, tmp_path, extra, lineno, message):
     lines = list(BASE_LINES)
     if extra:
@@ -441,10 +460,20 @@ def grid_bytes(header=None, data=8 * 24, **changes):
     (grid_bytes(fields=["u", "u"]), "fields must be a non-empty list of distinct names"),
     (grid_bytes(data=8 * 23), "field data is 184 bytes, 1 field(s) of shape (4, 6) take 192"),
     (grid_bytes(data=8 * 24 + 5), "field data is 197 bytes, 1 field(s) of shape (4, 6) take 192"),
+    # the JSON header may spell Infinity and NaN; the stencils divide by h**4
+    (grid_bytes(spacing=[math.inf, 0.5]),
+     "grid spacings [inf, 0.5] are out of range: each h**4 must be a finite nonzero float"),
+    (grid_bytes(origin=[math.nan, 0.0]), "grid origins must be finite, got [nan, 0.0]"),
+    (grid_bytes(spacing=[0.5, 1e308]),
+     "grid spacings [0.5, 1e+308] are out of range: each h**4 must be a finite nonzero float"),
+    (grid_bytes(spacing=[1e-100, 0.5]),
+     "grid spacings [1e-100, 0.5] are out of range: each h**4 must be a finite nonzero float"),
 ], ids=["magic", "header_length", "header_short", "header_json", "header_object",
         "no_axes", "no_shape", "no_origin", "no_spacing", "no_fields", "axes_type",
         "rank", "shape_negative", "shape_float", "origin_length", "spacing_type",
-        "spacing_zero", "fields_repeat", "data_short", "data_extra"])
+        "spacing_zero", "fields_repeat", "data_short", "data_extra", "spacing_infinite",
+        "origin_nan", "spacing_overflow", "spacing_underflow"])
+@pytest.mark.filterwarnings("error")  # a warning would reach stderr outside the test
 def test_malformed_grid_file_is_domain_error(capsys, tmp_path, kdv_problem,
                                              content, message):
     path = tmp_path / "bad.grid"

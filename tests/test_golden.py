@@ -4,15 +4,19 @@ The derivation goldens (tests/golden/derive/) hold the stdout of every
 derivation subcommand in every format for the three sample problems and three
 derive-ladder problems (tests/golden/problems/).  The `check-solution
 --format json` report prints each max-abs residual with full float
-precision, so its byte comparison pins every residual bit.  The goldens were
-written once by `write_goldens` and `write_derive_goldens`; only a change
+precision, so its byte comparison pins every residual bit.  Every JSON golden
+also validates against its subcommand's schema under schemas/.  The goldens
+were written once by `write_goldens` and `write_derive_goldens`; only a change
 that means to alter an output regenerates them, and says why.
 """
 
+import functools
 import io
+import json
 import os
 from contextlib import redirect_stdout
 
+import jsonschema
 import pytest
 
 from conftest import soliton_grid, wave3_grid
@@ -22,6 +26,7 @@ from varjet.numeric import save_grid
 HERE = os.path.dirname(__file__)
 GOLDEN_DIR = os.path.join(HERE, "golden")
 DERIVE_DIR = os.path.join(GOLDEN_DIR, "derive")
+SCHEMA_DIR = os.path.join(HERE, os.pardir, "schemas")
 
 PROBLEMS = {
     "kdv": ("independents = t x\ndependents = u\n"
@@ -48,6 +53,12 @@ DERIVE_COMMANDS = ("el", "legendre", "elh", "constraints", "hessian", "reduce",
                    "energy", "shift", "prolong")
 DERIVE_CASES = [(problem, command, fmt) for problem in DERIVE_PROBLEMS
                 for command in DERIVE_COMMANDS for fmt in ("plain", "latex", "json")]
+
+# subcommand -> the schema of its JSON output
+SCHEMAS = {"el": "cartan_form", "legendre": "legendre_form", "elh": "equation_system",
+           "constraints": "equation_system", "hessian": "hessian", "reduce": "reduced_system",
+           "energy": "expression", "shift": "equation_system", "prolong": "equation_system",
+           "check-solution": "residual_report"}
 
 
 def golden_path(grid: str, system: str) -> str:
@@ -102,6 +113,20 @@ def write_derive_goldens() -> None:
         _write(derive_golden_path(*case), derive_stdout(*case))
 
 
+@functools.lru_cache(maxsize=None)
+def validator(command: str) -> jsonschema.Draft7Validator:
+    """The validator of a subcommand's JSON output, its schema checked once."""
+    with open(os.path.join(SCHEMA_DIR, f"{SCHEMAS[command]}.schema.json"),
+              "r", encoding="utf-8") as fh:
+        schema = json.load(fh)
+    jsonschema.Draft7Validator.check_schema(schema)
+    return jsonschema.Draft7Validator(schema)
+
+
+def assert_schema(command: str, text: str) -> None:
+    validator(command).validate(json.loads(text))
+
+
 def assert_golden(path: str, got: str) -> None:
     """Fail naming the first line where ``got`` differs from the golden file."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -116,10 +141,14 @@ def assert_golden(path: str, got: str) -> None:
 
 @pytest.mark.parametrize("grid, system", CASES)
 def test_check_solution_golden(tmp_path, grid, system):
-    assert_golden(golden_path(grid, system), check_solution_json(str(tmp_path), grid, system))
+    got = check_solution_json(str(tmp_path), grid, system)
+    assert_golden(golden_path(grid, system), got)
+    assert_schema("check-solution", got)
 
 
 @pytest.mark.parametrize("problem, command, fmt", DERIVE_CASES)
 def test_derive_golden(problem, command, fmt):
-    assert_golden(derive_golden_path(problem, command, fmt),
-                  derive_stdout(problem, command, fmt))
+    got = derive_stdout(problem, command, fmt)
+    assert_golden(derive_golden_path(problem, command, fmt), got)
+    if fmt == "json":
+        assert_schema(command, got)

@@ -70,7 +70,7 @@ def test_eval_energy_consistency(ctx_tx):
     p_x = 3 * 1.0 - 0.5 * 2.0 - (-3.0)
     p_xx = 2.0
     L_val = 1.0 - 0.5 * 1.0 * 2.0 + 0.5 * 4.0
-    assert evaluate(E.expr, sample) == pytest.approx(
+    assert evaluate(E, sample) == pytest.approx(
         p_t * 2.0 + p_x * 1.0 + p_xx * 2.0 - L_val, abs=1e-12)
 
 

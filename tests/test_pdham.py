@@ -1,5 +1,6 @@
 """ELH systems, constraints, Hessian reports, energy, shift, reduction."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import KDV_L, jet_pool, random_expr, random_lagrangian
+from varjet import cli
 from varjet.jetcalc import EquationSystem, total_derivative
 from varjet.multiindex import EMPTY, MultiIndex, multiindices_up_to
 from varjet.pdham import (
@@ -219,8 +221,7 @@ def test_hessian_matches_double_partials_randomized():
 # -- energy density -------------------------------------------------------------
 
 def test_energy_kdv(kdv, ctx_tx):
-    E = energy_density(kdv)
-    assert E.expr == parse(
+    assert energy_density(kdv) == parse(
         "p_.t*u_t + p_.x*u_x + p_t.t*u_tt + (p_t.x + p_x.t)*u_tx + p_x.x*u_xx"
         " - u_x^3 + 1/2*u_x*u_t - 1/2*u_xx^2", ctx_tx)
 
@@ -228,13 +229,13 @@ def test_energy_kdv(kdv, ctx_tx):
 def test_energy_zero_lagrangian():
     ctx = JetContext(("x",), ("u",), max_order=2)
     lag = LagrangianDensity(ctx, Expr.zero(), order=1)
-    assert energy_density(lag).expr == parse("p_.x*u_x", ctx)
+    assert energy_density(lag) == parse("p_.x*u_x", ctx)
 
 
 def test_energy_mechanics():
     ctx = JetContext(("t",), ("u",), max_order=2)
     lag = LagrangianDensity(ctx, parse("1/2*u_t^2", ctx))
-    assert energy_density(lag).expr == parse("p_.t*u_t - 1/2*u_t^2", ctx)
+    assert energy_density(lag) == parse("p_.t*u_t - 1/2*u_t^2", ctx)
 
 
 # -- momentum shift --------------------------------------------------------------
@@ -418,7 +419,7 @@ def test_reduction_soundness_randomized():
         if red.system_hdw is None:
             continue
         done += 1
-        energy = energy_density(lag).expr
+        energy = energy_density(lag)
         restricted = energy.substitute(red.substitutions)
         assert restricted == red.energy_on_constraint
         eliminated = set(red.substitutions)
@@ -454,9 +455,11 @@ def test_reduced_rows_on_p_and_p0_agree(kdv):
                         p0.derived.base_coordinate(c.alpha)
 
 
-def test_reduced_json_shape(kdv):
-    red = reduce_lagrangian(kdv)
-    data = red.to_json_dict()
+def test_reduced_json_shape(capsys, tmp_path):
+    path = tmp_path / "kdv.problem"
+    path.write_text(f"independents = t x\ndependents = u\nlagrangian = {KDV_L}\norder = 2\n")
+    assert cli.main(["reduce", str(path), "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data["diagnosis"] == "reducible"
     assert data["substitutions"]["p_x.t"] == "-p_t.x"
     assert len(data["equations"]) == 7

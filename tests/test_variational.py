@@ -25,6 +25,38 @@ def test_euler_lagrange_kdv(kdv, ctx_tx):
     assert E.component(0) == parse(KDV_EL, ctx_tx)
 
 
+def test_euler_lagrange_matches_sympy_euler_equations():
+    # an independent oracle: sympy.calculus.euler.euler_equations on the same
+    # densities, each jet u_I^a read as a derivative of the function u^a
+    sympy = pytest.importorskip("sympy")
+    from sympy.calculus.euler import euler_equations
+    rng = random.Random(97)
+    for _ in range(12):
+        lag = random_lagrangian(rng, max_n=3, max_order=3, max_degree=3)
+        ctx = lag.context
+        xs = sympy.symbols(ctx.independents)
+        fs = [sympy.Function(name)(*xs) for name in ctx.dependents]
+
+        def to_sympy(e: Expr):
+            def atom(c: CoordinateId):
+                if c.kind == "independent":
+                    return xs[c.i]
+                return sympy.Derivative(fs[c.alpha], *[xs[i] for i in c.index]) \
+                    if len(c.index) else fs[c.alpha]
+            return sympy.Add(*[sympy.Rational(k.numerator, k.denominator)
+                               * sympy.Mul(*[atom(c) ** p for c, p in mono])
+                               for mono, k in e.terms])
+
+        source = euler_lagrange(lag)
+        for alpha, f in enumerate(fs):
+            # sympy drops an equation that is identically zero, so each
+            # function's equation is asked for on its own
+            equations = euler_equations(to_sympy(lag.L), [f], xs)
+            want = equations[0].lhs if equations else 0
+            assert sympy.expand(to_sympy(source.component(alpha)) - want) == 0, \
+                (render(lag.L, ctx, "plain"), ctx.dependents[alpha])
+
+
 def test_euler_lagrange_single_ibp(ctx_1d):
     lag = LagrangianDensity(ctx_1d, parse("1/2*u_x^2", ctx_1d))
     assert euler_lagrange(lag).component(0) == parse("-u_xx", ctx_1d)
