@@ -92,11 +92,14 @@ class GridFunction:
             raise VarjetError(f"grid origins must be finite, got {list(self.origin)}")
         if not all(h > 0 for h in self.spacing):
             raise VarjetError("grid spacings must be positive")
-        with np.errstate(over="ignore", under="ignore"):  # the stencils divide by h**order
+        # the stencils divide by h**order, which overflows at once when the
+        # divisor is subnormal
+        with np.errstate(over="ignore", under="ignore"):
             scales = np.power(self.spacing, MAX_FD_ORDER)
-        if not (np.isfinite(scales) & (scales > 0)).all():
+        if not (np.isfinite(scales) & (scales >= np.finfo(np.float64).tiny)).all():
             raise VarjetError(f"grid spacings {list(self.spacing)} are out of range: "
-                              f"each h**{MAX_FD_ORDER} must be a finite nonzero float")
+                              f"each h**{MAX_FD_ORDER} must be a normal float "
+                              "(finite, nonzero and not subnormal)")
         shapes = {f.shape for f in self.fields.values()}
         if len(shapes) > 1:
             raise VarjetError("all field arrays must share one shape")
@@ -373,6 +376,9 @@ def _schedule(equations, inputs: Dict[CoordinateId, Dict[CoordinateId, Key]]):
     return steps, dead
 
 
+# an overflow, and the NaN of a difference of infinities, make a row
+# non-finite, which _stream reports as a domain error rather than a warning
+@np.errstate(over="ignore", invalid="ignore")
 def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId, Key],
             roots: Dict[CoordinateId, object], margin: Tuple[int, ...]) -> Dict[str, float]:
     """Max-abs residuals over the interior ``margin`` leaves, one band of rows

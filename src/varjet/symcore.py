@@ -15,7 +15,9 @@ total derivatives, the variational and reduction constructions) make one
 builder call, ``Expr.sum`` or ``Expr(terms)``, so a result is normalised
 once, not once per partial sum.
 Negation, scaling by a nonzero rational and powers of a single term keep the
-order and skip it.
+order and skip it.  A power of a sum is expanded by the multinomial theorem,
+one term per composition of the exponent, and normalised once.  Products and
+powers whose size bound exceeds MAX_TERMS are refused before any work.
 
 All values are immutable; every operation is a pure function.
 """
@@ -23,6 +25,7 @@ All values are immutable; every operation is a pure function.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -317,6 +320,17 @@ _CONSTANT_MONO_KEY = ((9, 0, 0, (), 0), 0, ())
 _ONE_Q = Fraction(1)
 
 
+# the most terms a product or a power may have, by the size bound known
+# before it is built: far above the expressions varjet derives from (the
+# benchmark's largest has 812 terms, (u_x + u_t + u)^60 has 1891)
+MAX_TERMS = 1_000_000
+
+
+def _over_budget(what: str, bound: int) -> UnsupportedExpressionError:
+    return UnsupportedExpressionError(
+        f"{what} may have up to {bound} terms, over the budget of {MAX_TERMS}")
+
+
 def _mono_key(mono: Monomial):
     # Canonical sum order: leading (largest) coordinate ascending, then total
     # degree descending, then exponents on the larger coordinates first.
@@ -381,7 +395,7 @@ class Expr:
     with polynomial equality.
 
     ``Expr(terms)`` and ``Expr.sum(summands)`` are the builders: both feed
-    ``_normal_form``, which merges and sorts once.  Products, partials,
+    ``_normal_form``, which merges and sorts once.  Products, powers, partials,
     substitution and parsing build their results through it too.  Negation,
     ``scale`` and powers of a single term keep the order and skip it.
     """
@@ -436,6 +450,9 @@ class Expr:
     def __mul__(self, other) -> "Expr":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        a, b = len(self.terms), len(other.terms)
+        if a * b > MAX_TERMS:
+            raise _over_budget(f"the product of a {a}-term and a {b}-term expression", a * b)
         return Expr([(_mono_mul(m1, m2), c1 * c2)
                      for m1, c1 in self.terms for m2, c2 in other.terms])
 
@@ -450,18 +467,19 @@ class Expr:
     def __pow__(self, e: int) -> "Expr":
         if e < 0:
             raise UnsupportedExpressionError("negative exponents are not polynomial")
-        if len(self.terms) == 1 and e:
+        if e == 0:
+            return _ONE
+        if e == 1 or not self.terms:
+            return self
+        if len(self.terms) == 1:
             # a power of one term multiplies its exponents and stays canonical
             mono, coeff = self.terms[0]
             return _canonical((((tuple([(c, k * e) for c, k in mono]), coeff ** e),)))
-        result = None
-        base = self
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return _ONE if result is None else result
+        s = len(self.terms)
+        bound = math.comb(e + s - 1, s - 1)
+        if bound > MAX_TERMS:
+            raise _over_budget(f"the power {e} of a {s}-term sum", bound)
+        return Expr(_multinomial_terms(self.terms, e))
 
     # -- structure -------------------------------------------------------
 
@@ -558,6 +576,36 @@ class Expr:
         return f"Expr<{len(self.terms)} terms>"
 
 
+def _multinomial_terms(terms: Tuple[Term, ...], e: int) -> List[Term]:
+    """The terms of (t_1 + ... + t_s)^e, one per composition k_1 + ... + k_s = e:
+    the coefficient e!/(k_1!...k_s!) c_1^k_1...c_s^k_s on the monomial
+    mono_1^k_1...mono_s^k_s, like monomials not yet merged.
+
+    A composition is built by picking, in ascending i, the terms with k_i > 0
+    and the binomial C(left, k_i) of each pick, so the recursion is at most
+    min(s, e) deep and every branch ends in a term.
+    """
+    last = len(terms) - 1
+    # powers[i][k]: the i-th monomial and coefficient to the k-th power
+    powers = [[(tuple([(c, p * k) for c, p in mono]), coeff ** k) for k in range(e + 1)]
+              for mono, coeff in terms]
+    out: List[Term] = []
+
+    def expand(start: int, left: int, mono: Monomial, coeff: Fraction) -> None:
+        for i in range(start, last):
+            row = powers[i]
+            for k in range(1, left):  # the later terms take the rest
+                m, c = row[k]
+                expand(i + 1, left - k, _mono_mul(mono, m), coeff * (math.comb(left, k) * c))
+            m, c = row[left]
+            out.append((_mono_mul(mono, m), coeff * c))
+        m, c = powers[last][left]
+        out.append((_mono_mul(mono, m), coeff * c))
+
+    expand(0, e, (), _ONE_Q)
+    return out
+
+
 _ZERO = Expr()
 _ONE = Expr.number(1)
 
@@ -593,36 +641,36 @@ def row_echelon(matrix: Iterable[Iterable[Fraction]]) -> Tuple[List[List[Fractio
 # -- parsing ---------------------------------------------------------------
 
 # "^" joins a name only when followed by a letter (momentum dependent tag);
-# "^" followed by a digit stays the power operator.
+# "^" followed by a digit stays the power operator.  Any other character is
+# "bad", so the tokens tile the text up to its trailing whitespace.
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)"
     r"|(?P<name>[A-Za-z][A-Za-z0-9_.]*(?:\^[A-Za-z][A-Za-z0-9_.]*)?(?:,_[A-Za-z][A-Za-z0-9]*)?)"
-    r"|(?P<op>[-+*/^()]))")
+    r"|(?P<op>[-+*/^()])|(?P<bad>\S))")
 
 
 def _tokenize(text: str):
-    pos = 0
     tokens = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == m.start():
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", text, pos)
-            break
-        if m.lastgroup:
-            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", text, m.start())
+        tokens.append((kind, m.group(kind), m.start(kind)))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     """Recursive descent over: expr := [+-] term (('+'|'-') term)*;
-    term := factor (('*'|'/') factor)*; factor := primary ['^' int];
+    term := factor (('*'|'/') factor)*; factor := '-' factor | primary ['^' int];
     primary := int | name | '(' expr ')'.
 
-    Parentheses and unary minus signs nest at most MAX_DEPTH deep, which
-    keeps the recursion well inside the interpreter's stack limit.
+    A term is read into one monomial and one coefficient: numbers and powers
+    of names are multiplied in directly, and only a parenthesised or negated
+    factor is an Expr (folded in when it has one term).  An expression
+    collects its terms and builds one Expr.  Parentheses and unary minus
+    signs nest at most MAX_DEPTH deep, which keeps the recursion well inside
+    the interpreter's stack limit.
     """
 
     MAX_DEPTH = 100
@@ -633,7 +681,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.k = 0
         self.depth = 0
-        self.resolved: Dict[str, Expr] = {}  # names met so far in this text
+        self.coords: Dict[str, CoordinateId] = {}  # names met so far in this text
 
     def peek(self):
         return self.tokens[self.k]
@@ -643,7 +691,7 @@ class _Parser:
         self.k += 1
         return tok
 
-    def nested(self, parse_inner, pos: int) -> Expr:
+    def nested(self, parse_inner, pos: int):
         """parse_inner() one nesting level deeper, for the token at ``pos``."""
         if self.depth == self.MAX_DEPTH:
             raise ParseError(f"expression nested deeper than {self.MAX_DEPTH} levels",
@@ -671,41 +719,72 @@ class _Parser:
         if kind == "op" and val in "+-":
             self.next()
             negate = val == "-"
-        summands = []
+        terms: List[Term] = []
         while True:
-            rhs = self.term()
-            summands.append(-rhs if negate else rhs)
+            terms.extend(self.term(-1 if negate else 1))
             kind, val, _ = self.peek()
             if kind != "op" or val not in "+-":
-                return summands[0] if len(summands) == 1 else Expr.sum(summands)
+                return Expr(terms)
             self.next()
             negate = val == "-"
 
-    def term(self) -> Expr:
-        out = self.factor()
+    def term(self, sign: int) -> List[Term]:
+        """The terms of one product, times ``sign``: a single term unless a
+        factor is a sum."""
+        num, den = sign, 1
+        powers: Dict[CoordinateId, int] = {}
+        sums = None  # the product of the factors that are not single terms
+        f = self.factor()
         while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                rhs = self.factor()
-                if val == "*":
-                    out = out * rhs
-                else:
-                    q = rhs.constant_value()
-                    if q is None:
-                        raise UnsupportedExpressionError(
-                            "division by a non-constant expression is not polynomial")
-                    if q == 0:
-                        raise ParseError("division by zero", self.text, pos)
-                    out = out.scale(Fraction(1) / q)
+            if f.__class__ is int:
+                num *= f
+            elif f.__class__ is tuple:
+                c, k = f
+                powers[c] = powers.get(c, 0) + k
+            elif len(f.terms) == 1:
+                mono, q = f.terms[0]
+                for c, k in mono:
+                    powers[c] = powers.get(c, 0) + k
+                num *= q.numerator
+                den *= q.denominator
             else:
-                return out
+                sums = f if sums is None else sums * f
+            kind, val, pos = self.peek()
+            if kind != "op" or val not in "*/":
+                break
+            self.next()
+            f = self.factor()
+            if val == "/":
+                if f.__class__ is int:
+                    q = f
+                elif f.__class__ is tuple:
+                    q = None
+                else:
+                    q = f.constant_value()
+                if q is None:
+                    raise UnsupportedExpressionError(
+                        "division by a non-constant expression is not polynomial")
+                if q == 0:
+                    raise ParseError("division by zero", self.text, pos)
+                num *= q.denominator
+                den *= q.numerator
+                f = 1  # folded
+        mono = tuple(sorted(powers.items(), key=_factor_key))
+        coeff = Fraction(num, den)
+        if sums is None:
+            return [(mono, coeff)]
+        return [(_mono_mul(m, mono), c * coeff) for m, c in sums.terms]
 
-    def factor(self) -> Expr:
+    def factor(self):
+        """One factor: an int for a number, (coordinate, exponent) for a power
+        of a name, an Expr for a parenthesised or negated factor."""
         kind, val, pos = self.peek()
         if kind == "op" and val == "-":
             self.next()
-            return -self.nested(self.factor, pos)
+            inner = self.nested(self.factor, pos)
+            if inner.__class__ is tuple:
+                return _canonical((((inner,), -_ONE_Q),))
+            return -inner
         base = self.primary()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
@@ -715,25 +794,28 @@ class _Parser:
                 raise UnsupportedExpressionError("negative exponents are not polynomial")
             if kind != "num":
                 raise ParseError("expected integer exponent", self.text, pos)
-            return base ** int(val)
-        return base
+            e = int(val)
+            if base.__class__ is CoordinateId:
+                return (base, e) if e else 1
+            return base ** e
+        return (base, 1) if base.__class__ is CoordinateId else base
 
     _TRANSCENDENTAL = {"sin", "cos", "tan", "exp", "log", "ln", "sqrt",
                        "sinh", "cosh", "tanh", "abs"}
 
-    def primary(self) -> Expr:
+    def primary(self):
+        """An int, a CoordinateId or, for a parenthesised expression, an Expr."""
         kind, val, pos = self.next()
         if kind == "num":
-            return Expr.number(int(val))
+            return int(val)
         if kind == "name":
-            follow = self.peek()
-            if val in self._TRANSCENDENTAL and follow[:2] == ("op", "("):
+            if val in self._TRANSCENDENTAL and self.peek()[:2] == ("op", "("):
                 raise UnsupportedExpressionError(
                     f"transcendental function {val!r} is not polynomial")
-            coord = self.resolved.get(val)
+            coord = self.coords.get(val)
             if coord is None:
                 try:
-                    coord = self.resolved[val] = Expr.coord(self.ctx.resolve(val))
+                    coord = self.coords[val] = self.ctx.resolve(val)
                 except UnknownCoordinateError:
                     raise ParseError(f"unknown identifier {val!r}", self.text, pos)
             return coord
@@ -776,12 +858,20 @@ def render(e: Expr, ctx: JetContext, fmt: str = "plain") -> str:
 def _render(e: Expr, name, power, coeff_text, joiner: str) -> str:
     """The signed terms of e, each its coefficient (unless 1) and its factors
     joined by ``joiner``; ``name``, ``power`` and ``coeff_text`` spell a
-    coordinate, an exponent above 1 and a coefficient's magnitude."""
+    coordinate, an exponent above 1 and a coefficient's magnitude.  Each
+    (coordinate, exponent) is spelled once per call."""
     if not e.terms:
         return "0"
+    spelled: Dict[Tuple[CoordinateId, int], str] = {}
     parts: List[str] = []
     for mono, coeff in e.terms:
-        factors = [name(c) + (power(p) if p > 1 else "") for c, p in mono]
+        factors = []
+        for factor in mono:
+            text = spelled.get(factor)
+            if text is None:
+                c, p = factor
+                text = spelled[factor] = name(c) + (power(p) if p > 1 else "")
+            factors.append(text)
         mag = abs(coeff)
         if mag != 1 or not factors:
             factors.insert(0, coeff_text(mag))
@@ -794,10 +884,18 @@ def _render(e: Expr, name, power, coeff_text, joiner: str) -> str:
 
 
 def expr_to_json(e: Expr, ctx: JetContext) -> dict:
+    names: Dict[CoordinateId, str] = {}  # each coordinate spelled once per call
+
+    def name(c: CoordinateId) -> str:
+        text = names.get(c)
+        if text is None:
+            text = names[c] = ctx.name(c)
+        return text
+
     return {
         "monomials": [
             {"coeff": str(coeff),
-             "factors": [[ctx.name(c), p] for c, p in mono]}
+             "factors": [[name(c), p] for c, p in mono]}
             for mono, coeff in e.terms
         ]
     }

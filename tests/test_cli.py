@@ -320,6 +320,17 @@ def test_deeply_nested_density_is_domain_error(capsys, tmp_path):
     assert "line 1, column 101" in err
 
 
+def test_power_over_the_term_budget_is_domain_error(capsys, tmp_path):
+    # a bound of C(205, 5), about 2.9e9 terms, refused before any expansion
+    path = tmp_path / "big.problem"
+    path.write_text("independents = t x\ndependents = u\n"
+                    "lagrangian = (u + u_t + u_x + u_tt + u_tx + u_xx)^200\norder = 2\n")
+    code, out, err = run(capsys, "el", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("varjet: the power 200 of a 6-term sum may have up to 2872408791 terms, "
+                   "over the budget of 1000000\n")
+
+
 def test_usage_error_exits_2(kdv_problem):
     with pytest.raises(SystemExit) as exc:
         main(["el", kdv_problem, "--format", "html"])
@@ -433,6 +444,9 @@ def grid_bytes(header=None, data=8 * 24, **changes):
     return b"VJGRID1\n" + struct.pack("<I", len(text)) + text + bytes(data)
 
 
+NORMAL_H4 = "each h**4 must be a normal float (finite, nonzero and not subnormal)"
+
+
 @pytest.mark.parametrize("content, message", [
     (b"not a grid", "not a varjet grid file"),
     (b"VJGRID1\n\x00\x01", "truncated header length"),
@@ -462,17 +476,17 @@ def grid_bytes(header=None, data=8 * 24, **changes):
     (grid_bytes(data=8 * 24 + 5), "field data is 197 bytes, 1 field(s) of shape (4, 6) take 192"),
     # the JSON header may spell Infinity and NaN; the stencils divide by h**4
     (grid_bytes(spacing=[math.inf, 0.5]),
-     "grid spacings [inf, 0.5] are out of range: each h**4 must be a finite nonzero float"),
+     f"grid spacings [inf, 0.5] are out of range: {NORMAL_H4}"),
     (grid_bytes(origin=[math.nan, 0.0]), "grid origins must be finite, got [nan, 0.0]"),
-    (grid_bytes(spacing=[0.5, 1e308]),
-     "grid spacings [0.5, 1e+308] are out of range: each h**4 must be a finite nonzero float"),
-    (grid_bytes(spacing=[1e-100, 0.5]),
-     "grid spacings [1e-100, 0.5] are out of range: each h**4 must be a finite nonzero float"),
+    (grid_bytes(spacing=[0.5, 1e308]), f"grid spacings [0.5, 1e+308] are out of range: {NORMAL_H4}"),
+    (grid_bytes(spacing=[1e-100, 0.5]), f"grid spacings [1e-100, 0.5] are out of range: {NORMAL_H4}"),
+    # 1e-320 is nonzero, but dividing by it overflows
+    (grid_bytes(spacing=[0.5, 1e-80]), f"grid spacings [0.5, 1e-80] are out of range: {NORMAL_H4}"),
 ], ids=["magic", "header_length", "header_short", "header_json", "header_object",
         "no_axes", "no_shape", "no_origin", "no_spacing", "no_fields", "axes_type",
         "rank", "shape_negative", "shape_float", "origin_length", "spacing_type",
         "spacing_zero", "fields_repeat", "data_short", "data_extra", "spacing_infinite",
-        "origin_nan", "spacing_overflow", "spacing_underflow"])
+        "origin_nan", "spacing_overflow", "spacing_underflow", "spacing_subnormal"])
 @pytest.mark.filterwarnings("error")  # a warning would reach stderr outside the test
 def test_malformed_grid_file_is_domain_error(capsys, tmp_path, kdv_problem,
                                              content, message):
@@ -481,3 +495,15 @@ def test_malformed_grid_file_is_domain_error(capsys, tmp_path, kdv_problem,
     code, out, err = run(capsys, "check-solution", kdv_problem, "--grid", str(path))
     assert code == 1 and out == ""
     assert err == f"varjet: {path}: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")  # a warning would reach stderr outside the test
+def test_overflowing_residual_is_domain_error(capsys, tmp_path, kdv_problem):
+    # u_x^3 of a field of size 1e200 overflows: the row is non-finite, with
+    # no RuntimeWarning on the way
+    grid = soliton_grid(64, 64, box=8.0)
+    grid.fields["u"] *= 1e200
+    save_grid(grid, str(tmp_path / "big.grid"))
+    code, out, err = run(capsys, "check-solution", kdv_problem, "--grid", str(tmp_path / "big.grid"))
+    assert (code, out) == (1, "")
+    assert err == "varjet: non-finite interior residual for equation 'el:u'\n"

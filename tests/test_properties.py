@@ -41,12 +41,12 @@ MIXED_POOL = [CoordinateId.independent(i) for i in range(2)] \
 
 
 @st.composite
-def mixed_exprs(draw):
+def mixed_exprs(draw, pool=MIXED_POOL):
     terms = []
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         term = Expr.number(draw(coefficients))
         for _ in range(draw(st.integers(min_value=0, max_value=3))):
-            term = term * Expr.coord(draw(st.sampled_from(MIXED_POOL))) \
+            term = term * Expr.coord(draw(st.sampled_from(pool))) \
                 ** draw(st.integers(min_value=1, max_value=2))
         terms.append(term)
     return Expr.sum(terms)
@@ -95,6 +95,18 @@ def test_every_result_is_in_normal_form(a, b, c, k, power):
                parse(render(a, MIXED_CTX), MIXED_CTX), Expr.sum([a, b, -a])]
     for e in results:
         assert_canonical(e)
+
+
+# the second strategy draws from three coordinates, so that the monomials of a
+# power's terms overlap and merge
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(mixed_exprs(), mixed_exprs(pool=MIXED_POOL[2:5])),
+       st.integers(min_value=0, max_value=6))
+def test_power_is_repeated_multiplication(a, e):
+    product = Expr.number(1)
+    for _ in range(e):
+        product = product * a
+    assert a ** e == product
 
 
 @settings(max_examples=60, deadline=None)

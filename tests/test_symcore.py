@@ -125,11 +125,36 @@ def test_parse_errors(ctx_tx):
         E(ctx_tx, "u^-2")
     with pytest.raises(UnsupportedExpressionError):
         E(ctx_tx, "sin(u)")
+    # the term reader's own cases, each with its message and position
+    for text, error, message in [
+            ("u/0", ParseError, r"division by zero \(line 1, column 2\)"),
+            ("u_x*2/0*u", ParseError, r"division by zero \(line 1, column 6\)"),
+            ("u/u_x", UnsupportedExpressionError, "division by a non-constant expression"),
+            ("u^-1", UnsupportedExpressionError, "negative exponents are not polynomial"),
+            # "^" then a letter joins the name
+            ("u^x", ParseError, r"unknown identifier 'u\^x' \(line 1, column 1\)"),
+            ("u ^x", ParseError, r"expected integer exponent \(line 1, column 4\)"),
+            ("sin(u)", UnsupportedExpressionError, "transcendental function 'sin'"),
+            ("u*w*u_x", ParseError, r"unknown identifier 'w' \(line 1, column 3\)"),
+            ("u*(u_t + u_x)/w", ParseError, r"unknown identifier 'w' \(line 1, column 15\)")]:
+        with pytest.raises(error, match=f"^{message}"):
+            E(ctx_tx, text)
 
 
 def test_parse_unary_and_parentheses(ctx_tx):
     assert E(ctx_tx, "-(u - u_x)^2") == -(E(ctx_tx, "u") - E(ctx_tx, "u_x")) ** 2
     assert E(ctx_tx, "u/2") == E(ctx_tx, "1/2*u")
+    u, u_x = Expr.coord(C(ctx_tx, "u")), Expr.coord(C(ctx_tx, "u_x"))
+    assert E(ctx_tx, "2*u_x^2/3*u") == (u * u_x ** 2).scale(Fraction(2, 3))
+    assert E(ctx_tx, "u*0*u_x") == Expr.zero()
+    assert E(ctx_tx, "u^0*3") == Expr.number(3)
+    assert E(ctx_tx, "u/(2*(u - u))^0") == u
+    ctx_uv = JetContext(("t", "x"), ("u", "v"))
+    u, v = Expr.coord(C(ctx_uv, "u")), Expr.coord(C(ctx_uv, "v"))
+    assert E(ctx_uv, "-u^2*v") == -(u ** 2 * v)
+    assert E(ctx_uv, "u*-v^2") == -(u * v ** 2)
+    assert E(ctx_uv, "u*0*v") == Expr.zero()
+    assert E(ctx_uv, "2*(u + v)*u/3*(u - v)") == (u * (u * u - v * v)).scale(Fraction(2, 3))
 
 
 def test_partial_power_rule(ctx_tx):
@@ -275,3 +300,40 @@ def test_reparse_normalises_each_term_a_bounded_number_of_times(monkeypatch):
         counts.append(0)
         assert parse(text, ctx) == e
     assert counts[1] < 6 * counts[0], counts
+
+
+def test_power_normalises_once(monkeypatch):
+    # a multinomial power passes each of its terms through normalisation
+    # once, and the sum that holds it once more; squaring passed 41,505
+    ctx = JetContext(("t", "x"), ("u",))
+    normalise = symcore._normal_form
+    passed = []
+
+    def counting(terms):
+        terms = list(terms)
+        passed.append(len(terms))
+        return normalise(terms)
+
+    monkeypatch.setattr(symcore, "_normal_form", counting)
+    e = parse("(u + u_t + u_x)^38", ctx)
+    assert len(e.terms) == 780
+    assert sum(passed) <= 2 * 780 + 3, passed
+
+
+def test_product_and_power_over_the_term_budget_are_refused_before_any_work(
+        monkeypatch, ctx_tx):
+    big = Expr.sum([Expr.coord(c) for c in jet_pool(ctx_tx, 2, False)])  # 6 terms
+
+    def fail(terms):
+        raise AssertionError("normalised an over-budget result")
+
+    monkeypatch.setattr(symcore, "_normal_form", fail)
+    with pytest.raises(UnsupportedExpressionError,
+                       match="^the power 100 of a 6-term sum may have up to 96560646 terms, "
+                             "over the budget of 1000000$"):
+        big ** 100
+    monkeypatch.setattr(symcore, "MAX_TERMS", 30)
+    with pytest.raises(UnsupportedExpressionError,
+                       match="^the product of a 6-term and a 6-term expression may have "
+                             "up to 36 terms, over the budget of 30$"):
+        big * big
