@@ -12,7 +12,6 @@ from .symcore import (
     CoordinateId,
     Expr,
     JetContext,
-    OrderOverflowError,
     ParseError,
     UnknownCoordinateError,
     UnsupportedExpressionError,
@@ -26,7 +25,6 @@ from .jetcalc import (
     iterated_total_derivative,
     prolong,
     total_derivative,
-    total_derivative_primed,
 )
 from .variational import (
     CartanValuedForm,

@@ -62,9 +62,9 @@ def _system_text(system: EquationSystem, fmt: str) -> str:
     return "\n".join(lines) if lines else "(empty system)"
 
 
-def _el_system(lag: LagrangianDensity, ctx: JetContext) -> EquationSystem:
-    """The Euler-Lagrange equations as a system over ctx, one row per dependent."""
-    source = euler_lagrange(lag)
+def _el_system(lag: LagrangianDensity) -> EquationSystem:
+    """The Euler-Lagrange equations as a system, one row per dependent."""
+    source, ctx = euler_lagrange(lag), lag.context
     return EquationSystem(ctx, tuple(
         (f"el:{ctx.dependents[a]}", source.component(a)) for a in range(ctx.m)))
 
@@ -136,8 +136,8 @@ def cmd_reduce(args, problem: Problem, lag: LagrangianDensity) -> str:
     p0_coords = [ctx.name(c) for c in red.p0_coordinates]
     substitutions = [(ctx.name(c), _render(e, ctx, fmt)) for c, e in
                      sorted(red.substitutions.items(), key=lambda t: t[0].sort_key())]
-    energy_p, hamiltonian = (None if e is None else _render(e, ctx, fmt)
-                             for e in (red.energy_on_constraint, red.hamiltonian))
+    # the restricted energy is the Hamiltonian: one rendering, printed as both
+    hamiltonian = None if red.hamiltonian is None else _render(red.hamiltonian, ctx, fmt)
     if fmt == "json":
         payload = {
             "diagnosis": red.diagnosis,
@@ -146,7 +146,7 @@ def cmd_reduce(args, problem: Problem, lag: LagrangianDensity) -> str:
             "p_coords": p_coords,
             "p0_coords": p0_coords,
             "substitutions": dict(substitutions),
-            "E_on_P": energy_p,
+            "E_on_P": hamiltonian,
             "H": hamiltonian,
             "equations": [] if red.system_hdw is None
                          else red.system_hdw.to_json_dict()["equations"],
@@ -160,9 +160,8 @@ def cmd_reduce(args, problem: Problem, lag: LagrangianDensity) -> str:
              "P coordinates:  " + " ".join(p_coords),
              "P0 coordinates: " + " ".join(p0_coords)]
     lines += [f"eliminate {name} = {text}" for name, text in substitutions]
-    for head, text in (("E|_P", energy_p), ("H", hamiltonian)):
-        if text is not None:
-            lines.append(f"{head} = {text}")
+    if hamiltonian is not None:
+        lines += [f"E|_P = {hamiltonian}", f"H = {hamiltonian}"]
     for head, system in (("equations on P:", red.system_constraint),
                          ("HDW equations:", red.system_hdw)):
         if system is not None:
@@ -173,19 +172,16 @@ def cmd_reduce(args, problem: Problem, lag: LagrangianDensity) -> str:
 
 
 def cmd_shift(args, problem: Problem, lag: LagrangianDensity) -> str:
-    shifted = momentum_shift(elh_system(lag), problem.rho(lag.context, args.rho))
+    shifted = momentum_shift(elh_system(lag), problem.rho(args.rho))
     return _system_text(shifted, args.format)
 
 
 def cmd_prolong(args, problem: Problem, lag: LagrangianDensity) -> str:
-    # the requested level is explicit, so lift the jet-order bound by exactly
-    # that much; the library-level default stays strict
-    ctx = lag.context.extended(lag.context.max_order + args.level)
     if args.system:
         with open(args.system, "r", encoding="utf-8") as fh:
-            system = EquationSystem.from_json_dict(json.load(fh), ctx)
+            system = EquationSystem.from_json_dict(json.load(fh), lag.context)
     else:
-        system = _el_system(lag, ctx)
+        system = _el_system(lag)
     return _system_text(prolong(system, args.level), args.format)
 
 
@@ -196,7 +192,7 @@ def cmd_check_solution(args, problem: Problem, lag: LagrangianDensity) -> str:
     # every system but el reads momenta, given as fields or by the Legendre form
     theta = None if args.system == "el" else legendre_form(lag)
     if args.system == "el":
-        system = _el_system(lag, ctx)
+        system = _el_system(lag)
     elif args.system == "constraints":
         dc = DerivedContext(ctx, lag.level)
         rows = tuple((lab, dc.embed(res)) for lab, res in constraints(lag).equations)

@@ -3,8 +3,8 @@
 The jth total derivative acts on jet-side expressions as
 D_j = d/dx^j + u_{Ij}^a d/du_I^a; iterated total derivatives are indexed by a
 multiindex and commute, so composition order is irrelevant.  Momentum
-coordinates are outside its domain; on the mixed jets-and-momenta side the
-primed operator of first-order (derived) contexts applies instead.
+coordinates are outside its domain; the primed operator on jets and momenta
+is total_derivative(dc.embed(e), i) for a derived context dc (pdham).
 """
 
 from __future__ import annotations
@@ -26,38 +26,26 @@ from .symcore import (
 )
 
 
-def total_derivative(e: Expr, i: int, ctx: JetContext) -> Expr:
+def total_derivative(e: Expr, i: int) -> Expr:
     """D_i e for a jet-side expression; raises the jet order by at most one."""
     parts = [e.partial(CoordinateId.independent(i))]
     for c in e.coordinates():
         if c.kind == MOMENTUM:
             raise WrongDomainError(
                 "total_derivative acts on jet-side expressions; momenta present "
-                "(use total_derivative_primed on a derived first-order context)")
+                "(for momenta, differentiate dc.embed(e) in a derived context dc)")
         if c.kind == JET:
-            lifted = c.index.with_index(i)
-            ctx.check_order(lifted)
-            parts.append(e.partial(c) * Expr.coord(CoordinateId.jet(c.alpha, lifted)))
+            parts.append(e.partial(c) * Expr.coord(
+                CoordinateId.jet(c.alpha, c.index.with_index(i))))
     return Expr.sum(parts)
 
 
-def iterated_total_derivative(e: Expr, J: MultiIndex, ctx: JetContext) -> Expr:
+def iterated_total_derivative(e: Expr, J: MultiIndex) -> Expr:
     """D_J e; the empty multiindex is the identity."""
     out = e
     for i in J:
-        out = total_derivative(out, i, ctx)
+        out = total_derivative(out, i)
     return out
-
-
-def total_derivative_primed(e: Expr, i: int, dc) -> Expr:
-    """Total derivative treating momenta as extra dependents.
-
-    ``dc`` is a pdham.DerivedContext; the expression (jets and momenta of the
-    base context) is embedded into the derived first-order context, where the
-    ordinary total derivative is the primed operator, and the result is
-    returned as a derived-context expression.
-    """
-    return total_derivative(dc.embed(e), i, dc.ctx)
 
 
 @dataclass(frozen=True)
@@ -136,5 +124,5 @@ def prolong(system: EquationSystem, level: int) -> EquationSystem:
         for J in multiindices_up_to(ctx.n, level):
             word = ctx.index_word(J)
             new_label = label if not word else f"{label}|{word}"
-            equations.append((new_label, iterated_total_derivative(res, J, ctx)))
+            equations.append((new_label, iterated_total_derivative(res, J)))
     return EquationSystem(ctx, tuple(equations))

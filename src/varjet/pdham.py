@@ -59,13 +59,8 @@ class DerivedContext:
             fiber = base.jets_up_to(level + 1) + base.momenta_up_to(level)
         self.fiber: Tuple[CoordinateId, ...] = tuple(fiber)
         self._alpha: Dict[CoordinateId, int] = {c: k for k, c in enumerate(self.fiber)}
-        self.ctx = JetContext(
-            independents=base.independents,
-            dependents=tuple(base.name(c) for c in self.fiber),
-            max_order=1,
-            auto_extend=base.auto_extend,
-            jet_style="comma",
-        )
+        self.ctx = JetContext(base.independents, tuple(base.name(c) for c in self.fiber),
+                              jet_style="comma")
 
     def contains(self, c: CoordinateId) -> bool:
         return c in self._alpha
@@ -249,7 +244,6 @@ def momentum_shift(system: EquationSystem, rho: Sequence[Expr]) -> EquationSyste
         if r.max_jet_order() > l:
             raise VarjetError(
                 f"shift component order {r.max_jet_order()} too high for momentum level {l}")
-    work = base if base.auto_extend else base.extended(max(base.max_order, l + 1) + 1)
     mapping: Dict[CoordinateId, Expr] = {}
     for alpha in range(base.m):
         for I in multiindices_up_to(base.n, l):
@@ -261,7 +255,7 @@ def momentum_shift(system: EquationSystem, rho: Sequence[Expr]) -> EquationSyste
                 mapping[dc.dep(pm)] = Expr.coord(dc.dep(pm)) - dc.embed(theta)
                 for j in range(base.n):
                     mapping[dc.comma(pm, j)] = Expr.coord(dc.comma(pm, j)) \
-                        - dc.embed(total_derivative(theta, j, work))
+                        - dc.embed(total_derivative(theta, j))
     rows = tuple((label, res.substitute(mapping)) for label, res in system.equations)
     return EquationSystem(dc.ctx, rows, derived=dc)
 
@@ -283,7 +277,6 @@ class ReducedSystem:
     p_coordinates: Tuple[CoordinateId, ...]
     p0_coordinates: Tuple[CoordinateId, ...]
     substitutions: Dict[CoordinateId, Expr]
-    energy_on_constraint: Optional[Expr]
     hamiltonian: Optional[Expr]
     system_constraint: Optional[EquationSystem]
     system_hdw: Optional[EquationSystem]
@@ -328,7 +321,7 @@ def reduce_lagrangian(lag: LagrangianDensity, *, samples: int = 5,
 
     def partial_result(diagnosis: str, offending=()) -> ReducedSystem:
         return ReducedSystem(diagnosis, report, (), (), dict(subs),
-                             None, None, None, None, tuple(offending))
+                             None, None, None, tuple(offending))
 
     subs: Dict[CoordinateId, Expr] = {}
     if not all(_is_affine_in(res, tops) for _, res in cons.equations):
@@ -398,7 +391,7 @@ def reduce_lagrangian(lag: LagrangianDensity, *, samples: int = 5,
     return ReducedSystem(
         diagnosis, report,
         tuple(independents + p_fiber), tuple(independents + p0_fiber),
-        subs, energy_p, energy_p, system_p, system_hdw)
+        subs, energy_p, system_p, system_hdw)
 
 
 def _comma_image(dc: DerivedContext, subs: Dict[CoordinateId, Expr],

@@ -3,8 +3,9 @@
 Lines are ``key = value``; blank lines and ``#`` comments are ignored.
 Recognized keys: independents, dependents (space- or comma-separated names),
 lagrangian (expression), order (declared order l+1), and the options
-max_order, auto_extend, seed, rank_samples, rho (one expression per
-independent variable, ';'-separated).
+seed, rank_samples, rho (one expression per independent variable,
+';'-separated).  No key bounds the jet order: the density and its declared
+order fix which jets each construction reads.
 """
 
 from __future__ import annotations
@@ -16,38 +17,32 @@ from .symcore import _NAME_RE, Expr, JetContext, VarjetError, parse
 from .variational import LagrangianDensity
 
 _KNOWN_KEYS = {"independents", "dependents", "lagrangian", "order",
-               "max_order", "auto_extend", "seed", "rank_samples", "rho"}
+               "seed", "rank_samples", "rho"}
 
 
 @dataclass
 class Problem:
-    independents: Tuple[str, ...]
-    dependents: Tuple[str, ...]
-    density: Expr  # parsed once: an Expr names coordinates by index, not by name
+    context: JetContext
+    density: Expr  # parsed once, in context
     order: int
-    max_order: int
-    auto_extend: bool = False
     seed: int = 0
     rank_samples: int = 5
     rho_text: str = ""  # ';'-separated shift components, parsed on use
 
     def lagrangian(self, order_override: Optional[int] = None) -> LagrangianDensity:
         order = order_override if order_override is not None else self.order
-        ctx = JetContext(self.independents, self.dependents,
-                         max_order=max(self.max_order, 2 * order),
-                         auto_extend=self.auto_extend)
-        return LagrangianDensity(ctx, self.density, order=order)
+        return LagrangianDensity(self.context, self.density, order=order)
 
-    def rho(self, ctx: JetContext, text: Optional[str]) -> List[Expr]:
+    def rho(self, text: Optional[str]) -> List[Expr]:
         """The shift components, one per independent: text's if given, else the file's."""
         text = text or self.rho_text
         if not text:
             raise VarjetError("problem file declares no rho components (key: rho)")
         parts = [part.strip() for part in text.split(";")]
-        if len(parts) != len(self.independents):
+        if len(parts) != self.context.n:
             raise VarjetError(
-                f"rho needs {len(self.independents)} ';'-separated components, got {len(parts)}")
-        return [parse(part, ctx) for part in parts]
+                f"rho needs {self.context.n} ';'-separated components, got {len(parts)}")
+        return [parse(part, self.context) for part in parts]
 
 
 def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
@@ -92,16 +87,6 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
         except ValueError:
             fail(key, f"{key} expects an integer, got {entries[key][0]!r}")
 
-    def boolean(key: str) -> bool:
-        if key not in entries:
-            return False
-        lowered = entries[key][0].lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        fail(key, f"{key} expects a boolean, got {entries[key][0]!r}")
-
     independents = names("independents")
     dependents = names("dependents")
     for name in dependents:
@@ -109,32 +94,24 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
             fail("dependents",
                  f"name {name!r} is declared both as an independent and as a dependent")
     order = integer("order", 0)
-    max_order = integer("max_order", 0)
-    auto_extend = boolean("auto_extend")
     seed = integer("seed", 0)
     rank_samples = integer("rank_samples", 5)
     if "order" in entries and order < 1:
         fail("order", "order must be >= 1")
-    if max_order < 0:
-        fail("max_order", "max_order must be >= 0")
     if rank_samples < 1:
         fail("rank_samples", "rank_samples must be >= 1")
-    # parsed without an order bound (Problem.lagrangian's context carries it);
+    context = JetContext(independents, dependents)
+    density = parse(entries["lagrangian"][0], context)
     # infer the declared order from the density when absent
-    density = parse(entries["lagrangian"][0],
-                    JetContext(independents, dependents, auto_extend=True))
     minimal = max(1, density.max_jet_order())
     if order == 0:
         order = minimal
     elif order < minimal:
         fail("order", f"declared order {order} below the density order {minimal}")
     return Problem(
-        independents=independents,
-        dependents=dependents,
+        context=context,
         density=density,
         order=order,
-        max_order=max_order or max(4, 2 * order),
-        auto_extend=auto_extend,
         seed=seed,
         rank_samples=rank_samples,
         rho_text=entries["rho"][0] if "rho" in entries else "",

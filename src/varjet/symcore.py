@@ -2,7 +2,8 @@
 
 Expressions are polynomials with exact rational coefficients in three kinds of
 coordinates: independent variables x^i, jet coordinates u_I^a (dependent
-variable a, multiindex I), and momentum coordinates p_a^{I.i}.  The normal
+variable a, multiindex I), and momentum coordinates p_a^{I.i}, named by a
+JetContext at any order (the density fixes which orders are read).  The normal
 form is unique: no zero coefficients, like monomials merged, monomials and
 factors sorted by a fixed total order.  Structural equality therefore decides
 mathematical equality.
@@ -17,7 +18,8 @@ once, not once per partial sum.
 Negation, scaling by a nonzero rational and powers of a single term keep the
 order and skip it.  A power of a sum is expanded by the multinomial theorem,
 one term per composition of the exponent, and normalised once.  Products and
-powers whose size bound exceeds MAX_TERMS are refused before any work.
+powers whose size bound exceeds MAX_TERMS, and powers whose coefficients may
+pass Python's digit limit on int text, are refused before any work.
 
 All values are immutable; every operation is a pure function.
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -58,10 +61,6 @@ class UnknownCoordinateError(VarjetError):
 
 
 class UnsupportedExpressionError(VarjetError):
-    pass
-
-
-class OrderOverflowError(VarjetError):
     pass
 
 
@@ -126,11 +125,10 @@ _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
 
 @dataclass(frozen=True)
 class JetContext:
-    """Declares the bundle: independent and dependent variable names plus order bounds.
+    """Declares the bundle: independent and dependent variable names.
 
-    ``max_order`` is the highest admitted jet order and momentum level;
-    operations that would exceed it raise OrderOverflowError unless
-    ``auto_extend`` is set.
+    Jets and momenta of any order are admitted: the density fixes which
+    orders a construction reads, so the context bounds none.
     ``jet_style`` selects the rendering of jets: "suffix" (u_xx) for base
     contexts with simple names, "comma" (u_x,_t) for derived first-order
     contexts whose dependents carry compound names.
@@ -138,8 +136,6 @@ class JetContext:
 
     independents: Tuple[str, ...]
     dependents: Tuple[str, ...]
-    max_order: int = 4
-    auto_extend: bool = False
     jet_style: str = "suffix"
 
     def __post_init__(self):
@@ -147,8 +143,6 @@ class JetContext:
         object.__setattr__(self, "dependents", tuple(self.dependents))
         if not self.independents or not self.dependents:
             raise ValueError("need at least one independent and one dependent variable")
-        if self.max_order < 0:
-            raise ValueError("max_order must be nonnegative")
         names = self.independents + self.dependents
         if len(set(names)) != len(names):
             raise ValueError("coordinate names must be pairwise distinct")
@@ -166,18 +160,6 @@ class JetContext:
     @property
     def m(self) -> int:
         return len(self.dependents)
-
-    def check_order(self, index: MultiIndex) -> None:
-        if len(index) > self.max_order and not self.auto_extend:
-            raise OrderOverflowError(
-                f"jet order {len(index)} exceeds max_order {self.max_order} "
-                "(enable auto_extend to lift the bound)")
-
-    def extended(self, max_order: int) -> "JetContext":
-        if max_order <= self.max_order:
-            return self
-        return JetContext(self.independents, self.dependents, max_order,
-                          self.auto_extend, self.jet_style)
 
     # -- naming ---------------------------------------------------------
 
@@ -238,7 +220,6 @@ class JetContext:
             index = parent.index
             for i in suffix:
                 index = index.with_index(i)
-            self.check_order(index)
             return CoordinateId.jet(parent.alpha, index)
         if self.jet_style == "suffix":
             mom = self._try_momentum(name)
@@ -249,9 +230,7 @@ class JetContext:
                 if name.startswith(dep + "_"):
                     suffix = self._split_index_word(name[len(dep) + 1:])
                     if suffix is not None:
-                        index = MultiIndex(tuple(suffix))
-                        self.check_order(index)
-                        return CoordinateId.jet(alpha, index)
+                        return CoordinateId.jet(alpha, MultiIndex(tuple(suffix)))
         return None
 
     def _try_momentum(self, name: str) -> Optional[CoordinateId]:
@@ -277,11 +256,8 @@ class JetContext:
         suffix = self._split_index_word(word)
         if suffix is None:
             return None
-        index = MultiIndex(tuple(suffix))
-        if len(index) > self.max_order and not self.auto_extend:
-            raise OrderOverflowError(
-                f"momentum level {len(index)} exceeds admitted order {self.max_order}")
-        return CoordinateId.momentum(alpha, index, self.independents.index(direction))
+        return CoordinateId.momentum(alpha, MultiIndex(tuple(suffix)),
+                                     self.independents.index(direction))
 
     def _split_index_word(self, word: str) -> Optional[List[int]]:
         """Greedily decompose a concatenation of independent names (longest first)."""
@@ -329,6 +305,10 @@ MAX_TERMS = 1_000_000
 def _over_budget(what: str, bound: int) -> UnsupportedExpressionError:
     return UnsupportedExpressionError(
         f"{what} may have up to {bound} terms, over the budget of {MAX_TERMS}")
+
+
+# Python's limit on int <-> text digits; 0 is none, as before Python 3.10.7
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _mono_key(mono: Monomial):
@@ -471,11 +451,21 @@ class Expr:
             return _ONE
         if e == 1 or not self.terms:
             return self
-        if len(self.terms) == 1:
+        s = len(self.terms)
+        # over the coefficients' common denominator d, a coefficient of the
+        # power is at most (s*max |num|*d/den)^e / d^e
+        d = math.lcm(*[c.denominator for _, c in self.terms])
+        log = math.log10(max(d, s * max([abs(c.numerator) * (d // c.denominator)
+                                         for _, c in self.terms])))
+        limit = _digit_limit()
+        if limit and log and e >= limit / log:
+            raise UnsupportedExpressionError(
+                f"the power {e} of a {s}-term expression may have coefficients "
+                f"over the limit of {limit} digits")
+        if s == 1:
             # a power of one term multiplies its exponents and stays canonical
             mono, coeff = self.terms[0]
             return _canonical((((tuple([(c, k * e) for c, k in mono]), coeff ** e),)))
-        s = len(self.terms)
         bound = math.comb(e + s - 1, s - 1)
         if bound > MAX_TERMS:
             raise _over_budget(f"the power {e} of a {s}-term sum", bound)
@@ -794,11 +784,19 @@ class _Parser:
                 raise UnsupportedExpressionError("negative exponents are not polynomial")
             if kind != "num":
                 raise ParseError("expected integer exponent", self.text, pos)
-            e = int(val)
+            e = self.integer(val, pos)
             if base.__class__ is CoordinateId:
                 return (base, e) if e else 1
-            return base ** e
+            return (Expr.number(base) if base.__class__ is int else base) ** e
         return (base, 1) if base.__class__ is CoordinateId else base
+
+    def integer(self, val: str, pos: int) -> int:
+        """The integer literal val, at pos; longer than the digit limit is an error."""
+        limit = _digit_limit()
+        if limit and len(val) > limit:
+            raise ParseError(f"integer literal of {len(val)} digits, over the limit of "
+                             f"{limit} digits", self.text, pos)
+        return int(val)
 
     _TRANSCENDENTAL = {"sin", "cos", "tan", "exp", "log", "ln", "sqrt",
                        "sinh", "cosh", "tanh", "abs"}
@@ -807,7 +805,7 @@ class _Parser:
         """An int, a CoordinateId or, for a parenthesised expression, an Expr."""
         kind, val, pos = self.next()
         if kind == "num":
-            return int(val)
+            return self.integer(val, pos)
         if kind == "name":
             if val in self._TRANSCENDENTAL and self.peek()[:2] == ("op", "("):
                 raise UnsupportedExpressionError(

@@ -151,7 +151,6 @@ def euler_lagrange(lag: LagrangianDensity) -> SourceForm:
     """The source form with components (-1)^|I| D_I (dL/du_I^a), summed over
     unordered multiindices counted once each."""
     ctx = lag.context
-    work = ctx.extended(2 * lag.order) if not ctx.auto_extend else ctx
     components: Dict[Tuple[int, MultiIndex], Expr] = {}
     for alpha in range(ctx.m):
         parts = []
@@ -159,7 +158,7 @@ def euler_lagrange(lag: LagrangianDensity) -> SourceForm:
             part = lag.L.partial(CoordinateId.jet(alpha, I))
             if part.is_zero():
                 continue
-            term = iterated_total_derivative(part, I, work)
+            term = iterated_total_derivative(part, I)
             parts.append(term if len(I) % 2 == 0 else -term)
         components[(alpha, EMPTY)] = Expr.sum(parts)
     return SourceForm(ctx, components)
@@ -183,14 +182,12 @@ def horizontal_d_legendre(theta: LegendreForm) -> CartanValuedForm:
     counted once.
     """
     ctx = theta.context
-    top = max([e.max_jet_order() for e in theta.coeffs.values()] + [ctx.max_order])
-    work = ctx if ctx.auto_extend else ctx.extended(top + 1)
     parts: Dict[Tuple[int, MultiIndex], List[Expr]] = {}
     for (alpha, index, i), coeff in theta.coeffs.items():
         for c in coeff.coordinates():
             if c.kind == MOMENTUM:
                 raise WrongDomainError("Legendre form coefficients are jet-side expressions")
-        parts.setdefault((alpha, index), []).append(-total_derivative(coeff, i, work))
+        parts.setdefault((alpha, index), []).append(-total_derivative(coeff, i))
         parts.setdefault((alpha, index.with_index(i)), []).append(-coeff)
     return CartanValuedForm(ctx, {key: Expr.sum(terms) for key, terms in parts.items()})
 
@@ -209,14 +206,13 @@ def legendre_form(lag: LagrangianDensity) -> LegendreForm:
     internal error, never silent.
     """
     ctx = lag.context
-    work = ctx.extended(2 * lag.order) if not ctx.auto_extend else ctx
     l = lag.level
     coeffs: Dict[Tuple[int, MultiIndex, int], Expr] = {}
     for k in range(lag.order, 0, -1):
         for alpha in range(ctx.m):
             for I in multiindices(ctx.n, k):
                 rhs = Expr.sum([lag.L.partial(CoordinateId.jet(alpha, I))] + [
-                    -total_derivative(coeffs[(alpha, I, i)], i, work)
+                    -total_derivative(coeffs[(alpha, I, i)], i)
                     for i in range(ctx.n) if (alpha, I, i) in coeffs])
                 if rhs.is_zero():
                     continue

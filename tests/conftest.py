@@ -16,7 +16,7 @@ KDV_EL = "u_tx - 6*u_x*u_xx + u_xxxx"
 
 @pytest.fixture
 def ctx_tx():
-    return JetContext(("t", "x"), ("u",), max_order=4)
+    return JetContext(("t", "x"), ("u",))
 
 
 @pytest.fixture
@@ -26,7 +26,7 @@ def kdv(ctx_tx):
 
 @pytest.fixture
 def ctx_1d():
-    return JetContext(("x",), ("u",), max_order=4)
+    return JetContext(("x",), ("u",))
 
 
 def soliton_grid(nt, nx, c=1.0, box=16.0):
@@ -78,7 +78,7 @@ def random_lagrangian(rng: random.Random, max_n=2, max_m=2, max_order=3,
     names_i = ("t", "x", "y")[:n] if n > 1 else ("x",)
     names_d = ("u", "v")[:m]
     order = rng.randint(1, max_order)
-    ctx = JetContext(names_i, names_d, max_order=2 * order + 2)
+    ctx = JetContext(names_i, names_d)
     pool = [CoordinateId.jet(a, I)
             for a in range(m) for I in multiindices_up_to(n, order)]
     L = Expr.zero()

@@ -1,7 +1,8 @@
 """The public names of the varjet package, with no aliases among them, the
 public names of its numeric layer, and the signatures of the momentum-side
-constructions."""
+constructions, the total derivatives and the jet context."""
 
+import dataclasses
 import inspect
 import types
 from collections import defaultdict
@@ -12,13 +13,13 @@ from varjet import numeric
 EXPORTED = {
     "CartanValuedForm", "CoordinateId", "DegenerateLagrangianError", "DerivedContext",
     "EquationSystem", "Expr", "HessianMatrix", "JetContext",
-    "LagrangianDensity", "LegendreForm", "MultiIndex", "OrderOverflowError", "ParseError",
+    "LagrangianDensity", "LegendreForm", "MultiIndex", "ParseError",
     "RankReport", "ReducedSystem", "SourceForm", "UnknownCoordinateError",
     "UnsupportedExpressionError", "VarjetError", "WrongDomainError",
     "constraints", "elh_system", "energy_density", "euler_lagrange",
     "hessian", "horizontal_d_legendre", "iterated_total_derivative", "legendre_form",
     "momentum_shift", "multiindices", "multiindices_up_to", "parse", "prolong",
-    "reduce_lagrangian", "render", "total_derivative", "total_derivative_primed",
+    "reduce_lagrangian", "render", "total_derivative",
     "vertical_differential",
 }
 
@@ -67,3 +68,13 @@ def test_constructions_take_the_level_from_the_density():
     }
     for function, expected in signatures.items():
         assert str(inspect.signature(function)) == expected, function.__name__
+
+
+def test_total_derivatives_and_contexts_carry_no_order_bound():
+    # the density fixes the jet orders a construction reads, so neither the
+    # total derivatives nor the context take a bound
+    assert str(inspect.signature(varjet.total_derivative)) == "(e: 'Expr', i: 'int') -> 'Expr'"
+    assert str(inspect.signature(varjet.iterated_total_derivative)) == \
+        "(e: 'Expr', J: 'MultiIndex') -> 'Expr'"
+    assert [f.name for f in dataclasses.fields(varjet.JetContext)] == \
+        ["independents", "dependents", "jet_style"]

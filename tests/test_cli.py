@@ -1,17 +1,22 @@
 """CLI behaviour: formats, determinism, schemas, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import struct
+import sys
 
 import numpy as np
 import pytest
 
+import hypothesis.strategies as st
 import jsonschema
+from hypothesis import HealthCheck, given, settings
 
 from conftest import soliton_grid
-from varjet import cli
+from varjet import cli, problemfile
 from varjet.cli import main
 from varjet.numeric import GridFunction, save_grid
 
@@ -139,8 +144,8 @@ def test_prolong_default_el(capsys, kdv_problem):
 
 
 def test_prolong_lifts_order_bound_by_level(capsys, kdv_problem):
-    # prolonging the 4th-order EL equation needs 5th jets; the explicit
-    # --level lifts the bound by exactly that much
+    # prolonging the 4th-order EL equation reads 5th jets, above any order
+    # the density names
     code, out, _ = run(capsys, "prolong", kdv_problem, "--level", "1")
     assert code == 0
     lines = out.strip().splitlines()
@@ -159,6 +164,17 @@ def test_prolong_system_file(capsys, tmp_path, kdv_problem):
     lines = out.strip().splitlines()
     assert lines[0] == "eq: u_x = 0"
     assert set(lines[1:]) == {"eq|t: u_tx = 0", "eq|x: u_xx = 0"}
+
+
+def test_prolong_system_past_the_density_order(capsys, tmp_path):
+    # a fifth-order row on a first-order problem prolongs to sixth jets
+    path = tmp_path / "wave.problem"
+    path.write_text(WAVE_PROBLEM)
+    sysfile = tmp_path / "system.json"
+    sysfile.write_text(json.dumps({"equations": [{"label": "r", "residual": "u_xxxxx"}]}))
+    code, out, err = run(capsys, "prolong", str(path), "--system", str(sysfile))
+    assert (code, err) == (0, "")
+    assert out == "r: u_xxxxx = 0\nr|t: u_txxxxx = 0\nr|x: u_xxxxxx = 0\n"
 
 
 def test_check_solution_el(capsys, tmp_path, kdv_problem):
@@ -273,7 +289,7 @@ def test_parser_reuse_keeps_no_option_values(capsys, kdv_problem):
 
 
 def test_momentum_in_density_is_domain_error(capsys, tmp_path):
-    # a density is jet-side at any momentum level, also above max_order
+    # a density is jet-side at any momentum level
     for momentum in ("p_x.x", "p_xxxxx.x"):
         path = tmp_path / "momentum.problem"
         path.write_text(f"independents = x\ndependents = u\nlagrangian = u_x^2 + {momentum}\n")
@@ -329,6 +345,35 @@ def test_power_over_the_term_budget_is_domain_error(capsys, tmp_path):
     assert (code, out) == (1, "")
     assert err == ("varjet: the power 200 of a 6-term sum may have up to 2872408791 terms, "
                    "over the budget of 1000000\n")
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default limit on int-to-text digits, for the test's duration."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("lagrangian, message", [
+    ("u_x^" + "9" * 5000, "parse error: integer literal of 5000 digits, over the limit of "
+                          "4300 digits (line 1, column 5)"),
+    ("2^" + "9" * 5000, "parse error: integer literal of 5000 digits, over the limit of "
+                        "4300 digits (line 1, column 3)"),
+    ("7" * 5000 + "*u_x^2", "parse error: integer literal of 5000 digits, over the limit of "
+                            "4300 digits (line 1, column 1)"),
+    # 3^3000000 has 1431364 digits: refused before it is built
+    ("(3*u_x)^3000000", "the power 3000000 of a 1-term expression may have coefficients "
+                        "over the limit of 4300 digits"),
+], ids=["exponent", "number_exponent", "coefficient", "power_coefficient"])
+def test_integer_over_the_digit_limit_is_domain_error(capsys, tmp_path, digit_limit,
+                                                      lagrangian, message):
+    path = tmp_path / "digits.problem"
+    path.write_text(f"independents = x\ndependents = u\nlagrangian = {lagrangian}\n")
+    code, out, err = run(capsys, "el", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"varjet: {message}\n"
 
 
 def test_usage_error_exits_2(kdv_problem):
@@ -388,6 +433,14 @@ def test_shift_rho_component_count(capsys, kdv_problem, tmp_path):
     assert (code, out, err) == (1, "", "varjet: rho needs 2 ';'-separated components, got 1\n")
 
 
+def test_shift_rho_over_the_momentum_level(capsys, tmp_path):
+    path = tmp_path / "wave.problem"
+    path.write_text(WAVE_PROBLEM)
+    code, out, err = run(capsys, "shift", str(path), "--rho", "0; u_xxxxxxxx")
+    assert (code, out) == (1, "")
+    assert err == "varjet: shift component order 8 too high for momentum level 0\n"
+
+
 def test_shift_without_rho(capsys, tmp_path):
     path = tmp_path / "wave.problem"
     path.write_text(WAVE_PROBLEM)
@@ -411,15 +464,15 @@ BASE_LINES = ["independents = t x", "dependents = u", "lagrangian = 1/2*u_t^2 - 
 @pytest.mark.parametrize("extra, lineno, message", [
     ("order = abc", 4, "order expects an integer, got 'abc'"),
     ("seed = x", 4, "seed expects an integer, got 'x'"),
-    ("max_order = 2.5", 4, "max_order expects an integer, got '2.5'"),
     ("rank_samples = 1.5", 4, "rank_samples expects an integer, got '1.5'"),
-    ("auto_extend = maybe", 4, "auto_extend expects a boolean, got 'maybe'"),
     ("", 2, "name 'x' is declared both as an independent and as a dependent"),
-    ("max_order = -3", 4, "max_order must be >= 0"),
     ("rank_samples = 0", 4, "rank_samples must be >= 1"),
     ("order = 0", 4, "order must be >= 1"),
-], ids=["order", "seed", "max_order", "rank_samples", "auto_extend", "shared_name",
-        "max_order_negative", "rank_samples_below_one", "order_zero"])
+    # the density fixes the jet orders, so no key bounds them
+    ("max_order = 8", 4, "unknown key 'max_order'"),
+    ("auto_extend = true", 4, "unknown key 'auto_extend'"),
+], ids=["order", "seed", "rank_samples", "shared_name", "rank_samples_below_one",
+        "order_zero", "unknown_key_max_order", "unknown_key_auto_extend"])
 def test_malformed_problem_value_is_positioned(capsys, tmp_path, extra, lineno, message):
     lines = list(BASE_LINES)
     if extra:
@@ -431,6 +484,16 @@ def test_malformed_problem_value_is_positioned(capsys, tmp_path, extra, lineno, 
     code, out, err = run(capsys, "el", str(path))
     assert code == 1 and out == ""
     assert err == f"varjet: {path}, line {lineno}: {message}\n"
+
+
+def test_documented_problem_keys_are_the_known_keys():
+    # the example block of docs/problemfile.md shows every key once
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "problemfile.md")
+    with open(path, "r", encoding="utf-8") as fh:
+        block = fh.read().split("```")[1]
+    documented = {line.split("=", 1)[0].strip() for line in block.splitlines()
+                  if "=" in line.split("#", 1)[0]}
+    assert documented == problemfile._KNOWN_KEYS
 
 
 GRID_HEADER = {"axes": ["t", "x"], "shape": [4, 6], "origin": [0.0, 0.0],
@@ -507,3 +570,65 @@ def test_overflowing_residual_is_domain_error(capsys, tmp_path, kdv_problem):
     code, out, err = run(capsys, "check-solution", kdv_problem, "--grid", str(tmp_path / "big.grid"))
     assert (code, out) == (1, "")
     assert err == "varjet: non-finite interior residual for equation 'el:u'\n"
+
+
+# -- fuzzing the problem-file reader --------------------------------------------
+
+# index words of at most four letters over the two independents
+words = st.text(alphabet="tx", max_size=4)
+u_jets = words.map(lambda word: "u_" + word if word else "u")
+jet_names = st.builds(lambda dep, word: dep + ("_" + word if word else ""),
+                      st.sampled_from("uv"), words)
+momentum_names = st.builds(lambda tag, word, i: f"p{tag}_{word}.{i}",
+                           st.sampled_from(["", "^u", "^v"]), words, st.sampled_from("tx"))
+atoms = st.one_of(st.integers(min_value=0, max_value=99).map(str), st.sampled_from("tx"),
+                  u_jets, u_jets, jet_names, momentum_names)
+expressions = st.recursive(atoms, lambda inner: st.one_of(
+    st.builds(lambda a, op, b: f"{a} {op} {b}", inner, st.sampled_from("+-*/"), inner),
+    inner.map(lambda a: f"({a})"),
+    inner.map(lambda a: f"-{a}"),
+    st.builds(lambda a, e: f"{a}^{e}", inner, st.integers(min_value=0, max_value=9))),
+    max_leaves=6)
+# any text over the characters of the format, for what the grammar never builds
+scraps = st.text(alphabet="tuvpx_.^*/+-()0123456789 =#;,", max_size=24)
+values = {
+    "independents": st.sampled_from(["t x", "x", "t, x", "x x", "", "u", "t_x"]),
+    "dependents": st.sampled_from(["u", "u v", "v,u", "x", "", "p"]),
+    "lagrangian": expressions,
+    "order": st.integers(min_value=-1, max_value=4).map(str),
+    "seed": st.integers(min_value=-3, max_value=3).map(str),
+    "rank_samples": st.integers(min_value=0, max_value=3).map(str),
+    "rho": st.lists(expressions, min_size=1, max_size=3).map("; ".join),
+}
+
+
+def entries(keys, junk):
+    return st.sampled_from(keys).flatmap(
+        lambda key: (st.one_of(values[key], scraps) if junk else values[key]).map(
+            lambda value: f"{key} = {value}"))
+
+
+# the required keys with names that parse, then optional keys once each
+whole_files = st.builds(
+    lambda i, d, lag, rest: "\n".join(
+        [f"independents = {i}", f"dependents = {d}", f"lagrangian = {lag}"] + rest),
+    st.sampled_from(["t x", "x"]), st.sampled_from(["u", "u v"]), expressions,
+    st.lists(entries(["order", "seed", "rank_samples", "rho"], junk=False),
+             max_size=3, unique_by=lambda line: line.split("=")[0]))
+any_lines = st.lists(st.one_of(entries(sorted(values), junk=True), scraps),
+                     max_size=6).map("\n".join)
+# two whole files to one of any lines, so most examples reach the constructions
+problem_texts = st.sampled_from([whole_files, whole_files, any_lines]).flatmap(lambda s: s)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=problem_texts,
+       command=st.sampled_from(["el", "legendre", "elh", "constraints", "hessian",
+                                "energy", "reduce", "shift", "prolong"]),
+       fmt=st.sampled_from(cli.FORMATS))
+def test_problem_file_reader_never_raises(tmp_path_factory, text, command, fmt):
+    path = tmp_path_factory.getbasetemp() / "fuzz.problem"
+    path.write_text(text + "\n", encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, str(path), "--format", fmt])
+    assert code in (0, 1, 2)

@@ -131,21 +131,21 @@ def one_row(ctx, text):
 
 def test_fd_prolong_constant_field():
     # the stencil weights sum to zero exactly, so every jet of a constant is 0
-    ctx = JetContext(("x",), ("u",), max_order=4)
+    ctx = JetContext(("x",), ("u",))
     g, _ = grid_1d(64, 1.0, lambda x: np.full_like(x, 2.5))
     for jet in ("u_x", "u_xx", "u_xxx", "u_xxxx"):
         assert residual(one_row(ctx, jet), g)["r"] <= 1e-12
 
 
 def test_fd_prolong_cubic():
-    ctx = JetContext(("x",), ("u",), max_order=4)
+    ctx = JetContext(("x",), ("u",))
     g, _ = grid_1d(101, 1.0, lambda x: x ** 3)
     assert residual(one_row(ctx, "u_xx - 6*x"), g)["r"] <= 1e-9
 
 
 def test_fd_prolong_soliton_ux():
     # closed-form derivative oracle: u_x = -(c/2) sech^2(sqrt(c)/2 (x - c t))
-    ctx = JetContext(("t", "x"), ("u", "v"), max_order=4)
+    ctx = JetContext(("t", "x"), ("u", "v"))
     g = soliton_grid(64, 512, c=1.0, box=6.0)
     T, X = g.meshes()
     g.fields["v"] = -0.5 / np.cosh(0.5 * (X - T)) ** 2
@@ -153,14 +153,14 @@ def test_fd_prolong_soliton_ux():
 
 
 def test_fd_prolong_grid_too_small():
-    ctx = JetContext(("x",), ("u",), max_order=4)
+    ctx = JetContext(("x",), ("u",))
     g, _ = grid_1d(5, 1.0, lambda x: x)
     with pytest.raises(GridTooSmallError):
         residual(one_row(ctx, "u_xxxx"), g)
 
 
 def test_fd_prolong_mixed_partial_order_independent():
-    ctx = JetContext(("t", "x"), ("u", "v"), max_order=4)
+    ctx = JetContext(("t", "x"), ("u", "v"))
     g = soliton_grid(48, 48, box=4.0)
     u = g.fields["u"]
     stencil = numeric._apply_stencil
@@ -368,7 +368,7 @@ def test_residual_in_several_bands_matches_full_prolongation(ctx_tx, monkeypatch
 
 @pytest.mark.parametrize("which", ["el", "elh", "hdw"])
 def test_residual_in_several_bands_on_three_axes(monkeypatch, which):
-    ctx = JetContext(("t", "x", "y"), ("u",), max_order=4)
+    ctx = JetContext(("t", "x", "y"), ("u",))
     lag = LagrangianDensity(ctx, parse("1/2*u_t^2 - 1/2*u_x^2 - 1/2*u_y^2", ctx), order=1)
     system = system_of(lag, which)
     theta = None if which == "el" else legendre_form(lag)
@@ -418,7 +418,7 @@ def test_residual_memory_is_the_fields_and_one_band():
     # the ELH residual of a 64^3 wave: a full-grid computation (a jet, pass,
     # momentum and temporary each on the whole grid) peaked at 13.0 times
     # the field's bytes, the band-streamed one at 3.1
-    ctx = JetContext(("t", "x", "y"), ("u",), max_order=4)
+    ctx = JetContext(("t", "x", "y"), ("u",))
     lag = LagrangianDensity(ctx, parse("1/2*u_t^2 - 1/2*u_x^2 - 1/2*u_y^2", ctx), order=1)
     g = wave3_grid(64)
     system, theta = elh_system(lag), legendre_form(lag)
@@ -561,7 +561,7 @@ def test_total_derivative_numeric_consistency(ctx_tx):
     for _ in range(5):
         e = random_expr(rng, pool, max_monomials=3, max_factors=2, max_exp=2)
         direct = np.broadcast_to(
-            np.asarray(evaluate(total_derivative(e, 1, ctx_tx), samples),
+            np.asarray(evaluate(total_derivative(e, 1), samples),
                        dtype=float), g.shape)
         base = np.broadcast_to(
             np.asarray(evaluate(e, samples), dtype=float), g.shape).copy()
@@ -573,10 +573,10 @@ def test_total_derivative_numeric_consistency(ctx_tx):
 
 
 def test_total_derivative_primed_on_momenta(ctx_tx):
-    from varjet.jetcalc import total_derivative_primed
+    from varjet.jetcalc import total_derivative
     dc = DerivedContext(ctx_tx, 1)
     e = parse("p_x.x*u_x", ctx_tx)
-    got = total_derivative_primed(e, 0, dc)
+    got = total_derivative(dc.embed(e), 0)
     assert got == parse("p_x.x,_t*u_x + p_x.x*u_x,_t", dc.ctx)
 
 
@@ -586,7 +586,7 @@ def test_momentum_enumeration_count():
     for n, m, l in ((1, 1, 0), (2, 1, 1), (2, 2, 2), (3, 2, 1)):
         names_i = ("t", "x", "y")[:n]
         names_d = ("u", "v")[:m]
-        ctx = JetContext(names_i, names_d, max_order=l + 2)
+        ctx = JetContext(names_i, names_d)
         count = sum(comb(n + k - 1, k) for k in range(l + 1))
         assert len(ctx.momenta_up_to(l)) == m * n * count
 

@@ -12,7 +12,6 @@ from varjet.symcore import (
     CoordinateId,
     Expr,
     JetContext,
-    OrderOverflowError,
     ParseError,
     UnsupportedExpressionError,
     parse,
@@ -90,7 +89,7 @@ def test_parse_momentum_names(ctx_tx):
 
 
 def test_parse_momentum_dependent_tag():
-    ctx = JetContext(("t", "x"), ("u", "v"), max_order=3)
+    ctx = JetContext(("t", "x"), ("u", "v"))
     p = parse("p^v_x.t", ctx).coordinates()[0]
     assert p.alpha == 1 and p.i == 0
     assert ctx.name(p) == "p^v_x.t"
@@ -117,8 +116,6 @@ def test_parse_errors(ctx_tx):
         E(ctx_tx, "w + 1")  # unknown identifier
     with pytest.raises(ParseError):
         E(ctx_tx, "u_q")  # malformed subscript
-    with pytest.raises(OrderOverflowError):
-        E(ctx_tx, "u_xxxxx")  # exceeds max_order 4
     with pytest.raises(UnsupportedExpressionError):
         E(ctx_tx, "1/u")  # division by non-constant
     with pytest.raises(UnsupportedExpressionError):
@@ -261,7 +258,7 @@ def test_coordinate_equality_and_order():
     a = CoordinateId.jet(0, I1)
     b = CoordinateId.jet(0, I2)
     assert a == b and hash(a) == hash(b)
-    ctx = JetContext(("t", "x"), ("u",), max_order=3)
+    ctx = JetContext(("t", "x"), ("u",))
     names = [ctx.name(c) for c in sorted(
         [CoordinateId.momentum(0, MultiIndex(), 1),
          CoordinateId.jet(0, MultiIndex.of(1)),
