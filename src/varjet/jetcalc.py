@@ -10,7 +10,7 @@ is total_derivative(dc.embed(e), i) for a derived context dc (pdham).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Dict, List, Tuple
 
 from .multiindex import EMPTY, MultiIndex, multiindices_up_to
 from .symcore import (
@@ -19,6 +19,8 @@ from .symcore import (
     CoordinateId,
     Expr,
     JetContext,
+    Monomial,
+    Term,
     VarjetError,
     WrongDomainError,
     parse,
@@ -27,17 +29,46 @@ from .symcore import (
 
 
 def total_derivative(e: Expr, i: int) -> Expr:
-    """D_i e for a jet-side expression; raises the jet order by at most one."""
-    parts = [e.partial(CoordinateId.independent(i))]
-    for c in e.coordinates():
-        if c.kind == MOMENTUM:
-            raise WrongDomainError(
-                "total_derivative acts on jet-side expressions; momenta present "
-                "(for momenta, differentiate dc.embed(e) in a derived context dc)")
-        if c.kind == JET:
-            parts.append(e.partial(c) * Expr.coord(
-                CoordinateId.jet(c.alpha, c.index.with_index(i))))
-    return Expr.sum(parts)
+    """D_i e for a jet-side expression; raises the jet order by at most one.
+
+    One pass over the terms: in each, every factor (x^i)^p gives
+    p (x^i)^(p-1) and every factor (u_I^a)^p gives p (u_I^a)^(p-1) u_{Ii}^a,
+    and all the new terms are normalised together.
+    """
+    lifted: Dict[tuple, CoordinateId] = {}  # key of u_I^a -> u_{Ii}^a
+    out: List[Term] = []
+    for mono, coeff in e.terms:
+        for k, (c, p) in enumerate(mono):
+            kind = c.kind
+            if kind == JET:
+                d = lifted.get(c._key)
+                if d is None:
+                    d = lifted[c._key] = CoordinateId.jet(c.alpha, c.index.with_index(i))
+                out.append((_lifted(mono, k, d), coeff * p if p > 1 else coeff))
+            elif kind == MOMENTUM:
+                raise WrongDomainError(
+                    "total_derivative acts on jet-side expressions; momenta present "
+                    "(for momenta, differentiate dc.embed(e) in a derived context dc)")
+            elif c.i == i:
+                lowered = mono[:k] + ((c, p - 1),) + mono[k + 1:] if p > 1 \
+                    else mono[:k] + mono[k + 1:]
+                out.append((lowered, coeff * p if p > 1 else coeff))
+    return Expr(out)
+
+
+def _lifted(mono: Monomial, k: int, d: CoordinateId) -> Monomial:
+    """mono with the exponent of its k-th factor lowered by one and that of d,
+    a coordinate sorting after the k-th, raised by one."""
+    c, p = mono[k]
+    head = mono[:k] + ((c, p - 1),) if p > 1 else mono[:k]
+    key = d._key
+    for j in range(k + 1, len(mono)):
+        cj, q = mono[j]
+        if cj._key >= key:
+            if cj._key == key:
+                return head + mono[k + 1:j] + ((cj, q + 1),) + mono[j + 1:]
+            return head + mono[k + 1:j] + ((d, 1),) + mono[j:]
+    return head + mono[k + 1:] + ((d, 1),)
 
 
 def iterated_total_derivative(e: Expr, J: MultiIndex) -> Expr:

@@ -518,7 +518,7 @@ def load_grid(path: str) -> GridFunction:
                       f"{size - fh.tell()} present")
         try:
             header = json.loads(fh.read(hlen).decode("utf-8"))
-        except ValueError:  # invalid UTF-8 or invalid JSON
+        except (ValueError, RecursionError):  # invalid UTF-8 or JSON, or nested too deep
             raise bad("header is not valid JSON") from None
         if not isinstance(header, dict):
             raise bad("header is not a JSON object")

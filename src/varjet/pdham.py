@@ -31,6 +31,7 @@ from .symcore import (
     JetContext,
     VarjetError,
     WrongDomainError,
+    _factor_key,
     render,
     row_echelon,
 )
@@ -59,6 +60,8 @@ class DerivedContext:
             fiber = base.jets_up_to(level + 1) + base.momenta_up_to(level)
         self.fiber: Tuple[CoordinateId, ...] = tuple(fiber)
         self._alpha: Dict[CoordinateId, int] = {c: k for k, c in enumerate(self.fiber)}
+        # the derived zero-jet of each fiber coordinate, by the coordinate's key
+        self._deps = {c._key: CoordinateId.jet(k, EMPTY) for k, c in enumerate(self.fiber)}
         self.ctx = JetContext(base.independents, tuple(base.name(c) for c in self.fiber),
                               jet_style="comma")
 
@@ -66,7 +69,7 @@ class DerivedContext:
         return c in self._alpha
 
     def dep(self, c: CoordinateId) -> CoordinateId:
-        return CoordinateId.jet(self._alpha[c], EMPTY)
+        return self._deps[c._key]
 
     def comma(self, c: CoordinateId, i: int) -> CoordinateId:
         return CoordinateId.jet(self._alpha[c], MultiIndex.of(i))
@@ -75,16 +78,29 @@ class DerivedContext:
         return self.fiber[alpha]
 
     def embed(self, e: Expr) -> Expr:
-        """Base expression (jets and momenta of the fiber) -> derived expression."""
-        mapping: Dict[CoordinateId, Expr] = {}
-        for c in e.coordinates():
-            if c.kind == INDEPENDENT:
-                continue
-            if c not in self._alpha:
-                raise WrongDomainError(
-                    f"coordinate {self.base.name(c)} is not part of the derived fiber")
-            mapping[c] = Expr.coord(self.dep(c))
-        return e.substitute(mapping)
+        """Base expression (jets and momenta of the fiber) -> derived expression.
+
+        A relabelling: each fiber coordinate in a factor becomes its derived
+        zero-jet, independents stay, the factors are re-sorted and the terms
+        normalised once.
+        """
+        deps = self._deps
+        terms = []
+        for mono, coeff in e.terms:
+            factors = []
+            for c, p in mono:
+                if c.kind != INDEPENDENT:
+                    d = deps.get(c._key)
+                    if d is None:
+                        missing = next(x for x in e.coordinates()
+                                       if x.kind != INDEPENDENT and x not in self._alpha)
+                        raise WrongDomainError(f"coordinate {self.base.name(missing)} "
+                                               "is not part of the derived fiber")
+                    c = d
+                factors.append((c, p))
+            factors.sort(key=_factor_key)
+            terms.append((tuple(factors), coeff))
+        return Expr(terms)
 
 
 def _momentum_label(ctx: JetContext, alpha: int, I: MultiIndex) -> str:
@@ -171,6 +187,12 @@ def _symmetric(upper: List[list]) -> List[list]:
             for r in range(n)]
 
 
+def _value_at(e: Expr, point: Dict[CoordinateId, Expr]) -> Optional[Fraction]:
+    """The value of e at the point, or None if the point leaves a coordinate of e free."""
+    value = e.constant_value()
+    return e.substitute(point).constant_value() if value is None else value
+
+
 def hessian(lag: LagrangianDensity, *, samples: int = 5,
             seed: int = 0) -> Tuple[HessianMatrix, RankReport]:
     """The Hessian in the jets of order l+1, with a sampled exact-rank report.
@@ -178,9 +200,11 @@ def hessian(lag: LagrangianDensity, *, samples: int = 5,
     The rank is computed by exact elimination after evaluating the jet
     coordinates at random rational points; the report carries the maximum
     observed rank and whether it stayed constant across samples (the verdict
-    is probabilistic, repetitions and seed configurable).  The matrix is
-    symmetric: each entry on or above the diagonal is built and evaluated
-    once, from the gradient in the top jets, and mirrored.
+    is probabilistic, repetitions and seed configurable).  Each distinct
+    sampled matrix is eliminated once, so a constant Hessian takes one
+    elimination however many samples it reports.  The matrix is symmetric:
+    each entry on or above the diagonal is built and evaluated once per
+    sample, from the gradient in the top jets, and mirrored.
     """
     ctx = lag.context
     l = lag.level
@@ -195,13 +219,17 @@ def hessian(lag: LagrangianDensity, *, samples: int = 5,
                     key=lambda c: c.sort_key())
     rng = random.Random(seed)
     ranks = []
+    eliminated: Dict[tuple, int] = {}  # rank by sampled matrix: one elimination each
     for _ in range(max(1, samples)):
         point = {c: Expr.number(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
                  for c in coords}
-        values = [[e.substitute(point).constant_value() for e in row] for row in upper]
+        values = tuple(tuple(_value_at(e, point) for e in row) for row in upper)
         if any(v is None for row in values for v in row):
             raise AssertionError("internal error: Hessian entry failed to evaluate")
-        ranks.append(len(row_echelon(_symmetric(values))[1]))
+        rank = eliminated.get(values)
+        if rank is None:
+            rank = eliminated[values] = len(row_echelon(_symmetric(values))[1])
+        ranks.append(rank)
     rank = max(ranks)
     report = RankReport(dim=len(idx), rank=rank, regular=(rank == len(idx)),
                         rank_constant=(len(set(ranks)) == 1), ranks=tuple(ranks),

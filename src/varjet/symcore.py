@@ -11,10 +11,12 @@ mathematical equality.
 Every result that can break the normal form goes through one normalisation
 path, ``_normal_form``: summands and products stream their terms into one
 dict and the merged monomials are sorted once, by keys built from each
-coordinate's stored sort key.  Sums of many parts (the parser, substitution,
-total derivatives, the variational and reduction constructions) make one
-builder call, ``Expr.sum`` or ``Expr(terms)``, so a result is normalised
-once, not once per partial sum.
+coordinate's stored sort key.  Sums of many parts (the parser, total
+derivatives, the variational and reduction constructions) make one builder
+call, ``Expr.sum`` or ``Expr(terms)``, so a result is normalised once, not
+once per partial sum.  Substitution follows Horner's rule: it collects the
+expression on one bound coordinate at a time and makes one product and one
+normalisation per exponent of that coordinate, not one product per monomial.
 Negation, scaling by a nonzero rational and powers of a single term keep the
 order and skip it.  A power of a sum is expanded by the multinomial theorem,
 one term per composition of the exponent, and normalised once.  Products and
@@ -430,11 +432,7 @@ class Expr:
     def __mul__(self, other) -> "Expr":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        a, b = len(self.terms), len(other.terms)
-        if a * b > MAX_TERMS:
-            raise _over_budget(f"the product of a {a}-term and a {b}-term expression", a * b)
-        return Expr([(_mono_mul(m1, m2), c1 * c2)
-                     for m1, c1 in self.terms for m2, c2 in other.terms])
+        return Expr(_product_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -534,36 +532,82 @@ class Expr:
         return Expr(acc)
 
     def substitute(self, bindings: Mapping[CoordinateId, "Expr"]) -> "Expr":
-        """Simultaneous substitution followed by normalization.
+        """Simultaneous substitution of each bound coordinate by its image.
 
-        Each power of a bound coordinate is expanded once per call; every
-        monomial's image streams into one normalisation.
+        Horner's rule: the terms are collected on the largest bound
+        coordinate x that occurs, e = sum_k x^k e_k, and the image is built
+        as (..(e_K'*X + e_{K-1}')*X + ..)*X + e_0', with e_k' the recursively
+        substituted e_k and X the image of x (raised to the gap where
+        exponents are missing).  X is never substituted again, so images may
+        hold bound coordinates.  This makes one product per bound coordinate
+        and exponent instead of one per monomial; each step ``acc*X + e_k'``
+        is one normalisation.
         """
         if not bindings:
             return self
-        powers: Dict[Tuple[CoordinateId, int], Expr] = {}
-        images: List[Term] = []
-        for mono, coeff in self.terms:
-            kept: List[Tuple[CoordinateId, int]] = []
-            bound = None
-            for c, e in mono:
-                base = bindings.get(c)
-                if base is None:
-                    kept.append((c, e))
-                    continue
-                power = powers.get((c, e))
-                if power is None:
-                    power = powers[(c, e)] = base ** e
-                bound = power if bound is None else bound * power
-            rest = tuple(kept)
-            if bound is None:
-                images.append((rest, coeff))
-            else:
-                images.extend([(_mono_mul(m, rest), k * coeff) for m, k in bound.terms])
-        return Expr(images)
+        images = {c._key: image.terms for c, image in bindings.items()}
+        out = _substituted(self.terms, images, {})
+        return self if out is None else _canonical(out)
 
     def __repr__(self):
         return f"Expr<{len(self.terms)} terms>"
+
+
+def _product_terms(a: Tuple[Term, ...], b: Tuple[Term, ...]) -> List[Term]:
+    """The terms of a product, like monomials not yet merged; refused over MAX_TERMS."""
+    if len(a) * len(b) > MAX_TERMS:
+        raise _over_budget(f"the product of a {len(a)}-term and a {len(b)}-term expression",
+                           len(a) * len(b))
+    return [(_mono_mul(m1, m2), c1 * c2) for m1, c1 in a for m2, c2 in b]
+
+
+def _substituted(terms, images: Dict[tuple, Tuple[Term, ...]],
+                 powers: Dict[Tuple[tuple, int], Tuple[Term, ...]]) -> Optional[Tuple[Term, ...]]:
+    """The normal form of ``terms`` (distinct monomials in any order) with
+    every coordinate whose key ``images`` binds replaced by its image, by
+    Horner's rule on the largest bound coordinate; None when none occurs.
+    ``powers`` caches the images' powers above the first over one substitution."""
+    top = None
+    for mono, _ in terms:
+        for c, _ in reversed(mono):  # factors ascend: the first bound one is the largest
+            key = c._key
+            if key in images:
+                if top is None or top < key:
+                    top = key
+                break
+    if top is None:
+        return None
+    parts: Dict[int, List[Term]] = {}  # exponent of the top coordinate -> cofactor terms
+    for term in terms:
+        mono = term[0]
+        for k, (c, e) in enumerate(mono):
+            if c._key == top:
+                parts.setdefault(e, []).append((mono[:k] + mono[k + 1:], term[1]))
+                break
+        else:
+            parts.setdefault(0, []).append(term)
+    acc = None
+    for k in sorted(parts, reverse=True):
+        inner = _substituted(parts[k], images, powers)
+        if inner is None:
+            inner = parts[k]
+        if acc is not None:  # acc*X^(last-k) + e_k', normalised once
+            step = _image_power(top, last - k, images, powers)
+            inner = _normal_form(chain(_product_terms(acc, step), inner))
+        acc, last = inner, k
+    if last:
+        acc = _normal_form(_product_terms(acc, _image_power(top, last, images, powers)))
+    return acc
+
+
+def _image_power(key: tuple, e: int, images, powers) -> Tuple[Term, ...]:
+    """The terms of the image of the coordinate with ``key`` to the power e >= 1."""
+    if e == 1:
+        return images[key]
+    power = powers.get((key, e))
+    if power is None:
+        power = powers[(key, e)] = (_canonical(images[key]) ** e).terms
+    return power
 
 
 def _multinomial_terms(terms: Tuple[Term, ...], e: int) -> List[Term]:
@@ -862,23 +906,32 @@ def _render(e: Expr, name, power, coeff_text, joiner: str) -> str:
         return "0"
     spelled: Dict[Tuple[CoordinateId, int], str] = {}
     parts: List[str] = []
-    for mono, coeff in e.terms:
-        factors = []
-        for factor in mono:
-            text = spelled.get(factor)
-            if text is None:
-                c, p = factor
-                text = spelled[factor] = name(c) + (power(p) if p > 1 else "")
-            factors.append(text)
-        mag = abs(coeff)
-        if mag != 1 or not factors:
-            factors.insert(0, coeff_text(mag))
-        body = joiner.join(factors)
-        if parts:
-            parts.append((" + " if coeff > 0 else " - ") + body)
-        else:
-            parts.append(body if coeff > 0 else "-" + body)
+    try:
+        for mono, coeff in e.terms:
+            factors = []
+            for factor in mono:
+                text = spelled.get(factor)
+                if text is None:
+                    c, p = factor
+                    text = spelled[factor] = name(c) + (power(p) if p > 1 else "")
+                factors.append(text)
+            mag = abs(coeff)
+            if mag != 1 or not factors:
+                factors.insert(0, coeff_text(mag))
+            body = joiner.join(factors)
+            if parts:
+                parts.append((" + " if coeff > 0 else " - ") + body)
+            else:
+                parts.append(body if coeff > 0 else "-" + body)
+    except ValueError:  # an int past Python's digit limit on int text
+        raise _over_digit_limit() from None
     return "".join(parts)
+
+
+def _over_digit_limit() -> UnsupportedExpressionError:
+    return UnsupportedExpressionError(
+        f"a coefficient or exponent of the result is over the limit of "
+        f"{_digit_limit()} digits")
 
 
 def expr_to_json(e: Expr, ctx: JetContext) -> dict:
@@ -890,10 +943,13 @@ def expr_to_json(e: Expr, ctx: JetContext) -> dict:
             text = names[c] = ctx.name(c)
         return text
 
-    return {
-        "monomials": [
-            {"coeff": str(coeff),
-             "factors": [[name(c), p] for c, p in mono]}
-            for mono, coeff in e.terms
-        ]
-    }
+    try:
+        return {
+            "monomials": [
+                {"coeff": str(coeff),
+                 "factors": [[name(c), p] for c, p in mono]}
+                for mono, coeff in e.terms
+            ]
+        }
+    except ValueError:  # an int past Python's digit limit on int text
+        raise _over_digit_limit() from None

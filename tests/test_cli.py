@@ -356,6 +356,11 @@ def digit_limit():
     sys.set_int_max_str_digits(old)
 
 
+OVER_DIGITS = "a coefficient or exponent of the result is over the limit of 4300 digits"
+# each literal under the limit, their product (folded by the term reader) not
+PRODUCT_OVER_DIGITS = "7" * 3000 + "*" + "7" * 3000 + "*u_x^2"
+
+
 @pytest.mark.parametrize("lagrangian, message", [
     ("u_x^" + "9" * 5000, "parse error: integer literal of 5000 digits, over the limit of "
                           "4300 digits (line 1, column 5)"),
@@ -366,14 +371,28 @@ def digit_limit():
     # 3^3000000 has 1431364 digits: refused before it is built
     ("(3*u_x)^3000000", "the power 3000000 of a 1-term expression may have coefficients "
                         "over the limit of 4300 digits"),
-], ids=["exponent", "number_exponent", "coefficient", "power_coefficient"])
+    # past the limit only after parsing: the folded product, and el's second
+    # derivative N*(N-1)*u_x^(N-2)*u_xx, end at the writers
+    (PRODUCT_OVER_DIGITS, OVER_DIGITS),
+    ("u_x^" + "9" * 3000, OVER_DIGITS),
+], ids=["exponent", "number_exponent", "coefficient", "power_coefficient",
+        "product_coefficient", "derived_coefficient"])
 def test_integer_over_the_digit_limit_is_domain_error(capsys, tmp_path, digit_limit,
                                                       lagrangian, message):
     path = tmp_path / "digits.problem"
     path.write_text(f"independents = x\ndependents = u\nlagrangian = {lagrangian}\n")
-    code, out, err = run(capsys, "el", str(path))
+    for fmt in ("plain", "latex", "json"):
+        code, out, err = run(capsys, "el", str(path), "--format", fmt)
+        assert (code, out) == (1, ""), fmt
+        assert err == f"varjet: {message}\n", fmt
+
+
+def test_energy_json_over_the_digit_limit_is_domain_error(capsys, tmp_path, digit_limit):
+    path = tmp_path / "digits.problem"
+    path.write_text(f"independents = x\ndependents = u\nlagrangian = {PRODUCT_OVER_DIGITS}\n")
+    code, out, err = run(capsys, "energy", str(path), "--format", "json")
     assert (code, out) == (1, "")
-    assert err == f"varjet: {message}\n"
+    assert err == f"varjet: {OVER_DIGITS}\n"
 
 
 def test_usage_error_exits_2(kdv_problem):
@@ -516,6 +535,8 @@ NORMAL_H4 = "each h**4 must be a normal float (finite, nonzero and not subnormal
     (b"VJGRID1\n" + struct.pack("<I", 99) + b"{}",
      "truncated header: 99 bytes declared, 2 present"),
     (b"VJGRID1\n" + struct.pack("<I", 3) + b"{x}", "header is not valid JSON"),
+    # nested past the JSON reader's recursion limit
+    (b"VJGRID1\n" + struct.pack("<I", 100_000) + b"[" * 100_000, "header is not valid JSON"),
     (b"VJGRID1\n" + struct.pack("<I", 2) + b"[]", "header is not a JSON object"),
     (grid_bytes({k: v for k, v in GRID_HEADER.items() if k != "axes"}),
      "header is missing the key 'axes'"),
@@ -545,7 +566,8 @@ NORMAL_H4 = "each h**4 must be a normal float (finite, nonzero and not subnormal
     (grid_bytes(spacing=[1e-100, 0.5]), f"grid spacings [1e-100, 0.5] are out of range: {NORMAL_H4}"),
     # 1e-320 is nonzero, but dividing by it overflows
     (grid_bytes(spacing=[0.5, 1e-80]), f"grid spacings [0.5, 1e-80] are out of range: {NORMAL_H4}"),
-], ids=["magic", "header_length", "header_short", "header_json", "header_object",
+], ids=["magic", "header_length", "header_short", "header_json", "header_nesting",
+        "header_object",
         "no_axes", "no_shape", "no_origin", "no_spacing", "no_fields", "axes_type",
         "rank", "shape_negative", "shape_float", "origin_length", "spacing_type",
         "spacing_zero", "fields_repeat", "data_short", "data_extra", "spacing_infinite",

@@ -2,7 +2,8 @@
 
 The derivation goldens (tests/golden/derive/) hold the stdout of every
 derivation subcommand in every format for the three sample problems and three
-derive-ladder problems (tests/golden/problems/).  The `check-solution
+derive-ladder problems (tests/golden/problems/), and the plain `reduce` stdout
+of one larger regular density past the ladder.  The `check-solution
 --format json` report prints each max-abs residual with full float
 precision, so its byte comparison pins every residual bit.  Every JSON golden
 also validates against its subcommand's schema under schemas/.  The goldens
@@ -61,6 +62,12 @@ SCHEMAS = {"el": "cartan_form", "legendre": "legendre_form", "elh": "equation_sy
            "check-solution": "residual_report"}
 
 
+# a regular (3, 1, 4) density past the derive ladder, where `reduce` substitutes
+# 15 solved top jets of 33 terms each into a 108-term energy, giving a 595-term
+# Hamiltonian: (problem, command, format)
+SCALE_CASE = ("regular-3-1-4", "reduce", "plain")
+
+
 def golden_path(grid: str, system: str) -> str:
     return os.path.join(GOLDEN_DIR, f"{grid}-{system}.json")
 
@@ -90,6 +97,9 @@ def check_solution_json(workdir: str, grid: str, system: str) -> str:
 
 def derive_stdout(problem: str, command: str, fmt: str) -> str:
     """Stdout of `varjet <command> <problem> --format <fmt>`."""
+    if (problem, command, fmt) == SCALE_CASE:
+        return stdout_of([command, os.path.join(GOLDEN_DIR, "problems", f"{problem}.problem"),
+                          "--format", fmt])
     path, shift_args = DERIVE_PROBLEMS[problem]
     extra = shift_args if command == "shift" else []
     return stdout_of([command, path, "--format", fmt, *extra])
@@ -109,7 +119,7 @@ def write_goldens(workdir: str) -> None:
 
 def write_derive_goldens() -> None:
     """Regenerate every derivation golden from the code on the import path."""
-    for case in DERIVE_CASES:
+    for case in DERIVE_CASES + [SCALE_CASE]:
         _write(derive_golden_path(*case), derive_stdout(*case))
 
 
@@ -152,3 +162,7 @@ def test_derive_golden(problem, command, fmt):
     assert_golden(derive_golden_path(problem, command, fmt), got)
     if fmt == "json":
         assert_schema(command, got)
+
+
+def test_reduce_golden_past_the_ladder():
+    assert_golden(derive_golden_path(*SCALE_CASE), derive_stdout(*SCALE_CASE))

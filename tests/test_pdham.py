@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import KDV_L, jet_pool, random_expr, random_lagrangian
-from varjet import cli
+from varjet import cli, pdham
 from varjet.jetcalc import EquationSystem, total_derivative
 from varjet.multiindex import EMPTY, MultiIndex, multiindices_up_to
 from varjet.pdham import (
@@ -216,6 +216,22 @@ def test_hessian_matches_double_partials_randomized():
             ranks.append(len(row_echelon([[e.substitute(point).constant_value() for e in row]
                                           for row in matrix.entries])[1]))
         assert report.ranks == tuple(ranks)
+
+
+def test_constant_hessian_is_eliminated_once(monkeypatch, kdv):
+    # the kdv Hessian is constant: every sample evaluates to the same matrix,
+    # which is eliminated once and reported once per sample
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return row_echelon(matrix)
+
+    monkeypatch.setattr(pdham, "row_echelon", counted)
+    _, report = hessian(kdv, samples=5, seed=3)
+    assert len(calls) == 1
+    assert report.samples == 5 and report.ranks == (1,) * 5
+    assert report.rank == 1 and report.rank_constant
 
 
 # -- energy density -------------------------------------------------------------

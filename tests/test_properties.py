@@ -6,7 +6,8 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from varjet.jetcalc import total_derivative
-from varjet.multiindex import MultiIndex, multiindices_up_to
+from varjet.multiindex import EMPTY, MultiIndex, multiindices_up_to
+from varjet.pdham import DerivedContext
 from varjet.symcore import INDEPENDENT, JET, CoordinateId, Expr, JetContext, parse, render
 
 CTX = JetContext(("t", "x"), ("u",))
@@ -154,6 +155,97 @@ def test_total_derivatives_commute(e, i, j):
 def test_total_derivative_leibniz(a, b, i):
     assert total_derivative(a * b, i) == \
         total_derivative(a, i) * b + a * total_derivative(b, i)
+
+
+# -- the kernel's one-pass routines against the algorithms they replace ---------
+
+def reference_substitute(e, bindings):
+    """Per monomial: the coefficient times each factor's image (or the factor
+    itself) to its exponent, the monomials' images summed."""
+    images = []
+    for mono, coeff in e.terms:
+        image = Expr.number(coeff)
+        for c, p in mono:
+            image = image * (bindings[c] if c in bindings else Expr.coord(c)) ** p
+        images.append(image)
+    return Expr.sum(images)
+
+
+# few coordinates and exponents up to 4, so a bound coordinate meets several
+# powers with gaps between them and images hold bound coordinates
+SUB_POOL = [CoordinateId.independent(0), CoordinateId.jet(0), CoordinateId.jet(1),
+            CoordinateId.jet(0, MultiIndex.of(1)), CoordinateId.momentum(1, EMPTY, 0)]
+U, V = CoordinateId.jet(0), CoordinateId.jet(1)
+
+
+@st.composite
+def powered_exprs(draw, max_terms=5):
+    terms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        term = Expr.number(draw(coefficients))
+        for c in draw(st.lists(st.sampled_from(SUB_POOL), max_size=3, unique=True)):
+            term = term * Expr.coord(c) ** draw(st.integers(min_value=1, max_value=4))
+        terms.append(term)
+    return Expr.sum(terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(powered_exprs(),
+       st.dictionaries(st.sampled_from(SUB_POOL), powered_exprs(max_terms=3), max_size=4),
+       st.booleans())
+def test_substitute_matches_the_per_monomial_reference(e, bindings, swap):
+    if swap:
+        bindings = {**bindings, U: Expr.coord(V), V: Expr.coord(U)}
+    out = e.substitute(bindings)
+    assert out == reference_substitute(e, bindings)
+    assert_canonical(out)
+
+
+def test_substitute_is_simultaneous():
+    ctx = JetContext(("x",), ("u", "v"))
+    e = parse("u^3*v + 2*u - v^2 + 5", ctx)
+    swapped = e.substitute({U: Expr.coord(V), V: Expr.coord(U)})
+    assert swapped == parse("v^3*u + 2*v - u^2 + 5", ctx)
+    # an image holding the bound coordinate itself is not substituted again
+    assert e.substitute({U: parse("u + v", ctx)}) == \
+        parse("(u + v)^3*v + 2*(u + v) - v^2 + 5", ctx)
+
+
+def reference_total_derivative(e, i):
+    """D_i = d/dx^i + sum over the jets u_I^a of e of u_{Ii}^a d/du_I^a."""
+    parts = [e.partial(CoordinateId.independent(i))]
+    for c in e.coordinates():
+        if c.kind == JET:
+            lifted = CoordinateId.jet(c.alpha, c.index.with_index(i))
+            parts.append(e.partial(c) * Expr.coord(lifted))
+    return Expr.sum(parts)
+
+
+JET_SIDE_POOL = [c for c in MIXED_POOL if c.kind in (INDEPENDENT, JET)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_exprs(pool=JET_SIDE_POOL), st.integers(min_value=0, max_value=1))
+def test_total_derivative_matches_the_partials_reference(e, i):
+    out = total_derivative(e, i)
+    assert out == reference_total_derivative(e, i)
+    assert_canonical(out)
+
+
+# a derived context over MIXED_POOL's jets and momenta, listed in reverse so
+# that relabelling reverses the order of factors; its zero-jets share keys
+# with the base jets, so the reference substitution must be simultaneous
+DERIVED = DerivedContext(MIXED_CTX, 1,
+                         [c for c in reversed(MIXED_POOL) if c.kind != INDEPENDENT])
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_exprs())
+def test_embed_matches_substitution_by_coordinates(e):
+    images = {c: Expr.coord(DERIVED.dep(c)) for c in e.coordinates() if c.kind != INDEPENDENT}
+    out = DERIVED.embed(e)
+    assert out == e.substitute(images)
+    assert_canonical(out)
 
 
 @settings(max_examples=80, deadline=None)
