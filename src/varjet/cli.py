@@ -17,7 +17,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .symcore import JetContext, ParseError, VarjetError, expr_to_json, render
+from .symcore import JetContext, ParseError, VarjetError, expr_to_json, json_text, render
 from .jetcalc import EquationSystem, prolong
 from .variational import LagrangianDensity, euler_lagrange, legendre_form
 from .pdham import (
@@ -46,7 +46,7 @@ def _emit(args, text: str) -> None:
 
 
 def _json_dump(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return json_text(payload, sort_keys=True, indent=2)
 
 
 def _render(e, ctx: JetContext, fmt: str) -> str:

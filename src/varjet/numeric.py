@@ -16,6 +16,25 @@ fresh computation would give: u_tx reuses the u_t pass, and the
 comma-derivative u_{,t} is the jet u_t itself.  ``residual`` computes its
 arrays one band of rows along axis 0 at a time, each on the band plus the
 halo its later passes read, so it never holds a full-grid array of its own.
+
+The kernels skip every numpy pass that cannot change an output bit; each
+rule rests on round-to-nearest arithmetic being sign-symmetric:
+
+- ``_apply_stencil`` computes w_k (a_{j+k} - a_j) once for the mirrored
+  taps +k and -k.  The central weights satisfy w_{-k} = (-1)**order w_k
+  exactly, so tap -k's term w_{-k} (a_{i-k} - a_i) is that product read k
+  points back and negated or not: negation commutes with a rounded product
+  or difference, and ``s - x`` is ``s + (-x)``.  The two forms differ only
+  in the sign of a zero term, and the accumulator, which starts as
+  ``0 + t`` (or ``0 - t``) and so is never -0, sums either zero alike.
+- ``evaluate`` multiplies by no coefficient of 1 (``1.0 * x`` is ``x``) and
+  subtracts a term of coefficient -1 after the first (``s + (-1.0 * x)`` is
+  ``s - x``); it sums in place into arrays it allocated itself, with each
+  product and sum taken in the order a term-by-term evaluation takes them.
+- ``_stream`` runs no stencil over a constant momentum (a Legendre
+  coefficient that reads no coordinate evaluates to a finite float): every
+  interior point of such a pass is ``0 + w (c - c) + ... = +0.0``, which is
+  what the residuals read.
 """
 
 from __future__ import annotations
@@ -32,7 +51,15 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .multiindex import MultiIndex, multiindices_up_to
-from .symcore import JET, CoordinateId, Expr, JetContext, VarjetError, row_echelon
+from .symcore import (
+    JET,
+    CoordinateId,
+    Expr,
+    JetContext,
+    UnsupportedExpressionError,
+    VarjetError,
+    row_echelon,
+)
 from .jetcalc import EquationSystem
 from .variational import LegendreForm
 
@@ -47,31 +74,70 @@ class GridTooSmallError(VarjetError):
     pass
 
 
+def _float(coeff: Fraction) -> float:
+    """A coefficient as a float; one past the float range is a domain error."""
+    try:
+        return float(coeff)
+    except OverflowError:  # |coeff| past about 1.8e308
+        exponent = math.floor(math.log10(abs(coeff.numerator)) - math.log10(coeff.denominator))
+        raise UnsupportedExpressionError(
+            f"a coefficient of about 10^{exponent} is out of the float range") from None
+
+
+def _combine(op, a, b, a_mine: bool, b_mine: bool):
+    """``op(a, b)`` and whether evaluate owns it: written over an operand
+    that evaluate allocated and that has the result's shape, else new."""
+    if a_mine and (np.ndim(b) == 0 or np.shape(b) == a.shape):
+        return op(a, b, out=a), True
+    if b_mine and (np.ndim(a) == 0 or np.shape(a) == b.shape):
+        return op(a, b, out=b), True
+    value = op(a, b)
+    return value, isinstance(value, np.ndarray)
+
+
 def evaluate(e: Expr, sample: Mapping[CoordinateId, object],
              powers: Optional[Dict[Tuple[CoordinateId, int], object]] = None):
     """Evaluate a polynomial at a sample; values may be floats or numpy arrays.
 
     Each power ``sample[c] ** p`` with p > 1 is computed once and kept in
     ``powers`` under (c, p); calls that pass one dict for one sample share
-    their powers.
+    their powers.  The value is bit for bit the term-by-term sum
+    ``((t_1 + t_2) + ...)`` with each term ``coeff * f_1 * f_2 * ...``: a
+    coefficient of 1 is not multiplied (``1.0 * x`` is ``x``), a term of
+    coefficient -1 after the first is subtracted (``s + (-1.0 * x)`` is
+    ``s - x``), and products and sums are written in place over arrays this
+    call allocated.  It never writes into a sample value or a cached power,
+    and never returns one, so the caller owns an array it returns.
     """
     if powers is None:
         powers = {}
-    total = None
+    total, mine = None, False  # the sum so far, and whether evaluate allocated it
     for mono, coeff in e.terms:
-        term = float(coeff)
+        factors = []
         for c, p in mono:
             if c not in sample:
                 raise MissingFieldError(f"sample is missing coordinate {c}")
             if p == 1:
-                term = term * sample[c]
+                factors.append(sample[c])
                 continue
             if (c, p) not in powers:
                 powers[(c, p)] = sample[c] ** p
-            term = term * powers[(c, p)]
-        total = term if total is None else total + term
+            factors.append(powers[(c, p)])
+        w = _float(coeff)
+        unit = bool(factors) and (w == 1.0 or (w == -1.0 and total is not None))
+        term, rest = (factors[0], factors[1:]) if unit else (w, factors)
+        own = False
+        for f in rest:
+            term, own = _combine(np.multiply, term, f, own, False)
+        if total is None:
+            total, mine = term, own
+        else:
+            op = np.subtract if unit and w < 0 else np.add
+            total, mine = _combine(op, total, term, mine, own)
     if total is None:
         return 0.0
+    if not mine and isinstance(total, np.ndarray):
+        total = total.copy()  # a lone sample value or power, as 1.0 * x would copy it
     return total
 
 
@@ -163,50 +229,60 @@ def _apply_stencil(arr: np.ndarray, axis: int, order: int, h: float) -> np.ndarr
     """1-D central stencil along one axis; the boundary band becomes NaN.
 
     Every interior point gets
-    ``(((0 + w_0 (a_{-r} - a_0)) + w_1 (a_{1-r} - a_0)) + ...) / h**order``
-    over the taps other than the center: the weights sum to zero exactly, so
-    constants are annihilated bit-exactly.  The output is computed in bands
-    of about BAND_ELEMENTS elements along axis 0, in place in two preallocated
-    buffers, with the operations above in that order for each element.
+    ``(((0 + t_{-r}) + t_{1-r}) + ... + t_r) / h**order`` over the taps other
+    than the center, tap o being ``w_o (a_{i+o} - a_i)``: the weights sum to
+    zero exactly, so constants are annihilated bit-exactly.  Mirrored taps
+    share one product: with q_k[j] = w_k (a_{j+k} - a_j), tap +k is q_k[i]
+    and tap -k is (-1)**(order+1) q_k[i-k], added or subtracted (bit for bit
+    the same term, see the module docstring); that is 4r + 1 passes for a
+    radius-r stencil.
+
+    The output is computed in bands of about BAND_ELEMENTS elements along
+    axis 0, in preallocated buffers.  Each pass runs over a band as one
+    contiguous run of the flattened array, where the neighbour k points
+    along the axis is k * stride elements on; along any axis but 0 that run
+    also covers the axis's boundary points, which read neighbours across
+    the band's other indices and are set to NaN at the end.
     """
     if order == 0:
         return arr
-    arr = np.asarray(arr, dtype=np.float64)
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
     r = stencil_radius(order)
     n = arr.shape[axis]
     _check_axis(n, r)
-    taps = [(k - r, w) for k, w in enumerate(fd_weights(order, r)) if k != r]
+    weights = fd_weights(order, r)[r + 1:]  # w_1 .. w_r; w_{-k} = (-1)**order w_k
+    mirror = np.add if order % 2 else np.subtract  # applies tap -k's sign
     scale = h ** order
     out = np.empty(arr.shape)
+    flat, flat_out = arr.reshape(-1), out.reshape(-1)
+    stride = math.prod(arr.shape[axis + 1:])  # elements from a point to its neighbour
+    row = math.prod(arr.shape[1:])  # elements per index of axis 0
+    # the runs start and end r neighbours inside the array along the axis
+    first, last, pad = (r, n - r, 0) if axis == 0 else (0, arr.shape[0], r * stride)
+    step = max(1, BAND_ELEMENTS // row)
+    size = min(step, last - first) * row
+    acc_buf = np.empty(size)
+    q_bufs = [np.empty(size + r * stride) for _ in weights]
+    for lo in range(first, last, step):
+        start, stop = lo * row + pad, min(lo + step, last) * row - pad
+        m = stop - start
+        q = []
+        for k, (w, buf) in enumerate(zip(weights, q_bufs), 1):
+            # q_k from k neighbours before the run to its end
+            qk = buf[:m + k * stride]
+            np.subtract(flat[start:stop + k * stride], flat[start - k * stride:stop], out=qk)
+            np.multiply(qk, w, out=qk)
+            q.append(qk)
+        acc = acc_buf[:m]
+        for k in range(r, 0, -1):  # taps -r .. -1
+            # 0 + x, not x: a first term of -0 sums to +0
+            mirror(acc if k < r else 0.0, q[k - 1][:m], out=acc)
+        for k in range(1, r + 1):  # taps 1 .. r
+            np.add(acc, q[k - 1][k * stride:k * stride + m], out=acc)
+        np.divide(acc, scale, out=flat_out[start:stop])
     edge = (slice(None),) * axis
     out[edge + (slice(0, r),)] = np.nan
     out[edge + (slice(n - r, n),)] = np.nan
-
-    def window(lo: int, hi: int, o: int) -> tuple:
-        """Rows lo..hi of axis 0, shifted by the tap offset o along the axis."""
-        if axis == 0:
-            return (slice(lo + o, hi + o),)
-        return (slice(lo, hi),) + edge[1:] + (slice(r + o, n - r + o),)
-
-    first, last = (r, n - r) if axis == 0 else (0, arr.shape[0])
-    inner = list(arr.shape[1:])
-    if axis:
-        inner[axis - 1] = n - 2 * r
-    step = max(1, BAND_ELEMENTS // max(1, math.prod(inner)))
-    acc_buf = np.empty([min(step, last - first)] + inner)
-    term_buf = np.empty_like(acc_buf)
-    for lo in range(first, last, step):
-        hi = min(lo + step, last)
-        acc, term = acc_buf[:hi - lo], term_buf[:hi - lo]
-        center = arr[window(lo, hi, 0)]
-        for tap, (o, w) in enumerate(taps):
-            np.subtract(arr[window(lo, hi, o)], center, out=term)
-            np.multiply(term, w, out=term)
-            if tap:
-                np.add(acc, term, out=acc)
-            else:  # 0 + x, not x: a first term of -0 sums to +0
-                np.add(term, 0.0, out=acc)
-        np.divide(acc, scale, out=out[window(lo, hi, 0)])
     return out
 
 
@@ -376,6 +452,14 @@ def _schedule(equations, inputs: Dict[CoordinateId, Dict[CoordinateId, Key]]):
     return steps, dead
 
 
+def _evaluated(where: str, e: Expr, sample, powers):
+    """``evaluate``, with ``where`` naming the expression in a domain error."""
+    try:
+        return evaluate(e, sample, powers)
+    except UnsupportedExpressionError as exc:  # a coefficient past the float range
+        raise UnsupportedExpressionError(f"{where}: {exc}") from None
+
+
 # an overflow, and the NaN of a difference of infinities, make a row
 # non-finite, which _stream reports as a domain error rather than a warning
 @np.errstate(over="ignore", invalid="ignore")
@@ -391,7 +475,10 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
     band plus its halo (see _halos) and is dropped once nothing later in the
     band reads it.  Every element a band keeps goes through the operations
     of a full-grid computation in the same order, and a maximum is exact, so
-    the residuals are bit-identical to a full-grid computation's.  A band
+    the residuals are bit-identical to a full-grid computation's.  A pass
+    over a constant momentum is not run: its interior points, the only ones
+    the residuals read, are exactly +0.0, and it becomes a broadcast 0.0
+    (the grid checks above still cover its stencil).  A band
     holds about BAND_ELEMENTS elements, and is at least twice as high as the
     deepest halo, so that no array is computed on more than twice the band.
     """
@@ -404,6 +491,10 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
         raise GridTooSmallError("grid too small for the stencil margins")
     inputs = {root: {c: (CoordinateId.jet(c.alpha), _chain(c.index)) for c in _jets_of([e])}
               for root, e in roots.items() if isinstance(e, Expr)}
+    # momenta whose coefficient reads no coordinate: a finite float, so every
+    # interior point of a pass over one is +0.0
+    constant = {root for root in inputs if roots[root].constant_value() is not None}
+    names = {root: system.derived.base.name(root) for root in inputs}
     halo = _halos(keys, inputs)
     equations = [(label, res, {c: keys[c] for c in res.coordinates() if c in keys})
                  for label, res in system.equations]
@@ -435,8 +526,9 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
 
         for s, step in enumerate(steps):
             if isinstance(step, int):  # an equation
-                _, res, read = equations[step]
-                vals = evaluate(res, sample(lo, hi, read, cols), powers.setdefault(None, {}))
+                label, res, read = equations[step]
+                vals = _evaluated(f"equation {label!r}", res, sample(lo, hi, read, cols),
+                                  powers.setdefault(None, {}))
                 if np.ndim(vals) == 0:
                     peak[step] = abs(float(vals))
                 else:
@@ -446,7 +538,9 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
             else:
                 root, chain = step
                 a, b = span[step]
-                if chain:
+                if chain and root in constant:
+                    arrays[step] = np.broadcast_to(0.0, (b - a,) + shape[1:])
+                elif chain:
                     axis, order = chain[-1]
                     r = stencil_radius(order) if axis == 0 else 0
                     a_in, b_in = max(0, a - r), min(n0, b + r)
@@ -455,8 +549,9 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
                     arrays[step] = out[a - a_in:b - a_in]
                 elif root in inputs:
                     # a constant coefficient evaluates to a float
-                    vals = evaluate(roots[root], sample(a, b, inputs[root]),
-                                    powers.setdefault((a, b), {}))
+                    vals = _evaluated(f"the Legendre coefficient of {names[root]}",
+                                      roots[root], sample(a, b, inputs[root]),
+                                      powers.setdefault((a, b), {}))
                     arrays[step] = np.broadcast_to(vals, (b - a,) + shape[1:])
                 else:
                     arrays[step] = roots[root][a:b]

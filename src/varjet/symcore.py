@@ -893,7 +893,7 @@ def render(e: Expr, ctx: JetContext, fmt: str = "plain") -> str:
     if fmt == "latex":
         return _render(e, ctx.latex_name, "^{{{}}}".format, _coeff_latex, " ")
     if fmt == "json":
-        return json.dumps(expr_to_json(e, ctx), sort_keys=True)
+        return json_text(expr_to_json(e, ctx), sort_keys=True)
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -932,6 +932,15 @@ def _over_digit_limit() -> UnsupportedExpressionError:
     return UnsupportedExpressionError(
         f"a coefficient or exponent of the result is over the limit of "
         f"{_digit_limit()} digits")
+
+
+def json_text(payload, **options) -> str:
+    """``json.dumps(payload, **options)``; an int past Python's digit limit
+    (an exponent of an ``expr_to_json`` value) is a domain error."""
+    try:
+        return json.dumps(payload, **options)
+    except ValueError:  # an int past Python's digit limit on int text
+        raise _over_digit_limit() from None
 
 
 def expr_to_json(e: Expr, ctx: JetContext) -> dict:

@@ -388,11 +388,14 @@ def test_integer_over_the_digit_limit_is_domain_error(capsys, tmp_path, digit_li
 
 
 def test_energy_json_over_the_digit_limit_is_domain_error(capsys, tmp_path, digit_limit):
-    path = tmp_path / "digits.problem"
-    path.write_text(f"independents = x\ndependents = u\nlagrangian = {PRODUCT_OVER_DIGITS}\n")
-    code, out, err = run(capsys, "energy", str(path), "--format", "json")
-    assert (code, out) == (1, "")
-    assert err == f"varjet: {OVER_DIGITS}\n"
+    # a folded coefficient; and two exponents at the limit whose sum, an int
+    # the JSON writer spells, is past it
+    for lagrangian in (PRODUCT_OVER_DIGITS, "u_x^" + "9" * 4300 + "*u_x^" + "9" * 4300):
+        path = tmp_path / "digits.problem"
+        path.write_text(f"independents = x\ndependents = u\nlagrangian = {lagrangian}\n")
+        code, out, err = run(capsys, "energy", str(path), "--format", "json")
+        assert (code, out) == (1, "")
+        assert err == f"varjet: {OVER_DIGITS}\n"
 
 
 def test_usage_error_exits_2(kdv_problem):
@@ -592,6 +595,82 @@ def test_overflowing_residual_is_domain_error(capsys, tmp_path, kdv_problem):
     code, out, err = run(capsys, "check-solution", kdv_problem, "--grid", str(tmp_path / "big.grid"))
     assert (code, out) == (1, "")
     assert err == "varjet: non-finite interior residual for equation 'el:u'\n"
+
+
+@pytest.mark.parametrize("system, where", [
+    ("el", "equation 'el:u'"),
+    ("elh", "the Legendre coefficient of p_.x"),
+])
+def test_coefficient_past_the_float_range_is_domain_error(capsys, tmp_path, system, where):
+    # 2 * 7...7 (400 digits) is about 1.6e400, past the largest float
+    path = tmp_path / "big.problem"
+    path.write_text("independents = t x\ndependents = u\n"
+                    f"lagrangian = {'7' * 400}*u_x^2 + 1/2*u_t^2\norder = 1\n")
+    save_grid(soliton_grid(64, 64), str(tmp_path / "g.grid"))
+    code, out, err = run(capsys, "check-solution", str(path), "--grid",
+                         str(tmp_path / "g.grid"), "--system", system)
+    assert (code, out) == (1, "")
+    assert err == f"varjet: {where}: a coefficient of about 10^400 is out of the float range\n"
+
+
+# -- fuzzing the grid-file reader ----------------------------------------------
+
+def mostly(valid, other):
+    """A strategy drawing from ``valid`` about four times in five."""
+    return st.integers(0, 4).flatmap(lambda i: other if i == 4 else valid)
+
+
+grid_headers = st.fixed_dictionaries({
+    "axes": mostly(st.just(["t", "x"]), st.one_of(
+        st.lists(st.sampled_from(["t", "x", "y", 1]), max_size=3), st.text(max_size=2))),
+    "shape": mostly(st.lists(st.integers(6, 12), min_size=2, max_size=2), st.lists(
+        st.one_of(st.integers(-1, 9), st.floats(0, 9), st.booleans()), max_size=3)),
+    "origin": mostly(st.just([0.0, -1.0]), st.lists(
+        st.one_of(st.floats(), st.integers(-9, 9), st.text(max_size=1)), max_size=3)),
+    "spacing": mostly(st.just([0.5, 0.25]), st.lists(
+        st.one_of(st.floats(), st.integers(-1, 9), st.none()), max_size=3)),
+    "fields": mostly(st.just(["u"]), st.one_of(
+        st.lists(st.sampled_from(["u", "v", ""]), max_size=3), st.just("u"))),
+}).flatmap(lambda header: mostly(st.just(()), st.sets(st.sampled_from(sorted(header)),
+                                                      max_size=2)).map(
+    lambda dropped: {k: v for k, v in header.items() if k not in dropped}))
+
+
+def declared_cells(header) -> int:
+    """The float64 count the header's shape and fields declare, or 0."""
+    shape, names = header.get("shape"), header.get("fields")
+    if not (isinstance(shape, list) and all(type(k) is int and k > 0 for k in shape)
+            and isinstance(names, list)):
+        return 0
+    return math.prod(shape) * len(names)
+
+
+@st.composite
+def grid_files(draw):
+    """Grid-file bytes: a magic, a header length, a JSON header (or bytes)
+    and float64 data, each mostly what the header declares."""
+    magic = draw(mostly(st.just(b"VJGRID1\n"), st.sampled_from([b"VJGRID2\n", b"VJGR", b""])))
+    header = draw(mostly(grid_headers, st.binary(max_size=12)))
+    text = header if isinstance(header, bytes) else json.dumps(header).encode()
+    length = draw(mostly(st.just(len(text)), st.integers(0, 2 ** 32 - 1)))
+    cells = draw(mostly(st.just(declared_cells({} if isinstance(header, bytes) else header)),
+                        st.integers(0, 30)))
+    # one value for every cell, so the long data draws stay cheap
+    value = draw(st.one_of(st.floats(-2, 2), st.floats()))
+    data = np.full(cells, value, dtype="<f8").tobytes()
+    return magic + struct.pack("<I", length) + text + data + draw(st.binary(max_size=2))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(content=grid_files(), system=st.sampled_from(["el", "elh"]))
+def test_grid_file_reader_never_raises(tmp_path_factory, content, system):
+    base = tmp_path_factory.getbasetemp()
+    (base / "fuzz.grid").write_bytes(content)
+    (base / "fuzz.problem").write_text(WAVE_PROBLEM)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["check-solution", str(base / "fuzz.problem"), "--grid",
+                     str(base / "fuzz.grid"), "--system", system])
+    assert code in (0, 1, 2)
 
 
 # -- fuzzing the problem-file reader --------------------------------------------

@@ -3,9 +3,12 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from conftest import KDV_L, jet_pool, random_expr, soliton_grid, wave3_grid
 from varjet import numeric
@@ -92,6 +95,79 @@ def test_eval_ring_homomorphism_random(ctx_tx):
         assert abs(lhs - rhs) <= 1e-12 * scale
 
 
+def reference_evaluate(e, sample):
+    """The term-by-term rule evaluate had before its in-place sums, the
+    bit-exact reference: each term ``float(coeff) * f_1 * f_2 * ...`` in
+    factor order, the terms summed left to right into new values."""
+    total = None
+    for mono, coeff in e.terms:
+        term = float(coeff)
+        for c, p in mono:
+            term = term * (sample[c] if p == 1 else sample[c] ** p)
+        total = term if total is None else total + term
+    return 0.0 if total is None else total
+
+
+def bits(value):
+    return np.array(value, dtype=np.float64).view(np.uint64)
+
+
+EVAL_POOL = [CoordinateId.independent(1)] + [
+    CoordinateId.jet(0, I) for I in multiindices_up_to(2, 2)]
+# unit coefficients most often, as in the equations check-solution evaluates
+eval_coeffs = st.sampled_from([Fraction(v) for v in (
+    1, 1, -1, -1, "1/2", "-1/2", 3, -3, "2/3", -6, "1/3", 7)])
+eval_terms = st.lists(st.tuples(
+    st.lists(st.tuples(st.sampled_from(EVAL_POOL), st.integers(1, 4)),
+             max_size=3, unique_by=lambda f: f[0]),
+    eval_coeffs), min_size=0, max_size=6)
+eval_floats = st.one_of(st.floats(-50, 50, allow_subnormal=False),
+                        st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+
+
+@st.composite
+def eval_values(draw):
+    """A sample value on the 3x4 grid: an array, a row broadcast along it
+    (read-only, as the meshes and the constant momenta are), a bare row,
+    or a scalar."""
+    kind = draw(st.sampled_from(["array", "broadcast", "row", "float", "numpy"]))
+    if kind in ("float", "numpy"):
+        v = draw(eval_floats)
+        return v if kind == "float" else np.float64(v)
+    size = 12 if kind == "array" else 4
+    values = np.array(draw(st.lists(eval_floats, min_size=size, max_size=size)))
+    if kind == "array":
+        return values.reshape(3, 4)
+    return np.broadcast_to(values, (3, 4)) if kind == "broadcast" else values
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=eval_terms, values=st.lists(eval_values(), min_size=len(EVAL_POOL),
+                                         max_size=len(EVAL_POOL)))
+def test_evaluate_matches_term_by_term_bitwise(terms, values):
+    e = Expr(tuple((tuple(sorted(mono, key=lambda f: f[0])), c) for mono, c in terms))
+    sample = dict(zip(EVAL_POOL, values))
+    before = {c: np.array(v, copy=True) for c, v in sample.items()}
+    want = reference_evaluate(e, sample)
+    powers = {}
+    first = evaluate(e, sample, powers)
+    cached = {key: np.array(v, copy=True) for key, v in powers.items()}
+    got = evaluate(e, sample, powers)  # reading the cache this time
+    for value in (first, got):
+        assert np.shape(value) == np.shape(want)
+        assert np.array_equal(bits(value), bits(want))
+    # evaluate wrote into no sample value or cached power, and returned none
+    for c, v in sample.items():
+        assert np.array_equal(bits(v), bits(before[c]))
+    assert powers.keys() == cached.keys()
+    for key, v in powers.items():
+        assert np.array_equal(bits(v), bits(cached[key]))
+    if isinstance(got, np.ndarray):
+        assert got is not first
+        for v in list(sample.values()) + list(powers.values()):
+            assert not np.shares_memory(got, v)
+
+
 # -- stencils and prolongation ---------------------------------------------------
 
 def test_fd_weights_first_derivative():
@@ -111,6 +187,16 @@ def test_fd_weights_exact_values():
         (-0.16666666666666666, 2.0, -6.5, 9.333333333333334, -6.5, 2.0,
          -0.16666666666666666),
     ]
+
+
+def test_fd_weights_mirror_exactly():
+    # w_{-k} = (-1)**order w_k bit for bit, which lets the stencil kernel
+    # share one product between the taps -k and +k
+    for order in (1, 2, 3, 4):
+        r = stencil_radius(order)
+        w = fd_weights(order, r)
+        for k in range(1, r + 1):
+            assert bits(w[r - k]) == bits((-1) ** order * w[r + k]), (order, k)
 
 
 def test_fd_weights_reproduce_polynomials():
@@ -241,7 +327,7 @@ def reference_collect(system, sample, shape, margin):
     interior = tuple(slice(m, s - m) for m, s in zip(margin, shape))
     out = {}
     for label, res in system.equations:
-        vals = evaluate(res, sample)
+        vals = reference_evaluate(res, sample)
         if np.isscalar(vals) or np.ndim(vals) == 0:
             out[label] = abs(float(vals))
             continue
@@ -286,7 +372,8 @@ def reference_residual(system, grid, legendre=None, momentum_fields=None):
         if momentum_fields is not None and dc.base.name(c) in momentum_fields.fields:
             return momentum_fields.fields[dc.base.name(c)]
         return np.broadcast_to(
-            evaluate(legendre.coefficient(c.alpha, c.index, c.i), prolonged), grid.shape)
+            reference_evaluate(legendre.coefficient(c.alpha, c.index, c.i), prolonged),
+            grid.shape)
 
     fiber = [root(c) for c in dc.fiber]
     sample = {CoordinateId.independent(i): prolonged[CoordinateId.independent(i)]
@@ -454,11 +541,47 @@ def test_residual_grid_too_small_keeps_full_prolongation_message(ctx_tx):
 
 
 def test_residual_constant_legendre_coefficient(ctx_tx):
-    # p^t = dL/du_t = 1 evaluates to a float, which is differenced as a field
+    # p^t = dL/du_t = 1 evaluates to a float, whose comma-derivative is +0.0
     lag = LagrangianDensity(ctx_tx, parse("u_t + 1/2*u_x^2", ctx_tx), order=1)
     r = residual(elh_system(lag), soliton_grid(40, 40, box=4.0),
                  legendre=legendre_form(lag))
     assert r["mom:u:t"] == 0.0 and np.isfinite(r["mom:u:"])
+
+
+def test_residual_row_of_one_unit_coordinate_keeps_the_sample(ctx_tx):
+    # the row u_x is evaluated first, and its absolute value taken in place;
+    # the row after it reads u_x again
+    rows = (("a", parse("u_x", ctx_tx)), ("b", parse("u_x - u_xx", ctx_tx)),
+            ("c", parse("-u_x", ctx_tx)))
+    system = EquationSystem(ctx_tx, rows)
+    g = soliton_grid(40, 57, c=0.9, box=5.0)
+    want = reference_residual(system, g)
+    assert residual(system, g) == want
+    assert want["b"] > want["a"] > 0.0  # u_x < 0 < u_xx on part of the grid
+
+
+def test_no_stencil_over_a_constant_momentum(ctx_tx, monkeypatch):
+    # the KdV Legendre coefficients of p_t.t, p_t.x and p_x.t are 0: the
+    # comma-derivatives of those three momenta are +0.0 without a pass
+    system, theta = kdv_system(ctx_tx, "elh")
+    assert [ctx_tx.name(c) for c in ctx_tx.momenta_up_to(1)
+            if theta.coefficient(c.alpha, c.index, c.i).is_zero()] == \
+        ["p_t.t", "p_t.x", "p_x.t"]
+    g = soliton_grid(40, 57, c=0.9, box=5.0)
+    want = reference_residual(system, g, legendre=theta)
+    inputs = []
+    real = numeric._apply_stencil
+
+    def counted(arr, axis, order, h):
+        inputs.append(arr)
+        return real(arr, axis, order, h)
+
+    monkeypatch.setattr(numeric, "_apply_stencil", counted)
+    assert residual(system, g, legendre=theta) == want
+    # 15 passes: u_t, u_x, u_tt, u_tx, u_xx, u_xxx, u_t,_t, u_x,_t, u_x,_x
+    # and the six momenta's comma-derivatives, less the three constant ones
+    assert len(inputs) == 12
+    assert not any(np.all(arr == arr.flat[0]) for arr in inputs)
 
 
 # -- residuals -------------------------------------------------------------------
