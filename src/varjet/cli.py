@@ -2,7 +2,8 @@
 
 Subcommands take a problem file (see docs/problemfile.md) and write the
 requested derivation to stdout or --out, as plain text, LaTeX, or JSON.
-The library returns plain values; every format, JSON included, is written here.
+The library returns plain values and reads or writes no JSON; every format,
+JSON included, is written here.
 Exit codes: 0 on success (a diagnosed non-regular reduction is success),
 1 on domain errors, 2 on usage errors.  Output is byte-deterministic for
 fixed inputs and seed.
@@ -13,11 +14,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 from typing import List, Optional
 
-from .symcore import JetContext, ParseError, VarjetError, expr_to_json, json_text, render
+from .symcore import (INDEPENDENT, CoordinateId, JetContext, ParseError, VarjetError,
+                      expr_to_json, json_text, render)
 from .jetcalc import EquationSystem, prolong
 from .variational import LagrangianDensity, euler_lagrange, legendre_form
 from .pdham import (
@@ -54,9 +55,23 @@ def _render(e, ctx: JetContext, fmt: str) -> str:
     return render(e, ctx, "plain" if fmt == "json" else fmt)
 
 
+def _equations_json(system: EquationSystem) -> List[dict]:
+    return [{"label": label, "residual": render(res, system.context, "plain")}
+            for label, res in system.equations]
+
+
 def _system_text(system: EquationSystem, fmt: str) -> str:
     if fmt == "json":
-        return _json_dump(system.to_json_dict())
+        # the unknowns: every coordinate the rows read but the independents,
+        # and the zero jet of each fiber coordinate of a derived system
+        unknowns = {c for _, res in system.equations for c in res.coordinates()
+                    if c.kind != INDEPENDENT}
+        if system.derived is not None:
+            unknowns.update(map(system.derived.dep, system.derived.fiber))
+        return _json_dump({
+            "unknowns": [system.context.name(c)
+                         for c in sorted(unknowns, key=CoordinateId.sort_key)],
+            "equations": _equations_json(system)})
     lines = [f"{label}: {render(res, system.context, fmt)} = 0"
              for label, res in system.equations]
     return "\n".join(lines) if lines else "(empty system)"
@@ -148,10 +163,9 @@ def cmd_reduce(args, problem: Problem, lag: LagrangianDensity) -> str:
             "substitutions": dict(substitutions),
             "E_on_P": hamiltonian,
             "H": hamiltonian,
-            "equations": [] if red.system_hdw is None
-                         else red.system_hdw.to_json_dict()["equations"],
+            "equations": [] if red.system_hdw is None else _equations_json(red.system_hdw),
             "equations_P": [] if red.system_constraint is None
-                           else red.system_constraint.to_json_dict()["equations"],
+                           else _equations_json(red.system_constraint),
         }
         if red.offending:
             payload["offending"] = list(red.offending)
@@ -177,12 +191,7 @@ def cmd_shift(args, problem: Problem, lag: LagrangianDensity) -> str:
 
 
 def cmd_prolong(args, problem: Problem, lag: LagrangianDensity) -> str:
-    if args.system:
-        with open(args.system, "r", encoding="utf-8") as fh:
-            system = EquationSystem.from_json_dict(json.load(fh), lag.context)
-    else:
-        system = _el_system(lag)
-    return _system_text(prolong(system, args.level), args.format)
+    return _system_text(prolong(_el_system(lag), args.level), args.format)
 
 
 def cmd_check_solution(args, problem: Problem, lag: LagrangianDensity) -> str:
@@ -269,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="';'-separated shift components, one per independent")
         if name == "prolong":
             p.add_argument("--level", type=_int_at_least(0), default=1)
-            p.add_argument("--system", default=None, help="equation-system JSON file")
         p.add_argument("--out", default=None, help="write output to a file")
     return parser
 

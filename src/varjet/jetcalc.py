@@ -5,6 +5,8 @@ D_j = d/dx^j + u_{Ij}^a d/du_I^a; iterated total derivatives are indexed by a
 multiindex and commute, so composition order is irrelevant.  Momentum
 coordinates are outside its domain; the primed operator on jets and momenta
 is total_derivative(dc.embed(e), i) for a derived context dc (pdham).
+Systems are plain values: every one is built from a density, and cli writes
+their text and JSON.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .multiindex import EMPTY, MultiIndex, multiindices_up_to
+from .multiindex import MultiIndex, multiindices_up_to
 from .symcore import (
     JET,
     MOMENTUM,
@@ -23,8 +25,6 @@ from .symcore import (
     Term,
     VarjetError,
     WrongDomainError,
-    parse,
-    render,
 )
 
 
@@ -83,16 +83,13 @@ def iterated_total_derivative(e: Expr, J: MultiIndex) -> Expr:
 class EquationSystem:
     """Named residual-form equations over a shared context.
 
-    Each equation is (label, residual Expr) read as residual = 0; unknowns are
-    the non-independent coordinates admitted by the system.  ``derived`` is
-    optional metadata linking a first-order system back to the base context it
-    was generated from (see pdham.DerivedContext); such a system also admits
-    the zero jet of every fiber coordinate.
+    Each equation is (label, residual Expr) read as residual = 0.  ``derived``
+    is optional metadata linking a first-order system back to the base context
+    it was generated from (see pdham.DerivedContext).
     """
 
     context: JetContext
     equations: Tuple[Tuple[str, Expr], ...]
-    unknowns: Tuple[CoordinateId, ...] = ()
     derived: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -100,56 +97,17 @@ class EquationSystem:
         labels = [lab for lab, _ in self.equations]
         if len(set(labels)) != len(labels):
             raise VarjetError("equation labels must be unique")
-        unknowns = tuple(self.unknowns) if self.unknowns else self._collect_unknowns()
-        object.__setattr__(self, "unknowns", unknowns)
-        declared = set(unknowns)
-        for lab, res in self.equations:
-            for c in res.coordinates():
-                if c.kind != "independent" and c not in declared:
-                    raise VarjetError(f"equation {lab!r} uses undeclared coordinate {self.context.name(c)}")
-
-    def _collect_unknowns(self) -> Tuple[CoordinateId, ...]:
-        seen = {c for _, res in self.equations for c in res.coordinates()
-                if c.kind != "independent"}
-        if self.derived is not None:
-            seen.update(CoordinateId.jet(a, EMPTY) for a in range(len(self.derived.fiber)))
-        return tuple(sorted(seen, key=lambda c: c.sort_key()))
-
-    def canonical_residual_set(self):
-        """Multiset of sign-normalized residuals, for comparison up to row sign and order."""
-        from collections import Counter
-        return Counter(res.sign_normalized() for _, res in self.equations if not res.is_zero())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "unknowns": [self.context.name(c) for c in self.unknowns],
-            "equations": [
-                {"label": lab, "residual": render(res, self.context, "plain")}
-                for lab, res in self.equations
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict, ctx: JetContext) -> "EquationSystem":
-        equations = tuple(
-            (eq["label"], parse(eq["residual"], ctx)) for eq in data["equations"])
-        unknowns = tuple(ctx.resolve(name) for name in data.get("unknowns", ()))
-        return cls(ctx, equations, unknowns)
 
 
 def prolong(system: EquationSystem, level: int) -> EquationSystem:
     """Augment the system with D_J of every equation, |J| <= level.
 
     Labels of new rows carry the differentiation word; level 0 returns the
-    system itself.
+    system itself.  The system must be jet-side: total_derivative refuses momenta.
     """
-    ctx = system.context
-    for _, res in system.equations:
-        for c in res.coordinates():
-            if c.kind == MOMENTUM:
-                raise WrongDomainError("prolongation applies to jet-side systems")
     if level == 0:
         return system
+    ctx = system.context
     equations = []
     for label, res in system.equations:
         for J in multiindices_up_to(ctx.n, level):

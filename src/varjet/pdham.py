@@ -74,9 +74,6 @@ class DerivedContext:
     def comma(self, c: CoordinateId, i: int) -> CoordinateId:
         return CoordinateId.jet(self._alpha[c], MultiIndex.of(i))
 
-    def base_coordinate(self, alpha: int) -> CoordinateId:
-        return self.fiber[alpha]
-
     def embed(self, e: Expr) -> Expr:
         """Base expression (jets and momenta of the fiber) -> derived expression.
 

@@ -498,9 +498,6 @@ class Expr:
         orders = [len(c.index) for c in self.coordinates() if c.kind == JET]
         return max(orders, default=0)
 
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in m) for m, _ in self.terms), default=0)
-
     def sign_normalized(self) -> "Expr":
         """Multiply by -1 if the leading coefficient is negative (row-sign canonical form)."""
         return -self if self.terms and self.terms[0][1] < 0 else self

@@ -137,12 +137,6 @@ class LegendreForm:
     def support(self):
         return sorted(self.coeffs, key=lambda k: (k[0], k[1].sort_key(), k[2]))
 
-    def __sub__(self, other: "LegendreForm") -> "LegendreForm":
-        acc = dict(self.coeffs)
-        for key, e in other.coeffs.items():
-            acc[key] = acc.get(key, Expr.zero()) - e
-        return LegendreForm(self.context, max(self.order, other.order), acc)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LegendreForm) and self.coeffs == other.coeffs
 

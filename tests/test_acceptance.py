@@ -53,7 +53,8 @@ def kdv_setup():
 
 
 def canon(system):
-    return system.canonical_residual_set()
+    """The nonzero residuals as a multiset, blind to row sign and order."""
+    return Counter(res.sign_normalized() for _, res in system.equations if not res.is_zero())
 
 
 def rows(dc, texts):

@@ -78,3 +78,10 @@ def test_total_derivatives_and_contexts_carry_no_order_bound():
         "(e: 'Expr', J: 'MultiIndex') -> 'Expr'"
     assert [f.name for f in dataclasses.fields(varjet.JetContext)] == \
         ["independents", "dependents", "jet_style"]
+
+
+def test_equation_systems_carry_rows_only():
+    # a system is its context, its labelled rows and, for a first-order
+    # system, the derived context; its JSON is written by cli alone
+    assert [f.name for f in dataclasses.fields(varjet.EquationSystem)] == \
+        ["context", "equations", "derived"]

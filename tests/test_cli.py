@@ -1,5 +1,6 @@
 """CLI behaviour: formats, determinism, schemas, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -150,31 +151,6 @@ def test_prolong_lifts_order_bound_by_level(capsys, kdv_problem):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 3 and "u_xxxxx" in lines[2]
-
-
-def test_prolong_system_file(capsys, tmp_path, kdv_problem):
-    sysfile = tmp_path / "system.json"
-    sysfile.write_text(json.dumps({
-        "unknowns": ["u_x"],
-        "equations": [{"label": "eq", "residual": "u_x"}],
-    }))
-    code, out, _ = run(capsys, "prolong", kdv_problem, "--system", str(sysfile),
-                       "--level", "1")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "eq: u_x = 0"
-    assert set(lines[1:]) == {"eq|t: u_tx = 0", "eq|x: u_xx = 0"}
-
-
-def test_prolong_system_past_the_density_order(capsys, tmp_path):
-    # a fifth-order row on a first-order problem prolongs to sixth jets
-    path = tmp_path / "wave.problem"
-    path.write_text(WAVE_PROBLEM)
-    sysfile = tmp_path / "system.json"
-    sysfile.write_text(json.dumps({"equations": [{"label": "r", "residual": "u_xxxxx"}]}))
-    code, out, err = run(capsys, "prolong", str(path), "--system", str(sysfile))
-    assert (code, err) == (0, "")
-    assert out == "r: u_xxxxx = 0\nr|t: u_txxxxx = 0\nr|x: u_xxxxxx = 0\n"
 
 
 def test_check_solution_el(capsys, tmp_path, kdv_problem):
@@ -417,7 +393,8 @@ def test_usage_error_exits_2(kdv_problem):
                  ["energy", kdv_problem, "--grid", "g"],
                  ["reduce", kdv_problem, "--momenta", "m"],
                  ["shift", kdv_problem, "--rank-samples", "2"],
-                 ["prolong", kdv_problem, "--grid", "g"]):
+                 ["prolong", kdv_problem, "--grid", "g"],
+                 ["prolong", kdv_problem, "--system", "s.json"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -516,6 +493,28 @@ def test_documented_problem_keys_are_the_known_keys():
     documented = {line.split("=", 1)[0].strip() for line in block.splitlines()
                   if "=" in line.split("#", 1)[0]}
     assert documented == problemfile._KNOWN_KEYS
+
+
+def test_documented_flags_are_the_parser_flags():
+    # README's "Flags, by subcommand" table names each subcommand's options,
+    # its "every one" row those every subcommand takes
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, "r", encoding="utf-8") as fh:
+        table = fh.read().split("Flags, by subcommand", 1)[1].split("\n\n", 2)[1]
+    documented = {}
+    for line in table.splitlines()[2:]:
+        names, flags = line.strip("|").split("|", 1)
+        spans = flags.split("`")[1::2]
+        for name in names.replace("`", "").split(","):
+            documented.setdefault(name.strip(), set()).update(
+                span.split()[0] for span in spans if span.startswith("--"))
+    every = documented.pop("every one")
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for name, parser in subparsers.choices.items():
+        options = {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+        assert options == every | documented.pop(name, set()), name
+    assert documented == {}
 
 
 GRID_HEADER = {"axes": ["t", "x"], "shape": [4, 6], "origin": [0.0, 0.0],

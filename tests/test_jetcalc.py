@@ -128,13 +128,11 @@ def test_prolong_level_zero_identity(ctx_tx):
     assert prolong(sys0, 0) is sys0
 
 
-def test_equation_system_json_roundtrip(ctx_tx):
-    from conftest import KDV_EL
-    sys0 = EquationSystem(ctx_tx, (("el", parse(KDV_EL, ctx_tx)),))
-    data = sys0.to_json_dict()
-    back = EquationSystem.from_json_dict(data, ctx_tx)
-    assert back.equations == sys0.equations
-    assert back.unknowns == sys0.unknowns
+def test_prolong_rejects_momenta(kdv):
+    # the constraint rows read momenta, which total_derivative refuses
+    from varjet.pdham import constraints
+    with pytest.raises(WrongDomainError):
+        prolong(constraints(kdv), 1)
 
 
 def test_equation_system_label_uniqueness(ctx_tx):
