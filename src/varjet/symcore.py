@@ -19,9 +19,18 @@ expression on one bound coordinate at a time and makes one product and one
 normalisation per exponent of that coordinate, not one product per monomial.
 Negation, scaling by a nonzero rational and powers of a single term keep the
 order and skip it.  A power of a sum is expanded by the multinomial theorem,
-one term per composition of the exponent, and normalised once.  Products and
-powers whose size bound exceeds MAX_TERMS, and powers whose coefficients may
-pass Python's digit limit on int text, are refused before any work.
+one term per composition of the exponent, with integer numerators and
+denominators carried through the compositions and one Fraction made per
+term, and normalised once.  Products and powers whose size bound exceeds
+MAX_TERMS, and powers whose coefficients may pass Python's digit limit on
+int text, are refused before any work.
+
+The reader tokenizes a text in one ``findall`` pass into token strings and
+finds a token's position, by scanning the text again, only for an error.
+It reads each product into one term; an expression that is one sum, such
+as a power of a sum or a product of two, is that sum's normal form and is
+not normalised again.  The renderers spell each coefficient from its
+integer numerator and denominator.
 
 All values are immutable; every operation is a pure function.
 """
@@ -50,11 +59,15 @@ class VarjetError(Exception):
     """Base class for all domain errors."""
 
 
+def _line_column(text: str, pos: int) -> Tuple[int, int]:
+    """The 1-based line and column of the character at pos."""
+    return 1 + text.count("\n", 0, pos), pos - text.rfind("\n", 0, pos)
+
+
 class ParseError(VarjetError):
     def __init__(self, message: str, text: str = "", pos: int = 0):
         self.pos = pos
-        self.line = 1 + text.count("\n", 0, pos)
-        self.column = pos - (text.rfind("\n", 0, pos) + 1) + 1
+        self.line, self.column = _line_column(text, pos)
         super().__init__(f"{message} (line {self.line}, column {self.column})")
 
 
@@ -614,26 +627,30 @@ def _multinomial_terms(terms: Tuple[Term, ...], e: int) -> List[Term]:
 
     A composition is built by picking, in ascending i, the terms with k_i > 0
     and the binomial C(left, k_i) of each pick, so the recursion is at most
-    min(s, e) deep and every branch ends in a term.
+    min(s, e) deep and every branch ends in a term.  The picks multiply
+    integer numerators and denominators; each term makes one Fraction.
     """
     last = len(terms) - 1
-    # powers[i][k]: the i-th monomial and coefficient to the k-th power
-    powers = [[(tuple([(c, p * k) for c, p in mono]), coeff ** k) for k in range(e + 1)]
+    # powers[i][k]: the i-th monomial and its coefficient's numerator and
+    # denominator to the k-th power
+    powers = [[(tuple([(c, p * k) for c, p in mono]), coeff.numerator ** k,
+                coeff.denominator ** k) for k in range(e + 1)]
               for mono, coeff in terms]
+    comb = math.comb
     out: List[Term] = []
 
-    def expand(start: int, left: int, mono: Monomial, coeff: Fraction) -> None:
+    def expand(start: int, left: int, mono: Monomial, num: int, den: int) -> None:
         for i in range(start, last):
             row = powers[i]
             for k in range(1, left):  # the later terms take the rest
-                m, c = row[k]
-                expand(i + 1, left - k, _mono_mul(mono, m), coeff * (math.comb(left, k) * c))
-            m, c = row[left]
-            out.append((_mono_mul(mono, m), coeff * c))
-        m, c = powers[last][left]
-        out.append((_mono_mul(mono, m), coeff * c))
+                m, p, q = row[k]
+                expand(i + 1, left - k, _mono_mul(mono, m), num * comb(left, k) * p, den * q)
+            m, p, q = row[left]
+            out.append((_mono_mul(mono, m), Fraction(num * p, den * q)))
+        m, p, q = powers[last][left]
+        out.append((_mono_mul(mono, m), Fraction(num * p, den * q)))
 
-    expand(0, e, (), _ONE_Q)
+    expand(0, e, (), 1, 1)
     return out
 
 
@@ -671,24 +688,48 @@ def row_echelon(matrix: Iterable[Iterable[Fraction]]) -> Tuple[List[List[Fractio
 
 # -- parsing ---------------------------------------------------------------
 
-# "^" joins a name only when followed by a letter (momentum dependent tag);
-# "^" followed by a digit stays the power operator.  Any other character is
-# "bad", so the tokens tile the text up to its trailing whitespace.
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)"
-    r"|(?P<name>[A-Za-z][A-Za-z0-9_.]*(?:\^[A-Za-z][A-Za-z0-9_.]*)?(?:,_[A-Za-z][A-Za-z0-9]*)?)"
-    r"|(?P<op>[-+*/^()])|(?P<bad>\S))")
+# The tokens: an integer, a name or an operator.  "^" joins a name only when
+# followed by a letter (a momentum's dependent tag); "^" followed by a digit
+# stays the power operator.  A token's kind shows in the token itself: the
+# operators are _OPS, a number is decimal digits and a name starts with a letter.
+_TOKEN = (r"\d+"
+          r"|[A-Za-z][A-Za-z0-9_.]*(?:\^[A-Za-z][A-Za-z0-9_.]*)?(?:,_[A-Za-z][A-Za-z0-9]*)?"
+          r"|[-+*/^()]")
+_TOKEN_RE = re.compile(_TOKEN)
+# the tokens again, with any other non-space character "bad": the scan that
+# places a token or a bad character, made only for an error message.  No
+# alternative starts with a space, so neither scan backtracks over spaces.
+_PLACED_RE = re.compile(rf"({_TOKEN})|(\S)")
+_OPS = frozenset("-+*/^()")
+_SIGNS = frozenset("+-")
+_PRODUCT_OPS = frozenset("*/")
 
 
-def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r}", text, m.start())
-        tokens.append((kind, m.group(kind), m.start(kind)))
-    tokens.append(("end", "", len(text)))
+def _tokenize(text: str) -> List[str]:
+    """The tokens of text, then "" for its end.
+
+    One ``findall`` pass; it skips any character that starts no token, so
+    the tokens spell the text's non-space characters unless one is bad,
+    and only then is the text scanned again for the first bad character.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    if "".join(tokens) != "".join(text.split()):
+        end = 0  # a bad character is placed where the spaces before it start
+        for m in _PLACED_RE.finditer(text):
+            if m.lastindex == 2:
+                raise ParseError(f"unexpected character {m.group(2)!r}", text, end)
+            end = m.end()
+    tokens.append("")
     return tokens
+
+
+def _token_start(text: str, k: int) -> int:
+    """Where the k-th token of a text without bad characters starts; the
+    text's length for the end."""
+    for j, m in enumerate(_PLACED_RE.finditer(text)):
+        if j == k:
+            return m.start()
+    return len(text)
 
 
 class _Parser:
@@ -696,12 +737,17 @@ class _Parser:
     term := factor (('*'|'/') factor)*; factor := '-' factor | primary ['^' int];
     primary := int | name | '(' expr ')'.
 
-    A term is read into one monomial and one coefficient: numbers and powers
-    of names are multiplied in directly, and only a parenthesised or negated
-    factor is an Expr (folded in when it has one term).  An expression
-    collects its terms and builds one Expr.  Parentheses and unary minus
-    signs nest at most MAX_DEPTH deep, which keeps the recursion well inside
-    the interpreter's stack limit.
+    The reader works on the token strings of one ``findall`` pass and keeps
+    only the index of the next token: positions are found by scanning the
+    text again, and only for an error.  A term is read into one monomial and
+    one integer numerator and denominator: numbers and powers of names are
+    multiplied in directly, and only a parenthesised or negated factor is an
+    Expr (folded in when it has one term).  A term whose only non-constant
+    factor is a sum is that sum's normal form, scaled unless its coefficient
+    is 1, and an expression of one such term is returned as it is; any other
+    expression collects its terms and builds one Expr.  Parentheses and
+    unary minus signs nest at most MAX_DEPTH deep, which keeps the recursion
+    well inside the interpreter's stack limit.
     """
 
     MAX_DEPTH = 100
@@ -710,58 +756,59 @@ class _Parser:
         self.text = text
         self.ctx = ctx
         self.tokens = _tokenize(text)
-        self.k = 0
+        self.k = 0  # the index of the next token
         self.depth = 0
         self.coords: Dict[str, CoordinateId] = {}  # names met so far in this text
 
-    def peek(self):
-        return self.tokens[self.k]
+    def error(self, message: str, k: int, cls=ParseError) -> VarjetError:
+        """A ``cls`` error for ``message`` at the k-th token."""
+        pos = _token_start(self.text, k)
+        if cls is ParseError:
+            return ParseError(message, self.text, pos)
+        line, column = _line_column(self.text, pos)
+        return cls(f"{message} (line {line}, column {column})")
 
-    def next(self):
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
-
-    def nested(self, parse_inner, pos: int):
-        """parse_inner() one nesting level deeper, for the token at ``pos``."""
+    def nested(self, parse_inner, k: int):
+        """parse_inner() one nesting level deeper, for the k-th token."""
         if self.depth == self.MAX_DEPTH:
-            raise ParseError(f"expression nested deeper than {self.MAX_DEPTH} levels",
-                             self.text, pos)
+            raise self.error(f"expression nested deeper than {self.MAX_DEPTH} levels", k)
         self.depth += 1
         e = parse_inner()
         self.depth -= 1
         return e
 
-    def expect_op(self, op: str):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", self.text, pos)
-
     def parse(self) -> Expr:
         e = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected token {val!r}", self.text, pos)
+        tok = self.tokens[self.k]
+        if tok:
+            raise self.error(f"unexpected token {tok!r}", self.k)
         return e
 
     def expr(self) -> Expr:
-        kind, val, _ = self.peek()
-        negate = False
-        if kind == "op" and val in "+-":
-            self.next()
-            negate = val == "-"
-        terms: List[Term] = []
+        tokens = self.tokens
+        tok = tokens[self.k]
+        sign = 1
+        if tok in _SIGNS:
+            self.k += 1
+            sign = -1 if tok == "-" else 1
+        parts = []
         while True:
-            terms.extend(self.term(-1 if negate else 1))
-            kind, val, _ = self.peek()
-            if kind != "op" or val not in "+-":
-                return Expr(terms)
-            self.next()
-            negate = val == "-"
+            parts.append(self.term(sign))
+            tok = tokens[self.k]
+            if tok not in _SIGNS:
+                break
+            self.k += 1
+            sign = -1 if tok == "-" else 1
+        if len(parts) == 1 and parts[0].__class__ is Expr:
+            return parts[0]
+        return Expr(chain.from_iterable([p.terms if p.__class__ is Expr else p
+                                         for p in parts]))
 
-    def term(self, sign: int) -> List[Term]:
-        """The terms of one product, times ``sign``: a single term unless a
-        factor is a sum."""
+    def term(self, sign: int):
+        """One product times ``sign``: an Expr in normal form when its only
+        non-constant factor is a sum, else its terms, one unless a factor is
+        a sum."""
+        tokens = self.tokens
         num, den = sign, 1
         powers: Dict[CoordinateId, int] = {}
         sums = None  # the product of the factors that are not single terms
@@ -780,12 +827,13 @@ class _Parser:
                 den *= q.denominator
             else:
                 sums = f if sums is None else sums * f
-            kind, val, pos = self.peek()
-            if kind != "op" or val not in "*/":
+            op = tokens[self.k]
+            if op not in _PRODUCT_OPS:
                 break
-            self.next()
+            at = self.k
+            self.k += 1
             f = self.factor()
-            if val == "/":
+            if op == "/":
                 if f.__class__ is int:
                     q = f
                 elif f.__class__ is tuple:
@@ -793,13 +841,15 @@ class _Parser:
                 else:
                     q = f.constant_value()
                 if q is None:
-                    raise UnsupportedExpressionError(
-                        "division by a non-constant expression is not polynomial")
+                    raise self.error("division by a non-constant expression is not polynomial",
+                                     at, UnsupportedExpressionError)
                 if q == 0:
-                    raise ParseError("division by zero", self.text, pos)
+                    raise self.error("division by zero", at)
                 num *= q.denominator
                 den *= q.numerator
                 f = 1  # folded
+        if sums is not None and not powers:
+            return sums if num == den else sums.scale(Fraction(num, den))
         mono = tuple(sorted(powers.items(), key=_factor_key))
         coeff = Fraction(num, den)
         if sums is None:
@@ -809,61 +859,67 @@ class _Parser:
     def factor(self):
         """One factor: an int for a number, (coordinate, exponent) for a power
         of a name, an Expr for a parenthesised or negated factor."""
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            inner = self.nested(self.factor, pos)
+        tokens = self.tokens
+        if tokens[self.k] == "-":
+            self.k += 1
+            inner = self.nested(self.factor, self.k - 1)
             if inner.__class__ is tuple:
                 return _canonical((((inner,), -_ONE_Q),))
             return -inner
         base = self.primary()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            kind, val, pos = self.next()
-            if kind == "op" and val == "-":
-                raise UnsupportedExpressionError("negative exponents are not polynomial")
-            if kind != "num":
-                raise ParseError("expected integer exponent", self.text, pos)
-            e = self.integer(val, pos)
-            if base.__class__ is CoordinateId:
-                return (base, e) if e else 1
-            return (Expr.number(base) if base.__class__ is int else base) ** e
-        return (base, 1) if base.__class__ is CoordinateId else base
+        if tokens[self.k] != "^":
+            return (base, 1) if base.__class__ is CoordinateId else base
+        k = self.k + 1
+        self.k += 2
+        tok = tokens[k]
+        if tok == "-":
+            raise self.error("negative exponents are not polynomial", k,
+                             UnsupportedExpressionError)
+        if not tok.isdecimal():
+            raise self.error("expected integer exponent", k)
+        e = self.integer(tok, k)
+        if base.__class__ is CoordinateId:
+            return (base, e) if e else 1
+        return (Expr.number(base) if base.__class__ is int else base) ** e
 
-    def integer(self, val: str, pos: int) -> int:
-        """The integer literal val, at pos; longer than the digit limit is an error."""
+    def integer(self, tok: str, k: int) -> int:
+        """The integer literal tok, the k-th token; longer than the digit
+        limit is an error."""
         limit = _digit_limit()
-        if limit and len(val) > limit:
-            raise ParseError(f"integer literal of {len(val)} digits, over the limit of "
-                             f"{limit} digits", self.text, pos)
-        return int(val)
+        if limit and len(tok) > limit:
+            raise self.error(f"integer literal of {len(tok)} digits, over the limit of "
+                             f"{limit} digits", k)
+        return int(tok)
 
     _TRANSCENDENTAL = {"sin", "cos", "tan", "exp", "log", "ln", "sqrt",
                        "sinh", "cosh", "tanh", "abs"}
 
     def primary(self):
         """An int, a CoordinateId or, for a parenthesised expression, an Expr."""
-        kind, val, pos = self.next()
-        if kind == "num":
-            return self.integer(val, pos)
-        if kind == "name":
-            if val in self._TRANSCENDENTAL and self.peek()[:2] == ("op", "("):
-                raise UnsupportedExpressionError(
-                    f"transcendental function {val!r} is not polynomial")
-            coord = self.coords.get(val)
-            if coord is None:
-                try:
-                    coord = self.coords[val] = self.ctx.resolve(val)
-                except UnknownCoordinateError:
-                    raise ParseError(f"unknown identifier {val!r}", self.text, pos)
+        k = self.k
+        tok = self.tokens[k]
+        self.k += 1
+        if tok in self._TRANSCENDENTAL and self.tokens[self.k] == "(":
+            raise self.error(f"transcendental function {tok!r} is not polynomial", k,
+                             UnsupportedExpressionError)
+        coord = self.coords.get(tok)
+        if coord is not None:
             return coord
-        if kind == "op" and val == "(":
-            e = self.nested(self.expr, pos)
-            self.expect_op(")")
+        if tok.isdecimal():
+            return self.integer(tok, k)
+        if tok == "(":
+            e = self.nested(self.expr, k)
+            if self.tokens[self.k] != ")":
+                raise self.error("expected ')'", self.k)
+            self.k += 1
             return e
-        raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input",
-                         self.text, pos)
+        if tok and tok not in _OPS:
+            try:
+                coord = self.coords[tok] = self.ctx.resolve(tok)
+            except UnknownCoordinateError:
+                raise self.error(f"unknown identifier {tok!r}", k)
+            return coord
+        raise self.error(f"unexpected token {tok!r}" if tok else "unexpected end of input", k)
 
 
 def parse(text: str, ctx: JetContext) -> Expr:
@@ -877,16 +933,18 @@ def parse(text: str, ctx: JetContext) -> Expr:
 
 # -- rendering ---------------------------------------------------------------
 
-def _coeff_latex(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"\\frac{{{c.numerator}}}{{{c.denominator}}}"
+def _coeff_plain(num: int, den: int) -> str:
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _coeff_latex(num: int, den: int) -> str:
+    return str(num) if den == 1 else f"\\frac{{{num}}}{{{den}}}"
 
 
 def render(e: Expr, ctx: JetContext, fmt: str = "plain") -> str:
     """Deterministic rendering; the plain format re-parses to the same Expr."""
     if fmt == "plain":
-        return _render(e, ctx.name, "^{}".format, str, "*")
+        return _render(e, ctx.name, "^{}".format, _coeff_plain, "*")
     if fmt == "latex":
         return _render(e, ctx.latex_name, "^{{{}}}".format, _coeff_latex, " ")
     if fmt == "json":
@@ -897,8 +955,9 @@ def render(e: Expr, ctx: JetContext, fmt: str = "plain") -> str:
 def _render(e: Expr, name, power, coeff_text, joiner: str) -> str:
     """The signed terms of e, each its coefficient (unless 1) and its factors
     joined by ``joiner``; ``name``, ``power`` and ``coeff_text`` spell a
-    coordinate, an exponent above 1 and a coefficient's magnitude.  Each
-    (coordinate, exponent) is spelled once per call."""
+    coordinate, an exponent above 1 and a coefficient's magnitude from its
+    numerator and denominator.  Each (coordinate, exponent) is spelled once
+    per call."""
     if not e.terms:
         return "0"
     spelled: Dict[Tuple[CoordinateId, int], str] = {}
@@ -912,14 +971,17 @@ def _render(e: Expr, name, power, coeff_text, joiner: str) -> str:
                     c, p = factor
                     text = spelled[factor] = name(c) + (power(p) if p > 1 else "")
                 factors.append(text)
-            mag = abs(coeff)
-            if mag != 1 or not factors:
-                factors.insert(0, coeff_text(mag))
+            num, den = coeff.numerator, coeff.denominator
+            negative = num < 0
+            if negative:
+                num = -num
+            if num != 1 or den != 1 or not factors:
+                factors.insert(0, coeff_text(num, den))
             body = joiner.join(factors)
             if parts:
-                parts.append((" + " if coeff > 0 else " - ") + body)
+                parts.append((" - " if negative else " + ") + body)
             else:
-                parts.append(body if coeff > 0 else "-" + body)
+                parts.append("-" + body if negative else body)
     except ValueError:  # an int past Python's digit limit on int text
         raise _over_digit_limit() from None
     return "".join(parts)
@@ -952,7 +1014,7 @@ def expr_to_json(e: Expr, ctx: JetContext) -> dict:
     try:
         return {
             "monomials": [
-                {"coeff": str(coeff),
+                {"coeff": _coeff_plain(coeff.numerator, coeff.denominator),
                  "factors": [[name(c), p] for c, p in mono]}
                 for mono, coeff in e.terms
             ]

@@ -1,18 +1,25 @@
 """Kernel tests: parsing, normal form, partials, substitution, rendering."""
 
+import json
 import random
+import re
+import sys
+import time
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from conftest import KDV_L, jet_pool, random_expr
 from varjet import symcore
-from varjet.multiindex import MultiIndex
+from varjet.multiindex import MultiIndex, multiindices_up_to
 from varjet.symcore import (
     CoordinateId,
     Expr,
     JetContext,
     ParseError,
+    UnknownCoordinateError,
     UnsupportedExpressionError,
     parse,
     render,
@@ -126,12 +133,21 @@ def test_parse_errors(ctx_tx):
     for text, error, message in [
             ("u/0", ParseError, r"division by zero \(line 1, column 2\)"),
             ("u_x*2/0*u", ParseError, r"division by zero \(line 1, column 6\)"),
-            ("u/u_x", UnsupportedExpressionError, "division by a non-constant expression"),
-            ("u^-1", UnsupportedExpressionError, "negative exponents are not polynomial"),
+            ("u/u_x", UnsupportedExpressionError,
+             r"division by a non-constant expression is not polynomial \(line 1, column 2\)$"),
+            ("u_x*(u + 1)/(u_t - 2)", UnsupportedExpressionError,
+             r"division by a non-constant expression is not polynomial \(line 1, column 12\)$"),
+            ("u^-1", UnsupportedExpressionError,
+             r"negative exponents are not polynomial \(line 1, column 3\)$"),
+            ("u +\n  (u_x)^ -2", UnsupportedExpressionError,
+             r"negative exponents are not polynomial \(line 2, column 10\)$"),
             # "^" then a letter joins the name
             ("u^x", ParseError, r"unknown identifier 'u\^x' \(line 1, column 1\)"),
             ("u ^x", ParseError, r"expected integer exponent \(line 1, column 4\)"),
-            ("sin(u)", UnsupportedExpressionError, "transcendental function 'sin'"),
+            ("sin(u)", UnsupportedExpressionError,
+             r"transcendental function 'sin' is not polynomial \(line 1, column 1\)$"),
+            ("u*2 - exp (u_x)", UnsupportedExpressionError,
+             r"transcendental function 'exp' is not polynomial \(line 1, column 7\)$"),
             ("u*w*u_x", ParseError, r"unknown identifier 'w' \(line 1, column 3\)"),
             ("u*(u_t + u_x)/w", ParseError, r"unknown identifier 'w' \(line 1, column 15\)")]:
         with pytest.raises(error, match=f"^{message}"):
@@ -301,8 +317,10 @@ def test_reparse_normalises_each_term_a_bounded_number_of_times(monkeypatch):
 
 def test_power_normalises_once(monkeypatch):
     # a multinomial power passes each of its terms through normalisation
-    # once, and the sum that holds it once more; squaring passed 41,505
+    # once, and a sum read alone is not normalised again; squaring passed
+    # 41,505 and re-normalising the lone sum 2 * 780 + 3
     ctx = JetContext(("t", "x"), ("u",))
+    power = parse("(u + u_t + u_x)^38", ctx)
     normalise = symcore._normal_form
     passed = []
 
@@ -314,7 +332,20 @@ def test_power_normalises_once(monkeypatch):
     monkeypatch.setattr(symcore, "_normal_form", counting)
     e = parse("(u + u_t + u_x)^38", ctx)
     assert len(e.terms) == 780
-    assert sum(passed) <= 2 * 780 + 3, passed
+    assert sum(passed) <= 780 + 3, passed
+    # a product of two powers of sums: the 462-term product is normalised
+    # once, by the product, and not again by the expression that holds it
+    passed.clear()
+    e = parse("(u + u_t)^20*(u_x + u_tt)^21", ctx)
+    assert len(e.terms) == 21 * 22
+    assert passed.count(462) == 1, passed
+    assert sum(passed) <= 2 + 21 + 2 + 22 + 462, passed
+    # scaled, negated or not, the lone sum is not normalised again
+    for text, k in (("-2/3*(u + u_t + u_x)^38", Fraction(-2, 3)),
+                    ("(u + u_t + u_x)^38*3/3", 1)):
+        passed.clear()
+        assert parse(text, ctx) == power.scale(k)
+        assert sum(passed) <= 780 + 3, passed
 
 
 def test_product_and_power_over_the_term_budget_are_refused_before_any_work(
@@ -334,3 +365,316 @@ def test_product_and_power_over_the_term_budget_are_refused_before_any_work(
                        match="^the product of a 6-term and a 6-term expression may have "
                              "up to 36 terms, over the budget of 30$"):
         big * big
+
+
+def test_long_texts_fail_or_parse_in_linear_time(ctx_tx):
+    # a token pattern or a whole-text check that backtracks would take
+    # minutes on these, as would a token pattern that starts with spaces and
+    # so scans a trailing run of them again from each of its positions
+    start = time.perf_counter()
+    for text, column in (("u" * 200_000 + "$", 200_001), ("u_x*" * 50_000 + ",", 200_001)):
+        with pytest.raises(ParseError, match=rf"^unexpected character '.' "
+                           rf"\(line 1, column {column}\)$"):
+            parse(text, ctx_tx)
+    assert parse("u" + " " * 100_000, ctx_tx) == E(ctx_tx, "u")
+    with pytest.raises(ParseError, match=r"^unexpected end of input \(line 1, column 100004\)$"):
+        parse("u +" + " " * 100_000, ctx_tx)
+    assert time.perf_counter() - start < 5
+
+
+def test_patterns_need_nothing_past_the_python_floor():
+    # pyproject.toml declares Python >= 3.10: atomic groups and possessive
+    # quantifiers came to `re` in 3.11
+    patterns = [v for v in vars(symcore).values() if isinstance(v, re.Pattern)]
+    assert symcore._TOKEN_RE in patterns
+    for pattern in patterns:
+        for syntax in ("(?>", "*+", "++", "?+"):
+            assert syntax not in pattern.pattern, (syntax, pattern.pattern)
+
+
+# -- the reader and writer against the straightforward ones --------------------
+#
+# reference_parse is the reader as it was before its tokenizer became one
+# findall pass: a (kind, value, position) tuple per token from finditer, and
+# every expression's terms normalised once more.  Its three "not polynomial"
+# refusals carry the position of the function name, the "/" and the "-".
+# reference_render spells each coefficient from its Fraction.
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+)"
+    r"|(?P<name>[A-Za-z][A-Za-z0-9_.]*(?:\^[A-Za-z][A-Za-z0-9_.]*)?(?:,_[A-Za-z][A-Za-z0-9]*)?)"
+    r"|(?P<op>[-+*/^()])|(?P<bad>\S))")
+
+
+def _reference_tokenize(text):
+    tokens = []
+    for m in _REFERENCE_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", text, m.start())
+        tokens.append((kind, m.group(kind), m.start(kind)))
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def _not_polynomial(message, text, pos):
+    return UnsupportedExpressionError(str(ParseError(message, text, pos)))
+
+
+class _ReferenceParser:
+    MAX_DEPTH = 100
+    _TRANSCENDENTAL = {"sin", "cos", "tan", "exp", "log", "ln", "sqrt",
+                       "sinh", "cosh", "tanh", "abs"}
+
+    def __init__(self, text, ctx):
+        self.text = text
+        self.ctx = ctx
+        self.tokens = _reference_tokenize(text)
+        self.k = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.k]
+
+    def next(self):
+        tok = self.tokens[self.k]
+        self.k += 1
+        return tok
+
+    def nested(self, parse_inner, pos):
+        if self.depth == self.MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {self.MAX_DEPTH} levels",
+                             self.text, pos)
+        self.depth += 1
+        e = parse_inner()
+        self.depth -= 1
+        return e
+
+    def parse(self):
+        e = self.expr()
+        kind, val, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected token {val!r}", self.text, pos)
+        return e
+
+    def expr(self):
+        kind, val, _ = self.peek()
+        negate = False
+        if kind == "op" and val in "+-":
+            self.next()
+            negate = val == "-"
+        terms = []
+        while True:
+            terms.extend(self.term(-1 if negate else 1))
+            kind, val, _ = self.peek()
+            if kind != "op" or val not in "+-":
+                return Expr(terms)
+            self.next()
+            negate = val == "-"
+
+    def term(self, sign):
+        num, den = sign, 1
+        powers = {}
+        sums = None
+        f = self.factor()
+        while True:
+            if f.__class__ is int:
+                num *= f
+            elif f.__class__ is tuple:
+                c, k = f
+                powers[c] = powers.get(c, 0) + k
+            elif len(f.terms) == 1:
+                mono, q = f.terms[0]
+                for c, k in mono:
+                    powers[c] = powers.get(c, 0) + k
+                num *= q.numerator
+                den *= q.denominator
+            else:
+                sums = f if sums is None else sums * f
+            kind, val, pos = self.peek()
+            if kind != "op" or val not in "*/":
+                break
+            self.next()
+            f = self.factor()
+            if val == "/":
+                if f.__class__ is int:
+                    q = f
+                elif f.__class__ is tuple:
+                    q = None
+                else:
+                    q = f.constant_value()
+                if q is None:
+                    raise _not_polynomial(
+                        "division by a non-constant expression is not polynomial",
+                        self.text, pos)
+                if q == 0:
+                    raise ParseError("division by zero", self.text, pos)
+                num *= q.denominator
+                den *= q.numerator
+                f = 1
+        mono = tuple(sorted(powers.items(), key=lambda factor: factor[0].sort_key()))
+        coeff = Fraction(num, den)
+        if sums is None:
+            return [(mono, coeff)]
+        return [(symcore._mono_mul(m, mono), c * coeff) for m, c in sums.terms]
+
+    def factor(self):
+        kind, val, pos = self.peek()
+        if kind == "op" and val == "-":
+            self.next()
+            inner = self.nested(self.factor, pos)
+            if inner.__class__ is tuple:
+                return Expr([((inner,), Fraction(-1))])
+            return -inner
+        base = self.primary()
+        kind, val, _ = self.peek()
+        if kind == "op" and val == "^":
+            self.next()
+            kind, val, pos = self.next()
+            if kind == "op" and val == "-":
+                raise _not_polynomial("negative exponents are not polynomial", self.text, pos)
+            if kind != "num":
+                raise ParseError("expected integer exponent", self.text, pos)
+            e = self.integer(val, pos)
+            if base.__class__ is CoordinateId:
+                return (base, e) if e else 1
+            return (Expr.number(base) if base.__class__ is int else base) ** e
+        return (base, 1) if base.__class__ is CoordinateId else base
+
+    def integer(self, val, pos):
+        limit = sys.get_int_max_str_digits()
+        if limit and len(val) > limit:
+            raise ParseError(f"integer literal of {len(val)} digits, over the limit of "
+                             f"{limit} digits", self.text, pos)
+        return int(val)
+
+    def primary(self):
+        kind, val, pos = self.next()
+        if kind == "num":
+            return self.integer(val, pos)
+        if kind == "name":
+            if val in self._TRANSCENDENTAL and self.peek()[:2] == ("op", "("):
+                raise _not_polynomial(f"transcendental function {val!r} is not polynomial",
+                                      self.text, pos)
+            try:
+                return self.ctx.resolve(val)
+            except UnknownCoordinateError:
+                raise ParseError(f"unknown identifier {val!r}", self.text, pos)
+        if kind == "op" and val == "(":
+            e = self.nested(self.expr, pos)
+            kind, val, pos = self.next()
+            if kind != "op" or val != ")":
+                raise ParseError("expected ')'", self.text, pos)
+            return e
+        raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input",
+                         self.text, pos)
+
+
+def reference_parse(text, ctx):
+    return _ReferenceParser(text, ctx).parse()
+
+
+def _reference_render(e, name, power, coeff_text, joiner):
+    if not e.terms:
+        return "0"
+    parts = []
+    for mono, coeff in e.terms:
+        factors = [name(c) + (power(p) if p > 1 else "") for c, p in mono]
+        mag = abs(coeff)
+        if mag != 1 or not factors:
+            factors.insert(0, coeff_text(mag))
+        body = joiner.join(factors)
+        if parts:
+            parts.append((" + " if coeff > 0 else " - ") + body)
+        else:
+            parts.append(body if coeff > 0 else "-" + body)
+    return "".join(parts)
+
+
+def reference_render(e, ctx, fmt):
+    if fmt == "plain":
+        return _reference_render(e, ctx.name, "^{}".format, str, "*")
+    if fmt == "latex":
+        return _reference_render(
+            e, ctx.latex_name, "^{{{}}}".format,
+            lambda c: str(c) if c.denominator == 1 else f"\\frac{{{c.numerator}}}{{{c.denominator}}}",
+            " ")
+    return json.dumps({"monomials": [
+        {"coeff": str(coeff), "factors": [[ctx.name(c), p] for c, p in mono]}
+        for mono, coeff in e.terms]}, sort_keys=True)
+
+
+def outcome(read, *args):
+    """What read(*args) gives: its value, or its error's type, text and position."""
+    try:
+        return read(*args)
+    except Exception as exc:  # compared, never swallowed: the other side must match
+        return type(exc), str(exc), getattr(exc, "pos", None)
+
+
+PARSE_CONTEXTS = (JetContext(("t", "x"), ("u",)), JetContext(("t", "x"), ("u", "v")),
+                  JetContext(("sin", "x"), ("u",)))
+# the grammar's characters, some that are not in it (a non-ASCII digit and
+# non-ASCII spaces among them) and longer pieces: names, a function call,
+# nesting past the depth cap and literals at and past the digit limit
+_pieces = st.one_of(
+    st.sampled_from(list("0123456789tuvxsinp_.,^()+-*/ \n\t")),
+    st.sampled_from(["$", "#", "=", "٣", " ", " ", "\x1c", "é"]),
+    st.sampled_from(["u_x", "u_tx", "v_xx", "p_x.t", "p^v_.x", "u,_x", "sin", "sin(",
+                     "exp(", "sinx", "^-", "/(", "/0", "^0", " + ", " - ", "*-"]),
+    st.sampled_from(["(" * 101, ")" * 101, "-" * 101, "(" * 99, ")" * 99, "-(" * 60,
+                     "9" * 4300, "7" * 4301, "1" * 4400]),
+)
+_texts = st.lists(_pieces, max_size=30).map("".join)
+# expressions the grammar builds, so that most examples parse
+_atoms = st.one_of(st.integers(min_value=0, max_value=99).map(str),
+                   st.sampled_from(["t", "x", "sin", "u", "v", "u_x", "u_tt", "u_tx",
+                                    "v_x", "p_x.t", "p^v_.x", "p^u_t.x", "u,_x"]))
+_expressions = st.recursive(_atoms, lambda inner: st.one_of(
+    st.builds(lambda a, op, b: f"{a} {op} {b}", inner, st.sampled_from("+-*/"), inner),
+    st.builds(lambda a, b: f"{a}*{b}", inner, inner),
+    inner.map(lambda a: f"({a})"),
+    inner.map(lambda a: f"-{a}"),
+    st.builds(lambda a, e: f"({a})^{e}", inner, st.integers(min_value=0, max_value=6)),
+    st.builds(lambda a, e: f"{a}^{e}", inner, st.integers(min_value=0, max_value=3))),
+    max_leaves=8)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=st.one_of(_texts, _expressions), ctx=st.sampled_from(PARSE_CONTEXTS))
+def test_parse_matches_reference_parse(text, ctx):
+    want = outcome(reference_parse, text, ctx)
+    got = outcome(parse, text, ctx)
+    assert got == want
+    if isinstance(got, Expr):
+        assert all(c.__class__ is Fraction and c for _, c in got.terms)
+
+
+RENDER_CTX = JetContext(("t", "x"), ("u", "v"))
+RENDER_POOL = [CoordinateId.independent(i) for i in range(2)] \
+    + [CoordinateId.jet(a, I) for a in range(2) for I in multiindices_up_to(2, 2)] \
+    + [CoordinateId.momentum(a, I, i)
+       for a in range(2) for I in multiindices_up_to(2, 1) for i in range(2)]
+_big = st.integers(min_value=10 ** 499, max_value=10 ** 500 - 1)
+_coefficients = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1)]),
+    st.integers(min_value=-50, max_value=50).filter(bool).map(Fraction),
+    st.builds(lambda n, d: Fraction(n, d), st.integers(min_value=-40, max_value=40).filter(bool),
+              st.integers(min_value=2, max_value=60)),
+    st.builds(lambda n, sign: Fraction(sign * n), _big, st.sampled_from([1, -1])),
+    st.builds(lambda n, d, sign: Fraction(sign * n, d), _big, _big, st.sampled_from([1, -1])),
+)
+_monomials = st.lists(st.tuples(st.sampled_from(RENDER_POOL), st.integers(min_value=1,
+                                                                          max_value=12)),
+                      max_size=4, unique_by=lambda factor: factor[0]).map(
+    lambda factors: tuple(sorted(factors, key=lambda f: f[0].sort_key())))
+_render_exprs = st.lists(st.tuples(_monomials, _coefficients), max_size=8).map(Expr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=_render_exprs)
+def test_render_matches_reference_render(e):
+    for fmt in ("plain", "latex", "json"):
+        assert render(e, RENDER_CTX, fmt) == reference_render(e, RENDER_CTX, fmt)
+    assert parse(render(e, RENDER_CTX), RENDER_CTX) == e
+
