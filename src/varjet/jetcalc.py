@@ -35,15 +35,15 @@ def total_derivative(e: Expr, i: int) -> Expr:
     p (x^i)^(p-1) and every factor (u_I^a)^p gives p (u_I^a)^(p-1) u_{Ii}^a,
     and all the new terms are normalised together.
     """
-    lifted: Dict[tuple, CoordinateId] = {}  # key of u_I^a -> u_{Ii}^a
+    lifted: Dict[CoordinateId, CoordinateId] = {}  # u_I^a -> u_{Ii}^a
     out: List[Term] = []
     for mono, coeff in e.terms:
         for k, (c, p) in enumerate(mono):
             kind = c.kind
             if kind == JET:
-                d = lifted.get(c._key)
+                d = lifted.get(c)
                 if d is None:
-                    d = lifted[c._key] = CoordinateId.jet(c.alpha, c.index.with_index(i))
+                    d = lifted[c] = CoordinateId.jet(c.alpha, c.index.with_index(i))
                 out.append((_lifted(mono, k, d), coeff * p if p > 1 else coeff))
             elif kind == MOMENTUM:
                 raise WrongDomainError(
@@ -61,11 +61,10 @@ def _lifted(mono: Monomial, k: int, d: CoordinateId) -> Monomial:
     a coordinate sorting after the k-th, raised by one."""
     c, p = mono[k]
     head = mono[:k] + ((c, p - 1),) if p > 1 else mono[:k]
-    key = d._key
     for j in range(k + 1, len(mono)):
         cj, q = mono[j]
-        if cj._key >= key:
-            if cj._key == key:
+        if cj >= d:
+            if cj == d:
                 return head + mono[k + 1:j] + ((cj, q + 1),) + mono[j + 1:]
             return head + mono[k + 1:j] + ((d, 1),) + mono[j:]
     return head + mono[k + 1:] + ((d, 1),)

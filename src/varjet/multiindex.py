@@ -1,45 +1,44 @@
 """Unordered multiindices of independent-variable indices.
 
 A multiindex is a finite multiset of indices 0..n-1 (0-based internally;
-display and JSON use 1-based positions or names).  Entries are kept sorted,
-so two multiindices are equal iff they are equal as multisets.
+display and JSON use 1-based positions or names).  It is the tuple of its
+entries in ascending order, so two multiindices are equal iff they are equal
+as multisets, and hashing, equality and order are the tuple's own.  A
+multiindex also equals the plain tuple of its entries; varjet never mixes
+the two.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterable, List, Tuple
 
 
-@dataclass(frozen=True, order=True)
-class MultiIndex:
+class MultiIndex(tuple):
     """Sorted tuple of independent-variable indices; order of entries irrelevant."""
 
-    entries: Tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
-        if any(i < 0 for i in self.entries):
+    def __new__(cls, entries: Iterable[int] = ()) -> "MultiIndex":
+        entries = sorted(entries)
+        if entries and entries[0] < 0:
             raise ValueError("multiindex entries must be nonnegative indices")
+        return tuple.__new__(cls, entries)
 
     @classmethod
     def of(cls, *indices: int) -> "MultiIndex":
-        return cls(tuple(indices))
+        return cls(indices)
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    @property
+    def entries(self) -> Tuple[int, ...]:
+        return tuple(self)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
-    def count(self, i: int) -> int:
-        """Multiplicity I[i]: the number of times index i appears."""
-        return self.entries.count(i)
+    def __repr__(self) -> str:
+        return f"MultiIndex(entries={tuple(self)!r})"
 
     def with_index(self, i: int) -> "MultiIndex":
         """The multiindex Ii (append one copy of i)."""
-        return MultiIndex(self.entries + (i,))
+        return MultiIndex((*self, i))
 
     def removals(self) -> List[Tuple["MultiIndex", int, int]]:
         """All distinct (J, i) with Ji = I, each with multiplicity I[i].
@@ -47,14 +46,14 @@ class MultiIndex:
         The multiplicities sum to |I|.  Empty input yields an empty list.
         """
         out = []
-        for i in sorted(set(self.entries)):
-            rest = list(self.entries)
+        for i in sorted(set(self)):
+            rest = list(self)
             rest.remove(i)
-            out.append((MultiIndex(tuple(rest)), i, self.count(i)))
+            out.append((MultiIndex(rest), i, self.count(i)))
         return out
 
     def sort_key(self) -> Tuple[int, Tuple[int, ...]]:
-        return (len(self.entries), self.entries)
+        return (len(self), self)
 
 
 EMPTY = MultiIndex()
@@ -71,4 +70,3 @@ def multiindices_up_to(n: int, max_length: int) -> List[MultiIndex]:
     for k in range(max_length + 1):
         out.extend(multiindices(n, k))
     return out
-

@@ -31,7 +31,6 @@ from .symcore import (
     JetContext,
     VarjetError,
     WrongDomainError,
-    _factor_key,
     render,
     row_echelon,
 )
@@ -59,20 +58,21 @@ class DerivedContext:
         if fiber is None:
             fiber = base.jets_up_to(level + 1) + base.momenta_up_to(level)
         self.fiber: Tuple[CoordinateId, ...] = tuple(fiber)
-        self._alpha: Dict[CoordinateId, int] = {c: k for k, c in enumerate(self.fiber)}
-        # the derived zero-jet of each fiber coordinate, by the coordinate's key
-        self._deps = {c._key: CoordinateId.jet(k, EMPTY) for k, c in enumerate(self.fiber)}
+        # the derived zero-jet of each fiber coordinate; its alpha is the
+        # coordinate's place in the fiber
+        self._deps: Dict[CoordinateId, CoordinateId] = {
+            c: CoordinateId.jet(k, EMPTY) for k, c in enumerate(self.fiber)}
         self.ctx = JetContext(base.independents, tuple(base.name(c) for c in self.fiber),
                               jet_style="comma")
 
     def contains(self, c: CoordinateId) -> bool:
-        return c in self._alpha
+        return c in self._deps
 
     def dep(self, c: CoordinateId) -> CoordinateId:
-        return self._deps[c._key]
+        return self._deps[c]
 
     def comma(self, c: CoordinateId, i: int) -> CoordinateId:
-        return CoordinateId.jet(self._alpha[c], MultiIndex.of(i))
+        return CoordinateId.jet(self._deps[c].alpha, MultiIndex.of(i))
 
     def embed(self, e: Expr) -> Expr:
         """Base expression (jets and momenta of the fiber) -> derived expression.
@@ -87,15 +87,15 @@ class DerivedContext:
             factors = []
             for c, p in mono:
                 if c.kind != INDEPENDENT:
-                    d = deps.get(c._key)
+                    d = deps.get(c)
                     if d is None:
                         missing = next(x for x in e.coordinates()
-                                       if x.kind != INDEPENDENT and x not in self._alpha)
+                                       if x.kind != INDEPENDENT and x not in deps)
                         raise WrongDomainError(f"coordinate {self.base.name(missing)} "
                                                "is not part of the derived fiber")
                     c = d
                 factors.append((c, p))
-            factors.sort(key=_factor_key)
+            factors.sort()
             terms.append((tuple(factors), coeff))
         return Expr(terms)
 

@@ -8,13 +8,17 @@ form is unique: no zero coefficients, like monomials merged, monomials and
 factors sorted by a fixed total order.  Structural equality therefore decides
 mathematical equality.
 
+A coordinate is the tuple of its sort key (kind rank, alpha, |I|, I, i)
+and a multiindex the tuple of its sorted entries, so monomial dicts and
+factor sorts hash, compare and order coordinates in C.
+
 Every result that can break the normal form goes through one normalisation
 path, ``_normal_form``: summands and products stream their terms into one
-dict and the merged monomials are sorted once, by keys built from each
-coordinate's stored sort key.  Sums of many parts (the parser, total
-derivatives, the variational and reduction constructions) make one builder
-call, ``Expr.sum`` or ``Expr(terms)``, so a result is normalised once, not
-once per partial sum.  Substitution follows Horner's rule: it collects the
+dict and the merged monomials are sorted once, by keys built from their
+coordinates.  Sums of many parts (the parser, total derivatives, the
+variational and reduction constructions) make one builder call,
+``Expr.sum`` or ``Expr(terms)``, so a result is normalised once, not once
+per partial sum.  Substitution follows Horner's rule: it collects the
 expression on one bound coordinate at a time and makes one product and one
 normalisation per exponent of that coordinate, not one product per monomial.
 Negation, scaling by a nonzero rational and powers of a single term keep the
@@ -29,8 +33,9 @@ The reader tokenizes a text in one ``findall`` pass into token strings and
 finds a token's position, by scanning the text again, only for an error.
 It reads each product into one term; an expression that is one sum, such
 as a power of a sum or a product of two, is that sum's normal form and is
-not normalised again.  The renderers spell each coefficient from its
-integer numerator and denominator.
+not normalised again, and an expression of one monomial is that term.  A
+bad character is placed at its own start.  The renderers spell each
+coefficient from its integer numerator and denominator.
 
 All values are immutable; every operation is a pure function.
 """
@@ -41,9 +46,10 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .multiindex import EMPTY, MultiIndex, multiindices_up_to
@@ -52,7 +58,8 @@ INDEPENDENT = "independent"
 JET = "jet"
 MOMENTUM = "momentum"
 
-_KIND_RANK = {INDEPENDENT: 0, JET: 1, MOMENTUM: 2}
+_KINDS = (INDEPENDENT, JET, MOMENTUM)
+_KIND_RANK = {kind: rank for rank, kind in enumerate(_KINDS)}
 
 
 class VarjetError(Exception):
@@ -83,56 +90,54 @@ class WrongDomainError(VarjetError):
     pass
 
 
-@dataclass(frozen=True)
-class CoordinateId:
+class CoordinateId(tuple):
     """One coordinate: an independent variable, a jet u_I^a, or a momentum p_a^{I.i}.
 
     ``alpha`` is the 0-based dependent index (jets and momenta), ``i`` the
     0-based independent index (independents and momenta).  A jet with empty
-    multiindex is the dependent variable itself.  The sort key and the hash
-    are computed once, at construction, in fields that equality ignores.
+    multiindex is the dependent variable itself.  A coordinate is the tuple
+    of its sort key: independents (0, i, 0, (), 0) before jets (1, alpha,
+    |I|, I, -1) before momenta (2, alpha, |I|, I, i).  Hashing, equality and
+    order are the tuple's; the hash holds only ints, so it is the same in
+    every process.  A coordinate equals the plain tuple of its key too;
+    varjet never mixes the two.
     """
 
-    kind: str
-    alpha: int = -1
-    index: MultiIndex = EMPTY
-    i: int = -1
-    _key: Tuple[int, int, int, Tuple[int, ...], int] = field(
-        init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        # independents before jets before momenta; jets by (alpha, |I|, I);
-        # momenta by (alpha, |I|, I, i).
-        if self.kind == INDEPENDENT:
-            key = (0, self.i, 0, (), 0)
-        else:
-            key = (_KIND_RANK[self.kind], self.alpha, len(self.index), self.index.entries, self.i)
-        object.__setattr__(self, "_key", key)
-        # hashed from the key, which equal fields give equal and which holds
-        # only ints, so the cached value is the same in every process
-        object.__setattr__(self, "_hash", hash(key))
+    def __new__(cls, kind: str, alpha: int = -1, index: MultiIndex = EMPTY,
+                i: int = -1) -> "CoordinateId":
+        if kind == INDEPENDENT:
+            return tuple.__new__(cls, (0, i, 0, EMPTY, 0))
+        return tuple.__new__(cls, (_KIND_RANK[kind], alpha, len(index), index, i))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __getnewargs__(self):
+        return (self.kind, self.alpha, self.index, self.i)
 
     @classmethod
     def independent(cls, i: int) -> "CoordinateId":
-        return cls(INDEPENDENT, i=i)
+        return tuple.__new__(cls, (0, i, 0, EMPTY, 0))
 
     @classmethod
     def jet(cls, alpha: int, index: MultiIndex = EMPTY) -> "CoordinateId":
-        return cls(JET, alpha=alpha, index=index)
+        return tuple.__new__(cls, (1, alpha, len(index), index, -1))
 
     @classmethod
     def momentum(cls, alpha: int, index: MultiIndex, i: int) -> "CoordinateId":
-        return cls(MOMENTUM, alpha=alpha, index=index, i=i)
+        return tuple.__new__(cls, (2, alpha, len(index), index, i))
 
-    def sort_key(self) -> Tuple[int, int, int, Tuple[int, ...], int]:
-        return self._key
+    # the fields, read from the key
+    kind = property(lambda self: _KINDS[self[0]])
+    alpha = property(lambda self: self[1] if self[0] else -1)
+    index = property(itemgetter(3))
+    i = property(lambda self: self[4] if self[0] else self[1])
 
-    def __lt__(self, other: "CoordinateId") -> bool:
-        return self._key < other._key
+    def sort_key(self) -> "CoordinateId":
+        return self
+
+    def __repr__(self) -> str:
+        return (f"CoordinateId(kind={self.kind!r}, alpha={self.alpha!r}, "
+                f"index={self.index!r}, i={self.i!r})")
 
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
@@ -332,16 +337,8 @@ def _mono_key(mono: Monomial):
     # Factors are stored ascending, so the leading one is the last.
     if not mono:
         return _CONSTANT_MONO_KEY
-    tail = tuple([(c._key, -e) for c, e in reversed(mono)])
+    tail = tuple([(c, -e) for c, e in reversed(mono)])
     return (tail[0][0], -sum([e for _, e in mono]), tail)
-
-
-def _coord_key(c: CoordinateId):
-    return c._key
-
-
-def _factor_key(factor: Tuple[CoordinateId, int]):
-    return factor[0]._key
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -352,7 +349,7 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     powers: Dict[CoordinateId, int] = dict(a)
     for c, e in b:
         powers[c] = powers.get(c, 0) + e
-    return tuple(sorted(powers.items(), key=_factor_key))
+    return tuple(sorted(powers.items()))
 
 
 def _normal_form(terms: Iterable[Term]) -> Tuple[Term, ...]:
@@ -497,7 +494,7 @@ class Expr:
 
     def coordinates(self) -> List[CoordinateId]:
         seen = {c for mono, _ in self.terms for c, _ in mono}
-        return sorted(seen, key=_coord_key)
+        return sorted(seen)
 
     def constant_value(self) -> Optional[Fraction]:
         """The value as a rational number, or None if not constant."""
@@ -519,11 +516,10 @@ class Expr:
 
     def partial(self, c: CoordinateId) -> "Expr":
         """Formal partial derivative; all distinct coordinates are independent symbols."""
-        key = c._key  # equal coordinates have equal keys: a cheap first test
         acc: List[Term] = []
         for mono, coeff in self.terms:
             for k, (cc, e) in enumerate(mono):
-                if cc._key == key and cc == c:
+                if cc == c:
                     if e > 1:
                         acc.append((mono[:k] + ((cc, e - 1),) + mono[k + 1:], coeff * e))
                     else:
@@ -533,11 +529,10 @@ class Expr:
 
     def coefficient_of(self, c: CoordinateId) -> "Expr":
         """Coefficient of the first power of c; meaningful when affine in c."""
-        key = c._key
         acc = []
         for mono, coeff in self.terms:
             for k, (cc, e) in enumerate(mono):
-                if e == 1 and cc._key == key and cc == c:
+                if e == 1 and cc == c:
                     acc.append((mono[:k] + mono[k + 1:], coeff))
         return Expr(acc)
 
@@ -555,7 +550,7 @@ class Expr:
         """
         if not bindings:
             return self
-        images = {c._key: image.terms for c, image in bindings.items()}
+        images = {c: image.terms for c, image in bindings.items()}
         out = _substituted(self.terms, images, {})
         return self if out is None else _canonical(out)
 
@@ -571,19 +566,19 @@ def _product_terms(a: Tuple[Term, ...], b: Tuple[Term, ...]) -> List[Term]:
     return [(_mono_mul(m1, m2), c1 * c2) for m1, c1 in a for m2, c2 in b]
 
 
-def _substituted(terms, images: Dict[tuple, Tuple[Term, ...]],
-                 powers: Dict[Tuple[tuple, int], Tuple[Term, ...]]) -> Optional[Tuple[Term, ...]]:
+def _substituted(terms, images: Dict[CoordinateId, Tuple[Term, ...]],
+                 powers: Dict[Tuple[CoordinateId, int], Tuple[Term, ...]]
+                 ) -> Optional[Tuple[Term, ...]]:
     """The normal form of ``terms`` (distinct monomials in any order) with
-    every coordinate whose key ``images`` binds replaced by its image, by
+    every coordinate that ``images`` binds replaced by its image, by
     Horner's rule on the largest bound coordinate; None when none occurs.
     ``powers`` caches the images' powers above the first over one substitution."""
     top = None
     for mono, _ in terms:
         for c, _ in reversed(mono):  # factors ascend: the first bound one is the largest
-            key = c._key
-            if key in images:
-                if top is None or top < key:
-                    top = key
+            if c in images:
+                if top is None or top < c:
+                    top = c
                 break
     if top is None:
         return None
@@ -591,7 +586,7 @@ def _substituted(terms, images: Dict[tuple, Tuple[Term, ...]],
     for term in terms:
         mono = term[0]
         for k, (c, e) in enumerate(mono):
-            if c._key == top:
+            if c == top:
                 parts.setdefault(e, []).append((mono[:k] + mono[k + 1:], term[1]))
                 break
         else:
@@ -610,13 +605,13 @@ def _substituted(terms, images: Dict[tuple, Tuple[Term, ...]],
     return acc
 
 
-def _image_power(key: tuple, e: int, images, powers) -> Tuple[Term, ...]:
-    """The terms of the image of the coordinate with ``key`` to the power e >= 1."""
+def _image_power(c: CoordinateId, e: int, images, powers) -> Tuple[Term, ...]:
+    """The terms of the image of c to the power e >= 1."""
     if e == 1:
-        return images[key]
-    power = powers.get((key, e))
+        return images[c]
+    power = powers.get((c, e))
     if power is None:
-        power = powers[(key, e)] = (_canonical(images[key]) ** e).terms
+        power = powers[(c, e)] = (_canonical(images[c]) ** e).terms
     return power
 
 
@@ -714,11 +709,9 @@ def _tokenize(text: str) -> List[str]:
     """
     tokens = _TOKEN_RE.findall(text)
     if "".join(tokens) != "".join(text.split()):
-        end = 0  # a bad character is placed where the spaces before it start
         for m in _PLACED_RE.finditer(text):
             if m.lastindex == 2:
-                raise ParseError(f"unexpected character {m.group(2)!r}", text, end)
-            end = m.end()
+                raise ParseError(f"unexpected character {m.group(2)!r}", text, m.start())
     tokens.append("")
     return tokens
 
@@ -744,7 +737,8 @@ class _Parser:
     multiplied in directly, and only a parenthesised or negated factor is an
     Expr (folded in when it has one term).  A term whose only non-constant
     factor is a sum is that sum's normal form, scaled unless its coefficient
-    is 1, and an expression of one such term is returned as it is; any other
+    is 1.  An expression of one such term is returned as it is, and one of a
+    single monomial is that term (or zero), without normalisation; any other
     expression collects its terms and builds one Expr.  Parentheses and
     unary minus signs nest at most MAX_DEPTH deep, which keeps the recursion
     well inside the interpreter's stack limit.
@@ -799,8 +793,12 @@ class _Parser:
                 break
             self.k += 1
             sign = -1 if tok == "-" else 1
-        if len(parts) == 1 and parts[0].__class__ is Expr:
-            return parts[0]
+        if len(parts) == 1:
+            part = parts[0]
+            if part.__class__ is Expr:
+                return part
+            if len(part) == 1:  # one monomial, its factors ascending and distinct
+                return _canonical((part[0],)) if part[0][1] else _ZERO
         return Expr(chain.from_iterable([p.terms if p.__class__ is Expr else p
                                          for p in parts]))
 
@@ -850,7 +848,7 @@ class _Parser:
                 f = 1  # folded
         if sums is not None and not powers:
             return sums if num == den else sums.scale(Fraction(num, den))
-        mono = tuple(sorted(powers.items(), key=_factor_key))
+        mono = tuple(sorted(powers.items()))
         coeff = Fraction(num, den)
         if sums is None:
             return [(mono, coeff)]

@@ -1,14 +1,20 @@
 """Hypothesis property suites for the algebraic laws of the kernel."""
 
+import copy
+import pickle
+from dataclasses import field as dc_field
+from dataclasses import make_dataclass
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from varjet.jetcalc import total_derivative
 from varjet.multiindex import EMPTY, MultiIndex, multiindices_up_to
 from varjet.pdham import DerivedContext
-from varjet.symcore import INDEPENDENT, JET, CoordinateId, Expr, JetContext, parse, render
+from varjet.symcore import (INDEPENDENT, JET, MOMENTUM, CoordinateId, Expr, JetContext, parse,
+                            render)
 
 CTX = JetContext(("t", "x"), ("u",))
 POOL = [CoordinateId.jet(0, I) for I in multiindices_up_to(2, 3)] \
@@ -256,6 +262,70 @@ def test_removals_reassembles(entries):
     assert sum(mult for _, _, mult in removals) == len(I)
     assert all(J.with_index(i) == I for J, i, _ in removals)
     assert len({(J, i) for J, i, _ in removals}) == len(removals)
+
+
+# The coordinate and the multiindex as frozen dataclasses, as they were
+# before both became tuples: the reference for their order, equality, hash
+# and repr.  A coordinate computed its sort key from its fields and hashed
+# and ordered by that key.
+OldMultiIndex = make_dataclass("MultiIndex", [("entries", tuple, dc_field(default=()))],
+                               frozen=True, order=True)
+OldCoordinateId = make_dataclass(
+    "CoordinateId", [("kind", str), ("alpha", int, dc_field(default=-1)),
+                     ("index", OldMultiIndex, dc_field(default=OldMultiIndex())),
+                     ("i", int, dc_field(default=-1))], frozen=True)
+
+
+def old_key(c):
+    if c.kind == INDEPENDENT:
+        return (0, c.i, 0, (), 0)
+    return ({JET: 1, MOMENTUM: 2}[c.kind], c.alpha, len(c.index.entries), c.index.entries, c.i)
+
+
+@st.composite
+def coordinate_pairs(draw):
+    """(new, old) for one random coordinate of any kind."""
+    kind = draw(st.sampled_from((INDEPENDENT, JET, MOMENTUM)))
+    alpha, i = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entries = draw(st.lists(st.integers(0, 3), max_size=4))
+    old_index = OldMultiIndex(tuple(sorted(entries)))
+    if kind == INDEPENDENT:
+        return CoordinateId.independent(i), OldCoordinateId(kind, i=i)
+    if kind == JET:
+        return CoordinateId.jet(alpha, MultiIndex(entries)), OldCoordinateId(kind, alpha, old_index)
+    return (CoordinateId.momentum(alpha, MultiIndex(entries), i),
+            OldCoordinateId(kind, alpha, old_index, i))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coordinate_pairs(), coordinate_pairs())
+def test_coordinates_order_compare_and_hash_as_their_dataclass_keys(a, b):
+    (new_a, old_a), (new_b, old_b) = a, b
+    for new, old in a, b:
+        assert new == old_key(old) and hash(new) == hash(old_key(old))
+        assert repr(new) == repr(old) and repr(new.index) == repr(old.index)
+        assert (new.kind, new.alpha, new.index.entries, new.i) == \
+            (old.kind, old.alpha, old.index.entries, old.i)
+        assert new.sort_key() is new
+        assert new == CoordinateId(new.kind, new.alpha, new.index, new.i)
+        assert pickle.loads(pickle.dumps(new)) == new and copy.deepcopy(new) == new
+    assert (new_a == new_b) == (old_key(old_a) == old_key(old_b))
+    assert (new_a < new_b) == (old_key(old_a) < old_key(old_b))
+    assert (new_a <= new_b) == (old_key(old_a) <= old_key(old_b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 5), max_size=6))
+def test_multiindex_is_the_tuple_of_its_sorted_entries(entries):
+    I = MultiIndex(entries)
+    old = OldMultiIndex(tuple(sorted(entries)))
+    assert I == tuple(sorted(entries)) and I.entries == old.entries
+    assert type(I.entries) is tuple and hash(I) == hash(old.entries)
+    assert repr(I) == repr(old)
+    assert I == MultiIndex(reversed(entries)) == MultiIndex.of(*entries)
+    assert pickle.loads(pickle.dumps(I)) == I and type(copy.deepcopy(I)) is MultiIndex
+    with pytest.raises(ValueError, match="^multiindex entries must be nonnegative indices$"):
+        MultiIndex(entries + [-1])
 
 
 def test_thread_safety_of_pure_operations():

@@ -1,10 +1,16 @@
 """Kernel tests: parsing, normal form, partials, substitution, rendering."""
 
+import glob
 import json
+import os
 import random
 import re
+import shutil
+import subprocess
 import sys
+import textwrap
 import time
+import types
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -12,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from conftest import KDV_L, jet_pool, random_expr
-from varjet import symcore
+from varjet import multiindex, symcore
 from varjet.multiindex import MultiIndex, multiindices_up_to
 from varjet.symcore import (
     CoordinateId,
@@ -149,7 +155,12 @@ def test_parse_errors(ctx_tx):
             ("u*2 - exp (u_x)", UnsupportedExpressionError,
              r"transcendental function 'exp' is not polynomial \(line 1, column 7\)$"),
             ("u*w*u_x", ParseError, r"unknown identifier 'w' \(line 1, column 3\)"),
-            ("u*(u_t + u_x)/w", ParseError, r"unknown identifier 'w' \(line 1, column 15\)")]:
+            ("u*(u_t + u_x)/w", ParseError, r"unknown identifier 'w' \(line 1, column 15\)"),
+            # a bad character is placed at its own start, not at the spaces before it
+            ("u + $", ParseError, r"unexpected character '\$' \(line 1, column 5\)$"),
+            ("u  $", ParseError, r"unexpected character '\$' \(line 1, column 4\)$"),
+            ("u\n$", ParseError, r"unexpected character '\$' \(line 2, column 1\)$"),
+            ("u_x +\n   #", ParseError, r"unexpected character '#' \(line 2, column 4\)$")]:
         with pytest.raises(error, match=f"^{message}"):
             E(ctx_tx, text)
 
@@ -284,6 +295,28 @@ def test_coordinate_equality_and_order():
     assert names == ["x", "u", "u_x", "p_.x"]
 
 
+def test_coordinate_hash_is_the_same_in_every_process():
+    # a coordinate hashes as a tuple of ints, which PYTHONHASHSEED leaves alone
+    code = ("from varjet.multiindex import MultiIndex; from varjet.symcore import CoordinateId; "
+            "print(hash(CoordinateId.jet(1, MultiIndex((0, 2)))))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    hashes = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONHASHSEED": seed,
+                                              "PYTHONPATH": src}).stdout.strip()
+              for seed in ("0", "1")}
+    assert hashes == {str(hash(CoordinateId.jet(1, MultiIndex((0, 2)))))}
+
+
+def test_benchmark_kernel_hooks_are_python_functions():
+    # perfbench's counting pass replaces these on their class and finds their
+    # calls in a profile by __code__; a C-level or inherited method would
+    # silently drop its count from `perfbench/run.py --trace 1`
+    for cls, name in ((CoordinateId, "sort_key"), (Expr, "__init__")):
+        fn = vars(cls)[name]
+        assert isinstance(fn, types.FunctionType), (cls, name)
+        assert fn.__code__.co_filename == symcore.__file__
+
+
 def test_context_validation():
     with pytest.raises(ValueError):
         JetContext((), ("u",))
@@ -392,12 +425,64 @@ def test_patterns_need_nothing_past_the_python_floor():
             assert syntax not in pattern.pattern, (syntax, pattern.pattern)
 
 
+def _python_310():
+    """A Python 3.10 interpreter: python3.10 on PATH, else one installed by
+    pyenv; None when there is none."""
+    candidates = [shutil.which("python3.10")]
+    pyenv = shutil.which("pyenv")
+    if pyenv:
+        root = subprocess.run([pyenv, "root"], capture_output=True, text=True).stdout.strip()
+        candidates += sorted(glob.glob(os.path.join(root, "versions", "3.10.*", "bin", "python3")))
+    for exe in filter(None, candidates):
+        probe = subprocess.run([exe, "-c", "import sys; print(sys.version_info[:2] == (3, 10))"],
+                               capture_output=True, text=True)
+        if probe.stdout.strip() == "True":
+            return exe
+    return None
+
+
+_ROUND_TRIP = textwrap.dedent("""
+    import json, sys
+    from varjet.multiindex import MultiIndex
+    from varjet.symcore import CoordinateId, JetContext, parse, render
+    ctx = JetContext(("t", "x"), ("u", "v"))
+    e = parse("1/2*u_t^2 - 3/4*(u_x + v - t)^3 + p^u_x.t*u_tx - (v_t*u)^2", ctx)
+    out = {f: render(e, ctx, f) for f in ("plain", "latex", "json")}
+    assert parse(out["plain"], ctx) == e
+    out["substituted"] = render(e.substitute({ctx.resolve("v"): parse("u_x - 1", ctx),
+                                              ctx.resolve("u"): parse("2*v", ctx)}), ctx)
+    out["hash"] = hash(CoordinateId.jet(1, MultiIndex((0, 2))))
+    print(json.dumps(out))
+""")
+
+
+def test_kernel_round_trip_runs_on_the_python_floor(tmp_path):
+    # pyproject.toml declares Python >= 3.10 and the kernel leans on tuple
+    # subclasses: the parse, render, re-parse and substitute round trip must
+    # give the same bytes on 3.10 as here
+    python = _python_310()
+    if python is None:
+        pytest.skip("no Python 3.10 interpreter")
+    package = tmp_path / "varjet"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    for module in (symcore, multiindex):
+        shutil.copy(module.__file__, package)
+    run = [subprocess.run([exe, "-c", _ROUND_TRIP], capture_output=True, text=True, check=True,
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(tmp_path)}).stdout
+           for exe in (python, sys.executable)]
+    assert run[0] == run[1]
+    assert json.loads(run[0])["plain"].startswith("3/4*t^3 + 1/2*u_t^2 - 3/4*u_x^3 + ")
+
+
 # -- the reader and writer against the straightforward ones --------------------
 #
 # reference_parse is the reader as it was before its tokenizer became one
 # findall pass: a (kind, value, position) tuple per token from finditer, and
 # every expression's terms normalised once more.  Its three "not polynomial"
-# refusals carry the position of the function name, the "/" and the "-".
+# refusals carry the position of the function name, the "/" and the "-",
+# and a bad character is placed at its own start, not where the spaces
+# before it start.
 # reference_render spells each coefficient from its Fraction.
 
 _REFERENCE_TOKEN_RE = re.compile(
@@ -411,7 +496,7 @@ def _reference_tokenize(text):
     for m in _REFERENCE_TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r}", text, m.start())
+            raise ParseError(f"unexpected character {m.group(kind)!r}", text, m.start(kind))
         tokens.append((kind, m.group(kind), m.start(kind)))
     tokens.append(("end", "", len(text)))
     return tokens
