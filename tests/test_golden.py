@@ -48,7 +48,8 @@ DERIVE_PROBLEMS = {
     "kdv": (os.path.join(HERE, "..", "problems", "kdv.problem"), []),
     "wave": (os.path.join(HERE, "..", "problems", "wave.problem"), ["--rho", "0; 0"]),
     **{name: (os.path.join(GOLDEN_DIR, "problems", f"{name}.problem"), [])
-       for name in ("ladder-regular", "ladder-reducible", "ladder-nonregular")},
+       for name in ("ladder-regular", "ladder-reducible", "ladder-nonregular",
+                    "ladder-assumption")},
 }
 DERIVE_COMMANDS = ("el", "legendre", "elh", "constraints", "hessian", "reduce",
                    "energy", "shift", "prolong")
