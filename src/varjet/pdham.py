@@ -197,11 +197,11 @@ def hessian(lag: LagrangianDensity, *, samples: int = 5,
     The rank is computed by exact elimination after evaluating the jet
     coordinates at random rational points; the report carries the maximum
     observed rank and whether it stayed constant across samples (the verdict
-    is probabilistic, repetitions and seed configurable).  Each distinct
-    sampled matrix is eliminated once, so a constant Hessian takes one
-    elimination however many samples it reports.  The matrix is symmetric:
-    each entry on or above the diagonal is built and evaluated once per
-    sample, from the gradient in the top jets, and mirrored.
+    is probabilistic, repetitions and seed configurable).  A Hessian free of
+    coordinates takes one value everywhere: it is evaluated and eliminated
+    once, and that rank is reported for every sample.  The matrix is
+    symmetric: each entry on or above the diagonal is built and evaluated
+    once per sample, from the gradient in the top jets, and mirrored.
     """
     ctx = lag.context
     l = lag.level
@@ -215,27 +215,30 @@ def hessian(lag: LagrangianDensity, *, samples: int = 5,
     coords = sorted({c for row in upper for e in row for c in e.coordinates()},
                     key=lambda c: c.sort_key())
     rng = random.Random(seed)
+    samples = max(1, samples)
     ranks = []
-    eliminated: Dict[tuple, int] = {}  # rank by sampled matrix: one elimination each
-    for _ in range(max(1, samples)):
+    for _ in range(samples if coords else 1):
         point = {c: Expr.number(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
                  for c in coords}
-        values = tuple(tuple(_value_at(e, point) for e in row) for row in upper)
+        values = [[_value_at(e, point) for e in row] for row in upper]
         if any(v is None for row in values for v in row):
             raise AssertionError("internal error: Hessian entry failed to evaluate")
-        rank = eliminated.get(values)
-        if rank is None:
-            rank = eliminated[values] = len(row_echelon(_symmetric(values))[1])
-        ranks.append(rank)
+        ranks.append(len(row_echelon(_symmetric(values))[1]))
+    if not coords:
+        ranks *= samples
     rank = max(ranks)
     report = RankReport(dim=len(idx), rank=rank, regular=(rank == len(idx)),
                         rank_constant=(len(set(ranks)) == 1), ranks=tuple(ranks),
-                        samples=max(1, samples), seed=seed)
+                        samples=samples, seed=seed)
     return matrix, report
 
 
 def energy_density(lag: LagrangianDensity) -> Expr:
-    """E_l = sum_{|I|<=l} p_a^{I.i} u_{Ii}^a - L, in the base context."""
+    """E_l = sum_{|I|<=l} p_a^{I.i} u_{Ii}^a - L, in the base context.
+
+    The `energy` subcommand is its only CLI caller: `reduce_lagrangian`
+    restricts an equal form of it (see there).
+    """
     ctx = lag.context
     l = lag.level
     pairings = [Expr.coord(CoordinateId.momentum(alpha, I, i))
@@ -316,12 +319,56 @@ def _is_affine_in(res: Expr, tops: set) -> bool:
 
 
 def _pivot(res: Expr, candidates) -> Optional[Tuple[CoordinateId, Fraction]]:
-    """The first candidate whose coefficient in res is a nonzero rational, with it."""
+    """The first candidate whose coefficient in res is a nonzero rational, with it.
+
+    The coefficient of c (its terms of degree one in c, c removed) is a
+    nonzero rational exactly when c alone is a term of res and no other term
+    has c to the first power, so one pass over the terms finds them all.
+    """
+    lone: Dict[CoordinateId, Optional[Fraction]] = {}
+    for mono, coeff in res.terms:
+        for c, e in mono:
+            if e == 1:
+                lone[c] = coeff if len(mono) == 1 and c not in lone else None
     for c in candidates:
-        coeff = res.coefficient_of(c).constant_value()
-        if coeff:
+        coeff = lone.get(c)
+        if coeff is not None:
             return c, coeff
     return None
+
+
+def _restricted_energy(lag: LagrangianDensity, tops: Sequence[CoordinateId],
+                       subs: Dict[CoordinateId, Expr]) -> Expr:
+    """E_l under subs, from its form modulo the constraint rows (see reduce_lagrangian)."""
+    ctx = lag.context
+    l = lag.level
+    top_set = set(tops)
+    # one pass over L: the terms free of top jets (L0), and b_K, the
+    # coefficient of u_K in the terms of degree one in the top jets
+    L0: List[Tuple] = []
+    b: Dict[CoordinateId, List[Tuple]] = {}
+    for mono, coeff in lag.L.terms:
+        inside = [k for k, (c, _) in enumerate(mono) if c in top_set]
+        if not inside:
+            L0.append((mono, coeff))
+        elif len(inside) == 1 and mono[inside[0]][1] == 1:
+            k = inside[0]
+            b.setdefault(mono[k][0], []).append((mono[:k] + mono[k + 1:], coeff))
+    parts = [Expr.sum([-Expr(L0)] + [
+        Expr.coord(CoordinateId.momentum(alpha, I, i))
+        * Expr.coord(CoordinateId.jet(alpha, I.with_index(i)))
+        for alpha in range(ctx.m)
+        for I in multiindices_up_to(ctx.n, l - 1)
+        for i in range(ctx.n)]).substitute(subs)]
+    # each factor is substituted on its own and multiplied by the image of
+    # u_K: one substitution of the whole sum would re-normalise its growing
+    # Horner accumulator once per solved top jet
+    for K in tops:
+        P = Expr.sum([Expr.coord(CoordinateId.momentum(K.alpha, J, i))
+                      for J, i, _mult in K.index.removals()])
+        factor = (P - Expr(b.get(K, ()))).substitute(subs).scale(Fraction(1, 2))
+        parts.append(factor * subs.get(K, Expr.coord(K)))
+    return Expr.sum(parts)
 
 
 def reduce_lagrangian(lag: LagrangianDensity, *, samples: int = 5,
@@ -332,42 +379,66 @@ def reduce_lagrangian(lag: LagrangianDensity, *, samples: int = 5,
     nonzero rational coefficient (exact elimination, deterministic order);
     rows left over must be free of jet coordinates.  Stage 2 eliminates one
     dependent momentum per leftover row (largest admissible pivot first, so
-    the surviving momenta are the canonically smallest).  The restricted
-    energy must then be free of top jets; it becomes the Hamiltonian on the
-    projected coordinates and both reduced equation systems are emitted.
+    the surviving momenta are the canonically smallest).  Each elimination
+    substitutes its solution into the pending rows only; one pass in reverse
+    elimination order then gives every solution the later ones.  The
+    restricted energy must then be free of top jets; it becomes the
+    Hamiltonian on the projected coordinates and both reduced equation
+    systems are emitted.
+
+    The restricted energy is read by Euler's identity, without expanding the
+    part of L quadratic in the top jets u_K (|K| = l+1) under the solutions.
+    The constraint rows are affine in the u_K, so L has degree at most 2 in
+    them: L = L0 + sum_K b_K u_K + L2, with L0 and b_K free of top jets and
+    L2 homogeneous of degree 2, so that sum_K u_K dL2/du_K = 2 L2.  With
+    P_K = sum_{Ji=K} p^{J.i} the constraint row of K is
+    C_K = b_K + dL2/du_K - P_K, and the pairings at |I| = l are
+    sum_K P_K u_K.  Hence
+
+        E_l = sum_{|I|<l} p^{I.i} u_{Ii} - L0 + 1/2 sum_K (P_K - b_K) u_K
+              - 1/2 sum_K u_K C_K.
+
+    Every constraint row substitutes to 0 under the final solutions, so the
+    last sum drops and the rest under the solutions is the same Expr as the
+    substituted E_l.  Each P_K - b_K has a few terms: its image times the
+    solution for u_K is one product, and one sum gathers the products.
     """
     ctx = lag.context
     l = lag.level
     _, report = hessian(lag, samples=samples, seed=seed)
-    energy = energy_density(lag)
     cons = constraints(lag)
     tops_ordered = [c for c in ctx.jets_up_to(l + 1) if len(c.index) == l + 1]
     tops = set(tops_ordered)
+    subs: Dict[CoordinateId, Expr] = {}
+
+    def resolve() -> None:
+        """Substitute into each solution the later ones, resolved from the last back."""
+        later: Dict[CoordinateId, Expr] = {}
+        for coord in reversed(list(subs)):
+            later[coord] = subs[coord] = subs[coord].substitute(later)
 
     def partial_result(diagnosis: str, offending=()) -> ReducedSystem:
+        resolve()
         return ReducedSystem(diagnosis, report, (), (), dict(subs),
                              None, None, None, tuple(offending))
 
-    subs: Dict[CoordinateId, Expr] = {}
     if not all(_is_affine_in(res, tops) for _, res in cons.equations):
         return partial_result("irreducible: nonlinear constraints")
 
     def eliminate(coord: CoordinateId, coeff: Fraction, res: Expr,
                   rows: List[Tuple[str, Expr]]) -> List[Tuple[str, Expr]]:
-        """Solve res = 0 for coord; substitute it into rows (returned) and earlier solutions."""
+        """Solve res = 0 for coord; substitute it into the rows (returned)."""
         solved = res.substitute({coord: Expr.zero()}).scale(Fraction(-1) / coeff)
         subs[coord] = solved
-        rows = [(lb, r.substitute({coord: solved})) for lb, r in rows]
-        for key in list(subs):
-            subs[key] = subs[key].substitute({coord: solved})
-        return rows
+        return [(lb, r.substitute({coord: solved})) for lb, r in rows]
 
     # stage 1: solve rows for top jets with rational coefficients, rescanning
-    # from the first row after each elimination
+    # from the first row after each elimination (a solved top jet is gone
+    # from the pending rows, so it is never a pivot again)
     pending: List[Tuple[str, Expr]] = list(cons.equations)
     k = 0
     while k < len(pending):
-        pivot = _pivot(pending[k][1], [jet for jet in tops_ordered if jet not in subs])
+        pivot = _pivot(pending[k][1], tops_ordered)
         if pivot is None:
             k += 1
         else:
@@ -392,7 +463,8 @@ def reduce_lagrangian(lag: LagrangianDensity, *, samples: int = 5,
             return partial_result("Assumption 1 check failed", [label])
         leftovers = [(lb, r) for lb, r in eliminate(*pivot, res, leftovers) if not r.is_zero()]
 
-    energy_p = energy.substitute(subs)
+    resolve()
+    energy_p = _restricted_energy(lag, tops_ordered, subs)
     if any(c in tops for c in energy_p.coordinates()):
         return partial_result("Assumption 1 check failed",
                               ["restricted energy retains top jets"])
@@ -419,15 +491,29 @@ def reduce_lagrangian(lag: LagrangianDensity, *, samples: int = 5,
         subs, energy_p, system_p, system_hdw)
 
 
-def _comma_image(dc: DerivedContext, subs: Dict[CoordinateId, Expr],
+def _gradient(e: Expr) -> Dict[CoordinateId, Expr]:
+    """Every nonzero first partial of e, from one pass over its terms."""
+    acc: Dict[CoordinateId, List[Tuple]] = {}
+    for mono, coeff in e.terms:
+        for k, (c, p) in enumerate(mono):
+            if p > 1:
+                term = (mono[:k] + ((c, p - 1),) + mono[k + 1:], coeff * p)
+            else:
+                term = (mono[:k] + mono[k + 1:], coeff)
+            acc.setdefault(c, []).append(term)
+    return {c: Expr(terms) for c, terms in acc.items()}
+
+
+def _comma_image(dc: DerivedContext, gradients: Dict[CoordinateId, Dict[CoordinateId, Expr]],
                  pm: CoordinateId, i: int) -> Expr:
-    """Formal i-derivative of a (possibly eliminated) momentum on the reduced space."""
+    """Formal i-derivative of a (possibly eliminated) momentum on the reduced space;
+    ``gradients`` holds the gradient of each eliminated momentum's solution."""
     if dc.contains(pm):
         return Expr.coord(dc.comma(pm, i))
-    phi = subs[pm]
-    return Expr.sum([dc.embed(phi.partial(CoordinateId.independent(i)))] + [
-        dc.embed(phi.partial(c)) * Expr.coord(dc.comma(c, i))
-        for c in phi.coordinates() if c.kind != INDEPENDENT])
+    gradient = gradients[pm]
+    return Expr.sum([dc.embed(gradient.get(CoordinateId.independent(i), Expr.zero()))] + [
+        dc.embed(d) * Expr.coord(dc.comma(c, i))
+        for c, d in gradient.items() if c.kind != INDEPENDENT])
 
 
 def _reduced_rows(lag: LagrangianDensity, subs: Dict[CoordinateId, Expr],
@@ -435,16 +521,18 @@ def _reduced_rows(lag: LagrangianDensity, subs: Dict[CoordinateId, Expr],
     """PD-Hamilton rows of the restricted system on the given fiber coordinates."""
     ctx = lag.context
     l = lag.level
+    zero = Expr.zero()
+    d_energy = _gradient(energy_p)
+    gradients = {pm: _gradient(phi) for pm, phi in subs.items() if pm.kind == MOMENTUM}
     rows: List[Tuple[str, Expr]] = []
     for alpha in range(ctx.m):
         for I in multiindices_up_to(ctx.n, l):
             jet = CoordinateId.jet(alpha, I)
-            res = Expr.sum([-dc.embed(energy_p.partial(jet))] + [
-                -_comma_image(dc, subs, CoordinateId.momentum(alpha, I, i), i)
+            res = Expr.sum([-dc.embed(d_energy.get(jet, zero))] + [
+                -_comma_image(dc, gradients, CoordinateId.momentum(alpha, I, i), i)
                 for i in range(ctx.n)])
             if not res.is_zero():
                 rows.append((_momentum_label(ctx, alpha, I), res))
-    eliminated = [(pm, phi) for pm, phi in subs.items() if pm.kind == MOMENTUM]
     for alpha in range(ctx.m):
         for I in multiindices_up_to(ctx.n, l):
             for j in range(ctx.n):
@@ -452,14 +540,13 @@ def _reduced_rows(lag: LagrangianDensity, subs: Dict[CoordinateId, Expr],
                 if not dc.contains(pm):
                     continue
                 parts = [Expr.coord(dc.comma(CoordinateId.jet(alpha, I), j))]
-                for other, phi in eliminated:
-                    weight = phi.partial(pm)
-                    if not weight.is_zero():
+                for other, gradient in gradients.items():
+                    weight = gradient.get(pm)
+                    if weight is not None:
                         parts.append(dc.embed(weight) * Expr.coord(
                             dc.comma(CoordinateId.jet(other.alpha, other.index), other.i)))
-                parts.append(-dc.embed(energy_p.partial(pm)))
+                parts.append(-dc.embed(d_energy.get(pm, zero)))
                 res = Expr.sum(parts)
                 if not res.is_zero():
                     rows.append((_contact_label(ctx, alpha, I, j), res))
     return tuple(rows)
-

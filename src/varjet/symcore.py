@@ -527,15 +527,6 @@ class Expr:
                     break
         return Expr(acc)
 
-    def coefficient_of(self, c: CoordinateId) -> "Expr":
-        """Coefficient of the first power of c; meaningful when affine in c."""
-        acc = []
-        for mono, coeff in self.terms:
-            for k, (cc, e) in enumerate(mono):
-                if e == 1 and cc == c:
-                    acc.append((mono[:k] + mono[k + 1:], coeff))
-        return Expr(acc)
-
     def substitute(self, bindings: Mapping[CoordinateId, "Expr"]) -> "Expr":
         """Simultaneous substitution of each bound coordinate by its image.
 

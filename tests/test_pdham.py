@@ -1,18 +1,23 @@
 """ELH systems, constraints, Hessian reports, energy, shift, reduction."""
 
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from conftest import KDV_L, jet_pool, random_expr, random_lagrangian
 from varjet import cli, pdham
 from varjet.jetcalc import EquationSystem, total_derivative
-from varjet.multiindex import EMPTY, MultiIndex, multiindices_up_to
+from varjet.multiindex import EMPTY, MultiIndex, multiindices, multiindices_up_to
 from varjet.pdham import (
+    DegenerateLagrangianError,
     DerivedContext,
+    RankReport,
     constraints,
     elh_system,
     energy_density,
@@ -220,19 +225,27 @@ def test_hessian_matches_double_partials_randomized():
 
 
 def test_constant_hessian_is_eliminated_once(monkeypatch, kdv):
-    # the kdv Hessian is constant: every sample evaluates to the same matrix,
-    # which is eliminated once and reported once per sample
-    calls = []
+    # the kdv Hessian is constant: each of the 6 entries on and above the
+    # diagonal of the 3x3 matrix is evaluated once, not once per sample, the
+    # matrix is eliminated once and its rank reported once per sample
+    calls, evaluated = [], []
+    value_at = pdham._value_at
 
     def counted(matrix):
         calls.append(matrix)
         return row_echelon(matrix)
 
+    def counted_value(e, point):
+        evaluated.append(e)
+        return value_at(e, point)
+
     monkeypatch.setattr(pdham, "row_echelon", counted)
+    monkeypatch.setattr(pdham, "_value_at", counted_value)
     _, report = hessian(kdv, samples=5, seed=3)
     assert len(calls) == 1
-    assert report.samples == 5 and report.ranks == (1,) * 5
-    assert report.rank == 1 and report.rank_constant
+    assert len(evaluated) == 6
+    assert report == RankReport(dim=3, rank=1, regular=False, rank_constant=True,
+                                ranks=(1,) * 5, samples=5, seed=3)
 
 
 # -- energy density -------------------------------------------------------------
@@ -478,3 +491,167 @@ def test_reduced_json_shape(capsys, tmp_path):
     assert data["diagnosis"] == "reducible"
     assert data["substitutions"]["p_x.t"] == "-p_t.x"
     assert len(data["equations"]) == 7
+
+
+# -- reduction against its earlier algorithm -------------------------------------
+
+# (n, m, order) with at most 10 top jets, so that the reference restriction
+# (the whole energy substituted) stays cheap
+SHAPES = [(n, m, order) for n in (1, 2, 3) for m in (1, 2) for order in (1, 2, 3)
+          if m * math.comb(n + order - 1, order) <= 10]
+
+
+@st.composite
+def shaped_densities(draw, kinds):
+    """A density of one of the kinds of the benchmark's derive ladder.
+
+    "regular" is quadratic in every top jet (a diagonally dominant banded
+    form), "reducible" in every third top jet only; both carry couplings
+    linear in a top jet and lower-order interactions.  "nonlinear" adds the
+    cube of a top jet, "assumption" a free top jet times a lower jet.
+    """
+    kind = draw(st.sampled_from(kinds))
+    shapes = SHAPES if kind != "assumption" else \
+        [(n, m, o) for n, m, o in SHAPES if m * math.comb(n + o - 1, o) > 1]
+    n, m, order = draw(st.sampled_from(shapes))
+    ctx = JetContext(("t", "x", "y")[:n], ("u", "v")[:m])
+    tops = [CoordinateId.jet(a, I) for a in range(m) for I in multiindices(n, order)]
+    lower = [CoordinateId.jet(a, I) for a in range(m) for I in multiindices_up_to(n, order - 1)]
+
+    def coeff():
+        return Fraction(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 3)))
+
+    def term(c, factors):
+        out = Expr.number(c)
+        for f in factors:
+            out = out * Expr.coord(f)
+        return out
+
+    quad = tops if kind == "regular" else tops[::3]
+    rest = [c for c in tops if c not in quad]
+    off = {(i, i + 1): coeff() for i in range(len(quad) - 1)}
+    terms = []
+    for i, a in enumerate(quad):
+        row = sum(abs(c) for (p, q), c in off.items() if i in (p, q))
+        terms.append(term(Fraction(row + 1 + draw(st.integers(0, 3)), 2), [a, a]))
+    terms += [term(c, [quad[i], quad[j]]) for (i, j), c in off.items()]
+    terms += [term(coeff(), [a, draw(st.sampled_from(lower))]) for a in quad[:3]]
+    for _ in range(draw(st.integers(1, 3))):
+        terms.append(term(coeff(), draw(st.lists(st.sampled_from(lower), min_size=1,
+                                                 max_size=3))))
+    if kind == "nonlinear":
+        terms.append(term(coeff(), [quad[-1]] * 3))
+    elif kind == "assumption":
+        terms.append(term(coeff(), [rest[0], draw(st.sampled_from(lower))]))
+    return LagrangianDensity(ctx, Expr.sum(terms), order=order)
+
+
+def coefficient_pivot(res, candidates):
+    """The pivot rule before one-pass pivots: the first candidate whose
+    coefficient in res (its terms of degree one in the candidate, the
+    candidate removed) is a nonzero rational, with that coefficient."""
+    for c in candidates:
+        coefficient = Expr([(mono[:k] + mono[k + 1:], q) for mono, q in res.terms
+                            for k, (cc, e) in enumerate(mono) if cc == c and e == 1])
+        value = coefficient.constant_value()
+        if value:
+            return c, value
+    return None
+
+
+def gauss_jordan_substitutions(lag):
+    """The reduction's substitutions as computed before one back-substitution:
+    each new solution is substituted into every earlier one (Gauss-Jordan),
+    with the coefficient pivot rule."""
+    ctx, l = lag.context, lag.level
+    tops_ordered = [c for c in ctx.jets_up_to(l + 1) if len(c.index) == l + 1]
+    pending = list(constraints(lag).equations)
+    subs = {}
+    if not all(pdham._is_affine_in(res, set(tops_ordered)) for _, res in pending):
+        return subs
+
+    def eliminate(coord, coeff, res, rows):
+        solved = res.substitute({coord: Expr.zero()}).scale(Fraction(-1) / coeff)
+        subs[coord] = solved
+        rows = [(lb, r.substitute({coord: solved})) for lb, r in rows]
+        for key in list(subs):
+            subs[key] = subs[key].substitute({coord: solved})
+        return rows
+
+    k = 0
+    while k < len(pending):
+        pivot = coefficient_pivot(pending[k][1], [jet for jet in tops_ordered if jet not in subs])
+        if pivot is None:
+            k += 1
+        else:
+            pending = eliminate(*pivot, pending[k][1], pending[:k] + pending[k + 1:])
+            k = 0
+    leftovers = [(lb, r) for lb, r in pending if not r.is_zero()]
+    if any(c.kind == "jet" for _, r in leftovers for c in r.coordinates()):
+        return subs
+    while leftovers:
+        label, res = leftovers.pop(0)
+        pivot = coefficient_pivot(res, [c for c in reversed(res.coordinates())
+                                        if c.kind == "momentum"])
+        if pivot is None:
+            if res.constant_value() is not None:
+                raise DegenerateLagrangianError(label)
+            return subs
+        leftovers = [(lb, r) for lb, r in eliminate(*pivot, res, leftovers) if not r.is_zero()]
+    return subs
+
+
+@settings(max_examples=25, deadline=None)
+@given(shaped_densities(("regular", "reducible")))
+def test_restricted_energy_is_the_substituted_energy(lag):
+    # Euler's identity: the restriction never expands the quadratic top-jet
+    # part of L, and gives the Expr of the whole energy substituted
+    red = reduce_lagrangian(lag, samples=1)
+    assert red.hamiltonian is not None
+    assert red.hamiltonian == energy_density(lag).substitute(red.substitutions)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shaped_densities(("regular", "reducible", "assumption", "nonlinear")))
+def test_back_substitution_matches_gauss_jordan(lag):
+    try:
+        want = gauss_jordan_substitutions(lag)
+    except DegenerateLagrangianError:
+        with pytest.raises(DegenerateLagrangianError):
+            reduce_lagrangian(lag, samples=1)
+        return
+    got = reduce_lagrangian(lag, samples=1).substitutions
+    assert list(got.items()) == list(want.items())
+
+
+def test_back_substitution_matches_gauss_jordan_on_kdv(kdv):
+    # a fixed case through both stages, whatever the random draws: kdv solves
+    # one top jet, then two momenta
+    assert list(reduce_lagrangian(kdv).substitutions.items()) == \
+        list(gauss_jordan_substitutions(kdv).items())
+
+
+@pytest.mark.parametrize("text, pivot", [
+    ("2*u_tt + u_x", ("u_tt", Fraction(2))),                # alone
+    ("u_x*u_tt + u_tx - 3", ("u_tx", Fraction(1))),         # u_tt in a product
+    ("u_x*u_tt + u_x*u_tx", None),                          # both in products
+    ("u_tt^2 + 3*u_xx", ("u_xx", Fraction(3))),             # u_tt squared
+    ("u_tt^2 - 1/2*u_tt + u_xx", ("u_tt", Fraction(-1, 2))),  # squared and alone
+    ("u_tt + u_x*u_tt + u_xx", ("u_xx", Fraction(1))),      # u_tt in several terms
+    ("u_tt*u_tx + u_xx*u_tx", None),
+    ("0", None),
+])
+def test_one_pass_pivot(ctx_tx, text, pivot):
+    res = parse(text, ctx_tx)
+    candidates = [ctx_tx.resolve(name) for name in ("u_tt", "u_tx", "u_xx")]
+    want = None if pivot is None else (ctx_tx.resolve(pivot[0]), pivot[1])
+    assert pdham._pivot(res, candidates) == coefficient_pivot(res, candidates) == want
+
+
+def test_one_pass_pivot_randomized(ctx_tx):
+    rng = random.Random(89)
+    pool = [ctx_tx.resolve(name) for name in ("u", "u_x", "u_tt", "u_tx", "u_xx")]
+    for _ in range(400):
+        res = random_expr(rng, pool, max_monomials=5, max_factors=2, max_exp=2)
+        candidates = rng.sample(pool, rng.randint(1, len(pool)))
+        assert pdham._pivot(res, candidates) == coefficient_pivot(res, candidates)
