@@ -108,9 +108,9 @@ def _contact_label(ctx: JetContext, alpha: int, I: MultiIndex, i: int) -> str:
     return f"contact:{ctx.dependents[alpha]}:{ctx.index_word(I)}:{ctx.independents[i]}"
 
 
-def _momentum_residual(lag: LagrangianDensity, alpha: int, I: MultiIndex) -> Expr:
-    """dL/du_I^a - sum_{Ji=I} p_a^{J.i}, in the base context."""
-    return Expr.sum([lag.L.partial(CoordinateId.jet(alpha, I))] + [
+def _momentum_residual(gradient: Dict[CoordinateId, Expr], alpha: int, I: MultiIndex) -> Expr:
+    """dL/du_I^a - sum_{Ji=I} p_a^{J.i}, in the base context, from L's gradient."""
+    return Expr.sum([gradient.get(CoordinateId.jet(alpha, I), Expr.zero())] + [
         -Expr.coord(CoordinateId.momentum(alpha, J, i)) for J, i, _mult in I.removals()])
 
 
@@ -127,10 +127,11 @@ def elh_system(lag: LagrangianDensity) -> EquationSystem:
     ctx = lag.context
     l = lag.level
     dc = DerivedContext(ctx, l)
+    gradient = lag.L.gradient()
     rows: List[Tuple[str, Expr]] = []
     for alpha in range(ctx.m):
         for I in multiindices_up_to(ctx.n, l + 1):
-            parts = [dc.embed(_momentum_residual(lag, alpha, I))]
+            parts = [dc.embed(_momentum_residual(gradient, alpha, I))]
             if len(I) <= l:
                 parts += [-Expr.coord(dc.comma(CoordinateId.momentum(alpha, I, i), i))
                           for i in range(ctx.n)]
@@ -148,8 +149,9 @@ def constraints(lag: LagrangianDensity) -> EquationSystem:
     """The algebraic rows cutting out the constraint manifold:
     dL/du_I^a - sum_{Ji=I} p_a^{J.i} = 0 for |I| = l+1, in the base context."""
     ctx = lag.context
+    gradient = lag.L.gradient()
     rows = tuple((f"constraint:{ctx.dependents[alpha]}:{ctx.index_word(I)}",
-                  _momentum_residual(lag, alpha, I))
+                  _momentum_residual(gradient, alpha, I))
                  for alpha in range(ctx.m) for I in multiindices(ctx.n, lag.level + 1))
     return EquationSystem(ctx, rows)
 
@@ -207,8 +209,10 @@ def hessian(lag: LagrangianDensity, *, samples: int = 5,
     l = lag.level
     idx = [(alpha, I) for alpha in range(ctx.m) for I in multiindices(ctx.n, l + 1)]
     tops = [CoordinateId.jet(alpha, I) for alpha, I in idx]
-    gradient = [lag.L.partial(top) for top in tops]
-    upper = [[gradient[r].partial(tops[c]) for c in range(r, len(tops))]
+    first = lag.L.gradient()
+    zero = Expr.zero()
+    second = [first.get(top, zero).gradient() for top in tops]
+    upper = [[second[r].get(tops[c], zero) for c in range(r, len(tops))]
              for r in range(len(tops))]
     matrix = HessianMatrix(tuple(idx), tuple(map(tuple, _symmetric(upper))))
 
@@ -273,17 +277,15 @@ def momentum_shift(system: EquationSystem, rho: Sequence[Expr]) -> EquationSyste
             raise VarjetError(
                 f"shift component order {r.max_jet_order()} too high for momentum level {l}")
     mapping: Dict[CoordinateId, Expr] = {}
-    for alpha in range(base.m):
-        for I in multiindices_up_to(base.n, l):
-            for i in range(base.n):
-                theta = rho[i].partial(CoordinateId.jet(alpha, I))
-                if theta.is_zero():
-                    continue
-                pm = CoordinateId.momentum(alpha, I, i)
-                mapping[dc.dep(pm)] = Expr.coord(dc.dep(pm)) - dc.embed(theta)
-                for j in range(base.n):
-                    mapping[dc.comma(pm, j)] = Expr.coord(dc.comma(pm, j)) \
-                        - dc.embed(total_derivative(theta, j))
+    for i, r in enumerate(rho):
+        for c, theta in r.gradient().items():
+            if c.kind != JET:
+                continue
+            pm = CoordinateId.momentum(c.alpha, c.index, i)
+            mapping[dc.dep(pm)] = Expr.coord(dc.dep(pm)) - dc.embed(theta)
+            for j in range(base.n):
+                mapping[dc.comma(pm, j)] = Expr.coord(dc.comma(pm, j)) \
+                    - dc.embed(total_derivative(theta, j))
     rows = tuple((label, res.substitute(mapping)) for label, res in system.equations)
     return EquationSystem(dc.ctx, rows, derived=dc)
 
@@ -343,18 +345,15 @@ def _restricted_energy(lag: LagrangianDensity, tops: Sequence[CoordinateId],
     ctx = lag.context
     l = lag.level
     top_set = set(tops)
-    # one pass over L: the terms free of top jets (L0), and b_K, the
-    # coefficient of u_K in the terms of degree one in the top jets
-    L0: List[Tuple] = []
-    b: Dict[CoordinateId, List[Tuple]] = {}
-    for mono, coeff in lag.L.terms:
-        inside = [k for k, (c, _) in enumerate(mono) if c in top_set]
-        if not inside:
-            L0.append((mono, coeff))
-        elif len(inside) == 1 and mono[inside[0]][1] == 1:
-            k = inside[0]
-            b.setdefault(mono[k][0], []).append((mono[:k] + mono[k + 1:], coeff))
-    parts = [Expr.sum([-Expr(L0)] + [
+
+    def free(e: Expr) -> Expr:
+        """The terms of e free of top jets."""
+        return Expr([t for t in e.terms if top_set.isdisjoint([c for c, _ in t[0]])])
+
+    # L0 = free(L), and b_K = free(dL/du_K) is the coefficient of u_K in the
+    # terms of L of degree one in the top jets
+    gradient = lag.L.gradient()
+    parts = [Expr.sum([-free(lag.L)] + [
         Expr.coord(CoordinateId.momentum(alpha, I, i))
         * Expr.coord(CoordinateId.jet(alpha, I.with_index(i)))
         for alpha in range(ctx.m)
@@ -366,7 +365,7 @@ def _restricted_energy(lag: LagrangianDensity, tops: Sequence[CoordinateId],
     for K in tops:
         P = Expr.sum([Expr.coord(CoordinateId.momentum(K.alpha, J, i))
                       for J, i, _mult in K.index.removals()])
-        factor = (P - Expr(b.get(K, ()))).substitute(subs).scale(Fraction(1, 2))
+        factor = (P - free(gradient.get(K, Expr.zero()))).substitute(subs).scale(Fraction(1, 2))
         parts.append(factor * subs.get(K, Expr.coord(K)))
     return Expr.sum(parts)
 
@@ -491,19 +490,6 @@ def reduce_lagrangian(lag: LagrangianDensity, *, samples: int = 5,
         subs, energy_p, system_p, system_hdw)
 
 
-def _gradient(e: Expr) -> Dict[CoordinateId, Expr]:
-    """Every nonzero first partial of e, from one pass over its terms."""
-    acc: Dict[CoordinateId, List[Tuple]] = {}
-    for mono, coeff in e.terms:
-        for k, (c, p) in enumerate(mono):
-            if p > 1:
-                term = (mono[:k] + ((c, p - 1),) + mono[k + 1:], coeff * p)
-            else:
-                term = (mono[:k] + mono[k + 1:], coeff)
-            acc.setdefault(c, []).append(term)
-    return {c: Expr(terms) for c, terms in acc.items()}
-
-
 def _comma_image(dc: DerivedContext, gradients: Dict[CoordinateId, Dict[CoordinateId, Expr]],
                  pm: CoordinateId, i: int) -> Expr:
     """Formal i-derivative of a (possibly eliminated) momentum on the reduced space;
@@ -522,8 +508,8 @@ def _reduced_rows(lag: LagrangianDensity, subs: Dict[CoordinateId, Expr],
     ctx = lag.context
     l = lag.level
     zero = Expr.zero()
-    d_energy = _gradient(energy_p)
-    gradients = {pm: _gradient(phi) for pm, phi in subs.items() if pm.kind == MOMENTUM}
+    d_energy = energy_p.gradient()
+    gradients = {pm: phi.gradient() for pm, phi in subs.items() if pm.kind == MOMENTUM}
     rows: List[Tuple[str, Expr]] = []
     for alpha in range(ctx.m):
         for I in multiindices_up_to(ctx.n, l):

@@ -100,7 +100,10 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
         fail("order", "order must be >= 1")
     if rank_samples < 1:
         fail("rank_samples", "rank_samples must be >= 1")
-    context = JetContext(independents, dependents)
+    try:
+        context = JetContext(independents, dependents)
+    except ValueError as exc:  # the names are valid and distinct: one is a prefix of another
+        fail("independents", str(exc))
     density = parse(entries["lagrangian"][0], context)
     # infer the declared order from the density when absent
     minimal = max(1, density.max_jet_order())

@@ -18,9 +18,12 @@ dict and the merged monomials are sorted once, by keys built from their
 coordinates.  Sums of many parts (the parser, total derivatives, the
 variational and reduction constructions) make one builder call,
 ``Expr.sum`` or ``Expr(terms)``, so a result is normalised once, not once
-per partial sum.  Substitution follows Horner's rule: it collects the
-expression on one bound coordinate at a time and makes one product and one
-normalisation per exponent of that coordinate, not one product per monomial.
+per partial sum.  Every first partial comes from ``Expr.gradient``: one pass
+over the terms gives the partial by each coordinate that occurs, so a
+construction reads all of a density's partials for the cost of one scan.
+Substitution follows Horner's rule: it collects the expression on one bound
+coordinate at a time and makes one product and one normalisation per
+exponent of that coordinate, not one product per monomial.
 Negation, scaling by a nonzero rational and powers of a single term keep the
 order and skip it.  A power of a sum is expanded by the multinomial theorem,
 one term per composition of the exponent, with integer numerators and
@@ -148,7 +151,9 @@ class JetContext:
     """Declares the bundle: independent and dependent variable names.
 
     Jets and momenta of any order are admitted: the density fixes which
-    orders a construction reads, so the context bounds none.
+    orders a construction reads, so the context bounds none.  No independent
+    name is a prefix of another, so an index word (a run of independent
+    names, as in u_xt) splits one way only.
     ``jet_style`` selects the rendering of jets: "suffix" (u_xx) for base
     contexts with simple names, "comma" (u_x,_t) for derived first-order
     contexts whose dependents carry compound names.
@@ -166,6 +171,11 @@ class JetContext:
         names = self.independents + self.dependents
         if len(set(names)) != len(names):
             raise ValueError("coordinate names must be pairwise distinct")
+        for short in self.independents:
+            for name in self.independents:
+                if name != short and name.startswith(short):
+                    # an index word such as "xx" would read two ways
+                    raise ValueError(f"independent name {short!r} is a prefix of {name!r}")
         if self.jet_style == "suffix":
             for name in names:
                 if not _NAME_RE.match(name):
@@ -280,12 +290,12 @@ class JetContext:
                                      self.independents.index(direction))
 
     def _split_index_word(self, word: str) -> Optional[List[int]]:
-        """Greedily decompose a concatenation of independent names (longest first)."""
-        ordered = sorted(enumerate(self.independents), key=lambda t: -len(t[1]))
+        """Decompose a concatenation of independent names; no name is a prefix
+        of another, so at most one name matches at each position."""
         out: List[int] = []
         pos = 0
         while pos < len(word):
-            for i, nm in ordered:
+            for i, nm in enumerate(self.independents):
                 if word.startswith(nm, pos):
                     out.append(i)
                     pos += len(nm)
@@ -387,9 +397,10 @@ class Expr:
     with polynomial equality.
 
     ``Expr(terms)`` and ``Expr.sum(summands)`` are the builders: both feed
-    ``_normal_form``, which merges and sorts once.  Products, powers, partials,
-    substitution and parsing build their results through it too.  Negation,
-    ``scale`` and powers of a single term keep the order and skip it.
+    ``_normal_form``, which merges and sorts once.  Products, powers, the
+    gradient, substitution and parsing build their results through it too.
+    Every first partial comes from one ``gradient`` pass over the terms.
+    Negation, ``scale`` and powers of a single term keep the order and skip it.
     """
 
     __slots__ = ("terms", "_hash")
@@ -514,18 +525,19 @@ class Expr:
 
     # -- calculus ---------------------------------------------------------
 
-    def partial(self, c: CoordinateId) -> "Expr":
-        """Formal partial derivative; all distinct coordinates are independent symbols."""
-        acc: List[Term] = []
+    def gradient(self) -> Dict[CoordinateId, "Expr"]:
+        """Every first partial, from one pass over the terms: a map from each
+        coordinate of the expression to its nonzero partial.  All distinct
+        coordinates are independent symbols; an absent one has partial zero."""
+        acc: Dict[CoordinateId, List[Term]] = {}
         for mono, coeff in self.terms:
-            for k, (cc, e) in enumerate(mono):
-                if cc == c:
-                    if e > 1:
-                        acc.append((mono[:k] + ((cc, e - 1),) + mono[k + 1:], coeff * e))
-                    else:
-                        acc.append((mono[:k] + mono[k + 1:], coeff))
-                    break
-        return Expr(acc)
+            for k, (c, p) in enumerate(mono):
+                if p > 1:
+                    term = (mono[:k] + ((c, p - 1),) + mono[k + 1:], coeff * p)
+                else:
+                    term = (mono[:k] + mono[k + 1:], coeff)
+                acc.setdefault(c, []).append(term)
+        return {c: Expr(terms) for c, terms in acc.items()}
 
     def substitute(self, bindings: Mapping[CoordinateId, "Expr"]) -> "Expr":
         """Simultaneous substitution of each bound coordinate by its image.

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Set, Tuple
 
-from .multiindex import EMPTY, MultiIndex, multiindices, multiindices_up_to
+from .multiindex import EMPTY, MultiIndex
 from .symcore import (
     JET,
     MOMENTUM,
-    CoordinateId,
     Expr,
     JetContext,
     VarjetError,
@@ -143,29 +142,22 @@ class LegendreForm:
 
 def euler_lagrange(lag: LagrangianDensity) -> SourceForm:
     """The source form with components (-1)^|I| D_I (dL/du_I^a), summed over
-    unordered multiindices counted once each."""
+    the jets u_I^a of L (unordered multiindices, each once), read from one
+    gradient of L."""
     ctx = lag.context
-    components: Dict[Tuple[int, MultiIndex], Expr] = {}
-    for alpha in range(ctx.m):
-        parts = []
-        for I in multiindices_up_to(ctx.n, lag.order):
-            part = lag.L.partial(CoordinateId.jet(alpha, I))
-            if part.is_zero():
-                continue
-            term = iterated_total_derivative(part, I)
-            parts.append(term if len(I) % 2 == 0 else -term)
-        components[(alpha, EMPTY)] = Expr.sum(parts)
-    return SourceForm(ctx, components)
+    parts: Dict[int, List[Expr]] = {alpha: [] for alpha in range(ctx.m)}
+    for c, part in lag.L.gradient().items():
+        if c.kind == JET:
+            term = iterated_total_derivative(part, c.index)
+            parts[c.alpha].append(term if len(c.index) % 2 == 0 else -term)
+    return SourceForm(ctx, {(alpha, EMPTY): Expr.sum(terms) for alpha, terms in parts.items()})
 
 
 def vertical_differential(lag: LagrangianDensity) -> CartanValuedForm:
-    """d^V of the density: coefficient dL/du_I^a at (a, I)."""
-    ctx = lag.context
-    coeffs: Dict[Tuple[int, MultiIndex], Expr] = {}
-    for c in lag.L.coordinates():
-        if c.kind == JET:
-            coeffs[(c.alpha, c.index)] = lag.L.partial(c)
-    return CartanValuedForm(ctx, coeffs)
+    """d^V of the density: coefficient dL/du_I^a at (a, I), the jet entries of L's gradient."""
+    return CartanValuedForm(lag.context, {(c.alpha, c.index): part
+                                          for c, part in lag.L.gradient().items()
+                                          if c.kind == JET})
 
 
 def horizontal_d_legendre(theta: LegendreForm) -> CartanValuedForm:
@@ -196,27 +188,32 @@ def legendre_form(lag: LagrangianDensity) -> LegendreForm:
 
     is solved by the symmetric distribution theta_a^{J.i} := (I[i]/|I|) * RHS.
     Each (J, i) determines I = Ji uniquely, so the assignment is well defined.
+    The partials are those of d^V L, one gradient of L, and each level visits
+    only the (a, I) where L has a jet or the level above wrote a coefficient:
+    the RHS is zero everywhere else, also at every level above L's highest jet.
     The first variation identity is then verified exactly; failure is an
     internal error, never silent.
     """
     ctx = lag.context
-    l = lag.level
+    d_v = vertical_differential(lag)
     coeffs: Dict[Tuple[int, MultiIndex, int], Expr] = {}
-    for k in range(lag.order, 0, -1):
-        for alpha in range(ctx.m):
-            for I in multiindices(ctx.n, k):
-                rhs = Expr.sum([lag.L.partial(CoordinateId.jet(alpha, I))] + [
-                    -total_derivative(coeffs[(alpha, I, i)], i)
-                    for i in range(ctx.n) if (alpha, I, i) in coeffs])
-                if rhs.is_zero():
-                    continue
-                size = len(I)
-                for J, i, mult in I.removals():
-                    coeffs[(alpha, J, i)] = rhs.scale(Fraction(mult, size))
-    theta = LegendreForm(ctx, l, coeffs)
+    # (a, I) by |I|: the jets of L, and each (a, J) the level above writes to
+    reached: Dict[int, Set[Tuple[int, MultiIndex]]] = {}
+    for alpha, I in d_v.coeffs:
+        reached.setdefault(len(I), set()).add((alpha, I))
+    for k in range(max(reached, default=0), 0, -1):
+        for alpha, I in reached.get(k, ()):
+            rhs = Expr.sum([d_v.coefficient(alpha, I)] + [
+                -total_derivative(coeffs[(alpha, I, i)], i)
+                for i in range(ctx.n) if (alpha, I, i) in coeffs])
+            if rhs.is_zero():
+                continue
+            for J, i, mult in I.removals():
+                coeffs[(alpha, J, i)] = rhs.scale(Fraction(mult, k))
+                reached.setdefault(k - 1, set()).add((alpha, J))
+    theta = LegendreForm(ctx, lag.level, coeffs)
 
-    identity = horizontal_d_legendre(theta) + vertical_differential(lag)
-    if identity != euler_lagrange(lag):
+    if horizontal_d_legendre(theta) + d_v != euler_lagrange(lag):
         raise AssertionError(
             "internal error: canonical Legendre form violates the first variation identity")
     return theta

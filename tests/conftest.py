@@ -47,6 +47,21 @@ def wave3_grid(n, box=3.0):
                         {"u": np.sin(0.6 * X + 0.8 * Y - T)})
 
 
+def reference_partial(e: Expr, c: CoordinateId) -> Expr:
+    """de/dc by its own scan of e's terms, one coordinate at a time: the
+    reference for Expr.gradient, and an oracle independent of it."""
+    acc = []
+    for mono, coeff in e.terms:
+        for k, (cc, p) in enumerate(mono):
+            if cc == c:
+                if p > 1:
+                    acc.append((mono[:k] + ((cc, p - 1),) + mono[k + 1:], coeff * p))
+                else:
+                    acc.append((mono[:k] + mono[k + 1:], coeff))
+                break
+    return Expr(acc)
+
+
 def jet_pool(ctx, max_order, include_independents=True):
     pool = [CoordinateId.jet(a, I)
             for a in range(ctx.m) for I in multiindices_up_to(ctx.n, max_order)]

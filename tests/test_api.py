@@ -1,9 +1,13 @@
 """The public names of the varjet package, with no aliases among them, the
-public names of its numeric layer, and the signatures of the momentum-side
-constructions, the total derivatives and the jet context."""
+public names of its numeric layer, the signatures of the momentum-side
+constructions, the total derivatives and the jet context, no unused import
+in a module, and the README's library sketch."""
 
+import ast
 import dataclasses
+import glob
 import inspect
+import os
 import types
 from collections import defaultdict
 
@@ -85,3 +89,41 @@ def test_equation_systems_carry_rows_only():
     # system, the derived context; its JSON is written by cli alone
     assert [f.name for f in dataclasses.fields(varjet.EquationSystem)] == \
         ["context", "equations", "derived"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py re-exports what it imports, and "from __future__" binds no name
+    unused = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(varjet.__file__), "*.py"))):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{os.path.basename(path)}:{line}: {name}"
+                   for name, line in imported.items() if name not in used]
+    assert unused == []
+
+
+def test_readme_library_sketch_runs_as_commented():
+    # the python block under "## Library sketch" runs, and its comments on the
+    # Euler-Lagrange component and on the ELH system's rows hold
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, "r", encoding="utf-8") as fh:
+        section = fh.read().split("## Library sketch", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    comments = {code.strip(): comment.strip() for code, comment in
+                (line.split("#", 1) for line in block.splitlines() if "#" in line)}
+    el = "euler_lagrange(lag).component(0)"
+    assert varjet.render(eval(el, namespace), namespace["ctx"]) == comments[el] == \
+        "u_tx - 6*u_x*u_xx + u_xxxx"
+    rows = comments["system = elh_system(lag)"].rsplit(", ", 1)[1]
+    assert rows == f"{len(namespace['system'].equations)} rows" == "12 rows"

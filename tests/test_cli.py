@@ -20,6 +20,7 @@ from conftest import soliton_grid
 from varjet import cli, problemfile
 from varjet.cli import main
 from varjet.numeric import GridFunction, save_grid
+from varjet.symcore import Expr
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "schemas")
 
@@ -457,6 +458,33 @@ def test_order_override(capsys, tmp_path):
     assert lifted.count("=") == 3  # three second-order constraint rows
 
 
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("command", ["el", "legendre", "prolong"])
+def test_declared_order_far_above_the_density_costs_nothing(capsys, tmp_path, monkeypatch,
+                                                            command, fmt):
+    # el, legendre and prolong read the density's partials from one gradient,
+    # so an order of 400 prints the bytes of the file's order and builds
+    # exactly as many expressions
+    built = []
+    normalise = Expr.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        normalise(self, *args)
+
+    monkeypatch.setattr(Expr, "__init__", counting)
+    for name, text in (("kdv", KDV_PROBLEM), ("wave", WAVE_PROBLEM)):
+        path = tmp_path / f"{name}.problem"
+        path.write_text(text)
+        outputs, counts = [], []
+        for order in ([], ["--order", "400"]):
+            built.clear()
+            outputs.append(run(capsys, command, str(path), "--format", fmt, *order))
+            counts.append(len(built))
+        assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+        assert counts[1] == counts[0]
+
+
 BASE_LINES = ["independents = t x", "dependents = u", "lagrangian = 1/2*u_t^2 - 1/2*u_x^2"]
 
 
@@ -464,20 +492,26 @@ BASE_LINES = ["independents = t x", "dependents = u", "lagrangian = 1/2*u_t^2 - 
     ("order = abc", 4, "order expects an integer, got 'abc'"),
     ("seed = x", 4, "seed expects an integer, got 'x'"),
     ("rank_samples = 1.5", 4, "rank_samples expects an integer, got '1.5'"),
-    ("", 2, "name 'x' is declared both as an independent and as a dependent"),
+    ("dependents = u x", 2, "name 'x' is declared both as an independent and as a dependent"),
+    # u_xx would read as the jet along xx and as the second jet along x
+    ("independents = x xx", 1, "independent name 'x' is a prefix of 'xx'"),
+    ("independents = tx t", 1, "independent name 't' is a prefix of 'tx'"),
     ("rank_samples = 0", 4, "rank_samples must be >= 1"),
     ("order = 0", 4, "order must be >= 1"),
     # the density fixes the jet orders, so no key bounds them
     ("max_order = 8", 4, "unknown key 'max_order'"),
     ("auto_extend = true", 4, "unknown key 'auto_extend'"),
-], ids=["order", "seed", "rank_samples", "shared_name", "rank_samples_below_one",
+], ids=["order", "seed", "rank_samples", "shared_name", "prefix_names",
+        "prefix_names_reversed", "rank_samples_below_one",
         "order_zero", "unknown_key_max_order", "unknown_key_auto_extend"])
 def test_malformed_problem_value_is_positioned(capsys, tmp_path, extra, lineno, message):
+    # a line with a key of BASE_LINES replaces that line, any other is appended
     lines = list(BASE_LINES)
-    if extra:
-        lines.append(extra)
+    keys = [line.split("=")[0] for line in lines]
+    if extra.split("=")[0] in keys:
+        lines[keys.index(extra.split("=")[0])] = extra
     else:
-        lines[1] = "dependents = u x"
+        lines.append(extra)
     path = tmp_path / "bad.problem"
     path.write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, "el", str(path))

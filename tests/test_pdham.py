@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import KDV_L, jet_pool, random_expr, random_lagrangian
+from conftest import KDV_L, jet_pool, random_expr, random_lagrangian, reference_partial
 from varjet import cli, pdham
 from varjet.jetcalc import EquationSystem, total_derivative
 from varjet.multiindex import EMPTY, MultiIndex, multiindices, multiindices_up_to
@@ -210,8 +210,8 @@ def test_hessian_matches_double_partials_randomized():
         seed = rng.randint(0, 99)
         matrix, report = hessian(lag, samples=3, seed=seed)
         assert [CoordinateId.jet(a, I) for a, I in matrix.index] == tops
-        assert matrix.entries == tuple(tuple(L.partial(r).partial(c) for c in tops)
-                                       for r in tops)
+        assert matrix.entries == tuple(
+            tuple(reference_partial(reference_partial(L, r), c) for c in tops) for r in tops)
         coords = sorted({c for row in matrix.entries for e in row for c in e.coordinates()},
                         key=lambda c: c.sort_key())
         draws = random.Random(seed)
@@ -367,7 +367,7 @@ def test_reduce_regular_first_order_consistency():
     for i, name in enumerate(ctx.independents):
         jet = CoordinateId.jet(0, MultiIndex.of(i))
         momentum = CoordinateId.momentum(0, EMPTY, i)
-        assert red.hamiltonian.partial(momentum) == red.substitutions[jet]
+        assert reference_partial(red.hamiltonian, momentum) == red.substitutions[jet]
 
 
 def test_reduce_regular_display_randomized():
@@ -394,10 +394,10 @@ def test_reduce_regular_display_randomized():
         for i in range(n):
             momentum = CoordinateId.momentum(0, EMPTY, i)
             expected = Expr.coord(dc.comma(CoordinateId.jet(0, EMPTY), i)) \
-                - dc.embed(H.partial(momentum))
+                - dc.embed(reference_partial(H, momentum))
             assert rows[f"contact:u::{names[i]}"] == expected
             divergence = divergence + Expr.coord(dc.comma(momentum, i))
-        assert rows["mom:u:"] == -dc.embed(H.partial(CoordinateId.jet(0, EMPTY))) \
+        assert rows["mom:u:"] == -dc.embed(reference_partial(H, CoordinateId.jet(0, EMPTY))) \
             - divergence
 
 

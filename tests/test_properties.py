@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from conftest import reference_partial
 from varjet.jetcalc import total_derivative
 from varjet.multiindex import EMPTY, MultiIndex, multiindices_up_to
 from varjet.pdham import DerivedContext
@@ -97,7 +98,7 @@ def assert_canonical(e):
 @given(mixed_exprs(), mixed_exprs(), st.sampled_from(MIXED_POOL), coefficients,
        st.integers(min_value=0, max_value=3))
 def test_every_result_is_in_normal_form(a, b, c, k, power):
-    results = [a, a + b, a - b, a * b, a ** power, a.scale(k), a.partial(c),
+    results = [a, a + b, a - b, a * b, a ** power, a.scale(k), *a.gradient().values(),
                a.substitute({c: b}),
                parse(render(a, MIXED_CTX), MIXED_CTX), Expr.sum([a, b, -a])]
     for e in results:
@@ -145,7 +146,22 @@ def test_plain_render_parses_back(e):
 @settings(max_examples=60, deadline=None)
 @given(exprs(), st.sampled_from(POOL), st.sampled_from(POOL))
 def test_partials_commute(e, c1, c2):
-    assert e.partial(c1).partial(c2) == e.partial(c2).partial(c1)
+    zero = Expr.zero()
+    assert e.gradient().get(c1, zero).gradient().get(c2, zero) == \
+        e.gradient().get(c2, zero).gradient().get(c1, zero)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_exprs(), st.sampled_from(MIXED_POOL))
+def test_gradient_matches_the_reference(e, absent):
+    # one entry per coordinate of e, each the per-coordinate scan's partial;
+    # a coordinate outside e has the reference partial zero
+    gradient = e.gradient()
+    assert set(gradient) == set(e.coordinates())
+    for c, part in gradient.items():
+        assert part == reference_partial(e, c)
+    if absent not in gradient:
+        assert reference_partial(e, absent) == Expr.zero()
 
 
 @settings(max_examples=50, deadline=None)
@@ -219,11 +235,11 @@ def test_substitute_is_simultaneous():
 
 def reference_total_derivative(e, i):
     """D_i = d/dx^i + sum over the jets u_I^a of e of u_{Ii}^a d/du_I^a."""
-    parts = [e.partial(CoordinateId.independent(i))]
+    parts = [reference_partial(e, CoordinateId.independent(i))]
     for c in e.coordinates():
         if c.kind == JET:
             lifted = CoordinateId.jet(c.alpha, c.index.with_index(i))
-            parts.append(e.partial(c) * Expr.coord(lifted))
+            parts.append(reference_partial(e, c) * Expr.coord(lifted))
     return Expr.sum(parts)
 
 

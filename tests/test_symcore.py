@@ -78,7 +78,7 @@ def E(ctx, text):
 def test_parse_kdv_lagrangian(ctx_tx):
     e = E(ctx_tx, KDV_L)
     assert len(e.terms) == 3
-    assert e.partial(C(ctx_tx, "u_xx")) == E(ctx_tx, "u_xx")
+    assert e.gradient()[C(ctx_tx, "u_xx")] == E(ctx_tx, "u_xx")
 
 
 def test_parse_zero(ctx_tx):
@@ -182,18 +182,22 @@ def test_parse_unary_and_parentheses(ctx_tx):
 
 
 def test_partial_power_rule(ctx_tx):
-    assert E(ctx_tx, "u_x^3").partial(C(ctx_tx, "u_x")) == E(ctx_tx, "3*u_x^2")
+    assert E(ctx_tx, "u_x^3").gradient() == {C(ctx_tx, "u_x"): E(ctx_tx, "3*u_x^2")}
 
 
 def test_partial_absent_coordinate(ctx_tx):
-    assert E(ctx_tx, "u_x*u_t").partial(C(ctx_tx, "u")) == Expr.zero()
+    # an absent coordinate has partial zero and no entry
+    assert E(ctx_tx, "u_x*u_t").gradient() == {C(ctx_tx, "u_t"): E(ctx_tx, "u_x"),
+                                              C(ctx_tx, "u_x"): E(ctx_tx, "u_t")}
+    assert Expr.zero().gradient() == {} and Expr.number(3).gradient() == {}
 
 
 def test_partial_kdv_hessian_entry(ctx_tx):
     # the sole nonzero second derivative in the top jets comes from u_xx^2/2
     L = E(ctx_tx, KDV_L)
-    assert L.partial(C(ctx_tx, "u_xx")).partial(C(ctx_tx, "u_xx")) == Expr.number(1)
-    assert L.partial(C(ctx_tx, "u_tt")) == Expr.zero()
+    gradient = L.gradient()
+    assert gradient[C(ctx_tx, "u_xx")].gradient() == {C(ctx_tx, "u_xx"): Expr.number(1)}
+    assert C(ctx_tx, "u_tt") not in gradient
 
 
 def test_substitute_constraint_use(ctx_tx):
@@ -267,7 +271,9 @@ def test_partial_commutes_random(ctx_tx):
     for _ in range(100):
         e = random_expr(rng, pool)
         c1, c2 = rng.choice(pool), rng.choice(pool)
-        assert e.partial(c1).partial(c2) == e.partial(c2).partial(c1)
+        zero = Expr.zero()
+        assert e.gradient().get(c1, zero).gradient().get(c2, zero) == \
+            e.gradient().get(c2, zero).gradient().get(c1, zero)
 
 
 def test_normalization_idempotent(ctx_tx):
@@ -324,6 +330,13 @@ def test_context_validation():
         JetContext(("x",), ("x",))
     with pytest.raises(ValueError):
         JetContext(("x",), ("u v",))
+    # an index word must split one way: u_xx is not both u_{x,x} and the jet along xx
+    for names in (("x", "xx"), ("xx", "x"), ("t", "x", "x1")):
+        with pytest.raises(ValueError, match="is a prefix of"):
+            JetContext(names, ("u",))
+    for style in ("suffix", "comma"):
+        with pytest.raises(ValueError, match="'x' is a prefix of 'xt'"):
+            JetContext(("xt", "x"), ("u",), jet_style=style)
 
 
 def test_reparse_normalises_each_term_a_bounded_number_of_times(monkeypatch):
