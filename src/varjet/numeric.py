@@ -44,7 +44,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -56,6 +55,7 @@ from .symcore import (
     CoordinateId,
     Expr,
     JetContext,
+    Q,
     UnsupportedExpressionError,
     VarjetError,
     row_echelon,
@@ -74,7 +74,7 @@ class GridTooSmallError(VarjetError):
     pass
 
 
-def _float(coeff: Fraction) -> float:
+def _float(coeff: Q) -> float:
     """A coefficient as a float; one past the float range is a domain error."""
     try:
         return float(coeff)
@@ -201,9 +201,9 @@ def fd_weights(order: int, radius: int) -> Tuple[float, ...]:
         raise GridTooSmallError("stencil too narrow for the requested derivative")
     # row k: sum_j w_j offset_j^k = order! if k == order else 0; the offsets
     # are distinct, so the echelon form has its pivots on the diagonal
-    rhs = [Fraction(math.factorial(order) if k == order else 0) for k in range(npts)]
-    rows, _ = row_echelon([[Fraction(o) ** k for o in offsets] + [rhs[k]] for k in range(npts)])
-    weights = [Fraction(0)] * npts
+    rhs = [Q(math.factorial(order) if k == order else 0) for k in range(npts)]
+    rows, _ = row_echelon([[Q(o) ** k for o in offsets] + [rhs[k]] for k in range(npts)])
+    weights = [Q(0)] * npts
     for k in reversed(range(npts)):
         row = rows[k]
         weights[k] = (row[npts] - sum(row[j] * weights[j] for j in range(k + 1, npts))) / row[k]

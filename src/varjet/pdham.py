@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .multiindex import EMPTY, MultiIndex, multiindices, multiindices_up_to
@@ -29,6 +28,7 @@ from .symcore import (
     CoordinateId,
     Expr,
     JetContext,
+    Q,
     VarjetError,
     WrongDomainError,
     render,
@@ -186,7 +186,7 @@ def _symmetric(upper: List[list]) -> List[list]:
             for r in range(n)]
 
 
-def _value_at(e: Expr, point: Dict[CoordinateId, Expr]) -> Optional[Fraction]:
+def _value_at(e: Expr, point: Dict[CoordinateId, Expr]) -> Optional[Q]:
     """The value of e at the point, or None if the point leaves a coordinate of e free."""
     value = e.constant_value()
     return e.substitute(point).constant_value() if value is None else value
@@ -222,7 +222,7 @@ def hessian(lag: LagrangianDensity, *, samples: int = 5,
     samples = max(1, samples)
     ranks = []
     for _ in range(samples if coords else 1):
-        point = {c: Expr.number(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        point = {c: Expr.number(Q(rng.randint(-9, 9), rng.randint(1, 9)))
                  for c in coords}
         values = [[_value_at(e, point) for e in row] for row in upper]
         if any(v is None for row in values for v in row):
@@ -320,14 +320,14 @@ def _is_affine_in(res: Expr, tops: set) -> bool:
     return True
 
 
-def _pivot(res: Expr, candidates) -> Optional[Tuple[CoordinateId, Fraction]]:
+def _pivot(res: Expr, candidates) -> Optional[Tuple[CoordinateId, Q]]:
     """The first candidate whose coefficient in res is a nonzero rational, with it.
 
     The coefficient of c (its terms of degree one in c, c removed) is a
     nonzero rational exactly when c alone is a term of res and no other term
     has c to the first power, so one pass over the terms finds them all.
     """
-    lone: Dict[CoordinateId, Optional[Fraction]] = {}
+    lone: Dict[CoordinateId, Optional[Q]] = {}
     for mono, coeff in res.terms:
         for c, e in mono:
             if e == 1:
@@ -365,7 +365,7 @@ def _restricted_energy(lag: LagrangianDensity, tops: Sequence[CoordinateId],
     for K in tops:
         P = Expr.sum([Expr.coord(CoordinateId.momentum(K.alpha, J, i))
                       for J, i, _mult in K.index.removals()])
-        factor = (P - free(gradient.get(K, Expr.zero()))).substitute(subs).scale(Fraction(1, 2))
+        factor = (P - free(gradient.get(K, Expr.zero()))).substitute(subs).scale(Q(1, 2))
         parts.append(factor * subs.get(K, Expr.coord(K)))
     return Expr.sum(parts)
 
@@ -424,10 +424,10 @@ def reduce_lagrangian(lag: LagrangianDensity, *, samples: int = 5,
     if not all(_is_affine_in(res, tops) for _, res in cons.equations):
         return partial_result("irreducible: nonlinear constraints")
 
-    def eliminate(coord: CoordinateId, coeff: Fraction, res: Expr,
+    def eliminate(coord: CoordinateId, coeff: Q, res: Expr,
                   rows: List[Tuple[str, Expr]]) -> List[Tuple[str, Expr]]:
         """Solve res = 0 for coord; substitute it into the rows (returned)."""
-        solved = res.substitute({coord: Expr.zero()}).scale(Fraction(-1) / coeff)
+        solved = res.substitute({coord: Expr.zero()}).scale(Q(-1) / coeff)
         subs[coord] = solved
         return [(lb, r.substitute({coord: solved})) for lb, r in rows]
 

@@ -12,6 +12,13 @@ A coordinate is the tuple of its sort key (kind rank, alpha, |I|, I, i)
 and a multiindex the tuple of its sorted entries, so monomial dicts and
 factor sorts hash, compare and order coordinates in C.
 
+Every coefficient is a ``Q``, a Fraction subclass whose ``+ - * /``,
+negation, integer powers and ``==`` take a fast path when both operands are
+Q or int; any other operand goes to Fraction's own method.  A Q hashes,
+orders and prints as the Fraction of its value.  The kernel converts what
+it is given to Q where a coefficient enters: in ``_normal_form`` (so in
+``Expr(terms)``), ``Expr.number``, ``Expr.scale`` and ``row_echelon``.
+
 Every result that can break the normal form goes through one normalisation
 path, ``_normal_form``: summands and products stream their terms into one
 dict and the merged monomials are sorted once, by keys built from their
@@ -27,7 +34,7 @@ exponent of that coordinate, not one product per monomial.
 Negation, scaling by a nonzero rational and powers of a single term keep the
 order and skip it.  A power of a sum is expanded by the multinomial theorem,
 one term per composition of the exponent, with integer numerators and
-denominators carried through the compositions and one Fraction made per
+denominators carried through the compositions and one coefficient made per
 term, and normalised once.  Products and powers whose size bound exceeds
 MAX_TERMS, and powers whose coefficients may pass Python's digit limit on
 int text, are refused before any work.
@@ -318,12 +325,163 @@ class JetContext:
                 for i in range(self.n)]
 
 
+# -- coefficients ------------------------------------------------------------
+
+_gcd = math.gcd
+_new = object.__new__
+
+
+class Q(Fraction):
+    """The kernel's coefficient: a Fraction with fast arithmetic among its kind.
+
+    ``+ - * /``, unary ``-``, ``**`` by an integer and ``==`` take a fast
+    path when both operands are Q or int: they work on the reduced
+    numerators and denominators with at most two gcds and build the
+    result, reduced with a positive denominator, without Fraction's
+    validation.  Any other operand (a stdlib Fraction, a float) and a zero
+    divisor go to Fraction's own method, which answers as it does for a
+    Fraction.  Hashes, order, ``str``, ``float``, pickling and copying are
+    Fraction's, so a Q hashes, sorts and prints as the Fraction of its value.
+    """
+
+    __slots__ = ()
+
+    __hash__ = Fraction.__hash__
+
+    def __add__(a, b):
+        if b.__class__ is Q:
+            return _sum(a._numerator, a._denominator, b._numerator, b._denominator)
+        if b.__class__ is int:
+            return _sum(a._numerator, a._denominator, b, 1)
+        return Fraction.__add__(a, b)
+
+    def __radd__(a, b):
+        if b.__class__ is int:
+            return _sum(b, 1, a._numerator, a._denominator)
+        return Fraction.__radd__(a, b)
+
+    def __sub__(a, b):
+        if b.__class__ is Q:
+            return _sum(a._numerator, a._denominator, -b._numerator, b._denominator)
+        if b.__class__ is int:
+            return _sum(a._numerator, a._denominator, -b, 1)
+        return Fraction.__sub__(a, b)
+
+    def __rsub__(a, b):
+        if b.__class__ is int:
+            return _sum(b, 1, -a._numerator, a._denominator)
+        return Fraction.__rsub__(a, b)
+
+    def __mul__(a, b):
+        if b.__class__ is Q:
+            return _product(a._numerator, a._denominator, b._numerator, b._denominator)
+        if b.__class__ is int:
+            return _product(a._numerator, a._denominator, b, 1)
+        return Fraction.__mul__(a, b)
+
+    def __rmul__(a, b):
+        if b.__class__ is int:
+            return _product(b, 1, a._numerator, a._denominator)
+        return Fraction.__rmul__(a, b)
+
+    def __truediv__(a, b):
+        # a times db/nb, the divisor's sign moved onto its numerator db
+        if b.__class__ is Q:
+            nb, db = b._numerator, b._denominator
+        elif b.__class__ is int:
+            nb, db = b, 1
+        else:
+            return Fraction.__truediv__(a, b)
+        if nb > 0:
+            return _product(a._numerator, a._denominator, db, nb)
+        if nb < 0:
+            return _product(a._numerator, a._denominator, -db, -nb)
+        return Fraction.__truediv__(a, b)  # raises Fraction's ZeroDivisionError
+
+    def __rtruediv__(a, b):
+        na, da = a._numerator, a._denominator
+        if b.__class__ is int and na > 0:
+            return _product(b, 1, da, na)
+        if b.__class__ is int and na < 0:
+            return _product(b, 1, -da, -na)
+        return Fraction.__rtruediv__(a, b)
+
+    def __neg__(a):
+        q = _new(Q)
+        q._numerator = -a._numerator
+        q._denominator = a._denominator
+        return q
+
+    def __pow__(a, b):
+        if b.__class__ is Q and b._denominator == 1:
+            b = b._numerator
+        elif b.__class__ is not int:
+            return Fraction.__pow__(a, b)
+        n, d = a._numerator, a._denominator
+        if b < 0:  # the inverse to the power -b
+            if not n:
+                return Fraction.__pow__(a, b)  # raises Fraction's ZeroDivisionError
+            n, d, b = (d, n, -b) if n > 0 else (-d, -n, -b)
+        q = _new(Q)
+        q._numerator = n ** b
+        q._denominator = d ** b
+        return q
+
+    def __eq__(a, b):
+        if b.__class__ is Q:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        if b.__class__ is int:
+            return a._numerator == b and a._denominator == 1
+        return Fraction.__eq__(a, b)
+
+
+def _sum(na: int, da: int, nb: int, db: int) -> Q:
+    """na/da + nb/db, each reduced with a positive denominator: with
+    g = gcd(da, db), the numerator t over da*db/g shares with it only
+    factors of g (Fraction's ``_add``)."""
+    g = _gcd(da, db)
+    q = _new(Q)
+    if g == 1:
+        q._numerator = na * db + da * nb
+        q._denominator = da * db
+        return q
+    s = da // g
+    t = na * (db // g) + nb * s
+    g = _gcd(t, g)
+    q._numerator = t // g
+    q._denominator = s * (db // g)
+    return q
+
+
+def _product(na: int, da: int, nb: int, db: int) -> Q:
+    """(na/da) * (nb/db), each reduced with a positive denominator: only
+    na with db and nb with da can share factors (Fraction's ``_mul``)."""
+    g = _gcd(na, db)
+    if g > 1:
+        na //= g
+        db //= g
+    g = _gcd(nb, da)
+    if g > 1:
+        nb //= g
+        da //= g
+    q = _new(Q)
+    q._numerator = na * nb
+    q._denominator = da * db
+    return q
+
+
+def _as_q(value) -> Q:
+    """value (an int, a Fraction, a float, a Q) as a Q."""
+    return value if value.__class__ is Q else Q(value)
+
+
 Monomial = Tuple[Tuple[CoordinateId, int], ...]
-Term = Tuple[Monomial, Fraction]
+Term = Tuple[Monomial, Q]
 
 # the key of the constant monomial, sorting after every other monomial
 _CONSTANT_MONO_KEY = ((9, 0, 0, (), 0), 0, ())
-_ONE_Q = Fraction(1)
+_ONE_Q = Q(1)
+_ZERO_Q = Q(0)
 
 
 # the most terms a product or a power may have, by the size bound known
@@ -366,17 +524,18 @@ def _normal_form(terms: Iterable[Term]) -> Tuple[Term, ...]:
     """The kernel's one normalisation path: merge like monomials in one dict,
     drop zero coefficients and sort the monomials once.
 
-    Coefficients that are not Fractions (ints from callers) are converted;
-    every factor tuple must already be ascending and free of repeats.
+    Coefficients that are not Q (an int, a stdlib Fraction or a float from a
+    caller) are converted to Q, so every merge runs on Q's fast paths; every
+    factor tuple must already be ascending and free of repeats.
     """
-    merged: Dict[Monomial, Fraction] = {}
+    merged: Dict[Monomial, Q] = {}
     get = merged.get
     for mono, coeff in terms:
-        if coeff.__class__ is not Fraction:
-            coeff = Fraction(coeff)
+        if coeff.__class__ is not Q:
+            coeff = Q(coeff)
         prev = get(mono)
         merged[mono] = coeff if prev is None else prev + coeff
-    monos = sorted([m for m, c in merged.items() if c], key=_mono_key)
+    monos = sorted([m for m, c in merged.items() if c._numerator], key=_mono_key)  # c != 0
     return tuple([(m, merged[m]) for m in monos])
 
 
@@ -392,7 +551,7 @@ class Expr:
     """A polynomial in canonical normal form.
 
     Stored as a sorted tuple of (monomial, coefficient) pairs with nonzero
-    Fraction coefficients; a monomial is a tuple of (coordinate, positive
+    ``Q`` coefficients; a monomial is a tuple of (coordinate, positive
     exponent) pairs, ascending by coordinate.  Structural equality coincides
     with polynomial equality.
 
@@ -401,6 +560,8 @@ class Expr:
     gradient, substitution and parsing build their results through it too.
     Every first partial comes from one ``gradient`` pass over the terms.
     Negation, ``scale`` and powers of a single term keep the order and skip it.
+    ``Expr(terms)``, ``number`` and ``scale`` convert an int, a Fraction or a
+    float coefficient to Q.
     """
 
     __slots__ = ("terms", "_hash")
@@ -417,7 +578,7 @@ class Expr:
 
     @classmethod
     def number(cls, value) -> "Expr":
-        k = Fraction(value)
+        k = _as_q(value)
         return _canonical((((), k),)) if k else _ZERO
 
     @classmethod
@@ -451,14 +612,14 @@ class Expr:
         return _canonical(tuple([(m, -c) for m, c in self.terms]))
 
     def __mul__(self, other) -> "Expr":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, float, Fraction)):
             return self.scale(other)
         return Expr(_product_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def scale(self, k) -> "Expr":
-        k = Fraction(k)
+        k = _as_q(k)
         if not k:
             return _ZERO
         return _canonical(tuple([(m, c * k) for m, c in self.terms]))
@@ -507,10 +668,10 @@ class Expr:
         seen = {c for mono, _ in self.terms for c, _ in mono}
         return sorted(seen)
 
-    def constant_value(self) -> Optional[Fraction]:
+    def constant_value(self) -> Optional[Q]:
         """The value as a rational number, or None if not constant."""
         if not self.terms:
-            return Fraction(0)
+            return _ZERO_Q
         if len(self.terms) == 1 and self.terms[0][0] == ():
             return self.terms[0][1]
         return None
@@ -626,7 +787,7 @@ def _multinomial_terms(terms: Tuple[Term, ...], e: int) -> List[Term]:
     A composition is built by picking, in ascending i, the terms with k_i > 0
     and the binomial C(left, k_i) of each pick, so the recursion is at most
     min(s, e) deep and every branch ends in a term.  The picks multiply
-    integer numerators and denominators; each term makes one Fraction.
+    integer numerators and denominators; each term makes one Q.
     """
     last = len(terms) - 1
     # powers[i][k]: the i-th monomial and its coefficient's numerator and
@@ -644,9 +805,9 @@ def _multinomial_terms(terms: Tuple[Term, ...], e: int) -> List[Term]:
                 m, p, q = row[k]
                 expand(i + 1, left - k, _mono_mul(mono, m), num * comb(left, k) * p, den * q)
             m, p, q = row[left]
-            out.append((_mono_mul(mono, m), Fraction(num * p, den * q)))
+            out.append((_mono_mul(mono, m), Q(num * p, den * q)))
         m, p, q = powers[last][left]
-        out.append((_mono_mul(mono, m), Fraction(num * p, den * q)))
+        out.append((_mono_mul(mono, m), Q(num * p, den * q)))
 
     expand(0, e, (), 1, 1)
     return out
@@ -658,7 +819,7 @@ _ONE = Expr.number(1)
 
 # -- exact linear algebra ------------------------------------------------------
 
-def row_echelon(matrix: Iterable[Iterable[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
+def row_echelon(matrix: Iterable[Iterable]) -> Tuple[List[List[Q]], List[int]]:
     """Forward elimination over the rationals: (echelon rows, pivot columns).
 
     Row k < rank has its pivot at column ``pivots[k]`` and zeros to the left
@@ -666,7 +827,7 @@ def row_echelon(matrix: Iterable[Iterable[Fraction]]) -> Tuple[List[List[Fractio
     rows above a pivot are not cleared, so the rank is ``len(pivots)`` and a
     square nonsingular system is solved by back-substitution.
     """
-    rows = [list(r) for r in matrix]
+    rows = [list(map(_as_q, r)) for r in matrix]
     pivots: List[int] = []
     for col in range(len(rows[0]) if rows else 0):
         top = len(pivots)
@@ -850,9 +1011,9 @@ class _Parser:
                 den *= q.numerator
                 f = 1  # folded
         if sums is not None and not powers:
-            return sums if num == den else sums.scale(Fraction(num, den))
+            return sums if num == den else sums.scale(Q(num, den))
         mono = tuple(sorted(powers.items()))
-        coeff = Fraction(num, den)
+        coeff = Q(num, den)
         if sums is None:
             return [(mono, coeff)]
         return [(_mono_mul(m, mono), c * coeff) for m, c in sums.terms]

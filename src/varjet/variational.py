@@ -14,7 +14,6 @@ and re-verifies on every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Mapping, Set, Tuple
 
 from .multiindex import EMPTY, MultiIndex
@@ -23,6 +22,7 @@ from .symcore import (
     MOMENTUM,
     Expr,
     JetContext,
+    Q,
     VarjetError,
     WrongDomainError,
 )
@@ -209,7 +209,7 @@ def legendre_form(lag: LagrangianDensity) -> LegendreForm:
             if rhs.is_zero():
                 continue
             for J, i, mult in I.removals():
-                coeffs[(alpha, J, i)] = rhs.scale(Fraction(mult, k))
+                coeffs[(alpha, J, i)] = rhs.scale(Q(mult, k))
                 reached.setdefault(k - 1, set()).add((alpha, J))
     theta = LegendreForm(ctx, lag.level, coeffs)
 

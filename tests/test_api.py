@@ -1,7 +1,8 @@
 """The public names of the varjet package, with no aliases among them, the
 public names of its numeric layer, the signatures of the momentum-side
 constructions, the total derivatives and the jet context, no unused import
-in a module, and the README's library sketch."""
+in a module, no module but the kernel importing fractions, and the README's
+library sketch."""
 
 import ast
 import dataclasses
@@ -109,6 +110,21 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{os.path.basename(path)}:{line}: {name}"
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_only_the_kernel_imports_fractions():
+    # symcore's Q is the one coefficient class: every other module makes its
+    # constants as Q, so none builds a stdlib Fraction
+    importers = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(varjet.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "fractions" or \
+                    isinstance(node, ast.Import) and \
+                    any(alias.name == "fractions" for alias in node.names):
+                importers.append(os.path.basename(path))
+    assert importers == ["symcore.py"]
 
 
 def test_readme_library_sketch_runs_as_commented():

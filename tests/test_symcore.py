@@ -1,8 +1,11 @@
 """Kernel tests: parsing, normal form, partials, substitution, rendering."""
 
+import copy
 import glob
 import json
+import operator
 import os
+import pickle
 import random
 import re
 import shutil
@@ -438,44 +441,54 @@ def test_patterns_need_nothing_past_the_python_floor():
             assert syntax not in pattern.pattern, (syntax, pattern.pattern)
 
 
-def _python_310():
-    """A Python 3.10 interpreter: python3.10 on PATH, else one installed by
-    pyenv; None when there is none."""
-    candidates = [shutil.which("python3.10")]
+def _python(version):
+    """A Python interpreter of the version ("3.10"): pythonX.Y on PATH, else
+    one installed by pyenv; None when there is none."""
+    candidates = [shutil.which(f"python{version}")]
     pyenv = shutil.which("pyenv")
     if pyenv:
         root = subprocess.run([pyenv, "root"], capture_output=True, text=True).stdout.strip()
-        candidates += sorted(glob.glob(os.path.join(root, "versions", "3.10.*", "bin", "python3")))
+        candidates += sorted(glob.glob(os.path.join(root, "versions", f"{version}.*", "bin",
+                                                    "python3")))
     for exe in filter(None, candidates):
-        probe = subprocess.run([exe, "-c", "import sys; print(sys.version_info[:2] == (3, 10))"],
+        probe = subprocess.run([exe, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
                                capture_output=True, text=True)
-        if probe.stdout.strip() == "True":
+        if probe.stdout.strip() == version:
             return exe
     return None
 
 
 _ROUND_TRIP = textwrap.dedent("""
-    import json, sys
+    import copy, json, pickle, sys
     from varjet.multiindex import MultiIndex
-    from varjet.symcore import CoordinateId, JetContext, parse, render
+    from varjet.symcore import CoordinateId, JetContext, Q, parse, render, row_echelon
     ctx = JetContext(("t", "x"), ("u", "v"))
-    e = parse("1/2*u_t^2 - 3/4*(u_x + v - t)^3 + p^u_x.t*u_tx - (v_t*u)^2", ctx)
+    e = parse("1/2*u_t^2 - 3/4*(u_x + v - t)^3 + p^u_x.t*u_tx - (v_t*u)^2"
+              " + (u_x - 2*v)/(-4/6)", ctx)
     out = {f: render(e, ctx, f) for f in ("plain", "latex", "json")}
     assert parse(out["plain"], ctx) == e
     out["substituted"] = render(e.substitute({ctx.resolve("v"): parse("u_x - 1", ctx),
                                               ctx.resolve("u"): parse("2*v", ctx)}), ctx)
+    out["fractional image"] = render(e.substitute({ctx.resolve("u"): parse("2/3*v - 5/7", ctx)}),
+                                     ctx)
+    out["divided"] = render(e.scale(Q(5, 6) / Q(-10, 9)), ctx)
+    rows, pivots = row_echelon([[Q(1, 2), Q(-2, 3), 3], [Q(4, 5), 1, Q(-1, 6)],
+                                [Q(2, 7), Q(3, 8), Q(5, 9)]])
+    out["echelon"] = [[str(q) for q in row] for row in rows], pivots
+    out["classes"] = sorted({q.__class__.__name__ for row in rows for q in row}
+                            | {c.__class__.__name__ for _, c in e.terms})
+    assert pickle.loads(pickle.dumps(e)) == e == copy.deepcopy(e)
     out["hash"] = hash(CoordinateId.jet(1, MultiIndex((0, 2))))
     print(json.dumps(out))
 """)
 
 
-def test_kernel_round_trip_runs_on_the_python_floor(tmp_path):
-    # pyproject.toml declares Python >= 3.10 and the kernel leans on tuple
-    # subclasses: the parse, render, re-parse and substitute round trip must
-    # give the same bytes on 3.10 as here
-    python = _python_310()
+def _round_trip_matches_here(version, tmp_path):
+    """The round trip gives the same bytes under Python ``version`` as here;
+    the package is symcore and multiindex alone."""
+    python = _python(version)
     if python is None:
-        pytest.skip("no Python 3.10 interpreter")
+        pytest.skip(f"no Python {version} interpreter")
     package = tmp_path / "varjet"
     package.mkdir()
     (package / "__init__.py").write_text("")
@@ -485,7 +498,24 @@ def test_kernel_round_trip_runs_on_the_python_floor(tmp_path):
                           cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(tmp_path)}).stdout
            for exe in (python, sys.executable)]
     assert run[0] == run[1]
-    assert json.loads(run[0])["plain"].startswith("3/4*t^3 + 1/2*u_t^2 - 3/4*u_x^3 + ")
+    out = json.loads(run[0])
+    assert out["plain"].startswith("3/4*t^3 + 1/2*u_t^2 - 3/4*u_x^3 + ")
+    assert out["classes"] == ["Q"] and out["echelon"][1] == [0, 1, 2]
+
+
+def test_kernel_round_trip_runs_on_the_python_floor(tmp_path):
+    # pyproject.toml declares Python >= 3.10 and the kernel leans on tuple
+    # subclasses and on Fraction's slots: the parse, render, re-parse,
+    # substitute and eliminate round trip must give the same bytes on 3.10
+    # as here
+    _round_trip_matches_here("3.10", tmp_path)
+
+
+@pytest.mark.parametrize("version", ["3.12", "3.13"])
+def test_kernel_round_trip_runs_past_the_fraction_rewrite(version, tmp_path):
+    # Python 3.12 rewrote Fraction's arithmetic (results made by
+    # _from_coprime_ints), which Q's fallbacks run
+    _round_trip_matches_here(version, tmp_path)
 
 
 # -- the reader and writer against the straightforward ones --------------------
@@ -745,7 +775,7 @@ def test_parse_matches_reference_parse(text, ctx):
     got = outcome(parse, text, ctx)
     assert got == want
     if isinstance(got, Expr):
-        assert all(c.__class__ is Fraction and c for _, c in got.terms)
+        assert all(c.__class__ is symcore.Q and c for _, c in got.terms)
 
 
 RENDER_CTX = JetContext(("t", "x"), ("u", "v"))
@@ -776,3 +806,117 @@ def test_render_matches_reference_render(e):
         assert render(e, RENDER_CTX, fmt) == reference_render(e, RENDER_CTX, fmt)
     assert parse(render(e, RENDER_CTX), RENDER_CTX) == e
 
+
+
+# -- the kernel rational against stdlib Fraction --------------------------------
+#
+# Q's fast paths must give, for Q and int operands, the Fraction its value
+# has (the same numerator, denominator, hash and str) as a Q; any other
+# operand, and a zero divisor, must give what stdlib Fraction gives.
+
+_BIG = 10 ** 300
+_ints = st.one_of(st.integers(min_value=-60, max_value=60),
+                  st.integers(min_value=-_BIG, max_value=_BIG))
+_small_ints = st.integers(min_value=-12, max_value=12)
+
+
+@st.composite
+def _operands(draw, ints=_ints, floats=st.floats(allow_nan=False)):
+    """(an operand, its stdlib twin): a Q's twin is the Fraction of its value,
+    made from a denominator of either sign; any other operand is its own twin."""
+    kind = draw(st.sampled_from(["Q", "int", "Fraction", "float"]))
+    if kind == "float":
+        x = draw(floats)
+        return x, x
+    n = draw(ints)
+    if kind == "int":
+        return n, n
+    d = draw(ints.filter(bool))
+    twin = Fraction(n, d)
+    return (symcore.Q(n, d) if kind == "Q" else twin), twin
+
+
+def _result(op, *args):
+    """op(*args), or the type and text of the error it raises."""
+    try:
+        return op(*args)
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_as_fraction(op, pairs, fast):
+    """op on the operands gives what it gives on their twins; a Q when the
+    operator is Q's own, every operand is a Q or an int, and the twins give
+    a Fraction."""
+    got = _result(op, *[x for x, _ in pairs])
+    want = _result(op, *[twin for _, twin in pairs])
+    if fast and all(x.__class__ in (symcore.Q, int) for x, _ in pairs) \
+            and want.__class__ is Fraction:
+        assert got.__class__ is symcore.Q
+        assert (got.numerator, got.denominator, hash(got), str(got)) == \
+            (want.numerator, want.denominator, hash(want), str(want))
+    else:
+        assert got.__class__ is want.__class__ and repr(got) == repr(want)
+
+
+_BINARY = [operator.add, operator.sub, operator.mul, operator.truediv, operator.eq]
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_operands(), b=_operands(), op=st.sampled_from(_BINARY))
+def test_q_operators_match_fraction(a, b, op):
+    _assert_as_fraction(op, [a, b], True)
+    _assert_as_fraction(op, [b, a], True)
+    for unary in (operator.neg, bool):
+        _assert_as_fraction(unary, [a], True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=_operands(), exponent=_operands(_small_ints, st.floats(-12, 12)))
+def test_q_power_matches_fraction(base, exponent):
+    # Q ** (an int or an integral Q) is Q's own; int ** Q is Fraction's
+    _assert_as_fraction(operator.pow, [base, exponent], base[0].__class__ is symcore.Q)
+
+
+@pytest.mark.parametrize("op, a, b", [
+    (operator.truediv, (1, 1), 0), (operator.truediv, (3, 4), (0, 5)),
+    (operator.truediv, 7, (0, 1)), (operator.truediv, 0, (-2, 3)),
+    (operator.pow, (0, 1), -1), (operator.pow, (0, 7), -3), (operator.pow, (0, 1), 0),
+    (operator.pow, (-7, 3), 401), (operator.pow, (-7, 3), -401), (operator.pow, (2, -9), 0),
+    (operator.pow, (-5, 2), (-3, 1)),
+    (operator.mul, (_BIG + 1, -(2 * _BIG)), (-6 * _BIG, _BIG - 1)),
+    (operator.add, (1, 6), (1, 6)), (operator.sub, (1, 6), (-1, 3)),
+])
+def test_q_zero_divisors_and_large_values_match_fraction(op, a, b):
+    # an (n, d) pair is a Q n/d, its twin Fraction(n, d); an int is itself
+    pairs = [(symcore.Q(*x), Fraction(*x)) if isinstance(x, tuple) else (x, x) for x in (a, b)]
+    _assert_as_fraction(op, pairs, op is not operator.pow or pairs[0][0].__class__ is symcore.Q)
+    if op is not operator.pow:
+        _assert_as_fraction(op, pairs[::-1], True)
+
+
+@given(n=_ints, d=_ints.filter(bool))
+def test_q_constructor_reduces_like_fraction(n, d):
+    q, want = symcore.Q(n, d), Fraction(n, d)
+    assert q.__class__ is symcore.Q
+    assert (q.numerator, q.denominator, hash(q), str(q)) == \
+        (want.numerator, want.denominator, hash(want), str(want))
+
+
+def test_every_coefficient_the_kernel_takes_becomes_a_q():
+    # an int, a stdlib Fraction or a float given to any builder comes out a Q,
+    # and pickling or deep-copying an Expr keeps its Q coefficients
+    ctx = JetContext(("t", "x"), ("u",))
+    u, u_x = ctx.resolve("u"), ctx.resolve("u_x")
+    made = []
+    for k in (3, Fraction(-2, 3), 0.75):
+        made += [Expr.number(k), Expr.coord(u_x).scale(k), Expr([(((u, 1),), k), ((), k)]),
+                 Expr.coord(u) * k, k * Expr.coord(u)]
+        rows, pivots = symcore.row_echelon([[k, 1, 0], [2, k, 0]])
+        assert pivots == [0, 1]
+        assert all(q.__class__ is symcore.Q for row in rows for q in row)
+    for e in made:
+        assert e.terms
+        for clone in (e, pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+            assert clone == e
+            assert all(c.__class__ is symcore.Q for _, c in clone.terms)
