@@ -290,6 +290,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         problem = load_problem(args.problem)
         text = _COMMANDS[args.command](args, problem, problem.lagrangian(args.order))
+        _emit(args, text)
     except OSError as exc:
         print(f"varjet: {exc}", file=sys.stderr)
         return 1
@@ -299,7 +300,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except VarjetError as exc:
         print(f"varjet: {exc}", file=sys.stderr)
         return 1
-    _emit(args, text)
     return 0
 
 

@@ -122,5 +122,14 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
 
 
 def load_problem(path: str) -> Problem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_problem_text(fh.read(), source=path)
+    """The problem file at path; a byte that is not UTF-8 is reported on its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; count lines as parse_problem_text does
+        line = len((data[:exc.start] + b".").decode("utf-8").splitlines())
+        raise VarjetError(f"{path}, line {line}: byte 0x{data[exc.start]:02x} is not "
+                          f"valid UTF-8 ({exc.reason})") from None
+    return parse_problem_text(text, source=path)

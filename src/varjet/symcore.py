@@ -28,9 +28,10 @@ variational and reduction constructions) make one builder call,
 per partial sum.  Every first partial comes from ``Expr.gradient``: one pass
 over the terms gives the partial by each coordinate that occurs, so a
 construction reads all of a density's partials for the cost of one scan.
-Substitution follows Horner's rule: it collects the expression on one bound
-coordinate at a time and makes one product and one normalisation per
-exponent of that coordinate, not one product per monomial.
+Substitution follows Horner's rule: it collects the terms on their largest
+bound coordinate and makes one product and one normalisation per exponent
+of that coordinate, not one product per monomial; the images of all the
+coordinates are normalised together, once.
 Negation, scaling by a nonzero rational and powers of a single term keep the
 order and skip it.  A power of a sum is expanded by the multinomial theorem,
 one term per composition of the exponent, with integer numerators and
@@ -41,11 +42,14 @@ int text, are refused before any work.
 
 The reader tokenizes a text in one ``findall`` pass into token strings and
 finds a token's position, by scanning the text again, only for an error.
-It reads each product into one term; an expression that is one sum, such
-as a power of a sum or a product of two, is that sum's normal form and is
-not normalised again, and an expression of one monomial is that term.  A
-bad character is placed at its own start.  The renderers spell each
-coefficient from its integer numerator and denominator.
+It reads each product into one term, reading its plain factors (a name
+met before, an integer, a name met before to an integer power) in place;
+an expression that is one sum, such as a power of a sum or a product of
+two, is that sum's normal form and is not normalised again, and an
+expression of one monomial is that term.  A bad character is placed at
+its own start.  The renderers spell each
+coefficient from its integer numerator and denominator, read from the
+Fraction slots.
 
 All values are immutable; every operation is a pure function.
 """
@@ -342,6 +346,10 @@ class Q(Fraction):
     divisor go to Fraction's own method, which answers as it does for a
     Fraction.  Hashes, order, ``str``, ``float``, pickling and copying are
     Fraction's, so a Q hashes, sorts and prints as the Fraction of its value.
+    The kernel makes a Q from two ints with ``_q``, the parser's terms and
+    the multinomial's coefficients among them, so ``Fraction.__new__`` runs
+    only for ``Q(value)`` on a value that is not yet a Q.  Kernel code reads
+    ``_numerator`` and ``_denominator``, not Fraction's properties.
     """
 
     __slots__ = ()
@@ -467,6 +475,18 @@ def _product(na: int, da: int, nb: int, db: int) -> Q:
     q = _new(Q)
     q._numerator = na * nb
     q._denominator = da * db
+    return q
+
+
+def _q(num: int, den: int) -> Q:
+    """num/den (den nonzero) as a Q: one gcd, the sign on the numerator
+    (Fraction's reduction of two ints, without its validation)."""
+    g = _gcd(num, den)
+    if den < 0:
+        g = -g
+    q = _new(Q)
+    q._numerator = num // g
+    q._denominator = den // g
     return q
 
 
@@ -703,20 +723,21 @@ class Expr:
     def substitute(self, bindings: Mapping[CoordinateId, "Expr"]) -> "Expr":
         """Simultaneous substitution of each bound coordinate by its image.
 
-        Horner's rule: the terms are collected on the largest bound
-        coordinate x that occurs, e = sum_k x^k e_k, and the image is built
-        as (..(e_K'*X + e_{K-1}')*X + ..)*X + e_0', with e_k' the recursively
+        Horner's rule: the terms whose largest bound coordinate is x are
+        collected on it, sum_{k>0} x^k e_k, and their image is built as
+        (..(e_K'*X + e_{K-1}')*X + ..)*X^k_min, with e_k' the recursively
         substituted e_k and X the image of x (raised to the gap where
         exponents are missing).  X is never substituted again, so images may
         hold bound coordinates.  This makes one product per bound coordinate
         and exponent instead of one per monomial; each step ``acc*X + e_k'``
-        is one normalisation.
+        is one normalisation, and the images of all the groups and the terms
+        free of bound coordinates are normalised together, once.
         """
         if not bindings:
             return self
         images = {c: image.terms for c, image in bindings.items()}
         out = _substituted(self.terms, images, {})
-        return self if out is None else _canonical(out)
+        return self if out is None else Expr(out)
 
     def __repr__(self):
         return f"Expr<{len(self.terms)} terms>"
@@ -732,41 +753,49 @@ def _product_terms(a: Tuple[Term, ...], b: Tuple[Term, ...]) -> List[Term]:
 
 def _substituted(terms, images: Dict[CoordinateId, Tuple[Term, ...]],
                  powers: Dict[Tuple[CoordinateId, int], Tuple[Term, ...]]
-                 ) -> Optional[Tuple[Term, ...]]:
-    """The normal form of ``terms`` (distinct monomials in any order) with
-    every coordinate that ``images`` binds replaced by its image, by
-    Horner's rule on the largest bound coordinate; None when none occurs.
-    ``powers`` caches the images' powers above the first over one substitution."""
-    top = None
-    for mono, _ in terms:
-        for c, _ in reversed(mono):  # factors ascend: the first bound one is the largest
-            if c in images:
-                if top is None or top < c:
-                    top = c
-                break
-    if top is None:
-        return None
-    parts: Dict[int, List[Term]] = {}  # exponent of the top coordinate -> cofactor terms
+                 ) -> Optional[List[Term]]:
+    """The terms of ``terms`` (distinct monomials in any order) with every
+    coordinate that ``images`` binds replaced by its image, like monomials
+    not yet merged; None when none occurs.  ``powers`` caches the images'
+    powers above the first over one substitution.
+
+    The terms are grouped by the largest bound coordinate each holds.  A
+    group on x is e = sum_{k>0} x^k e_k, built by Horner's rule as
+    (..(e_K'*X + e_{K-1}')*X + ..)*X^k_min with one normalisation per
+    exponent, the e_k' substituted recursively.  The groups' terms and the
+    terms free of bound coordinates are chained into one list, which the
+    caller normalises once, so a sum linear in many bound coordinates is
+    sorted once, not once per coordinate."""
+    groups: Dict[Optional[CoordinateId], List[Term]] = {}
     for term in terms:
-        mono = term[0]
-        for k, (c, e) in enumerate(mono):
-            if c == top:
-                parts.setdefault(e, []).append((mono[:k] + mono[k + 1:], term[1]))
+        for c, _ in reversed(term[0]):  # factors ascend: the first bound one is the largest
+            if c in images:
                 break
         else:
-            parts.setdefault(0, []).append(term)
-    acc = None
-    for k in sorted(parts, reverse=True):
-        inner = _substituted(parts[k], images, powers)
-        if inner is None:
-            inner = parts[k]
-        if acc is not None:  # acc*X^(last-k) + e_k', normalised once
-            step = _image_power(top, last - k, images, powers)
-            inner = _normal_form(chain(_product_terms(acc, step), inner))
-        acc, last = inner, k
-    if last:
-        acc = _normal_form(_product_terms(acc, _image_power(top, last, images, powers)))
-    return acc
+            c = None
+        groups.setdefault(c, []).append(term)
+    out = groups.pop(None, [])
+    if not groups:
+        return None
+    for top, group in groups.items():
+        parts: Dict[int, List[Term]] = {}  # exponent of top -> cofactor terms
+        for mono, coeff in group:
+            for k, (c, e) in enumerate(mono):
+                if c == top:
+                    parts.setdefault(e, []).append((mono[:k] + mono[k + 1:], coeff))
+                    break
+        acc = None
+        for k in sorted(parts, reverse=True):
+            inner = _substituted(parts[k], images, powers)
+            if acc is None:  # a part's own terms are distinct monomials
+                acc = parts[k] if inner is None else _normal_form(inner)
+            else:  # acc*X^(last-k) + e_k', normalised once
+                step = _image_power(top, last - k, images, powers)
+                acc = _normal_form(chain(_product_terms(acc, step),
+                                         parts[k] if inner is None else inner))
+            last = k
+        out += _product_terms(acc, _image_power(top, last, images, powers))
+    return out
 
 
 def _image_power(c: CoordinateId, e: int, images, powers) -> Tuple[Term, ...]:
@@ -787,13 +816,13 @@ def _multinomial_terms(terms: Tuple[Term, ...], e: int) -> List[Term]:
     A composition is built by picking, in ascending i, the terms with k_i > 0
     and the binomial C(left, k_i) of each pick, so the recursion is at most
     min(s, e) deep and every branch ends in a term.  The picks multiply
-    integer numerators and denominators; each term makes one Q.
+    integer numerators and denominators; each term makes one Q, by ``_q``.
     """
     last = len(terms) - 1
     # powers[i][k]: the i-th monomial and its coefficient's numerator and
     # denominator to the k-th power
-    powers = [[(tuple([(c, p * k) for c, p in mono]), coeff.numerator ** k,
-                coeff.denominator ** k) for k in range(e + 1)]
+    powers = [[(tuple([(c, p * k) for c, p in mono]), coeff._numerator ** k,
+                coeff._denominator ** k) for k in range(e + 1)]
               for mono, coeff in terms]
     comb = math.comb
     out: List[Term] = []
@@ -805,9 +834,9 @@ def _multinomial_terms(terms: Tuple[Term, ...], e: int) -> List[Term]:
                 m, p, q = row[k]
                 expand(i + 1, left - k, _mono_mul(mono, m), num * comb(left, k) * p, den * q)
             m, p, q = row[left]
-            out.append((_mono_mul(mono, m), Q(num * p, den * q)))
+            out.append((_mono_mul(mono, m), _q(num * p, den * q)))
         m, p, q = powers[last][left]
-        out.append((_mono_mul(mono, m), Q(num * p, den * q)))
+        out.append((_mono_mul(mono, m), _q(num * p, den * q)))
 
     expand(0, e, (), 1, 1)
     return out
@@ -870,9 +899,12 @@ def _tokenize(text: str) -> List[str]:
     One ``findall`` pass; it skips any character that starts no token, so
     the tokens spell the text's non-space characters unless one is bad,
     and only then is the text scanned again for the first bad character.
+    Tokens hold no whitespace, so when their lengths and the text's ' '
+    count add up to its length they spell it, and the two joins are skipped.
     """
     tokens = _TOKEN_RE.findall(text)
-    if "".join(tokens) != "".join(text.split()):
+    if sum(map(len, tokens)) + text.count(" ") != len(text) \
+            and "".join(tokens) != "".join(text.split()):
         for m in _PLACED_RE.finditer(text):
             if m.lastindex == 2:
                 raise ParseError(f"unexpected character {m.group(2)!r}", text, m.start())
@@ -899,7 +931,14 @@ class _Parser:
     text again, and only for an error.  A term is read into one monomial and
     one integer numerator and denominator: numbers and powers of names are
     multiplied in directly, and only a parenthesised or negated factor is an
-    Expr (folded in when it has one term).  A term whose only non-constant
+    Expr (folded in when it has one term).  ``term`` reads the plain factors
+    in place from the token list (a name already met in the text, an integer
+    literal, a name already met to an integer power); ``factor`` and
+    ``primary`` read every other factor (a unary minus, a parenthesis, the
+    first sight of a name with its resolution and the transcendental check,
+    a power of a number or a group) and raise every error but an
+    exponent's, which ``exponent`` raises for both paths.  The coefficient
+    is made once per term, from its reduced ints, by ``_q``.  A term whose only non-constant
     factor is a sum is that sum's normal form, scaled unless its coefficient
     is 1.  An expression of one such term is returned as it is, and one of a
     single monomial is that term (or zero), without normalisation; any other
@@ -969,32 +1008,36 @@ class _Parser:
     def term(self, sign: int):
         """One product times ``sign``: an Expr in normal form when its only
         non-constant factor is a sum, else its terms, one unless a factor is
-        a sum."""
-        tokens = self.tokens
+        a sum.
+
+        A name met before in the text, an integer literal and a name met
+        before to an integer power are read here, from the tokens; ``factor``
+        reads every other factor, and so finds every error but the
+        exponent's, which ``exponent`` finds for both."""
+        tokens, coords = self.tokens, self.coords
         num, den = sign, 1
         powers: Dict[CoordinateId, int] = {}
         sums = None  # the product of the factors that are not single terms
-        f = self.factor()
+        op = "*"  # the operator before the factor
+        k = self.k
         while True:
-            if f.__class__ is int:
-                num *= f
-            elif f.__class__ is tuple:
-                c, k = f
-                powers[c] = powers.get(c, 0) + k
-            elif len(f.terms) == 1:
-                mono, q = f.terms[0]
-                for c, k in mono:
-                    powers[c] = powers.get(c, 0) + k
-                num *= q.numerator
-                den *= q.denominator
+            tok = tokens[k]
+            c = coords.get(tok)
+            if c is not None and tokens[k + 1] != "(":  # "(" may call a function
+                if tokens[k + 1] == "^":
+                    e = self.exponent(k + 2)
+                    k += 3
+                    f = (c, e) if e else 1
+                else:
+                    k += 1
+                    f = (c, 1)
+            elif tok.isdecimal() and tokens[k + 1] != "^":
+                f = self.integer(tok, k)
+                k += 1
             else:
-                sums = f if sums is None else sums * f
-            op = tokens[self.k]
-            if op not in _PRODUCT_OPS:
-                break
-            at = self.k
-            self.k += 1
-            f = self.factor()
+                self.k = k
+                f = self.factor()
+                k = self.k
             if op == "/":
                 if f.__class__ is int:
                     q = f
@@ -1009,11 +1052,29 @@ class _Parser:
                     raise self.error("division by zero", at)
                 num *= q.denominator
                 den *= q.numerator
-                f = 1  # folded
+            elif f.__class__ is int:
+                num *= f
+            elif f.__class__ is tuple:
+                c, e = f
+                powers[c] = powers.get(c, 0) + e
+            elif len(f.terms) == 1:
+                mono, q = f.terms[0]
+                for c, e in mono:
+                    powers[c] = powers.get(c, 0) + e
+                num *= q._numerator
+                den *= q._denominator
+            else:
+                sums = f if sums is None else sums * f
+            op = tokens[k]
+            if op not in _PRODUCT_OPS:
+                break
+            at = k
+            k += 1
+        self.k = k
         if sums is not None and not powers:
-            return sums if num == den else sums.scale(Q(num, den))
+            return sums if num == den else sums.scale(_q(num, den))
         mono = tuple(sorted(powers.items()))
-        coeff = Q(num, den)
+        coeff = _q(num, den)
         if sums is None:
             return [(mono, coeff)]
         return [(_mono_mul(m, mono), c * coeff) for m, c in sums.terms]
@@ -1031,27 +1092,30 @@ class _Parser:
         base = self.primary()
         if tokens[self.k] != "^":
             return (base, 1) if base.__class__ is CoordinateId else base
-        k = self.k + 1
+        e = self.exponent(self.k + 1)
         self.k += 2
-        tok = tokens[k]
+        if base.__class__ is CoordinateId:
+            return (base, e) if e else 1
+        return (Expr.number(base) if base.__class__ is int else base) ** e
+
+    def exponent(self, k: int) -> int:
+        """The exponent after a "^": the k-th token, an integer literal."""
+        tok = self.tokens[k]
         if tok == "-":
             raise self.error("negative exponents are not polynomial", k,
                              UnsupportedExpressionError)
         if not tok.isdecimal():
             raise self.error("expected integer exponent", k)
-        e = self.integer(tok, k)
-        if base.__class__ is CoordinateId:
-            return (base, e) if e else 1
-        return (Expr.number(base) if base.__class__ is int else base) ** e
+        return self.integer(tok, k)
 
     def integer(self, tok: str, k: int) -> int:
         """The integer literal tok, the k-th token; longer than the digit
         limit is an error."""
-        limit = _digit_limit()
-        if limit and len(tok) > limit:
+        try:
+            return int(tok)
+        except ValueError:  # tok is decimal digits: int() refuses only past the limit
             raise self.error(f"integer literal of {len(tok)} digits, over the limit of "
-                             f"{limit} digits", k)
-        return int(tok)
+                             f"{_digit_limit()} digits", k) from None
 
     _TRANSCENDENTAL = {"sin", "cos", "tan", "exp", "log", "ln", "sqrt",
                        "sinh", "cosh", "tanh", "abs"}
@@ -1133,7 +1197,7 @@ def _render(e: Expr, name, power, coeff_text, joiner: str) -> str:
                     c, p = factor
                     text = spelled[factor] = name(c) + (power(p) if p > 1 else "")
                 factors.append(text)
-            num, den = coeff.numerator, coeff.denominator
+            num, den = coeff._numerator, coeff._denominator
             negative = num < 0
             if negative:
                 num = -num
@@ -1176,7 +1240,7 @@ def expr_to_json(e: Expr, ctx: JetContext) -> dict:
     try:
         return {
             "monomials": [
-                {"coeff": _coeff_plain(coeff.numerator, coeff.denominator),
+                {"coeff": _coeff_plain(coeff._numerator, coeff._denominator),
                  "factors": [[name(c), p] for c, p in mono]}
                 for mono, coeff in e.terms
             ]

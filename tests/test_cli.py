@@ -295,6 +295,26 @@ def test_missing_problem_file_is_domain_error(capsys):
     assert code == 1 and "varjet:" in err
 
 
+def test_unwritable_out_is_domain_error(capsys, kdv_problem, tmp_path):
+    # the write is an OSError like any other: a message and exit 1, no traceback
+    for target, reason in ((tmp_path / "missing" / "el.txt", "No such file or directory"),
+                           (tmp_path, "Is a directory")):
+        code, out, err = run(capsys, "el", kdv_problem, "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("varjet: [Errno ") and reason in err and str(target) in err
+        assert err.count("\n") == 1
+
+
+def test_problem_file_that_is_not_utf8_is_domain_error(capsys, tmp_path):
+    path = tmp_path / "latin1.problem"
+    path.write_bytes(b"independents = t x\r\n\ndependents = u\n"
+                     b"lagrangian = 1/2*u_x^2 \xff u_t\n")
+    code, out, err = run(capsys, "el", str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"varjet: {path}, line 4: byte 0xff is not valid UTF-8 "
+                   "(invalid start byte)\n")
+
+
 def test_bad_expression_reports_position(capsys, tmp_path):
     path = tmp_path / "bad.problem"
     path.write_text("independents = x\ndependents = u\nlagrangian = u_x + w\n")

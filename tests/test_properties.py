@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import time
 from dataclasses import field as dc_field
 from dataclasses import make_dataclass
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import reference_partial
+from varjet import symcore
 from varjet.jetcalc import total_derivative
 from varjet.multiindex import EMPTY, MultiIndex, multiindices_up_to
 from varjet.pdham import DerivedContext
@@ -49,9 +51,9 @@ MIXED_POOL = [CoordinateId.independent(i) for i in range(2)] \
 
 
 @st.composite
-def mixed_exprs(draw, pool=MIXED_POOL):
+def mixed_exprs(draw, pool=MIXED_POOL, max_terms=4):
     terms = []
-    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
         term = Expr.number(draw(coefficients))
         for _ in range(draw(st.integers(min_value=0, max_value=3))):
             term = term * Expr.coord(draw(st.sampled_from(pool))) \
@@ -221,6 +223,48 @@ def test_substitute_matches_the_per_monomial_reference(e, bindings, swap):
     out = e.substitute(bindings)
     assert out == reference_substitute(e, bindings)
     assert_canonical(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_exprs(max_terms=12),
+       st.dictionaries(st.sampled_from(MIXED_POOL), mixed_exprs(max_terms=2), max_size=12))
+def test_substitute_over_many_bound_coordinates_matches_the_per_monomial_reference(
+        e, bindings):
+    # most coordinates bound: the terms fall into many groups by their
+    # largest bound coordinate, cofactors hold smaller bound ones, and the
+    # groups' images are merged with each other and with the free terms
+    out = e.substitute(bindings)
+    assert out == reference_substitute(e, bindings)
+    assert_canonical(out)
+
+
+def test_substitute_linear_in_many_bound_coordinates_normalises_once(monkeypatch):
+    # a sum of 160 products, each linear in its own bound third-order jet:
+    # re-normalising the growing result at each bound coordinate passed
+    # about 160^2/2 terms through normalisation and took 68 ms
+    ctx = JetContext(("t", "x", "y"), tuple(f"u{a}" for a in range(16)))
+    t = Expr.coord(ctx.resolve("t"))
+    jets = [c for c in ctx.jets_up_to(3) if len(c.index) == 3]
+    low = [c for c in ctx.jets_up_to(1) if c.index]
+    assert len(jets) == 160
+    e = Expr.sum([Expr.coord(low[b % len(low)]) * Expr.coord(c) for b, c in enumerate(jets)])
+    bindings = {c: (t ** (b + 1)).scale(b + 2) for b, c in enumerate(jets)}
+    want = reference_substitute(e, bindings)
+    normalise = symcore._normal_form
+    passed = []
+
+    def counting(terms):
+        terms = list(terms)
+        passed.append(len(terms))
+        return normalise(terms)
+
+    monkeypatch.setattr(symcore, "_normal_form", counting)
+    start = time.perf_counter()
+    out = e.substitute(bindings)
+    elapsed = time.perf_counter() - start
+    assert out == want and len(out.terms) == 160
+    assert passed == [160], passed
+    assert elapsed < 1.0
 
 
 def test_substitute_is_simultaneous():

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from conftest import KDV_L, jet_pool, random_expr
 from varjet import multiindex, symcore
@@ -472,6 +472,10 @@ _ROUND_TRIP = textwrap.dedent("""
     out["fractional image"] = render(e.substitute({ctx.resolve("u"): parse("2/3*v - 5/7", ctx)}),
                                      ctx)
     out["divided"] = render(e.scale(Q(5, 6) / Q(-10, 9)), ctx)
+    power = parse("(u_x - 2/3*v)^7", ctx)
+    out["power"] = [render(power, ctx, f) for f in ("plain", "latex", "json")]
+    assert parse(out["power"][0], ctx) == power
+    out["product"] = render(parse("3/4/5*u_x^2*v^3*t", ctx), ctx)
     rows, pivots = row_echelon([[Q(1, 2), Q(-2, 3), 3], [Q(4, 5), 1, Q(-1, 6)],
                                 [Q(2, 7), Q(3, 8), Q(5, 9)]])
     out["echelon"] = [[str(q) for q in row] for row in rows], pivots
@@ -501,6 +505,9 @@ def _round_trip_matches_here(version, tmp_path):
     out = json.loads(run[0])
     assert out["plain"].startswith("3/4*t^3 + 1/2*u_t^2 - 3/4*u_x^3 + ")
     assert out["classes"] == ["Q"] and out["echelon"][1] == [0, 1, 2]
+    assert out["power"][0].startswith("u_x^7 - 128/2187*v^7 + 448/729*u_x*v^6 - ")
+    assert out["power"][0].endswith(" + 28/3*u_x^5*v^2 - 14/3*u_x^6*v")
+    assert out["product"] == "3/20*t*u_x^2*v^3"
 
 
 def test_kernel_round_trip_runs_on_the_python_floor(tmp_path):
@@ -768,6 +775,30 @@ _expressions = st.recursive(_atoms, lambda inner: st.one_of(
     max_leaves=8)
 
 
+# the boundaries of the term reader's in-place path (a name met before, an
+# integer literal, a name met before to an integer power), each also after
+# the name's first sight, when factor() reads it
+_IN_PLACE_CASES = [
+    text for case in ["u_x^", "u_x^-1", "u_x ^-1", "u_x^t", "u_x ^t", "u_x^0*u_t", "u_x^(2)",
+                      "u_x^2^3", "u_x(t)", "u_x*", "u_x/", "u_x^" + "9" * 4300,
+                      "u_x^" + "7" * 4301, "u_x/u_x^0", "u_x/u_t^0*3", "u_x/u_t", "u_x/0"]
+    for text in (case, "u_x*" + case)] + [
+    "2^3*u_x", "2^0/4", "3/4/5*u_x^2", "u_x/2*u_t", "-3/-4*u_x", "4*-u_x^2", "9" * 4300 + "*u_x",
+    "7" * 4301 + "*u_x", "u_x*2(u_t)", "u_t*u_x*u_t^2*u_x^3 + u_x*u_t"]
+
+
+def _in_place_examples(test):
+    """test with each in-place case as an explicit example in the first two
+    contexts, and a name of a transcendental function met before"""
+    for text in _IN_PLACE_CASES:
+        for ctx in PARSE_CONTEXTS[:2]:
+            test = example(text=text, ctx=ctx)(test)
+    for text in ("sin*sin(x)", "sin^2*sin^3(x)", "x*sin*x(sin)"):
+        test = example(text=text, ctx=PARSE_CONTEXTS[2])(test)  # "sin" is an independent
+    return test
+
+
+@_in_place_examples
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(text=st.one_of(_texts, _expressions), ctx=st.sampled_from(PARSE_CONTEXTS))
 def test_parse_matches_reference_parse(text, ctx):
@@ -896,11 +927,20 @@ def test_q_zero_divisors_and_large_values_match_fraction(op, a, b):
 
 
 @given(n=_ints, d=_ints.filter(bool))
+@example(n=0, d=7)
+@example(n=0, d=-7)
+@example(n=3, d=-1)
+@example(n=6 * _BIG, d=-4 * _BIG)
+@example(n=-(_BIG + 1), d=-(2 * _BIG + 2))
+@example(n=_BIG - 1, d=_BIG + 1)
 def test_q_constructor_reduces_like_fraction(n, d):
-    q, want = symcore.Q(n, d), Fraction(n, d)
-    assert q.__class__ is symcore.Q
-    assert (q.numerator, q.denominator, hash(q), str(q)) == \
-        (want.numerator, want.denominator, hash(want), str(want))
+    # and so does _q, which builds the parser's and the multinomial's
+    # coefficients from two ints
+    want = Fraction(n, d)
+    for q in (symcore.Q(n, d), symcore._q(n, d)):
+        assert q.__class__ is symcore.Q
+        assert (q.numerator, q.denominator, hash(q), str(q)) == \
+            (want.numerator, want.denominator, hash(want), str(want))
 
 
 def test_every_coefficient_the_kernel_takes_becomes_a_q():
