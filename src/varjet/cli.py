@@ -30,7 +30,6 @@ from .pdham import (
     momentum_shift,
     reduce_lagrangian,
 )
-from .numeric import load_grid, residual
 from .problemfile import Problem, load_problem
 
 FORMATS = ("plain", "latex", "json")
@@ -145,7 +144,7 @@ def cmd_energy(args, problem: Problem, lag: LagrangianDensity) -> str:
 
 
 def cmd_reduce(args, problem: Problem, lag: LagrangianDensity) -> str:
-    red = reduce_lagrangian(lag, **_sampling(args, problem))
+    red = reduce_lagrangian(lag)
     ctx, fmt = lag.context, args.format
     p_coords = [ctx.name(c) for c in red.p_coordinates]
     p0_coords = [ctx.name(c) for c in red.p0_coordinates]
@@ -157,7 +156,7 @@ def cmd_reduce(args, problem: Problem, lag: LagrangianDensity) -> str:
         payload = {
             "diagnosis": red.diagnosis,
             "regular": red.diagnosis == "regular",
-            "hessian": dataclasses.asdict(red.hessian_report),
+            "hessian": dataclasses.asdict(hessian(lag, **_sampling(args, problem))[1]),
             "p_coords": p_coords,
             "p0_coords": p0_coords,
             "substitutions": dict(substitutions),
@@ -195,6 +194,8 @@ def cmd_prolong(args, problem: Problem, lag: LagrangianDensity) -> str:
 
 
 def cmd_check_solution(args, problem: Problem, lag: LagrangianDensity) -> str:
+    # numpy loads only for the one subcommand that reads grids
+    from .numeric import load_grid, residual
     ctx = lag.context
     grid = load_grid(args.grid)
     momentum_fields = load_grid(args.momenta) if args.momenta else None
@@ -209,7 +210,7 @@ def cmd_check_solution(args, problem: Problem, lag: LagrangianDensity) -> str:
     elif args.system == "elh":
         system = elh_system(lag)
     else:  # hdw
-        red = reduce_lagrangian(lag, **_sampling(args, problem))
+        red = reduce_lagrangian(lag)
         if red.system_hdw is None:
             raise VarjetError(f"reduction did not produce HDW equations ({red.diagnosis})")
         system = red.system_hdw
@@ -265,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=FORMATS, default="plain")
         p.add_argument("--order", type=_int_at_least(1), default=None,
                        help="override the declared density order l+1")
-        if name in ("hessian", "reduce", "check-solution"):
+        if name in ("hessian", "reduce"):
             p.add_argument("--seed", type=int, default=None)
             p.add_argument("--rank-samples", type=_int_at_least(1), default=None)
         if name == "check-solution":

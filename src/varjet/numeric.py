@@ -532,9 +532,12 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
                 if np.ndim(vals) == 0:
                     peak[step] = abs(float(vals))
                 else:
-                    top = float(np.max(np.abs(vals, out=vals)))
+                    # max |x| = max(|max x|, |min x|), read without writing vals;
                     # a NaN or an infinity in any band makes the row non-finite
-                    peak[step] = max(peak[step], top if math.isfinite(top) else math.inf)
+                    vmax, vmin = float(vals.max()), float(vals.min())
+                    top = max(abs(vmax), abs(vmin)) \
+                        if math.isfinite(vmax) and math.isfinite(vmin) else math.inf
+                    peak[step] = max(peak[step], top)
             else:
                 root, chain = step
                 a, b = span[step]

@@ -303,7 +303,6 @@ class ReducedSystem:
     """
 
     diagnosis: str
-    hessian_report: RankReport
     p_coordinates: Tuple[CoordinateId, ...]
     p0_coordinates: Tuple[CoordinateId, ...]
     substitutions: Dict[CoordinateId, Expr]
@@ -370,8 +369,7 @@ def _restricted_energy(lag: LagrangianDensity, tops: Sequence[CoordinateId],
     return Expr.sum(parts)
 
 
-def reduce_lagrangian(lag: LagrangianDensity, *, samples: int = 5,
-                      seed: int = 0) -> ReducedSystem:
+def reduce_lagrangian(lag: LagrangianDensity) -> ReducedSystem:
     """Two-stage reduction of the constraint rows.
 
     Stage 1 solves constraint rows for top jets wherever a top jet carries a
@@ -404,7 +402,6 @@ def reduce_lagrangian(lag: LagrangianDensity, *, samples: int = 5,
     """
     ctx = lag.context
     l = lag.level
-    _, report = hessian(lag, samples=samples, seed=seed)
     cons = constraints(lag)
     tops_ordered = [c for c in ctx.jets_up_to(l + 1) if len(c.index) == l + 1]
     tops = set(tops_ordered)
@@ -418,7 +415,7 @@ def reduce_lagrangian(lag: LagrangianDensity, *, samples: int = 5,
 
     def partial_result(diagnosis: str, offending=()) -> ReducedSystem:
         resolve()
-        return ReducedSystem(diagnosis, report, (), (), dict(subs),
+        return ReducedSystem(diagnosis, (), (), dict(subs),
                              None, None, None, tuple(offending))
 
     if not all(_is_affine_in(res, tops) for _, res in cons.equations):
@@ -485,8 +482,7 @@ def reduce_lagrangian(lag: LagrangianDensity, *, samples: int = 5,
     regular = not surviving_tops and not any(c.kind == MOMENTUM for c in subs)
     diagnosis = "regular" if regular else "reducible"
     return ReducedSystem(
-        diagnosis, report,
-        tuple(independents + p_fiber), tuple(independents + p0_fiber),
+        diagnosis, tuple(independents + p_fiber), tuple(independents + p0_fiber),
         subs, energy_p, system_p, system_hdw)
 
 

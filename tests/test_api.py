@@ -68,8 +68,7 @@ def test_constructions_take_the_level_from_the_density():
         varjet.energy_density: "(lag: 'LagrangianDensity') -> 'Expr'",
         varjet.hessian: "(lag: 'LagrangianDensity', *, samples: 'int' = 5, seed: 'int' = 0)"
                         " -> 'Tuple[HessianMatrix, RankReport]'",
-        varjet.reduce_lagrangian: "(lag: 'LagrangianDensity', *, samples: 'int' = 5,"
-                                  " seed: 'int' = 0) -> 'ReducedSystem'",
+        varjet.reduce_lagrangian: "(lag: 'LagrangianDensity') -> 'ReducedSystem'",
     }
     for function, expected in signatures.items():
         assert str(inspect.signature(function)) == expected, function.__name__

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import struct
+import subprocess
 import sys
 
 import numpy as np
@@ -17,7 +18,7 @@ import jsonschema
 from hypothesis import HealthCheck, given, settings
 
 from conftest import soliton_grid
-from varjet import cli, problemfile
+from varjet import cli, pdham, problemfile
 from varjet.cli import main
 from varjet.numeric import GridFunction, save_grid
 from varjet.symcore import Expr
@@ -199,11 +200,12 @@ def test_check_solution_hdw_and_elh(capsys, tmp_path):
                                          for e in data["equations"])
 
 
-def test_check_solution_hdw_reads_rank_sampling(capsys, tmp_path, monkeypatch):
-    # the reduction behind --system hdw samples the Hessian rank like `reduce`:
-    # --rank-samples/--seed first, then the problem file's values
+def test_only_hessian_and_reduce_json_sample_the_rank(capsys, tmp_path, monkeypatch,
+                                                     kdv_problem):
+    # plain and LaTeX `reduce` and `check-solution --system hdw` print no rank,
+    # so they run without the sampler
     path = tmp_path / "wave.problem"
-    path.write_text(WAVE_PROBLEM + "seed = 7\nrank_samples = 3\n")
+    path.write_text(WAVE_PROBLEM)
     n = 48
     t = np.linspace(-3, 3, n)
     x = np.linspace(-3, 3, n)
@@ -211,20 +213,48 @@ def test_check_solution_hdw_reads_rank_sampling(capsys, tmp_path, monkeypatch):
     gridfile = tmp_path / "wave.grid"
     save_grid(GridFunction(("t", "x"), (t[0], x[0]), (t[1] - t[0], x[1] - x[0]),
                            {"u": np.sin(X - T)}), str(gridfile))
-    argv = ["check-solution", str(path), "--grid", str(gridfile), "--system", "hdw"]
-    plain = run(capsys, *argv)
-    calls = []
-    real = cli.reduce_lagrangian
+    argvs = [["check-solution", str(path), "--grid", str(gridfile), "--system", "hdw"]] + [
+        ["reduce", problem, "--format", fmt]
+        for problem in (str(path), kdv_problem) for fmt in ("plain", "latex")]
+    outputs = [run(capsys, *argv) for argv in argvs]
 
-    def recording(lag, *, samples=5, seed=0):
-        calls.append((samples, seed))
-        return real(lag, samples=samples, seed=seed)
+    def sampler(*args, **kwargs):
+        raise AssertionError("the Hessian rank was sampled")
 
-    monkeypatch.setattr(cli, "reduce_lagrangian", recording)
-    assert run(capsys, *argv) == plain
-    assert run(capsys, *argv, "--seed", "2", "--rank-samples", "4") == plain
-    assert calls == [(3, 7), (4, 2)]
-    assert plain[0] == 0
+    monkeypatch.setattr(pdham, "hessian", sampler)
+    monkeypatch.setattr(cli, "hessian", sampler)
+    assert [run(capsys, *argv) for argv in argvs] == outputs
+    assert all(code == 0 and out for code, out, _ in outputs)
+
+
+def test_derivation_subcommands_start_without_numpy(kdv_problem):
+    # only check-solution reads grids, so only it loads numeric and numpy
+    commands = [name for name in cli._COMMANDS if name != "check-solution"]
+    code = ("import io, sys, contextlib; from varjet.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main([name, {kdv_problem!r}]) for name in {commands!r}]\n"
+            "print(codes, 'numpy' in sys.modules)")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == f"{[0] * len(commands)} False\n"
+
+
+@pytest.mark.parametrize("flags, sampling", [((), (7, 3)),
+                                             (("--seed", "3", "--rank-samples", "2"), (3, 2))],
+                         ids=["problem_file", "flags"])
+def test_reduce_json_prints_the_hessian_report(capsys, tmp_path, flags, sampling):
+    # the "hessian" object of `reduce` is the report of `hessian`, matrix aside,
+    # sampled with the same seed and sample count: the flags', else the file's
+    path = tmp_path / "kdv.problem"
+    path.write_text(KDV_PROBLEM + "seed = 7\nrank_samples = 3\n")
+    code, out, _ = run(capsys, "reduce", str(path), "--format", "json", *flags)
+    assert code == 0
+    _, report, _ = run(capsys, "hessian", str(path), "--format", "json", *flags)
+    expected = json.loads(report)
+    del expected["matrix"]
+    assert (expected["seed"], expected["samples"]) == sampling
+    assert json.loads(out)["hessian"] == expected
 
 
 @pytest.mark.parametrize("changes", [
@@ -411,6 +441,8 @@ def test_usage_error_exits_2(kdv_problem):
         assert exc.value.code == 2, argv
     # each subcommand takes only the flags it reads
     for argv in (["el", kdv_problem, "--seed", "3"],
+                 ["check-solution", kdv_problem, "--grid", "g", "--seed", "3"],
+                 ["check-solution", kdv_problem, "--grid", "g", "--rank-samples", "2"],
                  ["energy", kdv_problem, "--grid", "g"],
                  ["reduce", kdv_problem, "--momenta", "m"],
                  ["shift", kdv_problem, "--rank-samples", "2"],

@@ -444,7 +444,7 @@ def test_reduction_soundness_randomized():
     done = 0
     for _ in range(60):
         lag = random_lagrangian(rng, max_order=2, max_degree=2)
-        red = reduce_lagrangian(lag, samples=2)
+        red = reduce_lagrangian(lag)
         if red.system_hdw is None:
             continue
         done += 1
@@ -468,7 +468,7 @@ def test_reduced_rows_on_p_and_p0_agree(kdv):
     rng = random.Random(67)
     reduced = [reduce_lagrangian(kdv)]
     for _ in range(60):
-        reduced.append(reduce_lagrangian(random_lagrangian(rng, max_degree=2), samples=2))
+        reduced.append(reduce_lagrangian(random_lagrangian(rng, max_degree=2)))
     reduced = [red for red in reduced if red.system_hdw is not None]
     assert len(reduced) >= 10
     for red in reduced:
@@ -606,7 +606,7 @@ def gauss_jordan_substitutions(lag):
 def test_restricted_energy_is_the_substituted_energy(lag):
     # Euler's identity: the restriction never expands the quadratic top-jet
     # part of L, and gives the Expr of the whole energy substituted
-    red = reduce_lagrangian(lag, samples=1)
+    red = reduce_lagrangian(lag)
     assert red.hamiltonian is not None
     assert red.hamiltonian == energy_density(lag).substitute(red.substitutions)
 
@@ -618,9 +618,9 @@ def test_back_substitution_matches_gauss_jordan(lag):
         want = gauss_jordan_substitutions(lag)
     except DegenerateLagrangianError:
         with pytest.raises(DegenerateLagrangianError):
-            reduce_lagrangian(lag, samples=1)
+            reduce_lagrangian(lag)
         return
-    got = reduce_lagrangian(lag, samples=1).substitutions
+    got = reduce_lagrangian(lag).substitutions
     assert list(got.items()) == list(want.items())
 
 
