@@ -17,8 +17,8 @@ import functools
 import sys
 from typing import List, Optional
 
-from .symcore import (INDEPENDENT, CoordinateId, JetContext, ParseError, VarjetError,
-                      expr_to_json, json_text, render)
+from .symcore import (INDEPENDENT, JetContext, ParseError, VarjetError, expr_to_json,
+                      json_text, render)
 from .jetcalc import EquationSystem, prolong
 from .variational import LagrangianDensity, euler_lagrange, legendre_form
 from .pdham import (
@@ -69,7 +69,7 @@ def _system_text(system: EquationSystem, fmt: str) -> str:
             unknowns.update(map(system.derived.dep, system.derived.fiber))
         return _json_dump({
             "unknowns": [system.context.name(c)
-                         for c in sorted(unknowns, key=CoordinateId.sort_key)],
+                         for c in sorted(unknowns)],
             "equations": _equations_json(system)})
     lines = [f"{label}: {render(res, system.context, fmt)} = 0"
              for label, res in system.equations]
@@ -148,11 +148,15 @@ def cmd_reduce(args, problem: Problem, lag: LagrangianDensity) -> str:
     ctx, fmt = lag.context, args.format
     p_coords = [ctx.name(c) for c in red.p_coordinates]
     p0_coords = [ctx.name(c) for c in red.p0_coordinates]
-    substitutions = [(ctx.name(c), _render(e, ctx, fmt)) for c, e in
-                     sorted(red.substitutions.items(), key=lambda t: t[0].sort_key())]
-    # the restricted energy is the Hamiltonian: one rendering, printed as both
+    substitutions = [(ctx.name(c), _render(e, ctx, fmt))
+                     for c, e in sorted(red.substitutions.items())]
+    # the restricted energy is the Hamiltonian, and the HDW rows are the rows
+    # on P: each is rendered once and printed twice, only because those bytes
+    # are pinned (ROADMAP item 5 drops the copies)
     hamiltonian = None if red.hamiltonian is None else _render(red.hamiltonian, ctx, fmt)
+    system = red.system_hdw
     if fmt == "json":
+        equations = [] if system is None else _equations_json(system)
         payload = {
             "diagnosis": red.diagnosis,
             "regular": red.diagnosis == "regular",
@@ -162,9 +166,8 @@ def cmd_reduce(args, problem: Problem, lag: LagrangianDensity) -> str:
             "substitutions": dict(substitutions),
             "E_on_P": hamiltonian,
             "H": hamiltonian,
-            "equations": [] if red.system_hdw is None else _equations_json(red.system_hdw),
-            "equations_P": [] if red.system_constraint is None
-                           else _equations_json(red.system_constraint),
+            "equations": equations,
+            "equations_P": equations,
         }
         if red.offending:
             payload["offending"] = list(red.offending)
@@ -175,10 +178,9 @@ def cmd_reduce(args, problem: Problem, lag: LagrangianDensity) -> str:
     lines += [f"eliminate {name} = {text}" for name, text in substitutions]
     if hamiltonian is not None:
         lines += [f"E|_P = {hamiltonian}", f"H = {hamiltonian}"]
-    for head, system in (("equations on P:", red.system_constraint),
-                         ("HDW equations:", red.system_hdw)):
-        if system is not None:
-            lines += [head, _system_text(system, fmt)]
+    if system is not None:
+        text = _system_text(system, fmt)
+        lines += ["equations on P:", text, "HDW equations:", text]
     if red.offending:
         lines.append("offending rows: " + ", ".join(red.offending))
     return "\n".join(lines)

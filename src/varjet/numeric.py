@@ -215,8 +215,11 @@ def stencil_radius(order: int) -> int:
 
 
 # elements per band of the stencil kernel: the band's two work buffers
-# (512 KiB each) stay in cache while every tap streams through them; the
-# residual's bands (see _stream) hold about as many elements
+# (512 KiB each) stay in cache while every tap streams through them.  The
+# residual's bands (see _stream) do not replace this loop: on a 128^3 grid they
+# pass the kernel blocks of 4 to 16 rows of 128^2 points (1-4x BAND_ELEMENTS),
+# and without its own bands the kernel ran 1.1-1.3x slower on 8 rows and
+# 1.3-1.5x slower on 16 along axes 1 and 2 (2 vCPUs, warm heap: no page faults)
 BAND_ELEMENTS = 1 << 16
 
 

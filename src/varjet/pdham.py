@@ -10,8 +10,8 @@ divergence term is absent, which turns those rows into the algebraic
 constraints cutting out the constraint manifold.  Reduction solves the
 constraints for top jets where possible (exact linear algebra over rational
 coefficients), eliminates dependent momenta from the leftover pure-momentum
-relations, restricts the energy density, and emits the reduced and the
-Hamilton-de Donder-Weyl equation systems.
+relations, restricts the energy density, and emits the Hamilton-de Donder-Weyl
+equation system.
 """
 
 from __future__ import annotations
@@ -216,8 +216,7 @@ def hessian(lag: LagrangianDensity, *, samples: int = 5,
              for r in range(len(tops))]
     matrix = HessianMatrix(tuple(idx), tuple(map(tuple, _symmetric(upper))))
 
-    coords = sorted({c for row in upper for e in row for c in e.coordinates()},
-                    key=lambda c: c.sort_key())
+    coords = sorted({c for row in upper for e in row for c in e.coordinates()})
     rng = random.Random(seed)
     samples = max(1, samples)
     ranks = []
@@ -282,6 +281,9 @@ def momentum_shift(system: EquationSystem, rho: Sequence[Expr]) -> EquationSyste
             if c.kind != JET:
                 continue
             pm = CoordinateId.momentum(c.alpha, c.index, i)
+            if not dc.contains(pm):  # eliminated by a reduction
+                raise WrongDomainError(
+                    f"momentum {base.name(pm)} is not part of the derived fiber")
             mapping[dc.dep(pm)] = Expr.coord(dc.dep(pm)) - dc.embed(theta)
             for j in range(base.n):
                 mapping[dc.comma(pm, j)] = Expr.coord(dc.comma(pm, j)) \
@@ -297,9 +299,10 @@ class ReducedSystem:
     ``substitutions`` eliminates top jets solved from the constraints and the
     dependent momenta from the leftover pure-momentum relations; eliminated
     coordinates appear in no reduced residual and not in the restricted
-    energy.  ``system_constraint`` is the equation system on the constraint
-    manifold, ``system_hdw`` the same formulas on the projected coordinates;
-    ``hamiltonian`` is the restricted energy read as a function there.
+    energy.  ``system_hdw`` is the Hamilton-de Donder-Weyl system on the
+    projected coordinates P0 (its rows read no surviving top jet, so they are
+    the system on the constraint manifold P as well); ``hamiltonian`` is the
+    restricted energy read as a function there.
     """
 
     diagnosis: str
@@ -307,7 +310,6 @@ class ReducedSystem:
     p0_coordinates: Tuple[CoordinateId, ...]
     substitutions: Dict[CoordinateId, Expr]
     hamiltonian: Optional[Expr]
-    system_constraint: Optional[EquationSystem]
     system_hdw: Optional[EquationSystem]
     offending: Tuple[str, ...] = ()
 
@@ -380,8 +382,8 @@ def reduce_lagrangian(lag: LagrangianDensity) -> ReducedSystem:
     substitutes its solution into the pending rows only; one pass in reverse
     elimination order then gives every solution the later ones.  The
     restricted energy must then be free of top jets; it becomes the
-    Hamiltonian on the projected coordinates and both reduced equation
-    systems are emitted.
+    Hamiltonian on the projected coordinates, where the HDW system is
+    emitted.
 
     The restricted energy is read by Euler's identity, without expanding the
     part of L quadratic in the top jets u_K (|K| = l+1) under the solutions.
@@ -415,8 +417,7 @@ def reduce_lagrangian(lag: LagrangianDensity) -> ReducedSystem:
 
     def partial_result(diagnosis: str, offending=()) -> ReducedSystem:
         resolve()
-        return ReducedSystem(diagnosis, (), (), dict(subs),
-                             None, None, None, tuple(offending))
+        return ReducedSystem(diagnosis, (), (), dict(subs), None, None, tuple(offending))
 
     if not all(_is_affine_in(res, tops) for _, res in cons.equations):
         return partial_result("irreducible: nonlinear constraints")
@@ -469,21 +470,16 @@ def reduce_lagrangian(lag: LagrangianDensity) -> ReducedSystem:
     lower_jets = ctx.jets_up_to(l)
     surviving_momenta = [c for c in ctx.momenta_up_to(l) if c not in subs]
     independents = [CoordinateId.independent(i) for i in range(ctx.n)]
-    p0_fiber = sorted(lower_jets + surviving_momenta, key=lambda c: c.sort_key())
-    p_fiber = sorted(p0_fiber + surviving_tops, key=lambda c: c.sort_key())
+    p0_fiber = sorted(lower_jets + surviving_momenta)
+    p_fiber = sorted(p0_fiber + surviving_tops)
 
-    # the rows read P0 coordinates only; P's fiber lists P0 first, so the
-    # rows built on P0 are rows on P unchanged
-    dc_hdw = DerivedContext(ctx, l, p0_fiber)
-    rows = _reduced_rows(lag, subs, energy_p, dc_hdw)
-    system_hdw = EquationSystem(dc_hdw.ctx, rows, derived=dc_hdw)
-    dc_p = DerivedContext(ctx, l, p0_fiber + surviving_tops)
-    system_p = EquationSystem(dc_p.ctx, rows, derived=dc_p)
+    dc = DerivedContext(ctx, l, p0_fiber)
+    system_hdw = EquationSystem(dc.ctx, _reduced_rows(lag, subs, energy_p, dc), derived=dc)
     regular = not surviving_tops and not any(c.kind == MOMENTUM for c in subs)
     diagnosis = "regular" if regular else "reducible"
     return ReducedSystem(
         diagnosis, tuple(independents + p_fiber), tuple(independents + p0_fiber),
-        subs, energy_p, system_p, system_hdw)
+        subs, energy_p, system_hdw)
 
 
 def _comma_image(dc: DerivedContext, gradients: Dict[CoordinateId, Dict[CoordinateId, Expr]],

@@ -146,9 +146,6 @@ class CoordinateId(tuple):
     index = property(itemgetter(3))
     i = property(lambda self: self[4] if self[0] else self[1])
 
-    def sort_key(self) -> "CoordinateId":
-        return self
-
     def __repr__(self) -> str:
         return (f"CoordinateId(kind={self.kind!r}, alpha={self.alpha!r}, "
                 f"index={self.index!r}, i={self.i!r})")

@@ -1,8 +1,8 @@
 """The public names of the varjet package, with no aliases among them, the
 public names of its numeric layer, the signatures of the momentum-side
-constructions, the total derivatives and the jet context, no unused import
-in a module, no module but the kernel importing fractions, and the README's
-library sketch."""
+constructions, the total derivatives and the jet context, the fields of an
+equation system and of a reduction, no unused import in a module, no module
+but the kernel importing fractions, and the README's library sketch."""
 
 import ast
 import dataclasses
@@ -89,6 +89,14 @@ def test_equation_systems_carry_rows_only():
     # system, the derived context; its JSON is written by cli alone
     assert [f.name for f in dataclasses.fields(varjet.EquationSystem)] == \
         ["context", "equations", "derived"]
+
+
+def test_a_reduction_holds_one_equation_system():
+    # the HDW rows read P0 coordinates only, so they are the system on P too:
+    # a reduction builds them once, over one derived context
+    assert [f.name for f in dataclasses.fields(varjet.ReducedSystem)] == \
+        ["diagnosis", "p_coordinates", "p0_coordinates", "substitutions", "hamiltonian",
+         "system_hdw", "offending"]
 
 
 def test_no_module_imports_a_name_it_never_uses():

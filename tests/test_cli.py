@@ -257,6 +257,26 @@ def test_reduce_json_prints_the_hessian_report(capsys, tmp_path, flags, sampling
     assert json.loads(out)["hessian"] == expected
 
 
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_reduce_renders_the_hdw_rows_once(capsys, monkeypatch, kdv_problem, fmt):
+    # the equations on P are the HDW equations: one rendering, printed under both heads
+    calls = []
+    for name in ("_system_text", "_equations_json"):
+        def recording(*args, _render=getattr(cli, name), _name=name):
+            calls.append(_name)
+            return _render(*args)
+        monkeypatch.setattr(cli, name, recording)
+    code, out, _ = run(capsys, "reduce", kdv_problem, "--format", fmt)
+    assert code == 0
+    assert calls == ["_equations_json" if fmt == "json" else "_system_text"]
+    if fmt == "json":
+        data = json.loads(out)
+        assert len(data["equations"]) == 7 and data["equations_P"] == data["equations"]
+    else:
+        on_p, hdw = out.split("equations on P:\n")[1].split("HDW equations:\n")
+        assert on_p == hdw and on_p.count("\n") == 7
+
+
 @pytest.mark.parametrize("changes", [
     {}, {"axes": ("a", "b")}, {"origin": (100.0, 100.0)}, {"spacing": (7.0, 7.0)},
     {"axes": ("a", "b"), "origin": (100.0, 100.0), "spacing": (7.0, 7.0)},

@@ -6,9 +6,10 @@ derive-ladder problems (tests/golden/problems/), and the plain `reduce` stdout
 of one larger regular density past the ladder.  The `check-solution
 --format json` report prints each max-abs residual with full float
 precision, so its byte comparison pins every residual bit.  Every JSON golden
-also validates against its subcommand's schema under schemas/.  The goldens
-were written once by `write_goldens` and `write_derive_goldens`; only a change
-that means to alter an output regenerates them, and says why.
+also validates against its subcommand's schema under schemas/, and every
+`reduce` golden prints its Hamiltonian and its HDW rows as two equal copies.
+The goldens were written once by `write_goldens` and `write_derive_goldens`;
+only a change that means to alter an output regenerates them, and says why.
 """
 
 import functools
@@ -167,3 +168,26 @@ def test_derive_golden(problem, command, fmt):
 
 def test_reduce_golden_past_the_ladder():
     assert_golden(derive_golden_path(*SCALE_CASE), derive_stdout(*SCALE_CASE))
+
+
+@pytest.mark.parametrize("problem, command, fmt",
+                         [case for case in DERIVE_CASES + [SCALE_CASE] if case[1] == "reduce"])
+def test_reduce_golden_prints_one_result_twice(problem, command, fmt):
+    # the restricted energy is H and the rows on P are the HDW rows, so each
+    # pair of copies is one rendering printed twice
+    with open(derive_golden_path(problem, command, fmt), "r", encoding="utf-8") as fh:
+        text = fh.read()
+    if fmt == "json":
+        data = json.loads(text)
+        assert data["E_on_P"] == data["H"] and data["equations_P"] == data["equations"]
+        return
+    lines = text.splitlines()
+    assert [line[len("E|_P = "):] for line in lines if line.startswith("E|_P = ")] == \
+        [line[len("H = "):] for line in lines if line.startswith("H = ")]
+    if "HDW equations:" not in lines:
+        assert "equations on P:" not in lines
+        return
+    on_p, hdw = lines.index("equations on P:"), lines.index("HDW equations:")
+    end = next((k for k in range(hdw, len(lines)) if lines[k].startswith("offending rows: ")),
+               len(lines))
+    assert lines[on_p + 1:hdw] == lines[hdw + 1:end]

@@ -30,6 +30,7 @@ from varjet.symcore import (
     Expr,
     JetContext,
     VarjetError,
+    WrongDomainError,
     parse,
     render,
     row_echelon,
@@ -212,8 +213,7 @@ def test_hessian_matches_double_partials_randomized():
         assert [CoordinateId.jet(a, I) for a, I in matrix.index] == tops
         assert matrix.entries == tuple(
             tuple(reference_partial(reference_partial(L, r), c) for c in tops) for r in tops)
-        coords = sorted({c for row in matrix.entries for e in row for c in e.coordinates()},
-                        key=lambda c: c.sort_key())
+        coords = sorted({c for row in matrix.entries for e in row for c in e.coordinates()})
         draws = random.Random(seed)
         ranks = []
         for _ in range(3):
@@ -317,6 +317,16 @@ def test_shift_rho_order_too_high(kdv, ctx_tx):
         momentum_shift(elh_system(kdv), [Expr.zero(), parse("u_xx", ctx_tx)])
 
 
+def test_shift_of_an_eliminated_momentum_is_domain_error(kdv, ctx_tx):
+    # KdV's reduction eliminates p_x.t, which rho^t = u_x shifts; rho^x = u^2
+    # shifts the surviving p_.x only
+    hdw = reduce_lagrangian(kdv).system_hdw
+    with pytest.raises(WrongDomainError,
+                       match=r"^momentum p_x\.t is not part of the derived fiber$"):
+        momentum_shift(hdw, [parse("u_x", ctx_tx), Expr.zero()])
+    assert momentum_shift(hdw, [Expr.zero(), parse("u^2", ctx_tx)]).derived is hdw.derived
+
+
 # -- reduction --------------------------------------------------------------------
 
 def test_reduce_kdv(kdv, ctx_tx):
@@ -342,8 +352,6 @@ def test_reduce_kdv(kdv, ctx_tx):
         "u_t,_x - u_x,_t",
         "u_x,_x - p_x.x",
     ]
-    assert canon(red.system_constraint) == expected_rows(red.system_constraint.derived, expected)
-    # the projected system has the same coordinate formulas
     assert canon(red.system_hdw) == expected_rows(red.system_hdw.derived, expected)
 
 
@@ -463,24 +471,24 @@ def test_reduction_soundness_randomized():
 
 
 def test_reduced_rows_on_p_and_p0_agree(kdv):
-    # the rows on the constraint manifold P read P0 coordinates only, under
-    # the same derived indices in both contexts, so the two systems agree
+    # the HDW rows read P0 coordinates only, so they are the rows on the
+    # constraint manifold P too: P is P0 plus the surviving top jets
     rng = random.Random(67)
-    reduced = [reduce_lagrangian(kdv)]
-    for _ in range(60):
-        reduced.append(reduce_lagrangian(random_lagrangian(rng, max_degree=2)))
-    reduced = [red for red in reduced if red.system_hdw is not None]
+    lags = [kdv] + [random_lagrangian(rng, max_degree=2) for _ in range(60)]
+    reduced = [(lag, red) for lag, red in zip(lags, map(reduce_lagrangian, lags))
+               if red.system_hdw is not None]
     assert len(reduced) >= 10
-    for red in reduced:
-        p, p0 = red.system_constraint, red.system_hdw
-        assert p.equations == p0.equations
-        assert set(p.derived.fiber) == {c for c in red.p_coordinates if c.kind != "independent"}
-        assert set(p0.derived.fiber) == {c for c in red.p0_coordinates
-                                         if c.kind != "independent"}
-        for _, res in p.equations:
+    for lag, red in reduced:
+        p0 = [c for c in red.p0_coordinates if c.kind != "independent"]
+        fiber = red.system_hdw.derived.fiber
+        for _, res in red.system_hdw.equations:
             for c in res.coordinates():
                 if c.kind != "independent":
-                    assert p.derived.fiber[c.alpha] == p0.derived.fiber[c.alpha]
+                    assert fiber[c.alpha] in p0
+        assert list(fiber) == p0
+        tops = tuple(c for c in lag.context.jets_up_to(lag.level + 1)
+                     if len(c.index) == lag.level + 1 and c not in red.substitutions)
+        assert red.p_coordinates == tuple(sorted(red.p0_coordinates + tops))
 
 
 def test_reduced_json_shape(capsys, tmp_path):

@@ -366,7 +366,6 @@ def test_coordinates_order_compare_and_hash_as_their_dataclass_keys(a, b):
         assert repr(new) == repr(old) and repr(new.index) == repr(old.index)
         assert (new.kind, new.alpha, new.index.entries, new.i) == \
             (old.kind, old.alpha, old.index.entries, old.i)
-        assert new.sort_key() is new
         assert new == CoordinateId(new.kind, new.alpha, new.index, new.i)
         assert pickle.loads(pickle.dumps(new)) == new and copy.deepcopy(new) == new
     assert (new_a == new_b) == (old_key(old_a) == old_key(old_b))
