@@ -27,10 +27,7 @@ from .jetcalc import (
     total_derivative,
 )
 from .variational import (
-    CartanValuedForm,
     LagrangianDensity,
-    LegendreForm,
-    SourceForm,
     euler_lagrange,
     horizontal_d_legendre,
     legendre_form,

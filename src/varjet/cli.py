@@ -78,9 +78,9 @@ def _system_text(system: EquationSystem, fmt: str) -> str:
 
 def _el_system(lag: LagrangianDensity) -> EquationSystem:
     """The Euler-Lagrange equations as a system, one row per dependent."""
-    source, ctx = euler_lagrange(lag), lag.context
+    ctx = lag.context
     return EquationSystem(ctx, tuple(
-        (f"el:{ctx.dependents[a]}", source.component(a)) for a in range(ctx.m)))
+        (f"el:{ctx.dependents[a]}", e) for a, e in enumerate(euler_lagrange(lag))))
 
 
 def _sampling(args, problem: Problem) -> dict:
@@ -93,28 +93,19 @@ def cmd_el(args, problem: Problem, lag: LagrangianDensity) -> str:
     ctx = lag.context
     source = euler_lagrange(lag)
     if args.format == "json":
-        return _json_dump([{"alpha": alpha + 1, "I": [k + 1 for k in index],
-                            "coeff": render(source.coefficient(alpha, index), ctx, "plain")}
-                           for alpha, index in source.support()])
-    return "\n".join(
-        f"{render(source.component(alpha), ctx, args.format)} = 0"
-        for alpha in range(ctx.m))
+        return _json_dump([{"alpha": alpha + 1, "I": [], "coeff": render(e, ctx, "plain")}
+                           for alpha, e in enumerate(source) if not e.is_zero()])
+    return "\n".join(f"{render(e, ctx, args.format)} = 0" for e in source)
 
 
 def cmd_legendre(args, problem: Problem, lag: LagrangianDensity) -> str:
-    ctx, fmt = lag.context, args.format
-    theta = legendre_form(lag)
-    entries = []
-    for alpha, index, i in theta.support():
-        coeff = _render(theta.coefficient(alpha, index, i), ctx, fmt)
-        entries.append(
-            {"alpha": alpha + 1, "I": [k + 1 for k in index], "i": i + 1, "coeff": coeff}
-            if fmt == "json" else
-            f"theta[{ctx.dependents[alpha]};{ctx.index_word(index)}.{ctx.independents[i]}]"
-            f" = {coeff}")
-    if fmt == "json":
-        return _json_dump(entries)
-    return "\n".join(entries) or "(zero form)"
+    ctx, theta = lag.context, legendre_form(lag)
+    if args.format == "json":
+        return _json_dump([{"alpha": p.alpha + 1, "I": [k + 1 for k in p.index], "i": p.i + 1,
+                            "coeff": render(e, ctx, "plain")} for p, e in theta.items()])
+    return "\n".join(
+        f"theta[{ctx.dependents[p.alpha]};{ctx.index_word(p.index)}.{ctx.independents[p.i]}]"
+        f" = {render(e, ctx, args.format)}" for p, e in theta.items()) or "(zero form)"
 
 
 def cmd_elh(args, problem: Problem, lag: LagrangianDensity) -> str:

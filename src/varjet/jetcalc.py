@@ -11,6 +11,7 @@ their text and JSON.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -26,6 +27,20 @@ from .symcore import (
     VarjetError,
     WrongDomainError,
 )
+
+
+# The most entries the multiindices of length <= L over n indices,
+# n*C(n+L, n+1), may hold for a construction to enumerate them: about twice
+# those of KdV's ELH system at order 400 (2.2e7 entries, 35 s and 243 MB),
+# while an order that would only hang or overflow (10^6 for n = 1: 5e11) is refused.
+MAX_MULTIINDEX_ENTRIES = 5 * 10**7
+
+
+def refuse_long_multiindices(n: int, length: int, what: str) -> None:
+    """Refuse the ``what`` length whose multiindices over n indices hold too many entries."""
+    if n * math.comb(n + length, n + 1) > MAX_MULTIINDEX_ENTRIES:
+        raise VarjetError(f"{what} {length} is too high: the multiindices up to it would "
+                          f"hold more than {MAX_MULTIINDEX_ENTRIES} entries")
 
 
 def total_derivative(e: Expr, i: int) -> Expr:
@@ -104,12 +119,14 @@ def prolong(system: EquationSystem, level: int) -> EquationSystem:
     Labels of new rows carry the differentiation word; level 0 returns the
     system itself.  The system must be jet-side: total_derivative refuses momenta.
     """
+    ctx = system.context
+    refuse_long_multiindices(ctx.n, level, "level")
     if level == 0:
         return system
-    ctx = system.context
+    indices = multiindices_up_to(ctx.n, level)
     equations = []
     for label, res in system.equations:
-        for J in multiindices_up_to(ctx.n, level):
+        for J in indices:
             word = ctx.index_word(J)
             new_label = label if not word else f"{label}|{word}"
             equations.append((new_label, iterated_total_derivative(res, J)))

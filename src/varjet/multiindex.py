@@ -52,9 +52,6 @@ class MultiIndex(tuple):
             out.append((MultiIndex(rest), i, self.count(i)))
         return out
 
-    def sort_key(self) -> Tuple[int, Tuple[int, ...]]:
-        return (len(self), self)
-
 
 EMPTY = MultiIndex()
 
@@ -66,7 +63,4 @@ def multiindices(n: int, length: int) -> List[MultiIndex]:
 
 def multiindices_up_to(n: int, max_length: int) -> List[MultiIndex]:
     """All multiindices of length <= max_length, ordered by (length, entries)."""
-    out: List[MultiIndex] = []
-    for k in range(max_length + 1):
-        out.extend(multiindices(n, k))
-    return out
+    return [I for k in range(max_length + 1) for I in multiindices(n, k)]

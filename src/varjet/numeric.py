@@ -61,7 +61,6 @@ from .symcore import (
     row_echelon,
 )
 from .jetcalc import EquationSystem
-from .variational import LegendreForm
 
 MAX_FD_ORDER = 4
 
@@ -333,16 +332,18 @@ Key = Tuple[CoordinateId, Chain]
 
 def residual(system: EquationSystem, grid: GridFunction,
              momentum_fields: Optional[GridFunction] = None,
-             legendre: Optional[LegendreForm] = None) -> Dict[str, float]:
+             legendre: Optional[Mapping[CoordinateId, Expr]] = None) -> Dict[str, float]:
     """Max-abs interior residual of every equation against sampled field data.
 
     Jet unknowns come from finite-difference prolongation of the grid,
     restricted to the jets the equations read.  For mixed first-order systems
-    the momentum unknowns the equations read are either read from ``momentum_fields``
-    (matching plain names, on the field grid's axes, origin and spacing) or
-    generated by evaluating the Legendre-form coefficients along the
-    prolonged field; comma-derivatives of all unknowns are differenced with
-    the same stencils, through the same pass chains.  The grid checks (see _check_prolongation) run first; the
+    the momentum unknowns the equations read are either read from
+    ``momentum_fields`` (matching plain names, on the field grid's axes,
+    origin and spacing) or generated by evaluating ``legendre``, the map from
+    each momentum to its coefficient that legendre_form returns (an absent
+    momentum is zero), along the prolonged field; comma-derivatives of all
+    unknowns are differenced with the same stencils, through the same pass
+    chains.  The grid checks (see _check_prolongation) run first; the
     residuals are then computed band by band along axis 0 (see _stream).
     """
     rows = [res for _, res in system.equations]
@@ -357,14 +358,14 @@ def residual(system: EquationSystem, grid: GridFunction,
     base = dc.base
     need = max([len(c.index) for c in dc.fiber if c.kind == JET], default=0)
     if legendre is not None:
-        need = max(need, _max_jet_order(legendre.coeffs.values()))
+        need = max(need, _max_jet_order(legendre.values()))
     read = _jets_of(rows)
     fibers = {dc.fiber[c.alpha] for c in read}
 
     def supplied(c: CoordinateId) -> bool:
         return momentum_fields is not None and base.name(c) in momentum_fields.fields
 
-    coeffs = {c: legendre.coefficient(c.alpha, c.index, c.i) for c in fibers
+    coeffs = {c: legendre.get(c, Expr.zero()) for c in fibers
               if legendre is not None and c.kind != JET and not supplied(c)}
     _check_prolongation(grid, need, base)
     if momentum_fields is not None:

@@ -10,6 +10,7 @@ order fix which jets each construction reads.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -28,25 +29,41 @@ class Problem:
     seed: int = 0
     rank_samples: int = 5
     rho_text: str = ""  # ';'-separated shift components, parsed on use
+    rho_at: Tuple[str, int] = ("<problem>", 1)  # rho_text's file line, and its column there
 
     def lagrangian(self, order_override: Optional[int] = None) -> LagrangianDensity:
         order = order_override if order_override is not None else self.order
         return LagrangianDensity(self.context, self.density, order=order)
 
     def rho(self, text: Optional[str]) -> List[Expr]:
-        """The shift components, one per independent: text's if given, else the file's."""
-        text = text or self.rho_text
-        if not text:
+        """The shift components, one per independent: text's if given, else
+        the file's, whose errors are reported on the file's line."""
+        parts = (text or self.rho_text).split(";")
+        if parts == [""]:
             raise VarjetError("problem file declares no rho components (key: rho)")
-        parts = [part.strip() for part in text.split(";")]
         if len(parts) != self.context.n:
             raise VarjetError(
                 f"rho needs {self.context.n} ';'-separated components, got {len(parts)}")
-        return [parse(part, self.context) for part in parts]
+        if text:
+            return [parse(part.strip(), self.context) for part in parts]
+        where, column = self.rho_at
+        starts = itertools.accumulate((len(part) + 1 for part in parts), initial=column)
+        return [_parse_value(part, self.context, where, start)
+                for part, start in zip(parts, starts)]
+
+
+def _parse_value(text: str, context: JetContext, where: str, column: int) -> Expr:
+    """parse(text) for a value at the 1-based column of the file line named by
+    where ("<file>, line N"), with its errors reported on that line."""
+    try:
+        return parse(text, context)
+    except VarjetError as exc:  # only the parser's errors carry a position
+        at = f", column {column + exc.pos}: {exc.message}" if hasattr(exc, "pos") else f": {exc}"
+        raise VarjetError(where + at) from None
 
 
 def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
-    entries: Dict[str, Tuple[str, int]] = {}  # key -> (value, line number)
+    entries: Dict[str, Tuple[str, int, int]] = {}  # key -> (value, line, value's column)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -59,7 +76,8 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
             raise VarjetError(f"{source}, line {lineno}: unknown key {key!r}")
         if key in entries:
             raise VarjetError(f"{source}, line {lineno}: duplicate key {key!r}")
-        entries[key] = (value.strip(), lineno)
+        after = raw[raw.index("=") + 1:]
+        entries[key] = (value.strip(), lineno, len(raw) - len(after.lstrip()) + 1)
 
     for required in ("independents", "dependents", "lagrangian"):
         if required not in entries:
@@ -104,20 +122,23 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
         context = JetContext(independents, dependents)
     except ValueError as exc:  # the names are valid and distinct: one is a prefix of another
         fail("independents", str(exc))
-    density = parse(entries["lagrangian"][0], context)
+    lagrangian, lineno, column = entries["lagrangian"]
+    density = _parse_value(lagrangian, context, f"{source}, line {lineno}", column)
     # infer the declared order from the density when absent
     minimal = max(1, density.max_jet_order())
     if order == 0:
         order = minimal
     elif order < minimal:
         fail("order", f"declared order {order} below the density order {minimal}")
+    rho_text, rho_line, rho_column = entries.get("rho", ("", 0, 0))
     return Problem(
         context=context,
         density=density,
         order=order,
         seed=seed,
         rank_samples=rank_samples,
-        rho_text=entries["rho"][0] if "rho" in entries else "",
+        rho_text=rho_text,
+        rho_at=(f"{source}, line {rho_line}", rho_column),
     )
 
 

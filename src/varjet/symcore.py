@@ -86,8 +86,10 @@ def _line_column(text: str, pos: int) -> Tuple[int, int]:
 
 
 class ParseError(VarjetError):
+    """``message`` at the 0-based ``pos`` of a text, read with its 1-based line and column."""
+
     def __init__(self, message: str, text: str = "", pos: int = 0):
-        self.pos = pos
+        self.message, self.pos = message, pos
         self.line, self.column = _line_column(text, pos)
         super().__init__(f"{message} (line {self.line}, column {self.column})")
 
@@ -697,10 +699,6 @@ class Expr:
         orders = [len(c.index) for c in self.coordinates() if c.kind == JET]
         return max(orders, default=0)
 
-    def sign_normalized(self) -> "Expr":
-        """Multiply by -1 if the leading coefficient is negative (row-sign canonical form)."""
-        return -self if self.terms and self.terms[0][1] < 0 else self
-
     # -- calculus ---------------------------------------------------------
 
     def gradient(self) -> Dict[CoordinateId, "Expr"]:
@@ -957,10 +955,11 @@ class _Parser:
     def error(self, message: str, k: int, cls=ParseError) -> VarjetError:
         """A ``cls`` error for ``message`` at the k-th token."""
         pos = _token_start(self.text, k)
-        if cls is ParseError:
-            return ParseError(message, self.text, pos)
-        line, column = _line_column(self.text, pos)
-        return cls(f"{message} (line {line}, column {column})")
+        exc = ParseError(message, self.text, pos)
+        if cls is not ParseError:  # the same message and position, as a cls
+            exc = cls(str(exc))
+            exc.message, exc.pos = message, pos
+        return exc
 
     def nested(self, parse_inner, k: int):
         """parse_inner() one nesting level deeper, for the k-th token."""

@@ -1,32 +1,33 @@
-"""Variational operators: source forms, vertical differentials, Legendre forms.
+"""Variational operators: Euler-Lagrange, vertical differentials, Legendre forms.
 
-Everything is represented through local coordinate coefficients.  A Cartan-
-valued top form has one coefficient per (dependent, multiindex); a Legendre
-form has one per (dependent, multiindex, direction).  The central algebraic
-fact is the first variation identity
+Every result is a plain value of local coefficients: the source form is one
+E_a(L) per dependent; d^V L and the horizontal differential of a Legendre
+form map each jet u_I^a to its coefficient; a Legendre form maps each
+momentum p_a^{I.i} to theta_a^{I.i}(u).  A map holds no zero coefficient.
+The first variation identity
 
-    euler_lagrange(L) - vertical_differential(L) = horizontal_d(theta),
+    horizontal_d(theta) + vertical_differential(L) = euler_lagrange(L),
 
-which the canonical Legendre form construction satisfies exactly by design
-and re-verifies on every call.
+the right side on the zero jets u^a, holds for the canonical Legendre form
+by construction and is re-verified on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Set, Tuple
 
-from .multiindex import EMPTY, MultiIndex
 from .symcore import (
     JET,
     MOMENTUM,
+    CoordinateId,
     Expr,
     JetContext,
     Q,
     VarjetError,
     WrongDomainError,
 )
-from .jetcalc import iterated_total_derivative, total_derivative
+from .jetcalc import iterated_total_derivative, refuse_long_multiindices, total_derivative
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,8 @@ class LagrangianDensity:
     ``order`` is the declared order l+1.  It defaults to the smallest order
     admitting L (at least one) and may be overridden upward: the momentum-side
     constructions are order-sensitive, so treating a first-order density as
-    second order is meaningful and allowed.
+    second order is meaningful and allowed.  The constructions enumerate the
+    multiindices up to the order, so an order with too many is refused here.
     """
 
     context: JetContext
@@ -50,6 +52,7 @@ class LagrangianDensity:
         if self.order < minimal:
             raise VarjetError(
                 f"declared order {self.order} below the minimal order {minimal} of the density")
+        refuse_long_multiindices(self.context.n, self.order, "order")
         for c in self.L.coordinates():
             if c.kind == MOMENTUM:
                 raise WrongDomainError("a Lagrangian density is jet-side; momenta present")
@@ -60,126 +63,53 @@ class LagrangianDensity:
         return self.order - 1
 
 
-class CartanValuedForm:
-    """Finitely supported coefficient map (alpha, I) -> Expr.
-
-    Represents contact-form-valued top forms such as the vertical differential
-    of a density or an Euler-Lagrange source form; absent keys are zero.
-    """
-
-    __slots__ = ("context", "coeffs")
-
-    def __init__(self, context: JetContext,
-                 coeffs: Mapping[Tuple[int, MultiIndex], Expr] = ()):
-        self.context = context
-        self.coeffs: Dict[Tuple[int, MultiIndex], Expr] = {
-            key: e for key, e in dict(coeffs).items() if not e.is_zero()}
-
-    def coefficient(self, alpha: int, index: MultiIndex) -> Expr:
-        return self.coeffs.get((alpha, index), Expr.zero())
-
-    def support(self) -> List[Tuple[int, MultiIndex]]:
-        return sorted(self.coeffs, key=lambda k: (k[0], k[1].sort_key()))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "CartanValuedForm") -> "CartanValuedForm":
-        acc = dict(self.coeffs)
-        for key, e in other.coeffs.items():
-            acc[key] = acc.get(key, Expr.zero()) + e
-        return CartanValuedForm(self.context, acc)
-
-    def __sub__(self, other: "CartanValuedForm") -> "CartanValuedForm":
-        return self + other.scale(-1)
-
-    def scale(self, k) -> "CartanValuedForm":
-        return CartanValuedForm(self.context,
-                                {key: e.scale(k) for key, e in self.coeffs.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CartanValuedForm) and self.coeffs == other.coeffs
+def _collect(pairs: Iterable[Tuple[CoordinateId, Expr]]) -> Dict[CoordinateId, Expr]:
+    """The sum of the Exprs paired with each coordinate (a lone one as it is), zero sums absent."""
+    parts: Dict[CoordinateId, List[Expr]] = {}
+    for c, e in pairs:
+        parts.setdefault(c, []).append(e)
+    sums = {c: terms[0] if len(terms) == 1 else Expr.sum(terms) for c, terms in parts.items()}
+    return {c: e for c, e in sums.items() if not e.is_zero()}
 
 
-class SourceForm(CartanValuedForm):
-    """A Cartan-valued form supported only on |I| = 0 (membership checked)."""
-
-    def __init__(self, context, coeffs=()):
-        super().__init__(context, coeffs)
-        for alpha, index in self.coeffs:
-            if len(index) != 0:
-                raise VarjetError("a source form has coefficients only at |I| = 0")
-
-    def component(self, alpha: int) -> Expr:
-        return self.coefficient(alpha, EMPTY)
-
-
-class LegendreForm:
-    """Coefficient map (alpha, I, i) -> Expr with |I| <= order (the form's order l)."""
-
-    __slots__ = ("context", "order", "coeffs")
-
-    def __init__(self, context: JetContext, order: int,
-                 coeffs: Mapping[Tuple[int, MultiIndex, int], Expr] = ()):
-        self.context = context
-        self.order = order
-        self.coeffs: Dict[Tuple[int, MultiIndex, int], Expr] = {}
-        for (alpha, index, i), e in dict(coeffs).items():
-            if len(index) > order:
-                raise VarjetError(f"Legendre form of order {order} cannot carry |I| = {len(index)}")
-            if not e.is_zero():
-                self.coeffs[(alpha, index, i)] = e
-
-    def coefficient(self, alpha: int, index: MultiIndex, i: int) -> Expr:
-        return self.coeffs.get((alpha, index, i), Expr.zero())
-
-    def support(self):
-        return sorted(self.coeffs, key=lambda k: (k[0], k[1].sort_key(), k[2]))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LegendreForm) and self.coeffs == other.coeffs
-
-
-def euler_lagrange(lag: LagrangianDensity) -> SourceForm:
-    """The source form with components (-1)^|I| D_I (dL/du_I^a), summed over
+def euler_lagrange(lag: LagrangianDensity) -> Tuple[Expr, ...]:
+    """E_a(L) for each dependent a: (-1)^|I| D_I (dL/du_I^a), summed over
     the jets u_I^a of L (unordered multiindices, each once), read from one
     gradient of L."""
-    ctx = lag.context
-    parts: Dict[int, List[Expr]] = {alpha: [] for alpha in range(ctx.m)}
+    parts: List[List[Expr]] = [[] for _ in range(lag.context.m)]
     for c, part in lag.L.gradient().items():
         if c.kind == JET:
             term = iterated_total_derivative(part, c.index)
             parts[c.alpha].append(term if len(c.index) % 2 == 0 else -term)
-    return SourceForm(ctx, {(alpha, EMPTY): Expr.sum(terms) for alpha, terms in parts.items()})
+    return tuple(map(Expr.sum, parts))
 
 
-def vertical_differential(lag: LagrangianDensity) -> CartanValuedForm:
-    """d^V of the density: coefficient dL/du_I^a at (a, I), the jet entries of L's gradient."""
-    return CartanValuedForm(lag.context, {(c.alpha, c.index): part
-                                          for c, part in lag.L.gradient().items()
-                                          if c.kind == JET})
+def vertical_differential(lag: LagrangianDensity) -> Dict[CoordinateId, Expr]:
+    """d^V of the density: coefficient dL/du_I^a at each jet u_I^a of L, the
+    jet entries of L's gradient."""
+    return {c: part for c, part in lag.L.gradient().items() if c.kind == JET}
 
 
-def horizontal_d_legendre(theta: LegendreForm) -> CartanValuedForm:
-    """Horizontal differential of a Legendre-type form.
+def horizontal_d_legendre(theta: Mapping[CoordinateId, Expr]) -> Dict[CoordinateId, Expr]:
+    """Horizontal differential of a Legendre-type form (keyed by momenta), keyed by jets.
 
-    The coefficient at (a, I) is -sum_i D_i theta_a^{I.i} minus the contraction
+    The coefficient at u_I^a is -sum_i D_i theta_a^{I.i} minus the contraction
     sum of theta_a^{J.i} over the distinct pairs (J, i) with Ji = I, each
     counted once.
     """
-    ctx = theta.context
-    parts: Dict[Tuple[int, MultiIndex], List[Expr]] = {}
-    for (alpha, index, i), coeff in theta.coeffs.items():
-        for c in coeff.coordinates():
-            if c.kind == MOMENTUM:
+    def pairs():
+        for p, coeff in theta.items():
+            if any(c.kind == MOMENTUM for c in coeff.coordinates()):
                 raise WrongDomainError("Legendre form coefficients are jet-side expressions")
-        parts.setdefault((alpha, index), []).append(-total_derivative(coeff, i))
-        parts.setdefault((alpha, index.with_index(i)), []).append(-coeff)
-    return CartanValuedForm(ctx, {key: Expr.sum(terms) for key, terms in parts.items()})
+            yield CoordinateId.jet(p.alpha, p.index), -total_derivative(coeff, p.i)
+            yield CoordinateId.jet(p.alpha, p.index.with_index(p.i)), -coeff
+    return _collect(pairs())
 
 
-def legendre_form(lag: LagrangianDensity) -> LegendreForm:
-    """Canonical Legendre form of order l for a density of order l+1.
+def legendre_form(lag: LagrangianDensity) -> Dict[CoordinateId, Expr]:
+    """Canonical Legendre form of order l for a density of order l+1: the
+    momentum p_a^{I.i} (|I| <= l) to theta_a^{I.i}, in ascending coordinate
+    order.
 
     Top-down recursion: at each level k = l+1 .. 1 the component equation
 
@@ -189,31 +119,32 @@ def legendre_form(lag: LagrangianDensity) -> LegendreForm:
     is solved by the symmetric distribution theta_a^{J.i} := (I[i]/|I|) * RHS.
     Each (J, i) determines I = Ji uniquely, so the assignment is well defined.
     The partials are those of d^V L, one gradient of L, and each level visits
-    only the (a, I) where L has a jet or the level above wrote a coefficient:
-    the RHS is zero everywhere else, also at every level above L's highest jet.
-    The first variation identity is then verified exactly; failure is an
-    internal error, never silent.
+    only the jets u_I^a of L and those the level above wrote a coefficient
+    for: the RHS is zero everywhere else, also at every level above L's
+    highest jet.  The first variation identity is then verified exactly;
+    failure is an internal error, never silent.
     """
-    ctx = lag.context
     d_v = vertical_differential(lag)
-    coeffs: Dict[Tuple[int, MultiIndex, int], Expr] = {}
-    # (a, I) by |I|: the jets of L, and each (a, J) the level above writes to
-    reached: Dict[int, Set[Tuple[int, MultiIndex]]] = {}
-    for alpha, I in d_v.coeffs:
-        reached.setdefault(len(I), set()).add((alpha, I))
+    theta: Dict[CoordinateId, Expr] = {}
+    # jets u_I^a by |I|: the jets of L, and each u_J^a the level above writes to
+    reached: Dict[int, Set[CoordinateId]] = {}
+    for jet in d_v:
+        reached.setdefault(len(jet.index), set()).add(jet)
     for k in range(max(reached, default=0), 0, -1):
-        for alpha, I in reached.get(k, ()):
-            rhs = Expr.sum([d_v.coefficient(alpha, I)] + [
-                -total_derivative(coeffs[(alpha, I, i)], i)
-                for i in range(ctx.n) if (alpha, I, i) in coeffs])
+        for jet in reached.get(k, ()):
+            alpha, I = jet.alpha, jet.index
+            above = [CoordinateId.momentum(alpha, I, i) for i in range(lag.context.n)]
+            rhs = Expr.sum([d_v.get(jet, Expr.zero())] + [
+                -total_derivative(theta[p], p.i) for p in above if p in theta])
             if rhs.is_zero():
                 continue
             for J, i, mult in I.removals():
-                coeffs[(alpha, J, i)] = rhs.scale(Q(mult, k))
-                reached.setdefault(k - 1, set()).add((alpha, J))
-    theta = LegendreForm(ctx, lag.level, coeffs)
+                theta[CoordinateId.momentum(alpha, J, i)] = rhs.scale(Q(mult, k))
+                reached.setdefault(k - 1, set()).add(CoordinateId.jet(alpha, J))
+    theta = {p: theta[p] for p in sorted(theta)}
 
-    if horizontal_d_legendre(theta) + d_v != euler_lagrange(lag):
+    source = _collect((CoordinateId.jet(alpha), e) for alpha, e in enumerate(euler_lagrange(lag)))
+    if _collect([*horizontal_d_legendre(theta).items(), *d_v.items()]) != source:
         raise AssertionError(
             "internal error: canonical Legendre form violates the first variation identity")
     return theta

@@ -53,13 +53,18 @@ def kdv_setup():
     return ctx, LagrangianDensity(ctx, parse(KDV_L, ctx), order=2)
 
 
+def signless(res):
+    """The row with a positive leading coefficient: the row's sign is not its content."""
+    return -res if res.terms and res.terms[0][1] < 0 else res
+
+
 def canon(system):
     """The nonzero residuals as a multiset, blind to row sign and order."""
-    return Counter(res.sign_normalized() for _, res in system.equations if not res.is_zero())
+    return Counter(signless(res) for _, res in system.equations if not res.is_zero())
 
 
 def rows(dc, texts):
-    return Counter(parse(t, dc.ctx).sign_normalized() for t in texts)
+    return Counter(signless(parse(t, dc.ctx)) for t in texts)
 
 
 def soliton_grid(n, box=16.0, c=1.0):
@@ -75,8 +80,8 @@ def test_criterion_01_kdv_euler_lagrange():
     t0 = time.perf_counter()
     source = euler_lagrange(lag)
     elapsed = time.perf_counter() - t0
-    assert source.component(0) == parse(KDV_EL, ctx)  # zero tolerance
-    assert render(source.component(0), ctx) == "u_tx - 6*u_x*u_xx + u_xxxx"
+    assert source == (parse(KDV_EL, ctx),)  # zero tolerance
+    assert render(source[0], ctx) == "u_tx - 6*u_x*u_xx + u_xxxx"
     assert elapsed < 1.0
     stamp(1, f"EL(KdV) = u_tx - 6*u_x*u_xx + u_xxxx exactly ({elapsed * 1e3:.1f} ms)")
 
@@ -86,7 +91,7 @@ def test_criterion_02_kdv_constraints():
     t0 = time.perf_counter()
     cons = constraints(lag)
     elapsed = time.perf_counter() - t0
-    expected = Counter(parse(t, ctx).sign_normalized() for t in
+    expected = Counter(signless(parse(t, ctx)) for t in
                        ["p_t.t", "p_t.x + p_x.t", "p_x.x - u_xx"])
     assert canon(cons) == expected  # up to overall sign per row
     assert elapsed < 1.0
@@ -205,16 +210,22 @@ def test_criterion_07_first_variation_suite():
         lag = random_lagrangian(rng, max_n=2, max_m=2, max_order=3,
                                 max_monomials=6, max_degree=4)
         theta = legendre_form(lag)
-        lhs = horizontal_d_legendre(theta) + vertical_differential(lag)
         source = euler_lagrange(lag)
-        assert lhs == source  # exact structural equality on every coefficient
+        # exact structural equality on every coefficient: the merged map
+        # dbar theta + d^V L is E(L) on the zero jets, every other entry zero
+        merged = horizontal_d_legendre(theta)
+        for c, e in vertical_differential(lag).items():
+            merged[c] = merged.get(c, Expr.zero()) + e
+        assert {c: e for c, e in merged.items() if not e.is_zero()} == \
+            {CoordinateId.jet(alpha): e for alpha, e in enumerate(source) if not e.is_zero()}
         # the recursion's level-0 identity reproduces the independent EL computation
         ctx = lag.context
         for alpha in range(ctx.m):
             level0 = reference_partial(lag.L, CoordinateId.jet(alpha, EMPTY))
             for i in range(ctx.n):
-                level0 = level0 - total_derivative(theta.coefficient(alpha, EMPTY, i), i)
-            assert level0 == source.component(alpha)
+                p = CoordinateId.momentum(alpha, EMPTY, i)
+                level0 = level0 - total_derivative(theta.get(p, Expr.zero()), i)
+            assert level0 == source[alpha]
         checked += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
@@ -288,7 +299,7 @@ def test_criterion_10_total_derivative_laws():
 def test_criterion_11_numeric_soliton():
     t0 = time.perf_counter()
     ctx, lag = kdv_setup()
-    el = EquationSystem(ctx, (("el:u", euler_lagrange(lag).component(0)),))
+    el = EquationSystem(ctx, (("el:u", euler_lagrange(lag)[0]),))
 
     coarse = residual(el, soliton_grid(512))["el:u"]
     assert coarse <= 1e-5

@@ -16,10 +16,10 @@ import varjet
 from varjet import numeric
 
 EXPORTED = {
-    "CartanValuedForm", "CoordinateId", "DegenerateLagrangianError", "DerivedContext",
+    "CoordinateId", "DegenerateLagrangianError", "DerivedContext",
     "EquationSystem", "Expr", "HessianMatrix", "JetContext",
-    "LagrangianDensity", "LegendreForm", "MultiIndex", "ParseError",
-    "RankReport", "ReducedSystem", "SourceForm", "UnknownCoordinateError",
+    "LagrangianDensity", "MultiIndex", "ParseError",
+    "RankReport", "ReducedSystem", "UnknownCoordinateError",
     "UnsupportedExpressionError", "VarjetError", "WrongDomainError",
     "constraints", "elh_system", "energy_density", "euler_lagrange",
     "hessian", "horizontal_d_legendre", "iterated_total_derivative", "legendre_form",
@@ -72,6 +72,34 @@ def test_constructions_take_the_level_from_the_density():
     }
     for function, expected in signatures.items():
         assert str(inspect.signature(function)) == expected, function.__name__
+
+
+def test_variational_results_are_plain_values():
+    # one E_a(L) per dependent; d^V L and dbar theta keyed by jets; the
+    # Legendre form keyed by its momenta
+    signatures = {
+        varjet.euler_lagrange: "(lag: 'LagrangianDensity') -> 'Tuple[Expr, ...]'",
+        varjet.vertical_differential:
+            "(lag: 'LagrangianDensity') -> 'Dict[CoordinateId, Expr]'",
+        varjet.horizontal_d_legendre:
+            "(theta: 'Mapping[CoordinateId, Expr]') -> 'Dict[CoordinateId, Expr]'",
+        varjet.legendre_form: "(lag: 'LagrangianDensity') -> 'Dict[CoordinateId, Expr]'",
+    }
+    for function, expected in signatures.items():
+        assert str(inspect.signature(function)) == expected, function.__name__
+
+
+def test_legendre_form_is_keyed_by_momenta_in_ascending_order():
+    # the print order of `varjet legendre` is the coordinates' own order
+    ctx = varjet.JetContext(("t", "x"), ("u", "v"))
+    lag = varjet.LagrangianDensity(
+        ctx, varjet.parse("u_x^3 - 1/2*u_x*u_t + 1/2*u_xx^2 + v_t*u_tx + v_xx*v", ctx))
+    theta = varjet.legendre_form(lag)
+    assert all(isinstance(p, varjet.CoordinateId) and p.kind == "momentum" for p in theta)
+    # by dependent, then |I|, then I, then i; the zero p^u_t.t is absent
+    assert [ctx.name(p) for p in theta] == [
+        "p^u_.t", "p^u_.x", "p^u_t.x", "p^u_x.t", "p^u_x.x", "p^v_.t", "p^v_.x", "p^v_x.x"]
+    assert list(theta) == sorted(theta)
 
 
 def test_total_derivatives_and_contexts_carry_no_order_bound():
@@ -145,7 +173,7 @@ def test_readme_library_sketch_runs_as_commented():
     exec(block, namespace)
     comments = {code.strip(): comment.strip() for code, comment in
                 (line.split("#", 1) for line in block.splitlines() if "#" in line)}
-    el = "euler_lagrange(lag).component(0)"
+    el = "euler_lagrange(lag)[0]"
     assert varjet.render(eval(el, namespace), namespace["ctx"]) == comments[el] == \
         "u_tx - 6*u_x*u_xx + u_xxxx"
     rows = comments["system = elh_system(lag)"].rsplit(", ", 1)[1]

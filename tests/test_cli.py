@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -153,6 +154,43 @@ def test_prolong_lifts_order_bound_by_level(capsys, kdv_problem):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 3 and "u_xxxxx" in lines[2]
+
+
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize("command", ["hessian", "reduce", "constraints", "elh", "energy"])
+def test_huge_order_is_refused_before_any_enumeration(capsys, tmp_path, command):
+    # refused where the order enters, before any subcommand enumerates multiindices
+    path = tmp_path / "wave.problem"
+    path.write_text(WAVE_PROBLEM)
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, str(path), "--order", HUGE)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (1, "", f"varjet: order {HUGE} is too high: the multiindices "
+                                       "up to it would hold more than 50000000 entries\n")
+
+
+def test_huge_order_in_a_problem_file_is_refused(capsys, tmp_path):
+    path = tmp_path / "wave.problem"
+    path.write_text(WAVE_PROBLEM.replace("order = 1", f"order = {HUGE}"))
+    code, out, err = run(capsys, "elh", str(path))
+    assert (code, out) == (1, "") and err.startswith(f"varjet: order {HUGE} is too high")
+
+
+def test_huge_prolong_level_is_refused(capsys, kdv_problem):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "prolong", kdv_problem, "--level", HUGE)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (1, "", f"varjet: level {HUGE} is too high: the multiindices "
+                                       "up to it would hold more than 50000000 entries\n")
+
+
+def test_high_orders_under_the_entry_bound_still_run(capsys, kdv_problem):
+    # el and legendre read no enumeration: order 400 prints what order 2 does
+    for command in ("el", "legendre"):
+        assert run(capsys, command, kdv_problem, "--order", "400") == \
+            run(capsys, command, kdv_problem)
 
 
 def test_check_solution_el(capsys, tmp_path, kdv_problem):
@@ -366,11 +404,35 @@ def test_problem_file_that_is_not_utf8_is_domain_error(capsys, tmp_path):
 
 
 def test_bad_expression_reports_position(capsys, tmp_path):
+    # on the file's line, the column counted from the start of that line
     path = tmp_path / "bad.problem"
     path.write_text("independents = x\ndependents = u\nlagrangian = u_x + w\n")
     code, out, err = run(capsys, "el", str(path))
-    assert code == 1
-    assert "line 1, column" in err  # position within the expression
+    assert (code, out, err) == (1, "", f"varjet: {path}, line 3, column 20: "
+                                       "unknown identifier 'w'\n")
+    path.write_text("# wave\nindependents = t x\ndependents   = u\n"
+                    "lagrangian   = u_t^2 + * u\n")
+    code, out, err = run(capsys, "el", str(path))
+    assert (code, out, err) == (1, "", f"varjet: {path}, line 4, column 24: "
+                                       "unexpected token '*'\n")
+    # a construct that is not polynomial is placed the same way
+    path.write_text("independents = x\ndependents = u\nlagrangian = u_x^2 + sin(u)\n")
+    code, out, err = run(capsys, "el", str(path))
+    assert (code, out, err) == (1, "", f"varjet: {path}, line 3, column 22: "
+                                       "transcendental function 'sin' is not polynomial\n")
+
+
+def test_bad_rho_reports_position_on_its_own_line(capsys, tmp_path):
+    # a component is placed on the file's line; --rho keeps its own positions
+    path = tmp_path / "rho.problem"
+    path.write_text("independents = t x\ndependents = u\nlagrangian = u_t^2\n"
+                    "rho = 0;  u_q\n")
+    code, out, err = run(capsys, "shift", str(path))
+    assert (code, out, err) == (1, "", f"varjet: {path}, line 4, column 11: "
+                                       "unknown identifier 'u_q'\n")
+    code, out, err = run(capsys, "shift", str(path), "--rho", "0; u_q")
+    assert (code, out, err) == (1, "", "varjet: parse error: unknown identifier 'u_q' "
+                                       "(line 1, column 1)\n")
 
 
 def test_deeply_nested_density_is_domain_error(capsys, tmp_path):
@@ -379,8 +441,8 @@ def test_deeply_nested_density_is_domain_error(capsys, tmp_path):
                     f"lagrangian = {'(' * 3000}u_x^2{')' * 3000}\norder = 1\n")
     code, out, err = run(capsys, "el", str(path))
     assert (code, out) == (1, "")
-    assert err.startswith("varjet: ") and "nested deeper than 100 levels" in err
-    assert "line 1, column 101" in err
+    assert err == f"varjet: {path}, line 3, column 114: expression nested deeper than " \
+        "100 levels\n"
 
 
 def test_power_over_the_term_budget_is_domain_error(capsys, tmp_path):
@@ -390,8 +452,8 @@ def test_power_over_the_term_budget_is_domain_error(capsys, tmp_path):
                     "lagrangian = (u + u_t + u_x + u_tt + u_tx + u_xx)^200\norder = 2\n")
     code, out, err = run(capsys, "el", str(path))
     assert (code, out) == (1, "")
-    assert err == ("varjet: the power 200 of a 6-term sum may have up to 2872408791 terms, "
-                   "over the budget of 1000000\n")
+    assert err == (f"varjet: {path}, line 3: the power 200 of a 6-term sum may have up to "
+                   "2872408791 terms, over the budget of 1000000\n")
 
 
 @pytest.fixture
@@ -409,15 +471,16 @@ PRODUCT_OVER_DIGITS = "7" * 3000 + "*" + "7" * 3000 + "*u_x^2"
 
 
 @pytest.mark.parametrize("lagrangian, message", [
-    ("u_x^" + "9" * 5000, "parse error: integer literal of 5000 digits, over the limit of "
-                          "4300 digits (line 1, column 5)"),
-    ("2^" + "9" * 5000, "parse error: integer literal of 5000 digits, over the limit of "
-                        "4300 digits (line 1, column 3)"),
-    ("7" * 5000 + "*u_x^2", "parse error: integer literal of 5000 digits, over the limit of "
-                            "4300 digits (line 1, column 1)"),
-    # 3^3000000 has 1431364 digits: refused before it is built
-    ("(3*u_x)^3000000", "the power 3000000 of a 1-term expression may have coefficients "
+    # the value starts at column 14 of line 3
+    ("u_x^" + "9" * 5000, "{file}, line 3, column 18: integer literal of 5000 digits, "
+                          "over the limit of 4300 digits"),
+    ("2^" + "9" * 5000, "{file}, line 3, column 16: integer literal of 5000 digits, "
                         "over the limit of 4300 digits"),
+    ("7" * 5000 + "*u_x^2", "{file}, line 3, column 14: integer literal of 5000 digits, "
+                            "over the limit of 4300 digits"),
+    # 3^3000000 has 1431364 digits: refused before it is built
+    ("(3*u_x)^3000000", "{file}, line 3: the power 3000000 of a 1-term expression may have "
+                        "coefficients over the limit of 4300 digits"),
     # past the limit only after parsing: the folded product, and el's second
     # derivative N*(N-1)*u_x^(N-2)*u_xx, end at the writers
     (PRODUCT_OVER_DIGITS, OVER_DIGITS),
@@ -431,7 +494,7 @@ def test_integer_over_the_digit_limit_is_domain_error(capsys, tmp_path, digit_li
     for fmt in ("plain", "latex", "json"):
         code, out, err = run(capsys, "el", str(path), "--format", fmt)
         assert (code, out) == (1, ""), fmt
-        assert err == f"varjet: {message}\n", fmt
+        assert err == f"varjet: {message.format(file=path)}\n", fmt
 
 
 def test_energy_json_over_the_digit_limit_is_domain_error(capsys, tmp_path, digit_limit):

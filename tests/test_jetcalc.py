@@ -15,6 +15,7 @@ from varjet.multiindex import EMPTY, MultiIndex
 from varjet.symcore import (
     Expr,
     JetContext,
+    VarjetError,
     WrongDomainError,
     parse,
 )
@@ -126,6 +127,14 @@ def test_prolong_level_zero_identity(ctx_tx):
     from conftest import KDV_EL
     sys0 = EquationSystem(ctx_tx, (("el", parse(KDV_EL, ctx_tx)),))
     assert prolong(sys0, 0) is sys0
+
+
+def test_prolong_refuses_a_level_over_the_entry_bound(ctx_1d):
+    # n = 1: level 10^6 is 10^6 + 1 multiindices but 5e11 entries
+    sys0 = EquationSystem(ctx_1d, (("eq", parse("u_x", ctx_1d)),))
+    with pytest.raises(VarjetError, match=r"^level 1000000 is too high"):
+        prolong(sys0, 10**6)
+    assert len(prolong(sys0, 3).equations) == 4
 
 
 def test_prolong_rejects_momenta(kdv):

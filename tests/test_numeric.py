@@ -66,8 +66,8 @@ def test_eval_energy_consistency(ctx_tx):
     from varjet.multiindex import multiindices_up_to
     for index in multiindices_up_to(2, 1):
         for i in range(2):
-            sample[CoordinateId.momentum(0, index, i)] = \
-                evaluate(theta.coefficient(0, index, i), point)
+            p = CoordinateId.momentum(0, index, i)
+            sample[p] = evaluate(theta.get(p, Expr.zero()), point)
     # hand evaluation: p_.t u_t + p_.x u_x + p_x.x u_xx - L
     p_t = -0.5 * 1.0
     p_x = 3 * 1.0 - 0.5 * 2.0 - (-3.0)
@@ -363,7 +363,7 @@ def reference_residual(system, grid, legendre=None, momentum_fields=None):
         margin = (stencil_radius(order),) * len(grid.shape)
         return reference_collect(system, samples, grid.shape, margin)
     need = max(max(len(c.index) for c in dc.fiber if c.kind == JET),
-               max(e.max_jet_order() for e in legendre.coeffs.values()))
+               max(e.max_jet_order() for e in legendre.values()))
     prolonged = reference_prolong(grid, dc.base, need)
 
     def root(c):
@@ -372,7 +372,7 @@ def reference_residual(system, grid, legendre=None, momentum_fields=None):
         if momentum_fields is not None and dc.base.name(c) in momentum_fields.fields:
             return momentum_fields.fields[dc.base.name(c)]
         return np.broadcast_to(
-            reference_evaluate(legendre.coefficient(c.alpha, c.index, c.i), prolonged),
+            reference_evaluate(legendre.get(c, Expr.zero()), prolonged),
             grid.shape)
 
     fiber = [root(c) for c in dc.fiber]
@@ -400,7 +400,7 @@ def kdv_system(ctx, which):
 def system_of(lag, which):
     """The density's system ``which``, as `check-solution --system` builds it."""
     if which == "el":
-        return EquationSystem(lag.context, (("el:u", euler_lagrange(lag).component(0)),))
+        return EquationSystem(lag.context, (("el:u", euler_lagrange(lag)[0]),))
     if which == "constraints":
         dc = DerivedContext(lag.context, lag.level)
         return EquationSystem(dc.ctx, tuple(
@@ -565,7 +565,7 @@ def test_no_stencil_over_a_constant_momentum(ctx_tx, monkeypatch):
     # comma-derivatives of those three momenta are +0.0 without a pass
     system, theta = kdv_system(ctx_tx, "elh")
     assert [ctx_tx.name(c) for c in ctx_tx.momenta_up_to(1)
-            if theta.coefficient(c.alpha, c.index, c.i).is_zero()] == \
+            if c not in theta] == \
         ["p_t.t", "p_t.x", "p_x.t"]
     g = soliton_grid(40, 57, c=0.9, box=5.0)
     want = reference_residual(system, g, legendre=theta)
@@ -643,8 +643,8 @@ def test_residual_momentum_fields_supplied(ctx_tx):
     for alpha in range(1):
         for I in multiindices_up_to(2, 1):
             for i in range(2):
-                coeff = theta.coefficient(alpha, I, i)
-                name = ctx_tx.name(CoordinateId.momentum(alpha, I, i))
+                p = CoordinateId.momentum(alpha, I, i)
+                coeff, name = theta.get(p, Expr.zero()), ctx_tx.name(p)
                 vals = evaluate(coeff, samples) if not coeff.is_zero() \
                     else np.zeros(g.shape)
                 fields[name] = np.nan_to_num(np.asarray(vals, dtype=float))

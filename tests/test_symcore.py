@@ -551,7 +551,10 @@ def _reference_tokenize(text):
 
 
 def _not_polynomial(message, text, pos):
-    return UnsupportedExpressionError(str(ParseError(message, text, pos)))
+    # positioned like a ParseError, which a problem file re-reports on its line
+    exc = UnsupportedExpressionError(str(ParseError(message, text, pos)))
+    exc.message, exc.pos = message, pos
+    return exc
 
 
 class _ReferenceParser:

@@ -6,13 +6,11 @@ import pytest
 
 from conftest import KDV_EL, KDV_L, jet_pool, random_expr, random_lagrangian
 from varjet.jetcalc import total_derivative
-from varjet.multiindex import EMPTY, MultiIndex
+from varjet.multiindex import MultiIndex
 from varjet.symcore import CoordinateId, Expr, JetContext, VarjetError, parse, render
+from varjet import variational
 from varjet.variational import (
-    CartanValuedForm,
     LagrangianDensity,
-    LegendreForm,
-    SourceForm,
     euler_lagrange,
     horizontal_d_legendre,
     legendre_form,
@@ -20,9 +18,30 @@ from varjet.variational import (
 )
 
 
+def plus(*maps):
+    """The sum of coefficient maps, zero entries dropped."""
+    out = {}
+    for coeffs in maps:
+        for c, e in coeffs.items():
+            out[c] = out.get(c, Expr.zero()) + e
+    return {c: e for c, e in out.items() if not e.is_zero()}
+
+
+def source(lag):
+    """E(L) as a map on the zero jets u^a, zero entries dropped."""
+    return plus({CoordinateId.jet(alpha): e for alpha, e in enumerate(euler_lagrange(lag))})
+
+
+def jet(*index):
+    return CoordinateId.jet(0, MultiIndex(index))
+
+
+def momentum(i, *index):
+    return CoordinateId.momentum(0, MultiIndex(index), i)
+
+
 def test_euler_lagrange_kdv(kdv, ctx_tx):
-    E = euler_lagrange(kdv)
-    assert E.component(0) == parse(KDV_EL, ctx_tx)
+    assert euler_lagrange(kdv) == (parse(KDV_EL, ctx_tx),)
 
 
 def test_euler_lagrange_matches_sympy_euler_equations():
@@ -47,72 +66,88 @@ def test_euler_lagrange_matches_sympy_euler_equations():
                                * sympy.Mul(*[atom(c) ** p for c, p in mono])
                                for mono, k in e.terms])
 
-        source = euler_lagrange(lag)
+        components = euler_lagrange(lag)
         for alpha, f in enumerate(fs):
             # sympy drops an equation that is identically zero, so each
             # function's equation is asked for on its own
             equations = euler_equations(to_sympy(lag.L), [f], xs)
             want = equations[0].lhs if equations else 0
-            assert sympy.expand(to_sympy(source.component(alpha)) - want) == 0, \
+            assert sympy.expand(to_sympy(components[alpha]) - want) == 0, \
                 (render(lag.L, ctx, "plain"), ctx.dependents[alpha])
 
 
 def test_euler_lagrange_single_ibp(ctx_1d):
     lag = LagrangianDensity(ctx_1d, parse("1/2*u_x^2", ctx_1d))
-    assert euler_lagrange(lag).component(0) == parse("-u_xx", ctx_1d)
+    assert euler_lagrange(lag) == (parse("-u_xx", ctx_1d),)
 
 
 def test_euler_lagrange_exact_divergence(ctx_1d):
     # 2 u u_x = D_x(u^2) has trivial variation
     lag = LagrangianDensity(ctx_1d, parse("2*u*u_x", ctx_1d))
-    assert euler_lagrange(lag).component(0) == Expr.zero()
+    assert euler_lagrange(lag) == (Expr.zero(),)
 
 
-def test_source_form_support_checked(ctx_tx):
-    with pytest.raises(VarjetError):
-        SourceForm(ctx_tx, {(0, MultiIndex.of(1)): parse("u", ctx_tx)})
+def test_euler_lagrange_has_one_component_per_dependent():
+    # a dependent the density does not name still has its (zero) component
+    ctx = JetContext(("t", "x"), ("u", "v"))
+    lag = LagrangianDensity(ctx, parse("1/2*u_t^2", ctx))
+    assert euler_lagrange(lag) == (parse("-u_tt", ctx), Expr.zero())
+    rng = random.Random(41)
+    for _ in range(20):
+        lag = random_lagrangian(rng)
+        assert len(euler_lagrange(lag)) == lag.context.m
 
 
 def test_vertical_differential_kdv(kdv, ctx_tx):
-    dV = vertical_differential(kdv)
-    assert dV.coefficient(0, MultiIndex.of(1)) == parse("3*u_x^2 - 1/2*u_t", ctx_tx)
-    assert dV.coefficient(0, MultiIndex.of(1, 1)) == parse("u_xx", ctx_tx)
-    assert dV.coefficient(0, MultiIndex.of(0)) == parse("-1/2*u_x", ctx_tx)
-    assert dV.coefficient(0, MultiIndex.of(0, 0)) == Expr.zero()
+    # keyed by the jets of L, u_tt absent
+    assert vertical_differential(kdv) == {
+        jet(1): parse("3*u_x^2 - 1/2*u_t", ctx_tx),
+        jet(1, 1): parse("u_xx", ctx_tx),
+        jet(0): parse("-1/2*u_x", ctx_tx)}
 
 
 def test_vertical_differential_constant(ctx_tx):
     lag = LagrangianDensity(ctx_tx, Expr.number(3), order=1)
-    assert vertical_differential(lag).is_zero()
+    assert vertical_differential(lag) == {}
 
 
 def test_horizontal_d_single_component(ctx_tx):
     # theta with sole coefficient f(x, t) at (u, empty, x)
     f = parse("t*x^2", ctx_tx)
-    theta = LegendreForm(ctx_tx, 0, {(0, EMPTY, 1): f})
-    dbar = horizontal_d_legendre(theta)
-    assert dbar.coefficient(0, EMPTY) == -total_derivative(f, 1)
-    assert dbar.coefficient(0, MultiIndex.of(1)) == -f
+    assert horizontal_d_legendre({momentum(1): f}) == {
+        jet(): -total_derivative(f, 1), jet(1): -f}
 
 
 def test_horizontal_d_zero_form(ctx_tx):
-    assert horizontal_d_legendre(LegendreForm(ctx_tx, 1, {})).is_zero()
+    assert horizontal_d_legendre({}) == {}
 
 
 def test_horizontal_d_closes_first_variation_for_kdv(kdv, ctx_tx):
-    theta = legendre_form(kdv)
-    got = horizontal_d_legendre(theta)
-    expected = euler_lagrange(kdv) - vertical_differential(kdv)
-    assert got == expected
+    # dbar theta = E(L) - d^V L, compared as maps over the jets
+    minus_d_v = {c: -e for c, e in vertical_differential(kdv).items()}
+    assert horizontal_d_legendre(legendre_form(kdv)) == plus(source(kdv), minus_d_v)
+
+
+def test_first_variation_check_fires(kdv, monkeypatch):
+    # a horizontal differential missing one coefficient breaks the identity,
+    # and legendre_form refuses to return the form
+    exact = horizontal_d_legendre
+
+    def dropping(theta):
+        dbar = exact(theta)
+        del dbar[max(dbar)]
+        return dbar
+
+    monkeypatch.setattr(variational, "horizontal_d_legendre", dropping)
+    with pytest.raises(AssertionError, match="first variation identity"):
+        legendre_form(kdv)
 
 
 def test_legendre_form_mechanics():
     ctx = JetContext(("t",), ("u",))
     lag = LagrangianDensity(ctx, parse("1/2*u_t^2", ctx))
-    theta = legendre_form(lag)
-    assert theta.coefficient(0, EMPTY, 0) == parse("u_t", ctx)
-    assert list(theta.support()) == [(0, EMPTY, 0)]
-    assert euler_lagrange(lag).component(0) == parse("-u_tt", ctx)
+    assert legendre_form(lag) == {momentum(0): parse("u_t", ctx)}
+    assert euler_lagrange(lag) == (parse("-u_tt", ctx),)
 
 
 def test_legendre_form_second_order_1d():
@@ -121,22 +156,22 @@ def test_legendre_form_second_order_1d():
     ctx = JetContext(("x",), ("u",))
     lag = LagrangianDensity(ctx, parse("1/2*u_xx^2", ctx))
     theta = legendre_form(lag)
-    assert theta.coefficient(0, MultiIndex.of(0), 0) == parse("u_xx", ctx)
-    assert theta.coefficient(0, EMPTY, 0) == parse("-u_xxx", ctx)
-    assert euler_lagrange(lag).component(0) == parse("u_xxxx", ctx)
+    assert list(theta.items()) == [(momentum(0), parse("-u_xxx", ctx)),
+                                   (momentum(0, 0), parse("u_xx", ctx))]
+    assert euler_lagrange(lag) == (parse("u_xxxx", ctx),)
 
 
 def test_legendre_form_kdv_top_level(kdv, ctx_tx):
     theta = legendre_form(kdv)
-    assert theta.order == 1
+    assert max(len(p.index) for p in theta) == 1
     t, x = 0, 1
-    assert theta.coefficient(0, MultiIndex.of(x), x) == parse("u_xx", ctx_tx)
-    assert theta.coefficient(0, MultiIndex.of(t), t) == Expr.zero()
-    assert theta.coefficient(0, MultiIndex.of(t), x) \
-        + theta.coefficient(0, MultiIndex.of(x), t) == Expr.zero()
+    zero = Expr.zero()
+    assert theta[momentum(x, x)] == parse("u_xx", ctx_tx)
+    assert momentum(t, t) not in theta
+    assert theta.get(momentum(x, t), zero) + theta.get(momentum(t, x), zero) == zero
     # lower level from the recursion, checked against the identity
-    assert theta.coefficient(0, EMPTY, t) == parse("-1/2*u_x", ctx_tx)
-    assert theta.coefficient(0, EMPTY, x) == parse("3*u_x^2 - 1/2*u_t - u_xxx", ctx_tx)
+    assert theta[momentum(t)] == parse("-1/2*u_x", ctx_tx)
+    assert theta[momentum(x)] == parse("3*u_x^2 - 1/2*u_t - u_xxx", ctx_tx)
 
 
 def test_first_variation_identity_random():
@@ -144,9 +179,9 @@ def test_first_variation_identity_random():
     for _ in range(40):
         lag = random_lagrangian(rng)
         theta = legendre_form(lag)  # re-verifies the identity internally
-        assert theta.order == lag.order - 1
-        lhs = horizontal_d_legendre(theta) + vertical_differential(lag)
-        assert lhs == euler_lagrange(lag)
+        assert all(len(p.index) <= lag.level for p in theta)
+        assert list(theta) == sorted(theta)
+        assert plus(horizontal_d_legendre(theta), vertical_differential(lag)) == source(lag)
 
 
 def test_divergence_invariance_random():
@@ -173,9 +208,8 @@ def test_euler_lagrange_linearity():
         l2 = LagrangianDensity(ctx, L2, order=max(l1.order, 1, L2.max_jet_order()))
         combo = LagrangianDensity(ctx, l1.L.scale(3) + l2.L.scale(-2),
                                   order=max(l1.order, l2.order))
-        lhs = euler_lagrange(combo).component(0)
-        rhs = euler_lagrange(l1).component(0).scale(3) \
-            + euler_lagrange(l2).component(0).scale(-2)
+        lhs = euler_lagrange(combo)[0]
+        rhs = euler_lagrange(l1)[0].scale(3) + euler_lagrange(l2)[0].scale(-2)
         assert lhs == rhs
 
 
@@ -190,29 +224,29 @@ def test_legendre_difference_shares_source_form():
             div = div + total_derivative(random_expr(rng, pool, max_monomials=2), i)
         lag2 = LagrangianDensity(ctx, lag.L + div,
                                  order=max(lag.order, div.max_jet_order()))
-        theta1 = legendre_form(lag)
-        theta2 = legendre_form(lag2)
-        lhs = horizontal_d_legendre(theta2) + vertical_differential(lag2)
-        rhs = horizontal_d_legendre(theta1) + vertical_differential(lag)
+        lhs = plus(horizontal_d_legendre(legendre_form(lag2)), vertical_differential(lag2))
+        rhs = plus(horizontal_d_legendre(legendre_form(lag)), vertical_differential(lag))
         assert lhs == rhs
-
-
-def test_source_form_support_only_order_zero():
-    rng = random.Random(41)
-    for _ in range(20):
-        lag = random_lagrangian(rng)
-        for alpha, index in euler_lagrange(lag).support():
-            assert len(index) == 0
 
 
 def test_declared_order_propagates(ctx_1d):
     lag = LagrangianDensity(ctx_1d, parse("1/2*u_x^2", ctx_1d), order=2)
     theta = legendre_form(lag)
-    assert theta.order == 1
+    assert all(len(p.index) <= 1 for p in theta)
     # first-order density treated as second order still closes the identity
-    assert horizontal_d_legendre(theta) + vertical_differential(lag) == euler_lagrange(lag)
+    assert plus(horizontal_d_legendre(theta), vertical_differential(lag)) == source(lag)
     with pytest.raises(VarjetError):
         LagrangianDensity(ctx_1d, parse("1/2*u_xx^2", ctx_1d), order=1)
+
+
+def test_declared_order_is_bounded_by_its_multiindex_entries(ctx_1d, ctx_tx):
+    # n = 1: order 10^6 is 10^6 + 1 multiindices but 5e11 entries; KdV at
+    # order 400 and the free particle at order 3000 stay under the bound
+    L = parse("1/2*u_x^2", ctx_1d)
+    with pytest.raises(VarjetError, match=r"^order 1000000 is too high"):
+        LagrangianDensity(ctx_1d, L, order=10**6)
+    assert LagrangianDensity(ctx_1d, L, order=3000).level == 2999
+    assert LagrangianDensity(ctx_tx, parse(KDV_L, ctx_tx), order=400).level == 399
 
 
 def test_random_lagrangian_names_only_coordinates_its_context_renders():
