@@ -15,7 +15,10 @@ shared between equal chains only, so a reused array is bit-for-bit the one a
 fresh computation would give: u_tx reuses the u_t pass, and the
 comma-derivative u_{,t} is the jet u_t itself.  ``residual`` computes its
 arrays one band of rows along axis 0 at a time, each on the band plus the
-halo its later passes read, so it never holds a full-grid array of its own.
+halo its later passes read, in buffers planned once per call and reused by
+every band.  A grid file's fields are read one band of rows at a time too
+(load_grid reads only the header), so a run on a grid file holds no
+full-grid array at all.
 
 The kernels skip every numpy pass that cannot change an output bit; each
 rule rests on round-to-nearest arithmetic being sign-symmetric:
@@ -29,8 +32,9 @@ rule rests on round-to-nearest arithmetic being sign-symmetric:
   ``0 + t`` (or ``0 - t``) and so is never -0, sums either zero alike.
 - ``evaluate`` multiplies by no coefficient of 1 (``1.0 * x`` is ``x``) and
   subtracts a term of coefficient -1 after the first (``s + (-1.0 * x)`` is
-  ``s - x``); it sums in place into arrays it allocated itself, with each
-  product and sum taken in the order a term-by-term evaluation takes them.
+  ``s - x``); it sums in place into arrays it allocated itself or was
+  given, with each product and sum taken in the order a term-by-term
+  evaluation takes them.  Where a result is written changes no bit of it.
 - ``_stream`` runs no stencil over a constant momentum (a Legendre
   coefficient that reads no coordinate evaluates to a finite float): every
   interior point of such a pass is ``0 + w (c - c) + ... = +0.0``, which is
@@ -39,10 +43,13 @@ rule rests on round-to-nearest arithmetic being sign-symmetric:
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -83,9 +90,12 @@ def _float(coeff: Q) -> float:
             f"a coefficient of about 10^{exponent} is out of the float range") from None
 
 
-def _combine(op, a, b, a_mine: bool, b_mine: bool):
-    """``op(a, b)`` and whether evaluate owns it: written over an operand
-    that evaluate allocated and that has the result's shape, else new."""
+def _combine(op, a, b, a_mine: bool, b_mine: bool, out=None):
+    """``op(a, b)`` and whether evaluate owns it: written into ``out`` when
+    given, else over an operand that evaluate allocated and that has the
+    result's shape, else new."""
+    if out is not None:
+        return op(a, b, out=out), True
     if a_mine and (np.ndim(b) == 0 or np.shape(b) == a.shape):
         return op(a, b, out=a), True
     if b_mine and (np.ndim(a) == 0 or np.shape(a) == b.shape):
@@ -94,8 +104,13 @@ def _combine(op, a, b, a_mine: bool, b_mine: bool):
     return value, isinstance(value, np.ndarray)
 
 
+Power = Tuple[CoordinateId, int]
+
+
 def evaluate(e: Expr, sample: Mapping[CoordinateId, object],
-             powers: Optional[Dict[Tuple[CoordinateId, int], object]] = None):
+             powers: Optional[Dict[Power, object]] = None,
+             into: Optional[Tuple[np.ndarray, Optional[np.ndarray],
+                                  Mapping[Power, np.ndarray]]] = None):
     """Evaluate a polynomial at a sample; values may be floats or numpy arrays.
 
     Each power ``sample[c] ** p`` with p > 1 is computed once and kept in
@@ -107,9 +122,15 @@ def evaluate(e: Expr, sample: Mapping[CoordinateId, object],
     ``s - x``), and products and sums are written in place over arrays this
     call allocated.  It never writes into a sample value or a cached power,
     and never returns one, so the caller owns an array it returns.
+
+    ``into`` = (value, term, power buffers) has evaluate allocate nothing:
+    for samples of arrays of one shape, the value is computed in ``value``,
+    the products of each term after the first in ``term``, and each power
+    (c, p) in its buffer; an array value is then ``value`` itself.
     """
     if powers is None:
         powers = {}
+    value, term_buf, power_bufs = into if into is not None else (None, None, None)
     total, mine = None, False  # the sum so far, and whether evaluate allocated it
     for mono, coeff in e.terms:
         factors = []
@@ -120,34 +141,47 @@ def evaluate(e: Expr, sample: Mapping[CoordinateId, object],
                 factors.append(sample[c])
                 continue
             if (c, p) not in powers:
-                powers[(c, p)] = sample[c] ** p
+                powers[(c, p)] = sample[c] ** p if into is None \
+                    else np.power(sample[c], p, out=power_bufs[(c, p)])
             factors.append(powers[(c, p)])
         w = _float(coeff)
         unit = bool(factors) and (w == 1.0 or (w == -1.0 and total is not None))
         term, rest = (factors[0], factors[1:]) if unit else (w, factors)
         own = False
         for f in rest:
-            term, own = _combine(np.multiply, term, f, own, False)
+            term, own = _combine(np.multiply, term, f, own, False,
+                                 value if total is None else term_buf)
         if total is None:
             total, mine = term, own
         else:
             op = np.subtract if unit and w < 0 else np.add
-            total, mine = _combine(op, total, term, mine, own)
+            total, mine = _combine(op, total, term, mine, own, value)
     if total is None:
         return 0.0
     if not mine and isinstance(total, np.ndarray):
-        total = total.copy()  # a lone sample value or power, as 1.0 * x would copy it
+        # a lone sample value or power, as 1.0 * x would copy it
+        if into is None:
+            return total.copy()
+        np.copyto(value, total)
+        return value
     return total
+
+
+def _writes_a_term(e: Expr) -> bool:
+    """Whether evaluate computes a term after the first in a buffer: one of
+    two factors or more, or of one factor and a coefficient other than +-1."""
+    return any(len(mono) > 1 or (mono and abs(coeff) != 1) for mono, coeff in e.terms[1:])
 
 
 @dataclass
 class GridFunction:
-    """Uniform rectangular grid with one float64 array per dependent field."""
+    """Uniform rectangular grid with one float64 array per dependent field,
+    or, from load_grid, one _FileField per field, read by rows on demand."""
 
     axes: Tuple[str, ...]
     origin: Tuple[float, ...]
     spacing: Tuple[float, ...]
-    fields: Dict[str, np.ndarray]
+    fields: Dict[str, object]
 
     def __post_init__(self):
         self.axes = tuple(self.axes)
@@ -171,7 +205,8 @@ class GridFunction:
         for name, arr in self.fields.items():
             if arr.ndim != len(self.axes):
                 raise VarjetError(f"field {name!r} rank does not match the axes")
-            self.fields[name] = np.asarray(arr, dtype=np.float64)
+            if not isinstance(arr, _FileField):
+                self.fields[name] = np.asarray(arr, dtype=np.float64)
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -227,7 +262,18 @@ def _check_axis(n: int, r: int) -> None:
         raise GridTooSmallError(f"axis of {n} points cannot host a radius-{r} stencil")
 
 
-def _apply_stencil(arr: np.ndarray, axis: int, order: int, h: float) -> np.ndarray:
+def _stencil_work(shape: Tuple[int, ...], axis: int, r: int) -> Tuple[int, int]:
+    """The elements of _apply_stencil's accumulator and of each of its r
+    q_k buffers, for an array of ``shape`` and a radius-r pass along axis."""
+    row = math.prod(shape[1:])
+    rows = shape[0] - 2 * r if axis == 0 else shape[0]
+    size = min(max(1, BAND_ELEMENTS // row), rows) * row
+    return size, size + r * math.prod(shape[axis + 1:])
+
+
+def _apply_stencil(arr: np.ndarray, axis: int, order: int, h: float,
+                   out: Optional[np.ndarray] = None,
+                   work: Optional[np.ndarray] = None) -> np.ndarray:
     """1-D central stencil along one axis; the boundary band becomes NaN.
 
     Every interior point gets
@@ -240,11 +286,18 @@ def _apply_stencil(arr: np.ndarray, axis: int, order: int, h: float) -> np.ndarr
     radius-r stencil.
 
     The output is computed in bands of about BAND_ELEMENTS elements along
-    axis 0, in preallocated buffers.  Each pass runs over a band as one
-    contiguous run of the flattened array, where the neighbour k points
-    along the axis is k * stride elements on; along any axis but 0 that run
-    also covers the axis's boundary points, which read neighbours across
-    the band's other indices and are set to NaN at the end.
+    axis 0, in work buffers.  Each pass runs over a band as one contiguous
+    run of the flattened array, where the neighbour k points along the axis
+    is k * stride elements on; along any axis but 0 that run also covers the
+    axis's boundary points, which read neighbours across the band's other
+    indices and are set to NaN at the end.  Along axis 0 the k rows of q_k
+    before a band are the last k rows of the band before, and are copied
+    from there rather than computed again.
+
+    The result is written into ``out`` (of arr's shape) and the work
+    buffers are carved from ``work`` (at least the accumulator and r q_k
+    buffers of the sizes _stencil_work gives) when they are given, and
+    allocated otherwise.
     """
     if order == 0:
         return arr
@@ -255,25 +308,36 @@ def _apply_stencil(arr: np.ndarray, axis: int, order: int, h: float) -> np.ndarr
     weights = fd_weights(order, r)[r + 1:]  # w_1 .. w_r; w_{-k} = (-1)**order w_k
     mirror = np.add if order % 2 else np.subtract  # applies tap -k's sign
     scale = h ** order
-    out = np.empty(arr.shape)
+    if out is None:
+        out = np.empty(arr.shape)
     flat, flat_out = arr.reshape(-1), out.reshape(-1)
     stride = math.prod(arr.shape[axis + 1:])  # elements from a point to its neighbour
     row = math.prod(arr.shape[1:])  # elements per index of axis 0
     # the runs start and end r neighbours inside the array along the axis
     first, last, pad = (r, n - r, 0) if axis == 0 else (0, arr.shape[0], r * stride)
     step = max(1, BAND_ELEMENTS // row)
-    size = min(step, last - first) * row
-    acc_buf = np.empty(size)
-    q_bufs = [np.empty(size + r * stride) for _ in weights]
+    size, q_size = _stencil_work(arr.shape, axis, r)
+    if work is None:
+        work = np.empty(size + r * q_size)
+    acc_buf = work[:size]
+    q_bufs = [work[size + j * q_size:size + (j + 1) * q_size] for j in range(r)]
+    # a band but the last is size elements long; its last k rows are the
+    # first k of the next band's q_k, copied only where the two do not overlap
+    carry = axis == 0 and step >= r
     for lo in range(first, last, step):
         start, stop = lo * row + pad, min(lo + step, last) * row - pad
         m = stop - start
         q = []
         for k, (w, buf) in enumerate(zip(weights, q_bufs), 1):
             # q_k from k neighbours before the run to its end
-            qk = buf[:m + k * stride]
-            np.subtract(flat[start:stop + k * stride], flat[start - k * stride:stop], out=qk)
-            np.multiply(qk, w, out=qk)
+            back = k * stride
+            qk = buf[:m + back]
+            done = back if carry and lo > first else 0
+            if done:
+                np.copyto(qk[:back], buf[size:size + back])
+            new = qk[done:]
+            np.subtract(flat[start + done:stop + back], flat[start - back + done:stop], out=new)
+            np.multiply(new, w, out=new)
             q.append(qk)
         acc = acc_buf[:m]
         for k in range(r, 0, -1):  # taps -r .. -1
@@ -428,10 +492,12 @@ def _halos(keys: Dict[CoordinateId, Key],
 
 def _schedule(equations, inputs: Dict[CoordinateId, Dict[CoordinateId, Key]]):
     """The steps of one band: each array (a Key) after the arrays it is made
-    from, and each equation (its index) after the arrays it reads.  Also
-    returns, for every step, the arrays it is the last to read."""
+    from, and each equation (its index) as soon as the arrays it reads are
+    made, so that they can be dropped early.  Also returns, for every step,
+    the arrays it is the last to read."""
     steps: List[object] = []
     reads: List[List[Key]] = []
+    waiting = dict(enumerate(equations))
 
     def add(key: Key) -> None:
         if key not in done:
@@ -442,13 +508,20 @@ def _schedule(equations, inputs: Dict[CoordinateId, Dict[CoordinateId, Key]]):
             done.add(key)
             steps.append(key)
             reads.append(needs)
+            for j, (_, _, read) in list(waiting.items()):
+                if all(k in done for k in read.values()):
+                    del waiting[j]
+                    steps.append(j)
+                    reads.append(list(read.values()))
 
     done: set = set()
     for j, (_, _, read) in enumerate(equations):
         for key in read.values():
             add(key)
-        steps.append(j)
-        reads.append(list(read.values()))
+        if j in waiting:  # an equation that reads no array
+            del waiting[j]
+            steps.append(j)
+            reads.append([])
     last = {key: s for s, needs in enumerate(reads) for key in needs}
     dead: List[List[Key]] = [[] for _ in steps]
     for key, s in last.items():
@@ -456,12 +529,44 @@ def _schedule(equations, inputs: Dict[CoordinateId, Dict[CoordinateId, Key]]):
     return steps, dead
 
 
-def _evaluated(where: str, e: Expr, sample, powers):
+def _slots(steps, dead, need: Dict[Key, int]) -> Tuple[Dict[Key, int], List[int]]:
+    """A slot for each array that ``need`` sizes (in elements), reused once
+    the array in it is dead: the slot of each array, and each slot's size.
+    An array takes the smallest free slot that holds it, else the largest
+    free one, which grows to hold it, else a new one."""
+    slot: Dict[Key, int] = {}
+    sizes: List[int] = []
+    free: List[int] = []
+    for s, step in enumerate(steps):
+        if step in need:
+            fits = [i for i in free if sizes[i] >= need[step]]
+            i = min(fits, key=sizes.__getitem__) if fits \
+                else max(free, key=sizes.__getitem__, default=len(sizes))
+            if i == len(sizes):
+                sizes.append(0)
+            else:
+                free.remove(i)
+            sizes[i] = max(sizes[i], need[step])
+            slot[step] = i
+        free.extend(slot[key] for key in dead[s] if key in slot)
+    return slot, sizes
+
+
+def _evaluated(where: str, e: Expr, sample, powers, into=None):
     """``evaluate``, with ``where`` naming the expression in a domain error."""
     try:
-        return evaluate(e, sample, powers)
+        return evaluate(e, sample, powers, into)
     except UnsupportedExpressionError as exc:  # a coefficient past the float range
         raise UnsupportedExpressionError(f"{where}: {exc}") from None
+
+
+def _read_rows(field, a: int, b: int, out: np.ndarray, files) -> np.ndarray:
+    """Rows a..b of a field (an array, or a _FileField read from its open
+    file in ``files``) into ``out``."""
+    if isinstance(field, _FileField):
+        return field.read(files[field.path], a, b, out)
+    np.copyto(out, field[a:b])
+    return out
 
 
 # an overflow, and the NaN of a difference of infinities, make a row
@@ -474,17 +579,27 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
 
     ``keys`` maps each jet coordinate the equations read to the (root, pass
     chain) of the array it samples; ``roots`` gives each root (a dependent
-    field's zero jet or a momentum) as a full-grid array, or a momentum as
-    the Legendre coefficient to evaluate.  Each array of a band covers the
-    band plus its halo (see _halos) and is dropped once nothing later in the
-    band reads it.  Every element a band keeps goes through the operations
-    of a full-grid computation in the same order, and a maximum is exact, so
-    the residuals are bit-identical to a full-grid computation's.  A pass
-    over a constant momentum is not run: its interior points, the only ones
-    the residuals read, are exactly +0.0, and it becomes a broadcast 0.0
-    (the grid checks above still cover its stencil).  A band
-    holds about BAND_ELEMENTS elements, and is at least twice as high as the
-    deepest halo, so that no array is computed on more than twice the band.
+    field's zero jet or a momentum) as a field, an array or a _FileField
+    whose rows are read from the file as each band needs them, or a
+    momentum as the Legendre coefficient to evaluate.  Each array of a band
+    covers the band plus its halo (see _halos), and each equation is
+    evaluated as soon as the arrays it reads are made (see _schedule).
+    Every element a band keeps goes through the operations of a full-grid
+    computation in the same order, and a maximum is exact, so the residuals
+    are bit-identical to a full-grid computation's.  A pass over a constant
+    momentum is not run: its interior points, the only ones the residuals
+    read, are exactly +0.0, and it becomes a broadcast 0.0 (the grid checks
+    above still cover its stencil).  A band holds about BAND_ELEMENTS
+    elements, and is at least twice as high as the deepest halo, so that no
+    array is computed on more than twice the band.
+
+    No array is allocated in the band loop.  One buffer is allocated per
+    call and carved, for the tallest band, into a slot per array, which a
+    later array of the band reuses once nothing reads the earlier one
+    (see _slots), and into the buffers that evaluate (an equation's values,
+    a term's products, each power) and the stencil kernel compute in; every
+    band reuses them.  So the memory is a few bands' worth, whatever the
+    grid's size.
     """
     shape = grid.shape
     # the passes' own checks, before any work, in the order they are met
@@ -504,66 +619,127 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
                  for label, res in system.equations]
     steps, dead = _schedule(equations, inputs)
 
-    n0 = shape[0]
+    n0, row = shape[0], math.prod(shape[1:])
     first, stop = margin[0], n0 - margin[0]
-    height = max(1, BAND_ELEMENTS // math.prod(shape[1:]), 2 * max(halo.values(), default=0))
+    height = max(1, BAND_ELEMENTS // row, 2 * max(halo.values(), default=0))
     cols = tuple(slice(m, s - m) for m, s in zip(margin[1:], shape[1:]))
+    inner = tuple(s - 2 * m for m, s in zip(margin[1:], shape[1:]))  # an equation's columns
+
+    def extent(reach: int) -> int:
+        """The rows of an array that reaches ``reach`` rows beyond the tallest band."""
+        return min(n0, height + 2 * reach)
+
+    # the plan: the elements of every buffer, in the tallest band
+    need: Dict[Key, int] = {}
+    kernel = 0
+    for key in steps:
+        if isinstance(key, int) or key[0] in constant:
+            continue  # an equation, or a broadcast
+        root, chain = key
+        reach = halo[key]
+        if chain:  # a pass is computed on the rows of its input
+            axis, order = chain[-1]
+            r = stencil_radius(order)
+            reach += r if axis == 0 else 0
+            size, q_size = _stencil_work((extent(reach),) + shape[1:], axis, r)
+            kernel = max(kernel, size + r * q_size)
+        need[key] = extent(reach) * row
+    slot, slot_sizes = _slots(steps, dead, need)
+    # evaluate's groups, each with one power cache per band: the equations
+    # (None), and the momenta of each halo, evaluated on the same rows
+    groups: Dict[Optional[int], Tuple[int, List[Expr]]] = {
+        None: (height * math.prod(inner), [res for _, res, _ in equations])}
+    for root in inputs:
+        if root not in constant:
+            reach = halo[(root, ())]
+            groups.setdefault(reach, (extent(reach) * row, []))[1].append(roots[root])
+    sizes: Dict[object, int] = {("slot", i): size for i, size in enumerate(slot_sizes)}
+    sizes["value"] = groups[None][0]
+    sizes["term"] = max((size for size, exprs in groups.values()
+                         if any(map(_writes_a_term, exprs))), default=0)
+    sizes["kernel"] = kernel
+    powered = {(group, (c, p)): size for group, (size, exprs) in groups.items()
+               for e in exprs for mono, _ in e.terms for c, p in mono if p > 1}
+    sizes.update(powered)
+    arena = np.empty(sum(sizes.values()))
+    buf = dict(zip(sizes, np.split(arena, list(itertools.accumulate(sizes.values()))[:-1])))
+
+    def view(name, rows: int, within: Tuple[int, ...] = shape[1:]) -> np.ndarray:
+        return buf[name][:rows * math.prod(within)].reshape((rows,) + within)
+
+    def into(group: Optional[int], value: np.ndarray):
+        """evaluate's buffers for a value of the group, in value's shape."""
+        n = value.size
+        term = buf["term"][:n].reshape(value.shape) if buf["term"].size >= n else None
+        return value, term, {cp: buf[(g, cp)][:n].reshape(value.shape)
+                             for g, cp in powered if g == group}
+
     meshes = grid.meshes()
+    zero = np.broadcast_to(0.0, shape)
+    consts = {root: np.broadcast_to(_evaluated(f"the Legendre coefficient of {names[root]}",
+                                               roots[root], {}, {}), shape)
+              for root in constant}
+    files = {f.path: f for f in roots.values() if isinstance(f, _FileField)}
     peak = [0.0] * len(equations)
-    for lo in range(first, stop, height):
-        hi = min(lo + height, stop)
-        span = {key: (max(0, lo - rows), min(n0, hi + rows)) for key, rows in halo.items()}
-        arrays: Dict[Key, np.ndarray] = {}
-        powers: Dict[object, dict] = {}  # one cache per extent evaluated on
+    with contextlib.ExitStack() as stack:
+        opened = {path: stack.enter_context(f.opened()) for path, f in files.items()}
+        for lo in range(first, stop, height):
+            hi = min(lo + height, stop)
+            span = {key: (max(0, lo - rows), min(n0, hi + rows)) for key, rows in halo.items()}
+            arrays: Dict[Key, np.ndarray] = {}
+            powers: Dict[Optional[int], dict] = {}  # one cache per group
+            values = into(None, view("value", hi - lo, inner))
 
-        def rows(key: Key, a: int, b: int) -> np.ndarray:
-            return arrays[key][a - span[key][0]:b - span[key][0]]
+            def rows(key: Key, a: int, b: int) -> np.ndarray:
+                return arrays[key][a - span[key][0]:b - span[key][0]]
 
-        def sample(a: int, b: int, read: Dict[CoordinateId, Key], within: tuple = ()):
-            """Rows a..b of the independents and of the arrays ``read`` names,
-            cut to ``within`` on the other axes."""
-            out = {CoordinateId.independent(i): mesh[(slice(a, b),) + within]
-                   for i, mesh in enumerate(meshes)}
-            for c, key in read.items():
-                out[c] = rows(key, a, b)[(slice(None),) + within]
-            return out
+            def sample(a: int, b: int, read: Dict[CoordinateId, Key], within: tuple = ()):
+                """Rows a..b of the independents and of the arrays ``read`` names,
+                cut to ``within`` on the other axes."""
+                out = {CoordinateId.independent(i): mesh[(slice(a, b),) + within]
+                       for i, mesh in enumerate(meshes)}
+                for c, key in read.items():
+                    out[c] = rows(key, a, b)[(slice(None),) + within]
+                return out
 
-        for s, step in enumerate(steps):
-            if isinstance(step, int):  # an equation
-                label, res, read = equations[step]
-                vals = _evaluated(f"equation {label!r}", res, sample(lo, hi, read, cols),
-                                  powers.setdefault(None, {}))
-                if np.ndim(vals) == 0:
-                    peak[step] = abs(float(vals))
-                else:
-                    # max |x| = max(|max x|, |min x|), read without writing vals;
-                    # a NaN or an infinity in any band makes the row non-finite
-                    vmax, vmin = float(vals.max()), float(vals.min())
-                    top = max(abs(vmax), abs(vmin)) \
-                        if math.isfinite(vmax) and math.isfinite(vmin) else math.inf
-                    peak[step] = max(peak[step], top)
-            else:
-                root, chain = step
-                a, b = span[step]
-                if chain and root in constant:
-                    arrays[step] = np.broadcast_to(0.0, (b - a,) + shape[1:])
-                elif chain:
+            def make(key: Key) -> np.ndarray:
+                """The band's array of ``key``, from arrays made before it."""
+                root, chain = key
+                a, b = span[key]
+                if root in constant:
+                    return (zero if chain else consts[root])[:b - a]
+                if chain:
                     axis, order = chain[-1]
                     r = stencil_radius(order) if axis == 0 else 0
                     a_in, b_in = max(0, a - r), min(n0, b + r)
-                    out = _apply_stencil(rows((root, chain[:-1]), a_in, b_in),
-                                         axis, order, grid.spacing[axis])
-                    arrays[step] = out[a - a_in:b - a_in]
-                elif root in inputs:
-                    # a constant coefficient evaluates to a float
-                    vals = _evaluated(f"the Legendre coefficient of {names[root]}",
-                                      roots[root], sample(a, b, inputs[root]),
-                                      powers.setdefault((a, b), {}))
-                    arrays[step] = np.broadcast_to(vals, (b - a,) + shape[1:])
-                else:
-                    arrays[step] = roots[root][a:b]
-            for key in dead[s]:
-                del arrays[key]
+                    out = _apply_stencil(rows((root, chain[:-1]), a_in, b_in), axis, order,
+                                         grid.spacing[axis], view(("slot", slot[key]), b_in - a_in),
+                                         buf["kernel"])
+                    return out[a - a_in:b - a_in]
+                if root in inputs:
+                    return _evaluated(f"the Legendre coefficient of {names[root]}", roots[root],
+                                      sample(a, b, inputs[root]), powers.setdefault(halo[key], {}),
+                                      into(halo[key], view(("slot", slot[key]), b - a)))
+                return _read_rows(roots[root], a, b, view(("slot", slot[key]), b - a), opened)
+
+            for s, step in enumerate(steps):
+                if not isinstance(step, int):
+                    arrays[step] = make(step)
+                else:  # an equation
+                    label, res, read = equations[step]
+                    vals = _evaluated(f"equation {label!r}", res, sample(lo, hi, read, cols),
+                                      powers.setdefault(None, {}), values)
+                    if np.ndim(vals) == 0:
+                        peak[step] = abs(float(vals))
+                    else:
+                        # max |x| = max(|max x|, |min x|), read without writing vals;
+                        # a NaN or an infinity in any band makes the row non-finite
+                        vmax, vmin = float(vals.max()), float(vals.min())
+                        top = max(abs(vmax), abs(vmin)) \
+                            if math.isfinite(vmax) and math.isfinite(vmin) else math.inf
+                        peak[step] = max(peak[step], top)
+                for key in dead[s]:
+                    del arrays[key]
     for (label, _, _), top in zip(equations, peak):
         if top == math.inf:
             raise VarjetError(f"non-finite interior residual for equation {label!r}")
@@ -594,12 +770,69 @@ def save_grid(grid: GridFunction, path: str) -> None:
             fh.write(np.ascontiguousarray(grid.fields[name], dtype="<f8").tobytes())
 
 
+def _stamp(st: os.stat_result) -> Tuple[int, ...]:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+class _FileField:
+    """One field of a grid file, as load_grid found it: ``read`` reads rows
+    of it from the open file, and ``np.asarray`` reads all of it.
+
+    The file must not change while it is in use.  A file whose device,
+    inode, size or modification time differs from load_grid's, on opening
+    or after use, and a short read, are errors that name it.
+    """
+
+    def __init__(self, path: str, name: str, offset: int, shape: Tuple[int, ...],
+                 stamp: Tuple[int, ...]):
+        self.path, self.name, self.offset, self.stamp = path, name, offset, stamp
+        self.shape = tuple(shape)
+        self.ndim = len(self.shape)
+
+    def _check(self, fh) -> None:
+        if _stamp(os.fstat(fh.fileno())) != self.stamp:
+            raise VarjetError(f"{self.path}: the file changed after it was loaded")
+
+    @contextlib.contextmanager
+    def opened(self):
+        """The file, unbuffered, checked unchanged when opened and after use."""
+        try:
+            fh = open(self.path, "rb", buffering=0)
+        except OSError as exc:
+            raise VarjetError(f"{self.path}: {exc.strerror}") from None
+        with fh:
+            self._check(fh)
+            yield fh
+            self._check(fh)
+
+    def read(self, fh, a: int, b: int, out: np.ndarray) -> np.ndarray:
+        """Rows a..b into ``out``, a C-contiguous float64 array of their shape."""
+        rest = memoryview(out).cast("B")
+        fh.seek(self.offset + a * 8 * math.prod(self.shape[1:]))
+        while rest:
+            got = fh.readinto(rest)
+            if not got:
+                raise VarjetError(f"{self.path}: truncated field {self.name!r}")
+            rest = rest[got:]
+        if sys.byteorder == "big":  # the file's floats are little-endian
+            out.byteswap(inplace=True)
+        return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = np.empty(self.shape)
+        with self.opened() as fh:
+            self.read(fh, 0, self.shape[0], out)
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
 _HEADER_KEYS = ("axes", "shape", "origin", "spacing", "fields")
 
 
 def load_grid(path: str) -> GridFunction:
-    """Read the layout save_grid writes; a malformed file raises a VarjetError
-    that names it (the rules are in docs/gridfile.md)."""
+    """Read the header of the layout save_grid writes, and check the file's
+    size against it; a malformed file raises a VarjetError that names it
+    (the rules are in docs/gridfile.md).  No field data is read: each field
+    is a _FileField, whose rows residual reads one band at a time."""
     def bad(message: str) -> VarjetError:
         return VarjetError(f"{path}: {message}")
 
@@ -610,7 +843,8 @@ def load_grid(path: str) -> GridFunction:
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise bad("not a varjet grid file")
-        size = os.fstat(fh.fileno()).st_size
+        stat = os.fstat(fh.fileno())
+        size = stat.st_size
         word = fh.read(4)
         if len(word) != 4:
             raise bad("truncated header length")
@@ -646,12 +880,8 @@ def load_grid(path: str) -> GridFunction:
         if present != nbytes * len(names):
             raise bad(f"field data is {present} bytes, {len(names)} field(s) of "
                       f"shape {tuple(shape)} take {nbytes * len(names)}")
-        fields = {}
-        for name in names:
-            arr = np.empty(shape, dtype="<f8")
-            if fh.readinto(memoryview(arr).cast("B")) != nbytes:
-                raise bad(f"truncated field {name!r}")
-            fields[name] = arr
+        fields = {name: _FileField(path, name, fh.tell() + k * nbytes, shape, _stamp(stat))
+                  for k, name in enumerate(names)}
     try:
         return GridFunction(tuple(axes), tuple(origin), tuple(spacing), fields)
     except VarjetError as exc:

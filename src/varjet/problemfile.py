@@ -14,7 +14,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .symcore import _NAME_RE, Expr, JetContext, VarjetError, parse
+from .jetcalc import refuse_long_multiindices
+from .symcore import _NAME_RE, MOMENTUM, Expr, JetContext, VarjetError, parse
 from .variational import LagrangianDensity
 
 _KNOWN_KEYS = {"independents", "dependents", "lagrangian", "order",
@@ -41,12 +42,12 @@ class Problem:
         parts = (text or self.rho_text).split(";")
         if parts == [""]:
             raise VarjetError("problem file declares no rho components (key: rho)")
+        where, column = self.rho_at
         if len(parts) != self.context.n:
-            raise VarjetError(
-                f"rho needs {self.context.n} ';'-separated components, got {len(parts)}")
+            raise VarjetError(("" if text else f"{where}: ") + f"rho needs {self.context.n} "
+                              f"';'-separated components, got {len(parts)}")
         if text:
             return [parse(part.strip(), self.context) for part in parts]
-        where, column = self.rho_at
         starts = itertools.accumulate((len(part) + 1 for part in parts), initial=column)
         return [_parse_value(part, self.context, where, start)
                 for part, start in zip(parts, starts)]
@@ -124,12 +125,19 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
         fail("independents", str(exc))
     lagrangian, lineno, column = entries["lagrangian"]
     density = _parse_value(lagrangian, context, f"{source}, line {lineno}", column)
+    if any(c.kind == MOMENTUM for c in density.coordinates()):
+        fail("lagrangian", "a Lagrangian density is jet-side; momenta present")
     # infer the declared order from the density when absent
     minimal = max(1, density.max_jet_order())
     if order == 0:
         order = minimal
     elif order < minimal:
         fail("order", f"declared order {order} below the density order {minimal}")
+    else:
+        try:
+            refuse_long_multiindices(context.n, order, "order")
+        except VarjetError as exc:
+            fail("order", str(exc))
     rho_text, rho_line, rho_column = entries.get("rho", ("", 0, 0))
     return Problem(
         context=context,

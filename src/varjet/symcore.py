@@ -317,15 +317,13 @@ class JetContext:
     # -- enumeration ----------------------------------------------------
 
     def jets_up_to(self, order: int):
-        return [CoordinateId.jet(a, I)
-                for a in range(self.m)
-                for I in multiindices_up_to(self.n, order)]
+        indices = multiindices_up_to(self.n, order)
+        return [CoordinateId.jet(a, I) for a in range(self.m) for I in indices]
 
     def momenta_up_to(self, level: int):
+        indices = multiindices_up_to(self.n, level)
         return [CoordinateId.momentum(a, I, i)
-                for a in range(self.m)
-                for I in multiindices_up_to(self.n, level)
-                for i in range(self.n)]
+                for a in range(self.m) for I in indices for i in range(self.n)]
 
 
 # -- coefficients ------------------------------------------------------------

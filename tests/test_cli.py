@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ import jsonschema
 from hypothesis import HealthCheck, given, settings
 
 from conftest import soliton_grid
-from varjet import cli, pdham, problemfile
+from varjet import cli, numeric, pdham, problemfile
 from varjet.cli import main
 from varjet.numeric import GridFunction, save_grid
 from varjet.symcore import Expr
@@ -175,7 +176,8 @@ def test_huge_order_in_a_problem_file_is_refused(capsys, tmp_path):
     path = tmp_path / "wave.problem"
     path.write_text(WAVE_PROBLEM.replace("order = 1", f"order = {HUGE}"))
     code, out, err = run(capsys, "elh", str(path))
-    assert (code, out) == (1, "") and err.startswith(f"varjet: order {HUGE} is too high")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"varjet: {path}, line 4: order {HUGE} is too high")
 
 
 def test_huge_prolong_level_is_refused(capsys, kdv_problem):
@@ -359,7 +361,8 @@ def test_momentum_in_density_is_domain_error(capsys, tmp_path):
         path = tmp_path / "momentum.problem"
         path.write_text(f"independents = x\ndependents = u\nlagrangian = u_x^2 + {momentum}\n")
         code, _, err = run(capsys, "el", str(path))
-        assert code == 1 and "momenta present" in err
+        assert (code, err) == \
+            (1, f"varjet: {path}, line 3: a Lagrangian density is jet-side; momenta present\n")
 
 
 def test_byte_determinism(capsys, kdv_problem):
@@ -562,7 +565,8 @@ def test_shift_rho_component_count(capsys, kdv_problem, tmp_path):
     path = tmp_path / "three.problem"
     path.write_text(KDV_PROBLEM.replace("rho = 0; u^2", "rho = 0; u^2; u"))
     code, out, err = run(capsys, "shift", str(path))
-    assert (code, out, err) == (1, "", "varjet: rho needs 2 ';'-separated components, got 3\n")
+    assert (code, out, err) == \
+        (1, "", f"varjet: {path}, line 6: rho needs 2 ';'-separated components, got 3\n")
     assert run(capsys, "shift", str(path), "--rho", "0; u^2") == run(capsys, "shift", kdv_problem)
     code, out, err = run(capsys, "shift", kdv_problem, "--rho", "u^2")
     assert (code, out, err) == (1, "", "varjet: rho needs 2 ';'-separated components, got 1\n")
@@ -779,6 +783,112 @@ def test_coefficient_past_the_float_range_is_domain_error(capsys, tmp_path, syst
                          str(tmp_path / "g.grid"), "--system", system)
     assert (code, out) == (1, "")
     assert err == f"varjet: {where}: a coefficient of about 10^400 is out of the float range\n"
+
+
+WAVE3_PROBLEM = ("independents = t x y\ndependents = u\n"
+                 "lagrangian = 1/2*u_t^2 - 1/2*u_x^2 - 1/2*u_y^2\norder = 1\n")
+
+
+def save_wave3(path, rows):
+    """u = sin(0.6x + 0.8y - t) on a rows x 64 x 64 grid, saved at path;
+    returns the field's bytes."""
+    h = 0.1
+    t, xy = h * np.arange(rows), h * np.arange(64)
+    u = np.sin(0.6 * xy[None, :, None] + 0.8 * xy[None, None, :] - t[:, None, None])
+    save_grid(GridFunction(("t", "x", "y"), (0.0,) * 3, (h,) * 3, {"u": u}), str(path))
+    return u.nbytes
+
+
+def traced_peak(capsys, *argv):
+    """The tracemalloc peak of a run, after one run that warms the caches."""
+    assert run(capsys, *argv)[0] == 0
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    return peak
+
+
+def test_check_solution_holds_no_full_grid_array(capsys, tmp_path):
+    # the ELH residual of a wave, its field read from the file one band at a
+    # time: the peak is the band buffers, the same on 64 rows as on 256, and
+    # below the field's own bytes on 256 (on 64, a band is 16 rows and the
+    # peak about 2.4 times the field); holding the field, it would exceed both
+    problem = tmp_path / "wave3.problem"
+    problem.write_text(WAVE3_PROBLEM)
+    save_wave3(tmp_path / "cube.grid", 64)
+    nbytes = save_wave3(tmp_path / "long.grid", 256)
+    cube, long = (traced_peak(capsys, "check-solution", str(problem), "--grid",
+                              str(tmp_path / name), "--system", "elh")
+                  for name in ("cube.grid", "long.grid"))
+    assert long < nbytes
+    assert long < 1.05 * cube
+
+
+def change_file(path, how):
+    data = path.read_bytes()
+    if how == "truncated":
+        path.write_bytes(data[:len(data) // 2])
+    elif how == "rewritten":  # the same size and other values, a second later
+        stat = path.stat()
+        path.write_bytes(data[:-8] + struct.pack("<d", 7.0))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10 ** 9))
+    elif how == "replaced":  # another file under its name
+        path.with_suffix(".new").write_bytes(data)
+        os.replace(path.with_suffix(".new"), path)
+    else:
+        path.unlink()
+
+
+CHANGED = "the file changed after it was loaded"
+
+
+@pytest.mark.parametrize("how, message", [
+    ("truncated", CHANGED), ("rewritten", CHANGED), ("replaced", CHANGED),
+    ("removed", "No such file or directory"),
+])
+def test_grid_file_changed_after_loading_is_domain_error(capsys, tmp_path, kdv_problem,
+                                                         monkeypatch, how, message):
+    path = tmp_path / "u.grid"
+    save_grid(soliton_grid(64, 64, box=8.0), str(path))
+    real = numeric.load_grid
+
+    def load_then_change(name):
+        grid = real(name)
+        change_file(path, how)
+        return grid
+
+    monkeypatch.setattr(numeric, "load_grid", load_then_change)
+    code, out, err = run(capsys, "check-solution", kdv_problem, "--grid", str(path))
+    assert (code, out, err) == (1, "", f"varjet: {path}: {message}\n")
+
+
+@pytest.mark.parametrize("how, message", [
+    ("truncated", "truncated field 'u'"), ("rewritten", CHANGED),
+])
+def test_grid_file_changed_during_the_run_is_domain_error(capsys, tmp_path, kdv_problem,
+                                                          monkeypatch, how, message):
+    # changed once the first band's rows are read; later bands read past the half
+    path = tmp_path / "u.grid"
+    save_grid(soliton_grid(64, 64, box=8.0), str(path))
+    monkeypatch.setattr(numeric, "BAND_ELEMENTS", 8 * 64)
+    real, reads = numeric._read_rows, []
+
+    def read_then_change(*args):
+        rows = real(*args)
+        if not reads:
+            change_file(path, how)
+        reads.append(args[1:3])
+        return rows
+
+    monkeypatch.setattr(numeric, "_read_rows", read_then_change)
+    code, out, err = run(capsys, "check-solution", kdv_problem, "--grid", str(path))
+    assert (code, out, err) == (1, "", f"varjet: {path}: {message}\n")
+    assert len(reads) > 1
 
 
 # -- fuzzing the grid-file reader ----------------------------------------------
