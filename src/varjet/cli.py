@@ -30,7 +30,7 @@ from .pdham import (
     momentum_shift,
     reduce_lagrangian,
 )
-from .problemfile import Problem, load_problem
+from .problemfile import MAX_RANK_SAMPLES, Problem, load_problem
 
 FORMATS = ("plain", "latex", "json")
 
@@ -231,8 +231,9 @@ _COMMANDS = {
 }
 
 
-def _int_at_least(low: int):
-    """The argparse type of an integer option whose values start at low."""
+def _int_in(low: int, high: Optional[int] = None):
+    """The argparse type of an integer option whose values run from low up
+    to high, or without end when high is None."""
     def bounded(text: str) -> int:
         try:
             value = int(text)
@@ -240,6 +241,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
     return bounded
 
@@ -257,11 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("problem", help="problem file")
         p.add_argument("--format", choices=FORMATS, default="plain")
-        p.add_argument("--order", type=_int_at_least(1), default=None,
+        p.add_argument("--order", type=_int_in(1), default=None,
                        help="override the declared density order l+1")
         if name in ("hessian", "reduce"):
             p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--rank-samples", type=_int_at_least(1), default=None)
+            p.add_argument("--rank-samples", type=_int_in(1, MAX_RANK_SAMPLES), default=None)
         if name == "check-solution":
             p.add_argument("--grid", required=True, help="grid file (see docs/gridfile.md)")
             p.add_argument("--momenta", default=None, help="grid file with momentum fields")
@@ -271,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--rho", default=None,
                            help="';'-separated shift components, one per independent")
         if name == "prolong":
-            p.add_argument("--level", type=_int_at_least(0), default=1)
+            p.add_argument("--level", type=_int_in(0), default=1)
         p.add_argument("--out", default=None, help="write output to a file")
     return parser
 

@@ -32,9 +32,9 @@ rule rests on round-to-nearest arithmetic being sign-symmetric:
   ``0 + t`` (or ``0 - t``) and so is never -0, sums either zero alike.
 - ``evaluate`` multiplies by no coefficient of 1 (``1.0 * x`` is ``x``) and
   subtracts a term of coefficient -1 after the first (``s + (-1.0 * x)`` is
-  ``s - x``); it sums in place into arrays it allocated itself or was
-  given, with each product and sum taken in the order a term-by-term
-  evaluation takes them.  Where a result is written changes no bit of it.
+  ``s - x``); in the band loop it writes into the buffers it is given,
+  with each product and sum taken in the order a term-by-term evaluation
+  takes them.  Where a result is written changes no bit of it.
 - ``_stream`` runs no stencil over a constant momentum (a Legendre
   coefficient that reads no coordinate evaluates to a finite float): every
   interior point of such a pass is ``0 + w (c - c) + ... = +0.0``, which is
@@ -90,48 +90,31 @@ def _float(coeff: Q) -> float:
             f"a coefficient of about 10^{exponent} is out of the float range") from None
 
 
-def _combine(op, a, b, a_mine: bool, b_mine: bool, out=None):
-    """``op(a, b)`` and whether evaluate owns it: written into ``out`` when
-    given, else over an operand that evaluate allocated and that has the
-    result's shape, else new."""
-    if out is not None:
-        return op(a, b, out=out), True
-    if a_mine and (np.ndim(b) == 0 or np.shape(b) == a.shape):
-        return op(a, b, out=a), True
-    if b_mine and (np.ndim(a) == 0 or np.shape(a) == b.shape):
-        return op(a, b, out=b), True
-    value = op(a, b)
-    return value, isinstance(value, np.ndarray)
-
-
 Power = Tuple[CoordinateId, int]
 
 
 def evaluate(e: Expr, sample: Mapping[CoordinateId, object],
-             powers: Optional[Dict[Power, object]] = None,
              into: Optional[Tuple[np.ndarray, Optional[np.ndarray],
                                   Mapping[Power, np.ndarray]]] = None):
     """Evaluate a polynomial at a sample; values may be floats or numpy arrays.
 
-    Each power ``sample[c] ** p`` with p > 1 is computed once and kept in
-    ``powers`` under (c, p); calls that pass one dict for one sample share
-    their powers.  The value is bit for bit the term-by-term sum
-    ``((t_1 + t_2) + ...)`` with each term ``coeff * f_1 * f_2 * ...``: a
-    coefficient of 1 is not multiplied (``1.0 * x`` is ``x``), a term of
-    coefficient -1 after the first is subtracted (``s + (-1.0 * x)`` is
-    ``s - x``), and products and sums are written in place over arrays this
-    call allocated.  It never writes into a sample value or a cached power,
-    and never returns one, so the caller owns an array it returns.
+    Each power ``sample[c] ** p`` with p > 1 is computed once per call.  The
+    value is bit for bit the term-by-term sum ``((t_1 + t_2) + ...)`` with
+    each term ``coeff * f_1 * f_2 * ...``: a coefficient of 1 is not
+    multiplied (``1.0 * x`` is ``x``), and a term of coefficient -1 after the
+    first is subtracted (``s + (-1.0 * x)`` is ``s - x``).  It never writes
+    into a sample value and never returns one, so the caller owns an array
+    it returns.
 
     ``into`` = (value, term, power buffers) has evaluate allocate nothing:
     for samples of arrays of one shape, the value is computed in ``value``,
     the products of each term after the first in ``term``, and each power
-    (c, p) in its buffer; an array value is then ``value`` itself.
+    (c, p) in its buffer; an array value is then ``value`` itself.  Without
+    it, each product and sum is a new value.
     """
-    if powers is None:
-        powers = {}
     value, term_buf, power_bufs = into if into is not None else (None, None, None)
-    total, mine = None, False  # the sum so far, and whether evaluate allocated it
+    powers: Dict[Power, object] = {}
+    total = None
     for mono, coeff in e.terms:
         factors = []
         for c, p in mono:
@@ -147,24 +130,22 @@ def evaluate(e: Expr, sample: Mapping[CoordinateId, object],
         w = _float(coeff)
         unit = bool(factors) and (w == 1.0 or (w == -1.0 and total is not None))
         term, rest = (factors[0], factors[1:]) if unit else (w, factors)
-        own = False
         for f in rest:
-            term, own = _combine(np.multiply, term, f, own, False,
-                                 value if total is None else term_buf)
+            term = np.multiply(term, f, out=value if total is None else term_buf)
         if total is None:
-            total, mine = term, own
+            total = term
         else:
             op = np.subtract if unit and w < 0 else np.add
-            total, mine = _combine(op, total, term, mine, own, value)
+            total = op(total, term, out=value)
     if total is None:
         return 0.0
-    if not mine and isinstance(total, np.ndarray):
-        # a lone sample value or power, as 1.0 * x would copy it
-        if into is None:
-            return total.copy()
+    if not isinstance(total, np.ndarray) or total is value:
+        return total
+    if into is not None:  # a lone sample value or power
         np.copyto(value, total)
         return value
-    return total
+    # a lone sample value, as 1.0 * x would copy it; a lone power is this call's
+    return total.copy() if any(total is v for v in sample.values()) else total
 
 
 def _writes_a_term(e: Expr) -> bool:
@@ -187,6 +168,8 @@ class GridFunction:
         self.axes = tuple(self.axes)
         self.origin = tuple(float(v) for v in self.origin)
         self.spacing = tuple(float(v) for v in self.spacing)
+        if not len(self.origin) == len(self.spacing) == len(self.axes):
+            raise VarjetError(f"origin and spacing need one entry per axis, {len(self.axes)} each")
         if not all(math.isfinite(v) for v in self.origin):
             raise VarjetError(f"grid origins must be finite, got {list(self.origin)}")
         if not all(h > 0 for h in self.spacing):
@@ -199,14 +182,17 @@ class GridFunction:
             raise VarjetError(f"grid spacings {list(self.spacing)} are out of range: "
                               f"each h**{MAX_FD_ORDER} must be a normal float "
                               "(finite, nonzero and not subnormal)")
+        if not self.fields:
+            raise VarjetError("a grid needs at least one field")
+        for name, arr in self.fields.items():
+            if not isinstance(arr, _FileField):
+                self.fields[name] = np.asarray(arr, dtype=np.float64)
         shapes = {f.shape for f in self.fields.values()}
         if len(shapes) > 1:
             raise VarjetError("all field arrays must share one shape")
         for name, arr in self.fields.items():
             if arr.ndim != len(self.axes):
                 raise VarjetError(f"field {name!r} rank does not match the axes")
-            if not isinstance(arr, _FileField):
-                self.fields[name] = np.asarray(arr, dtype=np.float64)
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -290,9 +276,7 @@ def _apply_stencil(arr: np.ndarray, axis: int, order: int, h: float,
     run of the flattened array, where the neighbour k points along the axis
     is k * stride elements on; along any axis but 0 that run also covers the
     axis's boundary points, which read neighbours across the band's other
-    indices and are set to NaN at the end.  Along axis 0 the k rows of q_k
-    before a band are the last k rows of the band before, and are copied
-    from there rather than computed again.
+    indices and are set to NaN at the end.
 
     The result is written into ``out`` (of arr's shape) and the work
     buffers are carved from ``work`` (at least the accumulator and r q_k
@@ -321,9 +305,6 @@ def _apply_stencil(arr: np.ndarray, axis: int, order: int, h: float,
         work = np.empty(size + r * q_size)
     acc_buf = work[:size]
     q_bufs = [work[size + j * q_size:size + (j + 1) * q_size] for j in range(r)]
-    # a band but the last is size elements long; its last k rows are the
-    # first k of the next band's q_k, copied only where the two do not overlap
-    carry = axis == 0 and step >= r
     for lo in range(first, last, step):
         start, stop = lo * row + pad, min(lo + step, last) * row - pad
         m = stop - start
@@ -332,12 +313,8 @@ def _apply_stencil(arr: np.ndarray, axis: int, order: int, h: float,
             # q_k from k neighbours before the run to its end
             back = k * stride
             qk = buf[:m + back]
-            done = back if carry and lo > first else 0
-            if done:
-                np.copyto(qk[:back], buf[size:size + back])
-            new = qk[done:]
-            np.subtract(flat[start + done:stop + back], flat[start - back + done:stop], out=new)
-            np.multiply(new, w, out=new)
+            np.subtract(flat[start:stop + back], flat[start - back:stop], out=qk)
+            np.multiply(qk, w, out=qk)
             q.append(qk)
         acc = acc_buf[:m]
         for k in range(r, 0, -1):  # taps -r .. -1
@@ -532,30 +509,28 @@ def _schedule(equations, inputs: Dict[CoordinateId, Dict[CoordinateId, Key]]):
 def _slots(steps, dead, need: Dict[Key, int]) -> Tuple[Dict[Key, int], List[int]]:
     """A slot for each array that ``need`` sizes (in elements), reused once
     the array in it is dead: the slot of each array, and each slot's size.
-    An array takes the smallest free slot that holds it, else the largest
-    free one, which grows to hold it, else a new one."""
+    An array takes the smallest free slot that holds it, else a new one of
+    its size."""
     slot: Dict[Key, int] = {}
     sizes: List[int] = []
     free: List[int] = []
     for s, step in enumerate(steps):
         if step in need:
             fits = [i for i in free if sizes[i] >= need[step]]
-            i = min(fits, key=sizes.__getitem__) if fits \
-                else max(free, key=sizes.__getitem__, default=len(sizes))
-            if i == len(sizes):
-                sizes.append(0)
+            if fits:
+                slot[step] = min(fits, key=sizes.__getitem__)
+                free.remove(slot[step])
             else:
-                free.remove(i)
-            sizes[i] = max(sizes[i], need[step])
-            slot[step] = i
+                slot[step] = len(sizes)
+                sizes.append(need[step])
         free.extend(slot[key] for key in dead[s] if key in slot)
     return slot, sizes
 
 
-def _evaluated(where: str, e: Expr, sample, powers, into=None):
+def _evaluated(where: str, e: Expr, sample, into=None):
     """``evaluate``, with ``where`` naming the expression in a domain error."""
     try:
-        return evaluate(e, sample, powers, into)
+        return evaluate(e, sample, into)
     except UnsupportedExpressionError as exc:  # a coefficient past the float range
         raise UnsupportedExpressionError(f"{where}: {exc}") from None
 
@@ -596,10 +571,11 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
     No array is allocated in the band loop.  One buffer is allocated per
     call and carved, for the tallest band, into a slot per array, which a
     later array of the band reuses once nothing reads the earlier one
-    (see _slots), and into the buffers that evaluate (an equation's values,
-    a term's products, each power) and the stencil kernel compute in; every
-    band reuses them.  So the memory is a few bands' worth, whatever the
-    grid's size.
+    (see _slots), and into the buffers that evaluate and the stencil kernel
+    compute in: an equation's values, a term's products, and one buffer per
+    power (c, p), as large as the largest value that reads it, in which each
+    evaluate call computes that power afresh.  Every band reuses them.  So
+    the memory is a few bands' worth, whatever the grid's size.
     """
     shape = grid.shape
     # the passes' own checks, before any work, in the order they are met
@@ -645,39 +621,34 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
             kernel = max(kernel, size + r * q_size)
         need[key] = extent(reach) * row
     slot, slot_sizes = _slots(steps, dead, need)
-    # evaluate's groups, each with one power cache per band: the equations
-    # (None), and the momenta of each halo, evaluated on the same rows
-    groups: Dict[Optional[int], Tuple[int, List[Expr]]] = {
-        None: (height * math.prod(inner), [res for _, res, _ in equations])}
-    for root in inputs:
-        if root not in constant:
-            reach = halo[(root, ())]
-            groups.setdefault(reach, (extent(reach) * row, []))[1].append(roots[root])
+    # each evaluation: an equation on the band's rows, a momentum on its halo's
+    evaluations = [(height * math.prod(inner), res) for _, res, _ in equations]
+    evaluations += [(extent(halo[(root, ())]) * row, roots[root])
+                    for root in inputs if root not in constant]
     sizes: Dict[object, int] = {("slot", i): size for i, size in enumerate(slot_sizes)}
-    sizes["value"] = groups[None][0]
-    sizes["term"] = max((size for size, exprs in groups.values()
-                         if any(map(_writes_a_term, exprs))), default=0)
+    sizes["value"] = height * math.prod(inner)
+    sizes["term"] = max((size for size, e in evaluations if _writes_a_term(e)), default=0)
     sizes["kernel"] = kernel
-    powered = {(group, (c, p)): size for group, (size, exprs) in groups.items()
-               for e in exprs for mono, _ in e.terms for c, p in mono if p > 1}
-    sizes.update(powered)
+    for size, e in evaluations:  # a buffer per power, for the largest value that reads it
+        for cp in (cp for mono, _ in e.terms for cp in mono if cp[1] > 1):
+            sizes[cp] = max(sizes.get(cp, 0), size)
     arena = np.empty(sum(sizes.values()))
     buf = dict(zip(sizes, np.split(arena, list(itertools.accumulate(sizes.values()))[:-1])))
 
     def view(name, rows: int, within: Tuple[int, ...] = shape[1:]) -> np.ndarray:
         return buf[name][:rows * math.prod(within)].reshape((rows,) + within)
 
-    def into(group: Optional[int], value: np.ndarray):
-        """evaluate's buffers for a value of the group, in value's shape."""
+    def into(e: Expr, value: np.ndarray):
+        """evaluate's buffers for e's value, in value's shape."""
         n = value.size
         term = buf["term"][:n].reshape(value.shape) if buf["term"].size >= n else None
-        return value, term, {cp: buf[(g, cp)][:n].reshape(value.shape)
-                             for g, cp in powered if g == group}
+        return value, term, {cp: buf[cp][:n].reshape(value.shape)
+                             for mono, _ in e.terms for cp in mono if cp[1] > 1}
 
     meshes = grid.meshes()
     zero = np.broadcast_to(0.0, shape)
     consts = {root: np.broadcast_to(_evaluated(f"the Legendre coefficient of {names[root]}",
-                                               roots[root], {}, {}), shape)
+                                               roots[root], {}), shape)
               for root in constant}
     files = {f.path: f for f in roots.values() if isinstance(f, _FileField)}
     peak = [0.0] * len(equations)
@@ -687,8 +658,7 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
             hi = min(lo + height, stop)
             span = {key: (max(0, lo - rows), min(n0, hi + rows)) for key, rows in halo.items()}
             arrays: Dict[Key, np.ndarray] = {}
-            powers: Dict[Optional[int], dict] = {}  # one cache per group
-            values = into(None, view("value", hi - lo, inner))
+            values = view("value", hi - lo, inner)
 
             def rows(key: Key, a: int, b: int) -> np.ndarray:
                 return arrays[key][a - span[key][0]:b - span[key][0]]
@@ -718,8 +688,8 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
                     return out[a - a_in:b - a_in]
                 if root in inputs:
                     return _evaluated(f"the Legendre coefficient of {names[root]}", roots[root],
-                                      sample(a, b, inputs[root]), powers.setdefault(halo[key], {}),
-                                      into(halo[key], view(("slot", slot[key]), b - a)))
+                                      sample(a, b, inputs[root]),
+                                      into(roots[root], view(("slot", slot[key]), b - a)))
                 return _read_rows(roots[root], a, b, view(("slot", slot[key]), b - a), opened)
 
             for s, step in enumerate(steps):
@@ -728,7 +698,7 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
                 else:  # an equation
                     label, res, read = equations[step]
                     vals = _evaluated(f"equation {label!r}", res, sample(lo, hi, read, cols),
-                                      powers.setdefault(None, {}), values)
+                                      into(res, values))
                     if np.ndim(vals) == 0:
                         peak[step] = abs(float(vals))
                     else:

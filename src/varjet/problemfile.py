@@ -21,6 +21,10 @@ from .variational import LagrangianDensity
 _KNOWN_KEYS = {"independents", "dependents", "lagrangian", "order",
                "seed", "rank_samples", "rho"}
 
+# the most Hessian rank samples a file or --rank-samples may ask for: a
+# constant Hessian's rank is repeated once per sample in the report
+MAX_RANK_SAMPLES = 1000
+
 
 @dataclass
 class Problem:
@@ -119,6 +123,8 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
         fail("order", "order must be >= 1")
     if rank_samples < 1:
         fail("rank_samples", "rank_samples must be >= 1")
+    if rank_samples > MAX_RANK_SAMPLES:
+        fail("rank_samples", f"rank_samples must be <= {MAX_RANK_SAMPLES}, got {rank_samples}")
     try:
         context = JetContext(independents, dependents)
     except ValueError as exc:  # the names are valid and distinct: one is a prefix of another

@@ -1,8 +1,9 @@
 """The public names of the varjet package, with no aliases among them, the
-public names of its numeric layer, the signatures of the momentum-side
-constructions, the total derivatives and the jet context, the fields of an
-equation system and of a reduction, no unused import in a module, no module
-but the kernel importing fractions, and the README's library sketch."""
+public names of its numeric layer and the signature of its evaluate, the
+signatures of the momentum-side constructions, the total derivatives and the
+jet context, the fields of an equation system and of a reduction, no unused
+import in a module, no module but the kernel importing fractions, and the
+README's library sketch."""
 
 import ast
 import dataclasses
@@ -50,6 +51,13 @@ def test_numeric_names_are_pinned():
     defined = {name for name, value in vars(numeric).items()
                if getattr(value, "__module__", None) == numeric.__name__}
     assert {name for name in defined if not name.startswith("_")} == NUMERIC
+
+
+def test_evaluate_takes_no_power_cache():
+    # each call computes the powers it reads: no cache is shared across calls
+    assert str(inspect.signature(numeric.evaluate)) == (
+        "(e: 'Expr', sample: 'Mapping[CoordinateId, object]', into: 'Optional[Tuple["
+        "np.ndarray, Optional[np.ndarray], Mapping[Power, np.ndarray]]]' = None)")
 
 
 def test_no_exported_name_is_an_alias():

@@ -172,6 +172,21 @@ def test_huge_order_is_refused_before_any_enumeration(capsys, tmp_path, command)
                                        "up to it would hold more than 50000000 entries\n")
 
 
+@pytest.mark.parametrize("command", ["hessian", "reduce"])
+def test_rank_samples_are_bounded(capsys, tmp_path, command):
+    # each sample of a constant Hessian repeats its rank in the report, so
+    # the count is bounded; the bound itself is accepted
+    path = tmp_path / "wave.problem"
+    path.write_text(WAVE_PROBLEM)
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(path), "--rank-samples", "1001"])
+    assert exc.value.code == 2
+    assert "--rank-samples: must be <= 1000, got 1001" in capsys.readouterr().err
+    code, out, _ = run(capsys, command, str(path), "--rank-samples", "1000", "--format", "json")
+    report = json.loads(out) if command == "hessian" else json.loads(out)["hessian"]
+    assert code == 0 and report["samples"] == 1000 and len(report["ranks"]) == 1000
+
+
 def test_huge_order_in_a_problem_file_is_refused(capsys, tmp_path):
     path = tmp_path / "wave.problem"
     path.write_text(WAVE_PROBLEM.replace("order = 1", f"order = {HUGE}"))
@@ -636,12 +651,14 @@ BASE_LINES = ["independents = t x", "dependents = u", "lagrangian = 1/2*u_t^2 - 
     ("independents = x xx", 1, "independent name 'x' is a prefix of 'xx'"),
     ("independents = tx t", 1, "independent name 't' is a prefix of 'tx'"),
     ("rank_samples = 0", 4, "rank_samples must be >= 1"),
+    # a constant Hessian's rank is repeated once per sample in the report
+    ("rank_samples = 1001", 4, "rank_samples must be <= 1000, got 1001"),
     ("order = 0", 4, "order must be >= 1"),
     # the density fixes the jet orders, so no key bounds them
     ("max_order = 8", 4, "unknown key 'max_order'"),
     ("auto_extend = true", 4, "unknown key 'auto_extend'"),
 ], ids=["order", "seed", "rank_samples", "shared_name", "prefix_names",
-        "prefix_names_reversed", "rank_samples_below_one",
+        "prefix_names_reversed", "rank_samples_below_one", "rank_samples_above_bound",
         "order_zero", "unknown_key_max_order", "unknown_key_auto_extend"])
 def test_malformed_problem_value_is_positioned(capsys, tmp_path, extra, lineno, message):
     # a line with a key of BASE_LINES replaces that line, any other is appended

@@ -149,22 +149,14 @@ def test_evaluate_matches_term_by_term_bitwise(terms, values):
     sample = dict(zip(EVAL_POOL, values))
     before = {c: np.array(v, copy=True) for c, v in sample.items()}
     want = reference_evaluate(e, sample)
-    powers = {}
-    first = evaluate(e, sample, powers)
-    cached = {key: np.array(v, copy=True) for key, v in powers.items()}
-    got = evaluate(e, sample, powers)  # reading the cache this time
-    for value in (first, got):
-        assert np.shape(value) == np.shape(want)
-        assert np.array_equal(bits(value), bits(want))
-    # evaluate wrote into no sample value or cached power, and returned none
+    got = evaluate(e, sample)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(bits(got), bits(want))
+    # evaluate wrote into no sample value, and returned none
     for c, v in sample.items():
         assert np.array_equal(bits(v), bits(before[c]))
-    assert powers.keys() == cached.keys()
-    for key, v in powers.items():
-        assert np.array_equal(bits(v), bits(cached[key]))
     if isinstance(got, np.ndarray):
-        assert got is not first
-        for v in list(sample.values()) + list(powers.values()):
+        for v in sample.values():
             assert not np.shares_memory(got, v)
 
 
@@ -187,7 +179,7 @@ def test_evaluate_into_buffers_matches_term_by_term_bitwise(terms, values):
     value = np.full((3, 4), np.nan)
     term = np.full((3, 4), np.nan) if numeric._writes_a_term(e) else None
     buffers = {(c, p): np.full((3, 4), np.nan) for mono, _ in e.terms for c, p in mono if p > 1}
-    got = evaluate(e, sample, {}, (value, term, buffers))
+    got = evaluate(e, sample, (value, term, buffers))
     assert np.shape(got) == np.shape(want)
     assert np.array_equal(bits(got), bits(want))
     assert got is value or np.ndim(got) == 0
@@ -476,6 +468,30 @@ def test_residual_in_several_bands_matches_full_prolongation(ctx_tx, monkeypatch
     heights = record_bands(monkeypatch, system, g)
     assert residual(system, g, legendre=theta) == want
     assert_several_bands(heights)
+
+
+@pytest.mark.parametrize("bands", ["one", "several"])
+def test_residual_with_a_power_read_by_several_evaluations(ctx_tx, monkeypatch, bands):
+    # the rows mom:u: and mom:u:t and the Legendre coefficient of p_.t all
+    # read u_x^2, each evaluation computing it afresh in that power's buffer
+    lag = LagrangianDensity(ctx_tx, parse("u_x^2*u_t + u*u_x^2", ctx_tx), order=1)
+    system, theta = elh_system(lag), legendre_form(lag)
+    rows = dict(system.equations)
+    squares = {label: {c for mono, _ in rows[label].terms for c, p in mono if p == 2}
+               for label in ("mom:u:", "mom:u:t")}
+    assert squares["mom:u:"] == squares["mom:u:t"] != set()
+    assert theta[min(theta)] == parse("u_x^2", ctx_tx)
+    g = soliton_grid(41, 57, c=0.9, box=5.0)
+    want = reference_residual(system, g, legendre=theta)
+    if bands == "one":
+        assert math.prod(g.shape) <= numeric.BAND_ELEMENTS
+    else:
+        heights = record_bands(monkeypatch, system, g)
+    got = residual(system, g, legendre=theta)
+    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
+    assert len(got) == 5 and max(got.values()) > 0.0
+    if bands == "several":
+        assert_several_bands(heights)
 
 
 @pytest.mark.parametrize("which", ["el", "elh", "hdw"])
@@ -813,6 +829,25 @@ def test_residual_on_a_grid_file_matches_the_grid_in_memory(ctx_tx, monkeypatch,
     assert got == want
     assert_several_bands(heights)
     assert max(want.values()) > 0.0
+
+
+@pytest.mark.parametrize("axes, origin, spacing, fields, message", [
+    (("t",), (0.0,), (1.0,), {}, "a grid needs at least one field"),
+    (("t", "x"), (0.0,), (1.0, 1.0), {"u": np.zeros((5, 5))},
+     "origin and spacing need one entry per axis, 2 each"),
+    (("t",), (0.0,), (1.0, 1.0), {"u": np.zeros(5)},
+     "origin and spacing need one entry per axis, 1 each"),
+], ids=["no_fields", "origin_length", "spacing_length"])
+def test_grid_in_memory_refuses_a_malformed_layout(axes, origin, spacing, fields, message):
+    with pytest.raises(VarjetError, match=f"^{message}$"):
+        GridFunction(axes, origin, spacing, fields)
+
+
+def test_grid_in_memory_takes_a_list_field():
+    g = GridFunction(("x",), (0.0,), (0.5,), {"u": [1.0, 2.0, 4.0]})
+    assert g.shape == (3,)
+    assert g.fields["u"].dtype == np.float64
+    assert np.array_equal(g.fields["u"], [1.0, 2.0, 4.0])
 
 
 def test_grid_file_rejects_garbage(tmp_path):
