@@ -22,6 +22,7 @@ from .symcore import (INDEPENDENT, JetContext, ParseError, VarjetError, expr_to_
 from .jetcalc import EquationSystem, prolong
 from .variational import LagrangianDensity, euler_lagrange, legendre_form
 from .pdham import (
+    MAX_RANK_SAMPLES,
     DerivedContext,
     constraints,
     elh_system,
@@ -30,7 +31,7 @@ from .pdham import (
     momentum_shift,
     reduce_lagrangian,
 )
-from .problemfile import MAX_RANK_SAMPLES, Problem, load_problem
+from .problemfile import Problem, load_problem
 
 FORMATS = ("plain", "latex", "json")
 

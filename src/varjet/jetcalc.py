@@ -117,8 +117,11 @@ def prolong(system: EquationSystem, level: int) -> EquationSystem:
     """Augment the system with D_J of every equation, |J| <= level.
 
     Labels of new rows carry the differentiation word; level 0 returns the
-    system itself.  The system must be jet-side: total_derivative refuses momenta.
+    system itself, and a negative level is refused.  The system must be
+    jet-side: total_derivative refuses momenta.
     """
+    if level < 0:
+        raise VarjetError(f"level must be >= 0, got {level}")
     ctx = system.context
     refuse_long_multiindices(ctx.n, level, "level")
     if level == 0:

@@ -16,9 +16,11 @@ fresh computation would give: u_tx reuses the u_t pass, and the
 comma-derivative u_{,t} is the jet u_t itself.  ``residual`` computes its
 arrays one band of rows along axis 0 at a time, each on the band plus the
 halo its later passes read, in buffers planned once per call and reused by
-every band.  A grid file's fields are read one band of rows at a time too
-(load_grid reads only the header), so a run on a grid file holds no
-full-grid array at all.
+every band.  The buffers are one page mapping per call, unmapped when
+``residual`` returns, so a process that checks several grids holds one
+call's buffers at a time.  A grid file's fields are read one band of rows
+at a time too (load_grid reads only the header), so a run on a grid file
+holds no full-grid array at all.
 
 The kernels skip every numpy pass that cannot change an output bit; each
 rule rests on round-to-nearest arithmetic being sign-symmetric:
@@ -47,6 +49,7 @@ import contextlib
 import itertools
 import json
 import math
+import mmap
 import os
 import struct
 import sys
@@ -184,9 +187,10 @@ class GridFunction:
                               "(finite, nonzero and not subnormal)")
         if not self.fields:
             raise VarjetError("a grid needs at least one field")
-        for name, arr in self.fields.items():
-            if not isinstance(arr, _FileField):
-                self.fields[name] = np.asarray(arr, dtype=np.float64)
+        # a dict of the grid's own: the caller's is left as it was
+        self.fields = {name: arr if isinstance(arr, _FileField)
+                       else np.asarray(arr, dtype=np.float64)
+                       for name, arr in self.fields.items()}
         shapes = {f.shape for f in self.fields.values()}
         if len(shapes) > 1:
             raise VarjetError("all field arrays must share one shape")
@@ -393,8 +397,8 @@ def residual(system: EquationSystem, grid: GridFunction,
         order = _max_jet_order(rows)
         _check_prolongation(grid, order, system.context)
         keys = {c: (CoordinateId.jet(c.alpha), _chain(c.index)) for c in _jets_of(rows)}
-        return _stream(system, grid, keys, _fields(grid, system.context),
-                       (stencil_radius(order),) * len(grid.shape))
+        return _finite(_stream(system, grid, keys, _fields(grid, system.context),
+                               (stencil_radius(order),) * len(grid.shape)))
 
     base = dc.base
     need = max([len(c.index) for c in dc.fiber if c.kind == JET], default=0)
@@ -441,7 +445,17 @@ def residual(system: EquationSystem, grid: GridFunction,
             chain += ((axis, 1),)
             margin[axis] = max(margin[axis], stencil_radius(need) + stencil_radius(1))
         keys[c] = (root, chain)
-    return _stream(system, grid, keys, roots, tuple(margin))
+    return _finite(_stream(system, grid, keys, roots, tuple(margin)))
+
+
+def _finite(peaks: Dict[str, float]) -> Dict[str, float]:
+    """The residuals _stream returned; an infinite one, which stands for a
+    non-finite value, is a domain error.  It is raised here, once _stream's
+    frame and the arena it held are gone, so that no traceback keeps them."""
+    for label, top in peaks.items():
+        if top == math.inf:
+            raise VarjetError(f"non-finite interior residual for equation {label!r}")
+    return peaks
 
 
 def _halos(keys: Dict[CoordinateId, Key],
@@ -535,6 +549,21 @@ def _evaluated(where: str, e: Expr, sample, into=None):
         raise UnsupportedExpressionError(f"{where}: {exc}") from None
 
 
+def _arena(elements: int) -> np.ndarray:
+    """``elements`` float64s in an anonymous page mapping of their own, which
+    goes back to the OS when the last view of it dies (glibc keeps the heap
+    pages of an np.empty block once a larger block has been freed).  Where
+    mmap takes flags (not on Windows) the mapping is private and, on Linux,
+    mapped in by the call: a 9.4 MiB arena took 3.3-4.1 ms to map, fill and
+    unmap so, and 6.3-7.7 ms as a shared mapping faulted in page by page
+    (2-vCPU Xeon VM).  mmap refuses length 0, so an empty arena maps a byte."""
+    size = max(1, 8 * elements)
+    if not hasattr(mmap, "MAP_PRIVATE"):
+        return np.frombuffer(mmap.mmap(-1, size), np.float64, count=elements)
+    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+    return np.frombuffer(mmap.mmap(-1, size, flags), np.float64, count=elements)
+
+
 def _read_rows(field, a: int, b: int, out: np.ndarray, files) -> np.ndarray:
     """Rows a..b of a field (an array, or a _FileField read from its open
     file in ``files``) into ``out``."""
@@ -545,12 +574,12 @@ def _read_rows(field, a: int, b: int, out: np.ndarray, files) -> np.ndarray:
 
 
 # an overflow, and the NaN of a difference of infinities, make a row
-# non-finite, which _stream reports as a domain error rather than a warning
+# non-finite, which _finite reports as a domain error rather than a warning
 @np.errstate(over="ignore", invalid="ignore")
 def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId, Key],
             roots: Dict[CoordinateId, object], margin: Tuple[int, ...]) -> Dict[str, float]:
     """Max-abs residuals over the interior ``margin`` leaves, one band of rows
-    along axis 0 at a time.
+    along axis 0 at a time; a non-finite one is returned as infinity.
 
     ``keys`` maps each jet coordinate the equations read to the (root, pass
     chain) of the array it samples; ``roots`` gives each root (a dependent
@@ -568,14 +597,15 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
     elements, and is at least twice as high as the deepest halo, so that no
     array is computed on more than twice the band.
 
-    No array is allocated in the band loop.  One buffer is allocated per
-    call and carved, for the tallest band, into a slot per array, which a
-    later array of the band reuses once nothing reads the earlier one
-    (see _slots), and into the buffers that evaluate and the stencil kernel
-    compute in: an equation's values, a term's products, and one buffer per
-    power (c, p), as large as the largest value that reads it, in which each
-    evaluate call computes that power afresh.  Every band reuses them.  So
-    the memory is a few bands' worth, whatever the grid's size.
+    No array is allocated in the band loop.  One arena is mapped per call
+    (see _arena) and carved, for the tallest band, into a slot per array,
+    which a later array of the band reuses once nothing reads the earlier
+    one (see _slots), and into the buffers that evaluate and the stencil
+    kernel compute in: the values of the equations that are not constant, a
+    term's products, and one buffer per power (c, p), as large as the
+    largest value that reads it, in which each evaluate call computes that
+    power afresh.  Every band reuses them.  So the memory is a few bands'
+    worth, whatever the grid's size, and it is unmapped when this returns.
     """
     shape = grid.shape
     # the passes' own checks, before any work, in the order they are met
@@ -626,20 +656,24 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
     evaluations += [(extent(halo[(root, ())]) * row, roots[root])
                     for root in inputs if root not in constant]
     sizes: Dict[object, int] = {("slot", i): size for i, size in enumerate(slot_sizes)}
-    sizes["value"] = height * math.prod(inner)
+    varying = any(res.constant_value() is None for _, res, _ in equations)
+    sizes["value"] = height * math.prod(inner) if varying else 0
     sizes["term"] = max((size for size, e in evaluations if _writes_a_term(e)), default=0)
     sizes["kernel"] = kernel
     for size, e in evaluations:  # a buffer per power, for the largest value that reads it
         for cp in (cp for mono, _ in e.terms for cp in mono if cp[1] > 1):
             sizes[cp] = max(sizes.get(cp, 0), size)
-    arena = np.empty(sum(sizes.values()))
+    arena = _arena(sum(sizes.values()))
     buf = dict(zip(sizes, np.split(arena, list(itertools.accumulate(sizes.values()))[:-1])))
 
     def view(name, rows: int, within: Tuple[int, ...] = shape[1:]) -> np.ndarray:
         return buf[name][:rows * math.prod(within)].reshape((rows,) + within)
 
-    def into(e: Expr, value: np.ndarray):
-        """evaluate's buffers for e's value, in value's shape."""
+    def into(e: Expr, value: Optional[np.ndarray]):
+        """evaluate's buffers for e's value, in value's shape; none when every
+        equation is constant, and so has no value buffer."""
+        if value is None:
+            return None
         n = value.size
         term = buf["term"][:n].reshape(value.shape) if buf["term"].size >= n else None
         return value, term, {cp: buf[cp][:n].reshape(value.shape)
@@ -658,7 +692,7 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
             hi = min(lo + height, stop)
             span = {key: (max(0, lo - rows), min(n0, hi + rows)) for key, rows in halo.items()}
             arrays: Dict[Key, np.ndarray] = {}
-            values = view("value", hi - lo, inner)
+            values = view("value", hi - lo, inner) if varying else None
 
             def rows(key: Key, a: int, b: int) -> np.ndarray:
                 return arrays[key][a - span[key][0]:b - span[key][0]]
@@ -710,9 +744,6 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
                         peak[step] = max(peak[step], top)
                 for key in dead[s]:
                     del arrays[key]
-    for (label, _, _), top in zip(equations, peak):
-        if top == math.inf:
-            raise VarjetError(f"non-finite interior residual for equation {label!r}")
     return {label: top for (label, _, _), top in zip(equations, peak)}
 
 

@@ -38,6 +38,11 @@ from .jetcalc import EquationSystem, total_derivative
 from .variational import LagrangianDensity
 
 
+# the most rank samples hessian takes, and so a file or --rank-samples may
+# ask for: a constant Hessian's rank is repeated once per sample in the report
+MAX_RANK_SAMPLES = 1000
+
+
 class DegenerateLagrangianError(VarjetError):
     pass
 
@@ -204,7 +209,11 @@ def hessian(lag: LagrangianDensity, *, samples: int = 5,
     once, and that rank is reported for every sample.  The matrix is
     symmetric: each entry on or above the diagonal is built and evaluated
     once per sample, from the gradient in the top jets, and mirrored.
+    ``samples`` runs from 1 to MAX_RANK_SAMPLES; any other count is refused
+    before any work.
     """
+    if not 1 <= samples <= MAX_RANK_SAMPLES:
+        raise VarjetError(f"samples must be from 1 to {MAX_RANK_SAMPLES}, got {samples}")
     ctx = lag.context
     l = lag.level
     idx = [(alpha, I) for alpha in range(ctx.m) for I in multiindices(ctx.n, l + 1)]
@@ -218,7 +227,6 @@ def hessian(lag: LagrangianDensity, *, samples: int = 5,
 
     coords = sorted({c for row in upper for e in row for c in e.coordinates()})
     rng = random.Random(seed)
-    samples = max(1, samples)
     ranks = []
     for _ in range(samples if coords else 1):
         point = {c: Expr.number(Q(rng.randint(-9, 9), rng.randint(1, 9)))

@@ -15,15 +15,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .jetcalc import refuse_long_multiindices
+from .pdham import MAX_RANK_SAMPLES
 from .symcore import _NAME_RE, MOMENTUM, Expr, JetContext, VarjetError, parse
 from .variational import LagrangianDensity
 
 _KNOWN_KEYS = {"independents", "dependents", "lagrangian", "order",
                "seed", "rank_samples", "rho"}
-
-# the most Hessian rank samples a file or --rank-samples may ask for: a
-# constant Hessian's rank is repeated once per sample in the report
-MAX_RANK_SAMPLES = 1000
 
 
 @dataclass

@@ -1,10 +1,12 @@
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from varjet import numeric
 from varjet.multiindex import MultiIndex, multiindices_up_to
 from varjet.numeric import GridFunction
 from varjet.symcore import CoordinateId, Expr, JetContext, parse
@@ -45,6 +47,22 @@ def wave3_grid(n, box=3.0):
     h = axis[1] - axis[0]
     return GridFunction(("t", "x", "y"), (axis[0],) * 3, (h,) * 3,
                         {"u": np.sin(0.6 * X + 0.8 * Y - T)})
+
+
+def record_arenas(monkeypatch):
+    """Each arena numeric._arena maps from now on, as (its bytes, a weak
+    reference to its page mapping).  tracemalloc does not trace a mapping,
+    so a memory bound adds these bytes to the traced peak."""
+    arenas = []
+    real = numeric._arena
+
+    def recorded(elements):
+        arena = real(elements)
+        arenas.append((arena.nbytes, weakref.ref(arena.base.obj)))
+        return arena
+
+    monkeypatch.setattr(numeric, "_arena", recorded)
+    return arenas
 
 
 def reference_partial(e: Expr, c: CoordinateId) -> Expr:

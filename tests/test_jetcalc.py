@@ -137,6 +137,13 @@ def test_prolong_refuses_a_level_over_the_entry_bound(ctx_1d):
     assert len(prolong(sys0, 3).equations) == 4
 
 
+def test_prolong_refuses_a_negative_level(ctx_1d):
+    # the multiindices up to level -1 are none, which gave an empty system
+    sys0 = EquationSystem(ctx_1d, (("eq", parse("u_x", ctx_1d)),))
+    with pytest.raises(VarjetError, match=r"^level must be >= 0, got -1$"):
+        prolong(sys0, -1)
+
+
 def test_prolong_rejects_momenta(kdv):
     # the constraint rows read momenta, which total_derivative refuses
     from varjet.pdham import constraints

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import KDV_L, jet_pool, random_expr, soliton_grid, wave3_grid
+from conftest import KDV_L, jet_pool, random_expr, record_arenas, soliton_grid, wave3_grid
 from varjet import numeric
 from varjet.jetcalc import EquationSystem
 from varjet.multiindex import multiindices_up_to
@@ -542,23 +542,53 @@ def test_residual_nan_in_a_later_band(ctx_tx, monkeypatch, which):
     assert heights[0] <= 8
 
 
-def test_residual_memory_is_the_fields_and_one_band():
+def test_residual_memory_is_the_fields_and_one_band(monkeypatch):
     # the ELH residual of a 64^3 wave, whose field was made before tracing
     # began: a full-grid computation (a jet, pass, momentum and temporary
     # each on the whole grid) peaked at 13.0 times the field's bytes; with
     # fresh arrays in every band, 3.1; with one buffer planned per call, 2.4
-    # (the band is 16 of the 64 rows, and each array also covers its halo)
+    # (the band is 16 of the 64 rows, and each array also covers its halo).
+    # The buffer is a page mapping, which tracemalloc does not see, so its
+    # bytes are added to the traced peak
     ctx = JetContext(("t", "x", "y"), ("u",))
     lag = LagrangianDensity(ctx, parse("1/2*u_t^2 - 1/2*u_x^2 - 1/2*u_y^2", ctx), order=1)
     g = wave3_grid(64)
     system, theta = elh_system(lag), legendre_form(lag)
+    arenas = record_arenas(monkeypatch)
     tracemalloc.start()
     try:
         residual(system, g, legendre=theta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * g.fields["u"].nbytes
+    assert peak + max(nbytes for nbytes, _ in arenas) < 3 * g.fields["u"].nbytes
+
+
+@pytest.mark.parametrize("which", ["el", "elh"])
+def test_residual_unmaps_its_arena(ctx_tx, monkeypatch, which):
+    # no reference to the mapping outlives the call: not on return, and not
+    # in the traceback of a non-finite residual, which ``info`` still holds
+    # (reference counts alone, with no garbage collection)
+    system, theta = kdv_system(ctx_tx, which)
+    g = soliton_grid(40, 57, c=0.9, box=5.0)
+    arenas = record_arenas(monkeypatch)
+    residual(system, g, legendre=theta)
+    assert len(arenas) == 1 and arenas[0][1]() is None
+    g.fields["u"][31, 30] = np.nan
+    with pytest.raises(VarjetError, match="^non-finite interior residual") as info:
+        residual(system, g, legendre=theta)
+    assert info.tb is not None and len(arenas) == 2 and arenas[1][1]() is None
+
+
+def test_residual_of_constant_rows_maps_an_empty_arena(ctx_1d, monkeypatch):
+    # E(u_x) = 0: the row evaluates to a float, so the plan needs no
+    # element, and mmap refuses length 0
+    lag = LagrangianDensity(ctx_1d, parse("u_x", ctx_1d), order=1)
+    system = EquationSystem(ctx_1d, (("el:u", euler_lagrange(lag)[0]),))
+    arenas = record_arenas(monkeypatch)
+    g, _ = grid_1d(9, 1.0, np.sin)
+    assert residual(system, g) == {"el:u": 0.0}
+    assert [nbytes for nbytes, _ in arenas] == [0]
 
 
 def test_kdv_el_residual_stencils_only_what_it_reads(ctx_tx, monkeypatch):
@@ -844,7 +874,9 @@ def test_grid_in_memory_refuses_a_malformed_layout(axes, origin, spacing, fields
 
 
 def test_grid_in_memory_takes_a_list_field():
-    g = GridFunction(("x",), (0.0,), (0.5,), {"u": [1.0, 2.0, 4.0]})
+    fields = {"u": [1.0, 2.0, 4.0]}
+    g = GridFunction(("x",), (0.0,), (0.5,), fields)
+    assert isinstance(fields["u"], list) and g.fields is not fields
     assert g.shape == (3,)
     assert g.fields["u"].dtype == np.float64
     assert np.array_equal(g.fields["u"], [1.0, 2.0, 4.0])

@@ -15,6 +15,7 @@ from varjet import cli, pdham
 from varjet.jetcalc import EquationSystem, total_derivative
 from varjet.multiindex import EMPTY, MultiIndex, multiindices, multiindices_up_to
 from varjet.pdham import (
+    MAX_RANK_SAMPLES,
     DegenerateLagrangianError,
     DerivedContext,
     RankReport,
@@ -248,6 +249,14 @@ def test_constant_hessian_is_eliminated_once(monkeypatch, kdv):
     assert len(evaluated) == 6
     assert report == RankReport(dim=3, rank=1, regular=False, rank_constant=True,
                                 ranks=(1,) * 5, samples=5, seed=3)
+
+
+@pytest.mark.parametrize("samples", [-4, 0, MAX_RANK_SAMPLES + 1, 3_000_000])
+def test_hessian_refuses_a_sample_count_out_of_range(kdv, samples):
+    # -4 ran one sample, and 3,000,000 built a report of as many ranks
+    with pytest.raises(VarjetError, match=f"^samples must be from 1 to {MAX_RANK_SAMPLES}, "
+                                          f"got {samples}$"):
+        hessian(kdv, samples=samples)
 
 
 # -- energy density -------------------------------------------------------------
