@@ -35,7 +35,6 @@ from .variational import (
 )
 from .pdham import (
     DegenerateLagrangianError,
-    DerivedContext,
     HessianMatrix,
     RankReport,
     ReducedSystem,

@@ -17,13 +17,12 @@ import functools
 import sys
 from typing import List, Optional
 
-from .symcore import (INDEPENDENT, JetContext, ParseError, VarjetError, expr_to_json,
+from .symcore import (COMMA, INDEPENDENT, JetContext, ParseError, VarjetError, expr_to_json,
                       json_text, render)
 from .jetcalc import EquationSystem, prolong
 from .variational import LagrangianDensity, euler_lagrange, legendre_form
 from .pdham import (
     MAX_RANK_SAMPLES,
-    DerivedContext,
     constraints,
     elh_system,
     energy_density,
@@ -60,20 +59,29 @@ def _equations_json(system: EquationSystem) -> List[dict]:
             for label, res in system.equations]
 
 
+class _PlainFiberNames(JetContext):
+    """A mixed system's LaTeX names: a fiber coordinate is spelled by its
+    plain name (u_xx, p_x.x), and so is the base of a comma-derivative
+    (u_t{}_{,x}).  Those bytes are pinned."""
+
+    def latex_name(self, c):
+        return super().latex_name(c) if c.kind == COMMA else self.name(c)
+
+
 def _system_text(system: EquationSystem, fmt: str) -> str:
+    ctx = system.context
     if fmt == "json":
         # the unknowns: every coordinate the rows read but the independents,
-        # and the zero jet of each fiber coordinate of a derived system
+        # and the fiber of a mixed system
         unknowns = {c for _, res in system.equations for c in res.coordinates()
                     if c.kind != INDEPENDENT}
-        if system.derived is not None:
-            unknowns.update(map(system.derived.dep, system.derived.fiber))
+        unknowns.update(system.fiber)
         return _json_dump({
-            "unknowns": [system.context.name(c)
-                         for c in sorted(unknowns)],
+            "unknowns": [ctx.name(c) for c in sorted(unknowns)],
             "equations": _equations_json(system)})
-    lines = [f"{label}: {render(res, system.context, fmt)} = 0"
-             for label, res in system.equations]
+    if system.fiber:
+        ctx = _PlainFiberNames(ctx.independents, ctx.dependents)
+    lines = [f"{label}: {render(res, ctx, fmt)} = 0" for label, res in system.equations]
     return "\n".join(lines) if lines else "(empty system)"
 
 
@@ -144,7 +152,7 @@ def cmd_reduce(args, problem: Problem, lag: LagrangianDensity) -> str:
                      for c, e in sorted(red.substitutions.items())]
     # the restricted energy is the Hamiltonian, and the HDW rows are the rows
     # on P: each is rendered once and printed twice, only because those bytes
-    # are pinned (ROADMAP item 5 drops the copies)
+    # are pinned (ROADMAP item 8 drops the copies)
     hamiltonian = None if red.hamiltonian is None else _render(red.hamiltonian, ctx, fmt)
     system = red.system_hdw
     if fmt == "json":
@@ -190,7 +198,6 @@ def cmd_prolong(args, problem: Problem, lag: LagrangianDensity) -> str:
 def cmd_check_solution(args, problem: Problem, lag: LagrangianDensity) -> str:
     # numpy loads only for the one subcommand that reads grids
     from .numeric import load_grid, residual
-    ctx = lag.context
     grid = load_grid(args.grid)
     momentum_fields = load_grid(args.momenta) if args.momenta else None
     # every system but el reads momenta, given as fields or by the Legendre form
@@ -198,9 +205,8 @@ def cmd_check_solution(args, problem: Problem, lag: LagrangianDensity) -> str:
     if args.system == "el":
         system = _el_system(lag)
     elif args.system == "constraints":
-        dc = DerivedContext(ctx, lag.level)
-        rows = tuple((lab, dc.embed(res)) for lab, res in constraints(lag).equations)
-        system = EquationSystem(dc.ctx, rows, derived=dc)
+        # the rows over the ELH fiber, whose jets of order l+1 set the stencil margins
+        system = dataclasses.replace(elh_system(lag), equations=constraints(lag).equations)
     elif args.system == "elh":
         system = elh_system(lag)
     else:  # hdw

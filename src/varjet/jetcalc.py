@@ -2,23 +2,23 @@
 
 The jth total derivative acts on jet-side expressions as
 D_j = d/dx^j + u_{Ij}^a d/du_I^a; iterated total derivatives are indexed by a
-multiindex and commute, so composition order is irrelevant.  Momentum
-coordinates are outside its domain; the primed operator on jets and momenta
-is total_derivative(dc.embed(e), i) for a derived context dc (pdham).
-Systems are plain values: every one is built from a density, and cli writes
-their text and JSON.
+multiindex and commute, so composition order is irrelevant.  Momenta and
+comma-derivatives are outside its domain; mixed_total_derivative takes each
+to its comma-derivative, as along a section of the mixed fiber.  Systems are
+plain values: every one is built from a density, and cli writes their text
+and JSON.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from .multiindex import MultiIndex, multiindices_up_to
 from .symcore import (
+    INDEPENDENT,
     JET,
-    MOMENTUM,
     CoordinateId,
     Expr,
     JetContext,
@@ -50,24 +50,40 @@ def total_derivative(e: Expr, i: int) -> Expr:
     p (x^i)^(p-1) and every factor (u_I^a)^p gives p (u_I^a)^(p-1) u_{Ii}^a,
     and all the new terms are normalised together.
     """
-    lifted: Dict[CoordinateId, CoordinateId] = {}  # u_I^a -> u_{Ii}^a
+    return _derivative(e, i, False)
+
+
+def mixed_total_derivative(e: Expr, i: int) -> Expr:
+    """D_i e on the mixed fiber, along a section: as total_derivative, and
+    every factor c^p of a momentum or a comma-derivative c gives
+    p c^(p-1) c,_i."""
+    return _derivative(e, i, True)
+
+
+def _derivative(e: Expr, i: int, mixed: bool) -> Expr:
+    lifted: Dict[CoordinateId, CoordinateId] = {}  # u_I^a -> u_{Ii}^a, c -> c,_i
     out: List[Term] = []
     for mono, coeff in e.terms:
         for k, (c, p) in enumerate(mono):
             kind = c.kind
-            if kind == JET:
-                d = lifted.get(c)
-                if d is None:
-                    d = lifted[c] = CoordinateId.jet(c.alpha, c.index.with_index(i))
-                out.append((_lifted(mono, k, d), coeff * p if p > 1 else coeff))
-            elif kind == MOMENTUM:
-                raise WrongDomainError(
-                    "total_derivative acts on jet-side expressions; momenta present "
-                    "(for momenta, differentiate dc.embed(e) in a derived context dc)")
-            elif c.i == i:
-                lowered = mono[:k] + ((c, p - 1),) + mono[k + 1:] if p > 1 \
-                    else mono[:k] + mono[k + 1:]
-                out.append((lowered, coeff * p if p > 1 else coeff))
+            if kind == INDEPENDENT:
+                if c.i == i:
+                    lowered = mono[:k] + ((c, p - 1),) + mono[k + 1:] if p > 1 \
+                        else mono[:k] + mono[k + 1:]
+                    out.append((lowered, coeff * p if p > 1 else coeff))
+                continue
+            d = lifted.get(c)
+            if d is None:
+                if kind == JET:
+                    d = CoordinateId.jet(c.alpha, c.index.with_index(i))
+                elif mixed:
+                    d = CoordinateId.comma(c, i)
+                else:
+                    raise WrongDomainError(
+                        "total_derivative acts on jet-side expressions; momenta or "
+                        "comma-derivatives present (see mixed_total_derivative)")
+                lifted[c] = d
+            out.append((_lifted(mono, k, d), coeff * p if p > 1 else coeff))
     return Expr(out)
 
 
@@ -97,17 +113,21 @@ def iterated_total_derivative(e: Expr, J: MultiIndex) -> Expr:
 class EquationSystem:
     """Named residual-form equations over a shared context.
 
-    Each equation is (label, residual Expr) read as residual = 0.  ``derived``
-    is optional metadata linking a first-order system back to the base context
-    it was generated from (see pdham.DerivedContext).
+    Each equation is (label, residual Expr) read as residual = 0.  A mixed
+    first-order system (pdham) also carries its ``fiber``, the jets and
+    momenta it is a system for, in ascending order, and its momentum
+    ``level``; its rows read those coordinates and their first
+    comma-derivatives.  Any other system carries an empty fiber.
     """
 
     context: JetContext
     equations: Tuple[Tuple[str, Expr], ...]
-    derived: object = field(default=None, compare=False, repr=False)
+    fiber: Tuple[CoordinateId, ...] = ()
+    level: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "equations", tuple(self.equations))
+        object.__setattr__(self, "fiber", tuple(self.fiber))
         labels = [lab for lab, _ in self.equations]
         if len(set(labels)) != len(labels):
             raise VarjetError("equation labels must be unique")
@@ -118,7 +138,7 @@ def prolong(system: EquationSystem, level: int) -> EquationSystem:
 
     Labels of new rows carry the differentiation word; level 0 returns the
     system itself, and a negative level is refused.  The system must be
-    jet-side: total_derivative refuses momenta.
+    jet-side: total_derivative refuses momenta and comma-derivatives.
     """
     if level < 0:
         raise VarjetError(f"level must be >= 0, got {level}")

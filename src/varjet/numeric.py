@@ -61,7 +61,10 @@ import numpy as np
 
 from .multiindex import MultiIndex, multiindices_up_to
 from .symcore import (
+    COMMA,
+    INDEPENDENT,
     JET,
+    MOMENTUM,
     CoordinateId,
     Expr,
     JetContext,
@@ -375,14 +378,29 @@ def _jets_of(exprs) -> set:
 Key = Tuple[CoordinateId, Chain]
 
 
+def _key(c: CoordinateId) -> Key:
+    """The (root, pass chain) of the array that samples c: a jet u_I is its
+    dependent's field with one pass per axis of I, a momentum is its own
+    root, and a comma-derivative c,_J appends (axis, 1) to c's chain for
+    each axis of J."""
+    kind = c.kind
+    if kind == JET:
+        return CoordinateId.jet(c.alpha), _chain(c.index)
+    if kind == COMMA:
+        root, chain = _key(c.base)
+        return root, chain + tuple((axis, 1) for axis in c.comma_index)
+    return c, ()
+
+
 def residual(system: EquationSystem, grid: GridFunction,
              momentum_fields: Optional[GridFunction] = None,
              legendre: Optional[Mapping[CoordinateId, Expr]] = None) -> Dict[str, float]:
     """Max-abs interior residual of every equation against sampled field data.
 
     Jet unknowns come from finite-difference prolongation of the grid,
-    restricted to the jets the equations read.  For mixed first-order systems
-    the momentum unknowns the equations read are either read from
+    restricted to the jets the equations read, to the order of the
+    system's fiber, of its rows and of ``legendre``, whichever is highest.
+    The momentum unknowns the equations read are either read from
     ``momentum_fields`` (matching plain names, on the field grid's axes,
     origin and spacing) or generated by evaluating ``legendre``, the map from
     each momentum to its coefficient that legendre_form returns (an absent
@@ -391,61 +409,51 @@ def residual(system: EquationSystem, grid: GridFunction,
     chains.  The grid checks (see _check_prolongation) run first; the
     residuals are then computed band by band along axis 0 (see _stream).
     """
+    ctx = system.context
     rows = [res for _, res in system.equations]
-    dc = system.derived
-    if dc is None:
-        order = _max_jet_order(rows)
-        _check_prolongation(grid, order, system.context)
-        keys = {c: (CoordinateId.jet(c.alpha), _chain(c.index)) for c in _jets_of(rows)}
-        return _finite(_stream(system, grid, keys, _fields(grid, system.context),
-                               (stencil_radius(order),) * len(grid.shape)))
-
-    base = dc.base
-    need = max([len(c.index) for c in dc.fiber if c.kind == JET], default=0)
+    need = max(_max_jet_order(rows),
+               max([len(c.index) for c in system.fiber if c.kind == JET], default=0))
     if legendre is not None:
         need = max(need, _max_jet_order(legendre.values()))
-    read = _jets_of(rows)
-    fibers = {dc.fiber[c.alpha] for c in read}
+    read = {c for e in rows for c in e.coordinates() if c.kind != INDEPENDENT}
+    momenta = {c.base for c in read if c.kind != JET and c.base.kind == MOMENTUM}
 
     def supplied(c: CoordinateId) -> bool:
-        return momentum_fields is not None and base.name(c) in momentum_fields.fields
+        return momentum_fields is not None and ctx.name(c) in momentum_fields.fields
 
-    coeffs = {c: legendre.get(c, Expr.zero()) for c in fibers
-              if legendre is not None and c.kind != JET and not supplied(c)}
-    _check_prolongation(grid, need, base)
+    _check_prolongation(grid, need, ctx)
     if momentum_fields is not None:
         for what in ("axes", "origin", "spacing"):
             mine, theirs = getattr(momentum_fields, what), getattr(grid, what)
             if mine != theirs:
                 raise VarjetError(f"momentum grid has {what} {mine}, the field grid {theirs}")
-    roots = _fields(grid, base)
-    for c in fibers:
-        if c.kind == JET:
-            continue
+    roots = _fields(grid, ctx)
+    for c in sorted(momenta):
         if supplied(c):
-            roots[c] = momentum_fields.fields[base.name(c)]
+            roots[c] = momentum_fields.fields[ctx.name(c)]
             if roots[c].shape != grid.shape:
-                raise VarjetError(f"momentum field {base.name(c)} has shape "
+                raise VarjetError(f"momentum field {ctx.name(c)} has shape "
                                   f"{roots[c].shape}, the grid {grid.shape}")
-        elif c in coeffs:
-            roots[c] = coeffs[c]
+        elif legendre is not None:
+            roots[c] = legendre.get(c, Expr.zero())
         else:
             raise MissingFieldError(
-                f"no field or Legendre form supplies the momentum {base.name(c)}")
+                f"no field or Legendre form supplies the momentum {ctx.name(c)}")
 
-    margin = [stencil_radius(need)] * base.n
-    keys: Dict[CoordinateId, Key] = {}
-    for c in read:
-        f = dc.fiber[c.alpha]
-        root, chain = (CoordinateId.jet(f.alpha), _chain(f.index)) if f.kind == JET \
-            else (f, ())
-        if len(c.index):
-            # comma-derivatives of unknowns use the same first-order stencil
-            axis = c.index.entries[0]
-            chain += ((axis, 1),)
-            margin[axis] = max(margin[axis], stencil_radius(need) + stencil_radius(1))
-        keys[c] = (root, chain)
-    return _finite(_stream(system, grid, keys, roots, tuple(margin)))
+    r = stencil_radius(need)
+    margin = [r] * ctx.n
+    for c in read:  # a comma pass, a first-order stencil, widens the margin on its axis
+        for axis in c.comma_index if c.kind == COMMA else ():
+            margin[axis] = max(margin[axis], r + c.comma_index.count(axis) * stencil_radius(1))
+    keys = {c: _key(c) for c in read}
+    try:
+        peaks = _stream(system, grid, keys, roots, tuple(margin))
+    except VarjetError as exc:
+        # raised again without _stream's frames and the error it replaced,
+        # whose locals would keep the arena alive for as long as it is held
+        exc.__context__ = None
+        raise exc.with_traceback(None)
+    return _finite(peaks)
 
 
 def _finite(peaks: Dict[str, float]) -> Dict[str, float]:
@@ -614,12 +622,12 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
             _check_axis(shape[axis], stencil_radius(order))
     if any(s - 2 * m <= 0 for s, m in zip(shape, margin)):
         raise GridTooSmallError("grid too small for the stencil margins")
-    inputs = {root: {c: (CoordinateId.jet(c.alpha), _chain(c.index)) for c in _jets_of([e])}
+    inputs = {root: {c: _key(c) for c in _jets_of([e])}
               for root, e in roots.items() if isinstance(e, Expr)}
     # momenta whose coefficient reads no coordinate: a finite float, so every
     # interior point of a pass over one is +0.0
     constant = {root for root in inputs if roots[root].constant_value() is not None}
-    names = {root: system.derived.base.name(root) for root in inputs}
+    names = {root: system.context.name(root) for root in inputs}
     halo = _halos(keys, inputs)
     equations = [(label, res, {c: keys[c] for c in res.coordinates() if c in keys})
                  for label, res in system.equations]

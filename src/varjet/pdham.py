@@ -1,8 +1,10 @@
 """Momentum-side constructions: ELH systems, constraints, Hessian, reduction, HDW.
 
-The mixed first-order systems live in a *derived* first-order context whose
-dependents are all jet coordinates u_I^a with |I| <= l+1 and all momenta
-p_a^{I.i} with |I| <= l; comma-derivatives are the first jets of that context.
+The mixed first-order systems live in the density's own context.  Each
+carries its fiber: for ELH, all jet coordinates u_I^a with |I| <= l+1 and
+all momenta p_a^{I.i} with |I| <= l.  Its rows read those coordinates and
+their comma-derivatives c,_i, coordinates of the same context that sort
+right after c.
 
 The momentum equations carry the contraction term over all distinct (J, i)
 with Ji = I (each counted once), at every level |I| <= l+1; at |I| = l+1 the
@@ -18,11 +20,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .multiindex import EMPTY, MultiIndex, multiindices, multiindices_up_to
+from .multiindex import MultiIndex, multiindices, multiindices_up_to
 from .symcore import (
-    INDEPENDENT,
     JET,
     MOMENTUM,
     CoordinateId,
@@ -34,7 +35,7 @@ from .symcore import (
     render,
     row_echelon,
 )
-from .jetcalc import EquationSystem, total_derivative
+from .jetcalc import EquationSystem, mixed_total_derivative
 from .variational import LagrangianDensity
 
 
@@ -45,64 +46,6 @@ MAX_RANK_SAMPLES = 1000
 
 class DegenerateLagrangianError(VarjetError):
     pass
-
-
-class DerivedContext:
-    """First-order context over an explicit list of base fiber coordinates.
-
-    Dependents are the given jets and momenta of the base context (their base
-    names become opaque dependent names, rendered comma-style); ``embed`` maps
-    a base expression into it, ``dep``/``comma`` give the zero-jet and the
-    formal first derivative of a fiber coordinate.
-    """
-
-    def __init__(self, base: JetContext, level: int,
-                 fiber: Optional[Sequence[CoordinateId]] = None):
-        self.base = base
-        self.level = level
-        if fiber is None:
-            fiber = base.jets_up_to(level + 1) + base.momenta_up_to(level)
-        self.fiber: Tuple[CoordinateId, ...] = tuple(fiber)
-        # the derived zero-jet of each fiber coordinate; its alpha is the
-        # coordinate's place in the fiber
-        self._deps: Dict[CoordinateId, CoordinateId] = {
-            c: CoordinateId.jet(k, EMPTY) for k, c in enumerate(self.fiber)}
-        self.ctx = JetContext(base.independents, tuple(base.name(c) for c in self.fiber),
-                              jet_style="comma")
-
-    def contains(self, c: CoordinateId) -> bool:
-        return c in self._deps
-
-    def dep(self, c: CoordinateId) -> CoordinateId:
-        return self._deps[c]
-
-    def comma(self, c: CoordinateId, i: int) -> CoordinateId:
-        return CoordinateId.jet(self._deps[c].alpha, MultiIndex.of(i))
-
-    def embed(self, e: Expr) -> Expr:
-        """Base expression (jets and momenta of the fiber) -> derived expression.
-
-        A relabelling: each fiber coordinate in a factor becomes its derived
-        zero-jet, independents stay, the factors are re-sorted and the terms
-        normalised once.
-        """
-        deps = self._deps
-        terms = []
-        for mono, coeff in e.terms:
-            factors = []
-            for c, p in mono:
-                if c.kind != INDEPENDENT:
-                    d = deps.get(c)
-                    if d is None:
-                        missing = next(x for x in e.coordinates()
-                                       if x.kind != INDEPENDENT and x not in deps)
-                        raise WrongDomainError(f"coordinate {self.base.name(missing)} "
-                                               "is not part of the derived fiber")
-                    c = d
-                factors.append((c, p))
-            factors.sort()
-            terms.append((tuple(factors), coeff))
-        return Expr(terms)
 
 
 def _momentum_label(ctx: JetContext, alpha: int, I: MultiIndex) -> str:
@@ -131,23 +74,24 @@ def elh_system(lag: LagrangianDensity) -> EquationSystem:
     """
     ctx = lag.context
     l = lag.level
-    dc = DerivedContext(ctx, l)
+    comma = CoordinateId.comma
     gradient = lag.L.gradient()
     rows: List[Tuple[str, Expr]] = []
     for alpha in range(ctx.m):
         for I in multiindices_up_to(ctx.n, l + 1):
-            parts = [dc.embed(_momentum_residual(gradient, alpha, I))]
+            parts = [_momentum_residual(gradient, alpha, I)]
             if len(I) <= l:
-                parts += [-Expr.coord(dc.comma(CoordinateId.momentum(alpha, I, i), i))
+                parts += [-Expr.coord(comma(CoordinateId.momentum(alpha, I, i), i))
                           for i in range(ctx.n)]
             rows.append((_momentum_label(ctx, alpha, I), Expr.sum(parts)))
     for alpha in range(ctx.m):
         for I in multiindices_up_to(ctx.n, l):
             for i in range(ctx.n):
-                res = Expr.coord(dc.comma(CoordinateId.jet(alpha, I), i)) \
-                    - Expr.coord(dc.dep(CoordinateId.jet(alpha, I.with_index(i))))
+                res = Expr.coord(comma(CoordinateId.jet(alpha, I), i)) \
+                    - Expr.coord(CoordinateId.jet(alpha, I.with_index(i)))
                 rows.append((_contact_label(ctx, alpha, I, i), res))
-    return EquationSystem(dc.ctx, tuple(rows), derived=dc)
+    return EquationSystem(ctx, tuple(rows), fiber=ctx.jets_up_to(l + 1) + ctx.momenta_up_to(l),
+                          level=l)
 
 
 def constraints(lag: LagrangianDensity) -> EquationSystem:
@@ -260,6 +204,18 @@ def energy_density(lag: LagrangianDensity) -> Expr:
     return Expr.sum([-lag.L] + pairings)
 
 
+def comma_images(images: Mapping[CoordinateId, Expr], n: int) -> Dict[CoordinateId, Expr]:
+    """The substitution that sends each coordinate c that ``images`` binds to
+    its image and each c,_j (j < n) to D_j of that image, taken by
+    mixed_total_derivative: a jet u_I goes to u_{Ij}, and a momentum or a
+    comma-derivative x to x,_j."""
+    out = dict(images)
+    for c, image in images.items():
+        for j in range(n):
+            out[CoordinateId.comma(c, j)] = mixed_total_derivative(image, j)
+    return out
+
+
 def momentum_shift(system: EquationSystem, rho: Sequence[Expr]) -> EquationSystem:
     """Image of a mixed system under the momentum-shift automorphism of d^V rho.
 
@@ -269,13 +225,11 @@ def momentum_shift(system: EquationSystem, rho: Sequence[Expr]) -> EquationSyste
     With this orientation the system of L + sum_i D_i rho^i coincides row by
     row with the shifted system of L.
     """
-    dc: DerivedContext = system.derived
-    if dc is None:
-        raise VarjetError("momentum_shift needs a system generated with a derived context")
-    base = dc.base
-    if len(rho) != base.n:
-        raise VarjetError(f"need one shift component per independent variable ({base.n})")
-    l = dc.level
+    if not system.fiber:
+        raise VarjetError("momentum_shift needs a mixed system, which carries its fiber")
+    ctx, l = system.context, system.level
+    if len(rho) != ctx.n:
+        raise VarjetError(f"need one shift component per independent variable ({ctx.n})")
     for r in rho:
         for c in r.coordinates():
             if c.kind == MOMENTUM:
@@ -283,21 +237,19 @@ def momentum_shift(system: EquationSystem, rho: Sequence[Expr]) -> EquationSyste
         if r.max_jet_order() > l:
             raise VarjetError(
                 f"shift component order {r.max_jet_order()} too high for momentum level {l}")
-    mapping: Dict[CoordinateId, Expr] = {}
+    fiber = set(system.fiber)
+    images: Dict[CoordinateId, Expr] = {}
     for i, r in enumerate(rho):
         for c, theta in r.gradient().items():
             if c.kind != JET:
                 continue
             pm = CoordinateId.momentum(c.alpha, c.index, i)
-            if not dc.contains(pm):  # eliminated by a reduction
-                raise WrongDomainError(
-                    f"momentum {base.name(pm)} is not part of the derived fiber")
-            mapping[dc.dep(pm)] = Expr.coord(dc.dep(pm)) - dc.embed(theta)
-            for j in range(base.n):
-                mapping[dc.comma(pm, j)] = Expr.coord(dc.comma(pm, j)) \
-                    - dc.embed(total_derivative(theta, j))
+            if pm not in fiber:  # eliminated by a reduction
+                raise WrongDomainError(f"momentum {ctx.name(pm)} is not part of the fiber")
+            images[pm] = Expr.coord(pm) - theta
+    mapping = comma_images(images, ctx.n)
     rows = tuple((label, res.substitute(mapping)) for label, res in system.equations)
-    return EquationSystem(dc.ctx, rows, derived=dc)
+    return EquationSystem(ctx, rows, fiber=system.fiber, level=l)
 
 
 @dataclass(frozen=True)
@@ -481,8 +433,7 @@ def reduce_lagrangian(lag: LagrangianDensity) -> ReducedSystem:
     p0_fiber = sorted(lower_jets + surviving_momenta)
     p_fiber = sorted(p0_fiber + surviving_tops)
 
-    dc = DerivedContext(ctx, l, p0_fiber)
-    system_hdw = EquationSystem(dc.ctx, _reduced_rows(lag, subs, energy_p, dc), derived=dc)
+    system_hdw = EquationSystem(ctx, _reduced_rows(lag, subs, energy_p), fiber=p0_fiber, level=l)
     regular = not surviving_tops and not any(c.kind == MOMENTUM for c in subs)
     diagnosis = "regular" if regular else "reducible"
     return ReducedSystem(
@@ -490,48 +441,41 @@ def reduce_lagrangian(lag: LagrangianDensity) -> ReducedSystem:
         subs, energy_p, system_hdw)
 
 
-def _comma_image(dc: DerivedContext, gradients: Dict[CoordinateId, Dict[CoordinateId, Expr]],
-                 pm: CoordinateId, i: int) -> Expr:
-    """Formal i-derivative of a (possibly eliminated) momentum on the reduced space;
-    ``gradients`` holds the gradient of each eliminated momentum's solution."""
-    if dc.contains(pm):
-        return Expr.coord(dc.comma(pm, i))
-    gradient = gradients[pm]
-    return Expr.sum([dc.embed(gradient.get(CoordinateId.independent(i), Expr.zero()))] + [
-        dc.embed(d) * Expr.coord(dc.comma(c, i))
-        for c, d in gradient.items() if c.kind != INDEPENDENT])
-
-
 def _reduced_rows(lag: LagrangianDensity, subs: Dict[CoordinateId, Expr],
-                  energy_p: Expr, dc: DerivedContext) -> Tuple[Tuple[str, Expr], ...]:
-    """PD-Hamilton rows of the restricted system on the given fiber coordinates."""
+                  energy_p: Expr) -> Tuple[Tuple[str, Expr], ...]:
+    """PD-Hamilton rows of the restricted system on P0, the lower jets and the
+    surviving momenta."""
     ctx = lag.context
     l = lag.level
+    comma = CoordinateId.comma
     zero = Expr.zero()
     d_energy = energy_p.gradient()
-    gradients = {pm: phi.gradient() for pm, phi in subs.items() if pm.kind == MOMENTUM}
+    solved = {pm: phi for pm, phi in subs.items() if pm.kind == MOMENTUM}
+    gradients = {pm: phi.gradient() for pm, phi in solved.items()}
+    # p,_i of an eliminated momentum is D_i of its solution, which reads
+    # surviving momenta only; a surviving one's is its own comma-derivative
+    images = comma_images(solved, ctx.n)
     rows: List[Tuple[str, Expr]] = []
     for alpha in range(ctx.m):
         for I in multiindices_up_to(ctx.n, l):
-            jet = CoordinateId.jet(alpha, I)
-            res = Expr.sum([-dc.embed(d_energy.get(jet, zero))] + [
-                -_comma_image(dc, gradients, CoordinateId.momentum(alpha, I, i), i)
-                for i in range(ctx.n)])
+            commas = [comma(CoordinateId.momentum(alpha, I, i), i) for i in range(ctx.n)]
+            res = Expr.sum([-d_energy.get(CoordinateId.jet(alpha, I), zero)]
+                           + [-images.get(c, Expr.coord(c)) for c in commas])
             if not res.is_zero():
                 rows.append((_momentum_label(ctx, alpha, I), res))
     for alpha in range(ctx.m):
         for I in multiindices_up_to(ctx.n, l):
             for j in range(ctx.n):
                 pm = CoordinateId.momentum(alpha, I, j)
-                if not dc.contains(pm):
+                if pm in solved:
                     continue
-                parts = [Expr.coord(dc.comma(CoordinateId.jet(alpha, I), j))]
+                parts = [Expr.coord(comma(CoordinateId.jet(alpha, I), j))]
                 for other, gradient in gradients.items():
                     weight = gradient.get(pm)
                     if weight is not None:
-                        parts.append(dc.embed(weight) * Expr.coord(
-                            dc.comma(CoordinateId.jet(other.alpha, other.index), other.i)))
-                parts.append(-dc.embed(d_energy.get(pm, zero)))
+                        parts.append(weight * Expr.coord(
+                            comma(CoordinateId.jet(other.alpha, other.index), other.i)))
+                parts.append(-d_energy.get(pm, zero))
                 res = Expr.sum(parts)
                 if not res.is_zero():
                     rows.append((_contact_label(ctx, alpha, I, j), res))

@@ -124,7 +124,7 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
         fail("rank_samples", f"rank_samples must be <= {MAX_RANK_SAMPLES}, got {rank_samples}")
     try:
         context = JetContext(independents, dependents)
-    except ValueError as exc:  # the names are valid and distinct: one is a prefix of another
+    except VarjetError as exc:  # the names are valid and distinct: one is a prefix of another
         fail("independents", str(exc))
     lagrangian, lineno, column = entries["lagrangian"]
     density = _parse_value(lagrangian, context, f"{source}, line {lineno}", column)

@@ -1,16 +1,18 @@
 """Exact symbolic kernel: canonical polynomial normal forms over jet and momentum coordinates.
 
-Expressions are polynomials with exact rational coefficients in three kinds of
+Expressions are polynomials with exact rational coefficients in four kinds of
 coordinates: independent variables x^i, jet coordinates u_I^a (dependent
-variable a, multiindex I), and momentum coordinates p_a^{I.i}, named by a
-JetContext at any order (the density fixes which orders are read).  The normal
-form is unique: no zero coefficients, like monomials merged, monomials and
-factors sorted by a fixed total order.  Structural equality therefore decides
-mathematical equality.
+variable a, multiindex I), momentum coordinates p_a^{I.i}, and the
+comma-derivatives c,_J of jets and momenta that mixed first-order systems
+read, named by a JetContext at any order (the density fixes which orders are
+read).  The normal form is unique: no zero coefficients, like monomials
+merged, monomials and factors sorted by a fixed total order.  Structural
+equality therefore decides mathematical equality.
 
-A coordinate is the tuple of its sort key (kind rank, alpha, |I|, I, i)
-and a multiindex the tuple of its sorted entries, so monomial dicts and
-factor sorts hash, compare and order coordinates in C.
+A coordinate is the tuple of its sort key (kind rank, alpha, |I|, I, i),
+followed by (|J|, J) for a comma-derivative, and a multiindex the tuple of
+its sorted entries, so monomial dicts and factor sorts hash, compare and
+order coordinates in C.
 
 Every coefficient is a ``Q``, a Fraction subclass whose ``+ - * /``,
 negation, integer powers and ``==`` take a fast path when both operands are
@@ -71,6 +73,7 @@ from .multiindex import EMPTY, MultiIndex, multiindices_up_to
 INDEPENDENT = "independent"
 JET = "jet"
 MOMENTUM = "momentum"
+COMMA = "comma"
 
 _KINDS = (INDEPENDENT, JET, MOMENTUM)
 _KIND_RANK = {kind: rank for rank, kind in enumerate(_KINDS)}
@@ -107,16 +110,20 @@ class WrongDomainError(VarjetError):
 
 
 class CoordinateId(tuple):
-    """One coordinate: an independent variable, a jet u_I^a, or a momentum p_a^{I.i}.
+    """One coordinate: an independent variable, a jet u_I^a, a momentum
+    p_a^{I.i}, or a comma-derivative c,_J of a jet or a momentum c.
 
     ``alpha`` is the 0-based dependent index (jets and momenta), ``i`` the
     0-based independent index (independents and momenta).  A jet with empty
     multiindex is the dependent variable itself.  A coordinate is the tuple
     of its sort key: independents (0, i, 0, (), 0) before jets (1, alpha,
-    |I|, I, -1) before momenta (2, alpha, |I|, I, i).  Hashing, equality and
-    order are the tuple's; the hash holds only ints, so it is the same in
-    every process.  A coordinate equals the plain tuple of its key too;
-    varjet never mixes the two.
+    |I|, I, -1) before momenta (2, alpha, |I|, I, i).  A comma-derivative
+    c,_J is c's key followed by (|J|, J), so it sorts after c, by |J| and
+    then J, and before every coordinate after c; its ``alpha``, ``index``
+    and ``i`` are c's, ``base`` is c and ``comma_index`` is J.  Hashing,
+    equality and order are the tuple's; the hash holds only ints, so it is
+    the same in every process.  A coordinate equals the plain tuple of its
+    key too; varjet never mixes the two.
     """
 
     __slots__ = ()
@@ -127,8 +134,8 @@ class CoordinateId(tuple):
             return tuple.__new__(cls, (0, i, 0, EMPTY, 0))
         return tuple.__new__(cls, (_KIND_RANK[kind], alpha, len(index), index, i))
 
-    def __getnewargs__(self):
-        return (self.kind, self.alpha, self.index, self.i)
+    def __reduce__(self):
+        return _coordinate, (tuple(self),)
 
     @classmethod
     def independent(cls, i: int) -> "CoordinateId":
@@ -142,15 +149,30 @@ class CoordinateId(tuple):
     def momentum(cls, alpha: int, index: MultiIndex, i: int) -> "CoordinateId":
         return tuple.__new__(cls, (2, alpha, len(index), index, i))
 
+    @classmethod
+    def comma(cls, c: "CoordinateId", i: int) -> "CoordinateId":
+        """c,_i for a jet or a momentum c; for a comma-derivative c,_J, c,_{Ji}."""
+        J = (c[6] if len(c) > 5 else EMPTY).with_index(i)
+        return tuple.__new__(cls, c[:5] + (len(J), J))
+
     # the fields, read from the key
-    kind = property(lambda self: _KINDS[self[0]])
+    kind = property(lambda self: _KINDS[self[0]] if len(self) == 5 else COMMA)
     alpha = property(lambda self: self[1] if self[0] else -1)
     index = property(itemgetter(3))
     i = property(lambda self: self[4] if self[0] else self[1])
+    base = property(lambda self: tuple.__new__(CoordinateId, self[:5]))
+    comma_index = property(itemgetter(6))
 
     def __repr__(self) -> str:
+        if len(self) > 5:
+            return f"CoordinateId(kind='comma', base={self.base!r}, index={self.comma_index!r})"
         return (f"CoordinateId(kind={self.kind!r}, alpha={self.alpha!r}, "
                 f"index={self.index!r}, i={self.i!r})")
+
+
+def _coordinate(key: tuple) -> CoordinateId:
+    """The coordinate whose key is ``key``: the constructor pickling calls."""
+    return tuple.__new__(CoordinateId, key)
 
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
@@ -160,38 +182,34 @@ _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
 class JetContext:
     """Declares the bundle: independent and dependent variable names.
 
-    Jets and momenta of any order are admitted: the density fixes which
-    orders a construction reads, so the context bounds none.  No independent
+    Jets and momenta of any order, and their comma-derivatives, are
+    admitted: the density fixes which orders a construction reads, so the
+    context bounds none.  The mixed first-order systems live in this same
+    context, their comma-derivatives named c,_J after c.  No independent
     name is a prefix of another, so an index word (a run of independent
-    names, as in u_xt) splits one way only.
-    ``jet_style`` selects the rendering of jets: "suffix" (u_xx) for base
-    contexts with simple names, "comma" (u_x,_t) for derived first-order
-    contexts whose dependents carry compound names.
+    names, as in u_xt) splits one way only.  Invalid, repeated or missing
+    names are a VarjetError.
     """
 
     independents: Tuple[str, ...]
     dependents: Tuple[str, ...]
-    jet_style: str = "suffix"
 
     def __post_init__(self):
         object.__setattr__(self, "independents", tuple(self.independents))
         object.__setattr__(self, "dependents", tuple(self.dependents))
         if not self.independents or not self.dependents:
-            raise ValueError("need at least one independent and one dependent variable")
+            raise VarjetError("need at least one independent and one dependent variable")
         names = self.independents + self.dependents
         if len(set(names)) != len(names):
-            raise ValueError("coordinate names must be pairwise distinct")
+            raise VarjetError("coordinate names must be pairwise distinct")
         for short in self.independents:
             for name in self.independents:
                 if name != short and name.startswith(short):
                     # an index word such as "xx" would read two ways
-                    raise ValueError(f"independent name {short!r} is a prefix of {name!r}")
-        if self.jet_style == "suffix":
-            for name in names:
-                if not _NAME_RE.match(name):
-                    raise ValueError(f"invalid coordinate name {name!r}")
-        elif self.jet_style != "comma":
-            raise ValueError(f"unknown jet_style {self.jet_style!r}")
+                    raise VarjetError(f"independent name {short!r} is a prefix of {name!r}")
+        for name in names:
+            if not _NAME_RE.match(name):
+                raise VarjetError(f"invalid coordinate name {name!r}")
 
     @property
     def n(self) -> int:
@@ -207,31 +225,27 @@ class JetContext:
         return "".join(self.independents[i] for i in index)
 
     def name(self, c: CoordinateId) -> str:
-        if c.kind == INDEPENDENT:
+        kind = c.kind
+        if kind == INDEPENDENT:
             return self.independents[c.i]
-        if c.kind == JET:
+        if kind == COMMA:
+            return f"{self.name(c.base)},_{self.index_word(c.comma_index)}"
+        if kind == JET:
             base = self.dependents[c.alpha]
-            if len(c.index) == 0:
-                return base
-            word = self.index_word(c.index)
-            if self.jet_style == "comma":
-                return f"{base},_{word}"
-            return f"{base}_{word}"
+            return f"{base}_{self.index_word(c.index)}" if len(c.index) else base
         tag = f"^{self.dependents[c.alpha]}" if self.m > 1 else ""
         return f"p{tag}_{self.index_word(c.index)}.{self.independents[c.i]}"
 
     def latex_name(self, c: CoordinateId) -> str:
-        if c.kind == INDEPENDENT:
+        kind = c.kind
+        if kind == INDEPENDENT:
             return self.independents[c.i]
-        if c.kind == JET:
-            base = self.dependents[c.alpha]
-            if len(c.index) == 0:
-                return base
-            word = self.index_word(c.index)
-            if self.jet_style == "comma":
-                return f"{base}{{}}_{{,{word}}}"
-            return f"{base}_{{{word}}}"
+        if kind == COMMA:
+            return f"{self.latex_name(c.base)}{{}}_{{,{self.index_word(c.comma_index)}}}"
         word = self.index_word(c.index)
+        if kind == JET:
+            base = self.dependents[c.alpha]
+            return f"{base}_{{{word}}}" if word else base
         tag = f"[{self.dependents[c.alpha]}]" if self.m > 1 else ""
         return f"p{tag}^{{{word}.{self.independents[c.i]}}}"
 
@@ -261,16 +275,14 @@ class JetContext:
             for i in suffix:
                 index = index.with_index(i)
             return CoordinateId.jet(parent.alpha, index)
-        if self.jet_style == "suffix":
-            mom = self._try_momentum(name)
-            if mom is not None:
-                return mom
-            for alpha, dep in sorted(enumerate(self.dependents),
-                                     key=lambda t: -len(t[1])):
-                if name.startswith(dep + "_"):
-                    suffix = self._split_index_word(name[len(dep) + 1:])
-                    if suffix is not None:
-                        return CoordinateId.jet(alpha, MultiIndex(tuple(suffix)))
+        mom = self._try_momentum(name)
+        if mom is not None:
+            return mom
+        for alpha, dep in sorted(enumerate(self.dependents), key=lambda t: -len(t[1])):
+            if name.startswith(dep + "_"):
+                suffix = self._split_index_word(name[len(dep) + 1:])
+                if suffix is not None:
+                    return CoordinateId.jet(alpha, MultiIndex(tuple(suffix)))
         return None
 
     def _try_momentum(self, name: str) -> Optional[CoordinateId]:
@@ -1162,14 +1174,15 @@ def _coeff_latex(num: int, den: int) -> str:
 
 
 def render(e: Expr, ctx: JetContext, fmt: str = "plain") -> str:
-    """Deterministic rendering; the plain format re-parses to the same Expr."""
+    """Deterministic rendering; the plain format re-parses to the same Expr,
+    unless it holds a comma-derivative (see docs/grammar.bnf)."""
     if fmt == "plain":
         return _render(e, ctx.name, "^{}".format, _coeff_plain, "*")
     if fmt == "latex":
         return _render(e, ctx.latex_name, "^{{{}}}".format, _coeff_latex, " ")
     if fmt == "json":
         return json_text(expr_to_json(e, ctx), sort_keys=True)
-    raise ValueError(f"unknown format {fmt!r}")
+    raise VarjetError(f"unknown format {fmt!r}")
 
 
 def _render(e: Expr, name, power, coeff_text, joiner: str) -> str:

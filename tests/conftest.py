@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from varjet import numeric
 from varjet.multiindex import MultiIndex, multiindices_up_to
 from varjet.numeric import GridFunction
+from varjet.pdham import comma_images
 from varjet.symcore import CoordinateId, Expr, JetContext, parse
 from varjet.variational import LagrangianDensity
 
@@ -125,3 +127,42 @@ def random_lagrangian(rng: random.Random, max_n=2, max_m=2, max_order=3,
     if L.is_zero():
         L = Expr.coord(pool[0])
     return LagrangianDensity(ctx, L, order=max(order, max(1, L.max_jet_order())))
+
+
+# a name of the grammar's token, then ",_" and an index word
+_COMMA_NAME = re.compile(r"([A-Za-z][A-Za-z0-9_.]*(?:\^[A-Za-z][A-Za-z0-9_.]*)?)"
+                         r",_([A-Za-z][A-Za-z0-9]*)")
+
+
+def read_mixed(text: str, ctx: JetContext) -> Expr:
+    """A mixed row written as text: parse(text, ctx), but each <name>,_<word>
+    is the comma-derivative of the coordinate <name> along <word>, not the
+    jet the grammar reads.  Each is parsed as a fresh independent and then
+    substituted."""
+    commas = []
+
+    def placeholder(m):
+        c = ctx.resolve(m.group(1))
+        for i in ctx.resolve(f"{ctx.dependents[0]}_{m.group(2)}").index:
+            c = CoordinateId.comma(c, i)
+        commas.append(c)
+        return "Z" + "abcdefghijklmnopqrstuvwxyz"[len(commas) - 1]
+
+    body = _COMMA_NAME.sub(placeholder, text)
+    names = tuple("Z" + letter for letter in "abcdefghijklmnopqrstuvwxyz"[:len(commas)])
+    wide = JetContext(ctx.independents + names, ctx.dependents)
+    return parse(body, wide).substitute(
+        {CoordinateId.independent(ctx.n + k): Expr.coord(c) for k, c in enumerate(commas)})
+
+
+def pullback(system, theta):
+    """The rows of a mixed system pulled back along the prolonged Legendre
+    section of theta (legendre_form's map): a fiber jet maps to itself, a
+    momentum p to theta[p] (zero when absent), and a comma-derivative to the
+    total derivative of its base's image.  One substitution, in the
+    system's own context.  Returns (label, Expr) pairs."""
+    ctx = system.context
+    images = {c: theta.get(c, Expr.zero()) for c in system.fiber if c.kind == "momentum"}
+    images.update((c, Expr.coord(c)) for c in system.fiber if c.kind == "jet")
+    mapping = comma_images(images, ctx.n)
+    return tuple((label, res.substitute(mapping)) for label, res in system.equations)

@@ -17,7 +17,7 @@ import varjet
 from varjet import numeric
 
 EXPORTED = {
-    "CoordinateId", "DegenerateLagrangianError", "DerivedContext",
+    "CoordinateId", "DegenerateLagrangianError",
     "EquationSystem", "Expr", "HessianMatrix", "JetContext",
     "LagrangianDensity", "MultiIndex", "ParseError",
     "RankReport", "ReducedSystem", "UnknownCoordinateError",
@@ -112,24 +112,26 @@ def test_legendre_form_is_keyed_by_momenta_in_ascending_order():
 
 def test_total_derivatives_and_contexts_carry_no_order_bound():
     # the density fixes the jet orders a construction reads, so neither the
-    # total derivatives nor the context take a bound
+    # total derivatives nor the context take a bound; mixed systems share
+    # their density's context, so it carries no naming style either
     assert str(inspect.signature(varjet.total_derivative)) == "(e: 'Expr', i: 'int') -> 'Expr'"
     assert str(inspect.signature(varjet.iterated_total_derivative)) == \
         "(e: 'Expr', J: 'MultiIndex') -> 'Expr'"
     assert [f.name for f in dataclasses.fields(varjet.JetContext)] == \
-        ["independents", "dependents", "jet_style"]
+        ["independents", "dependents"]
 
 
 def test_equation_systems_carry_rows_only():
-    # a system is its context, its labelled rows and, for a first-order
-    # system, the derived context; its JSON is written by cli alone
+    # a system is its context, its labelled rows and, for a mixed
+    # first-order system, its fiber and momentum level; its JSON is written
+    # by cli alone
     assert [f.name for f in dataclasses.fields(varjet.EquationSystem)] == \
-        ["context", "equations", "derived"]
+        ["context", "equations", "fiber", "level"]
 
 
 def test_a_reduction_holds_one_equation_system():
     # the HDW rows read P0 coordinates only, so they are the system on P too:
-    # a reduction builds them once, over one derived context
+    # a reduction builds them once, over one fiber
     assert [f.name for f in dataclasses.fields(varjet.ReducedSystem)] == \
         ["diagnosis", "p_coordinates", "p0_coordinates", "substitutions", "hamiltonian",
          "system_hdw", "offending"]

@@ -145,10 +145,12 @@ def test_prolong_refuses_a_negative_level(ctx_1d):
 
 
 def test_prolong_rejects_momenta(kdv):
-    # the constraint rows read momenta, which total_derivative refuses
-    from varjet.pdham import constraints
-    with pytest.raises(WrongDomainError):
-        prolong(constraints(kdv), 1)
+    # the constraint rows read momenta, and the ELH rows comma-derivatives
+    # too, which total_derivative refuses
+    from varjet.pdham import constraints, elh_system
+    for system in (constraints(kdv), elh_system(kdv)):
+        with pytest.raises(WrongDomainError, match="^total_derivative acts on jet-side"):
+            prolong(system, 1)
 
 
 def test_equation_system_label_uniqueness(ctx_tx):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -10,14 +11,15 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import KDV_L, jet_pool, random_expr, random_lagrangian, reference_partial
+from conftest import (KDV_L, jet_pool, pullback, random_expr, random_lagrangian,
+                      read_mixed, reference_partial)
 from varjet import cli, pdham
 from varjet.jetcalc import EquationSystem, total_derivative
 from varjet.multiindex import EMPTY, MultiIndex, multiindices, multiindices_up_to
 from varjet.pdham import (
     MAX_RANK_SAMPLES,
+    comma_images,
     DegenerateLagrangianError,
-    DerivedContext,
     RankReport,
     constraints,
     elh_system,
@@ -37,7 +39,10 @@ from varjet.symcore import (
     render,
     row_echelon,
 )
-from varjet.variational import LagrangianDensity, legendre_form
+from varjet.problemfile import load_problem
+from varjet.variational import LagrangianDensity, euler_lagrange, legendre_form
+
+PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
 
 def rows_by_label(system):
@@ -54,9 +59,9 @@ def canon(system):
     return Counter(signless(res) for _, res in system.equations if not res.is_zero())
 
 
-def expected_rows(dc, texts):
-    """Parse expected residual strings in the derived context, as a sign-blind multiset."""
-    return Counter(signless(parse(t, dc.ctx)) for t in texts)
+def expected_rows(system, texts):
+    """Read expected mixed rows in the system's context, as a sign-blind multiset."""
+    return Counter(signless(read_mixed(t, system.context)) for t in texts)
 
 
 # -- ELH ---------------------------------------------------------------------
@@ -65,7 +70,7 @@ def test_elh_mechanics_free_particle():
     ctx = JetContext(("t",), ("u",))
     lag = LagrangianDensity(ctx, parse("1/2*u_t^2", ctx))
     system = elh_system(lag)
-    assert canon(system) == expected_rows(system.derived, [
+    assert canon(system) == expected_rows(system, [
         "p_.t,_t", "u_t - p_.t", "u,_t - u_t"])
 
 
@@ -73,7 +78,7 @@ def test_elh_zero_lagrangian():
     ctx = JetContext(("x",), ("u",))
     lag = LagrangianDensity(ctx, Expr.zero(), order=1)
     system = elh_system(lag)
-    assert canon(system) == expected_rows(system.derived, [
+    assert canon(system) == expected_rows(system, [
         "p_.x,_x", "p_.x", "u,_x - u_x"])
 
 
@@ -83,7 +88,7 @@ def test_elh_kdv_full_system(kdv):
     as do Legendre transport and the divergence-shift equivalence."""
     system = elh_system(kdv)
     assert len(system.equations) == 12
-    assert canon(system) == expected_rows(system.derived, [
+    assert canon(system) == expected_rows(system, [
         "p_.t,_t + p_.x,_x",
         "p_t.t,_t + p_t.x,_x + 1/2*u_x + p_.t",
         "p_x.t,_t + p_x.x,_x - 3*u_x^2 + 1/2*u_t + p_.x",
@@ -105,9 +110,8 @@ def test_elh_constraint_rows_match_constraints_randomized():
     for _ in range(25):
         lag = random_lagrangian(rng, max_order=2)
         system = elh_system(lag)
-        dc = system.derived
         for lab, res in constraints(lag).equations:
-            assert system_row(system, f"mom:{lab.split(':', 1)[1]}") == dc.embed(res)
+            assert system_row(system, f"mom:{lab.split(':', 1)[1]}") == res
 
 
 def system_row(system, label):
@@ -333,9 +337,9 @@ def test_shift_of_an_eliminated_momentum_is_domain_error(kdv, ctx_tx):
     # shifts the surviving p_.x only
     hdw = reduce_lagrangian(kdv).system_hdw
     with pytest.raises(WrongDomainError,
-                       match=r"^momentum p_x\.t is not part of the derived fiber$"):
+                       match=r"^momentum p_x\.t is not part of the fiber$"):
         momentum_shift(hdw, [parse("u_x", ctx_tx), Expr.zero()])
-    assert momentum_shift(hdw, [Expr.zero(), parse("u^2", ctx_tx)]).derived is hdw.derived
+    assert momentum_shift(hdw, [Expr.zero(), parse("u^2", ctx_tx)]).fiber == hdw.fiber
 
 
 # -- reduction --------------------------------------------------------------------
@@ -363,7 +367,7 @@ def test_reduce_kdv(kdv, ctx_tx):
         "u_t,_x - u_x,_t",
         "u_x,_x - p_x.x",
     ]
-    assert canon(red.system_hdw) == expected_rows(red.system_hdw.derived, expected)
+    assert canon(red.system_hdw) == expected_rows(red.system_hdw, expected)
 
 
 def test_reduce_wave_hand_legendre_oracle():
@@ -373,7 +377,7 @@ def test_reduce_wave_hand_legendre_oracle():
     red = reduce_lagrangian(lag)
     assert red.diagnosis == "regular"
     assert red.hamiltonian == parse("1/2*p_.t^2 - 1/2*p_.x^2", ctx)
-    assert canon(red.system_hdw) == expected_rows(red.system_hdw.derived, [
+    assert canon(red.system_hdw) == expected_rows(red.system_hdw, [
         "u,_t - p_.t", "u,_x + p_.x", "p_.t,_t + p_.x,_x"])
     assert red.p_coordinates == red.p0_coordinates
 
@@ -406,17 +410,16 @@ def test_reduce_regular_display_randomized():
         L = L + Expr.coord(CoordinateId.jet(0, EMPTY)).scale(rng.randint(-3, 3))
         red = reduce_lagrangian(LagrangianDensity(ctx, L, order=1))
         assert red.diagnosis == "regular"
-        dc = red.system_hdw.derived
         H = red.hamiltonian
         rows = dict(red.system_hdw.equations)
         divergence = Expr.zero()
         for i in range(n):
             momentum = CoordinateId.momentum(0, EMPTY, i)
-            expected = Expr.coord(dc.comma(CoordinateId.jet(0, EMPTY), i)) \
-                - dc.embed(reference_partial(H, momentum))
+            expected = Expr.coord(CoordinateId.comma(CoordinateId.jet(0, EMPTY), i)) \
+                - reference_partial(H, momentum)
             assert rows[f"contact:u::{names[i]}"] == expected
-            divergence = divergence + Expr.coord(dc.comma(momentum, i))
-        assert rows["mom:u:"] == -dc.embed(reference_partial(H, CoordinateId.jet(0, EMPTY))) \
+            divergence = divergence + Expr.coord(CoordinateId.comma(momentum, i))
+        assert rows["mom:u:"] == -reference_partial(H, CoordinateId.jet(0, EMPTY)) \
             - divergence
 
 
@@ -437,7 +440,7 @@ def test_reduce_mechanics():
     red = reduce_lagrangian(lag)
     assert red.diagnosis == "regular"
     assert red.hamiltonian == parse("1/2*p_.t^2", ctx)
-    assert canon(red.system_hdw) == expected_rows(red.system_hdw.derived, [
+    assert canon(red.system_hdw) == expected_rows(red.system_hdw, [
         "u,_t - p_.t", "p_.t,_t"])
 
 
@@ -475,9 +478,8 @@ def test_reduction_soundness_randomized():
             assert c not in eliminated
         for _, res in red.system_hdw.equations:
             for c in res.coordinates():
-                if c.kind == "jet" and len(c.index) == 0:
-                    base = red.system_hdw.derived.fiber[c.alpha]
-                    assert base not in eliminated
+                if c.kind != "independent":
+                    assert c.base not in eliminated
     assert done >= 10
 
 
@@ -491,11 +493,11 @@ def test_reduced_rows_on_p_and_p0_agree(kdv):
     assert len(reduced) >= 10
     for lag, red in reduced:
         p0 = [c for c in red.p0_coordinates if c.kind != "independent"]
-        fiber = red.system_hdw.derived.fiber
+        fiber = red.system_hdw.fiber
         for _, res in red.system_hdw.equations:
             for c in res.coordinates():
                 if c.kind != "independent":
-                    assert fiber[c.alpha] in p0
+                    assert c.base in p0
         assert list(fiber) == p0
         tops = tuple(c for c in lag.context.jets_up_to(lag.level + 1)
                      if len(c.index) == lag.level + 1 and c not in red.substitutions)
@@ -674,3 +676,100 @@ def test_one_pass_pivot_randomized(ctx_tx):
         res = random_expr(rng, pool, max_monomials=5, max_factors=2, max_exp=2)
         candidates = rng.sample(pool, rng.randint(1, len(pool)))
         assert pdham._pivot(res, candidates) == coefficient_pivot(res, candidates)
+
+
+# -- the certificate: the Hamiltonian side pulls back to Euler-Lagrange -----------
+
+def certificate_densities():
+    """The three sample problems and seeded regular and reducible densities
+    (n <= 3, m <= 2, order <= 3): quadratic in every top jet, or in some of
+    them only, plus a cubic polynomial in the lower jets."""
+    lags = []
+    for name in sorted(os.listdir(PROBLEMS)):
+        lags.append(load_problem(os.path.join(PROBLEMS, name)).lagrangian())
+    rng = random.Random(97)
+    for k in range(24):
+        n, m = rng.randint(1, 3), rng.randint(1, 2)
+        order = rng.randint(1, 3)
+        ctx = JetContext(("t", "x", "y")[:n], ("u", "v")[:m])
+        tops = [c for c in ctx.jets_up_to(order) if len(c.index) == order]
+        lower = ctx.jets_up_to(order - 1)
+        squared = tops if k % 2 == 0 else rng.sample(tops, max(1, len(tops) // 3))
+        parts = [Expr.coord(c) ** 2 * Fraction(rng.choice((-3, -1, 1, 2)), 2) for c in squared]
+        for _ in range(3):
+            term = Expr.number(Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 3)):
+                term = term * Expr.coord(rng.choice(lower))
+            parts.append(term)
+        lags.append(LagrangianDensity(ctx, Expr.sum(parts), order=order))
+    return lags
+
+
+def assert_certified(system, theta, el, lag):
+    """Every pulled-back row is 0 but mom:<a>:, which is +E_a(L)."""
+    ctx = lag.context
+    expected = {f"mom:{ctx.dependents[a]}:": e for a, e in enumerate(el)}
+    for label, res in pullback(system, theta):
+        assert res == expected.get(label, Expr.zero()), label
+
+
+def test_certificate_elh_hdw_and_shift_pull_back_to_euler_lagrange():
+    rng = random.Random(5)
+    reduced = 0
+    for lag in certificate_densities():
+        ctx, theta, el = lag.context, legendre_form(lag), euler_lagrange(lag)
+        assert_certified(elh_system(lag), theta, el, lag)
+        red = reduce_lagrangian(lag)
+        if red.system_hdw is not None:
+            reduced += 1
+            assert_certified(red.system_hdw, theta, el, lag)
+        # L + D_i rho^i has the same E(L); the shifted system is its ELH system
+        rho = [random_expr(rng, jet_pool(ctx, lag.level, include_independents=False),
+                           max_monomials=2, max_factors=2) for _ in range(ctx.n)]
+        shifted = LagrangianDensity(ctx, lag.L + Expr.sum(
+            [total_derivative(r, i) for i, r in enumerate(rho)]), order=lag.order)
+        assert_certified(momentum_shift(elh_system(lag), rho), legendre_form(shifted), el, lag)
+    assert reduced >= 20
+
+
+def test_comma_images_differentiate_on_the_mixed_fiber(ctx_tx):
+    # the image of p_x.x*u_x under D_t: the momentum gains a comma, the jet
+    # prolongs as under total_derivative, and a comma-derivative gains an entry
+    p = CoordinateId.momentum(0, MultiIndex.of(1), 1)
+    e = parse("p_x.x*u_x", ctx_tx)
+    images = comma_images({p: e}, ctx_tx.n)
+    assert list(images) == [p, CoordinateId.comma(p, 0), CoordinateId.comma(p, 1)]
+    assert images[p] == e
+    assert images[CoordinateId.comma(p, 0)] == read_mixed("p_x.x,_t*u_x + p_x.x*u_tx", ctx_tx)
+    assert images[CoordinateId.comma(p, 1)] == read_mixed("p_x.x,_x*u_x + p_x.x*u_xx", ctx_tx)
+    q = CoordinateId.comma(p, 0)
+    assert comma_images({q: Expr.coord(q) + parse("t*x", ctx_tx)}, 2)[
+        CoordinateId.comma(q, 1)] == read_mixed("p_x.x,_tx + t", ctx_tx)
+
+
+# shapes (n, m, order) of the benchmark's derivation ladder
+LADDER_SHAPES = [(2, 1, 2), (2, 1, 3), (2, 2, 2), (2, 2, 3), (3, 1, 2), (3, 1, 3),
+                 (3, 2, 2), (3, 2, 3), (4, 1, 2), (4, 1, 3), (4, 2, 2), (4, 2, 3)]
+
+
+def test_mixed_systems_carry_strictly_ascending_fibers():
+    # term order is the coordinates' order: with a sorted fiber it is the
+    # order the mixed rows have always printed in
+    lags = certificate_densities()
+    for n, m, order in LADDER_SHAPES:
+        ctx = JetContext(("t", "x", "y", "z")[:n], ("u", "v")[:m])
+        tops = [c for c in ctx.jets_up_to(order) if len(c.index) == order]
+        for squared in (tops, tops[::3]):
+            L = Expr.sum([Expr.coord(c) ** 2 for c in squared] + [parse("u", ctx)])
+            lags.append(LagrangianDensity(ctx, L, order=order))
+    systems = 0
+    for lag in lags:
+        red = reduce_lagrangian(lag)
+        for system in (elh_system(lag), red.system_hdw,
+                       momentum_shift(elh_system(lag), [Expr.zero()] * lag.context.n)):
+            if system is not None:
+                systems += 1
+                assert all(a < b for a, b in zip(system.fiber, system.fiber[1:]))
+                assert system.fiber and system.level == lag.level
+    assert systems == 3 * len(lags)
+    assert constraints(lags[0]).fiber == ()

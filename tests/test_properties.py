@@ -9,13 +9,12 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from conftest import reference_partial
 from varjet import symcore
 from varjet.jetcalc import total_derivative
 from varjet.multiindex import EMPTY, MultiIndex, multiindices_up_to
-from varjet.pdham import DerivedContext
 from varjet.symcore import (INDEPENDENT, JET, MOMENTUM, CoordinateId, Expr, JetContext, Q, parse,
                             render)
 
@@ -298,22 +297,6 @@ def test_total_derivative_matches_the_partials_reference(e, i):
     assert_canonical(out)
 
 
-# a derived context over MIXED_POOL's jets and momenta, listed in reverse so
-# that relabelling reverses the order of factors; its zero-jets share keys
-# with the base jets, so the reference substitution must be simultaneous
-DERIVED = DerivedContext(MIXED_CTX, 1,
-                         [c for c in reversed(MIXED_POOL) if c.kind != INDEPENDENT])
-
-
-@settings(max_examples=100, deadline=None)
-@given(mixed_exprs())
-def test_embed_matches_substitution_by_coordinates(e):
-    images = {c: Expr.coord(DERIVED.dep(c)) for c in e.coordinates() if c.kind != INDEPENDENT}
-    out = DERIVED.embed(e)
-    assert out == e.substitute(images)
-    assert_canonical(out)
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=7))
 def test_removals_reassembles(entries):
@@ -371,6 +354,32 @@ def test_coordinates_order_compare_and_hash_as_their_dataclass_keys(a, b):
     assert (new_a == new_b) == (old_key(old_a) == old_key(old_b))
     assert (new_a < new_b) == (old_key(old_a) < old_key(old_b))
     assert (new_a <= new_b) == (old_key(old_a) <= old_key(old_b))
+
+
+def comma_of(c, axes):
+    for i in axes:
+        c = CoordinateId.comma(c, i)
+    return c
+
+
+@settings(max_examples=300, deadline=None)
+@given(coordinate_pairs(), coordinate_pairs(),
+       st.lists(st.integers(0, 3), max_size=3), st.lists(st.integers(0, 3), max_size=3))
+def test_comma_derivatives_sort_after_their_base_by_length_then_index(a, b, J, K):
+    # c,_J sorts as (c, |J|, J), so a sorted fiber's coordinates and their
+    # comma-derivatives keep the order of the separate context they once had
+    c, d = a[0], b[0]
+    assume(c.kind != INDEPENDENT and d.kind != INDEPENDENT)
+    cJ, dK = comma_of(c, J), comma_of(d, K)
+    key_c, key_d = (c, len(J), MultiIndex(J)), (d, len(K), MultiIndex(K))
+    assert (cJ < dK) == (key_c < key_d) and (cJ == dK) == (key_c == key_d)
+    if J:
+        assert cJ.kind == "comma" and cJ.base == c and type(cJ.base) is CoordinateId
+        assert cJ.comma_index == MultiIndex(J)
+        assert (cJ.alpha, cJ.index, cJ.i) == (c.alpha, c.index, c.i)
+        assert cJ == comma_of(c, reversed(J)) and hash(cJ) == hash(tuple(cJ))
+        assert pickle.loads(pickle.dumps(cJ)) == cJ and copy.deepcopy(cJ) == cJ
+        assert c < cJ and (d <= c or dK > cJ)
 
 
 @settings(max_examples=200, deadline=None)

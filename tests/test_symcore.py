@@ -30,6 +30,7 @@ from varjet.symcore import (
     ParseError,
     UnknownCoordinateError,
     UnsupportedExpressionError,
+    VarjetError,
     parse,
     render,
 )
@@ -325,19 +326,40 @@ def test_benchmark_kernel_hooks_are_python_functions():
 
 
 def test_context_validation():
-    with pytest.raises(ValueError):
+    # every refusal is a domain error
+    with pytest.raises(VarjetError, match="^need at least one independent and one dependent"):
         JetContext((), ("u",))
-    with pytest.raises(ValueError):
+    with pytest.raises(VarjetError, match="^need at least one independent and one dependent"):
+        JetContext(("x",), ())
+    with pytest.raises(VarjetError, match="^coordinate names must be pairwise distinct$"):
         JetContext(("x",), ("x",))
-    with pytest.raises(ValueError):
+    with pytest.raises(VarjetError, match="^invalid coordinate name 'u v'$"):
         JetContext(("x",), ("u v",))
+    with pytest.raises(VarjetError, match="^invalid coordinate name 'p_.t'$"):
+        JetContext(("t",), ("p_.t",))
     # an index word must split one way: u_xx is not both u_{x,x} and the jet along xx
     for names in (("x", "xx"), ("xx", "x"), ("t", "x", "x1")):
-        with pytest.raises(ValueError, match="is a prefix of"):
+        with pytest.raises(VarjetError, match="is a prefix of"):
             JetContext(names, ("u",))
-    for style in ("suffix", "comma"):
-        with pytest.raises(ValueError, match="'x' is a prefix of 'xt'"):
-            JetContext(("xt", "x"), ("u",), jet_style=style)
+    with pytest.raises(VarjetError, match="^independent name 'x' is a prefix of 'xt'$"):
+        JetContext(("xt", "x"), ("u",))
+
+
+def test_render_refuses_an_unknown_format():
+    ctx = JetContext(("x",), ("u",))
+    with pytest.raises(VarjetError, match="^unknown format 'html'$"):
+        render(parse("u_x", ctx), ctx, "html")
+
+
+def test_comma_derivatives_are_named_after_their_base():
+    # c,_J in plain and c{}_{,J} in LaTeX; the grammar still reads u,_x as the jet u_x
+    ctx = JetContext(("t", "x"), ("u", "v"))
+    comma = CoordinateId.comma
+    u_t, p = parse("u_t", ctx).coordinates()[0], parse("p^v_x.t", ctx).coordinates()[0]
+    e = Expr.coord(comma(u_t, 1)) - Expr.coord(comma(comma(p, 0), 1)) ** 2
+    assert render(e, ctx) == "u_t,_x - p^v_x.t,_tx^2"
+    assert render(e, ctx, "latex") == "u_{t}{}_{,x} - p[v]^{x.t}{}_{,tx}^{2}"
+    assert parse("u,_x", ctx) == parse("u_x", ctx)
 
 
 def test_reparse_normalises_each_term_a_bounded_number_of_times(monkeypatch):
