@@ -61,6 +61,8 @@ def mixed_total_derivative(e: Expr, i: int) -> Expr:
 
 
 def _derivative(e: Expr, i: int, mixed: bool) -> Expr:
+    if i < 0:
+        raise VarjetError(f"independent index must be >= 0, got {i}")
     lifted: Dict[CoordinateId, CoordinateId] = {}  # u_I^a -> u_{Ii}^a, c -> c,_i
     out: List[Term] = []
     for mono, coeff in e.terms:

@@ -16,9 +16,11 @@ fresh computation would give: u_tx reuses the u_t pass, and the
 comma-derivative u_{,t} is the jet u_t itself.  ``residual`` computes its
 arrays one band of rows along axis 0 at a time, each on the band plus the
 halo its later passes read, in buffers planned once per call and reused by
-every band.  The buffers are one page mapping per call, unmapped when
-``residual`` returns, so a process that checks several grids holds one
-call's buffers at a time.  A grid file's fields are read one band of rows
+every band.  A band holds about BAND_ELEMENTS elements however deep the
+halos are, and a pass along axis 0 computes only the rows its array keeps.
+The buffers are one page mapping per call, unmapped when ``residual``
+returns, so a process that checks several grids holds one call's buffers
+at a time.  A grid file's fields are read one band of rows
 at a time too (load_grid reads only the header), so a run on a grid file
 holds no full-grid array at all.
 
@@ -30,8 +32,8 @@ rule rests on round-to-nearest arithmetic being sign-symmetric:
   exactly, so tap -k's term w_{-k} (a_{i-k} - a_i) is that product read k
   points back and negated or not: negation commutes with a rounded product
   or difference, and ``s - x`` is ``s + (-x)``.  The two forms differ only
-  in the sign of a zero term, and the accumulator, which starts as
-  ``0 + t`` (or ``0 - t``) and so is never -0, sums either zero alike.
+  in the sign of a zero term, and the sum, which starts as ``0 + t`` (or
+  ``0 - t``) and so is never -0, adds either zero alike.
 - ``evaluate`` multiplies by no coefficient of 1 (``1.0 * x`` is ``x``) and
   subtracts a term of coefficient -1 after the first (``s + (-1.0 * x)`` is
   ``s - x``); in the band loop it writes into the buffers it is given,
@@ -241,12 +243,13 @@ def stencil_radius(order: int) -> int:
     return 0 if order == 0 else (order + 3) // 2
 
 
-# elements per band of the stencil kernel: the band's two work buffers
-# (512 KiB each) stay in cache while every tap streams through them.  The
-# residual's bands (see _stream) do not replace this loop: on a 128^3 grid they
-# pass the kernel blocks of 4 to 16 rows of 128^2 points (1-4x BAND_ELEMENTS),
-# and without its own bands the kernel ran 1.1-1.3x slower on 8 rows and
-# 1.3-1.5x slower on 16 along axes 1 and 2 (2 vCPUs, warm heap: no page faults)
+# elements per band: a band of the residual (see _stream) holds about this
+# many, and the stencil kernel's r q_k buffers share as many, so that they
+# stay in cache while every tap streams through them.  The residual's arrays
+# also cover their halos, so on a 128^3 grid the kernel computes 4 or 8 rows
+# of 128^2 points a call; without bands of its own it ran 1.1-1.3x slower on
+# 8 rows and 1.3-1.5x slower on 16 along axes 1 and 2 (2 vCPUs, warm heap: no
+# page faults)
 BAND_ELEMENTS = 1 << 16
 
 
@@ -255,18 +258,20 @@ def _check_axis(n: int, r: int) -> None:
         raise GridTooSmallError(f"axis of {n} points cannot host a radius-{r} stencil")
 
 
-def _stencil_work(shape: Tuple[int, ...], axis: int, r: int) -> Tuple[int, int]:
-    """The elements of _apply_stencil's accumulator and of each of its r
-    q_k buffers, for an array of ``shape`` and a radius-r pass along axis."""
+def _stencil_work(shape: Tuple[int, ...], axis: int, r: int) -> int:
+    """The elements of each of _apply_stencil's r q_k buffers, for a
+    radius-r pass along axis whose result has ``shape``: an r-th of
+    BAND_ELEMENTS in whole rows of axis 0 (at least one, at most the
+    result's), and the r neighbours before them along the axis."""
     row = math.prod(shape[1:])
-    rows = shape[0] - 2 * r if axis == 0 else shape[0]
-    size = min(max(1, BAND_ELEMENTS // row), rows) * row
-    return size, size + r * math.prod(shape[axis + 1:])
+    rows = min(max(1, BAND_ELEMENTS // r // row), shape[0])
+    return rows * row + r * math.prod(shape[axis + 1:])
 
 
 def _apply_stencil(arr: np.ndarray, axis: int, order: int, h: float,
                    out: Optional[np.ndarray] = None,
-                   work: Optional[np.ndarray] = None) -> np.ndarray:
+                   work: Optional[np.ndarray] = None,
+                   rows: Optional[Tuple[int, int]] = None) -> np.ndarray:
     """1-D central stencil along one axis; the boundary band becomes NaN.
 
     Every interior point gets
@@ -278,17 +283,21 @@ def _apply_stencil(arr: np.ndarray, axis: int, order: int, h: float,
     the same term, see the module docstring); that is 4r + 1 passes for a
     radius-r stencil.
 
-    The output is computed in bands of about BAND_ELEMENTS elements along
-    axis 0, in work buffers.  Each pass runs over a band as one contiguous
-    run of the flattened array, where the neighbour k points along the axis
-    is k * stride elements on; along any axis but 0 that run also covers the
+    The output is computed in bands of about BAND_ELEMENTS / r elements
+    along axis 0, so that the r q_k buffers together hold about
+    BAND_ELEMENTS; each band's sum is taken and divided in its rows of the
+    result.  Each pass runs over a band as one contiguous run of the
+    flattened array, where the neighbour k points along the axis is
+    k * stride elements on; along any axis but 0 that run also covers the
     axis's boundary points, which read neighbours across the band's other
     indices and are set to NaN at the end.
 
-    The result is written into ``out`` (of arr's shape) and the work
-    buffers are carved from ``work`` (at least the accumulator and r q_k
-    buffers of the sizes _stencil_work gives) when they are given, and
-    allocated otherwise.
+    ``rows`` = (a, b) computes only rows a..b of the result along axis 0
+    (all of them by default); a pass along axis 0 then reads only the r
+    rows of arr beyond them.  The result, of b - a rows, is written into
+    ``out`` and the q_k buffers are carved from ``work`` (r buffers of the
+    elements _stencil_work gives) when they are given, and allocated
+    otherwise.  ``out`` must not overlap arr.
     """
     if order == 0:
         return arr
@@ -296,22 +305,22 @@ def _apply_stencil(arr: np.ndarray, axis: int, order: int, h: float,
     r = stencil_radius(order)
     n = arr.shape[axis]
     _check_axis(n, r)
+    a, b = rows if rows is not None else (0, arr.shape[0])
     weights = fd_weights(order, r)[r + 1:]  # w_1 .. w_r; w_{-k} = (-1)**order w_k
     mirror = np.add if order % 2 else np.subtract  # applies tap -k's sign
     scale = h ** order
     if out is None:
-        out = np.empty(arr.shape)
+        out = np.empty((b - a,) + arr.shape[1:])
     flat, flat_out = arr.reshape(-1), out.reshape(-1)
     stride = math.prod(arr.shape[axis + 1:])  # elements from a point to its neighbour
     row = math.prod(arr.shape[1:])  # elements per index of axis 0
     # the runs start and end r neighbours inside the array along the axis
-    first, last, pad = (r, n - r, 0) if axis == 0 else (0, arr.shape[0], r * stride)
-    step = max(1, BAND_ELEMENTS // row)
-    size, q_size = _stencil_work(arr.shape, axis, r)
+    first, last, pad = (max(a, r), min(b, n - r), 0) if axis == 0 else (a, b, r * stride)
+    step = max(1, BAND_ELEMENTS // r // row)
+    q_size = _stencil_work(out.shape, axis, r)
     if work is None:
-        work = np.empty(size + r * q_size)
-    acc_buf = work[:size]
-    q_bufs = [work[size + j * q_size:size + (j + 1) * q_size] for j in range(r)]
+        work = np.empty(r * q_size)
+    q_bufs = [work[j * q_size:(j + 1) * q_size] for j in range(r)]
     for lo in range(first, last, step):
         start, stop = lo * row + pad, min(lo + step, last) * row - pad
         m = stop - start
@@ -323,16 +332,20 @@ def _apply_stencil(arr: np.ndarray, axis: int, order: int, h: float,
             np.subtract(flat[start:stop + back], flat[start - back:stop], out=qk)
             np.multiply(qk, w, out=qk)
             q.append(qk)
-        acc = acc_buf[:m]
+        acc = flat_out[start - a * row:stop - a * row]
         for k in range(r, 0, -1):  # taps -r .. -1
             # 0 + x, not x: a first term of -0 sums to +0
             mirror(acc if k < r else 0.0, q[k - 1][:m], out=acc)
         for k in range(1, r + 1):  # taps 1 .. r
             np.add(acc, q[k - 1][k * stride:k * stride + m], out=acc)
-        np.divide(acc, scale, out=flat_out[start:stop])
-    edge = (slice(None),) * axis
-    out[edge + (slice(0, r),)] = np.nan
-    out[edge + (slice(n - r, n),)] = np.nan
+        np.divide(acc, scale, out=acc)
+    if axis == 0:  # the boundary rows the result holds
+        out[:max(0, r - a)] = np.nan
+        out[max(0, n - r - a):] = np.nan
+    else:
+        edge = (slice(None),) * axis
+        out[edge + (slice(0, r),)] = np.nan
+        out[edge + (slice(n - r, n),)] = np.nan
     return out
 
 
@@ -564,7 +577,9 @@ def _arena(elements: int) -> np.ndarray:
     mmap takes flags (not on Windows) the mapping is private and, on Linux,
     mapped in by the call: a 9.4 MiB arena took 3.3-4.1 ms to map, fill and
     unmap so, and 6.3-7.7 ms as a shared mapping faulted in page by page
-    (2-vCPU Xeon VM).  mmap refuses length 0, so an empty arena maps a byte."""
+    (2-vCPU Xeon VM).  Every call pays its arena's pages afresh, about 1.4k
+    minor faults for the 5.7 MiB of a 1024^2 ELH residual.  mmap refuses
+    length 0, so an empty arena maps a byte."""
     size = max(1, 8 * elements)
     if not hasattr(mmap, "MAP_PRIVATE"):
         return np.frombuffer(mmap.mmap(-1, size), np.float64, count=elements)
@@ -601,19 +616,23 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
     are bit-identical to a full-grid computation's.  A pass over a constant
     momentum is not run: its interior points, the only ones the residuals
     read, are exactly +0.0, and it becomes a broadcast 0.0 (the grid checks
-    above still cover its stencil).  A band holds about BAND_ELEMENTS
-    elements, and is at least twice as high as the deepest halo, so that no
-    array is computed on more than twice the band.
+    above still cover its stencil).  A band holds BAND_ELEMENTS // row rows
+    (at least one), however deep the halos: a halo deeper than the band
+    only makes each array cover more rows than the band keeps.  A pass
+    along axis 0 is computed on the rows its array covers, from its input's
+    rows and the stencil radius's beyond them.
 
     No array is allocated in the band loop.  One arena is mapped per call
-    (see _arena) and carved, for the tallest band, into a slot per array,
-    which a later array of the band reuses once nothing reads the earlier
-    one (see _slots), and into the buffers that evaluate and the stencil
-    kernel compute in: the values of the equations that are not constant, a
-    term's products, and one buffer per power (c, p), as large as the
-    largest value that reads it, in which each evaluate call computes that
-    power afresh.  Every band reuses them.  So the memory is a few bands'
-    worth, whatever the grid's size, and it is unmapped when this returns.
+    (see _arena) and carved, for the tallest band, into a slot per array of
+    the rows it covers, which a later array of the band reuses once nothing
+    reads the earlier one (see _slots), and into the buffers that evaluate
+    and the stencil kernel compute in: the values of the equations that are
+    not constant, a term's products, one buffer per power (c, p), as large
+    as the largest value that reads it, in which each evaluate call computes
+    that power afresh, and the kernel's q_k buffers, which hold about
+    BAND_ELEMENTS in all.  Every band reuses them.  So the memory is a few
+    bands' worth, whatever the grid's size, and it is unmapped when this
+    returns.
     """
     shape = grid.shape
     # the passes' own checks, before any work, in the order they are met
@@ -635,7 +654,7 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
 
     n0, row = shape[0], math.prod(shape[1:])
     first, stop = margin[0], n0 - margin[0]
-    height = max(1, BAND_ELEMENTS // row, 2 * max(halo.values(), default=0))
+    height = max(1, BAND_ELEMENTS // row)
     cols = tuple(slice(m, s - m) for m, s in zip(margin[1:], shape[1:]))
     inner = tuple(s - 2 * m for m, s in zip(margin[1:], shape[1:]))  # an equation's columns
 
@@ -649,15 +668,12 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
     for key in steps:
         if isinstance(key, int) or key[0] in constant:
             continue  # an equation, or a broadcast
-        root, chain = key
-        reach = halo[key]
-        if chain:  # a pass is computed on the rows of its input
-            axis, order = chain[-1]
+        kept = extent(halo[key])  # a pass too is computed on these rows only
+        need[key] = kept * row
+        if key[1]:
+            axis, order = key[1][-1]
             r = stencil_radius(order)
-            reach += r if axis == 0 else 0
-            size, q_size = _stencil_work((extent(reach),) + shape[1:], axis, r)
-            kernel = max(kernel, size + r * q_size)
-        need[key] = extent(reach) * row
+            kernel = max(kernel, r * _stencil_work((kept,) + shape[1:], axis, r))
     slot, slot_sizes = _slots(steps, dead, need)
     # each evaluation: an equation on the band's rows, a momentum on its halo's
     evaluations = [(height * math.prod(inner), res) for _, res, _ in equations]
@@ -724,10 +740,9 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
                     axis, order = chain[-1]
                     r = stencil_radius(order) if axis == 0 else 0
                     a_in, b_in = max(0, a - r), min(n0, b + r)
-                    out = _apply_stencil(rows((root, chain[:-1]), a_in, b_in), axis, order,
-                                         grid.spacing[axis], view(("slot", slot[key]), b_in - a_in),
-                                         buf["kernel"])
-                    return out[a - a_in:b - a_in]
+                    return _apply_stencil(rows((root, chain[:-1]), a_in, b_in), axis, order,
+                                          grid.spacing[axis], view(("slot", slot[key]), b - a),
+                                          buf["kernel"], (a - a_in, b - a_in))
                 if root in inputs:
                     return _evaluated(f"the Legendre coefficient of {names[root]}", roots[root],
                                       sample(a, b, inputs[root]),

@@ -219,6 +219,17 @@ class JetContext:
     def m(self) -> int:
         return len(self.dependents)
 
+    def admits(self, c: CoordinateId) -> bool:
+        """Whether c is a coordinate of this context: its independent and its
+        index entries below n, its dependent below m."""
+        kind = c.kind
+        if kind == INDEPENDENT:
+            return 0 <= c.i < self.n
+        if kind == COMMA:
+            return self.admits(c.base) and all(j < self.n for j in c.comma_index)
+        return (0 <= c.alpha < self.m and all(j < self.n for j in c.index)
+                and (kind == JET or 0 <= c.i < self.n))
+
     # -- naming ---------------------------------------------------------
 
     def index_word(self, index: MultiIndex) -> str:

@@ -56,6 +56,8 @@ class LagrangianDensity:
         for c in self.L.coordinates():
             if c.kind == MOMENTUM:
                 raise WrongDomainError("a Lagrangian density is jet-side; momenta present")
+            if not self.context.admits(c):
+                raise VarjetError(f"the density reads {c!r}, which is outside its context")
 
     @property
     def level(self) -> int:

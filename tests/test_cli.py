@@ -837,7 +837,7 @@ def test_check_solution_holds_no_full_grid_array(capsys, monkeypatch, tmp_path):
     # the ELH residual of a wave, its field read from the file one band at a
     # time: the peak is the band buffers, the same on 64 rows as on 256, and
     # below the field's own bytes on 256 (on 64, a band is 16 rows and the
-    # peak about 2.4 times the field); holding the field, it would exceed both
+    # peak about 1.8 times the field); holding the field, it would exceed both
     problem = tmp_path / "wave3.problem"
     problem.write_text(WAVE3_PROBLEM)
     save_wave3(tmp_path / "cube.grid", 64)

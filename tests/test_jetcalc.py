@@ -75,6 +75,14 @@ def test_total_derivative_rejects_momenta(ctx_tx):
         total_derivative(parse("p_.t*u", ctx_tx), 0)
 
 
+def test_total_derivatives_refuse_a_negative_index(ctx_tx):
+    # MultiIndex's own ValueError escaped before
+    from varjet.jetcalc import mixed_total_derivative
+    for derivative, e in ((total_derivative, "u_x"), (mixed_total_derivative, "u_x*p_.t")):
+        with pytest.raises(VarjetError, match=r"^independent index must be >= 0, got -1$"):
+            derivative(parse(e, ctx_tx), -1)
+
+
 def test_iterated_total_derivative(ctx_tx):
     assert iterated_total_derivative(parse("u_xx", ctx_tx), MultiIndex.of(1, 1)) \
         == parse("u_xxxx", ctx_tx)

@@ -98,6 +98,20 @@ def test_euler_lagrange_has_one_component_per_dependent():
         assert len(euler_lagrange(lag)) == lag.context.m
 
 
+@pytest.mark.parametrize("c", [
+    CoordinateId.jet(3, MultiIndex((0,))), CoordinateId.jet(0, MultiIndex((0, 2))),
+    CoordinateId.independent(2), CoordinateId.jet(-1),
+], ids=["dependent", "index_entry", "independent", "negative_dependent"])
+def test_density_refuses_a_coordinate_outside_its_context(ctx_tx, c):
+    # a density of (t, x; u) reading u^3_t was accepted, and euler_lagrange
+    # then raised IndexError
+    L = parse("u_x^2", ctx_tx) + Expr.coord(c)
+    with pytest.raises(VarjetError, match=r"^the density reads CoordinateId\(.*\), "
+                                          r"which is outside its context$") as info:
+        LagrangianDensity(ctx_tx, L)
+    assert repr(c) in str(info.value)
+
+
 def test_vertical_differential_kdv(kdv, ctx_tx):
     # keyed by the jets of L, u_tt absent
     assert vertical_differential(kdv) == {
