@@ -2,8 +2,9 @@
 
 Subcommands take a problem file (see docs/problemfile.md) and write the
 requested derivation to stdout or --out, as plain text, LaTeX, or JSON.
-The library returns plain values and reads or writes no JSON; every format,
-JSON included, is written here.
+The library returns plain values and reads no JSON; the one JSON it writes
+is an expression's (symcore.render), which ``energy`` prints indented.
+Every other JSON output is written here.
 Exit codes: 0 on success (a diagnosed non-regular reduction is success),
 1 on domain errors, 2 on usage errors.  Output is byte-deterministic for
 fixed inputs and seed.
@@ -14,11 +15,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import json
 import sys
 from typing import List, Optional
 
-from .symcore import (COMMA, INDEPENDENT, JetContext, ParseError, VarjetError, expr_to_json,
-                      json_text, render)
+from .symcore import COMMA, INDEPENDENT, JetContext, ParseError, VarjetError, render
 from .jetcalc import EquationSystem, prolong
 from .variational import LagrangianDensity, euler_lagrange, legendre_form
 from .pdham import (
@@ -46,7 +47,7 @@ def _emit(args, text: str) -> None:
 
 
 def _json_dump(payload) -> str:
-    return json_text(payload, sort_keys=True, indent=2)
+    return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def _render(e, ctx: JetContext, fmt: str) -> str:
@@ -139,7 +140,7 @@ def cmd_hessian(args, problem: Problem, lag: LagrangianDensity) -> str:
 def cmd_energy(args, problem: Problem, lag: LagrangianDensity) -> str:
     energy = energy_density(lag)
     if args.format == "json":
-        return _json_dump(expr_to_json(energy, lag.context))
+        return _json_dump(json.loads(render(energy, lag.context, "json")))
     return render(energy, lag.context, args.format)
 
 

@@ -49,16 +49,15 @@ met before, an integer, a name met before to an integer power) in place;
 an expression that is one sum, such as a power of a sum or a product of
 two, is that sum's normal form and is not normalised again, and an
 expression of one monomial is that term.  A bad character is placed at
-its own start.  The renderers spell each
-coefficient from its integer numerator and denominator, read from the
-Fraction slots.
+its own start.  The renderers, JSON's included, write their text in one
+pass and spell each coefficient from its integer numerator and
+denominator, read from the Fraction slots.
 
 All values are immutable; every operation is a pure function.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import sys
@@ -221,14 +220,17 @@ class JetContext:
 
     def admits(self, c: CoordinateId) -> bool:
         """Whether c is a coordinate of this context: its independent and its
-        index entries below n, its dependent below m."""
-        kind = c.kind
-        if kind == INDEPENDENT:
-            return 0 <= c.i < self.n
-        if kind == COMMA:
-            return self.admits(c.base) and all(j < self.n for j in c.comma_index)
-        return (0 <= c.alpha < self.m and all(j < self.n for j in c.index)
-                and (kind == JET or 0 <= c.i < self.n))
+        index entries below n, its dependent below m.  Read from c's key,
+        whose multiindices are sorted and nonnegative: (0, i, ...) for an
+        independent, (1, alpha, |I|, I, -1) for a jet and (2, alpha, |I|, I, i)
+        for a momentum, followed by (|J|, J), J not empty, for a
+        comma-derivative."""
+        n = len(self.independents)
+        if not c[0]:
+            return 0 <= c[1] < n
+        index = c[3]
+        return (0 <= c[1] < len(self.dependents) and (not index or index[-1] < n)
+                and (c[0] == 1 or 0 <= c[4] < n) and (len(c) == 5 or c[6][-1] < n))
 
     # -- naming ---------------------------------------------------------
 
@@ -1186,22 +1188,25 @@ def _coeff_latex(num: int, den: int) -> str:
 
 def render(e: Expr, ctx: JetContext, fmt: str = "plain") -> str:
     """Deterministic rendering; the plain format re-parses to the same Expr,
-    unless it holds a comma-derivative (see docs/grammar.bnf)."""
+    unless it holds a comma-derivative (see docs/grammar.bnf).  The JSON
+    format is the compact text of schemas/expression.schema.json, which
+    ``energy --format json`` prints indented.  A coordinate outside ctx is a
+    VarjetError."""
     if fmt == "plain":
-        return _render(e, ctx.name, "^{}".format, _coeff_plain, "*")
+        return _render(e, ctx, ctx.name, "^{}".format, _coeff_plain, "*")
     if fmt == "latex":
-        return _render(e, ctx.latex_name, "^{{{}}}".format, _coeff_latex, " ")
+        return _render(e, ctx, ctx.latex_name, "^{{{}}}".format, _coeff_latex, " ")
     if fmt == "json":
-        return json_text(expr_to_json(e, ctx), sort_keys=True)
+        return _render_json(e, ctx)
     raise VarjetError(f"unknown format {fmt!r}")
 
 
-def _render(e: Expr, name, power, coeff_text, joiner: str) -> str:
+def _render(e: Expr, ctx: JetContext, name, power, coeff_text, joiner: str) -> str:
     """The signed terms of e, each its coefficient (unless 1) and its factors
     joined by ``joiner``; ``name``, ``power`` and ``coeff_text`` spell a
-    coordinate, an exponent above 1 and a coefficient's magnitude from its
-    numerator and denominator.  Each (coordinate, exponent) is spelled once
-    per call."""
+    coordinate of ctx, an exponent above 1 and a coefficient's magnitude from
+    its numerator and denominator.  Each (coordinate, exponent) is checked
+    and spelled once per call."""
     if not e.terms:
         return "0"
     spelled: Dict[Tuple[CoordinateId, int], str] = {}
@@ -1213,6 +1218,8 @@ def _render(e: Expr, name, power, coeff_text, joiner: str) -> str:
                 text = spelled.get(factor)
                 if text is None:
                     c, p = factor
+                    if not ctx.admits(c):
+                        raise _outside(c)
                     text = spelled[factor] = name(c) + (power(p) if p > 1 else "")
                 factors.append(text)
             num, den = coeff._numerator, coeff._denominator
@@ -1237,31 +1244,32 @@ def _over_digit_limit() -> UnsupportedExpressionError:
         f"{_digit_limit()} digits")
 
 
-def json_text(payload, **options) -> str:
-    """``json.dumps(payload, **options)``; an int past Python's digit limit
-    (an exponent of an ``expr_to_json`` value) is a domain error."""
+def _outside(c: CoordinateId) -> VarjetError:
+    return VarjetError(f"render reads {c!r}, which is outside its context")
+
+
+def _render_json(e: Expr, ctx: JetContext) -> str:
+    """``{"monomials": [{"coeff": "p/q", "factors": [["name", exponent], ...]}, ...]}``,
+    one entry per term in normal-form order, written in one pass.  The text
+    is byte-equal to ``json.dumps`` of that value with ``sort_keys=True``: a
+    coordinate's name is ASCII without '"' or '\\' (letters, digits and
+    "_^.,"), so it needs no escape, and the keys are written in sorted order.
+    Each coordinate is checked, and its ``["name", `` spelled, once per
+    call."""
+    prefixes: Dict[CoordinateId, str] = {}
+    monomials: List[str] = []
     try:
-        return json.dumps(payload, **options)
+        for mono, coeff in e.terms:
+            factors = []
+            for c, p in mono:
+                prefix = prefixes.get(c)
+                if prefix is None:
+                    if not ctx.admits(c):
+                        raise _outside(c)
+                    prefix = prefixes[c] = '["' + ctx.name(c) + '", '
+                factors.append(f"{prefix}{p}]")
+            coeff_text = _coeff_plain(coeff._numerator, coeff._denominator)
+            monomials.append(f'{{"coeff": "{coeff_text}", "factors": [{", ".join(factors)}]}}')
     except ValueError:  # an int past Python's digit limit on int text
         raise _over_digit_limit() from None
-
-
-def expr_to_json(e: Expr, ctx: JetContext) -> dict:
-    names: Dict[CoordinateId, str] = {}  # each coordinate spelled once per call
-
-    def name(c: CoordinateId) -> str:
-        text = names.get(c)
-        if text is None:
-            text = names[c] = ctx.name(c)
-        return text
-
-    try:
-        return {
-            "monomials": [
-                {"coeff": _coeff_plain(coeff._numerator, coeff._denominator),
-                 "factors": [[name(c), p] for c, p in mono]}
-                for mono, coeff in e.terms
-            ]
-        }
-    except ValueError:  # an int past Python's digit limit on int text
-        raise _over_digit_limit() from None
+    return '{"monomials": [' + ", ".join(monomials) + "]}"

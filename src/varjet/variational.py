@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Set, Tuple
 
 from .symcore import (
+    COMMA,
     JET,
     MOMENTUM,
     CoordinateId,
@@ -54,8 +55,12 @@ class LagrangianDensity:
                 f"declared order {self.order} below the minimal order {minimal} of the density")
         refuse_long_multiindices(self.context.n, self.order, "order")
         for c in self.L.coordinates():
-            if c.kind == MOMENTUM:
+            kind = c.kind
+            if kind == MOMENTUM:
                 raise WrongDomainError("a Lagrangian density is jet-side; momenta present")
+            if kind == COMMA:
+                raise WrongDomainError(f"the density reads {c!r}, a comma-derivative; "
+                                       "a Lagrangian density is jet-side")
             if not self.context.admits(c):
                 raise VarjetError(f"the density reads {c!r}, which is outside its context")
 

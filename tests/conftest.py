@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 import weakref
 from fractions import Fraction
 
@@ -26,6 +27,15 @@ def ctx_tx():
 @pytest.fixture
 def kdv(ctx_tx):
     return LagrangianDensity(ctx_tx, parse(KDV_L, ctx_tx), order=2)
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default limit on int-to-text digits, for the test's duration."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 @pytest.fixture

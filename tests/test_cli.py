@@ -474,15 +474,6 @@ def test_power_over_the_term_budget_is_domain_error(capsys, tmp_path):
                    "2872408791 terms, over the budget of 1000000\n")
 
 
-@pytest.fixture
-def digit_limit():
-    """Python's default limit on int-to-text digits, for the test's duration."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(old)
-
-
 OVER_DIGITS = "a coefficient or exponent of the result is over the limit of 4300 digits"
 # each literal under the limit, their product (folded by the term reader) not
 PRODUCT_OVER_DIGITS = "7" * 3000 + "*" + "7" * 3000 + "*u_x^2"

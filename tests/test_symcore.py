@@ -17,6 +17,7 @@ import types
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import jsonschema
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
@@ -24,6 +25,7 @@ from conftest import KDV_L, jet_pool, random_expr
 from varjet import multiindex, symcore
 from varjet.multiindex import MultiIndex, multiindices_up_to
 from varjet.symcore import (
+    COMMA,
     CoordinateId,
     Expr,
     JetContext,
@@ -349,6 +351,35 @@ def test_render_refuses_an_unknown_format():
     ctx = JetContext(("x",), ("u",))
     with pytest.raises(VarjetError, match="^unknown format 'html'$"):
         render(parse("u_x", ctx), ctx, "html")
+
+
+@pytest.mark.parametrize("fmt", ["plain", "latex", "json"])
+@pytest.mark.parametrize("c", [
+    CoordinateId.jet(0, MultiIndex((1, 5))), CoordinateId.jet(1), CoordinateId.jet(-1),
+    CoordinateId.independent(2), CoordinateId.momentum(0, MultiIndex((0,)), 2),
+    CoordinateId.comma(CoordinateId.jet(0), 3),
+], ids=["index_entry", "dependent", "negative_dependent", "independent", "momentum_i",
+        "comma_index"])
+def test_render_refuses_a_coordinate_outside_its_context(ctx_tx, c, fmt):
+    # the jet along x and independent 5, which total_derivative(u_x^2, 5)
+    # builds, raised IndexError in every format, and a negative dependent
+    # was spelled as the last one
+    e = E(ctx_tx, "2*u_x") + Expr.coord(c) ** 2
+    with pytest.raises(VarjetError, match=r"^render reads CoordinateId\(.*\), "
+                                          r"which is outside its context$") as info:
+        render(e, ctx_tx, fmt)
+    assert repr(c) in str(info.value)
+
+
+def test_render_json_over_the_digit_limit_is_the_plain_error(ctx_tx, digit_limit):
+    # a coefficient and an exponent of 5000 digits: every format refuses
+    # them with the same domain error
+    u_x = C(ctx_tx, "u_x")
+    big = 10 ** 4999
+    for e in (Expr.number(big) * Expr.coord(u_x), Expr([(((u_x, big),), 1)])):
+        errors = [outcome(render, e, ctx_tx, fmt) for fmt in ("plain", "latex", "json")]
+        assert errors == [(UnsupportedExpressionError, "a coefficient or exponent of the "
+                           "result is over the limit of 4300 digits", None)] * 3
 
 
 def test_comma_derivatives_are_named_after_their_base():
@@ -832,11 +863,26 @@ def test_parse_matches_reference_parse(text, ctx):
         assert all(c.__class__ is symcore.Q and c for _, c in got.terms)
 
 
-RENDER_CTX = JetContext(("t", "x"), ("u", "v"))
-RENDER_POOL = [CoordinateId.independent(i) for i in range(2)] \
-    + [CoordinateId.jet(a, I) for a in range(2) for I in multiindices_up_to(2, 2)] \
-    + [CoordinateId.momentum(a, I, i)
-       for a in range(2) for I in multiindices_up_to(2, 1) for i in range(2)]
+# two dependents, whose momenta carry the ^u tag, and one, whose momenta do not
+RENDER_CONTEXTS = (JetContext(("t", "x"), ("u", "v")), JetContext(("t", "x"), ("u",)))
+
+
+def render_pool(m):
+    """Coordinates of every kind over (t, x) and m dependents: independents,
+    jets to order 2, momenta to level 1, and comma-derivatives of some jets
+    and momenta along one and two independents."""
+    jets = [CoordinateId.jet(a, I) for a in range(m) for I in multiindices_up_to(2, 2)]
+    momenta = [CoordinateId.momentum(a, I, i)
+               for a in range(m) for I in multiindices_up_to(2, 1) for i in range(2)]
+    commas = [CoordinateId.comma(c, i) for c in jets[:3] + momenta[:3] for i in range(2)]
+    return [CoordinateId.independent(i) for i in range(2)] + jets + momenta + commas \
+        + [CoordinateId.comma(c, 1) for c in commas[::3]]
+
+
+RENDER_POOL = {ctx: render_pool(ctx.m) for ctx in RENDER_CONTEXTS}
+with open(os.path.join(os.path.dirname(__file__), os.pardir, "schemas",
+                       "expression.schema.json")) as fh:
+    EXPRESSION_SCHEMA = jsonschema.Draft7Validator(json.load(fh))
 _big = st.integers(min_value=10 ** 499, max_value=10 ** 500 - 1)
 _coefficients = st.one_of(
     st.sampled_from([Fraction(1), Fraction(-1)]),
@@ -846,19 +892,27 @@ _coefficients = st.one_of(
     st.builds(lambda n, sign: Fraction(sign * n), _big, st.sampled_from([1, -1])),
     st.builds(lambda n, d, sign: Fraction(sign * n, d), _big, _big, st.sampled_from([1, -1])),
 )
-_monomials = st.lists(st.tuples(st.sampled_from(RENDER_POOL), st.integers(min_value=1,
-                                                                          max_value=12)),
-                      max_size=4, unique_by=lambda factor: factor[0]).map(
-    lambda factors: tuple(sorted(factors)))
-_render_exprs = st.lists(st.tuples(_monomials, _coefficients), max_size=8).map(Expr)
+
+
+def _render_exprs(ctx):
+    monomials = st.lists(st.tuples(st.sampled_from(RENDER_POOL[ctx]),
+                                   st.integers(min_value=1, max_value=12)),
+                         max_size=4, unique_by=lambda factor: factor[0]).map(
+        lambda factors: tuple(sorted(factors)))
+    return st.tuples(st.just(ctx), st.lists(st.tuples(monomials, _coefficients),
+                                            max_size=8).map(Expr))
 
 
 @settings(max_examples=300, deadline=None)
-@given(e=_render_exprs)
-def test_render_matches_reference_render(e):
+@given(case=st.sampled_from(RENDER_CONTEXTS).flatmap(_render_exprs))
+def test_render_matches_reference_render(case):
+    ctx, e = case
     for fmt in ("plain", "latex", "json"):
-        assert render(e, RENDER_CTX, fmt) == reference_render(e, RENDER_CTX, fmt)
-    assert parse(render(e, RENDER_CTX), RENDER_CTX) == e
+        assert render(e, ctx, fmt) == reference_render(e, ctx, fmt)
+    EXPRESSION_SCHEMA.validate(json.loads(render(e, ctx, "json")))
+    # the grammar reads u,_x as the jet u_x
+    if all(c.kind != COMMA for c in e.coordinates()):
+        assert parse(render(e, ctx), ctx) == e
 
 
 

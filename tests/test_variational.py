@@ -7,7 +7,8 @@ import pytest
 from conftest import KDV_EL, KDV_L, jet_pool, random_expr, random_lagrangian
 from varjet.jetcalc import total_derivative
 from varjet.multiindex import MultiIndex
-from varjet.symcore import CoordinateId, Expr, JetContext, VarjetError, parse, render
+from varjet.symcore import (CoordinateId, Expr, JetContext, VarjetError, WrongDomainError, parse,
+                            render)
 from varjet import variational
 from varjet.variational import (
     LagrangianDensity,
@@ -98,16 +99,25 @@ def test_euler_lagrange_has_one_component_per_dependent():
         assert len(euler_lagrange(lag)) == lag.context.m
 
 
-@pytest.mark.parametrize("c", [
-    CoordinateId.jet(3, MultiIndex((0,))), CoordinateId.jet(0, MultiIndex((0, 2))),
-    CoordinateId.independent(2), CoordinateId.jet(-1),
-], ids=["dependent", "index_entry", "independent", "negative_dependent"])
-def test_density_refuses_a_coordinate_outside_its_context(ctx_tx, c):
+_OUTSIDE = (VarjetError, "which is outside its context")
+
+
+@pytest.mark.parametrize("c, refusal", [
+    (CoordinateId.jet(3, MultiIndex((0,))), _OUTSIDE),
+    (CoordinateId.jet(0, MultiIndex((0, 2))), _OUTSIDE),
+    (CoordinateId.independent(2), _OUTSIDE),
+    (CoordinateId.jet(-1), _OUTSIDE),
+    # u,_t is in the context, but a density is jet-side: euler_lagrange of
+    # u_x^2 + u,_t read it as a constant and gave -2*u_xx
+    (CoordinateId.comma(CoordinateId.jet(0), 0),
+     (WrongDomainError, "a comma-derivative; a Lagrangian density is jet-side")),
+], ids=["dependent", "index_entry", "independent", "negative_dependent", "comma"])
+def test_density_refuses_a_coordinate_outside_its_context(ctx_tx, c, refusal):
     # a density of (t, x; u) reading u^3_t was accepted, and euler_lagrange
     # then raised IndexError
+    error, why = refusal
     L = parse("u_x^2", ctx_tx) + Expr.coord(c)
-    with pytest.raises(VarjetError, match=r"^the density reads CoordinateId\(.*\), "
-                                          r"which is outside its context$") as info:
+    with pytest.raises(error, match=rf"^the density reads CoordinateId\(.*\), {why}$") as info:
         LagrangianDensity(ctx_tx, L)
     assert repr(c) in str(info.value)
 
