@@ -119,7 +119,8 @@ class EquationSystem:
     first-order system (pdham) also carries its ``fiber``, the jets and
     momenta it is a system for, in ascending order, and its momentum
     ``level``; its rows read those coordinates and their first
-    comma-derivatives.  Any other system carries an empty fiber.
+    comma-derivatives.  Any other system carries an empty fiber.  A row or
+    fiber coordinate outside the context is refused, naming its row.
     """
 
     context: JetContext
@@ -133,6 +134,16 @@ class EquationSystem:
         labels = [lab for lab, _ in self.equations]
         if len(set(labels)) != len(labels):
             raise VarjetError("equation labels must be unique")
+        # each distinct coordinate of the rows and the fiber is checked once;
+        # the row that reads a refused one is looked up only for the message
+        ctx = self.context
+        read = {c for _, res in self.equations for mono, _ in res.terms for c, _ in mono}
+        outside = [c for c in read.union(self.fiber) if not ctx.admits(c)]
+        if outside:
+            c = min(outside)
+            where = next((f"row {label!r} reads" for label, res in self.equations
+                          if c in res.coordinates()), "fiber holds")
+            raise VarjetError(f"the system's {where} {c!r}, which is outside its context")
 
 
 def prolong(system: EquationSystem, level: int) -> EquationSystem:

@@ -23,10 +23,11 @@ it is given to Q where a coefficient enters: in ``_normal_form`` (so in
 
 Every result that can break the normal form goes through one normalisation
 path, ``_normal_form``: summands and products stream their terms into one
-dict and the merged monomials are sorted once, by keys built from their
-coordinates.  Sums of many parts (the parser, total derivatives, the
-variational and reduction constructions) make one builder call,
-``Expr.sum`` or ``Expr(terms)``, so a result is normalised once, not once
+dict, and the merged terms are sorted once, each by one flat tuple of its
+coordinates and exponents (``_mono_key``); a list or tuple of one term is
+neither merged nor sorted.  Sums of many parts (the parser, total
+derivatives, the variational and reduction constructions) make one builder
+call, ``Expr.sum`` or ``Expr(terms)``, so a result is normalised once, not once
 per partial sum.  Every first partial comes from ``Expr.gradient``: one pass
 over the terms gives the partial by each coordinate that occurs, so a
 construction reads all of a density's partials for the cost of one scan.
@@ -521,7 +522,7 @@ Monomial = Tuple[Tuple[CoordinateId, int], ...]
 Term = Tuple[Monomial, Q]
 
 # the key of the constant monomial, sorting after every other monomial
-_CONSTANT_MONO_KEY = ((9, 0, 0, (), 0), 0, ())
+_CONSTANT_MONO_KEY = ((9, 0, 0, (), 0), 0)
 _ONE_Q = Q(1)
 _ZERO_Q = Q(0)
 
@@ -542,13 +543,28 @@ _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _mono_key(mono: Monomial):
-    # Canonical sum order: leading (largest) coordinate ascending, then total
-    # degree descending, then exponents on the larger coordinates first.
-    # Factors are stored ascending, so the leading one is the last.
-    if not mono:
+    """The monomial's place in the canonical sum order: leading (largest)
+    coordinate ascending, then total degree descending, then exponents on
+    the larger coordinates first.  One flat tuple (lead, -degree, -e_lead,
+    c_2, -e_2, ...) over the factors from the largest down; factors are
+    stored ascending, so the leading one is the last."""
+    n = len(mono)
+    if n == 1:
+        c, e = mono[0]
+        return (c, -e, -e)
+    if n == 2:
+        (c2, e2), (c1, e1) = mono
+        return (c1, -e1 - e2, -e1, c2, -e2)
+    if not n:
         return _CONSTANT_MONO_KEY
-    tail = tuple([(c, -e) for c, e in reversed(mono)])
-    return (tail[0][0], -sum([e for _, e in mono]), tail)
+    degree = 0
+    key = [mono[-1][0], 0]
+    for c, e in reversed(mono):
+        key += (c, -e)
+        degree += e
+    key[1] = -degree
+    del key[2]  # the lead, already first
+    return tuple(key)
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -564,12 +580,19 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 def _normal_form(terms: Iterable[Term]) -> Tuple[Term, ...]:
     """The kernel's one normalisation path: merge like monomials in one dict,
-    drop zero coefficients and sort the monomials once.
+    drop zero coefficients and sort the (key, monomial, coefficient) records
+    of the merged terms once, by key.  A list or tuple of one term needs no
+    merge and no sort.
 
     Coefficients that are not Q (an int, a stdlib Fraction or a float from a
     caller) are converted to Q, so every merge runs on Q's fast paths; every
     factor tuple must already be ascending and free of repeats.
     """
+    if (terms.__class__ is list or terms.__class__ is tuple) and len(terms) == 1:
+        mono, coeff = terms[0]
+        if coeff.__class__ is not Q:
+            coeff = Q(coeff)
+        return ((mono, coeff),) if coeff._numerator else ()  # coeff != 0
     merged: Dict[Monomial, Q] = {}
     get = merged.get
     for mono, coeff in terms:
@@ -577,8 +600,9 @@ def _normal_form(terms: Iterable[Term]) -> Tuple[Term, ...]:
             coeff = Q(coeff)
         prev = get(mono)
         merged[mono] = coeff if prev is None else prev + coeff
-    monos = sorted([m for m, c in merged.items() if c._numerator], key=_mono_key)  # c != 0
-    return tuple([(m, merged[m]) for m in monos])
+    records = sorted([(_mono_key(m), m, c) for m, c in merged.items() if c._numerator],
+                     key=itemgetter(0))  # c != 0
+    return tuple([(m, c) for _, m, c in records])
 
 
 def _canonical(terms: Tuple[Term, ...]) -> "Expr":

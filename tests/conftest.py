@@ -12,8 +12,8 @@ from varjet import numeric
 from varjet.multiindex import MultiIndex, multiindices_up_to
 from varjet.numeric import GridFunction
 from varjet.pdham import comma_images
-from varjet.symcore import CoordinateId, Expr, JetContext, parse
-from varjet.variational import LagrangianDensity
+from varjet.symcore import CoordinateId, Expr, JetContext, Q, parse
+from varjet.variational import LagrangianDensity, euler_lagrange
 
 KDV_L = "u_x^3 - 1/2*u_x*u_t + 1/2*u_xx^2"
 KDV_EL = "u_tx - 6*u_x*u_xx + u_xxxx"
@@ -92,6 +92,49 @@ def reference_partial(e: Expr, c: CoordinateId) -> Expr:
     return Expr(acc)
 
 
+# the nested sort key and normal form of symcore before its keys were flat:
+# the oracle for symcore._mono_key and symcore._normal_form
+REFERENCE_CONSTANT_MONO_KEY = ((9, 0, 0, (), 0), 0, ())
+
+
+def reference_mono_key(mono):
+    # Canonical sum order: leading (largest) coordinate ascending, then total
+    # degree descending, then exponents on the larger coordinates first.
+    # Factors are stored ascending, so the leading one is the last.
+    if not mono:
+        return REFERENCE_CONSTANT_MONO_KEY
+    tail = tuple([(c, -e) for c, e in reversed(mono)])
+    return (tail[0][0], -sum([e for _, e in mono]), tail)
+
+
+def reference_normal_form(terms):
+    """Merge like monomials in one dict, drop zero coefficients and sort the
+    monomials once, by reference_mono_key."""
+    merged = {}
+    get = merged.get
+    for mono, coeff in terms:
+        if coeff.__class__ is not Q:
+            coeff = Q(coeff)
+        prev = get(mono)
+        merged[mono] = coeff if prev is None else prev + coeff
+    monos = sorted([m for m, c in merged.items() if c._numerator], key=reference_mono_key)
+    return tuple([(m, merged[m]) for m in monos])
+
+
+def homotopy_lagrangian(lag: LagrangianDensity) -> LagrangianDensity:
+    """L_h = sum_a u^a int_0^1 E_a(L)(t*u) dt, the Vainberg-Tonti density of
+    lag's Euler-Lagrange expressions: each term of E_a of jet degree d (the
+    independents do not count) gets 1/(d + 1).  E(L_h) == E(L) exactly for a
+    polynomial density, since E(L) is variational; an oracle for
+    euler_lagrange that does not use sympy."""
+    parts = []
+    for a, e in enumerate(euler_lagrange(lag)):
+        scaled = Expr([(mono, coeff / (1 + sum(p for c, p in mono if c.kind == "jet")))
+                       for mono, coeff in e.terms])
+        parts.append(Expr.coord(CoordinateId.jet(a)) * scaled)
+    return LagrangianDensity(lag.context, Expr.sum(parts))
+
+
 def jet_pool(ctx, max_order, include_independents=True):
     pool = [CoordinateId.jet(a, I)
             for a in range(ctx.m) for I in multiindices_up_to(ctx.n, max_order)]
@@ -116,13 +159,13 @@ def random_expr(rng: random.Random, pool, max_monomials=4, max_factors=3,
 
 
 def random_lagrangian(rng: random.Random, max_n=2, max_m=2, max_order=3,
-                      max_monomials=6, max_degree=4):
-    """Random polynomial density in a random small context (jet-side, no x factors)."""
-    n = rng.randint(1, max_n)
-    m = rng.randint(1, max_m)
-    names_i = ("t", "x", "y")[:n] if n > 1 else ("x",)
+                      max_monomials=6, max_degree=4, shape=None):
+    """Random polynomial density in a random small context (jet-side, no x
+    factors), or in the context of the given (n, m, order) shape."""
+    n, m, order = shape or (rng.randint(1, max_n), rng.randint(1, max_m),
+                            rng.randint(1, max_order))
+    names_i = ("t", "x", "y", "z")[:n] if n > 1 else ("x",)
     names_d = ("u", "v")[:m]
-    order = rng.randint(1, max_order)
     ctx = JetContext(names_i, names_d)
     pool = [CoordinateId.jet(a, I)
             for a in range(m) for I in multiindices_up_to(n, order)]

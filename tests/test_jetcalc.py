@@ -1,6 +1,7 @@
 """Multiindex combinatorics, total derivatives, prolongation."""
 
 import random
+import re
 
 import pytest
 
@@ -165,3 +166,26 @@ def test_equation_system_label_uniqueness(ctx_tx):
     from varjet.symcore import VarjetError
     with pytest.raises(VarjetError):
         EquationSystem(ctx_tx, (("a", parse("u", ctx_tx)), ("a", parse("u_x", ctx_tx))))
+
+
+def test_equation_system_refuses_rows_outside_its_context(ctx_tx, kdv):
+    # a jet of dependent 3, an independent 2 and a momentum along
+    # independent 2 in a (t, x; u) context; a comma-derivative of such a
+    # momentum; and a fiber holding one of them
+    from varjet.pdham import elh_system
+    from varjet.symcore import CoordinateId
+    u_x = parse("u_x", ctx_tx)
+    outside = (CoordinateId.jet(3), CoordinateId.independent(2),
+               CoordinateId.momentum(0, MultiIndex.of(0), 2),
+               CoordinateId.comma(CoordinateId.momentum(0, EMPTY, 2), 0))
+    for c in outside:
+        rows = (("heat", parse("u_t - u_xx", ctx_tx)), ("bad", u_x * Expr.coord(c) + u_x))
+        with pytest.raises(VarjetError, match=rf"^the system's row 'bad' reads "
+                                              rf"{re.escape(repr(c))}, which is outside its context$"):
+            EquationSystem(ctx_tx, rows)
+        with pytest.raises(VarjetError, match=rf"^the system's fiber holds "
+                                              rf"{re.escape(repr(c))}, which is outside its context$"):
+            EquationSystem(ctx_tx, rows[:1], fiber=(CoordinateId.jet(0), c))
+    # what the context names is accepted, the mixed rows of ELH included
+    elh = elh_system(kdv)
+    assert EquationSystem(elh.context, elh.equations, elh.fiber, elh.level) == elh

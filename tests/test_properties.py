@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import reference_partial
+from conftest import reference_mono_key, reference_normal_form, reference_partial
 from varjet import symcore
 from varjet.jetcalc import total_derivative
 from varjet.multiindex import EMPTY, MultiIndex, multiindices_up_to
@@ -136,6 +136,57 @@ def test_normal_form_idempotent(e):
     assert Expr(e.terms) == e
     assert e + Expr.zero() == e
     assert e - e == Expr.zero()
+
+
+# independents, jets, momenta and comma-derivatives of jets and momenta
+TERM_POOL = MIXED_POOL + [CoordinateId.comma(c, i) for c in MIXED_POOL[2:] for i in range(2)]
+
+# a few coordinates at a time, so that drawn monomials share factors and leads
+few_coordinates = st.lists(st.sampled_from(TERM_POOL), min_size=1, max_size=5, unique=True)
+
+
+def monomials_over(coords):
+    return st.dictionaries(st.sampled_from(coords), st.integers(min_value=1, max_value=3),
+                           max_size=5).map(lambda powers: tuple(sorted(powers.items())))
+
+
+raw_coefficients = st.one_of(
+    st.integers(min_value=-4, max_value=4), coefficients, coefficients.map(Q),
+    st.floats(min_value=-8, max_value=8, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def term_lists(draw):
+    """Terms over a few monomials, the empty one included, so that like
+    monomials repeat; some terms are followed by their negation."""
+    monos = draw(st.lists(monomials_over(draw(few_coordinates)), min_size=1, max_size=6)) + [()]
+    terms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        term = (draw(st.sampled_from(monos)), draw(raw_coefficients))
+        terms.append(term)
+        if draw(st.booleans()) and draw(st.booleans()):
+            terms.append((term[0], -term[1]))
+    return terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_lists(), st.sampled_from([list, tuple, iter, lambda ts: (t for t in ts)]))
+def test_normal_form_matches_the_nested_key_reference(terms, container):
+    # the terms, and their first term alone, with its coefficient and with 0
+    for part in (terms, terms[:1], [(mono, 0) for mono, _ in terms[:1]]):
+        out = symcore._normal_form(container(part))
+        assert out == reference_normal_form(part)
+        assert all(coeff.__class__ is Q for _, coeff in out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_flat_key_orders_monomials_as_the_nested_key(data):
+    coords = data.draw(few_coordinates)
+    a, b = data.draw(monomials_over(coords)), data.draw(monomials_over(coords))
+    flat, nested = symcore._mono_key, reference_mono_key
+    assert (flat(a) < flat(b)) == (nested(a) < nested(b))
+    assert (flat(a) == flat(b)) == (a == b)
 
 
 @settings(max_examples=60, deadline=None)

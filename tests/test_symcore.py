@@ -30,6 +30,7 @@ from varjet.symcore import (
     Expr,
     JetContext,
     ParseError,
+    Q,
     UnknownCoordinateError,
     UnsupportedExpressionError,
     VarjetError,
@@ -446,6 +447,29 @@ def test_power_normalises_once(monkeypatch):
         passed.clear()
         assert parse(text, ctx) == power.scale(k)
         assert sum(passed) <= 780 + 3, passed
+
+
+def test_normal_form_keys_each_merged_monomial_once(monkeypatch, ctx_tx):
+    # one sort key per distinct monomial left after the merge: none for a
+    # repeat or a cancelled monomial, and none for a one-term list
+    u, u_t, u_x = (((ctx_tx.resolve(name), 1),) for name in ("u", "u_t", "u_x"))
+    key = symcore._mono_key
+    keyed = []
+
+    def counting(mono):
+        keyed.append(mono)
+        return key(mono)
+
+    monkeypatch.setattr(symcore, "_mono_key", counting)
+    terms = [(u, 1), (u_t, 2), (u, Fraction(1, 2)), ((), 3), (u_x, 1), (u_t, -2), ((), Q(1))]
+    out = symcore._normal_form(iter(terms))
+    assert [mono for mono, _ in out] == [u, u_x, ()]
+    assert sorted(keyed) == sorted([u, u_x, ()])
+    keyed.clear()
+    for one in ([(u + u_x, 5)], ((u, Fraction(2, 3)),), [(u, 0)], [((), 1.5)]):
+        symcore._normal_form(one)
+    assert Expr([(u_t, 4)]).terms == ((u_t, Q(4)),)
+    assert keyed == []
 
 
 def test_product_and_power_over_the_term_budget_are_refused_before_any_work(

@@ -1,12 +1,17 @@
 """Euler-Lagrange operator, vertical differential, Legendre-form construction."""
 
+import itertools
+import os
 import random
+import time
 
 import pytest
 
-from conftest import KDV_EL, KDV_L, jet_pool, random_expr, random_lagrangian
+from conftest import (KDV_EL, KDV_L, homotopy_lagrangian, jet_pool, random_expr,
+                      random_lagrangian)
 from varjet.jetcalc import total_derivative
 from varjet.multiindex import MultiIndex
+from varjet.problemfile import load_problem
 from varjet.symcore import (CoordinateId, Expr, JetContext, VarjetError, WrongDomainError, parse,
                             render)
 from varjet import variational
@@ -75,6 +80,26 @@ def test_euler_lagrange_matches_sympy_euler_equations():
             want = equations[0].lhs if equations else 0
             assert sympy.expand(to_sympy(components[alpha]) - want) == 0, \
                 (render(lag.L, ctx, "plain"), ctx.dependents[alpha])
+
+
+def test_euler_lagrange_of_the_homotopy_density_is_unchanged():
+    # a second oracle, without sympy: L_h = sum_a u^a int_0^1 E_a(t*u) dt
+    # is another density of the same equations, at about twice the order,
+    # so E(L_h) == E(L) exactly; on the sample problems and on three random
+    # densities of each (n, m, order) shape of the benchmark's ladder
+    problems = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
+    lags = [load_problem(os.path.join(problems, name)).lagrangian()
+            for name in sorted(os.listdir(problems))]
+    kdv = homotopy_lagrangian(lags[1])
+    assert render(kdv.L, kdv.context) == "1/2*u*u_tx - 2*u*u_x*u_xx + 1/2*u*u_xxxx"
+    rng = random.Random(37)
+    lags += [random_lagrangian(rng, max_monomials=8, shape=shape)
+             for _ in range(3) for shape in itertools.product((2, 3, 4), (1, 2), (2, 3))]
+    start = time.perf_counter()
+    for lag in lags:
+        homotopy = homotopy_lagrangian(lag)
+        assert euler_lagrange(homotopy) == euler_lagrange(lag), render(lag.L, lag.context)
+    assert time.perf_counter() - start < 10
 
 
 def test_euler_lagrange_single_ibp(ctx_1d):
