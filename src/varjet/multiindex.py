@@ -5,13 +5,18 @@ display and JSON use 1-based positions or names).  It is the tuple of its
 entries in ascending order, so two multiindices are equal iff they are equal
 as multisets, and hashing, equality and order are the tuple's own.  A
 multiindex also equals the plain tuple of its entries; varjet never mixes
-the two.
+the two.  A negative entry, count of indices or length is a VarjetError.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import Iterable, List, Tuple
+
+
+class VarjetError(Exception):
+    """Base class for all domain errors (symcore re-exports it; it lives
+    here so that a multiindex can raise one)."""
 
 
 class MultiIndex(tuple):
@@ -22,7 +27,7 @@ class MultiIndex(tuple):
     def __new__(cls, entries: Iterable[int] = ()) -> "MultiIndex":
         entries = sorted(entries)
         if entries and entries[0] < 0:
-            raise ValueError("multiindex entries must be nonnegative indices")
+            raise VarjetError("multiindex entries must be nonnegative indices")
         return tuple.__new__(cls, entries)
 
     @classmethod
@@ -58,9 +63,14 @@ EMPTY = MultiIndex()
 
 def multiindices(n: int, length: int) -> List[MultiIndex]:
     """All multiindices of exactly the given length over n indices, in canonical order."""
+    if n < 0 or length < 0:
+        raise VarjetError(f"multiindices need n >= 0 and a length >= 0, got {n} and {length}")
     return [MultiIndex(c) for c in itertools.combinations_with_replacement(range(n), length)]
 
 
 def multiindices_up_to(n: int, max_length: int) -> List[MultiIndex]:
-    """All multiindices of length <= max_length, ordered by (length, entries)."""
+    """All multiindices of length <= max_length (none if it is negative),
+    ordered by (length, entries)."""
+    if n < 0:
+        raise VarjetError(f"multiindices need n >= 0, got {n}")
     return [I for k in range(max_length + 1) for I in multiindices(n, k)]

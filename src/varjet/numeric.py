@@ -5,6 +5,9 @@ Grid data lives on uniform rectangular grids; jets are estimated with
 composition-order independent), and only interior points ever enter a
 residual: stencil application poisons the boundary band with NaN, evaluation
 trims the accumulated margin and checks that nothing non-finite survives.
+An axis's margin is at least the radius of every stencil pass along it, so
+the grid fits when each axis holds 2 margin + 1 points, the one size check
+``residual`` makes.
 
 Every differenced array is named by its pass chain: a root array (a
 dependent field or a momentum field) and the sequence of ``(axis, order)``
@@ -61,7 +64,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .multiindex import MultiIndex, multiindices_up_to
+from .multiindex import MultiIndex
 from .symcore import (
     COMMA,
     INDEPENDENT,
@@ -357,31 +360,28 @@ def _chain(index: MultiIndex) -> Chain:
     return tuple((axis, index.count(axis)) for axis in sorted(set(index.entries)))
 
 
-def _check_prolongation(grid: GridFunction, order: int, ctx: JetContext) -> None:
+def _check_prolongation(grid: GridFunction, order: int, ctx: JetContext,
+                        margin: Tuple[int, ...]) -> None:
     """The eager checks of ``residual``, made before any work: the order bound,
-    the axes, the dependent fields, and the stencil of every jet of order
-    ``order`` or less, whether or not the equations read it."""
+    the axes, the dependent fields, and that each axis holds 2 margin + 1
+    points.  An axis's margin is at least the radius of every stencil pass
+    along it (a jet's passes have order ``order`` or less, and
+    stencil_radius does not decrease with the order; each comma pass adds
+    its own radius), so that is the one check that the grid fits."""
     if order > MAX_FD_ORDER:
         raise VarjetError(f"finite-difference prolongation supports order <= {MAX_FD_ORDER}")
     if tuple(grid.axes) != ctx.independents:
         raise VarjetError("grid axes do not match the context independents")
-    for alpha, dep in enumerate(ctx.dependents):
+    for dep in ctx.dependents:
         if dep not in grid.fields:
             raise MissingFieldError(f"grid is missing the dependent field {dep!r}")
-        if alpha == 0:
-            # the first too-wide pass over all jets up to order, in their order
-            for I in multiindices_up_to(ctx.n, order):
-                for axis, m in _chain(I):
-                    _check_axis(grid.shape[axis], stencil_radius(m))
+    for points, m in zip(grid.shape, margin):
+        _check_axis(points, m)
 
 
 def _fields(grid: GridFunction, ctx: JetContext) -> Dict[CoordinateId, np.ndarray]:
     """The zero jet of every dependent, by its field's array."""
     return {CoordinateId.jet(alpha): grid.fields[dep] for alpha, dep in enumerate(ctx.dependents)}
-
-
-def _max_jet_order(exprs) -> int:
-    return max((e.max_jet_order() for e in exprs), default=0)
 
 
 def _jets_of(exprs) -> set:
@@ -412,7 +412,8 @@ def residual(system: EquationSystem, grid: GridFunction,
 
     Jet unknowns come from finite-difference prolongation of the grid,
     restricted to the jets the equations read, to the order of the
-    system's fiber, of its rows and of ``legendre``, whichever is highest.
+    system's fiber, of the jets its rows read (a comma-derivative's base
+    among them) and of ``legendre``, whichever is highest.
     The momentum unknowns the equations read are either read from
     ``momentum_fields`` (matching plain names, on the field grid's axes,
     origin and spacing) or generated by evaluating ``legendre``, the map from
@@ -424,17 +425,22 @@ def residual(system: EquationSystem, grid: GridFunction,
     """
     ctx = system.context
     rows = [res for _, res in system.equations]
-    need = max(_max_jet_order(rows),
-               max([len(c.index) for c in system.fiber if c.kind == JET], default=0))
-    if legendre is not None:
-        need = max(need, _max_jet_order(legendre.values()))
     read = {c for e in rows for c in e.coordinates() if c.kind != INDEPENDENT}
+    need = max([len(c.index) for c in read if c.base.kind == JET]
+               + [len(c.index) for c in system.fiber if c.kind == JET], default=0)
+    if legendre is not None:
+        need = max([need] + [e.max_jet_order() for e in legendre.values()])
     momenta = {c.base for c in read if c.kind != JET and c.base.kind == MOMENTUM}
 
     def supplied(c: CoordinateId) -> bool:
         return momentum_fields is not None and ctx.name(c) in momentum_fields.fields
 
-    _check_prolongation(grid, need, ctx)
+    r = stencil_radius(need)
+    margin = [r] * ctx.n
+    for c in read:  # a comma pass, a first-order stencil, widens the margin on its axis
+        for axis in c.comma_index if c.kind == COMMA else ():
+            margin[axis] = max(margin[axis], r + c.comma_index.count(axis) * stencil_radius(1))
+    _check_prolongation(grid, need, ctx, tuple(margin))
     if momentum_fields is not None:
         for what in ("axes", "origin", "spacing"):
             mine, theirs = getattr(momentum_fields, what), getattr(grid, what)
@@ -453,11 +459,6 @@ def residual(system: EquationSystem, grid: GridFunction,
             raise MissingFieldError(
                 f"no field or Legendre form supplies the momentum {ctx.name(c)}")
 
-    r = stencil_radius(need)
-    margin = [r] * ctx.n
-    for c in read:  # a comma pass, a first-order stencil, widens the margin on its axis
-        for axis in c.comma_index if c.kind == COMMA else ():
-            margin[axis] = max(margin[axis], r + c.comma_index.count(axis) * stencil_radius(1))
     keys = {c: _key(c) for c in read}
     try:
         peaks = _stream(system, grid, keys, roots, tuple(margin))
@@ -615,8 +616,8 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
     computation in the same order, and a maximum is exact, so the residuals
     are bit-identical to a full-grid computation's.  A pass over a constant
     momentum is not run: its interior points, the only ones the residuals
-    read, are exactly +0.0, and it becomes a broadcast 0.0 (the grid checks
-    above still cover its stencil).  A band holds BAND_ELEMENTS // row rows
+    read, are exactly +0.0, and it becomes a broadcast 0.0 (the margin still
+    covers its stencil).  A band holds BAND_ELEMENTS // row rows
     (at least one), however deep the halos: a halo deeper than the band
     only makes each array cover more rows than the band keeps.  A pass
     along axis 0 is computed on the rows its array covers, from its input's
@@ -635,12 +636,6 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
     returns.
     """
     shape = grid.shape
-    # the passes' own checks, before any work, in the order they are met
-    for _, chain in keys.values():
-        for axis, order in chain:
-            _check_axis(shape[axis], stencil_radius(order))
-    if any(s - 2 * m <= 0 for s, m in zip(shape, margin)):
-        raise GridTooSmallError("grid too small for the stencil margins")
     inputs = {root: {c: _key(c) for c in _jets_of([e])}
               for root, e in roots.items() if isinstance(e, Expr)}
     # momenta whose coefficient reads no coordinate: a finite float, so every

@@ -188,20 +188,22 @@ def hessian(lag: LagrangianDensity, *, samples: int = 5,
     return matrix, report
 
 
+def _pairings(ctx: JetContext, level: int) -> List[Expr]:
+    """The products p_a^{I.i} u_{Ii}^a for |I| <= level (none below 0)."""
+    return [Expr.coord(CoordinateId.momentum(alpha, I, i))
+            * Expr.coord(CoordinateId.jet(alpha, I.with_index(i)))
+            for alpha in range(ctx.m)
+            for I in multiindices_up_to(ctx.n, level)
+            for i in range(ctx.n)]
+
+
 def energy_density(lag: LagrangianDensity) -> Expr:
     """E_l = sum_{|I|<=l} p_a^{I.i} u_{Ii}^a - L, in the base context.
 
     The `energy` subcommand is its only CLI caller: `reduce_lagrangian`
     restricts an equal form of it (see there).
     """
-    ctx = lag.context
-    l = lag.level
-    pairings = [Expr.coord(CoordinateId.momentum(alpha, I, i))
-                * Expr.coord(CoordinateId.jet(alpha, I.with_index(i)))
-                for alpha in range(ctx.m)
-                for I in multiindices_up_to(ctx.n, l)
-                for i in range(ctx.n)]
-    return Expr.sum([-lag.L] + pairings)
+    return Expr.sum([-lag.L] + _pairings(lag.context, lag.level))
 
 
 def comma_images(images: Mapping[CoordinateId, Expr], n: int) -> Dict[CoordinateId, Expr]:
@@ -303,8 +305,6 @@ def _pivot(res: Expr, candidates) -> Optional[Tuple[CoordinateId, Q]]:
 def _restricted_energy(lag: LagrangianDensity, tops: Sequence[CoordinateId],
                        subs: Dict[CoordinateId, Expr]) -> Expr:
     """E_l under subs, from its form modulo the constraint rows (see reduce_lagrangian)."""
-    ctx = lag.context
-    l = lag.level
     top_set = set(tops)
 
     def free(e: Expr) -> Expr:
@@ -314,20 +314,14 @@ def _restricted_energy(lag: LagrangianDensity, tops: Sequence[CoordinateId],
     # L0 = free(L), and b_K = free(dL/du_K) is the coefficient of u_K in the
     # terms of L of degree one in the top jets
     gradient = lag.L.gradient()
-    parts = [Expr.sum([-free(lag.L)] + [
-        Expr.coord(CoordinateId.momentum(alpha, I, i))
-        * Expr.coord(CoordinateId.jet(alpha, I.with_index(i)))
-        for alpha in range(ctx.m)
-        for I in multiindices_up_to(ctx.n, l - 1)
-        for i in range(ctx.n)]).substitute(subs)]
-    # each factor is substituted on its own and multiplied by the image of
-    # u_K: one substitution of the whole sum would re-normalise its growing
-    # Horner accumulator once per solved top jet
+    parts = [Expr.sum([-free(lag.L)] + _pairings(lag.context, lag.level - 1)).substitute(subs)]
+    # each factor P_K - b_K, the momenta free of top jets, is substituted on
+    # its own and multiplied by the image of u_K: one substitution of the
+    # whole sum would re-normalise its growing Horner accumulator once per
+    # solved top jet
     for K in tops:
-        P = Expr.sum([Expr.coord(CoordinateId.momentum(K.alpha, J, i))
-                      for J, i, _mult in K.index.removals()])
-        factor = (P - free(gradient.get(K, Expr.zero()))).substitute(subs).scale(Q(1, 2))
-        parts.append(factor * subs.get(K, Expr.coord(K)))
+        factor = -free(_momentum_residual(gradient, K.alpha, K.index))
+        parts.append(factor.substitute(subs).scale(Q(1, 2)) * subs.get(K, Expr.coord(K)))
     return Expr.sum(parts)
 
 

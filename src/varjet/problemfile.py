@@ -5,7 +5,9 @@ Recognized keys: independents, dependents (space- or comma-separated names),
 lagrangian (expression), order (declared order l+1), and the options
 seed, rank_samples, rho (one expression per independent variable,
 ';'-separated).  No key bounds the jet order: the density and its declared
-order fix which jets each construction reads.
+order fix which jets each construction reads.  The density's own rules
+(the least order, the multiindex budget, no momenta) are LagrangianDensity's
+checks; the reader places their errors on the file's lines.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .jetcalc import refuse_long_multiindices
 from .pdham import MAX_RANK_SAMPLES
-from .symcore import _NAME_RE, MOMENTUM, Expr, JetContext, VarjetError, parse
+from .symcore import _NAME_RE, Expr, JetContext, VarjetError, WrongDomainError, parse
 from .variational import LagrangianDensity
 
 _KNOWN_KEYS = {"independents", "dependents", "lagrangian", "order",
@@ -25,17 +26,21 @@ _KNOWN_KEYS = {"independents", "dependents", "lagrangian", "order",
 
 @dataclass
 class Problem:
-    context: JetContext
-    density: Expr  # parsed once, in context
-    order: int
+    density: LagrangianDensity  # validated once, at the file's order
     seed: int = 0
     rank_samples: int = 5
     rho_text: str = ""  # ';'-separated shift components, parsed on use
     rho_at: Tuple[str, int] = ("<problem>", 1)  # rho_text's file line, and its column there
 
+    @property
+    def context(self) -> JetContext:
+        return self.density.context
+
     def lagrangian(self, order_override: Optional[int] = None) -> LagrangianDensity:
-        order = order_override if order_override is not None else self.order
-        return LagrangianDensity(self.context, self.density, order=order)
+        """The file's density, or the same L at order_override when it is given."""
+        if order_override is None:
+            return self.density
+        return LagrangianDensity(self.context, self.density.L, order=order_override)
 
     def rho(self, text: Optional[str]) -> List[Expr]:
         """The shift components, one per independent: text's if given, else
@@ -116,7 +121,7 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
     order = integer("order", 0)
     seed = integer("seed", 0)
     rank_samples = integer("rank_samples", 5)
-    if "order" in entries and order < 1:
+    if "order" in entries and order < 1:  # the density reads 0 as "infer"
         fail("order", "order must be >= 1")
     if rank_samples < 1:
         fail("rank_samples", "rank_samples must be >= 1")
@@ -127,25 +132,16 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
     except VarjetError as exc:  # the names are valid and distinct: one is a prefix of another
         fail("independents", str(exc))
     lagrangian, lineno, column = entries["lagrangian"]
-    density = _parse_value(lagrangian, context, f"{source}, line {lineno}", column)
-    if any(c.kind == MOMENTUM for c in density.coordinates()):
-        fail("lagrangian", "a Lagrangian density is jet-side; momenta present")
-    # infer the declared order from the density when absent
-    minimal = max(1, density.max_jet_order())
-    if order == 0:
-        order = minimal
-    elif order < minimal:
-        fail("order", f"declared order {order} below the density order {minimal}")
-    else:
-        try:
-            refuse_long_multiindices(context.n, order, "order")
-        except VarjetError as exc:
-            fail("order", str(exc))
+    L = _parse_value(lagrangian, context, f"{source}, line {lineno}", column)
+    try:  # an absent order is 0, which the density infers
+        density = LagrangianDensity(context, L, order=order)
+    except WrongDomainError as exc:
+        fail("lagrangian", str(exc))
+    except VarjetError as exc:  # the order's rules
+        fail("order" if "order" in entries else "lagrangian", str(exc))
     rho_text, rho_line, rho_column = entries.get("rho", ("", 0, 0))
     return Problem(
-        context=context,
         density=density,
-        order=order,
         seed=seed,
         rank_samples=rank_samples,
         rho_text=rho_text,

@@ -18,7 +18,8 @@ Every coefficient is a ``Q``, a Fraction subclass whose ``+ - * /``,
 negation, integer powers and ``==`` take a fast path when both operands are
 Q or int; any other operand goes to Fraction's own method.  A Q hashes,
 orders and prints as the Fraction of its value.  The kernel converts what
-it is given to Q where a coefficient enters: in ``_normal_form`` (so in
+it is given to Q where a coefficient enters, with one conversion
+(``_as_q``, which refuses a NaN or an infinity): in ``_normal_form`` (so in
 ``Expr(terms)``), ``Expr.number``, ``Expr.scale`` and ``row_echelon``.
 
 Every result that can break the normal form goes through one normalisation
@@ -68,7 +69,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .multiindex import EMPTY, MultiIndex, multiindices_up_to
+from .multiindex import EMPTY, MultiIndex, VarjetError, multiindices_up_to
 
 INDEPENDENT = "independent"
 JET = "jet"
@@ -76,11 +77,6 @@ MOMENTUM = "momentum"
 COMMA = "comma"
 
 _KINDS = (INDEPENDENT, JET, MOMENTUM)
-_KIND_RANK = {kind: rank for rank, kind in enumerate(_KINDS)}
-
-
-class VarjetError(Exception):
-    """Base class for all domain errors."""
 
 
 def _line_column(text: str, pos: int) -> Tuple[int, int]:
@@ -123,19 +119,12 @@ class CoordinateId(tuple):
     and ``i`` are c's, ``base`` is c and ``comma_index`` is J.  Hashing,
     equality and order are the tuple's; the hash holds only ints, so it is
     the same in every process.  A coordinate equals the plain tuple of its
-    key too; varjet never mixes the two.
+    key too; varjet never mixes the two.  Each kind has one constructor, a
+    classmethod; pickling and copying rebuild a coordinate from its key,
+    as they do any tuple subclass.
     """
 
     __slots__ = ()
-
-    def __new__(cls, kind: str, alpha: int = -1, index: MultiIndex = EMPTY,
-                i: int = -1) -> "CoordinateId":
-        if kind == INDEPENDENT:
-            return tuple.__new__(cls, (0, i, 0, EMPTY, 0))
-        return tuple.__new__(cls, (_KIND_RANK[kind], alpha, len(index), index, i))
-
-    def __reduce__(self):
-        return _coordinate, (tuple(self),)
 
     @classmethod
     def independent(cls, i: int) -> "CoordinateId":
@@ -168,11 +157,6 @@ class CoordinateId(tuple):
             return f"CoordinateId(kind='comma', base={self.base!r}, index={self.comma_index!r})"
         return (f"CoordinateId(kind={self.kind!r}, alpha={self.alpha!r}, "
                 f"index={self.index!r}, i={self.i!r})")
-
-
-def _coordinate(key: tuple) -> CoordinateId:
-    """The coordinate whose key is ``key``: the constructor pickling calls."""
-    return tuple.__new__(CoordinateId, key)
 
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
@@ -514,8 +498,14 @@ def _q(num: int, den: int) -> Q:
 
 
 def _as_q(value) -> Q:
-    """value (an int, a Fraction, a float, a Q) as a Q."""
-    return value if value.__class__ is Q else Q(value)
+    """value (an int, a Fraction, a float, a Q) as a Q; a NaN or an infinity is refused."""
+    if value.__class__ is Q:
+        return value
+    try:
+        return Q(value)
+    except (ValueError, OverflowError):  # Fraction's refusal of a NaN and of an infinity
+        raise UnsupportedExpressionError(
+            f"coefficient {value!r} is not a finite rational number") from None
 
 
 Monomial = Tuple[Tuple[CoordinateId, int], ...]
@@ -585,19 +575,19 @@ def _normal_form(terms: Iterable[Term]) -> Tuple[Term, ...]:
     merge and no sort.
 
     Coefficients that are not Q (an int, a stdlib Fraction or a float from a
-    caller) are converted to Q, so every merge runs on Q's fast paths; every
-    factor tuple must already be ascending and free of repeats.
+    caller) are converted by ``_as_q``, so every merge runs on Q's fast
+    paths; every factor tuple must already be ascending and free of repeats.
     """
     if (terms.__class__ is list or terms.__class__ is tuple) and len(terms) == 1:
         mono, coeff = terms[0]
         if coeff.__class__ is not Q:
-            coeff = Q(coeff)
+            coeff = _as_q(coeff)
         return ((mono, coeff),) if coeff._numerator else ()  # coeff != 0
     merged: Dict[Monomial, Q] = {}
     get = merged.get
     for mono, coeff in terms:
         if coeff.__class__ is not Q:
-            coeff = Q(coeff)
+            coeff = _as_q(coeff)
         prev = get(mono)
         merged[mono] = coeff if prev is None else prev + coeff
     records = sorted([(_mono_key(m), m, c) for m, c in merged.items() if c._numerator],

@@ -47,13 +47,6 @@ class LagrangianDensity:
     order: int = 0
 
     def __post_init__(self):
-        minimal = max(1, self.L.max_jet_order())
-        if self.order == 0:
-            object.__setattr__(self, "order", minimal)
-        if self.order < minimal:
-            raise VarjetError(
-                f"declared order {self.order} below the minimal order {minimal} of the density")
-        refuse_long_multiindices(self.context.n, self.order, "order")
         for c in self.L.coordinates():
             kind = c.kind
             if kind == MOMENTUM:
@@ -63,6 +56,13 @@ class LagrangianDensity:
                                        "a Lagrangian density is jet-side")
             if not self.context.admits(c):
                 raise VarjetError(f"the density reads {c!r}, which is outside its context")
+        minimal = max(1, self.L.max_jet_order())
+        if self.order == 0:
+            object.__setattr__(self, "order", minimal)
+        if self.order < minimal:
+            raise VarjetError(
+                f"declared order {self.order} below the minimal order {minimal} of the density")
+        refuse_long_multiindices(self.context.n, self.order, "order")
 
     @property
     def level(self) -> int:

@@ -666,6 +666,29 @@ def test_malformed_problem_value_is_positioned(capsys, tmp_path, extra, lineno, 
     assert err == f"varjet: {path}, line {lineno}: {message}\n"
 
 
+@pytest.mark.parametrize("text, lineno, message", [
+    # the file's order and --order read the same
+    ("independents = t x\ndependents = u\nlagrangian = u_xx^2\norder = 1\n", 4,
+     "declared order 1 below the minimal order 2 of the density"),
+    # an inferred order over the multiindex budget goes on the lagrangian line
+    ("independents = x\ndependents = u\nlagrangian = u_" + "x" * 12000 + "\n", 3,
+     "order 12000 is too high: the multiindices up to it would hold more than "
+     "50000000 entries"),
+], ids=["below_minimal_order", "inferred_order_over_budget"])
+def test_density_errors_are_positioned(capsys, tmp_path, text, lineno, message):
+    # LagrangianDensity checks the file's density; the reader places its error
+    path = tmp_path / "bad.problem"
+    path.write_text(text)
+    assert run(capsys, "el", str(path)) == (1, "", f"varjet: {path}, line {lineno}: {message}\n")
+
+
+def test_order_option_below_the_density_reads_as_the_file_order(capsys, tmp_path):
+    path = tmp_path / "kdv.problem"
+    path.write_text("independents = t x\ndependents = u\nlagrangian = u_xx^2\n")
+    assert run(capsys, "el", str(path), "--order", "1") == \
+        (1, "", "varjet: declared order 1 below the minimal order 2 of the density\n")
+
+
 def test_documented_problem_keys_are_the_known_keys():
     # the example block of docs/problemfile.md shows every key once
     path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "problemfile.md")

@@ -1,6 +1,7 @@
 """Evaluation, finite-difference stencils, residual verification."""
 
 import dataclasses
+import itertools
 import math
 import os
 import random
@@ -688,6 +689,45 @@ def test_residual_grid_too_small_keeps_full_prolongation_message(ctx_tx):
     message = r"^axis of 6 points cannot host a radius-3 stencil$"
     with pytest.raises(GridTooSmallError, match=message):
         residual(kdv_el_system(ctx_tx), soliton_grid(6, 40))
+
+
+@pytest.mark.parametrize("problem, which, margin", [
+    # docs/gridfile.md: stencil_radius(k) on each axis, k the highest jet order
+    # of the rows, the fiber and the Legendre coefficients, plus 2 per comma pass
+    ("kdv", "el", (3, 3)),  # u_xxxx: k = 4, no commas
+    ("kdv", "elh", (5, 5)),  # theta reads u_xxx: k = 3; (p^t),_t, (u),_x, ...
+    ("kdv", "hdw", (5, 5)),
+    ("wave", "hdw", (4, 4)),  # k = 1, and one comma pass along each axis
+])
+def test_a_grid_fits_exactly_when_each_axis_holds_its_margin(ctx_tx, problem, which, margin):
+    if problem == "kdv":
+        system, theta = kdv_system(ctx_tx, which)
+    else:
+        lag = LagrangianDensity(ctx_tx, parse("1/2*u_t^2 - 1/2*u_x^2", ctx_tx), order=1)
+        system, theta = system_of(lag, which), legendre_form(lag)
+    for shape in itertools.product(range(3, 13), repeat=2):
+        short = [(n, m) for n, m in zip(shape, margin) if n < 2 * m + 1]
+        if not short:
+            assert np.isfinite(list(residual(system, soliton_grid(*shape), legendre=theta)
+                                    .values())).all()
+            continue
+        message = "^axis of {} points cannot host a radius-{} stencil$".format(*short[0])
+        with pytest.raises(GridTooSmallError, match=message):
+            residual(system, soliton_grid(*shape), legendre=theta)
+
+
+def test_margin_covers_the_base_jet_of_a_comma_derivative(ctx_tx):
+    # (u_xxx),_t reads no plain jet: its base's radius-3 x pass must still
+    # widen the margin (it read the NaN boundary columns before)
+    row = Expr.coord(CoordinateId.comma(ctx_tx.resolve("u_xxx"), 0)) - Expr.number(6)
+    system = EquationSystem(ctx_tx, (("r", row),))
+    t, x = np.linspace(-1, 1, 11), np.linspace(-1, 1, 7)
+    T, X = np.meshgrid(t, x, indexing="ij")
+    g = GridFunction(("t", "x"), (-1.0, -1.0), (t[1] - t[0], x[1] - x[0]), {"u": T * X ** 3})
+    assert residual(system, g)["r"] < 1e-9  # the stencils are exact on t x^3
+    g.fields["u"] = g.fields["u"][:, :6]
+    with pytest.raises(GridTooSmallError, match="^axis of 6 points cannot host a radius-3 stencil$"):
+        residual(system, g)
 
 
 def test_residual_constant_legendre_coefficient(ctx_tx):

@@ -15,8 +15,8 @@ from conftest import reference_mono_key, reference_normal_form, reference_partia
 from varjet import symcore
 from varjet.jetcalc import total_derivative
 from varjet.multiindex import EMPTY, MultiIndex, multiindices_up_to
-from varjet.symcore import (INDEPENDENT, JET, MOMENTUM, CoordinateId, Expr, JetContext, Q, parse,
-                            render)
+from varjet.symcore import (INDEPENDENT, JET, MOMENTUM, CoordinateId, Expr, JetContext, Q,
+                            VarjetError, parse, render)
 
 CTX = JetContext(("t", "x"), ("u",))
 POOL = [CoordinateId.jet(0, I) for I in multiindices_up_to(2, 3)] \
@@ -91,7 +91,10 @@ def assert_canonical(e):
             "factors not strictly ascending"
         for c, power in mono:
             assert isinstance(power, int) and power > 0
-            twin = CoordinateId(c.kind, c.alpha, MultiIndex(tuple(reversed(c.index.entries))), c.i)
+            index = MultiIndex(tuple(reversed(c.index.entries)))
+            twin = (CoordinateId.independent(c.i) if c.kind == INDEPENDENT
+                    else CoordinateId.jet(c.alpha, index) if c.kind == JET
+                    else CoordinateId.momentum(c.alpha, index, c.i))
             assert twin == c and hash(twin) == hash(c)
 
 
@@ -400,8 +403,8 @@ def test_coordinates_order_compare_and_hash_as_their_dataclass_keys(a, b):
         assert repr(new) == repr(old) and repr(new.index) == repr(old.index)
         assert (new.kind, new.alpha, new.index.entries, new.i) == \
             (old.kind, old.alpha, old.index.entries, old.i)
-        assert new == CoordinateId(new.kind, new.alpha, new.index, new.i)
-        assert pickle.loads(pickle.dumps(new)) == new and copy.deepcopy(new) == new
+        for twin in pickle.loads(pickle.dumps(new)), copy.deepcopy(new):
+            assert twin == new and type(twin) is CoordinateId
     assert (new_a == new_b) == (old_key(old_a) == old_key(old_b))
     assert (new_a < new_b) == (old_key(old_a) < old_key(old_b))
     assert (new_a <= new_b) == (old_key(old_a) <= old_key(old_b))
@@ -429,7 +432,8 @@ def test_comma_derivatives_sort_after_their_base_by_length_then_index(a, b, J, K
         assert cJ.comma_index == MultiIndex(J)
         assert (cJ.alpha, cJ.index, cJ.i) == (c.alpha, c.index, c.i)
         assert cJ == comma_of(c, reversed(J)) and hash(cJ) == hash(tuple(cJ))
-        assert pickle.loads(pickle.dumps(cJ)) == cJ and copy.deepcopy(cJ) == cJ
+        for twin in pickle.loads(pickle.dumps(cJ)), copy.deepcopy(cJ):
+            assert twin == cJ and type(twin) is CoordinateId and twin.base == c
         assert c < cJ and (d <= c or dK > cJ)
 
 
@@ -443,7 +447,7 @@ def test_multiindex_is_the_tuple_of_its_sorted_entries(entries):
     assert repr(I) == repr(old)
     assert I == MultiIndex(reversed(entries)) == MultiIndex.of(*entries)
     assert pickle.loads(pickle.dumps(I)) == I and type(copy.deepcopy(I)) is MultiIndex
-    with pytest.raises(ValueError, match="^multiindex entries must be nonnegative indices$"):
+    with pytest.raises(VarjetError, match="^multiindex entries must be nonnegative indices$"):
         MultiIndex(entries + [-1])
 
 

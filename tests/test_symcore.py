@@ -74,6 +74,30 @@ def test_row_echelon_rank_matches_sympy():
     assert symcore.row_echelon([]) == ([], [])
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_coefficients_are_refused(value):
+    # Fraction's own ValueError and OverflowError escaped before
+    message = rf"^coefficient {value!r} is not a finite rational number$"
+    u = Expr.coord(CoordinateId.jet(0))
+    for build in (lambda: Expr.number(value), lambda: u.scale(value), lambda: u * value,
+                  lambda: Expr([((), value)]), lambda: Expr([((), 1), ((), value)]),
+                  lambda: symcore.row_echelon([[1, value]])):
+        with pytest.raises(UnsupportedExpressionError, match=message):
+            build()
+
+
+def test_negative_multiindex_arguments_are_refused():
+    # a ValueError escaped, or a negative count of indices read as none
+    cases = ((MultiIndex, ([-1],), "^multiindex entries must be nonnegative indices$"),
+             (multiindex.multiindices, (2, -1), r"^multiindices need n >= 0 and a length >= 0, "
+                                                r"got 2 and -1$"),
+             (multiindices_up_to, (-1, 2), r"^multiindices need n >= 0, got -1$"))
+    for build, args, message in cases:
+        with pytest.raises(VarjetError, match=message):
+            build(*args)
+    assert multiindices_up_to(2, -1) == []  # no multiindex is that short
+
+
 def C(ctx, name):
     return ctx.resolve(name)
 
