@@ -44,11 +44,15 @@ term, and normalised once.  Products and powers whose size bound exceeds
 MAX_TERMS, and powers whose coefficients may pass Python's digit limit on
 int text, are refused before any work.
 
-The reader tokenizes a text in one ``findall`` pass into token strings and
-finds a token's position, by scanning the text again, only for an error.
-It reads each product into one term, reading its plain factors (a name
-met before, an integer, a name met before to an integer power) in place;
-an expression that is one sum, such as a power of a sum or a product of
+The reader splits a text into token strings at its operator characters
+and whitespace, with string methods; only a text whose pieces are not
+whole tokens is scanned by a regular expression.  It finds a token's
+position, by scanning the text again, only for an error.  A name to an
+integer power written without spaces, ``u_x^2``, is one token, made into
+its factor once per text, and each name is resolved once per text.  It
+reads each product into one term, reading its plain factors (a name met
+before, an integer, a name met before to an integer power) in place; an
+expression that is one sum, such as a power of a sum or a product of
 two, is that sum's normal form and is not normalised again, and an
 expression of one monomial is that term.  A bad character is placed at
 its own start.  The renderers, JSON's included, write their text in one
@@ -558,10 +562,18 @@ def _mono_key(mono: Monomial):
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """The product of two monomials, its factors ascending.  When every
+    coordinate of one lies below every coordinate of the other, the product
+    is the two factor tuples concatenated, the lower first; otherwise the
+    exponents are merged in a dict and its items sorted."""
     if not a:
         return b
     if not b:
         return a
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
     powers: Dict[CoordinateId, int] = dict(a)
     for c, e in b:
         powers[c] = powers.get(c, 0) + e
@@ -908,12 +920,15 @@ def row_echelon(matrix: Iterable[Iterable]) -> Tuple[List[List[Q]], List[int]]:
 
 # -- parsing ---------------------------------------------------------------
 
-# The tokens: an integer, a name or an operator.  "^" joins a name only when
-# followed by a letter (a momentum's dependent tag); "^" followed by a digit
-# stays the power operator.  A token's kind shows in the token itself: the
-# operators are _OPS, a number is decimal digits and a name starts with a letter.
+# The tokens: an integer, a name, a name to an integer power or an operator.
+# "^" joins a name when followed by a letter (a momentum's dependent tag) and
+# ends a name's token when followed by digits (name^k, read as one factor);
+# any other "^" is the power operator.  A token's kind shows in the token
+# itself: the operators are _OPS, a number is decimal digits and a name
+# starts with a letter.  No token holds an operator character but "^".
 _TOKEN = (r"\d+"
           r"|[A-Za-z][A-Za-z0-9_.]*(?:\^[A-Za-z][A-Za-z0-9_.]*)?(?:,_[A-Za-z][A-Za-z0-9]*)?"
+          r"(?:\^\d+)?"
           r"|[-+*/^()]")
 _TOKEN_RE = re.compile(_TOKEN)
 # the tokens again, with any other non-space character "bad": the scan that
@@ -925,23 +940,49 @@ _SIGNS = frozenset("+-")
 _PRODUCT_OPS = frozenset("*/")
 
 
+def _split_tokens(text: str) -> Optional[List[str]]:
+    """The tokens of text by string operations alone, or None.
+
+    The operator characters but "^" are padded with spaces and the text is
+    split at whitespace.  No token holds whitespace or those characters, so
+    when each distinct piece is one whole token, the pieces are the tokens
+    ``_TOKEN_RE.findall`` would give; otherwise the answer is None.
+    """
+    pieces = text.replace("+", " + ").replace("-", " - ").replace("*", " * ") \
+        .replace("/", " / ").replace("(", " ( ").replace(")", " ) ").split()
+    for piece in set(pieces):
+        if _TOKEN_RE.fullmatch(piece) is None:
+            return None
+    return pieces
+
+
 def _tokenize(text: str) -> List[str]:
     """The tokens of text, then "" for its end.
 
-    One ``findall`` pass; it skips any character that starts no token, so
-    the tokens spell the text's non-space characters unless one is bad,
-    and only then is the text scanned again for the first bad character.
-    Tokens hold no whitespace, so when their lengths and the text's ' '
-    count add up to its length they spell it, and the two joins are skipped.
+    ``_split_tokens`` reads most texts.  Any other text (a bad character,
+    "u_x^ 2", "2^3") is scanned by ``findall``, which skips any character
+    that starts no token, so the tokens spell the text's non-space
+    characters unless one is bad, and only then is the text scanned again
+    for the first bad character.  Tokens hold no whitespace, so when their
+    lengths and the text's ' ' count add up to its length they spell it,
+    and the two joins are skipped.
     """
-    tokens = _TOKEN_RE.findall(text)
-    if sum(map(len, tokens)) + text.count(" ") != len(text) \
-            and "".join(tokens) != "".join(text.split()):
-        for m in _PLACED_RE.finditer(text):
-            if m.lastindex == 2:
-                raise ParseError(f"unexpected character {m.group(2)!r}", text, m.start())
+    tokens = _split_tokens(text)
+    if tokens is None:
+        tokens = _TOKEN_RE.findall(text)
+        if sum(map(len, tokens)) + text.count(" ") != len(text) \
+                and "".join(tokens) != "".join(text.split()):
+            for m in _PLACED_RE.finditer(text):
+                if m.lastindex == 2:
+                    raise ParseError(f"unexpected character {m.group(2)!r}", text, m.start())
     tokens.append("")
     return tokens
+
+
+def _power_at(tok: str) -> int:
+    """Where the "^" of a name^k token is; 0 for any other token."""
+    i = tok.rfind("^")
+    return i if i > 0 and tok[i + 1:].isdecimal() else 0
 
 
 def _token_start(text: str, k: int) -> int:
@@ -958,25 +999,28 @@ class _Parser:
     term := factor (('*'|'/') factor)*; factor := '-' factor | primary ['^' int];
     primary := int | name | '(' expr ')'.
 
-    The reader works on the token strings of one ``findall`` pass and keeps
-    only the index of the next token: positions are found by scanning the
-    text again, and only for an error.  A term is read into one monomial and
-    one integer numerator and denominator: numbers and powers of names are
-    multiplied in directly, and only a parenthesised or negated factor is an
-    Expr (folded in when it has one term).  ``term`` reads the plain factors
-    in place from the token list (a name already met in the text, an integer
-    literal, a name already met to an integer power); ``factor`` and
-    ``primary`` read every other factor (a unary minus, a parenthesis, the
-    first sight of a name with its resolution and the transcendental check,
-    a power of a number or a group) and raise every error but an
-    exponent's, which ``exponent`` raises for both paths.  The coefficient
-    is made once per term, from its reduced ints, by ``_q``.  A term whose only non-constant
-    factor is a sum is that sum's normal form, scaled unless its coefficient
-    is 1.  An expression of one such term is returned as it is, and one of a
-    single monomial is that term (or zero), without normalisation; any other
-    expression collects its terms and builds one Expr.  Parentheses and
-    unary minus signs nest at most MAX_DEPTH deep, which keeps the recursion
-    well inside the interpreter's stack limit.
+    The reader works on the token strings of ``_tokenize`` and keeps only
+    the index of the next token: positions are found by scanning the text
+    again, and only for an error.  A name^k token is read as the name to the
+    power k, and each name is resolved once per text.  A term is read into
+    one monomial and one integer numerator and denominator: numbers and
+    powers of names are multiplied in directly, and only a parenthesised or
+    negated factor is an Expr (folded in when it has one term).  ``term``
+    reads the plain factors in place from the token list (a name already met
+    in the text, an integer literal, a name already met to an integer power,
+    a name^k token already read); ``factor`` and ``primary`` read every
+    other factor (a unary minus, a parenthesis, the first sight of a name
+    or a name^k token, with the name's resolution and the transcendental
+    check, a power of a number or a group) and raise every error but an
+    exponent's, which ``exponent`` and ``integer`` raise for both paths, a
+    name^k token's at its first digit.  The coefficient is made
+    once per term, from its reduced ints, by ``_q``.  A term whose only
+    non-constant factor is a sum is that sum's normal form, scaled unless
+    its coefficient is 1.  An expression of one such term is returned as it
+    is, and one of a single monomial is that term (or zero), without
+    normalisation; any other expression collects its terms and builds one
+    Expr.  Parentheses and unary minus signs nest at most MAX_DEPTH deep,
+    which keeps the recursion well inside the interpreter's stack limit.
     """
 
     MAX_DEPTH = 100
@@ -988,10 +1032,13 @@ class _Parser:
         self.k = 0  # the index of the next token
         self.depth = 0
         self.coords: Dict[str, CoordinateId] = {}  # names met so far in this text
+        # the factor of each name^k token read so far: (coordinate, k), or 1
+        self.powers_read: Dict[str, object] = {}
 
-    def error(self, message: str, k: int, cls=ParseError) -> VarjetError:
-        """A ``cls`` error for ``message`` at the k-th token."""
-        pos = _token_start(self.text, k)
+    def error(self, message: str, k: int, cls=ParseError, shift: int = 0) -> VarjetError:
+        """A ``cls`` error for ``message`` at the k-th token, or ``shift``
+        characters into it."""
+        pos = _token_start(self.text, k) + shift
         exc = ParseError(message, self.text, pos)
         if cls is not ParseError:  # the same message and position, as a cls
             exc = cls(str(exc))
@@ -1011,7 +1058,7 @@ class _Parser:
         e = self.expr()
         tok = self.tokens[self.k]
         if tok:
-            raise self.error(f"unexpected token {tok!r}", self.k)
+            raise self.error(f"unexpected token {tok[:_power_at(tok) or None]!r}", self.k)
         return e
 
     def expr(self) -> Expr:
@@ -1043,11 +1090,12 @@ class _Parser:
         non-constant factor is a sum, else its terms, one unless a factor is
         a sum.
 
-        A name met before in the text, an integer literal and a name met
-        before to an integer power are read here, from the tokens; ``factor``
-        reads every other factor, and so finds every error but the
-        exponent's, which ``exponent`` finds for both."""
-        tokens, coords = self.tokens, self.coords
+        A name met before in the text, an integer literal, a name met
+        before to an integer power and a name^k token read before are read
+        here, from the tokens; ``factor`` reads every other factor, and so
+        finds every error but the exponent's, which ``exponent`` and
+        ``integer`` find for both."""
+        tokens, coords, powers_read = self.tokens, self.coords, self.powers_read
         num, den = sign, 1
         powers: Dict[CoordinateId, int] = {}
         sums = None  # the product of the factors that are not single terms
@@ -1067,6 +1115,9 @@ class _Parser:
             elif tok.isdecimal() and tokens[k + 1] != "^":
                 f = self.integer(tok, k)
                 k += 1
+            elif tok in powers_read:
+                f = powers_read[tok]
+                k += 1
             else:
                 self.k = k
                 f = self.factor()
@@ -1085,11 +1136,11 @@ class _Parser:
                     raise self.error("division by zero", at)
                 num *= q.denominator
                 den *= q.numerator
-            elif f.__class__ is int:
-                num *= f
             elif f.__class__ is tuple:
                 c, e = f
                 powers[c] = powers.get(c, 0) + e
+            elif f.__class__ is int:
+                num *= f
             elif len(f.terms) == 1:
                 mono, q = f.terms[0]
                 for c, e in mono:
@@ -1123,6 +1174,8 @@ class _Parser:
                 return _canonical((((inner,), -_ONE_Q),))
             return -inner
         base = self.primary()
+        if base.__class__ is tuple:  # a name^k token; a "^" after it is no exponent
+            return base if base[1] else 1
         if tokens[self.k] != "^":
             return (base, 1) if base.__class__ is CoordinateId else base
         e = self.exponent(self.k + 1)
@@ -1141,29 +1194,27 @@ class _Parser:
             raise self.error("expected integer exponent", k)
         return self.integer(tok, k)
 
-    def integer(self, tok: str, k: int) -> int:
-        """The integer literal tok, the k-th token; longer than the digit
-        limit is an error."""
+    def integer(self, digits: str, k: int, shift: int = 0) -> int:
+        """The integer literal ``digits``, ``shift`` characters into the k-th
+        token; longer than the digit limit is an error there."""
         try:
-            return int(tok)
-        except ValueError:  # tok is decimal digits: int() refuses only past the limit
-            raise self.error(f"integer literal of {len(tok)} digits, over the limit of "
-                             f"{_digit_limit()} digits", k) from None
+            return int(digits)
+        except ValueError:  # decimal digits: int() refuses only past the limit
+            raise self.error(f"integer literal of {len(digits)} digits, over the limit of "
+                             f"{_digit_limit()} digits", k, shift=shift) from None
 
     _TRANSCENDENTAL = {"sin", "cos", "tan", "exp", "log", "ln", "sqrt",
                        "sinh", "cosh", "tanh", "abs"}
 
     def primary(self):
-        """An int, a CoordinateId or, for a parenthesised expression, an Expr."""
+        """An int, a CoordinateId, (CoordinateId, exponent) for a name^k
+        token or, for a parenthesised expression, an Expr."""
         k = self.k
         tok = self.tokens[k]
         self.k += 1
         if tok in self._TRANSCENDENTAL and self.tokens[self.k] == "(":
             raise self.error(f"transcendental function {tok!r} is not polynomial", k,
                              UnsupportedExpressionError)
-        coord = self.coords.get(tok)
-        if coord is not None:
-            return coord
         if tok.isdecimal():
             return self.integer(tok, k)
         if tok == "(":
@@ -1173,11 +1224,19 @@ class _Parser:
             self.k += 1
             return e
         if tok and tok not in _OPS:
-            try:
-                coord = self.coords[tok] = self.ctx.resolve(tok)
-            except UnknownCoordinateError:
-                raise self.error(f"unknown identifier {tok!r}", k)
-            return coord
+            i = _power_at(tok)
+            name = tok[:i] if i else tok
+            coord = self.coords.get(name)
+            if coord is None:
+                try:
+                    coord = self.coords[name] = self.ctx.resolve(name)
+                except UnknownCoordinateError:
+                    raise self.error(f"unknown identifier {name!r}", k)
+            if not i:
+                return coord
+            e = self.integer(tok[i + 1:], k, i + 1)
+            self.powers_read[tok] = (coord, e) if e else 1  # what factor() makes of it
+            return coord, e
         raise self.error(f"unexpected token {tok!r}" if tok else "unexpected end of input", k)
 
 

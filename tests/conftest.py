@@ -121,6 +121,15 @@ def reference_normal_form(terms):
     return tuple([(m, merged[m]) for m in monos])
 
 
+def reference_mono_mul(a, b):
+    """The product of two monomials by a dict merge of their exponents and
+    one sort of its items: the oracle for symcore._mono_mul."""
+    powers = dict(a)
+    for c, e in b:
+        powers[c] = powers.get(c, 0) + e
+    return tuple(sorted(powers.items()))
+
+
 def homotopy_lagrangian(lag: LagrangianDensity) -> LagrangianDensity:
     """L_h = sum_a u^a int_0^1 E_a(L)(t*u) dt, the Vainberg-Tonti density of
     lag's Euler-Lagrange expressions: each term of E_a of jet degree d (the

@@ -1,5 +1,6 @@
 """ELH systems, constraints, Hessian reports, energy, shift, reduction."""
 
+import importlib.util
 import json
 import math
 import os
@@ -11,8 +12,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import (KDV_L, jet_pool, pullback, random_expr, random_lagrangian,
-                      read_mixed, reference_partial)
+from conftest import (KDV_L, homotopy_lagrangian, jet_pool, pullback, random_expr,
+                      random_lagrangian, read_mixed, reference_partial)
 from varjet import cli, pdham
 from varjet.jetcalc import EquationSystem, total_derivative
 from varjet.multiindex import EMPTY, MultiIndex, multiindices, multiindices_up_to
@@ -39,10 +40,11 @@ from varjet.symcore import (
     render,
     row_echelon,
 )
-from varjet.problemfile import load_problem
+from varjet.problemfile import load_problem, parse_problem_text
 from varjet.variational import LagrangianDensity, euler_lagrange, legendre_form
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
+WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
 
 
 def rows_by_label(system):
@@ -730,6 +732,27 @@ def test_certificate_elh_hdw_and_shift_pull_back_to_euler_lagrange():
             [total_derivative(r, i) for i, r in enumerate(rho)]), order=lag.order)
         assert_certified(momentum_shift(elh_system(lag), rho), legendre_form(shifted), el, lag)
     assert reduced >= 20
+
+
+def test_certificate_holds_on_the_homotopy_density():
+    # L_h has the Euler-Lagrange equations of L at up to twice its order, so
+    # the ELH system of L_h pulls back along L_h's Legendre section to E(L);
+    # on the sample problems and the densities of the benchmark ladder's
+    # rungs of order <= 2, drawn as perfbench draws them for seed 1
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    lags = [load_problem(os.path.join(PROBLEMS, name)).lagrangian()
+            for name in sorted(os.listdir(PROBLEMS))]
+    lags += [parse_problem_text(workloads.problem_text(
+        n, m, order, kind, workloads._rng(1, "x", n, m, order))).lagrangian()
+        for n, m, order, kind in workloads.LADDER if order <= 2]
+    assert len(lags) == 9
+    for lag in lags:
+        homotopy = homotopy_lagrangian(lag)
+        assert homotopy.order > lag.order
+        assert_certified(elh_system(homotopy), legendre_form(homotopy), euler_lagrange(lag),
+                         homotopy)
 
 
 def test_comma_images_differentiate_on_the_mixed_fiber(ctx_tx):

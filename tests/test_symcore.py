@@ -21,7 +21,7 @@ import jsonschema
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from conftest import KDV_L, jet_pool, random_expr
+from conftest import KDV_L, jet_pool, random_expr, reference_mono_mul
 from varjet import multiindex, symcore
 from varjet.multiindex import MultiIndex, multiindices_up_to
 from varjet.symcore import (
@@ -627,7 +627,8 @@ def test_kernel_round_trip_runs_past_the_fraction_rewrite(version, tmp_path):
 # -- the reader and writer against the straightforward ones --------------------
 #
 # reference_parse is the reader as it was before its tokenizer became one
-# findall pass: a (kind, value, position) tuple per token from finditer, and
+# findall pass: a (kind, value, position) tuple per token from finditer, no
+# name^k token, a product of monomials by a dict merge and a sort, and
 # every expression's terms normalised once more.  Its three "not polynomial"
 # refusals carry the position of the function name, the "/" and the "-",
 # and a bad character is placed at its own start, not where the spaces
@@ -753,7 +754,7 @@ class _ReferenceParser:
         coeff = Fraction(num, den)
         if sums is None:
             return [(mono, coeff)]
-        return [(symcore._mono_mul(m, mono), c * coeff) for m, c in sums.terms]
+        return [(reference_mono_mul(m, mono), c * coeff) for m, c in sums.terms]
 
     def factor(self):
         kind, val, pos = self.peek()
@@ -858,7 +859,8 @@ _pieces = st.one_of(
     st.sampled_from(list("0123456789tuvxsinp_.,^()+-*/ \n\t")),
     st.sampled_from(["$", "#", "=", "٣", " ", " ", "\x1c", "é"]),
     st.sampled_from(["u_x", "u_tx", "v_xx", "p_x.t", "p^v_.x", "u,_x", "sin", "sin(",
-                     "exp(", "sinx", "^-", "/(", "/0", "^0", " + ", " - ", "*-"]),
+                     "exp(", "sinx", "^-", "/(", "/0", "^0", " + ", " - ", "*-",
+                     "u_x^2", "p^v_.x^3", "u,_x^2", "^12", "^٣"]),
     st.sampled_from(["(" * 101, ")" * 101, "-" * 101, "(" * 99, ")" * 99, "-(" * 60,
                      "9" * 4300, "7" * 4301, "1" * 4400]),
 )
@@ -878,12 +880,16 @@ _expressions = st.recursive(_atoms, lambda inner: st.one_of(
 
 
 # the boundaries of the term reader's in-place path (a name met before, an
-# integer literal, a name met before to an integer power), each also after
-# the name's first sight, when factor() reads it
+# integer literal, a name met before to an integer power) and of the name^k
+# token, each also after the name's first sight, when factor() reads it
 _IN_PLACE_CASES = [
     text for case in ["u_x^", "u_x^-1", "u_x ^-1", "u_x^t", "u_x ^t", "u_x^0*u_t", "u_x^(2)",
                       "u_x^2^3", "u_x(t)", "u_x*", "u_x/", "u_x^" + "9" * 4300,
-                      "u_x^" + "7" * 4301, "u_x/u_x^0", "u_x/u_t^0*3", "u_x/u_t", "u_x/0"]
+                      "u_x^" + "7" * 4301, "u_x/u_x^0", "u_x/u_t^0*3", "u_x/u_t", "u_x/0",
+                      "u_x^2*u_x^3", "u_x^2(t)", "p^v_.x^2", "u,_x^2", "u_x ^2", "u_x^ 2",
+                      "(u_x)^2", "-u_x^2", "u_x^0^2", "u_t/u_x^2", "u_x^2/2", "w^2",
+                      "u_x u_t^2", "u_t^2 u_x", "2^u_x^2", "u_x^٣", "u_t^2 - u_t^2*u_t^2",
+                      "u_t^0 - 2*u_t^0*u_x", "-u_t^1*u_t^1^2"]
     for text in (case, "u_x*" + case)] + [
     "2^3*u_x", "2^0/4", "3/4/5*u_x^2", "u_x/2*u_t", "-3/-4*u_x", "4*-u_x^2", "9" * 4300 + "*u_x",
     "7" * 4301 + "*u_x", "u_x*2(u_t)", "u_t*u_x*u_t^2*u_x^3 + u_x*u_t"]
@@ -895,7 +901,7 @@ def _in_place_examples(test):
     for text in _IN_PLACE_CASES:
         for ctx in PARSE_CONTEXTS[:2]:
             test = example(text=text, ctx=ctx)(test)
-    for text in ("sin*sin(x)", "sin^2*sin^3(x)", "x*sin*x(sin)"):
+    for text in ("sin*sin(x)", "sin^2*sin^3(x)", "x*sin*x(sin)", "sin^2(x)", "sin^2*sin(x)"):
         test = example(text=text, ctx=PARSE_CONTEXTS[2])(test)  # "sin" is an independent
     return test
 
@@ -909,6 +915,39 @@ def test_parse_matches_reference_parse(text, ctx):
     assert got == want
     if isinstance(got, Expr):
         assert all(c.__class__ is symcore.Q and c for _, c in got.terms)
+
+
+# texts of the grammar's characters and tokens only, most of which split
+_token_texts = st.lists(st.sampled_from(
+    list("0123456789tuvxp^()+-*/ ") + ["u_x", "u_x^2", "p^v_.x", "p^v_.x^3", "u,_x^2",
+                                       "u_tx^12", "sin", "\n", "\x1c"]),
+    max_size=20).map("".join)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=st.one_of(_texts, _expressions, _token_texts))
+@example(text="u_x^2*u_t - 3/2*p^v_x.t^3*(u,_x^2 + 1)")
+@example(text="sin^2*x^0 + u_x^" + "7" * 4301)
+@example(text="u_x ^2 + u_x^ 2")  # the split refuses these
+@example(text="2^3*u_x")
+def test_split_tokens_are_the_scanned_tokens(text):
+    # the regex scan is the reference: where the string split reads a text,
+    # it gives the scan's tokens, and the k-th of them is the k-th token
+    # _token_start places
+    split = symcore._split_tokens(text)
+    if split is not None:
+        assert split == symcore._TOKEN_RE.findall(text)
+        assert split == [m.group() for m in symcore._PLACED_RE.finditer(text)]
+
+
+def test_split_tokens_read_plain_renderings(ctx_tx):
+    # the texts a round trip re-parses never need the scan
+    for text in ("(u + u_t + u_x)^18", "(3/2*u_tx - u_xx)^7*(u_t + 2*u)^5"):
+        plain = render(parse(text, ctx_tx), ctx_tx)
+        assert symcore._split_tokens(plain) is not None
+        assert "^" in plain
+    for text in ("u_x ^2", "u_x^ 2", "2^3", "u_x + $"):
+        assert symcore._split_tokens(text) is None
 
 
 # two dependents, whose momenta carry the ^u tag, and one, whose momenta do not
@@ -961,6 +1000,46 @@ def test_render_matches_reference_render(case):
     # the grammar reads u,_x as the jet u_x
     if all(c.kind != COMMA for c in e.coordinates()):
         assert parse(render(e, ctx), ctx) == e
+
+
+@st.composite
+def _monomial_pairs(draw):
+    """Two monomials over coordinates of every kind: drawn apart, so that
+    they interleave or not, drawn from the two sides of a cut in either
+    order (a side is empty when the cut is at an end), or made to share a
+    coordinate."""
+    pool = sorted(RENDER_POOL[RENDER_CONTEXTS[0]])
+    exponents = st.integers(min_value=1, max_value=5)
+
+    def monomial(coords):  # empty only when there is nothing to draw from
+        picked = draw(st.lists(st.sampled_from(coords), min_size=1, max_size=4,
+                               unique=True)) if coords else []
+        return tuple(sorted((c, draw(exponents)) for c in picked))
+
+    how = draw(st.sampled_from(["apart", "disjoint", "shared"]))
+    if how == "disjoint":
+        cut = draw(st.integers(min_value=0, max_value=len(pool)))
+        a, b = monomial(pool[:cut]), monomial(pool[cut:])
+        return (b, a) if draw(st.booleans()) else (a, b)
+    a, b = monomial(pool), monomial(pool)
+    if how == "shared":
+        c = draw(st.sampled_from(pool))
+        a = tuple(sorted({**dict(a), c: draw(exponents)}.items()))
+        b = tuple(sorted({**dict(b), c: draw(exponents)}.items()))
+    return a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=_monomial_pairs())
+@example(pair=((), ()))
+@example(pair=((), ((CoordinateId.jet(0), 2),)))
+@example(pair=(((CoordinateId.independent(1), 1),), ()))
+def test_mono_mul_matches_reference_mono_mul(pair):
+    a, b = pair
+    got = symcore._mono_mul(a, b)
+    assert got.__class__ is tuple
+    assert got == reference_mono_mul(a, b)
+    assert symcore._mono_mul(b, a) == got
 
 
 
