@@ -26,7 +26,9 @@ Every result that can break the normal form goes through one normalisation
 path, ``_normal_form``: summands and products stream their terms into one
 dict, and the merged terms are sorted once, each by one flat tuple of its
 coordinates and exponents (``_mono_key``); a list or tuple of one term is
-neither merged nor sorted.  Sums of many parts (the parser, total
+neither merged nor sorted, and terms that already are a normal form (their
+keys strictly ascending, their coefficients nonzero Qs) are found so by one
+pass and kept as they are.  Sums of many parts (the parser, total
 derivatives, the variational and reduction constructions) make one builder
 call, ``Expr.sum`` or ``Expr(terms)``, so a result is normalised once, not once
 per partial sum.  Every first partial comes from ``Expr.gradient``: one pass
@@ -51,10 +53,11 @@ position, by scanning the text again, only for an error.  A name to an
 integer power written without spaces, ``u_x^2``, is one token, made into
 its factor once per text, and each name is resolved once per text.  It
 reads each product into one term, reading its plain factors (a name met
-before, an integer, a name met before to an integer power) in place; an
-expression that is one sum, such as a power of a sum or a product of
-two, is that sum's normal form and is not normalised again, and an
-expression of one monomial is that term.  A bad character is placed at
+before, an integer, a name met before to an integer power) in place, and
+merges and sorts a term's factors only when one is not above the one
+before it; an expression that is one sum, such as a power of a sum or a
+product of two, is that sum's normal form and is not normalised again,
+and an expression of one monomial is that term.  A bad character is placed at
 its own start.  The renderers, JSON's included, write their text in one
 pass and spell each coefficient from its integer numerator and
 denominator, read from the Fraction slots.
@@ -586,15 +589,34 @@ def _normal_form(terms: Iterable[Term]) -> Tuple[Term, ...]:
     of the merged terms once, by key.  A list or tuple of one term needs no
     merge and no sort.
 
+    Terms that already are a normal form are returned as they are, as a
+    tuple (the same tuple, when given one): one pass keys the terms in
+    order and stops at the first whose coefficient is not a nonzero Q or
+    whose key is not above the key before it.  Keys are injective, so
+    strictly ascending keys also mean distinct monomials.  Any other
+    iterable is made a list first, since the pass may have to be replayed.
+
     Coefficients that are not Q (an int, a stdlib Fraction or a float from a
     caller) are converted by ``_as_q``, so every merge runs on Q's fast
     paths; every factor tuple must already be ascending and free of repeats.
     """
-    if (terms.__class__ is list or terms.__class__ is tuple) and len(terms) == 1:
+    if terms.__class__ is not list and terms.__class__ is not tuple:
+        terms = list(terms)
+    if len(terms) == 1:
         mono, coeff = terms[0]
         if coeff.__class__ is not Q:
             coeff = _as_q(coeff)
         return ((mono, coeff),) if coeff._numerator else ()  # coeff != 0
+    last = ()  # below every key
+    for mono, coeff in terms:
+        if coeff.__class__ is not Q or not coeff._numerator:
+            break
+        key = _mono_key(mono)
+        if key <= last:
+            break
+        last = key
+    else:
+        return terms if terms.__class__ is tuple else tuple(terms)
     merged: Dict[Monomial, Q] = {}
     get = merged.get
     for mono, coeff in terms:
@@ -624,8 +646,10 @@ class Expr:
     with polynomial equality.
 
     ``Expr(terms)`` and ``Expr.sum(summands)`` are the builders: both feed
-    ``_normal_form``, which merges and sorts once.  Products, powers, the
-    gradient, substitution and parsing build their results through it too.
+    ``_normal_form``, which merges and sorts once, or keeps terms that
+    already are a normal form (``Expr(e.terms).terms is e.terms``).
+    Products, powers, the gradient, substitution and parsing build their
+    results through it too.
     Every first partial comes from one ``gradient`` pass over the terms.
     Negation, ``scale`` and powers of a single term keep the order and skip it.
     ``Expr(terms)``, ``number`` and ``scale`` convert an int, a Fraction or a
@@ -665,8 +689,9 @@ class Expr:
             return self
         if not self.terms:
             return other
-        # the merged monomials come in two ascending runs, which the sort
-        # merges in linear time
+        # the merged monomials come in two ascending runs: kept as they are
+        # when the second starts above the first, else merged by the sort in
+        # linear time
         return Expr(self.terms + other.terms)
 
     def __sub__(self, other: "Expr") -> "Expr":
@@ -775,12 +800,13 @@ class Expr:
         hold bound coordinates.  This makes one product per bound coordinate
         and exponent instead of one per monomial; each step ``acc*X + e_k'``
         is one normalisation, and the images of all the groups and the terms
-        free of bound coordinates are normalised together, once.
+        free of bound coordinates are normalised together, once.  The
+        bindings are read as given, an image's terms only where it is used,
+        so one mapping applied to many expressions costs nothing per binding.
         """
         if not bindings:
             return self
-        images = {c: image.terms for c, image in bindings.items()}
-        out = _substituted(self.terms, images, {})
+        out = _substituted(self.terms, bindings, {})
         return self if out is None else Expr(out)
 
     def __repr__(self):
@@ -795,13 +821,13 @@ def _product_terms(a: Tuple[Term, ...], b: Tuple[Term, ...]) -> List[Term]:
     return [(_mono_mul(m1, m2), c1 * c2) for m1, c1 in a for m2, c2 in b]
 
 
-def _substituted(terms, images: Dict[CoordinateId, Tuple[Term, ...]],
+def _substituted(terms, images: Mapping[CoordinateId, Expr],
                  powers: Dict[Tuple[CoordinateId, int], Tuple[Term, ...]]
                  ) -> Optional[List[Term]]:
     """The terms of ``terms`` (distinct monomials in any order) with every
-    coordinate that ``images`` binds replaced by its image, like monomials
-    not yet merged; None when none occurs.  ``powers`` caches the images'
-    powers above the first over one substitution.
+    coordinate that ``images`` binds replaced by its image's terms, like
+    monomials not yet merged; None when none occurs.  ``powers`` caches the
+    images' powers above the first over one substitution.
 
     The terms are grouped by the largest bound coordinate each holds.  A
     group on x is e = sum_{k>0} x^k e_k, built by Horner's rule as
@@ -845,10 +871,10 @@ def _substituted(terms, images: Dict[CoordinateId, Tuple[Term, ...]],
 def _image_power(c: CoordinateId, e: int, images, powers) -> Tuple[Term, ...]:
     """The terms of the image of c to the power e >= 1."""
     if e == 1:
-        return images[c]
+        return images[c].terms
     power = powers.get((c, e))
     if power is None:
-        power = powers[(c, e)] = (_canonical(images[c]) ** e).terms
+        power = powers[(c, e)] = (images[c] ** e).terms
     return power
 
 
@@ -946,12 +972,14 @@ def _split_tokens(text: str) -> Optional[List[str]]:
     The operator characters but "^" are padded with spaces and the text is
     split at whitespace.  No token holds whitespace or those characters, so
     when each distinct piece is one whole token, the pieces are the tokens
-    ``_TOKEN_RE.findall`` would give; otherwise the answer is None.
+    ``_TOKEN_RE.findall`` would give; otherwise the answer is None.  A piece
+    of decimal digits is a number token without the pattern: ``str.isdecimal``
+    and the pattern's ``\\d`` both take exactly the Unicode Nd characters.
     """
     pieces = text.replace("+", " + ").replace("-", " - ").replace("*", " * ") \
         .replace("/", " / ").replace("(", " ( ").replace(")", " ) ").split()
     for piece in set(pieces):
-        if _TOKEN_RE.fullmatch(piece) is None:
+        if not piece.isdecimal() and _TOKEN_RE.fullmatch(piece) is None:
             return None
     return pieces
 
@@ -1005,7 +1033,10 @@ class _Parser:
     power k, and each name is resolved once per text.  A term is read into
     one monomial and one integer numerator and denominator: numbers and
     powers of names are multiplied in directly, and only a parenthesised or
-    negated factor is an Expr (folded in when it has one term).  ``term``
+    negated factor is an Expr (folded in when it has one term).  The
+    factors are appended in the order read and make the monomial as they
+    are while each coordinate is above the one before; a repeat or a
+    descent has them merged in a dict and sorted.  ``term``
     reads the plain factors in place from the token list (a name already met
     in the text, an integer literal, a name already met to an integer power,
     a name^k token already read); ``factor`` and ``primary`` read every
@@ -1097,7 +1128,9 @@ class _Parser:
         ``integer`` find for both."""
         tokens, coords, powers_read = self.tokens, self.coords, self.powers_read
         num, den = sign, 1
-        powers: Dict[CoordinateId, int] = {}
+        factors: List[Tuple[CoordinateId, int]] = []  # (coordinate, exponent) as read
+        last = ()  # the last coordinate read, or below every coordinate
+        ascending = True  # whether each coordinate read is above the one before
         sums = None  # the product of the factors that are not single terms
         op = "*"  # the operator before the factor
         k = self.k
@@ -1137,14 +1170,19 @@ class _Parser:
                 num *= q.denominator
                 den *= q.numerator
             elif f.__class__ is tuple:
-                c, e = f
-                powers[c] = powers.get(c, 0) + e
+                if f[0] <= last:
+                    ascending = False
+                last = f[0]
+                factors.append(f)
             elif f.__class__ is int:
                 num *= f
             elif len(f.terms) == 1:
                 mono, q = f.terms[0]
-                for c, e in mono:
-                    powers[c] = powers.get(c, 0) + e
+                if mono:  # its factors ascend: only its first can break the order
+                    if mono[0][0] <= last:
+                        ascending = False
+                    last = mono[-1][0]
+                    factors += mono
                 num *= q._numerator
                 den *= q._denominator
             else:
@@ -1155,9 +1193,15 @@ class _Parser:
             at = k
             k += 1
         self.k = k
-        if sums is not None and not powers:
+        if sums is not None and not factors:
             return sums if num == den else sums.scale(_q(num, den))
-        mono = tuple(sorted(powers.items()))
+        if ascending:
+            mono = tuple(factors)
+        else:
+            powers: Dict[CoordinateId, int] = {}
+            for c, e in factors:
+                powers[c] = powers.get(c, 0) + e
+            mono = tuple(sorted(powers.items()))
         coeff = _q(num, den)
         if sums is None:
             return [(mono, coeff)]

@@ -737,8 +737,8 @@ def test_certificate_elh_hdw_and_shift_pull_back_to_euler_lagrange():
 def test_certificate_holds_on_the_homotopy_density():
     # L_h has the Euler-Lagrange equations of L at up to twice its order, so
     # the ELH system of L_h pulls back along L_h's Legendre section to E(L);
-    # on the sample problems and the densities of the benchmark ladder's
-    # rungs of order <= 2, drawn as perfbench draws them for seed 1
+    # on the sample problems and the densities of every rung of the
+    # benchmark ladder, drawn as perfbench draws them for seed 1
     spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -746,8 +746,8 @@ def test_certificate_holds_on_the_homotopy_density():
             for name in sorted(os.listdir(PROBLEMS))]
     lags += [parse_problem_text(workloads.problem_text(
         n, m, order, kind, workloads._rng(1, "x", n, m, order))).lagrangian()
-        for n, m, order, kind in workloads.LADDER if order <= 2]
-    assert len(lags) == 9
+        for n, m, order, kind in workloads.LADDER]
+    assert len(lags) == 15
     for lag in lags:
         homotopy = homotopy_lagrangian(lag)
         assert homotopy.order > lag.order

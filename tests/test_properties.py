@@ -6,6 +6,7 @@ import time
 from dataclasses import field as dc_field
 from dataclasses import make_dataclass
 from fractions import Fraction
+from itertools import chain
 
 import hypothesis.strategies as st
 import pytest
@@ -175,11 +176,46 @@ def term_lists(draw):
 @settings(max_examples=200, deadline=None)
 @given(term_lists(), st.sampled_from([list, tuple, iter, lambda ts: (t for t in ts)]))
 def test_normal_form_matches_the_nested_key_reference(terms, container):
-    # the terms, and their first term alone, with its coefficient and with 0
-    for part in (terms, terms[:1], [(mono, 0) for mono, _ in terms[:1]]):
+    # the terms, their first term alone, with its coefficient and with 0,
+    # and their normal form, which the ordered-run check passes through
+    for part in (terms, terms[:1], [(mono, 0) for mono, _ in terms[:1]],
+                 reference_normal_form(terms)):
         out = symcore._normal_form(container(part))
         assert out == reference_normal_form(part)
         assert all(coeff.__class__ is Q for _, coeff in out)
+
+
+# a normal form of five terms, and the inputs at the edges of the ordered-run
+# check: each breaks it at its third term or last pair, or is too short to
+# need it
+_RUN = parse("7 + u - 3*u_t + 1/2*x*u_x^2 + u_tx*u_xx", CTX).terms
+_ORDERED_RUN_EDGES = {
+    "canonical": _RUN,
+    "zero coefficient": _RUN[:2] + ((_RUN[2][0], Q(0)),) + _RUN[3:],
+    "adjacent duplicate": _RUN[:3] + _RUN[2:],
+    "int coefficient": _RUN[:2] + ((_RUN[2][0], 5),) + _RUN[3:],
+    "fraction coefficient": _RUN[:2] + ((_RUN[2][0], Fraction(-2, 3)),) + _RUN[3:],
+    "float coefficient": _RUN[:2] + ((_RUN[2][0], 0.25),) + _RUN[3:],
+    "last pair swapped": _RUN[:-2] + (_RUN[-1], _RUN[-2]),
+    "one term": _RUN[:1],
+    "no terms": (),
+}
+
+
+@pytest.mark.parametrize("container", [list, tuple, iter, lambda ts: chain(ts[:2], ts[2:])],
+                         ids=["list", "tuple", "iter", "chain"])
+@pytest.mark.parametrize("case", list(_ORDERED_RUN_EDGES))
+def test_normal_form_of_ordered_run_edges_matches_the_reference(case, container):
+    terms = _ORDERED_RUN_EDGES[case]
+    out = symcore._normal_form(container(terms))
+    assert out.__class__ is tuple
+    assert out == reference_normal_form(terms)
+    assert all(coeff.__class__ is Q for _, coeff in out)
+
+
+def test_a_normal_form_is_not_normalised_again():
+    assert len(_RUN) == 5
+    assert Expr(_RUN).terms is _RUN
 
 
 @settings(max_examples=300, deadline=None)

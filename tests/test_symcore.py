@@ -860,7 +860,7 @@ _pieces = st.one_of(
     st.sampled_from(["$", "#", "=", "٣", " ", " ", "\x1c", "é"]),
     st.sampled_from(["u_x", "u_tx", "v_xx", "p_x.t", "p^v_.x", "u,_x", "sin", "sin(",
                      "exp(", "sinx", "^-", "/(", "/0", "^0", " + ", " - ", "*-",
-                     "u_x^2", "p^v_.x^3", "u,_x^2", "^12", "^٣"]),
+                     "u_x^2", "p^v_.x^3", "u,_x^2", "^12", "^٣", "٣", "12٣*u_x", "²"]),
     st.sampled_from(["(" * 101, ")" * 101, "-" * 101, "(" * 99, ")" * 99, "-(" * 60,
                      "9" * 4300, "7" * 4301, "1" * 4400]),
 )
@@ -880,8 +880,9 @@ _expressions = st.recursive(_atoms, lambda inner: st.one_of(
 
 
 # the boundaries of the term reader's in-place path (a name met before, an
-# integer literal, a name met before to an integer power) and of the name^k
-# token, each also after the name's first sight, when factor() reads it
+# integer literal, a name met before to an integer power), of the name^k
+# token and of the ascending-factor run (a repeat, a descent, a factor in
+# parentheses), each also after the name's first sight, when factor() reads it
 _IN_PLACE_CASES = [
     text for case in ["u_x^", "u_x^-1", "u_x ^-1", "u_x^t", "u_x ^t", "u_x^0*u_t", "u_x^(2)",
                       "u_x^2^3", "u_x(t)", "u_x*", "u_x/", "u_x^" + "9" * 4300,
@@ -889,7 +890,9 @@ _IN_PLACE_CASES = [
                       "u_x^2*u_x^3", "u_x^2(t)", "p^v_.x^2", "u,_x^2", "u_x ^2", "u_x^ 2",
                       "(u_x)^2", "-u_x^2", "u_x^0^2", "u_t/u_x^2", "u_x^2/2", "w^2",
                       "u_x u_t^2", "u_t^2 u_x", "2^u_x^2", "u_x^٣", "u_t^2 - u_t^2*u_t^2",
-                      "u_t^0 - 2*u_t^0*u_x", "-u_t^1*u_t^1^2"]
+                      "u_t^0 - 2*u_t^0*u_x", "-u_t^1*u_t^1^2", "u_x*u_t", "u_x*u_x",
+                      "u_x*u_x^2", "u_t*(2*u_x)*u_t", "(u_x)*u_t", "u_x^0*u_t*u_t",
+                      "p_x.t*u_x", "u_x,_t*u_x"]
     for text in (case, "u_x*" + case)] + [
     "2^3*u_x", "2^0/4", "3/4/5*u_x^2", "u_x/2*u_t", "-3/-4*u_x", "4*-u_x^2", "9" * 4300 + "*u_x",
     "7" * 4301 + "*u_x", "u_x*2(u_t)", "u_t*u_x*u_t^2*u_x^3 + u_x*u_t"]
@@ -930,6 +933,8 @@ _token_texts = st.lists(st.sampled_from(
 @example(text="sin^2*x^0 + u_x^" + "7" * 4301)
 @example(text="u_x ^2 + u_x^ 2")  # the split refuses these
 @example(text="2^3*u_x")
+@example(text="٣ + 12٣*u_x")  # decimal digits outside ASCII are a number token
+@example(text="2²")  # a digit that is not decimal is none
 def test_split_tokens_are_the_scanned_tokens(text):
     # the regex scan is the reference: where the string split reads a text,
     # it gives the scan's tokens, and the k-th of them is the k-th token
