@@ -10,7 +10,7 @@ from itertools import chain
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from conftest import reference_mono_key, reference_normal_form, reference_partial
 from varjet import symcore
@@ -173,44 +173,44 @@ def term_lists(draw):
     return terms
 
 
+# a normal form of five terms, and the inputs at the edges of _normal_form's
+# ordered-run check: each breaks it at its third term or last pair, or is
+# too short to need it
+_RUN = parse("7 + u - 3*u_t + 1/2*x*u_x^2 + u_tx*u_xx", CTX).terms
+_ORDERED_RUN_EDGES = (
+    _RUN,
+    _RUN[:2] + ((_RUN[2][0], Q(0)),) + _RUN[3:],  # a zero coefficient
+    _RUN[:3] + _RUN[2:],  # an adjacent duplicate
+    _RUN[:2] + ((_RUN[2][0], 5),) + _RUN[3:],  # an int, a Fraction, a float coefficient
+    _RUN[:2] + ((_RUN[2][0], Fraction(-2, 3)),) + _RUN[3:],
+    _RUN[:2] + ((_RUN[2][0], 0.25),) + _RUN[3:],
+    _RUN[:-2] + (_RUN[-1], _RUN[-2]),  # ascending but for its last pair
+    _RUN[:1],
+    (),
+)
+_CONTAINERS = (list, tuple, iter, lambda ts: (t for t in ts), lambda ts: chain(ts[:2], ts[2:]))
+
+
+def _ordered_run_examples(test):
+    """test with each ordered-run edge as an explicit example, in every container"""
+    for terms in _ORDERED_RUN_EDGES:
+        for container in _CONTAINERS:
+            test = example(terms, container)(test)
+    return test
+
+
+@_ordered_run_examples
 @settings(max_examples=200, deadline=None)
-@given(term_lists(), st.sampled_from([list, tuple, iter, lambda ts: (t for t in ts)]))
+@given(term_lists(), st.sampled_from(_CONTAINERS))
 def test_normal_form_matches_the_nested_key_reference(terms, container):
     # the terms, their first term alone, with its coefficient and with 0,
     # and their normal form, which the ordered-run check passes through
     for part in (terms, terms[:1], [(mono, 0) for mono, _ in terms[:1]],
                  reference_normal_form(terms)):
         out = symcore._normal_form(container(part))
+        assert out.__class__ is tuple
         assert out == reference_normal_form(part)
         assert all(coeff.__class__ is Q for _, coeff in out)
-
-
-# a normal form of five terms, and the inputs at the edges of the ordered-run
-# check: each breaks it at its third term or last pair, or is too short to
-# need it
-_RUN = parse("7 + u - 3*u_t + 1/2*x*u_x^2 + u_tx*u_xx", CTX).terms
-_ORDERED_RUN_EDGES = {
-    "canonical": _RUN,
-    "zero coefficient": _RUN[:2] + ((_RUN[2][0], Q(0)),) + _RUN[3:],
-    "adjacent duplicate": _RUN[:3] + _RUN[2:],
-    "int coefficient": _RUN[:2] + ((_RUN[2][0], 5),) + _RUN[3:],
-    "fraction coefficient": _RUN[:2] + ((_RUN[2][0], Fraction(-2, 3)),) + _RUN[3:],
-    "float coefficient": _RUN[:2] + ((_RUN[2][0], 0.25),) + _RUN[3:],
-    "last pair swapped": _RUN[:-2] + (_RUN[-1], _RUN[-2]),
-    "one term": _RUN[:1],
-    "no terms": (),
-}
-
-
-@pytest.mark.parametrize("container", [list, tuple, iter, lambda ts: chain(ts[:2], ts[2:])],
-                         ids=["list", "tuple", "iter", "chain"])
-@pytest.mark.parametrize("case", list(_ORDERED_RUN_EDGES))
-def test_normal_form_of_ordered_run_edges_matches_the_reference(case, container):
-    terms = _ORDERED_RUN_EDGES[case]
-    out = symcore._normal_form(container(terms))
-    assert out.__class__ is tuple
-    assert out == reference_normal_form(terms)
-    assert all(coeff.__class__ is Q for _, coeff in out)
 
 
 def test_a_normal_form_is_not_normalised_again():
