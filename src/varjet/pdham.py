@@ -24,6 +24,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .multiindex import MultiIndex, multiindices, multiindices_up_to
 from .symcore import (
+    COMMA,
     JET,
     MOMENTUM,
     CoordinateId,
@@ -234,7 +235,7 @@ def momentum_shift(system: EquationSystem, rho: Sequence[Expr]) -> EquationSyste
         raise VarjetError(f"need one shift component per independent variable ({ctx.n})")
     for r in rho:
         for c in r.coordinates():
-            if c.kind == MOMENTUM:
+            if c.kind in (MOMENTUM, COMMA):
                 raise WrongDomainError("shift components are jet-side expressions")
         if r.max_jet_order() > l:
             raise VarjetError(

@@ -6,8 +6,9 @@ lagrangian (expression), order (declared order l+1), and the options
 seed, rank_samples, rho (one expression per independent variable,
 ';'-separated).  No key bounds the jet order: the density and its declared
 order fix which jets each construction reads.  The density's own rules
-(the least order, the multiindex budget, no momenta) are LagrangianDensity's
-checks; the reader places their errors on the file's lines.
+(the least order, the multiindex budget, no momenta or comma-derivatives)
+are LagrangianDensity's checks; the reader places their errors on the
+file's lines.
 """
 
 from __future__ import annotations

@@ -176,10 +176,10 @@ class JetContext:
     Jets and momenta of any order, and their comma-derivatives, are
     admitted: the density fixes which orders a construction reads, so the
     context bounds none.  The mixed first-order systems live in this same
-    context, their comma-derivatives named c,_J after c.  No independent
-    name is a prefix of another, so an index word (a run of independent
-    names, as in u_xt) splits one way only.  Invalid, repeated or missing
-    names are a VarjetError.
+    context, their comma-derivatives named c,_J after c and read back by
+    that name.  No independent name is a prefix of another, so an index word
+    (a run of independent names, as in u_xt) splits one way only.  Invalid,
+    repeated or missing names are a VarjetError.
     """
 
     independents: Tuple[str, ...]
@@ -268,18 +268,15 @@ class JetContext:
             return CoordinateId.independent(self.independents.index(name))
         if name in self.dependents:
             return CoordinateId.jet(self.dependents.index(name))
-        if ",_" in name:
+        if ",_" in name:  # the comma-derivative that name() spells c,_J
             base, _, word = name.partition(",_")
-            parent = self._try_resolve(base)
-            if parent is None or parent.kind != JET:
+            c = self._try_resolve(base)
+            suffix = self._split_index_word(word) if word else None
+            if c is None or suffix is None or c.kind == INDEPENDENT:
                 return None
-            suffix = self._split_index_word(word)
-            if suffix is None:
-                return None
-            index = parent.index
             for i in suffix:
-                index = index.with_index(i)
-            return CoordinateId.jet(parent.alpha, index)
+                c = CoordinateId.comma(c, i)
+            return c
         mom = self._try_momentum(name)
         if mom is not None:
             return mom
@@ -1304,11 +1301,10 @@ def _coeff_latex(num: int, den: int) -> str:
 
 
 def render(e: Expr, ctx: JetContext, fmt: str = "plain") -> str:
-    """Deterministic rendering; the plain format re-parses to the same Expr,
-    unless it holds a comma-derivative (see docs/grammar.bnf).  The JSON
-    format is the compact text of schemas/expression.schema.json, which
-    ``energy --format json`` prints indented.  A coordinate outside ctx is a
-    VarjetError."""
+    """Deterministic rendering; the plain format re-parses to the same Expr
+    (see docs/grammar.bnf).  The JSON format is the compact text of
+    schemas/expression.schema.json, which ``energy --format json`` prints
+    indented.  A coordinate outside ctx is a VarjetError."""
     if fmt == "plain":
         return _render(e, ctx, ctx.name, "^{}".format, _coeff_plain, "*")
     if fmt == "latex":

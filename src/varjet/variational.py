@@ -48,14 +48,14 @@ class LagrangianDensity:
 
     def __post_init__(self):
         for c in self.L.coordinates():
+            if not self.context.admits(c):
+                raise VarjetError(f"the density reads {c!r}, which is outside its context")
             kind = c.kind
             if kind == MOMENTUM:
                 raise WrongDomainError("a Lagrangian density is jet-side; momenta present")
             if kind == COMMA:
-                raise WrongDomainError(f"the density reads {c!r}, a comma-derivative; "
-                                       "a Lagrangian density is jet-side")
-            if not self.context.admits(c):
-                raise VarjetError(f"the density reads {c!r}, which is outside its context")
+                raise WrongDomainError(f"the density reads {self.context.name(c)}, a "
+                                       "comma-derivative; a Lagrangian density is jet-side")
         minimal = max(1, self.L.max_jet_order())
         if self.order == 0:
             object.__setattr__(self, "order", minimal)

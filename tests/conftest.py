@@ -1,6 +1,5 @@
 import math
 import random
-import re
 import sys
 import weakref
 from fractions import Fraction
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 from varjet import numeric
-from varjet.multiindex import MultiIndex, multiindices_up_to
+from varjet.multiindex import multiindices_up_to
 from varjet.numeric import GridFunction
 from varjet.pdham import comma_images
 from varjet.symcore import CoordinateId, Expr, JetContext, Q, parse
@@ -189,32 +188,6 @@ def random_lagrangian(rng: random.Random, max_n=2, max_m=2, max_order=3,
     if L.is_zero():
         L = Expr.coord(pool[0])
     return LagrangianDensity(ctx, L, order=max(order, max(1, L.max_jet_order())))
-
-
-# a name of the grammar's token, then ",_" and an index word
-_COMMA_NAME = re.compile(r"([A-Za-z][A-Za-z0-9_.]*(?:\^[A-Za-z][A-Za-z0-9_.]*)?)"
-                         r",_([A-Za-z][A-Za-z0-9]*)")
-
-
-def read_mixed(text: str, ctx: JetContext) -> Expr:
-    """A mixed row written as text: parse(text, ctx), but each <name>,_<word>
-    is the comma-derivative of the coordinate <name> along <word>, not the
-    jet the grammar reads.  Each is parsed as a fresh independent and then
-    substituted."""
-    commas = []
-
-    def placeholder(m):
-        c = ctx.resolve(m.group(1))
-        for i in ctx.resolve(f"{ctx.dependents[0]}_{m.group(2)}").index:
-            c = CoordinateId.comma(c, i)
-        commas.append(c)
-        return "Z" + "abcdefghijklmnopqrstuvwxyz"[len(commas) - 1]
-
-    body = _COMMA_NAME.sub(placeholder, text)
-    names = tuple("Z" + letter for letter in "abcdefghijklmnopqrstuvwxyz"[:len(commas)])
-    wide = JetContext(ctx.independents + names, ctx.dependents)
-    return parse(body, wide).substitute(
-        {CoordinateId.independent(ctx.n + k): Expr.coord(c) for k, c in enumerate(commas)})
 
 
 def pullback(system, theta):

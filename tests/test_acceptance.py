@@ -18,13 +18,12 @@ import time
 from collections import Counter
 
 import numpy as np
-import pytest
 
 from conftest import (KDV_EL, KDV_L, jet_pool, random_expr, random_lagrangian,
-                      read_mixed, reference_partial)
+                      reference_partial)
 from varjet.jetcalc import EquationSystem, total_derivative
-from varjet.multiindex import EMPTY, MultiIndex, multiindices_up_to
-from varjet.numeric import GridFunction, evaluate, residual
+from varjet.multiindex import EMPTY
+from varjet.numeric import GridFunction, residual
 from varjet.pdham import (
     constraints,
     elh_system,
@@ -63,7 +62,7 @@ def canon(system):
 
 
 def rows(ctx, texts):
-    return Counter(signless(read_mixed(t, ctx)) for t in texts)
+    return Counter(signless(parse(t, ctx)) for t in texts)
 
 
 def soliton_grid(n, box=16.0, c=1.0):
@@ -126,8 +125,8 @@ def test_criterion_05_kdv_elh_system():
     # so the convention stays checkable.  The generated rows carry the
     # opposite residual orientation, so the sum of the two residuals isolates
     # the extra term.
-    literal_row_t = read_mixed("p_t.t,_t + p_t.x,_x + 1/2*u_x", ctx)
-    literal_row_x = read_mixed("p_x.t,_t + p_x.x,_x - 3*u_x^2 + 1/2*u_t", ctx)
+    literal_row_t = parse("p_t.t,_t + p_t.x,_x + 1/2*u_x", ctx)
+    literal_row_x = parse("p_x.t,_t + p_x.x,_x - 3*u_x^2 + 1/2*u_t", ctx)
     assert by_label["mom:u:t"] + literal_row_t == parse("-p_.t", ctx)
     assert by_label["mom:u:x"] + literal_row_x == parse("-p_.x", ctx)
 
@@ -176,10 +175,10 @@ def test_criterion_06_kdv_reduction():
     # pinned deltas against the term-dropping variant of the reduced display:
     # the second row needs the p_.t term; the third needs p_.x, and a variant
     # with + p_x.x,_x cannot arise from the substitution map at all
-    literal_row2 = read_mixed("p_t.x,_x + 1/2*u_x", ctx)
-    literal_row3 = read_mixed("p_t.x,_t + p_x.x,_x + 3*u_x^2 - 1/2*u_t", ctx)
+    literal_row2 = parse("p_t.x,_x + 1/2*u_x", ctx)
+    literal_row3 = parse("p_t.x,_t + p_x.x,_x + 3*u_x^2 - 1/2*u_t", ctx)
     assert by_label["mom:u:t"] + literal_row2 == parse("-p_.t", ctx)
-    assert by_label["mom:u:x"] - literal_row3 == read_mixed("-p_.x - 2*p_x.x,_x", ctx)
+    assert by_label["mom:u:x"] - literal_row3 == parse("-p_.x - 2*p_x.x,_x", ctx)
 
     expected_texts = [
         "p_.t,_t + p_.x,_x",

@@ -138,9 +138,12 @@ def test_a_reduction_holds_one_equation_system():
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # __init__.py re-exports what it imports, and "from __future__" binds no name
+    # the package's modules and the tests'; __init__.py re-exports what it
+    # imports, and "from __future__" binds no name
     unused = []
-    for path in sorted(glob.glob(os.path.join(os.path.dirname(varjet.__file__), "*.py"))):
+    paths = glob.glob(os.path.join(os.path.dirname(varjet.__file__), "*.py")) + \
+        glob.glob(os.path.join(os.path.dirname(__file__), "*.py"))
+    for path in sorted(paths):
         if os.path.basename(path) == "__init__.py":
             continue
         with open(path, encoding="utf-8") as fh:

@@ -380,6 +380,19 @@ def test_momentum_in_density_is_domain_error(capsys, tmp_path):
             (1, f"varjet: {path}, line 3: a Lagrangian density is jet-side; momenta present\n")
 
 
+def test_comma_derivative_in_density_or_rho_is_domain_error(capsys, tmp_path):
+    # u,_t reads as the comma-derivative the mixed systems print, which a
+    # density and a shift component, both jet-side, refuse
+    path = tmp_path / "comma.problem"
+    path.write_text("independents = t x\ndependents = u\nlagrangian = u,_t^2 + u_x^2\n")
+    assert run(capsys, "el", str(path)) == (1, "", f"varjet: {path}, line 3: the density reads "
+                                            "u,_t, a comma-derivative; a Lagrangian density "
+                                            "is jet-side\n")
+    path.write_text(WAVE_PROBLEM)
+    assert run(capsys, "shift", str(path), "--rho", "u,_t; 0") == \
+        (1, "", "varjet: shift components are jet-side expressions\n")
+
+
 def test_byte_determinism(capsys, kdv_problem):
     first = run(capsys, "reduce", kdv_problem, "--format", "json", "--seed", "3")
     second = run(capsys, "reduce", kdv_problem, "--format", "json", "--seed", "3")

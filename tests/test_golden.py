@@ -24,6 +24,9 @@ import pytest
 from conftest import soliton_grid, wave3_grid
 from varjet.cli import main
 from varjet.numeric import save_grid
+from varjet.pdham import elh_system, momentum_shift, reduce_lagrangian
+from varjet.problemfile import load_problem
+from varjet.symcore import parse
 
 HERE = os.path.dirname(__file__)
 GOLDEN_DIR = os.path.join(HERE, "golden")
@@ -68,6 +71,11 @@ SCHEMAS = {"el": "cartan_form", "legendre": "legendre_form", "elh": "equation_sy
 # 15 solved top jets of 33 terms each into a 108-term energy, giving a 595-term
 # Hamiltonian: (problem, command, format)
 SCALE_CASE = ("regular-3-1-4", "reduce", "plain")
+
+
+# the plain goldens of the mixed systems, the scale case's included: (problem, command)
+MIXED_CASES = [case[:2] for case in DERIVE_CASES + [SCALE_CASE]
+               if case[1] in ("elh", "reduce", "shift") and case[2] == "plain"]
 
 
 def golden_path(grid: str, system: str) -> str:
@@ -164,6 +172,28 @@ def test_derive_golden(problem, command, fmt):
     assert_golden(derive_golden_path(problem, command, fmt), got)
     if fmt == "json":
         assert_schema(command, got)
+
+
+@pytest.mark.parametrize("problem, command", MIXED_CASES)
+def test_mixed_golden_rows_parse_back(problem, command):
+    # each "label: row = 0" line of the golden, read by parse, is the row the
+    # library builds; reduce prints its HDW rows twice
+    path, shift_args = DERIVE_PROBLEMS.get(
+        problem, (os.path.join(GOLDEN_DIR, "problems", f"{problem}.problem"), []))
+    source = load_problem(path)
+    lag = source.lagrangian()
+    if command == "elh":
+        rows = elh_system(lag).equations
+    elif command == "shift":
+        rho = source.rho(shift_args[1] if shift_args else None)
+        rows = momentum_shift(elh_system(lag), rho).equations
+    else:
+        system = reduce_lagrangian(lag).system_hdw
+        rows = () if system is None else system.equations * 2
+    with open(derive_golden_path(problem, command, "plain"), "r", encoding="utf-8") as fh:
+        printed = [line[:-len(" = 0")].split(": ", 1) for line in fh.read().splitlines()
+                   if ": " in line and line.endswith(" = 0")]
+    assert [(label, parse(text, lag.context)) for label, text in printed] == list(rows)
 
 
 def test_reduce_golden_past_the_ladder():

@@ -25,7 +25,6 @@ from conftest import KDV_L, jet_pool, random_expr, reference_mono_mul
 from varjet import multiindex, symcore
 from varjet.multiindex import MultiIndex, multiindices_up_to
 from varjet.symcore import (
-    COMMA,
     CoordinateId,
     Expr,
     JetContext,
@@ -408,14 +407,14 @@ def test_render_json_over_the_digit_limit_is_the_plain_error(ctx_tx, digit_limit
 
 
 def test_comma_derivatives_are_named_after_their_base():
-    # c,_J in plain and c{}_{,J} in LaTeX; the grammar still reads u,_x as the jet u_x
+    # c,_J in plain and c{}_{,J} in LaTeX, and the plain name reads back
     ctx = JetContext(("t", "x"), ("u", "v"))
     comma = CoordinateId.comma
     u_t, p = parse("u_t", ctx).coordinates()[0], parse("p^v_x.t", ctx).coordinates()[0]
     e = Expr.coord(comma(u_t, 1)) - Expr.coord(comma(comma(p, 0), 1)) ** 2
     assert render(e, ctx) == "u_t,_x - p^v_x.t,_tx^2"
     assert render(e, ctx, "latex") == "u_{t}{}_{,x} - p[v]^{x.t}{}_{,tx}^{2}"
-    assert parse("u,_x", ctx) == parse("u_x", ctx)
+    assert parse(render(e, ctx), ctx) == e
 
 
 def test_reparse_normalises_each_term_a_bounded_number_of_times(monkeypatch):
@@ -860,7 +859,8 @@ _pieces = st.one_of(
     st.sampled_from(["$", "#", "=", "٣", " ", " ", "\x1c", "é"]),
     st.sampled_from(["u_x", "u_tx", "v_xx", "p_x.t", "p^v_.x", "u,_x", "sin", "sin(",
                      "exp(", "sinx", "^-", "/(", "/0", "^0", " + ", " - ", "*-",
-                     "u_x^2", "p^v_.x^3", "u,_x^2", "^12", "^٣", "٣", "12٣*u_x", "²"]),
+                     "u_x^2", "p^v_.x^3", "u,_x^2", "^12", "^٣", "٣", "12٣*u_x", "²",
+                     "p_.t,_t", "p^v_x.t,_tx", "t,_x", "u,_xt"]),
     st.sampled_from(["(" * 101, ")" * 101, "-" * 101, "(" * 99, ")" * 99, "-(" * 60,
                      "9" * 4300, "7" * 4301, "1" * 4400]),
 )
@@ -918,6 +918,8 @@ def test_parse_matches_reference_parse(text, ctx):
     assert got == want
     if isinstance(got, Expr):
         assert all(c.__class__ is symcore.Q and c for _, c in got.terms)
+    else:
+        assert issubclass(got[0], VarjetError)
 
 
 # texts of the grammar's characters and tokens only, most of which split
@@ -1002,9 +1004,7 @@ def test_render_matches_reference_render(case):
     for fmt in ("plain", "latex", "json"):
         assert render(e, ctx, fmt) == reference_render(e, ctx, fmt)
     EXPRESSION_SCHEMA.validate(json.loads(render(e, ctx, "json")))
-    # the grammar reads u,_x as the jet u_x
-    if all(c.kind != COMMA for c in e.coordinates()):
-        assert parse(render(e, ctx), ctx) == e
+    assert parse(render(e, ctx), ctx) == e
 
 
 @st.composite

@@ -124,27 +124,28 @@ def test_euler_lagrange_has_one_component_per_dependent():
         assert len(euler_lagrange(lag)) == lag.context.m
 
 
-_OUTSIDE = (VarjetError, "which is outside its context")
+def _outside(c):
+    return VarjetError, f"the density reads {c!r}, which is outside its context"
 
 
 @pytest.mark.parametrize("c, refusal", [
-    (CoordinateId.jet(3, MultiIndex((0,))), _OUTSIDE),
-    (CoordinateId.jet(0, MultiIndex((0, 2))), _OUTSIDE),
-    (CoordinateId.independent(2), _OUTSIDE),
-    (CoordinateId.jet(-1), _OUTSIDE),
+    (c, _outside(c)) for c in (CoordinateId.jet(3, MultiIndex((0,))),
+                               CoordinateId.jet(0, MultiIndex((0, 2))),
+                               CoordinateId.independent(2), CoordinateId.jet(-1))] + [
     # u,_t is in the context, but a density is jet-side: euler_lagrange of
     # u_x^2 + u,_t read it as a constant and gave -2*u_xx
     (CoordinateId.comma(CoordinateId.jet(0), 0),
-     (WrongDomainError, "a comma-derivative; a Lagrangian density is jet-side")),
+     (WrongDomainError, "the density reads u,_t, a comma-derivative; "
+                        "a Lagrangian density is jet-side")),
 ], ids=["dependent", "index_entry", "independent", "negative_dependent", "comma"])
 def test_density_refuses_a_coordinate_outside_its_context(ctx_tx, c, refusal):
     # a density of (t, x; u) reading u^3_t was accepted, and euler_lagrange
     # then raised IndexError
-    error, why = refusal
+    error, message = refusal
     L = parse("u_x^2", ctx_tx) + Expr.coord(c)
-    with pytest.raises(error, match=rf"^the density reads CoordinateId\(.*\), {why}$") as info:
+    with pytest.raises(error) as info:
         LagrangianDensity(ctx_tx, L)
-    assert repr(c) in str(info.value)
+    assert str(info.value) == message
 
 
 def test_vertical_differential_kdv(kdv, ctx_tx):
