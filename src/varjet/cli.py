@@ -188,7 +188,13 @@ def cmd_reduce(args, problem: Problem, lag: LagrangianDensity) -> str:
 
 
 def cmd_shift(args, problem: Problem, lag: LagrangianDensity) -> str:
-    shifted = momentum_shift(elh_system(lag), problem.rho(args.rho))
+    system, rho = elh_system(lag), problem.rho(args.rho)
+    try:
+        shifted = momentum_shift(system, rho)
+    except VarjetError as exc:  # a refused component of the file's rho is on its line
+        if args.rho:
+            raise
+        raise VarjetError(f"{problem.rho_at[0]}: {exc}") from None
     return _system_text(shifted, args.format)
 
 

@@ -48,7 +48,9 @@ def total_derivative(e: Expr, i: int) -> Expr:
 
     One pass over the terms: in each, every factor (x^i)^p gives
     p (x^i)^(p-1) and every factor (u_I^a)^p gives p (u_I^a)^(p-1) u_{Ii}^a,
-    and all the new terms are normalised together.
+    and all the new terms are normalised together.  i is checked against no
+    context: JetContext.refuse refuses a jet along an independent that does
+    not exist where render, EquationSystem or LagrangianDensity reads it.
     """
     return _derivative(e, i, False)
 
@@ -104,7 +106,8 @@ def _lifted(mono: Monomial, k: int, d: CoordinateId) -> Monomial:
 
 
 def iterated_total_derivative(e: Expr, J: MultiIndex) -> Expr:
-    """D_J e; the empty multiindex is the identity."""
+    """D_J e; the empty multiindex is the identity.  As in total_derivative,
+    the entries of J are not checked against a context."""
     out = e
     for i in J:
         out = total_derivative(out, i)
@@ -135,15 +138,13 @@ class EquationSystem:
         if len(set(labels)) != len(labels):
             raise VarjetError("equation labels must be unique")
         # each distinct coordinate of the rows and the fiber is checked once;
-        # the row that reads a refused one is looked up only for the message
+        # the rows are walked one by one only to name the refused one's row
         ctx = self.context
         read = {c for _, res in self.equations for mono, _ in res.terms for c, _ in mono}
-        outside = [c for c in read.union(self.fiber) if not ctx.admits(c)]
-        if outside:
-            c = min(outside)
-            where = next((f"row {label!r} reads" for label, res in self.equations
-                          if c in res.coordinates()), "fiber holds")
-            raise VarjetError(f"the system's {where} {c!r}, which is outside its context")
+        if not all(map(ctx.admits, read.union(self.fiber))):
+            for label, res in self.equations:
+                ctx.refuse(res.coordinates(), f"the system's row {label!r} reads")
+            ctx.refuse(self.fiber, "the system's fiber holds")
 
 
 def prolong(system: EquationSystem, level: int) -> EquationSystem:

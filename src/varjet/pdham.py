@@ -24,7 +24,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .multiindex import MultiIndex, multiindices, multiindices_up_to
 from .symcore import (
-    COMMA,
     JET,
     MOMENTUM,
     CoordinateId,
@@ -222,11 +221,12 @@ def comma_images(images: Mapping[CoordinateId, Expr], n: int) -> Dict[Coordinate
 def momentum_shift(system: EquationSystem, rho: Sequence[Expr]) -> EquationSystem:
     """Image of a mixed system under the momentum-shift automorphism of d^V rho.
 
-    rho = (rho^1 .. rho^n) is jet-side of order <= l; the shift substitutes
-    p_a^{I.i} -> p_a^{I.i} - d_a^I rho^i throughout (comma-derivatives of
-    momenta pick up the corresponding total derivative) and renormalizes.
-    With this orientation the system of L + sum_i D_i rho^i coincides row by
-    row with the shifted system of L.
+    rho = (rho^1 .. rho^n) is jet-side, of order <= l and in the system's
+    context (JetContext.refuse); the shift substitutes p_a^{I.i} ->
+    p_a^{I.i} - d_a^I rho^i throughout (comma-derivatives of momenta pick up
+    the corresponding total derivative) and renormalizes.  With this
+    orientation the system of L + sum_i D_i rho^i coincides row by row with
+    the shifted system of L.
     """
     if not system.fiber:
         raise VarjetError("momentum_shift needs a mixed system, which carries its fiber")
@@ -234,9 +234,7 @@ def momentum_shift(system: EquationSystem, rho: Sequence[Expr]) -> EquationSyste
     if len(rho) != ctx.n:
         raise VarjetError(f"need one shift component per independent variable ({ctx.n})")
     for r in rho:
-        for c in r.coordinates():
-            if c.kind in (MOMENTUM, COMMA):
-                raise WrongDomainError("shift components are jet-side expressions")
+        ctx.refuse(r.coordinates(), "a shift component reads", jet_side=True)
         if r.max_jet_order() > l:
             raise VarjetError(
                 f"shift component order {r.max_jet_order()} too high for momentum level {l}")

@@ -224,6 +224,17 @@ class JetContext:
         return (0 <= c[1] < len(self.dependents) and (not index or index[-1] < n)
                 and (c[0] == 1 or 0 <= c[4] < n) and (len(c) == 5 or c[6][-1] < n))
 
+    def refuse(self, coords: Iterable[CoordinateId], reads: str, jet_side: bool = False) -> None:
+        """The one domain check: refuse the least of coords, read by ``reads``
+        ("the density reads"), that this context does not admit, named by its
+        repr, or, when jet_side, that is a momentum or a comma-derivative."""
+        for c in sorted(coords):
+            if not self.admits(c):
+                raise VarjetError(f"{reads} {c!r}, which is outside its context")
+            if jet_side and c.kind in (MOMENTUM, COMMA):
+                what = "momentum" if c.kind == MOMENTUM else "comma-derivative"
+                raise WrongDomainError(f"{reads} {self.name(c)}, a {what}, which is not jet-side")
+
     # -- naming ---------------------------------------------------------
 
     def index_word(self, index: MultiIndex) -> str:
@@ -1331,8 +1342,7 @@ def _render(e: Expr, ctx: JetContext, name, power, coeff_text, joiner: str) -> s
                 text = spelled.get(factor)
                 if text is None:
                     c, p = factor
-                    if not ctx.admits(c):
-                        raise _outside(c)
+                    ctx.refuse((c,), "render reads")
                     text = spelled[factor] = name(c) + (power(p) if p > 1 else "")
                 factors.append(text)
             num, den = coeff._numerator, coeff._denominator
@@ -1357,10 +1367,6 @@ def _over_digit_limit() -> UnsupportedExpressionError:
         f"{_digit_limit()} digits")
 
 
-def _outside(c: CoordinateId) -> VarjetError:
-    return VarjetError(f"render reads {c!r}, which is outside its context")
-
-
 def _render_json(e: Expr, ctx: JetContext) -> str:
     """``{"monomials": [{"coeff": "p/q", "factors": [["name", exponent], ...]}, ...]}``,
     one entry per term in normal-form order, written in one pass.  The text
@@ -1377,8 +1383,7 @@ def _render_json(e: Expr, ctx: JetContext) -> str:
             for c, p in mono:
                 prefix = prefixes.get(c)
                 if prefix is None:
-                    if not ctx.admits(c):
-                        raise _outside(c)
+                    ctx.refuse((c,), "render reads")
                     prefix = prefixes[c] = '["' + ctx.name(c) + '", '
                 factors.append(f"{prefix}{p}]")
             coeff_text = _coeff_plain(coeff._numerator, coeff._denominator)

@@ -18,15 +18,12 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Set, Tuple
 
 from .symcore import (
-    COMMA,
     JET,
-    MOMENTUM,
     CoordinateId,
     Expr,
     JetContext,
     Q,
     VarjetError,
-    WrongDomainError,
 )
 from .jetcalc import iterated_total_derivative, refuse_long_multiindices, total_derivative
 
@@ -47,15 +44,7 @@ class LagrangianDensity:
     order: int = 0
 
     def __post_init__(self):
-        for c in self.L.coordinates():
-            if not self.context.admits(c):
-                raise VarjetError(f"the density reads {c!r}, which is outside its context")
-            kind = c.kind
-            if kind == MOMENTUM:
-                raise WrongDomainError("a Lagrangian density is jet-side; momenta present")
-            if kind == COMMA:
-                raise WrongDomainError(f"the density reads {self.context.name(c)}, a "
-                                       "comma-derivative; a Lagrangian density is jet-side")
+        self.context.refuse(self.L.coordinates(), "the density reads", jet_side=True)
         minimal = max(1, self.L.max_jet_order())
         if self.order == 0:
             object.__setattr__(self, "order", minimal)
@@ -102,12 +91,11 @@ def horizontal_d_legendre(theta: Mapping[CoordinateId, Expr]) -> Dict[Coordinate
 
     The coefficient at u_I^a is -sum_i D_i theta_a^{I.i} minus the contraction
     sum of theta_a^{J.i} over the distinct pairs (J, i) with Ji = I, each
-    counted once.
+    counted once.  The coefficients are jet-side: total_derivative refuses a
+    momentum or a comma-derivative.
     """
     def pairs():
         for p, coeff in theta.items():
-            if any(c.kind == MOMENTUM for c in coeff.coordinates()):
-                raise WrongDomainError("Legendre form coefficients are jet-side expressions")
             yield CoordinateId.jet(p.alpha, p.index), -total_derivative(coeff, p.i)
             yield CoordinateId.jet(p.alpha, p.index.with_index(p.i)), -coeff
     return _collect(pairs())

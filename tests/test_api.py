@@ -2,8 +2,8 @@
 public names of its numeric layer and the signature of its evaluate, the
 signatures of the momentum-side constructions, the total derivatives and the
 jet context, the fields of an equation system and of a reduction, no unused
-import in a module, no module but the kernel importing fractions, and the
-README's library sketch."""
+import in a module, no module but the kernel importing fractions, one home
+for the domain refusals' wording, and the README's library sketch."""
 
 import ast
 import dataclasses
@@ -173,6 +173,21 @@ def test_only_the_kernel_imports_fractions():
                     any(alias.name == "fractions" for alias in node.names):
                 importers.append(os.path.basename(path))
     assert importers == ["symcore.py"]
+
+
+def test_one_string_constant_holds_each_domain_refusal():
+    # JetContext.refuse is the one domain check: the density, the systems,
+    # render and the momentum shift word their refusals through it
+    homes = {"which is outside its context": [], "which is not jet-side": []}
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(varjet.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for text, found in homes.items():
+                    if text in node.value:
+                        found.append(os.path.basename(path))
+    assert homes == {text: ["symcore.py"] for text in homes}
 
 
 def test_readme_library_sketch_runs_as_commented():

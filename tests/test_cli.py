@@ -376,8 +376,8 @@ def test_momentum_in_density_is_domain_error(capsys, tmp_path):
         path = tmp_path / "momentum.problem"
         path.write_text(f"independents = x\ndependents = u\nlagrangian = u_x^2 + {momentum}\n")
         code, _, err = run(capsys, "el", str(path))
-        assert (code, err) == \
-            (1, f"varjet: {path}, line 3: a Lagrangian density is jet-side; momenta present\n")
+        assert (code, err) == (1, f"varjet: {path}, line 3: the density reads {momentum}, "
+                                  "a momentum, which is not jet-side\n")
 
 
 def test_comma_derivative_in_density_or_rho_is_domain_error(capsys, tmp_path):
@@ -386,11 +386,24 @@ def test_comma_derivative_in_density_or_rho_is_domain_error(capsys, tmp_path):
     path = tmp_path / "comma.problem"
     path.write_text("independents = t x\ndependents = u\nlagrangian = u,_t^2 + u_x^2\n")
     assert run(capsys, "el", str(path)) == (1, "", f"varjet: {path}, line 3: the density reads "
-                                            "u,_t, a comma-derivative; a Lagrangian density "
-                                            "is jet-side\n")
+                                            "u,_t, a comma-derivative, which is not jet-side\n")
     path.write_text(WAVE_PROBLEM)
     assert run(capsys, "shift", str(path), "--rho", "u,_t; 0") == \
-        (1, "", "varjet: shift components are jet-side expressions\n")
+        (1, "", "varjet: a shift component reads u,_t, a comma-derivative, which is not "
+                "jet-side\n")
+
+
+@pytest.mark.parametrize("rho, message", [
+    ("p_.t; 0", "a shift component reads p_.t, a momentum, which is not jet-side"),
+    ("0; u_xxxxxxx", "shift component order 7 too high for momentum level 1"),
+], ids=["momentum", "order"])
+def test_shift_refusals_of_the_file_rho_are_on_its_line(capsys, tmp_path, rho, message):
+    # the shift's own refusals of the file's rho were printed without its
+    # line; a --rho keeps the bare message
+    path = tmp_path / "kdv.problem"
+    path.write_text(KDV_PROBLEM.replace("rho = 0; u^2", f"rho = {rho}"))
+    assert run(capsys, "shift", str(path)) == (1, "", f"varjet: {path}, line 6: {message}\n")
+    assert run(capsys, "shift", str(path), "--rho", rho) == (1, "", f"varjet: {message}\n")
 
 
 def test_byte_determinism(capsys, kdv_problem):

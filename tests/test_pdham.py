@@ -10,12 +10,12 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import (KDV_L, homotopy_lagrangian, jet_pool, pullback, random_expr,
                       random_lagrangian, reference_partial)
 from varjet import cli, pdham
-from varjet.jetcalc import total_derivative
+from varjet.jetcalc import EquationSystem, total_derivative
 from varjet.multiindex import EMPTY, MultiIndex, multiindices, multiindices_up_to
 from varjet.pdham import (
     MAX_RANK_SAMPLES,
@@ -30,6 +30,7 @@ from varjet.pdham import (
     reduce_lagrangian,
 )
 from varjet.symcore import (
+    COMMA,
     MOMENTUM,
     CoordinateId,
     Expr,
@@ -37,6 +38,7 @@ from varjet.symcore import (
     VarjetError,
     WrongDomainError,
     parse,
+    render,
     row_echelon,
 )
 from varjet.problemfile import load_problem, parse_problem_text
@@ -333,13 +335,79 @@ def test_shift_rho_order_too_high(kdv, ctx_tx):
         momentum_shift(elh_system(kdv), [Expr.zero(), parse("u_xx", ctx_tx)])
 
 
-def test_shift_refuses_momenta_and_comma_derivatives(kdv):
+_U, _P = CoordinateId.jet(0), CoordinateId.momentum(0, EMPTY, 0)
+
+
+@pytest.mark.parametrize("c, refusal", [
+    (_P, (WrongDomainError, "a shift component reads p_.t, a momentum, which is not jet-side")),
+    (CoordinateId.comma(_U, 0),
+     (WrongDomainError, "a shift component reads u,_t, a comma-derivative, which is not "
+                        "jet-side")),
+    (CoordinateId.comma(_P, 1),
+     (WrongDomainError, "a shift component reads p_.t,_x, a comma-derivative, which is not "
+                        "jet-side")),
+] + [(c, (VarjetError, f"a shift component reads {c!r}, which is outside its context"))
+     for c in (CoordinateId.jet(0, MultiIndex((5,))), CoordinateId.jet(3),
+               CoordinateId.independent(7))],
+    ids=["momentum", "comma_of_jet", "comma_of_momentum", "jet_along_independent_5",
+         "dependent_3", "independent_7"])
+def test_shift_refuses_a_component_outside_its_domain(kdv, c, refusal):
     # a component that read u,_t was skipped by the gradient loop, so the
-    # rows came back unshifted
-    u, p = CoordinateId.jet(0), CoordinateId.momentum(0, EMPTY, 0)
-    for c in (p, CoordinateId.comma(u, 0), CoordinateId.comma(p, 1)):
-        with pytest.raises(WrongDomainError, match="^shift components are jet-side expressions$"):
-            momentum_shift(elh_system(kdv), [Expr.coord(c), Expr.zero()])
+    # rows came back unshifted; u along independent 5 raised IndexError, the
+    # jet of dependent 3 was refused as the momentum p_.t of u, and
+    # independent 7 came back unshifted
+    error, message = refusal
+    with pytest.raises(error) as info:
+        momentum_shift(elh_system(kdv), [Expr.coord(c), Expr.zero()])
+    assert str(info.value) == message
+
+
+_SMALL = st.integers(-2, 6)
+_INDEX = st.lists(st.integers(0, 6), max_size=3).map(MultiIndex)
+_JETS_AND_MOMENTA = st.builds(CoordinateId.jet, _SMALL, _INDEX) | \
+    st.builds(CoordinateId.momentum, _SMALL, _INDEX, _SMALL)
+
+
+def _refusal(build):
+    """The text of build()'s VarjetError, or None when it returns; any other
+    exception propagates."""
+    try:
+        build()
+    except VarjetError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(CoordinateId.independent, _SMALL) | _JETS_AND_MOMENTA |
+       st.builds(CoordinateId.comma, _JETS_AND_MOMENTA, st.integers(0, 6)))
+@example(CoordinateId.independent(1))
+@example(CoordinateId.jet(0, MultiIndex((1,))))
+@example(CoordinateId.jet(0, MultiIndex((1, 1))))
+@example(_P)
+@example(CoordinateId.comma(_U, 0))
+def test_every_site_applies_one_domain_rule(c):
+    # over (t, x; u), the systems and render refuse exactly what the context
+    # does not admit, and the density and the shift also what is not jet-side
+    ctx = JetContext(("t", "x"), ("u",))
+    e = parse("u_x", ctx) * Expr.coord(c)
+    outside = not ctx.admits(c)
+    refused = outside or c.kind in (MOMENTUM, COMMA)
+    rule = "which is outside its context" if outside else "which is not jet-side"
+    for build in [lambda: EquationSystem(ctx, (("row", e),))] + \
+            [lambda fmt=fmt: render(e, ctx, fmt) for fmt in ("plain", "latex", "json")]:
+        refusal = _refusal(build)
+        assert (refusal is not None) == outside
+        assert refusal is None or refusal.endswith(rule)
+    refusal = _refusal(lambda: LagrangianDensity(ctx, e))
+    assert (refusal is not None) == refused
+    assert refusal is None or refusal.endswith(rule)
+    kdv = LagrangianDensity(ctx, parse(KDV_L, ctx), order=2)
+    refusal = _refusal(lambda: momentum_shift(elh_system(kdv), [e, Expr.zero()]))
+    if refused:
+        assert refusal is not None and refusal.endswith(rule)
+    else:  # a jet-side component of too high an order
+        assert refusal is None or "too high" in refusal or "not part of the fiber" in refusal
 
 
 def test_shift_of_an_eliminated_momentum_is_domain_error(kdv, ctx_tx):

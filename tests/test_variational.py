@@ -135,8 +135,7 @@ def _outside(c):
     # u,_t is in the context, but a density is jet-side: euler_lagrange of
     # u_x^2 + u,_t read it as a constant and gave -2*u_xx
     (CoordinateId.comma(CoordinateId.jet(0), 0),
-     (WrongDomainError, "the density reads u,_t, a comma-derivative; "
-                        "a Lagrangian density is jet-side")),
+     (WrongDomainError, "the density reads u,_t, a comma-derivative, which is not jet-side")),
 ], ids=["dependent", "index_entry", "independent", "negative_dependent", "comma"])
 def test_density_refuses_a_coordinate_outside_its_context(ctx_tx, c, refusal):
     # a density of (t, x; u) reading u^3_t was accepted, and euler_lagrange
@@ -166,6 +165,13 @@ def test_horizontal_d_single_component(ctx_tx):
     f = parse("t*x^2", ctx_tx)
     assert horizontal_d_legendre({momentum(1): f}) == {
         jet(): -total_derivative(f, 1), jet(1): -f}
+
+
+@pytest.mark.parametrize("coeff", ["u_x*p_.t", "u_x*u,_t"], ids=["momentum", "comma"])
+def test_horizontal_d_refuses_coefficients_that_are_not_jet_side(ctx_tx, coeff):
+    # total_derivative, which every coefficient goes through, is the check
+    with pytest.raises(WrongDomainError, match="^total_derivative acts on jet-side expressions"):
+        horizontal_d_legendre({momentum(1): parse(coeff, ctx_tx)})
 
 
 def test_horizontal_d_zero_form(ctx_tx):
