@@ -19,7 +19,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .symcore import COMMA, INDEPENDENT, JetContext, ParseError, VarjetError, render
+from .symcore import INDEPENDENT, JetContext, ParseError, VarjetError, render
 from .jetcalc import EquationSystem, prolong
 from .variational import LagrangianDensity, euler_lagrange, legendre_form
 from .pdham import (
@@ -60,15 +60,6 @@ def _equations_json(system: EquationSystem) -> List[dict]:
             for label, res in system.equations]
 
 
-class _PlainFiberNames(JetContext):
-    """A mixed system's LaTeX names: a fiber coordinate is spelled by its
-    plain name (u_xx, p_x.x), and so is the base of a comma-derivative
-    (u_t{}_{,x}).  Those bytes are pinned."""
-
-    def latex_name(self, c):
-        return super().latex_name(c) if c.kind == COMMA else self.name(c)
-
-
 def _system_text(system: EquationSystem, fmt: str) -> str:
     ctx = system.context
     if fmt == "json":
@@ -80,8 +71,6 @@ def _system_text(system: EquationSystem, fmt: str) -> str:
         return _json_dump({
             "unknowns": [ctx.name(c) for c in sorted(unknowns)],
             "equations": _equations_json(system)})
-    if system.fiber:
-        ctx = _PlainFiberNames(ctx.independents, ctx.dependents)
     lines = [f"{label}: {render(res, ctx, fmt)} = 0" for label, res in system.equations]
     return "\n".join(lines) if lines else "(empty system)"
 
@@ -152,12 +141,11 @@ def cmd_reduce(args, problem: Problem, lag: LagrangianDensity) -> str:
     substitutions = [(ctx.name(c), _render(e, ctx, fmt))
                      for c, e in sorted(red.substitutions.items())]
     # the restricted energy is the Hamiltonian, and the HDW rows are the rows
-    # on P: each is rendered once and printed twice, only because those bytes
-    # are pinned (ROADMAP item 8 drops the copies)
+    # on P: JSON carries each once, and the plain and LaTeX texts print each
+    # rendering twice, only because the plain bytes are pinned (ROADMAP item 8)
     hamiltonian = None if red.hamiltonian is None else _render(red.hamiltonian, ctx, fmt)
     system = red.system_hdw
     if fmt == "json":
-        equations = [] if system is None else _equations_json(system)
         payload = {
             "diagnosis": red.diagnosis,
             "regular": red.diagnosis == "regular",
@@ -165,10 +153,8 @@ def cmd_reduce(args, problem: Problem, lag: LagrangianDensity) -> str:
             "p_coords": p_coords,
             "p0_coords": p0_coords,
             "substitutions": dict(substitutions),
-            "E_on_P": hamiltonian,
             "H": hamiltonian,
-            "equations": equations,
-            "equations_P": equations,
+            "equations": [] if system is None else _equations_json(system),
         }
         if red.offending:
             payload["offending"] = list(red.offending)
@@ -192,7 +178,7 @@ def cmd_shift(args, problem: Problem, lag: LagrangianDensity) -> str:
     try:
         shifted = momentum_shift(system, rho)
     except VarjetError as exc:  # a refused component of the file's rho is on its line
-        if args.rho:
+        if args.rho is not None:
             raise
         raise VarjetError(f"{problem.rho_at[0]}: {exc}") from None
     return _system_text(shifted, args.format)

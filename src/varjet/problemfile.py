@@ -46,14 +46,15 @@ class Problem:
     def rho(self, text: Optional[str]) -> List[Expr]:
         """The shift components, one per independent: text's if given, else
         the file's, whose errors are reported on the file's line."""
-        parts = (text or self.rho_text).split(";")
-        if parts == [""]:
+        if text is None and not self.rho_text:
             raise VarjetError("problem file declares no rho components (key: rho)")
+        source = self.rho_text if text is None else text
+        parts = source.split(";") if source else []
         where, column = self.rho_at
         if len(parts) != self.context.n:
-            raise VarjetError(("" if text else f"{where}: ") + f"rho needs {self.context.n} "
-                              f"';'-separated components, got {len(parts)}")
-        if text:
+            raise VarjetError(("" if text is not None else f"{where}: ") + f"rho needs "
+                              f"{self.context.n} ';'-separated components, got {len(parts)}")
+        if text is not None:
             return [parse(part.strip(), self.context) for part in parts]
         starts = itertools.accumulate((len(part) + 1 for part in parts), initial=column)
         return [_parse_value(part, self.context, where, start)

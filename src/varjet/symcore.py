@@ -1317,20 +1317,32 @@ def render(e: Expr, ctx: JetContext, fmt: str = "plain") -> str:
     schemas/expression.schema.json, which ``energy --format json`` prints
     indented.  A coordinate outside ctx is a VarjetError."""
     if fmt == "plain":
-        return _render(e, ctx, ctx.name, "^{}".format, _coeff_plain, "*")
+        return _render(e, ctx, _factor_plain, _coeff_plain, "*")
     if fmt == "latex":
-        return _render(e, ctx, ctx.latex_name, "^{{{}}}".format, _coeff_latex, " ")
+        return _render(e, ctx, _factor_latex, _coeff_latex, " ")
     if fmt == "json":
         return _render_json(e, ctx)
     raise VarjetError(f"unknown format {fmt!r}")
 
 
-def _render(e: Expr, ctx: JetContext, name, power, coeff_text, joiner: str) -> str:
+def _factor_plain(ctx: JetContext, c: CoordinateId, p: int) -> str:
+    return ctx.name(c) + (f"^{p}" if p > 1 else "")
+
+
+def _factor_latex(ctx: JetContext, c: CoordinateId, p: int) -> str:
+    # a powered momentum is grouped, as p^{I.i}^{p} would be a double superscript
+    text = ctx.latex_name(c)
+    if p == 1:
+        return text
+    return f"{{{text}}}^{{{p}}}" if c.kind == MOMENTUM else f"{text}^{{{p}}}"
+
+
+def _render(e: Expr, ctx: JetContext, factor_text, coeff_text, joiner: str) -> str:
     """The signed terms of e, each its coefficient (unless 1) and its factors
-    joined by ``joiner``; ``name``, ``power`` and ``coeff_text`` spell a
-    coordinate of ctx, an exponent above 1 and a coefficient's magnitude from
-    its numerator and denominator.  Each (coordinate, exponent) is checked
-    and spelled once per call."""
+    joined by ``joiner``; ``factor_text`` spells a coordinate of ctx to a power
+    and ``coeff_text`` a coefficient's magnitude from its numerator and
+    denominator.  Each (coordinate, exponent) is checked and spelled once per
+    call."""
     if not e.terms:
         return "0"
     spelled: Dict[Tuple[CoordinateId, int], str] = {}
@@ -1343,7 +1355,7 @@ def _render(e: Expr, ctx: JetContext, name, power, coeff_text, joiner: str) -> s
                 if text is None:
                     c, p = factor
                     ctx.refuse((c,), "render reads")
-                    text = spelled[factor] = name(c) + (power(p) if p > 1 else "")
+                    text = spelled[factor] = factor_text(ctx, c, p)
                 factors.append(text)
             num, den = coeff._numerator, coeff._denominator
             negative = num < 0

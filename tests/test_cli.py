@@ -314,7 +314,8 @@ def test_reduce_json_prints_the_hessian_report(capsys, tmp_path, flags, sampling
 
 @pytest.mark.parametrize("fmt", cli.FORMATS)
 def test_reduce_renders_the_hdw_rows_once(capsys, monkeypatch, kdv_problem, fmt):
-    # the equations on P are the HDW equations: one rendering, printed under both heads
+    # the equations on P are the HDW equations: one rendering, printed under
+    # both heads in plain and LaTeX and once, as "equations", in JSON
     calls = []
     for name in ("_system_text", "_equations_json"):
         def recording(*args, _render=getattr(cli, name), _name=name):
@@ -326,7 +327,8 @@ def test_reduce_renders_the_hdw_rows_once(capsys, monkeypatch, kdv_problem, fmt)
     assert calls == ["_equations_json" if fmt == "json" else "_system_text"]
     if fmt == "json":
         data = json.loads(out)
-        assert len(data["equations"]) == 7 and data["equations_P"] == data["equations"]
+        assert len(data["equations"]) == 7
+        assert "equations_P" not in data and "E_on_P" not in data
     else:
         on_p, hdw = out.split("equations on P:\n")[1].split("HDW equations:\n")
         assert on_p == hdw and on_p.count("\n") == 7
@@ -618,6 +620,16 @@ def test_shift_without_rho(capsys, tmp_path):
     code, out, err = run(capsys, "shift", str(path))
     assert (code, out) == (1, "")
     assert err == "varjet: problem file declares no rho components (key: rho)\n"
+
+
+@pytest.mark.parametrize("problem", ["kdv", "wave"])
+def test_shift_refuses_an_empty_rho(capsys, tmp_path, problem):
+    # an empty --rho has no components: it neither falls back to the file's
+    # rho (kdv declares one) nor reads as a file without rho (wave declares none)
+    path = tmp_path / f"{problem}.problem"
+    path.write_text(KDV_PROBLEM if problem == "kdv" else WAVE_PROBLEM)
+    assert run(capsys, "shift", str(path), "--rho", "") == \
+        (1, "", "varjet: rho needs 2 ';'-separated components, got 0\n")
 
 
 def test_order_override(capsys, tmp_path):

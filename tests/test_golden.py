@@ -6,16 +6,19 @@ derive-ladder problems (tests/golden/problems/), and the plain `reduce` stdout
 of one larger regular density past the ladder.  The `check-solution
 --format json` report prints each max-abs residual with full float
 precision, so its byte comparison pins every residual bit.  Every JSON golden
-also validates against its subcommand's schema under schemas/, and every
-`reduce` golden prints its Hamiltonian and its HDW rows as two equal copies.
-The goldens were written once by `write_goldens` and `write_derive_goldens`;
-only a change that means to alter an output regenerates them, and says why.
+also validates against its subcommand's schema under schemas/.  Every plain
+and LaTeX `reduce` golden prints its Hamiltonian and its HDW rows as two equal
+copies, and every JSON one prints each once.  The goldens were written by
+`write_goldens` and `write_derive_goldens`; only a change that means to alter
+an output regenerates them, and says why.
 """
 
 import functools
+import glob
 import io
 import json
 import os
+import re
 from contextlib import redirect_stdout
 
 import jsonschema
@@ -26,7 +29,7 @@ from varjet.cli import main
 from varjet.numeric import save_grid
 from varjet.pdham import elh_system, momentum_shift, reduce_lagrangian
 from varjet.problemfile import load_problem
-from varjet.symcore import parse
+from varjet.symcore import parse, render
 
 HERE = os.path.dirname(__file__)
 GOLDEN_DIR = os.path.join(HERE, "golden")
@@ -174,26 +177,81 @@ def test_derive_golden(problem, command, fmt):
         assert_schema(command, got)
 
 
-@pytest.mark.parametrize("problem, command", MIXED_CASES)
-def test_mixed_golden_rows_parse_back(problem, command):
-    # each "label: row = 0" line of the golden, read by parse, is the row the
-    # library builds; reduce prints its HDW rows twice
+def mixed_rows(problem: str, command: str):
+    """The density of a golden problem and the rows of the mixed system that
+    `command` (elh, shift or reduce) prints for it; reduce's plain and LaTeX
+    outputs print these rows twice."""
     path, shift_args = DERIVE_PROBLEMS.get(
         problem, (os.path.join(GOLDEN_DIR, "problems", f"{problem}.problem"), []))
     source = load_problem(path)
     lag = source.lagrangian()
     if command == "elh":
-        rows = elh_system(lag).equations
-    elif command == "shift":
+        return lag, list(elh_system(lag).equations)
+    if command == "shift":
         rho = source.rho(shift_args[1] if shift_args else None)
-        rows = momentum_shift(elh_system(lag), rho).equations
-    else:
-        system = reduce_lagrangian(lag).system_hdw
-        rows = () if system is None else system.equations * 2
-    with open(derive_golden_path(problem, command, "plain"), "r", encoding="utf-8") as fh:
-        printed = [line[:-len(" = 0")].split(": ", 1) for line in fh.read().splitlines()
-                   if ": " in line and line.endswith(" = 0")]
-    assert [(label, parse(text, lag.context)) for label, text in printed] == list(rows)
+        return lag, list(momentum_shift(elh_system(lag), rho).equations)
+    system = reduce_lagrangian(lag).system_hdw
+    return lag, [] if system is None else list(system.equations)
+
+
+def printed_rows(path: str, fmt: str):
+    """The (label, row text) pairs of a golden: each "label: row = 0" line of
+    a plain or LaTeX text, each entry of a JSON text's "equations"."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    if fmt == "json":
+        return [(row["label"], row["residual"]) for row in json.loads(text)["equations"]]
+    return [tuple(line[:-len(" = 0")].split(": ", 1)) for line in text.splitlines()
+            if ": " in line and line.endswith(" = 0")]
+
+
+@pytest.mark.parametrize("problem, command", MIXED_CASES)
+def test_mixed_golden_rows_parse_back(problem, command):
+    # each "label: row = 0" line of the golden, read by parse, is the row the
+    # library builds; reduce prints its HDW rows twice
+    lag, rows = mixed_rows(problem, command)
+    printed = printed_rows(derive_golden_path(problem, command, "plain"), "plain")
+    assert [(label, parse(text, lag.context)) for label, text in printed] == \
+        rows * (2 if command == "reduce" else 1)
+
+
+@pytest.mark.parametrize("problem, command, fmt",
+                         [case for case in DERIVE_CASES if case[1] in ("elh", "reduce", "shift")])
+def test_mixed_golden_rows_have_one_spelling_per_format(problem, command, fmt):
+    # a mixed system's row is spelled by render in the density's context, as
+    # every other output is; JSON carries the plain spelling
+    lag, rows = mixed_rows(problem, command)
+    if fmt != "json" and command == "reduce":
+        rows *= 2
+    spelled = [(label, render(res, lag.context, "plain" if fmt == "json" else fmt))
+               for label, res in rows]
+    assert printed_rows(derive_golden_path(problem, command, fmt), fmt) == spelled
+
+
+def test_latex_goldens_have_no_double_superscript():
+    # LaTeX refuses x^{a}^{b}; a powered momentum p^{I.i} is grouped
+    double = re.compile(r"\^\{[^{}]*\}\^")
+    paths = glob.glob(os.path.join(GOLDEN_DIR, "**", "*.latex"), recursive=True)
+    assert len(paths) == len(DERIVE_PROBLEMS) * len(DERIVE_COMMANDS)
+    offending = []
+    for path in sorted(paths):
+        with open(path, "r", encoding="utf-8") as fh:
+            offending += [f"{os.path.basename(path)}: {line}" for line in fh
+                          if double.search(line)]
+    assert offending == []
+
+
+def test_golden_files_are_the_cases():
+    # a regeneration writes every case's file and leaves no orphan behind
+    problems = os.path.abspath(os.path.join(GOLDEN_DIR, "problems"))
+    named = {golden_path(*case) for case in CASES}
+    named |= {derive_golden_path(*case) for case in DERIVE_CASES + [SCALE_CASE]}
+    named |= {path for path, _ in DERIVE_PROBLEMS.values()
+              if os.path.dirname(os.path.abspath(path)) == problems}
+    named.add(os.path.join(problems, f"{SCALE_CASE[0]}.problem"))
+    present = {os.path.join(root, name) for root, _, names in os.walk(GOLDEN_DIR)
+               for name in names}
+    assert sorted(map(os.path.abspath, present)) == sorted(map(os.path.abspath, named))
 
 
 def test_reduce_golden_past_the_ladder():
@@ -208,8 +266,7 @@ def test_reduce_golden_prints_one_result_twice(problem, command, fmt):
     with open(derive_golden_path(problem, command, fmt), "r", encoding="utf-8") as fh:
         text = fh.read()
     if fmt == "json":
-        data = json.loads(text)
-        assert data["E_on_P"] == data["H"] and data["equations_P"] == data["equations"]
+        assert not {"E_on_P", "equations_P"} & set(json.loads(text))
         return
     lines = text.splitlines()
     assert [line[len("E|_P = "):] for line in lines if line.startswith("E|_P = ")] == \

@@ -28,6 +28,7 @@ from varjet.symcore import (
     CoordinateId,
     Expr,
     JetContext,
+    MOMENTUM,
     ParseError,
     Q,
     UnknownCoordinateError,
@@ -404,6 +405,17 @@ def test_render_json_over_the_digit_limit_is_the_plain_error(ctx_tx, digit_limit
         errors = [outcome(render, e, ctx_tx, fmt) for fmt in ("plain", "latex", "json")]
         assert errors == [(UnsupportedExpressionError, "a coefficient or exponent of the "
                            "result is over the limit of 4300 digits", None)] * 3
+
+
+def test_render_latex_groups_a_powered_momentum():
+    # p^{x.x}^{2} is a double superscript, which LaTeX refuses: a powered
+    # momentum's name is a group, and a jet keeps its spelling
+    for dependents, p, latex in ((("u",), "p_x.x", "p^{x.x}"),
+                                 (("u", "v"), "p^v_x.x", "p[v]^{x.x}")):
+        ctx = JetContext(("t", "x"), dependents)
+        got = render(parse(f"{p}^2 + u_xx^2", ctx), ctx, "latex")
+        assert not re.search(r"\^\{[^{}]*\}\^", got)
+        assert got == "u_{xx}^{2} + {" + latex + "}^{2}"
 
 
 def test_comma_derivatives_are_named_after_their_base():
@@ -816,7 +828,7 @@ def _reference_render(e, name, power, coeff_text, joiner):
         return "0"
     parts = []
     for mono, coeff in e.terms:
-        factors = [name(c) + (power(p) if p > 1 else "") for c, p in mono]
+        factors = [name(c, p) + (power(p) if p > 1 else "") for c, p in mono]
         mag = abs(coeff)
         if mag != 1 or not factors:
             factors.insert(0, coeff_text(mag))
@@ -830,10 +842,12 @@ def _reference_render(e, name, power, coeff_text, joiner):
 
 def reference_render(e, ctx, fmt):
     if fmt == "plain":
-        return _reference_render(e, ctx.name, "^{}".format, str, "*")
+        return _reference_render(e, lambda c, p: ctx.name(c), "^{}".format, str, "*")
     if fmt == "latex":
+        # a powered momentum's name is a group: p^{I.i} carries its own superscript
         return _reference_render(
-            e, ctx.latex_name, "^{{{}}}".format,
+            e, lambda c, p: ("{%s}" if p > 1 and c.kind == MOMENTUM else "%s") % ctx.latex_name(c),
+            "^{{{}}}".format,
             lambda c: str(c) if c.denominator == 1 else f"\\frac{{{c.numerator}}}{{{c.denominator}}}",
             " ")
     return json.dumps({"monomials": [
