@@ -100,7 +100,7 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
         if not out:
             fail(key, f"{key} lists no names")
         for k, name in enumerate(out):
-            if not _NAME_RE.match(name):
+            if not _NAME_RE.fullmatch(name):
                 fail(key, f"invalid name {name!r}")
             if name in out[:k]:
                 fail(key, f"name {name!r} is declared twice")

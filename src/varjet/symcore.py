@@ -72,6 +72,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
@@ -166,7 +167,7 @@ class CoordinateId(tuple):
                 f"index={self.index!r}, i={self.i!r})")
 
 
-_NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
 
 @dataclass(frozen=True)
@@ -191,6 +192,9 @@ class JetContext:
         if not self.independents or not self.dependents:
             raise VarjetError("need at least one independent and one dependent variable")
         names = self.independents + self.dependents
+        for name in names:
+            if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
+                raise VarjetError(f"invalid coordinate name {name!r}")
         if len(set(names)) != len(names):
             raise VarjetError("coordinate names must be pairwise distinct")
         for short in self.independents:
@@ -198,9 +202,6 @@ class JetContext:
                 if name != short and name.startswith(short):
                     # an index word such as "xx" would read two ways
                     raise VarjetError(f"independent name {short!r} is a prefix of {name!r}")
-        for name in names:
-            if not _NAME_RE.match(name):
-                raise VarjetError(f"invalid coordinate name {name!r}")
 
     @property
     def n(self) -> int:
@@ -275,69 +276,40 @@ class JetContext:
         return coord
 
     def _try_resolve(self, name: str) -> Optional[CoordinateId]:
+        """The coordinate name() spells as ``name``, or None: no declared
+        name holds "_", ".", "^" or ",", so each split below is exact."""
+        if ",_" in name:  # a comma-derivative c,_J of a jet or a momentum c
+            base, _, word = name.partition(",_")
+            c, J = self._try_resolve(base), self._index(word)
+            if c is None or J is None or c.kind == INDEPENDENT:
+                return None
+            return reduce(CoordinateId.comma, J, c)
         if name in self.independents:
             return CoordinateId.independent(self.independents.index(name))
-        if name in self.dependents:
-            return CoordinateId.jet(self.dependents.index(name))
-        if ",_" in name:  # the comma-derivative that name() spells c,_J
-            base, _, word = name.partition(",_")
-            c = self._try_resolve(base)
-            suffix = self._split_index_word(word) if word else None
-            if c is None or suffix is None or c.kind == INDEPENDENT:
+        head, tail, word = name.partition("_")
+        word, dot, i = word.partition(".")
+        if dot:  # a momentum p_I.i, tagged p^dep_I.i when m > 1
+            dep = head[2:] if self.m > 1 else self.dependents[0]
+            I = self._index(word) if word else EMPTY
+            if (head != ("p^" + dep if self.m > 1 else "p") or dep not in self.dependents
+                    or I is None or i not in self.independents):
                 return None
-            for i in suffix:
-                c = CoordinateId.comma(c, i)
-            return c
-        mom = self._try_momentum(name)
-        if mom is not None:
-            return mom
-        for alpha, dep in sorted(enumerate(self.dependents), key=lambda t: -len(t[1])):
-            if name.startswith(dep + "_"):
-                suffix = self._split_index_word(name[len(dep) + 1:])
-                if suffix is not None:
-                    return CoordinateId.jet(alpha, MultiIndex(tuple(suffix)))
-        return None
+            return CoordinateId.momentum(self.dependents.index(dep), I, self.independents.index(i))
+        I = self._index(word) if tail else EMPTY  # a jet dep or dep_I
+        if head not in self.dependents or I is None:
+            return None
+        return CoordinateId.jet(self.dependents.index(head), I)
 
-    def _try_momentum(self, name: str) -> Optional[CoordinateId]:
-        if not name.startswith("p") or "." not in name:
-            return None
-        body = name[1:]
-        alpha = 0
-        if body.startswith("^"):
-            rest = body[1:]
-            for a, dep in sorted(enumerate(self.dependents), key=lambda t: -len(t[1])):
-                if rest.startswith(dep + "_"):
-                    alpha, body = a, rest[len(dep):]
-                    break
-            else:
+    def _index(self, word: str) -> Optional[MultiIndex]:
+        """The multiindex a nonempty index word spells, or None."""
+        entries = []
+        while word:
+            i = next((i for i, nm in enumerate(self.independents) if word.startswith(nm)), -1)
+            if i < 0:
                 return None
-        elif self.m > 1:
-            return None  # dependent tag is mandatory when m > 1
-        if not body.startswith("_"):
-            return None
-        word, dot, direction = body[1:].rpartition(".")
-        if not dot or direction not in self.independents:
-            return None
-        suffix = self._split_index_word(word)
-        if suffix is None:
-            return None
-        return CoordinateId.momentum(alpha, MultiIndex(tuple(suffix)),
-                                     self.independents.index(direction))
-
-    def _split_index_word(self, word: str) -> Optional[List[int]]:
-        """Decompose a concatenation of independent names; no name is a prefix
-        of another, so at most one name matches at each position."""
-        out: List[int] = []
-        pos = 0
-        while pos < len(word):
-            for i, nm in enumerate(self.independents):
-                if word.startswith(nm, pos):
-                    out.append(i)
-                    pos += len(nm)
-                    break
-            else:
-                return None
-        return out
+            entries.append(i)
+            word = word[len(self.independents[i]):]
+        return MultiIndex(entries) if entries else None
 
     # -- enumeration ----------------------------------------------------
 
@@ -1280,10 +1252,10 @@ class _Parser:
             name = tok[:i] if i else tok
             coord = self.coords.get(name)
             if coord is None:
-                try:
-                    coord = self.coords[name] = self.ctx.resolve(name)
-                except UnknownCoordinateError:
+                coord = self.ctx._try_resolve(name)
+                if coord is None:
                     raise self.error(f"unknown identifier {name!r}", k)
+                self.coords[name] = coord
             if not i:
                 return coord
             e = self.integer(tok[i + 1:], k, i + 1)

@@ -1,5 +1,7 @@
+import functools
 import math
 import random
+import re
 import sys
 import weakref
 from fractions import Fraction
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from varjet import numeric
-from varjet.multiindex import multiindices_up_to
+from varjet.multiindex import MultiIndex, multiindices_up_to
 from varjet.numeric import GridFunction
 from varjet.pdham import comma_images
 from varjet.symcore import CoordinateId, Expr, JetContext, Q, parse
@@ -127,6 +129,45 @@ def reference_mono_mul(a, b):
     for c, e in b:
         powers[c] = powers.get(c, 0) + e
     return tuple(sorted(powers.items()))
+
+
+@functools.lru_cache(maxsize=None)
+def _coordinate_grammar(ctx):
+    """docs/grammar.bnf's ``coordinate`` over ctx's names, as one regex, and
+    the alternation of its independent names that splits an index word."""
+    independent = "|".join(map(re.escape, ctx.independents))
+    depname = "|".join(map(re.escape, ctx.dependents))
+    word = f"(?:{independent})"
+    jet = rf"(?P<dep>{depname})(?:_(?P<I>{word}+))?"
+    tag = rf"\^(?P<tag>{depname})" if ctx.m > 1 else ""
+    momentum = rf"p{tag}_(?P<pI>{word}*)\.(?P<i>{independent})"
+    comma = rf",_(?P<J>{word}+)"
+    return re.compile(rf"(?P<x>{independent})|(?:{jet}|{momentum})(?:{comma})?"), independent
+
+
+def reference_resolve(name, ctx):
+    """The coordinate a name of docs/grammar.bnf spells in ctx, or None: one
+    regex match, then each word split by the independents' alternation; the
+    oracle for JetContext._try_resolve."""
+    grammar, independent = _coordinate_grammar(ctx)
+    match = grammar.fullmatch(name)
+    if match is None:
+        return None
+
+    def index(word):
+        return MultiIndex(ctx.independents.index(w) for w in re.findall(independent, word))
+
+    group = match.groupdict("")
+    if group["x"]:
+        return CoordinateId.independent(ctx.independents.index(group["x"]))
+    if group["dep"]:
+        c = CoordinateId.jet(ctx.dependents.index(group["dep"]), index(group["I"]))
+    else:
+        alpha = ctx.dependents.index(group["tag"]) if ctx.m > 1 else 0
+        c = CoordinateId.momentum(alpha, index(group["pI"]), ctx.independents.index(group["i"]))
+    for i in index(group["J"]):
+        c = CoordinateId.comma(c, i)
+    return c
 
 
 def homotopy_lagrangian(lag: LagrangianDensity) -> LagrangianDensity:

@@ -481,6 +481,19 @@ def test_bad_rho_reports_position_on_its_own_line(capsys, tmp_path):
                                        "(line 1, column 1)\n")
 
 
+def test_aliases_of_a_name_are_unknown_identifiers(capsys, tmp_path):
+    # u_ was read as u and, with one dependent, p^u_.t as p_.t
+    path = tmp_path / "alias.problem"
+    path.write_text("independents = t x\ndependents = u\nlagrangian = u_x^2 + u_^2\n")
+    code, out, err = run(capsys, "el", str(path))
+    assert (code, out, err) == (1, "", f"varjet: {path}, line 3, column 22: "
+                                       "unknown identifier 'u_'\n")
+    path.write_text("independents = t x\ndependents = u\nlagrangian = u_t^2\n")
+    code, out, err = run(capsys, "shift", str(path), "--rho", "p^u_.t; 0")
+    assert (code, out, err) == (1, "", "varjet: parse error: unknown identifier 'p^u_.t' "
+                                       "(line 1, column 1)\n")
+
+
 def test_deeply_nested_density_is_domain_error(capsys, tmp_path):
     path = tmp_path / "deep.problem"
     path.write_text("independents = x\ndependents = u\n"

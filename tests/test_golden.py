@@ -228,6 +228,32 @@ def test_mixed_golden_rows_have_one_spelling_per_format(problem, command, fmt):
     assert printed_rows(derive_golden_path(problem, command, fmt), fmt) == spelled
 
 
+@pytest.mark.parametrize("problem, command, fmt",
+                         [case for case in DERIVE_CASES if case[1] == "reduce"])
+def test_reduce_golden_head_lines_have_one_spelling_per_format(problem, command, fmt):
+    # the P and P0 coordinates and each eliminated coordinate are spelled as
+    # the format spells a coordinate: by latex_name in LaTeX, by name in plain
+    # and JSON (JSON keys sort by text)
+    lag = load_problem(DERIVE_PROBLEMS[problem][0]).lagrangian()
+    red, ctx = reduce_lagrangian(lag), lag.context
+    spell = ctx.latex_name if fmt == "latex" else ctx.name
+    eliminated = [spell(c) for c in sorted(red.substitutions)]
+    with open(derive_golden_path(problem, command, fmt), "r", encoding="utf-8") as fh:
+        text = fh.read()
+    if fmt == "json":
+        payload = json.loads(text)
+        head = (payload["p_coords"], payload["p0_coords"], list(payload["substitutions"]))
+        eliminated.sort()
+    else:
+        lines = text.splitlines()
+        head = (lines[1][len("P coordinates:  "):].split(),
+                lines[2][len("P0 coordinates: "):].split(),
+                [line[len("eliminate "):].split(" = ")[0] for line in lines
+                 if line.startswith("eliminate ")])
+    assert head == ([spell(c) for c in red.p_coordinates],
+                    [spell(c) for c in red.p0_coordinates], eliminated)
+
+
 def test_latex_goldens_have_no_double_superscript():
     # LaTeX refuses x^{a}^{b}; a powered momentum p^{I.i} is grouped
     double = re.compile(r"\^\{[^{}]*\}\^")

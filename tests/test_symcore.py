@@ -2,6 +2,7 @@
 
 import copy
 import glob
+import itertools
 import json
 import operator
 import os
@@ -21,7 +22,7 @@ import jsonschema
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from conftest import KDV_L, jet_pool, random_expr, reference_mono_mul
+from conftest import KDV_L, jet_pool, random_expr, reference_mono_mul, reference_resolve
 from varjet import multiindex, symcore
 from varjet.multiindex import MultiIndex, multiindices_up_to
 from varjet.symcore import (
@@ -370,6 +371,88 @@ def test_context_validation():
             JetContext(names, ("u",))
     with pytest.raises(VarjetError, match="^independent name 'x' is a prefix of 'xt'$"):
         JetContext(("xt", "x"), ("u",))
+
+
+def test_context_refuses_a_name_that_is_not_a_valid_string():
+    # "$" matched before a final newline, which render then wrote raw into a
+    # JSON string, and a name that is not a str raised TypeError
+    with pytest.raises(VarjetError, match=r"^invalid coordinate name 'u\\n'$"):
+        JetContext(("t", "x"), ("u\n",))
+    with pytest.raises(VarjetError, match="^invalid coordinate name 1$"):
+        JetContext((1,), ("u",))
+
+
+# the reader's contexts: a dependent p, one and two dependents, an
+# independent p and independents of two letters
+RESOLVE_CONTEXTS = (JetContext(("t", "x"), ("p",)), JetContext(("t", "x"), ("u",)),
+                    JetContext(("t", "x"), ("u", "v")), JetContext(("p", "x"), ("u",)),
+                    JetContext(("ab", "cd"), ("u",)))
+
+
+def spellings(ctx):
+    """Every jet and momentum up to order 3, each index word in every order of
+    its names, and the comma-derivative of each up to order 3; with the
+    independents, and the spellings name() never prints: dep_, the momentum
+    heads p and p^dep in every context, c,_ and an independent's c,_J."""
+    words = [""] + ["".join(w) for k in (1, 2, 3)
+                    for w in itertools.product(ctx.independents, repeat=k)]
+    bases = list(ctx.independents)
+    for dep in ctx.dependents:
+        bases += [dep] + [f"{dep}_{w}" for w in words]
+        bases += [f"{head}_{w}.{i}" for head in ("p", f"p^{dep}") for w in words
+                  for i in ctx.independents]
+    return bases + [f"{c},_{w}" for c in bases for w in words]
+
+
+@pytest.mark.parametrize("ctx", RESOLVE_CONTEXTS,
+                         ids=lambda ctx: f"{','.join(ctx.independents)};{','.join(ctx.dependents)}")
+def test_resolve_reads_every_spelling_as_the_grammar_does(ctx):
+    names = spellings(ctx)
+    got = [ctx._try_resolve(name) for name in names]
+    assert got == [reference_resolve(name, ctx) for name in names]
+    # what it reads is what name() prints, up to the order of an index word
+    assert all(ctx._try_resolve(ctx.name(c)) == c for c in got if c is not None)
+
+
+_SPELLINGS = [(ctx, name) for ctx in RESOLVE_CONTEXTS for name in spellings(ctx)]
+_NAME_TEXTS = st.text(alphabet=sorted({letter for ctx in RESOLVE_CONTEXTS
+                                       for name in ctx.independents + ctx.dependents
+                                       for letter in name} | set("_.^,")), max_size=14)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(_SPELLINGS), _NAME_TEXTS, st.integers(min_value=0, max_value=30),
+       st.booleans())
+def test_resolve_agrees_with_the_grammar(case, text, at, spliced):
+    # a random text over the contexts' letters and "_.^,", alone or spliced
+    # into a spelling
+    ctx, name = case
+    name = name[:at] + text + name[at:] if spliced else text
+    assert ctx._try_resolve(name) == reference_resolve(name, ctx)
+
+
+_ONE, _TWO = RESOLVE_CONTEXTS[1:3]
+
+
+@pytest.mark.parametrize("ctx, name, message", [
+    (_ONE, "u_", "unknown identifier 'u_' (line 1, column 5)"),
+    (_ONE, "p^u_x.t", "unknown identifier 'p^u_x.t' (line 1, column 5)"),
+    (_TWO, "p_x.t", "unknown identifier 'p_x.t' (line 1, column 5)"),
+    (_ONE, "t,_x", "unknown identifier 't,_x' (line 1, column 5)"),
+    (_ONE, "u,_", "unexpected character ',' (line 1, column 6)"),  # the text has no name u,_
+    (_ONE, "u_x.t", "unknown identifier 'u_x.t' (line 1, column 5)"),
+    (_ONE, "p_x", "unknown identifier 'p_x' (line 1, column 5)"),
+    (_ONE, "p_x.q", "unknown identifier 'p_x.q' (line 1, column 5)"),
+    (_TWO, "p^w_x.t", "unknown identifier 'p^w_x.t' (line 1, column 5)"),
+    (_ONE, "u_q", "unknown identifier 'u_q' (line 1, column 5)")])
+def test_resolve_refuses_what_name_never_prints(ctx, name, message):
+    # u_ and, with one dependent, p^u_x.t were read as u and p_x.t
+    with pytest.raises(ParseError) as info:
+        parse(f"1 + {name}", ctx)
+    assert str(info.value) == message
+    with pytest.raises(UnknownCoordinateError) as info:
+        ctx.resolve(name)
+    assert str(info.value) == f"unknown identifier {name!r}"
 
 
 def test_render_refuses_an_unknown_format():
@@ -805,10 +888,10 @@ class _ReferenceParser:
             if val in self._TRANSCENDENTAL and self.peek()[:2] == ("op", "("):
                 raise _not_polynomial(f"transcendental function {val!r} is not polynomial",
                                       self.text, pos)
-            try:
-                return self.ctx.resolve(val)
-            except UnknownCoordinateError:
+            coord = reference_resolve(val, self.ctx)
+            if coord is None:
                 raise ParseError(f"unknown identifier {val!r}", self.text, pos)
+            return coord
         if kind == "op" and val == "(":
             e = self.nested(self.expr, pos)
             kind, val, pos = self.next()
