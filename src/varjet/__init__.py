@@ -34,7 +34,6 @@ from .variational import (
     vertical_differential,
 )
 from .pdham import (
-    DegenerateLagrangianError,
     HessianMatrix,
     RankReport,
     ReducedSystem,

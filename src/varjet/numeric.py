@@ -76,7 +76,7 @@ from .symcore import (
     Q,
     UnsupportedExpressionError,
     VarjetError,
-    row_echelon,
+    eliminate,
 )
 from .jetcalc import EquationSystem
 
@@ -231,15 +231,13 @@ def fd_weights(order: int, radius: int) -> Tuple[float, ...]:
     npts = len(offsets)
     if order >= npts:
         raise GridTooSmallError("stencil too narrow for the requested derivative")
-    # row k: sum_j w_j offset_j^k = order! if k == order else 0; the offsets
-    # are distinct, so the echelon form has its pivots on the diagonal
-    rhs = [Q(math.factorial(order) if k == order else 0) for k in range(npts)]
-    rows, _ = row_echelon([[Q(o) ** k for o in offsets] + [rhs[k]] for k in range(npts)])
-    weights = [Q(0)] * npts
-    for k in reversed(range(npts)):
-        row = rows[k]
-        weights[k] = (row[npts] - sum(row[j] * weights[j] for j in range(k + 1, npts))) / row[k]
-    return tuple(float(w) for w in weights)
+    # row k: sum_j w_j offset_j^k - (order! if k == order else 0) = 0, the
+    # constant in column npts; the offsets are distinct, so every w_j is solved
+    rows = {k: dict(enumerate([Q(o) ** k for o in offsets]
+                              + [-math.factorial(order) if k == order else 0]))
+            for k in range(npts)}
+    solutions, _ = eliminate(rows, range(npts))
+    return tuple(float(solutions[j].get(npts, 0)) for j in range(npts))
 
 
 def stencil_radius(order: int) -> int:

@@ -10,10 +10,10 @@ The momentum equations carry the contraction term over all distinct (J, i)
 with Ji = I (each counted once), at every level |I| <= l+1; at |I| = l+1 the
 divergence term is absent, which turns those rows into the algebraic
 constraints cutting out the constraint manifold.  Reduction solves the
-constraints for top jets where possible (exact linear algebra over rational
-coefficients), eliminates dependent momenta from the leftover pure-momentum
-relations, restricts the energy density, and emits the Hamilton-de Donder-Weyl
-equation system.
+constraints for top jets where possible, then the leftover pure-momentum
+relations for dependent momenta (both by symcore.eliminate, the one exact
+elimination, which also gives the Hessian its rank), restricts the energy
+density, and emits the Hamilton-de Donder-Weyl equation system.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from .symcore import (
     Q,
     VarjetError,
     WrongDomainError,
-    render,
-    row_echelon,
+    eliminate,
 )
 from .jetcalc import EquationSystem, mixed_total_derivative
 from .variational import LagrangianDensity
@@ -42,10 +41,6 @@ from .variational import LagrangianDensity
 # the most rank samples hessian takes, and so a file or --rank-samples may
 # ask for: a constant Hessian's rank is repeated once per sample in the report
 MAX_RANK_SAMPLES = 1000
-
-
-class DegenerateLagrangianError(VarjetError):
-    pass
 
 
 def _momentum_label(ctx: JetContext, alpha: int, I: MultiIndex) -> str:
@@ -178,7 +173,8 @@ def hessian(lag: LagrangianDensity, *, samples: int = 5,
         values = [[_value_at(e, point) for e in row] for row in upper]
         if any(v is None for row in values for v in row):
             raise AssertionError("internal error: Hessian entry failed to evaluate")
-        ranks.append(len(row_echelon(_symmetric(values))[1]))
+        rows = {r: dict(enumerate(row)) for r, row in enumerate(_symmetric(values))}
+        ranks.append(len(eliminate(rows, range(len(idx)))[0]))
     if not coords:
         ranks *= samples
     rank = max(ranks)
@@ -275,30 +271,26 @@ class ReducedSystem:
     offending: Tuple[str, ...] = ()
 
 
-def _is_affine_in(res: Expr, tops: set) -> bool:
-    for mono, _ in res.terms:
-        if sum(e for c, e in mono if c in tops) > 1:
-            return False
-    return True
+def _linear_rows(rows: Mapping[str, Expr], columns: set) -> Optional[Dict[str, Dict]]:
+    """Each row as {column: its coefficient}, the terms free of the columns
+    under None, or None when a term has degree 2 or more in the columns."""
+    out = {}
+    for label, res in rows.items():
+        parts: Dict[Optional[CoordinateId], list] = {}
+        for mono, coeff in res.terms:
+            hits = [k for k, (c, _) in enumerate(mono) if c in columns]
+            if len(hits) > 1 or hits and mono[hits[0]][1] > 1:
+                return None
+            k = hits[0] if hits else len(mono)  # past the end: the whole monomial stays
+            column = mono[k][0] if hits else None
+            parts.setdefault(column, []).append((mono[:k] + mono[k + 1:], coeff))
+        out[label] = {c: Expr(terms) for c, terms in parts.items()}
+    return out
 
 
-def _pivot(res: Expr, candidates) -> Optional[Tuple[CoordinateId, Q]]:
-    """The first candidate whose coefficient in res is a nonzero rational, with it.
-
-    The coefficient of c (its terms of degree one in c, c removed) is a
-    nonzero rational exactly when c alone is a term of res and no other term
-    has c to the first power, so one pass over the terms finds them all.
-    """
-    lone: Dict[CoordinateId, Optional[Q]] = {}
-    for mono, coeff in res.terms:
-        for c, e in mono:
-            if e == 1:
-                lone[c] = coeff if len(mono) == 1 and c not in lone else None
-    for c in candidates:
-        coeff = lone.get(c)
-        if coeff is not None:
-            return c, coeff
-    return None
+def _row_expr(row: Mapping[Optional[CoordinateId], Expr]) -> Expr:
+    """sum(column * entry) over a row of _linear_rows, its None entry read as itself."""
+    return Expr.sum([e if c is None else Expr.coord(c) * e for c, e in row.items()])
 
 
 def _restricted_energy(lag: LagrangianDensity, tops: Sequence[CoordinateId],
@@ -325,18 +317,17 @@ def _restricted_energy(lag: LagrangianDensity, tops: Sequence[CoordinateId],
 
 
 def reduce_lagrangian(lag: LagrangianDensity) -> ReducedSystem:
-    """Two-stage reduction of the constraint rows.
+    """Two-stage reduction of the constraint rows by ``symcore.eliminate``.
 
-    Stage 1 solves constraint rows for top jets wherever a top jet carries a
-    nonzero rational coefficient (exact elimination, deterministic order);
-    rows left over must be free of jet coordinates.  Stage 2 eliminates one
-    dependent momentum per leftover row (largest admissible pivot first, so
-    the surviving momenta are the canonically smallest).  Each elimination
-    substitutes its solution into the pending rows only; one pass in reverse
-    elimination order then gives every solution the later ones.  The
-    restricted energy must then be free of top jets; it becomes the
-    Hamiltonian on the projected coordinates, where the HDW system is
-    emitted.
+    The rows are affine in the top jets and linear in the momenta, with
+    coefficients in the lower jets and x.  Stage 1 solves them for top jets
+    with nonzero rational coefficients; rows left over must be free of jet
+    coordinates.  Stage 2 solves each of those for a dependent momentum
+    (largest first, so the surviving momenta are the canonically smallest).
+    It cannot fail: a row left by stage 1 keeps -1 on each momentum of its
+    own P_K, which no other row reads.  The restricted energy must then be
+    free of top jets; it becomes the Hamiltonian on the projected
+    coordinates, where the HDW system is emitted.
 
     The restricted energy is read by Euler's identity, without expanding the
     part of L quadratic in the top jets u_K (|K| = l+1) under the solutions.
@@ -357,67 +348,31 @@ def reduce_lagrangian(lag: LagrangianDensity) -> ReducedSystem:
     """
     ctx = lag.context
     l = lag.level
-    cons = constraints(lag)
     tops_ordered = [c for c in ctx.jets_up_to(l + 1) if len(c.index) == l + 1]
     tops = set(tops_ordered)
-    subs: Dict[CoordinateId, Expr] = {}
+    rows = _linear_rows(dict(constraints(lag).equations), tops)
+    if rows is None:
+        return ReducedSystem("irreducible: nonlinear constraints", (), (), {}, None, None)
 
-    def resolve() -> None:
-        """Substitute into each solution the later ones, resolved from the last back."""
-        later: Dict[CoordinateId, Expr] = {}
-        for coord in reversed(list(subs)):
-            later[coord] = subs[coord] = subs[coord].substitute(later)
-
-    def partial_result(diagnosis: str, offending=()) -> ReducedSystem:
-        resolve()
-        return ReducedSystem(diagnosis, (), (), dict(subs), None, None, tuple(offending))
-
-    if not all(_is_affine_in(res, tops) for _, res in cons.equations):
-        return partial_result("irreducible: nonlinear constraints")
-
-    def eliminate(coord: CoordinateId, coeff: Q, res: Expr,
-                  rows: List[Tuple[str, Expr]]) -> List[Tuple[str, Expr]]:
-        """Solve res = 0 for coord; substitute it into the rows (returned)."""
-        solved = res.substitute({coord: Expr.zero()}).scale(Q(-1) / coeff)
-        subs[coord] = solved
-        return [(lb, r.substitute({coord: solved})) for lb, r in rows]
-
-    # stage 1: solve rows for top jets with rational coefficients, rescanning
-    # from the first row after each elimination (a solved top jet is gone
-    # from the pending rows, so it is never a pivot again)
-    pending: List[Tuple[str, Expr]] = list(cons.equations)
-    k = 0
-    while k < len(pending):
-        pivot = _pivot(pending[k][1], tops_ordered)
-        if pivot is None:
-            k += 1
-        else:
-            pending = eliminate(*pivot, pending[k][1], pending[:k] + pending[k + 1:])
-            k = 0
-
-    leftovers = [(lb, r) for lb, r in pending if not r.is_zero()]
-    offending = [lb for lb, r in leftovers
-                 if any(c.kind == JET for c in r.coordinates())]
+    solutions, left = eliminate(rows, tops_ordered)
+    subs = {c: _row_expr(solution) for c, solution in solutions.items()}
+    left = {label: _row_expr(row) for label, row in left.items()}
+    offending = tuple(label for label, res in left.items()
+                      if any(c.kind == JET for c in res.coordinates()))
     if offending:
-        return partial_result("Assumption 1 check failed", offending)
+        return ReducedSystem("Assumption 1 check failed", (), (), subs, None, None, offending)
+    if left:
+        momenta = set(ctx.momenta_up_to(l))
+        solutions, left = eliminate(_linear_rows(left, momenta), sorted(momenta, reverse=True),
+                                    _linear_rows(subs, momenta))
+        if left:
+            raise AssertionError("internal error: a constraint row has no momentum to solve for")
+        subs = {c: _row_expr(solution) for c, solution in solutions.items()}
 
-    # stage 2: eliminate dependent momenta from the pure-momentum relations
-    while leftovers:
-        label, res = leftovers.pop(0)
-        pivot = _pivot(res, [c for c in reversed(res.coordinates()) if c.kind == MOMENTUM])
-        if pivot is None:
-            if res.constant_value() is not None:
-                raise DegenerateLagrangianError(
-                    f"inconsistent constraint row {label!r}: "
-                    f"{render(res, ctx, 'plain')} = 0")
-            return partial_result("Assumption 1 check failed", [label])
-        leftovers = [(lb, r) for lb, r in eliminate(*pivot, res, leftovers) if not r.is_zero()]
-
-    resolve()
     energy_p = _restricted_energy(lag, tops_ordered, subs)
     if any(c in tops for c in energy_p.coordinates()):
-        return partial_result("Assumption 1 check failed",
-                              ["restricted energy retains top jets"])
+        return ReducedSystem("Assumption 1 check failed", (), (), subs, None, None,
+                             ("restricted energy retains top jets",))
 
     surviving_tops = [c for c in tops_ordered if c not in subs]
     lower_jets = ctx.jets_up_to(l)

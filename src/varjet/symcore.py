@@ -20,7 +20,7 @@ Q or int; any other operand goes to Fraction's own method.  A Q hashes,
 orders and prints as the Fraction of its value.  The kernel converts what
 it is given to Q where a coefficient enters, with one conversion
 (``_as_q``, which refuses a NaN or an infinity): in ``_normal_form`` (so in
-``Expr(terms)``), ``Expr.number``, ``Expr.scale`` and ``row_echelon``.
+``Expr(terms)``), ``Expr.number``, ``Expr.scale`` and ``eliminate``.
 
 Every result that can break the normal form goes through one normalisation
 path, ``_normal_form``: summands and products stream their terms into one
@@ -75,7 +75,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain
 from operator import itemgetter
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from .multiindex import EMPTY, MultiIndex, VarjetError, multiindices_up_to
 
@@ -180,15 +180,19 @@ class JetContext:
     context, their comma-derivatives named c,_J after c and read back by
     that name.  No independent name is a prefix of another, so an index word
     (a run of independent names, as in u_xt) splits one way only.  Invalid,
-    repeated or missing names are a VarjetError.
+    repeated or missing names are a VarjetError, and so is a str given for
+    either tuple of names.
     """
 
     independents: Tuple[str, ...]
     dependents: Tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "independents", tuple(self.independents))
-        object.__setattr__(self, "dependents", tuple(self.dependents))
+        for field in ("independents", "dependents"):
+            names = getattr(self, field)
+            if isinstance(names, str):  # tuple() would make it its letters
+                raise VarjetError(f"{field} must be a sequence of names, not the string {names!r}")
+            object.__setattr__(self, field, tuple(names))
         if not self.independents or not self.dependents:
             raise VarjetError("need at least one independent and one dependent variable")
         names = self.independents + self.dependents
@@ -898,30 +902,72 @@ _ONE = Expr.number(1)
 
 # -- exact linear algebra ------------------------------------------------------
 
-def row_echelon(matrix: Iterable[Iterable]) -> Tuple[List[List[Q]], List[int]]:
-    """Forward elimination over the rationals: (echelon rows, pivot columns).
+def _rational(entry) -> Optional[Q]:
+    """A Q entry itself, an Expr entry's value when it is a constant, else None."""
+    return entry if entry.__class__ is Q else entry.constant_value()
 
-    Row k < rank has its pivot at column ``pivots[k]`` and zeros to the left
-    of it; the rows from the rank on are zero.  Pivot rows are not scaled and
-    rows above a pivot are not cleared, so the rank is ``len(pivots)`` and a
-    square nonsingular system is solved by back-substitution.
+
+def _is_zero(entry) -> bool:
+    return not (entry._numerator if entry.__class__ is Q else entry.terms)
+
+
+def _add_multiples(row: Dict, pairs: Iterable[Tuple[object, Mapping]]) -> None:
+    """row += sum(b * other) over the pairs (b, other), each column summed once
+    and dropped if it cancels; a rational b scales, a polynomial multiplies."""
+    parts: Dict = {}
+    for b, other in pairs:
+        q = _rational(b)
+        for col, e in other.items():
+            parts.setdefault(col, [row[col]] if col in row else []).append(
+                b * e if q is None else e * q)
+    for col, es in parts.items():
+        row[col] = es[0] if len(es) == 1 else \
+            Expr.sum(es) if es[0].__class__ is Expr else sum(es)
+        if _is_zero(row[col]):
+            del row[col]
+
+
+def eliminate(rows: Mapping[Hashable, Mapping], order: Iterable,
+              solved: Optional[Mapping] = None) -> Tuple[Dict, Dict]:
+    """Exact Gaussian elimination, then one back-substitution: (solutions, rows left).
+
+    A row {column: entry} reads sum(column * entry) = 0; its entries are numbers
+    (made Qs by ``_as_q``) or Exprs that read no column, and zeros are dropped.
+    A step solves the first row with a column of ``order`` whose entry is a
+    nonzero rational a for the first such column c, as {column: -entry/a} over
+    its other columns, substitutes that into the rows left and scans them again
+    from the first; a column outside ``order`` (a constant's) is never solved
+    for.  The solutions, after those of ``solved`` (columns the rows do not
+    read), are then back-substituted once from the last to the first, so that
+    none reads a solved column.  ``rows`` and ``solved`` are kept as given.
     """
-    rows = [list(map(_as_q, r)) for r in matrix]
-    pivots: List[int] = []
-    for col in range(len(rows[0]) if rows else 0):
-        top = len(pivots)
-        pivot = next((r for r in range(top, len(rows)) if rows[r][col]), None)
-        if pivot is None:
+    position = {c: k for k, c in enumerate(order)}
+    pending = {}
+    for label, row in rows.items():
+        row = {c: e if e.__class__ is Expr else _as_q(e) for c, e in row.items()}
+        pending[label] = {c: e for c, e in row.items() if not _is_zero(e)}
+    solutions = {c: dict(solution) for c, solution in (solved or {}).items()}
+    labels = list(pending)
+    k = 0
+    while k < len(labels):
+        row = pending[labels[k]]
+        c = min((c for c, e in row.items() if c in position and _rational(e)),
+                key=position.__getitem__, default=None)
+        if c is None:
+            k += 1
             continue
-        rows[top], rows[pivot] = rows[pivot], rows[top]
-        head = rows[top]
-        for r in range(top + 1, len(rows)):
-            row = rows[r]
-            if row[col]:
-                f = row[col] / head[col]
-                rows[r] = row[:col] + [a - f * b for a, b in zip(row[col:], head[col:])]
-        pivots.append(col)
-    return rows, pivots
+        del pending[labels.pop(k)]
+        scale = _ONE_Q / -_rational(row.pop(c))
+        solution = solutions[c] = {col: e * scale for col, e in row.items()}
+        for other in pending.values():
+            if c in other:
+                _add_multiples(other, [(other.pop(c), solution)])
+        k = 0
+    for c in reversed(list(solutions)):  # no solution reads a column solved before it
+        solution = solutions[c]
+        later = [p for p in solution if p in solutions]
+        _add_multiples(solution, [(solution.pop(p), solutions[p]) for p in later])
+    return solutions, pending
 
 
 # -- parsing ---------------------------------------------------------------

@@ -2,8 +2,9 @@
 public names of its numeric layer and the signature of its evaluate, the
 signatures of the momentum-side constructions, the total derivatives and the
 jet context, the fields of an equation system and of a reduction, no unused
-import in a module, no module but the kernel importing fractions, one home
-for the domain refusals' wording, and the README's library sketch."""
+import in a module, no module but the kernel importing fractions, one
+elimination routine, one home for the domain refusals' wording, and the
+README's library sketch."""
 
 import ast
 import dataclasses
@@ -17,7 +18,7 @@ import varjet
 from varjet import numeric
 
 EXPORTED = {
-    "CoordinateId", "DegenerateLagrangianError",
+    "CoordinateId",
     "EquationSystem", "Expr", "HessianMatrix", "JetContext",
     "LagrangianDensity", "MultiIndex", "ParseError",
     "RankReport", "ReducedSystem", "UnknownCoordinateError",
@@ -173,6 +174,24 @@ def test_only_the_kernel_imports_fractions():
                     any(alias.name == "fractions" for alias in node.names):
                 importers.append(os.path.basename(path))
     assert importers == ["symcore.py"]
+
+
+def test_one_elimination_routine():
+    # symcore.eliminate is the one exact elimination: the Hessian rank and
+    # both stages of the reduction (pdham) and the stencil weights (numeric)
+    # import it, and neither module defines an elimination, a pivot search
+    # or a back-substitution of its own
+    words = ("elimina", "echelon", "pivot", "resolve", "back_sub", "solve")
+    for module in ("numeric", "pdham"):
+        with open(os.path.join(os.path.dirname(varjet.__file__), f"{module}.py"),
+                  encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imports = [alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "symcore"
+                   for alias in node.names]
+        assert "eliminate" in imports, module
+        defined = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        assert [name for name in defined if any(word in name for word in words)] == [], module
 
 
 def test_one_string_constant_holds_each_domain_refusal():

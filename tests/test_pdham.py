@@ -20,7 +20,6 @@ from varjet.multiindex import EMPTY, MultiIndex, multiindices, multiindices_up_t
 from varjet.pdham import (
     MAX_RANK_SAMPLES,
     comma_images,
-    DegenerateLagrangianError,
     RankReport,
     constraints,
     elh_system,
@@ -37,9 +36,9 @@ from varjet.symcore import (
     JetContext,
     VarjetError,
     WrongDomainError,
+    eliminate,
     parse,
     render,
-    row_echelon,
 )
 from varjet.problemfile import load_problem, parse_problem_text
 from varjet.variational import LagrangianDensity, euler_lagrange, legendre_form
@@ -209,7 +208,9 @@ def test_hessian_seed_determinism(kdv):
 
 def test_hessian_matches_double_partials_randomized():
     # the mirrored upper triangle is the matrix of second partials, and the
-    # sampled ranks are those of the full matrix at the same random points
+    # sampled ranks are sympy's ranks of the full matrix at the same random
+    # points
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(89)
     for _ in range(40):
         n, m, order = rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 3)
@@ -229,8 +230,10 @@ def test_hessian_matches_double_partials_randomized():
         for _ in range(3):
             point = {c: Expr.number(Fraction(draws.randint(-9, 9), draws.randint(1, 9)))
                      for c in coords}
-            ranks.append(len(row_echelon([[e.substitute(point).constant_value() for e in row]
-                                          for row in matrix.entries])[1]))
+            values = [[e.substitute(point).constant_value() for e in row]
+                      for row in matrix.entries]
+            ranks.append(sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
+                                       for row in values]).rank())
         assert report.ranks == tuple(ranks)
 
 
@@ -241,15 +244,15 @@ def test_constant_hessian_is_eliminated_once(monkeypatch, kdv):
     calls, evaluated = [], []
     value_at = pdham._value_at
 
-    def counted(matrix):
-        calls.append(matrix)
-        return row_echelon(matrix)
+    def counted(rows, order):
+        calls.append(rows)
+        return eliminate(rows, order)
 
     def counted_value(e, point):
         evaluated.append(e)
         return value_at(e, point)
 
-    monkeypatch.setattr(pdham, "row_echelon", counted)
+    monkeypatch.setattr(pdham, "eliminate", counted)
     monkeypatch.setattr(pdham, "_value_at", counted_value)
     _, report = hessian(kdv, samples=5, seed=3)
     assert len(calls) == 1
@@ -592,6 +595,46 @@ def test_reduced_json_shape(capsys, tmp_path):
     assert len(data["equations"]) == 7
 
 
+# the HDW rows of the first case, printed twice (equations on P, HDW equations)
+_X_COEFFICIENT_ROWS = """\
+mom:u:: -p_.t,_t - p_.x,_x = 0
+mom:u:t: -p_.t - p_t.t,_t - p_t.x,_x = 0
+mom:u:x: -p_.x - p_t.t - x*p_t.t,_x + p_t.x,_t = 0
+contact:u::t: u,_t - u_t = 0
+contact:u::x: u,_x - u_x = 0
+contact:u:t:t: u_t,_t + x*u_x,_x - p_t.t = 0
+contact:u:t:x: u_t,_x - u_x,_t = 0
+"""
+
+
+@pytest.mark.parametrize("lagrangian, text", [
+    # u_xx's coefficients read x: u_tt is solved for, and stage 2 solves
+    # rows whose momentum coefficients read x
+    ("1/2*(u_tt + x*u_xx)^2",
+     "diagnosis: reducible\n"
+     "P coordinates:  t x u u_t u_x u_tx u_xx p_.t p_.x p_t.t p_t.x\n"
+     "P0 coordinates: t x u u_t u_x p_.t p_.x p_t.t p_t.x\n"
+     "eliminate u_tt = -x*u_xx + p_t.t\n"
+     "eliminate p_x.t = -p_t.x\n"
+     "eliminate p_x.x = x*p_t.t\n"
+     "E|_P = u_t*p_.t + u_x*p_.x + 1/2*p_t.t^2\n"
+     "H = u_t*p_.t + u_x*p_.x + 1/2*p_t.t^2\n"
+     "equations on P:\n" + _X_COEFFICIENT_ROWS + "HDW equations:\n" + _X_COEFFICIENT_ROWS),
+    # u_xx's coefficient in its own row reads u once u_tt is solved
+    ("u_tt^2 + u_xx^2 + u*u_tt*u_xx",
+     "diagnosis: Assumption 1 check failed\n"
+     "P coordinates:  \n"
+     "P0 coordinates: \n"
+     "eliminate u_tt = -1/2*u*u_xx + 1/2*p_t.t\n"
+     "offending rows: constraint:u:xx\n"),
+])
+def test_reduce_with_top_coefficients_that_are_not_rational(capsys, tmp_path, lagrangian, text):
+    path = tmp_path / "density.problem"
+    path.write_text(f"independents = t x\ndependents = u\nlagrangian = {lagrangian}\norder = 2\n")
+    assert cli.main(["reduce", str(path)]) == 0
+    assert capsys.readouterr().out == text
+
+
 # -- reduction against its earlier algorithm -------------------------------------
 
 # (n, m, order) with at most 10 top jets, so that the reference restriction
@@ -608,14 +651,21 @@ def shaped_densities(draw, kinds):
     form), "reducible" in every third top jet only; both carry couplings
     linear in a top jet and lower-order interactions.  "nonlinear" adds the
     cube of a top jet, "assumption" a free top jet times a lower jet.
+    "coupled" is reducible, with independents among the lower-order factors,
+    plus c/2*(a + f*b)^2 for one or two pairs of free top jets a, b and f a
+    lower jet or an independent: a is solved for, and b's row reads f times
+    a's momenta, so that stage 2 meets coefficients that are not rational
+    (or, for a jet f, Assumption 1 fails on a row that reads f).
     """
     kind = draw(st.sampled_from(kinds))
-    shapes = SHAPES if kind != "assumption" else \
-        [(n, m, o) for n, m, o in SHAPES if m * math.comb(n + o - 1, o) > 1]
+    least = {"assumption": 2, "coupled": 3}.get(kind, 1)
+    shapes = [(n, m, o) for n, m, o in SHAPES if m * math.comb(n + o - 1, o) >= least]
     n, m, order = draw(st.sampled_from(shapes))
     ctx = JetContext(("t", "x", "y")[:n], ("u", "v")[:m])
     tops = [CoordinateId.jet(a, I) for a in range(m) for I in multiindices(n, order)]
     lower = [CoordinateId.jet(a, I) for a in range(m) for I in multiindices_up_to(n, order - 1)]
+    if kind == "coupled":
+        lower += [CoordinateId.independent(i) for i in range(n)]
 
     def coeff():
         return Fraction(draw(st.integers(-5, 5).filter(bool)), draw(st.integers(1, 3)))
@@ -642,17 +692,25 @@ def shaped_densities(draw, kinds):
         terms.append(term(coeff(), [quad[-1]] * 3))
     elif kind == "assumption":
         terms.append(term(coeff(), [rest[0], draw(st.sampled_from(lower))]))
+    elif kind == "coupled":
+        pairs = draw(st.permutations(rest))
+        for a, b in zip(pairs[:4:2], pairs[1:4:2]):
+            c, f = coeff(), draw(st.sampled_from(lower))
+            terms += [term(c / 2, [a, a]), term(c, [a, b, f]), term(c / 2, [b, b, f, f])]
     return LagrangianDensity(ctx, Expr.sum(terms), order=order)
 
 
+def coefficient(res, c):
+    """The coefficient of c in res: its terms of degree one in c, c removed."""
+    return Expr([(mono[:k] + mono[k + 1:], q) for mono, q in res.terms
+                 for k, (cc, e) in enumerate(mono) if cc == c and e == 1])
+
+
 def coefficient_pivot(res, candidates):
-    """The pivot rule before one-pass pivots: the first candidate whose
-    coefficient in res (its terms of degree one in the candidate, the
-    candidate removed) is a nonzero rational, with that coefficient."""
+    """The pivot rule, one candidate at a time: the first candidate whose
+    coefficient in res is a nonzero rational, with that coefficient."""
     for c in candidates:
-        coefficient = Expr([(mono[:k] + mono[k + 1:], q) for mono, q in res.terms
-                            for k, (cc, e) in enumerate(mono) if cc == c and e == 1])
-        value = coefficient.constant_value()
+        value = coefficient(res, c).constant_value()
         if value:
             return c, value
     return None
@@ -666,7 +724,8 @@ def gauss_jordan_substitutions(lag):
     tops_ordered = [c for c in ctx.jets_up_to(l + 1) if len(c.index) == l + 1]
     pending = list(constraints(lag).equations)
     subs = {}
-    if not all(pdham._is_affine_in(res, set(tops_ordered)) for _, res in pending):
+    if any(sum(e for c, e in mono if c in tops_ordered) > 1
+           for _, res in pending for mono, _ in res.terms):
         return subs
 
     def eliminate(coord, coeff, res, rows):
@@ -692,10 +751,7 @@ def gauss_jordan_substitutions(lag):
         label, res = leftovers.pop(0)
         pivot = coefficient_pivot(res, [c for c in reversed(res.coordinates())
                                         if c.kind == "momentum"])
-        if pivot is None:
-            if res.constant_value() is not None:
-                raise DegenerateLagrangianError(label)
-            return subs
+        assert pivot is not None, f"stage 2 finds no pivot in {label}"
         leftovers = [(lb, r) for lb, r in eliminate(*pivot, res, leftovers) if not r.is_zero()]
     return subs
 
@@ -713,14 +769,22 @@ def test_restricted_energy_is_the_substituted_energy(lag):
 @settings(max_examples=40, deadline=None)
 @given(shaped_densities(("regular", "reducible", "assumption", "nonlinear")))
 def test_back_substitution_matches_gauss_jordan(lag):
-    try:
-        want = gauss_jordan_substitutions(lag)
-    except DegenerateLagrangianError:
-        with pytest.raises(DegenerateLagrangianError):
-            reduce_lagrangian(lag)
-        return
+    want = gauss_jordan_substitutions(lag)
     got = reduce_lagrangian(lag).substitutions
     assert list(got.items()) == list(want.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(shaped_densities(("coupled",)))
+def test_stage_two_solves_every_row_left_by_stage_one(lag):
+    # a row left by stage 1 keeps -1 on each momentum of its own P_K, which
+    # no other row reads: stage 2 finds a rational pivot in every row, also
+    # where the coefficients read x (reduce_lagrangian raises an
+    # AssertionError if not, and so does the oracle), and agrees with the
+    # Gauss-Jordan oracle item for item
+    red = reduce_lagrangian(lag)
+    assert red.diagnosis in ("reducible", "Assumption 1 check failed")
+    assert list(red.substitutions.items()) == list(gauss_jordan_substitutions(lag).items())
 
 
 def test_back_substitution_matches_gauss_jordan_on_kdv(kdv):
@@ -728,6 +792,19 @@ def test_back_substitution_matches_gauss_jordan_on_kdv(kdv):
     # one top jet, then two momenta
     assert list(reduce_lagrangian(kdv).substitutions.items()) == \
         list(gauss_jordan_substitutions(kdv).items())
+
+
+def single_row_pivot(res, candidates):
+    """The pivot symcore.eliminate takes in the one-row system whose entries
+    are the candidates' coefficients in res and a constant 1 (column None):
+    (the column it solves for, its coefficient), or None."""
+    row = {c: coefficient(res, c) for c in candidates}
+    row[None] = Expr.number(1)
+    solutions, _ = eliminate({"res": row}, candidates)
+    if not solutions:
+        return None
+    (c, solution), = solutions.items()
+    return c, -1 / solution[None].constant_value()
 
 
 @pytest.mark.parametrize("text, pivot", [
@@ -741,10 +818,11 @@ def test_back_substitution_matches_gauss_jordan_on_kdv(kdv):
     ("0", None),
 ])
 def test_one_pass_pivot(ctx_tx, text, pivot):
+    # one row through symcore.eliminate takes the pivot of the coefficient rule
     res = parse(text, ctx_tx)
     candidates = [ctx_tx.resolve(name) for name in ("u_tt", "u_tx", "u_xx")]
     want = None if pivot is None else (ctx_tx.resolve(pivot[0]), pivot[1])
-    assert pdham._pivot(res, candidates) == coefficient_pivot(res, candidates) == want
+    assert single_row_pivot(res, candidates) == coefficient_pivot(res, candidates) == want
 
 
 def test_one_pass_pivot_randomized(ctx_tx):
@@ -753,7 +831,7 @@ def test_one_pass_pivot_randomized(ctx_tx):
     for _ in range(400):
         res = random_expr(rng, pool, max_monomials=5, max_factors=2, max_exp=2)
         candidates = rng.sample(pool, rng.randint(1, len(pool)))
-        assert pdham._pivot(res, candidates) == coefficient_pivot(res, candidates)
+        assert single_row_pivot(res, candidates) == coefficient_pivot(res, candidates)
 
 
 # -- the certificate: the Hamiltonian side pulls back to Euler-Lagrange -----------

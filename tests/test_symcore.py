@@ -40,7 +40,7 @@ from varjet.symcore import (
 )
 
 
-def test_row_echelon_rank_matches_sympy():
+def test_eliminate_rank_and_solutions_match_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(11)
     for _ in range(300):
@@ -59,20 +59,24 @@ def test_row_echelon_rank_matches_sympy():
                 col = rng.randrange(n_cols)
                 for row in rows:
                     row[col] = Fraction(0)
-        echelon, pivots = symcore.row_echelon(rows)
+        system = {r: dict(enumerate(row)) for r, row in enumerate(rows)}
+        solutions, left = symcore.eliminate(system, range(n_cols))
         matrix = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
                                for row in rows])
-        assert len(pivots) == matrix.rank()
-        assert pivots == sorted(set(pivots))
-        for k, row in enumerate(echelon):
-            lead = pivots[k] if k < len(pivots) else n_cols
-            assert all(v == 0 for v in row[:lead])
-            assert k >= len(pivots) or row[lead] != 0
-        # elimination keeps the row space
-        stacked = matrix.col_join(sympy.Matrix(
-            [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in echelon]))
-        assert stacked.rank() == len(pivots)
-    assert symcore.row_echelon([]) == ([], [])
+        assert len(solutions) == matrix.rank()
+        assert system == {r: dict(enumerate(row)) for r, row in enumerate(rows)}
+        # the rows without a pivot are zero, and each solution reads free
+        # columns only: setting one free column to 1 and the others to 0
+        # gives a vector of the kernel
+        assert all(row == {} for row in left.values())
+        free = [c for c in range(n_cols) if c not in solutions]
+        for solution in solutions.values():
+            assert set(solution) <= set(free)
+        for f in free:
+            vector = [Fraction(c == f) if c not in solutions else solutions[c].get(f, 0)
+                      for c in range(n_cols)]
+            assert all(sum(v * x for v, x in zip(row, vector)) == 0 for row in rows)
+    assert symcore.eliminate({}, ()) == ({}, {})
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -82,7 +86,7 @@ def test_non_finite_coefficients_are_refused(value):
     u = Expr.coord(CoordinateId.jet(0))
     for build in (lambda: Expr.number(value), lambda: u.scale(value), lambda: u * value,
                   lambda: Expr([((), value)]), lambda: Expr([((), 1), ((), value)]),
-                  lambda: symcore.row_echelon([[1, value]])):
+                  lambda: symcore.eliminate({0: {0: 1, 1: value}}, [0])):
         with pytest.raises(UnsupportedExpressionError, match=message):
             build()
 
@@ -382,6 +386,16 @@ def test_context_refuses_a_name_that_is_not_a_valid_string():
         JetContext((1,), ("u",))
 
 
+@pytest.mark.parametrize("independents, dependents, names", [
+    ("time", ("u",), "independents"), (("t", "x"), "u", "dependents"), ("t", "u", "independents")])
+def test_context_refuses_a_string_for_its_names(independents, dependents, names):
+    # tuple() made a str its letters: JetContext("time", ("u",)) was the
+    # context (t, i, m, e; u)
+    with pytest.raises(VarjetError, match=rf"^{names} must be a sequence of names, not the "
+                                          rf"string '\w+'$"):
+        JetContext(independents, dependents)
+
+
 # the reader's contexts: a dependent p, one and two dependents, an
 # independent p and independents of two letters
 RESOLVE_CONTEXTS = (JetContext(("t", "x"), ("p",)), JetContext(("t", "x"), ("u",)),
@@ -654,7 +668,7 @@ def _python(version):
 _ROUND_TRIP = textwrap.dedent("""
     import copy, json, pickle, sys
     from varjet.multiindex import MultiIndex
-    from varjet.symcore import CoordinateId, JetContext, Q, parse, render, row_echelon
+    from varjet.symcore import CoordinateId, JetContext, Q, eliminate, parse, render
     ctx = JetContext(("t", "x"), ("u", "v"))
     e = parse("1/2*u_t^2 - 3/4*(u_x + v - t)^3 + p^u_x.t*u_tx - (v_t*u)^2"
               " + (u_x - 2*v)/(-4/6)", ctx)
@@ -669,10 +683,10 @@ _ROUND_TRIP = textwrap.dedent("""
     out["power"] = [render(power, ctx, f) for f in ("plain", "latex", "json")]
     assert parse(out["power"][0], ctx) == power
     out["product"] = render(parse("3/4/5*u_x^2*v^3*t", ctx), ctx)
-    rows, pivots = row_echelon([[Q(1, 2), Q(-2, 3), 3], [Q(4, 5), 1, Q(-1, 6)],
-                                [Q(2, 7), Q(3, 8), Q(5, 9)]])
-    out["echelon"] = [[str(q) for q in row] for row in rows], pivots
-    out["classes"] = sorted({q.__class__.__name__ for row in rows for q in row}
+    matrix = [[Q(1, 2), Q(-2, 3), 3, 1], [Q(4, 5), 1, Q(-1, 6), 1], [Q(2, 7), Q(3, 8), Q(5, 9), 1]]
+    solutions, _ = eliminate(dict(enumerate(map(dict, map(enumerate, matrix)))), range(3))
+    out["solved"] = [[c, [[k, str(q)] for k, q in s.items()]] for c, s in solutions.items()]
+    out["classes"] = sorted({q.__class__.__name__ for s in solutions.values() for q in s.values()}
                             | {c.__class__.__name__ for _, c in e.terms})
     assert pickle.loads(pickle.dumps(e)) == e == copy.deepcopy(e)
     out["hash"] = hash(CoordinateId.jet(1, MultiIndex((0, 2))))
@@ -697,7 +711,7 @@ def _round_trip_matches_here(version, tmp_path):
     assert run[0] == run[1]
     out = json.loads(run[0])
     assert out["plain"].startswith("3/4*t^3 + 1/2*u_t^2 - 3/4*u_x^3 + ")
-    assert out["classes"] == ["Q"] and out["echelon"][1] == [0, 1, 2]
+    assert out["classes"] == ["Q"] and [c for c, _ in out["solved"]] == [0, 1, 2]
     assert out["power"][0].startswith("u_x^7 - 128/2187*v^7 + 448/729*u_x*v^6 - ")
     assert out["power"][0].endswith(" + 28/3*u_x^5*v^2 - 14/3*u_x^6*v")
     assert out["product"] == "3/20*t*u_x^2*v^3"
@@ -1258,9 +1272,9 @@ def test_every_coefficient_the_kernel_takes_becomes_a_q():
     for k in (3, Fraction(-2, 3), 0.75):
         made += [Expr.number(k), Expr.coord(u_x).scale(k), Expr([(((u, 1),), k), ((), k)]),
                  Expr.coord(u) * k, k * Expr.coord(u)]
-        rows, pivots = symcore.row_echelon([[k, 1, 0], [2, k, 0]])
-        assert pivots == [0, 1]
-        assert all(q.__class__ is symcore.Q for row in rows for q in row)
+        solutions, _ = symcore.eliminate({0: {0: k, 1: 1, 2: 1}, 1: {0: 2, 1: k, 2: 0}}, [0, 1])
+        assert list(solutions) == [0, 1]
+        assert all(q.__class__ is symcore.Q for row in solutions.values() for q in row.values())
     for e in made:
         assert e.terms
         for clone in (e, pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
