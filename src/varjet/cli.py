@@ -175,13 +175,12 @@ def cmd_reduce(args, problem: Problem, lag: LagrangianDensity) -> str:
 
 
 def cmd_shift(args, problem: Problem, lag: LagrangianDensity) -> str:
-    system, rho = elh_system(lag), problem.rho(args.rho)
+    system = elh_system(lag)
+    rho, where = problem.rho(args.rho)
     try:
         shifted = momentum_shift(system, rho)
-    except VarjetError as exc:  # a refused component of the file's rho is on its line
-        if args.rho is not None:
-            raise
-        raise VarjetError(f"{problem.rho_at[0]}: {exc}") from None
+    except VarjetError as exc:  # a refused component is placed where rho was read
+        raise VarjetError(f"{where}: {exc}") from None
     return _system_text(shifted, args.format)
 
 

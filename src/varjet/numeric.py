@@ -19,13 +19,16 @@ fresh computation would give: u_tx reuses the u_t pass, and the
 comma-derivative u_{,t} is the jet u_t itself.  ``residual`` computes its
 arrays one band of rows along axis 0 at a time, each on the band plus the
 halo its later passes read, in buffers planned once per call and reused by
-every band.  A band holds about BAND_ELEMENTS elements however deep the
-halos are, and a pass along axis 0 computes only the rows its array keeps.
-The buffers are one page mapping per call, unmapped when ``residual``
-returns, so a process that checks several grids holds one call's buffers
-at a time.  A grid file's fields are read one band of rows
-at a time too (load_grid reads only the header), so a run on a grid file
-holds no full-grid array at all.
+every band.  The plan orders the arrays, each after its inputs, then walks
+them back once, to give each its halo and its last reader, and forward
+once, to size each and place it in a buffer that no live array holds.  A
+band holds about BAND_ELEMENTS elements however deep the halos are, and a
+pass along axis 0 computes only the rows its array keeps.  The buffers are
+one page mapping per call, unmapped when ``residual`` returns, so a
+process that checks several grids holds one call's buffers at a time.  A
+grid file's fields are read one band of rows at a time too (load_grid
+reads only the header), so a run on a grid file holds no full-grid array
+at all.
 
 The kernels skip every numpy pass that cannot change an output bit; each
 rule rests on round-to-nearest arithmetic being sign-symmetric:
@@ -478,36 +481,21 @@ def _finite(peaks: Dict[str, float]) -> Dict[str, float]:
     return peaks
 
 
-def _halos(keys: Dict[CoordinateId, Key],
-           inputs: Dict[CoordinateId, Dict[CoordinateId, Key]]) -> Dict[Key, int]:
-    """The rows beyond a band that each array must cover: the axis-0 radii of
-    the passes after it, and the halo of any momentum evaluated from it."""
-    halo: Dict[Key, int] = {}
-
-    def reach(key: Key, rows: int) -> None:
-        root, chain = key
-        for k in range(len(chain), -1, -1):
-            if halo.get((root, chain[:k]), -1) >= rows:
-                return  # and so do its prefixes
-            halo[(root, chain[:k])] = rows
-            if k and chain[k - 1][0] == 0:
-                rows += stencil_radius(chain[k - 1][1])
-
-    for key in keys.values():
-        reach(key, 0)
-    for root, jets in inputs.items():  # after every read of the momentum root
-        for key in jets.values():
-            reach(key, halo[(root, ())])
-    return halo
-
-
 def _schedule(equations, inputs: Dict[CoordinateId, Dict[CoordinateId, Key]]):
-    """The steps of one band: each array (a Key) after the arrays it is made
-    from, and each equation (its index) as soon as the arrays it reads are
-    made, so that they can be dropped early.  Also returns, for every step,
-    the arrays it is the last to read."""
+    """The plan of one band: its steps, the halo of each array, and for every
+    step the arrays it is the last to read.
+
+    The steps are each array (a Key) after the arrays it is made from, and
+    each equation (its index) as soon as the arrays it reads are made, so
+    that they can be dropped early.  One walk back over them meets every
+    reader of an array before the array.  An array's halo, the rows beyond a
+    band that it must cover, is the largest over its readers of the reader's
+    halo plus the reader's axis-0 stencil radius: an equation reads at 0,
+    and a momentum's inputs take its halo.  An array's last reader is the
+    first that walk meets; each step's dead arrays are listed first read
+    first."""
     steps: List[object] = []
-    reads: List[List[Key]] = []
+    reads: List[Tuple[List[Key], int]] = []  # each step's inputs, and its axis-0 radius
     waiting = dict(enumerate(equations))
 
     def add(key: Key) -> None:
@@ -518,12 +506,13 @@ def _schedule(equations, inputs: Dict[CoordinateId, Dict[CoordinateId, Key]]):
                 add(k)
             done.add(key)
             steps.append(key)
-            reads.append(needs)
+            radius = stencil_radius(chain[-1][1]) if chain and chain[-1][0] == 0 else 0
+            reads.append((needs, radius))
             for j, (_, _, read) in list(waiting.items()):
                 if all(k in done for k in read.values()):
                     del waiting[j]
                     steps.append(j)
-                    reads.append(list(read.values()))
+                    reads.append((list(read.values()), 0))
 
     done: set = set()
     for j, (_, _, read) in enumerate(equations):
@@ -532,33 +521,19 @@ def _schedule(equations, inputs: Dict[CoordinateId, Dict[CoordinateId, Key]]):
         if j in waiting:  # an equation that reads no array
             del waiting[j]
             steps.append(j)
-            reads.append([])
-    last = {key: s for s, needs in enumerate(reads) for key in needs}
+            reads.append(([], 0))
+    halo: Dict[Key, int] = {}
+    last: Dict[Key, int] = {}  # each array's last reader, moved last at each read
+    for s in range(len(steps) - 1, -1, -1):
+        needs, radius = reads[s]
+        rows = halo.get(steps[s], 0) + radius  # an equation's index is no Key
+        for key in reversed(needs):  # so the first read, even of a key read twice, is last
+            halo[key] = max(halo.get(key, 0), rows)
+            last[key] = last.pop(key, s)
     dead: List[List[Key]] = [[] for _ in steps]
-    for key, s in last.items():
-        dead[s].append(key)
-    return steps, dead
-
-
-def _slots(steps, dead, need: Dict[Key, int]) -> Tuple[Dict[Key, int], List[int]]:
-    """A slot for each array that ``need`` sizes (in elements), reused once
-    the array in it is dead: the slot of each array, and each slot's size.
-    An array takes the smallest free slot that holds it, else a new one of
-    its size."""
-    slot: Dict[Key, int] = {}
-    sizes: List[int] = []
-    free: List[int] = []
-    for s, step in enumerate(steps):
-        if step in need:
-            fits = [i for i in free if sizes[i] >= need[step]]
-            if fits:
-                slot[step] = min(fits, key=sizes.__getitem__)
-                free.remove(slot[step])
-            else:
-                slot[step] = len(sizes)
-                sizes.append(need[step])
-        free.extend(slot[key] for key in dead[s] if key in slot)
-    return slot, sizes
+    for key in reversed(last):
+        dead[last[key]].append(key)
+    return steps, halo, dead
 
 
 def _evaluated(where: str, e: Expr, sample, into=None):
@@ -608,8 +583,8 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
     field's zero jet or a momentum) as a field, an array or a _FileField
     whose rows are read from the file as each band needs them, or a
     momentum as the Legendre coefficient to evaluate.  Each array of a band
-    covers the band plus its halo (see _halos), and each equation is
-    evaluated as soon as the arrays it reads are made (see _schedule).
+    covers the band plus its halo, and each equation is evaluated as soon
+    as the arrays it reads are made (see _schedule).
     Every element a band keeps goes through the operations of a full-grid
     computation in the same order, and a maximum is exact, so the residuals
     are bit-identical to a full-grid computation's.  A pass over a constant
@@ -624,7 +599,8 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
     No array is allocated in the band loop.  One arena is mapped per call
     (see _arena) and carved, for the tallest band, into a slot per array of
     the rows it covers, which a later array of the band reuses once nothing
-    reads the earlier one (see _slots), and into the buffers that evaluate
+    reads the earlier one (the smallest free slot that holds it, assigned
+    as the arrays are sized), and into the buffers that evaluate
     and the stencil kernel compute in: the values of the equations that are
     not constant, a term's products, one buffer per power (c, p), as large
     as the largest value that reads it, in which each evaluate call computes
@@ -640,10 +616,9 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
     # interior point of a pass over one is +0.0
     constant = {root for root in inputs if roots[root].constant_value() is not None}
     names = {root: system.context.name(root) for root in inputs}
-    halo = _halos(keys, inputs)
     equations = [(label, res, {c: keys[c] for c in res.coordinates() if c in keys})
                  for label, res in system.equations]
-    steps, dead = _schedule(equations, inputs)
+    steps, halo, dead = _schedule(equations, inputs)
 
     n0, row = shape[0], math.prod(shape[1:])
     first, stop = margin[0], n0 - margin[0]
@@ -655,19 +630,28 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
         """The rows of an array that reaches ``reach`` rows beyond the tallest band."""
         return min(n0, height + 2 * reach)
 
-    # the plan: the elements of every buffer, in the tallest band
-    need: Dict[Key, int] = {}
+    # the plan: the elements of every buffer, in the tallest band.  An array
+    # (not an equation, nor a broadcast) takes the smallest free slot that
+    # holds it, else a new one of its size; its slot frees once it is dead.
+    slot: Dict[Key, int] = {}
+    slot_sizes: List[int] = []
+    free: List[int] = []
     kernel = 0
-    for key in steps:
-        if isinstance(key, int) or key[0] in constant:
-            continue  # an equation, or a broadcast
-        kept = extent(halo[key])  # a pass too is computed on these rows only
-        need[key] = kept * row
-        if key[1]:
-            axis, order = key[1][-1]
-            r = stencil_radius(order)
-            kernel = max(kernel, r * _stencil_work((kept,) + shape[1:], axis, r))
-    slot, slot_sizes = _slots(steps, dead, need)
+    for key, gone in zip(steps, dead):
+        if not (isinstance(key, int) or key[0] in constant):
+            kept = extent(halo[key])  # a pass too is computed on these rows only
+            fits = [i for i in free if slot_sizes[i] >= kept * row]
+            if fits:
+                slot[key] = min(fits, key=slot_sizes.__getitem__)
+                free.remove(slot[key])
+            else:
+                slot[key] = len(slot_sizes)
+                slot_sizes.append(kept * row)
+            if key[1]:
+                axis, order = key[1][-1]
+                r = stencil_radius(order)
+                kernel = max(kernel, r * _stencil_work((kept,) + shape[1:], axis, r))
+        free.extend(slot[k] for k in gone if k in slot)
     # each evaluation: an equation on the band's rows, a momentum on its halo's
     evaluations = [(height * math.prod(inner), res) for _, res, _ in equations]
     evaluations += [(extent(halo[(root, ())]) * row, roots[root])

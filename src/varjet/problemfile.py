@@ -5,10 +5,10 @@ Recognized keys: independents, dependents (space- or comma-separated names),
 lagrangian (expression), order (declared order l+1), and the options
 seed, rank_samples, rho (one expression per independent variable,
 ';'-separated).  No key bounds the jet order: the density and its declared
-order fix which jets each construction reads.  The density's own rules
-(the least order, the multiindex budget, no momenta or comma-derivatives)
-are LagrangianDensity's checks; the reader places their errors on the
-file's lines.
+order fix which jets each construction reads.  The name rules are
+JetContext's checks, and the density's own rules (the least order, the
+multiindex budget, no momenta or comma-derivatives) LagrangianDensity's;
+the reader places their errors on the file's lines.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .pdham import MAX_RANK_SAMPLES
-from .symcore import _NAME_RE, Expr, JetContext, VarjetError, WrongDomainError, parse
+from .symcore import ContextError, Expr, JetContext, VarjetError, WrongDomainError, parse
 from .variational import LagrangianDensity
 
 _KNOWN_KEYS = {"independents", "dependents", "lagrangian", "order",
@@ -30,8 +30,9 @@ class Problem:
     density: LagrangianDensity  # validated once, at the file's order
     seed: int = 0
     rank_samples: int = 5
-    rho_text: str = ""  # ';'-separated shift components, parsed on use
-    rho_at: Tuple[str, int] = ("<problem>", 1)  # rho_text's file line, and its column there
+    # the file's rho: its ';'-separated shift components, parsed on use,
+    # where they are ("<file>, line N") and their column there
+    rho_source: Tuple[str, str, int] = ("", "<problem>", 1)
 
     @property
     def context(self) -> JetContext:
@@ -43,27 +44,26 @@ class Problem:
             return self.density
         return LagrangianDensity(self.context, self.density.L, order=order_override)
 
-    def rho(self, text: Optional[str]) -> List[Expr]:
-        """The shift components, one per independent: text's if given, else
-        the file's, whose errors are reported on the file's line."""
-        if text is None and not self.rho_text:
+    def rho(self, text: Optional[str]) -> Tuple[List[Expr], str]:
+        """The shift components, one per independent, and where they were
+        read: text's, a --rho's, if given (at "--rho"), else the file's (at
+        its line).  Every error names that place, and a parse error also the
+        column there."""
+        if text is None and not self.rho_source[0]:
             raise VarjetError("problem file declares no rho components (key: rho)")
-        source = self.rho_text if text is None else text
+        source, where, column = self.rho_source if text is None else (text, "--rho", 1)
         parts = source.split(";") if source else []
-        where, column = self.rho_at
         if len(parts) != self.context.n:
-            raise VarjetError(("" if text is not None else f"{where}: ") + f"rho needs "
-                              f"{self.context.n} ';'-separated components, got {len(parts)}")
-        if text is not None:
-            return [parse(part.strip(), self.context) for part in parts]
+            raise VarjetError(f"{where}: rho needs {self.context.n} ';'-separated components, "
+                              f"got {len(parts)}")
         starts = itertools.accumulate((len(part) + 1 for part in parts), initial=column)
         return [_parse_value(part, self.context, where, start)
-                for part, start in zip(parts, starts)]
+                for part, start in zip(parts, starts)], where
 
 
 def _parse_value(text: str, context: JetContext, where: str, column: int) -> Expr:
-    """parse(text) for a value at the 1-based column of the file line named by
-    where ("<file>, line N"), with its errors reported on that line."""
+    """parse(text) for a value at the 1-based column of the text named by
+    where ("<file>, line N" or "--rho"), with its errors reported there."""
     try:
         return parse(text, context)
     except VarjetError as exc:  # only the parser's errors carry a position
@@ -96,15 +96,7 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
         raise VarjetError(f"{source}, line {entries[key][1]}: {message}")
 
     def names(key: str) -> Tuple[str, ...]:
-        out = tuple(tok for tok in entries[key][0].replace(",", " ").split() if tok)
-        if not out:
-            fail(key, f"{key} lists no names")
-        for k, name in enumerate(out):
-            if not _NAME_RE.fullmatch(name):
-                fail(key, f"invalid name {name!r}")
-            if name in out[:k]:
-                fail(key, f"name {name!r} is declared twice")
-        return out
+        return tuple(entries[key][0].replace(",", " ").split())
 
     def integer(key: str, default: int) -> int:
         if key not in entries:
@@ -114,12 +106,10 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
         except ValueError:
             fail(key, f"{key} expects an integer, got {entries[key][0]!r}")
 
-    independents = names("independents")
-    dependents = names("dependents")
-    for name in dependents:
-        if name in independents:
-            fail("dependents",
-                 f"name {name!r} is declared both as an independent and as a dependent")
+    try:  # the context's name rules, each error on the line of the names it refuses
+        context = JetContext(names("independents"), names("dependents"))
+    except ContextError as exc:
+        fail(exc.field, str(exc))
     order = integer("order", 0)
     seed = integer("seed", 0)
     rank_samples = integer("rank_samples", 5)
@@ -129,10 +119,6 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
         fail("rank_samples", "rank_samples must be >= 1")
     if rank_samples > MAX_RANK_SAMPLES:
         fail("rank_samples", f"rank_samples must be <= {MAX_RANK_SAMPLES}, got {rank_samples}")
-    try:
-        context = JetContext(independents, dependents)
-    except VarjetError as exc:  # the names are valid and distinct: one is a prefix of another
-        fail("independents", str(exc))
     lagrangian, lineno, column = entries["lagrangian"]
     L = _parse_value(lagrangian, context, f"{source}, line {lineno}", column)
     try:  # an absent order is 0, which the density infers
@@ -146,8 +132,7 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
         density=density,
         seed=seed,
         rank_samples=rank_samples,
-        rho_text=rho_text,
-        rho_at=(f"{source}, line {rho_line}", rho_column),
+        rho_source=(rho_text, f"{source}, line {rho_line}", rho_column),
     )
 
 

@@ -101,6 +101,14 @@ class ParseError(VarjetError):
         super().__init__(f"{message} (line {self.line}, column {self.column})")
 
 
+class ContextError(VarjetError):
+    """A JetContext's refusal of its names in ``field``, "independents" or "dependents"."""
+
+    def __init__(self, message: str, field: str):
+        super().__init__(message)
+        self.field = field
+
+
 class UnknownCoordinateError(VarjetError):
     pass
 
@@ -180,8 +188,8 @@ class JetContext:
     context, their comma-derivatives named c,_J after c and read back by
     that name.  No independent name is a prefix of another, so an index word
     (a run of independent names, as in u_xt) splits one way only.  Invalid,
-    repeated or missing names are a VarjetError, and so is a str given for
-    either tuple of names.
+    repeated or missing names are a ContextError that names the field, and so
+    is a str given for either tuple of names.
     """
 
     independents: Tuple[str, ...]
@@ -191,21 +199,27 @@ class JetContext:
         for field in ("independents", "dependents"):
             names = getattr(self, field)
             if isinstance(names, str):  # tuple() would make it its letters
-                raise VarjetError(f"{field} must be a sequence of names, not the string {names!r}")
-            object.__setattr__(self, field, tuple(names))
-        if not self.independents or not self.dependents:
-            raise VarjetError("need at least one independent and one dependent variable")
-        names = self.independents + self.dependents
-        for name in names:
-            if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
-                raise VarjetError(f"invalid coordinate name {name!r}")
-        if len(set(names)) != len(names):
-            raise VarjetError("coordinate names must be pairwise distinct")
+                raise ContextError(f"{field} must be a sequence of names, "
+                                   f"not the string {names!r}", field)
+            names = tuple(names)
+            object.__setattr__(self, field, names)
+            if not names:
+                raise ContextError(f"{field} lists no names", field)
+            for k, name in enumerate(names):
+                if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
+                    raise ContextError(f"invalid name {name!r}", field)
+                if name in names[:k]:
+                    raise ContextError(f"name {name!r} is declared twice", field)
+        for name in self.dependents:
+            if name in self.independents:
+                raise ContextError(f"name {name!r} is declared both as an independent "
+                                   "and as a dependent", "dependents")
         for short in self.independents:
             for name in self.independents:
                 if name != short and name.startswith(short):
                     # an index word such as "xx" would read two ways
-                    raise VarjetError(f"independent name {short!r} is a prefix of {name!r}")
+                    raise ContextError(f"independent name {short!r} is a prefix of {name!r}",
+                                       "independents")
 
     @property
     def n(self) -> int:

@@ -2,7 +2,8 @@
 public names of its numeric layer and the signature of its evaluate, the
 signatures of the momentum-side constructions, the total derivatives and the
 jet context, the fields of an equation system and of a reduction, no unused
-import in a module, no module but the kernel importing fractions, one
+import in a module, no module importing another's private name, no module
+but the kernel importing fractions, one
 elimination routine, one home for the domain refusals' wording, and the
 README's library sketch."""
 
@@ -159,6 +160,20 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{os.path.basename(path)}:{line}: {name}"
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_no_module_imports_another_module_s_private_name():
+    # a rule that a module keeps private (a leading underscore) has one home:
+    # the problem-file reader re-checked names with symcore's _NAME_RE
+    imports = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(varjet.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imports += [f"{os.path.basename(path)}:{node.lineno}: {alias.name}"
+                            for alias in node.names if alias.name.startswith("_")]
+    assert imports == []
 
 
 def test_only_the_kernel_imports_fractions():

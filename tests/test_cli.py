@@ -391,8 +391,8 @@ def test_comma_derivative_in_density_or_rho_is_domain_error(capsys, tmp_path):
                                             "u,_t, a comma-derivative, which is not jet-side\n")
     path.write_text(WAVE_PROBLEM)
     assert run(capsys, "shift", str(path), "--rho", "u,_t; 0") == \
-        (1, "", "varjet: a shift component reads u,_t, a comma-derivative, which is not "
-                "jet-side\n")
+        (1, "", "varjet: --rho: a shift component reads u,_t, a comma-derivative, which is "
+                "not jet-side\n")
 
 
 @pytest.mark.parametrize("rho, message", [
@@ -401,11 +401,11 @@ def test_comma_derivative_in_density_or_rho_is_domain_error(capsys, tmp_path):
 ], ids=["momentum", "order"])
 def test_shift_refusals_of_the_file_rho_are_on_its_line(capsys, tmp_path, rho, message):
     # the shift's own refusals of the file's rho were printed without its
-    # line; a --rho keeps the bare message
+    # line; those of a --rho name it
     path = tmp_path / "kdv.problem"
     path.write_text(KDV_PROBLEM.replace("rho = 0; u^2", f"rho = {rho}"))
     assert run(capsys, "shift", str(path)) == (1, "", f"varjet: {path}, line 6: {message}\n")
-    assert run(capsys, "shift", str(path), "--rho", rho) == (1, "", f"varjet: {message}\n")
+    assert run(capsys, "shift", str(path), "--rho", rho) == (1, "", f"varjet: --rho: {message}\n")
 
 
 def test_byte_determinism(capsys, kdv_problem):
@@ -469,7 +469,9 @@ def test_bad_expression_reports_position(capsys, tmp_path):
 
 
 def test_bad_rho_reports_position_on_its_own_line(capsys, tmp_path):
-    # a component is placed on the file's line; --rho keeps its own positions
+    # a component is placed on the file's line, and a --rho's on its own
+    # text: the columns of both count the spaces around the components
+    # (a --rho's counted from its component, stripped, before)
     path = tmp_path / "rho.problem"
     path.write_text("independents = t x\ndependents = u\nlagrangian = u_t^2\n"
                     "rho = 0;  u_q\n")
@@ -477,8 +479,9 @@ def test_bad_rho_reports_position_on_its_own_line(capsys, tmp_path):
     assert (code, out, err) == (1, "", f"varjet: {path}, line 4, column 11: "
                                        "unknown identifier 'u_q'\n")
     code, out, err = run(capsys, "shift", str(path), "--rho", "0; u_q")
-    assert (code, out, err) == (1, "", "varjet: parse error: unknown identifier 'u_q' "
-                                       "(line 1, column 1)\n")
+    assert (code, out, err) == (1, "", "varjet: --rho, column 4: unknown identifier 'u_q'\n")
+    code, out, err = run(capsys, "shift", str(path), "--rho", "0;   u + w")
+    assert (code, out, err) == (1, "", "varjet: --rho, column 10: unknown identifier 'w'\n")
 
 
 def test_aliases_of_a_name_are_unknown_identifiers(capsys, tmp_path):
@@ -490,8 +493,7 @@ def test_aliases_of_a_name_are_unknown_identifiers(capsys, tmp_path):
                                        "unknown identifier 'u_'\n")
     path.write_text("independents = t x\ndependents = u\nlagrangian = u_t^2\n")
     code, out, err = run(capsys, "shift", str(path), "--rho", "p^u_.t; 0")
-    assert (code, out, err) == (1, "", "varjet: parse error: unknown identifier 'p^u_.t' "
-                                       "(line 1, column 1)\n")
+    assert (code, out, err) == (1, "", "varjet: --rho, column 1: unknown identifier 'p^u_.t'\n")
 
 
 def test_deeply_nested_density_is_domain_error(capsys, tmp_path):
@@ -616,7 +618,8 @@ def test_shift_rho_component_count(capsys, kdv_problem, tmp_path):
         (1, "", f"varjet: {path}, line 6: rho needs 2 ';'-separated components, got 3\n")
     assert run(capsys, "shift", str(path), "--rho", "0; u^2") == run(capsys, "shift", kdv_problem)
     code, out, err = run(capsys, "shift", kdv_problem, "--rho", "u^2")
-    assert (code, out, err) == (1, "", "varjet: rho needs 2 ';'-separated components, got 1\n")
+    assert (code, out, err) == \
+        (1, "", "varjet: --rho: rho needs 2 ';'-separated components, got 1\n")
 
 
 def test_shift_rho_over_the_momentum_level(capsys, tmp_path):
@@ -624,7 +627,7 @@ def test_shift_rho_over_the_momentum_level(capsys, tmp_path):
     path.write_text(WAVE_PROBLEM)
     code, out, err = run(capsys, "shift", str(path), "--rho", "0; u_xxxxxxxx")
     assert (code, out) == (1, "")
-    assert err == "varjet: shift component order 8 too high for momentum level 0\n"
+    assert err == "varjet: --rho: shift component order 8 too high for momentum level 0\n"
 
 
 def test_shift_without_rho(capsys, tmp_path):
@@ -642,7 +645,7 @@ def test_shift_refuses_an_empty_rho(capsys, tmp_path, problem):
     path = tmp_path / f"{problem}.problem"
     path.write_text(KDV_PROBLEM if problem == "kdv" else WAVE_PROBLEM)
     assert run(capsys, "shift", str(path), "--rho", "") == \
-        (1, "", "varjet: rho needs 2 ';'-separated components, got 0\n")
+        (1, "", "varjet: --rho: rho needs 2 ';'-separated components, got 0\n")
 
 
 def test_order_override(capsys, tmp_path):
@@ -689,6 +692,10 @@ BASE_LINES = ["independents = t x", "dependents = u", "lagrangian = 1/2*u_t^2 - 
     ("seed = x", 4, "seed expects an integer, got 'x'"),
     ("rank_samples = 1.5", 4, "rank_samples expects an integer, got '1.5'"),
     ("dependents = u x", 2, "name 'x' is declared both as an independent and as a dependent"),
+    # the context's name rules, each placed on the line of the list it refuses
+    ("independents = t x t", 1, "name 't' is declared twice"),
+    ("dependents = u_x", 2, "invalid name 'u_x'"),
+    ("dependents = ,", 2, "dependents lists no names"),
     # u_xx would read as the jet along xx and as the second jet along x
     ("independents = x xx", 1, "independent name 'x' is a prefix of 'xx'"),
     ("independents = tx t", 1, "independent name 't' is a prefix of 'tx'"),
@@ -699,9 +706,10 @@ BASE_LINES = ["independents = t x", "dependents = u", "lagrangian = 1/2*u_t^2 - 
     # the density fixes the jet orders, so no key bounds them
     ("max_order = 8", 4, "unknown key 'max_order'"),
     ("auto_extend = true", 4, "unknown key 'auto_extend'"),
-], ids=["order", "seed", "rank_samples", "shared_name", "prefix_names",
-        "prefix_names_reversed", "rank_samples_below_one", "rank_samples_above_bound",
-        "order_zero", "unknown_key_max_order", "unknown_key_auto_extend"])
+], ids=["order", "seed", "rank_samples", "shared_name", "repeated_name", "invalid_name",
+        "no_names", "prefix_names", "prefix_names_reversed", "rank_samples_below_one",
+        "rank_samples_above_bound", "order_zero", "unknown_key_max_order",
+        "unknown_key_auto_extend"])
 def test_malformed_problem_value_is_positioned(capsys, tmp_path, extra, lineno, message):
     # a line with a key of BASE_LINES replaces that line, any other is appended
     lines = list(BASE_LINES)

@@ -188,7 +188,7 @@ def mixed_rows(problem: str, command: str):
     if command == "elh":
         return lag, list(elh_system(lag).equations)
     if command == "shift":
-        rho = source.rho(shift_args[1] if shift_args else None)
+        rho, _ = source.rho(shift_args[1] if shift_args else None)
         return lag, list(momentum_shift(elh_system(lag), rho).equations)
     system = reduce_lagrangian(lag).system_hdw
     return lag, [] if system is None else list(system.equations)

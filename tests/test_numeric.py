@@ -29,8 +29,8 @@ from varjet.numeric import (
     stencil_radius,
 )
 from varjet.pdham import constraints, elh_system, reduce_lagrangian
-from varjet.symcore import (COMMA, INDEPENDENT, JET, CoordinateId, Expr, JetContext, VarjetError,
-                            parse)
+from varjet.symcore import (COMMA, INDEPENDENT, JET, MOMENTUM, CoordinateId, Expr, JetContext,
+                            VarjetError, parse)
 from varjet.variational import LagrangianDensity, euler_lagrange, legendre_form
 
 
@@ -595,6 +595,98 @@ def test_an_axis_0_pass_holds_only_the_rows_its_band_keeps(ctx_tx, monkeypatch):
     assert [p[:4] for p in passes] == [(0, 7, 3, (2, 5))] * 12
     assert all(p[4] is arenas[0][1]() for p in passes)
     assert arenas[0][0] == 8 * (7 * 57 + 3 * 57 + 3 * 53 + 2 * (57 + 2 * 57))
+
+
+def plan_of(system, theta=None):
+    """The equations and momentum inputs that _stream hands _schedule: each
+    row's arrays by their keys, and each momentum's Legendre inputs."""
+    read = {c for _, e in system.equations for c in e.coordinates() if c.kind != INDEPENDENT}
+    keys = {c: numeric._key(c) for c in read}
+    momenta = {c.base for c in read if c.kind != JET and c.base.kind == MOMENTUM}
+    inputs = {m: {c: numeric._key(c) for c in numeric._jets_of([theta.get(m, Expr.zero())])}
+              for m in momenta}
+    equations = [(label, res, {c: keys[c] for c in res.coordinates() if c in keys})
+                 for label, res in system.equations]
+    return equations, inputs
+
+
+def brute_halos(equations, inputs):
+    """Each array's halo by every read path from an equation down to it: the
+    largest sum of the axis-0 stencil radii along a path, where a momentum's
+    Legendre inputs are read at the momentum's own rows."""
+    halo = {}
+
+    def walk(key, rows):
+        halo[key] = max(halo.get(key, 0), rows)
+        root, chain = key
+        if chain:
+            axis, order = chain[-1]
+            walk((root, chain[:-1]), rows + (stencil_radius(order) if axis == 0 else 0))
+        else:
+            for k in inputs.get(root, {}).values():
+                walk(k, rows)
+
+    for _, _, read in equations:
+        for key in read.values():
+            walk(key, 0)
+    return halo
+
+
+def reference_dead(steps, equations, inputs):
+    """The arrays each step is the last to read, by a forward pass over the
+    steps' reads: each array once, the arrays of a step in the order of
+    their first reads."""
+    def reads(step):
+        if isinstance(step, int):
+            return list(equations[step][2].values())
+        root, chain = step
+        return [(root, chain[:-1])] if chain else list(inputs.get(root, {}).values())
+
+    last = {key: s for s, step in enumerate(steps) for key in reads(step)}
+    dead = [[] for _ in steps]
+    for key, s in last.items():
+        dead[s].append(key)
+    return dead
+
+
+@pytest.mark.parametrize("problem", ["kdv", "wave3"])
+@pytest.mark.parametrize("which", ["el", "elh", "hdw"])
+def test_halos_match_every_read_path(ctx_tx, problem, which):
+    system, theta = kdv_system(ctx_tx, which) if problem == "kdv" else wave_system(which)
+    equations, inputs = plan_of(system, theta)
+    steps, halo, dead = numeric._schedule(equations, inputs)
+    assert halo == brute_halos(equations, inputs)
+    assert set(halo) == {step for step in steps if not isinstance(step, int)}
+    assert max(halo.values()) > 0
+    assert dead == reference_dead(steps, equations, inputs)
+
+
+def test_halos_of_a_row_reading_one_array_twice(ctx_tx):
+    # u_tx and u_t,_x share the chain ((0,1),(1,1)): one array, read once
+    # for each, dead once and freed once
+    system = EquationSystem(ctx_tx, (("r", parse("u_tx - u_t,_x", ctx_tx)),))
+    equations, inputs = plan_of(system)
+    assert len(equations[0][2]) == 2 and len(set(equations[0][2].values())) == 1
+    steps, halo, dead = numeric._schedule(equations, inputs)
+    u = ctx_tx.resolve("u")
+    assert halo == brute_halos(equations, inputs) == \
+        {(u, ((0, 1), (1, 1))): 0, (u, ((0, 1),)): 0, (u, ()): stencil_radius(1)}
+    assert dead == reference_dead(steps, equations, inputs)
+    assert sorted(key for gone in dead for key in gone) == sorted(halo)
+    g = soliton_grid(40, 57, c=0.9, box=5.0)
+    assert residual(system, g) == reference_residual(system, g)
+
+
+def test_a_momentum_s_legendre_inputs_inherit_its_halo(ctx_tx):
+    # p_.t,_t is a radius-2 t pass over p_.t, which is evaluated from u_t on
+    # the rows that pass reads: u_t covers 2 rows beyond the band, and u,
+    # under u_t's own t pass, 4
+    lag = LagrangianDensity(ctx_tx, parse("1/2*u_t^2 - 1/2*u_x^2", ctx_tx), order=1)
+    equations, inputs = plan_of(elh_system(lag), legendre_form(lag))
+    _, halo, _ = numeric._schedule(equations, inputs)
+    assert halo == brute_halos(equations, inputs)
+    u, p_t = ctx_tx.resolve("u"), ctx_tx.resolve("p_.t")
+    assert (halo[(p_t, ())], halo[(u, ((0, 1),))], halo[(u, ())]) == (2, 2, 4)
 
 
 def test_residual_memory_is_the_fields_and_one_band(monkeypatch):
