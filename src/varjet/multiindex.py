@@ -30,14 +30,6 @@ class MultiIndex(tuple):
             raise VarjetError("multiindex entries must be nonnegative indices")
         return tuple.__new__(cls, entries)
 
-    @classmethod
-    def of(cls, *indices: int) -> "MultiIndex":
-        return cls(indices)
-
-    @property
-    def entries(self) -> Tuple[int, ...]:
-        return tuple(self)
-
     def __repr__(self) -> str:
         return f"MultiIndex(entries={tuple(self)!r})"
 

@@ -358,7 +358,7 @@ Chain = Tuple[Tuple[int, int], ...]
 
 def _chain(index: MultiIndex) -> Chain:
     """The pass chain of the jet u_I: one (axis, count) pass per axis of I, ascending."""
-    return tuple((axis, index.count(axis)) for axis in sorted(set(index.entries)))
+    return tuple((axis, index.count(axis)) for axis in sorted(set(index)))
 
 
 def _check_prolongation(grid: GridFunction, order: int, ctx: JetContext,

@@ -107,10 +107,6 @@ class HessianMatrix:
     index: Tuple[Tuple[int, MultiIndex], ...]
     entries: Tuple[Tuple[Expr, ...], ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.index)
-
 
 @dataclass(frozen=True)
 class RankReport:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .pdham import MAX_RANK_SAMPLES
-from .symcore import ContextError, Expr, JetContext, VarjetError, WrongDomainError, parse
+from .symcore import (ContextError, Expr, JetContext, ParseError, VarjetError, WrongDomainError,
+                      parse)
 from .variational import LagrangianDensity
 
 _KNOWN_KEYS = {"independents", "dependents", "lagrangian", "order",
@@ -39,16 +40,18 @@ class Problem:
         return self.density.context
 
     def lagrangian(self, order_override: Optional[int] = None) -> LagrangianDensity:
-        """The file's density, or the same L at order_override when it is given."""
+        """The file's density, or the same L at order_override (refused at "--order")."""
         if order_override is None:
             return self.density
-        return LagrangianDensity(self.context, self.density.L, order=order_override)
+        try:
+            return LagrangianDensity(self.context, self.density.L, order=order_override)
+        except VarjetError as exc:
+            raise VarjetError(f"--order: {exc}") from None
 
     def rho(self, text: Optional[str]) -> Tuple[List[Expr], str]:
         """The shift components, one per independent, and where they were
         read: text's, a --rho's, if given (at "--rho"), else the file's (at
-        its line).  Every error names that place, and a parse error also the
-        column there."""
+        its line).  Every error names that place, a parse error its position there."""
         if text is None and not self.rho_source[0]:
             raise VarjetError("problem file declares no rho components (key: rho)")
         source, where, column = self.rho_source if text is None else (text, "--rho", 1)
@@ -57,18 +60,23 @@ class Problem:
             raise VarjetError(f"{where}: rho needs {self.context.n} ';'-separated components, "
                               f"got {len(parts)}")
         starts = itertools.accumulate((len(part) + 1 for part in parts), initial=column)
-        return [_parse_value(part, self.context, where, start)
+        return [_parse_value(part, self.context, where, start, source)
                 for part, start in zip(parts, starts)], where
 
 
-def _parse_value(text: str, context: JetContext, where: str, column: int) -> Expr:
+def _parse_value(text: str, context: JetContext, where: str, column: int,
+                 source: str = "") -> Expr:
     """parse(text) for a value at the 1-based column of the text named by
-    where ("<file>, line N" or "--rho"), with its errors reported there."""
+    where ("<file>, line N" or "--rho"), with its errors placed there: by line
+    and column if source, the text the value was cut from, spans lines."""
     try:
         return parse(text, context)
     except VarjetError as exc:  # only the parser's errors carry a position
-        at = f", column {column + exc.pos}: {exc.message}" if hasattr(exc, "pos") else f": {exc}"
-        raise VarjetError(where + at) from None
+        if not hasattr(exc, "pos"):
+            raise VarjetError(f"{where}: {exc}") from None
+        placed = ParseError(exc.message, source, column - 1 + exc.pos)  # the error in source
+        line = f", line {placed.line}" if "\n" in source else ""
+        raise VarjetError(f"{where}{line}, column {placed.column}: {exc.message}") from None
 
 
 def parse_problem_text(text: str, source: str = "<problem>") -> Problem:

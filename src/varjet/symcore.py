@@ -37,7 +37,7 @@ construction reads all of a density's partials for the cost of one scan.
 Substitution follows Horner's rule: it collects the terms on their largest
 bound coordinate and makes one product and one normalisation per exponent
 of that coordinate, not one product per monomial; the images of all the
-coordinates are normalised together, once.
+coordinates are normalised together, once.  An Expr holds its terms alone.
 Negation, scaling by a nonzero rational and powers of a single term keep the
 order and skip it.  A power of a sum is expanded by the multinomial theorem,
 one term per composition of the exponent, with integer numerators and
@@ -631,7 +631,6 @@ def _canonical(terms: Tuple[Term, ...]) -> "Expr":
     """An Expr over terms already in normal form (no normalisation)."""
     out = Expr.__new__(Expr)
     out.terms = terms
-    out._hash = None
     return out
 
 
@@ -651,14 +650,13 @@ class Expr:
     Every first partial comes from one ``gradient`` pass over the terms.
     Negation, ``scale`` and powers of a single term keep the order and skip it.
     ``Expr(terms)``, ``number`` and ``scale`` convert an int, a Fraction or a
-    float coefficient to Q.
+    float coefficient to Q.  It holds its terms alone and hashes as they do.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[Term] = ()):
         self.terms: Tuple[Term, ...] = _normal_form(terms)
-        self._hash = None
 
     # -- constructors ---------------------------------------------------
 
@@ -683,20 +681,12 @@ class Expr:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "Expr") -> "Expr":
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
         # the merged monomials come in two ascending runs: kept as they are
         # when the second starts above the first, else merged by the sort in
         # linear time
         return Expr(self.terms + other.terms)
 
     def __sub__(self, other: "Expr") -> "Expr":
-        if not other.terms:
-            return self
-        if not self.terms:
-            return -other
         return Expr(chain(self.terms, [(m, -c) for m, c in other.terms]))
 
     def __neg__(self) -> "Expr":
@@ -748,9 +738,7 @@ class Expr:
         return isinstance(other, Expr) and self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.terms)
-        return self._hash
+        return hash(self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -802,9 +790,7 @@ class Expr:
         bindings are read as given, an image's terms only where it is used,
         so one mapping applied to many expressions costs nothing per binding.
         """
-        if not bindings:
-            return self
-        out = _substituted(self.terms, bindings, {})
+        out = _substituted(self.terms, bindings)
         return self if out is None else Expr(out)
 
     def __repr__(self):
@@ -819,13 +805,11 @@ def _product_terms(a: Tuple[Term, ...], b: Tuple[Term, ...]) -> List[Term]:
     return [(_mono_mul(m1, m2), c1 * c2) for m1, c1 in a for m2, c2 in b]
 
 
-def _substituted(terms, images: Mapping[CoordinateId, Expr],
-                 powers: Dict[Tuple[CoordinateId, int], Tuple[Term, ...]]
-                 ) -> Optional[List[Term]]:
+def _substituted(terms, images: Mapping[CoordinateId, Expr]) -> Optional[List[Term]]:
     """The terms of ``terms`` (distinct monomials in any order) with every
     coordinate that ``images`` binds replaced by its image's terms, like
-    monomials not yet merged; None when none occurs.  ``powers`` caches the
-    images' powers above the first over one substitution.
+    monomials not yet merged; None when none occurs.  An image's power
+    above the first is built where it is read, and not kept.
 
     The terms are grouped by the largest bound coordinate each holds.  A
     group on x is e = sum_{k>0} x^k e_k, built by Horner's rule as
@@ -854,26 +838,16 @@ def _substituted(terms, images: Mapping[CoordinateId, Expr],
                     break
         acc = None
         for k in sorted(parts, reverse=True):
-            inner = _substituted(parts[k], images, powers)
+            inner = _substituted(parts[k], images)
             if acc is None:  # a part's own terms are distinct monomials
                 acc = parts[k] if inner is None else _normal_form(inner)
             else:  # acc*X^(last-k) + e_k', normalised once
-                step = _image_power(top, last - k, images, powers)
+                step = (images[top] ** (last - k)).terms
                 acc = _normal_form(chain(_product_terms(acc, step),
                                          parts[k] if inner is None else inner))
             last = k
-        out += _product_terms(acc, _image_power(top, last, images, powers))
+        out += _product_terms(acc, (images[top] ** last).terms)
     return out
-
-
-def _image_power(c: CoordinateId, e: int, images, powers) -> Tuple[Term, ...]:
-    """The terms of the image of c to the power e >= 1."""
-    if e == 1:
-        return images[c].terms
-    power = powers.get((c, e))
-    if power is None:
-        power = powers[(c, e)] = (images[c] ** e).terms
-    return power
 
 
 def _multinomial_terms(terms: Tuple[Term, ...], e: int) -> List[Term]:

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from varjet import numeric
+from varjet.jetcalc import iterated_total_derivative
 from varjet.multiindex import MultiIndex, multiindices_up_to
 from varjet.numeric import GridFunction
 from varjet.pdham import comma_images
-from varjet.symcore import CoordinateId, Expr, JetContext, Q, parse
+from varjet.symcore import JET, CoordinateId, Expr, JetContext, Q, parse
 from varjet.variational import LagrangianDensity, euler_lagrange
 
 KDV_L = "u_x^3 - 1/2*u_x*u_t + 1/2*u_xx^2"
@@ -205,6 +206,29 @@ def random_expr(rng: random.Random, pool, max_monomials=4, max_factors=3,
             term = term * Expr.coord(rng.choice(pool)) ** rng.randint(1, max_exp)
         out = out + term
     return out
+
+
+def random_fiber_map(rng: random.Random, ctx: JetContext, max_monomials=2, max_factors=2):
+    """A triangular polynomial fiber map u = phi(x, v), one Expr per
+    dependent, with v^b written as the order-0 jet of dependent b: phi^a is
+    a nonzero rational times v^a plus a random polynomial in the
+    independents and the v^b with b < a, so phi has a polynomial inverse."""
+    phi = []
+    for a in range(ctx.m):
+        lower = [CoordinateId.independent(i) for i in range(ctx.n)] \
+            + [CoordinateId.jet(b) for b in range(a)]
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 2))
+        phi.append(Expr.coord(CoordinateId.jet(a)).scale(c)
+                   + random_expr(rng, lower, max_monomials, max_factors, max_exp=1))
+    return tuple(phi)
+
+
+def prolonged_fiber_map(phi, coordinates):
+    """The prolongation of the fiber map phi on the given coordinates: each
+    jet u_I^a to D_I phi^a, the images for Expr.substitute (independents
+    are not bound)."""
+    return {c: iterated_total_derivative(phi[c.alpha], c.index)
+            for c in coordinates if c.kind == JET}
 
 
 def random_lagrangian(rng: random.Random, max_n=2, max_m=2, max_order=3,

@@ -1,5 +1,6 @@
 """The public names of the varjet package, with no aliases among them, the
-public names of its numeric layer and the signature of its evaluate, the
+public names of its numeric layer and the signature of its evaluate, an
+Expr's one slot and substitution's signature, the
 signatures of the momentum-side constructions, the total derivatives and the
 jet context, the fields of an equation system and of a reduction, no unused
 import in a module, no module importing another's private name, no module
@@ -16,7 +17,7 @@ import types
 from collections import defaultdict
 
 import varjet
-from varjet import numeric
+from varjet import numeric, symcore
 
 EXPORTED = {
     "CoordinateId",
@@ -60,6 +61,14 @@ def test_evaluate_takes_no_power_cache():
     assert str(inspect.signature(numeric.evaluate)) == (
         "(e: 'Expr', sample: 'Mapping[CoordinateId, object]', into: 'Optional[Tuple["
         "np.ndarray, Optional[np.ndarray], Mapping[Power, np.ndarray]]]' = None)")
+
+
+def test_expr_stores_its_terms_alone_and_substitution_threads_no_cache():
+    # an Expr keeps nothing it could compute from its terms, its hash
+    # included, and each substitution step builds the image power it reads
+    assert symcore.Expr.__slots__ == ("terms",)
+    assert str(inspect.signature(symcore._substituted)) == (
+        "(terms, images: 'Mapping[CoordinateId, Expr]') -> 'Optional[List[Term]]'")
 
 
 def test_no_exported_name_is_an_alias():

@@ -168,8 +168,9 @@ def test_huge_order_is_refused_before_any_enumeration(capsys, tmp_path, command)
     start = time.perf_counter()
     code, out, err = run(capsys, command, str(path), "--order", HUGE)
     assert time.perf_counter() - start < 1
-    assert (code, out, err) == (1, "", f"varjet: order {HUGE} is too high: the multiindices "
-                                       "up to it would hold more than 50000000 entries\n")
+    assert (code, out, err) == (1, "", f"varjet: --order: order {HUGE} is too high: the "
+                                       "multiindices up to it would hold more than 50000000 "
+                                       "entries\n")
 
 
 @pytest.mark.parametrize("command", ["hessian", "reduce"])
@@ -484,6 +485,19 @@ def test_bad_rho_reports_position_on_its_own_line(capsys, tmp_path):
     assert (code, out, err) == (1, "", "varjet: --rho, column 10: unknown identifier 'w'\n")
 
 
+@pytest.mark.parametrize("rho, message", [
+    ("0;\n  u + w", "line 2, column 7: unknown identifier 'w'"),
+    ("w;\n  u", "line 1, column 1: unknown identifier 'w'"),
+    ("0; (u +\n   w)", "line 2, column 4: unknown identifier 'w'"),
+    ("0;\n\n(u", "line 3, column 3: expected ')'"),
+], ids=["second_line", "first_line", "across_lines", "past_the_end"])
+def test_rho_option_over_lines_is_placed_by_line_and_column(capsys, kdv_problem, rho, message):
+    # a --rho that holds a newline is placed by line and column within it,
+    # whichever component the error is in
+    assert run(capsys, "shift", kdv_problem, "--rho", rho) == \
+        (1, "", f"varjet: --rho, {message}\n")
+
+
 def test_aliases_of_a_name_are_unknown_identifiers(capsys, tmp_path):
     # u_ was read as u and, with one dependent, p^u_.t as p_.t
     path = tmp_path / "alias.problem"
@@ -726,7 +740,7 @@ def test_malformed_problem_value_is_positioned(capsys, tmp_path, extra, lineno, 
 
 
 @pytest.mark.parametrize("text, lineno, message", [
-    # the file's order and --order read the same
+    # the file's order reads as --order's, placed on its line
     ("independents = t x\ndependents = u\nlagrangian = u_xx^2\norder = 1\n", 4,
      "declared order 1 below the minimal order 2 of the density"),
     # an inferred order over the multiindex budget goes on the lagrangian line
@@ -745,7 +759,7 @@ def test_order_option_below_the_density_reads_as_the_file_order(capsys, tmp_path
     path = tmp_path / "kdv.problem"
     path.write_text("independents = t x\ndependents = u\nlagrangian = u_xx^2\n")
     assert run(capsys, "el", str(path), "--order", "1") == \
-        (1, "", "varjet: declared order 1 below the minimal order 2 of the density\n")
+        (1, "", "varjet: --order: declared order 1 below the minimal order 2 of the density\n")
 
 
 def test_documented_problem_keys_are_the_known_keys():

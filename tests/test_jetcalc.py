@@ -23,18 +23,18 @@ from varjet.symcore import (
 
 
 def test_removals_repeated():
-    I = MultiIndex.of(1, 1)  # (x, x) with t=0, x=1
-    assert I.removals() == [(MultiIndex.of(1), 1, 2)]
+    I = MultiIndex((1, 1))  # (x, x) with t=0, x=1
+    assert I.removals() == [(MultiIndex((1,)), 1, 2)]
 
 
 def test_removals_distinct():
-    I = MultiIndex.of(0, 1)
-    assert I.removals() == [(MultiIndex.of(1), 0, 1), (MultiIndex.of(0), 1, 1)]
+    I = MultiIndex((0, 1))
+    assert I.removals() == [(MultiIndex((1,)), 0, 1), (MultiIndex((0,)), 1, 1)]
 
 
 def test_removals_triple():
-    I = MultiIndex.of(1, 1, 1)
-    assert I.removals() == [(MultiIndex.of(1, 1), 1, 3)]
+    I = MultiIndex((1, 1, 1))
+    assert I.removals() == [(MultiIndex((1, 1)), 1, 3)]
 
 
 def test_removals_empty():
@@ -85,11 +85,11 @@ def test_total_derivatives_refuse_a_negative_index(ctx_tx):
 
 
 def test_iterated_total_derivative(ctx_tx):
-    assert iterated_total_derivative(parse("u_xx", ctx_tx), MultiIndex.of(1, 1)) \
+    assert iterated_total_derivative(parse("u_xx", ctx_tx), MultiIndex((1, 1))) \
         == parse("u_xxxx", ctx_tx)
     e = parse("u_x^2 - u*u_t", ctx_tx)
     assert iterated_total_derivative(e, EMPTY) == e
-    assert iterated_total_derivative(parse("u", ctx_tx), MultiIndex.of(0, 1)) \
+    assert iterated_total_derivative(parse("u", ctx_tx), MultiIndex((0, 1))) \
         == parse("u_tx", ctx_tx)
 
 
@@ -176,7 +176,7 @@ def test_equation_system_refuses_rows_outside_its_context(ctx_tx, kdv):
     from varjet.symcore import CoordinateId
     u_x = parse("u_x", ctx_tx)
     outside = (CoordinateId.jet(3), CoordinateId.independent(2),
-               CoordinateId.momentum(0, MultiIndex.of(0), 2),
+               CoordinateId.momentum(0, MultiIndex((0,)), 2),
                CoordinateId.comma(CoordinateId.momentum(0, EMPTY, 2), 0))
     for c in outside:
         rows = (("heat", parse("u_t - u_xx", ctx_tx)), ("bad", u_x * Expr.coord(c) + u_x))

@@ -131,7 +131,7 @@ def test_parse_like_term_merge(ctx_tx):
 def test_parse_momentum_names(ctx_tx):
     p = C(ctx_tx, "p_xx.t")
     assert p.kind == "momentum"
-    assert p.index == MultiIndex.of(1, 1)
+    assert p.index == MultiIndex((1, 1))
     assert p.i == 0
     empty = C(ctx_tx, "p_.t")
     assert len(empty.index) == 0
@@ -322,8 +322,8 @@ def test_normalization_idempotent(ctx_tx):
 
 
 def test_coordinate_equality_and_order():
-    I1 = MultiIndex.of(0, 1)
-    I2 = MultiIndex.of(1, 0)
+    I1 = MultiIndex((0, 1))
+    I2 = MultiIndex((1, 0))
     assert I1 == I2  # multiindices are unordered
     a = CoordinateId.jet(0, I1)
     b = CoordinateId.jet(0, I2)
@@ -331,7 +331,7 @@ def test_coordinate_equality_and_order():
     ctx = JetContext(("t", "x"), ("u",))
     names = [ctx.name(c) for c in sorted(
         [CoordinateId.momentum(0, MultiIndex(), 1),
-         CoordinateId.jet(0, MultiIndex.of(1)),
+         CoordinateId.jet(0, MultiIndex((1,))),
          CoordinateId.independent(1),
          CoordinateId.jet(0, MultiIndex())])]
     assert names == ["x", "u", "u_x", "p_.x"]

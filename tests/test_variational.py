@@ -5,10 +5,12 @@ import os
 import random
 import time
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from conftest import (KDV_EL, KDV_L, homotopy_lagrangian, jet_pool, random_expr,
-                      random_lagrangian)
+from conftest import (KDV_EL, KDV_L, homotopy_lagrangian, jet_pool, prolonged_fiber_map,
+                      random_expr, random_fiber_map, random_lagrangian)
 from varjet.jetcalc import total_derivative
 from varjet.multiindex import MultiIndex
 from varjet.problemfile import load_problem
@@ -100,6 +102,29 @@ def test_euler_lagrange_of_the_homotopy_density_is_unchanged():
         homotopy = homotopy_lagrangian(lag)
         assert euler_lagrange(homotopy) == euler_lagrange(lag), render(lag.L, lag.context)
     assert time.perf_counter() - start < 10
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from([None, *itertools.product((2, 3, 4), (1, 2), (2, 3))]))
+def test_euler_lagrange_is_covariant_under_fiber_maps(seed, shape):
+    # the operator is coordinate free on the fibers: for u = phi(x, v),
+    # E(L o phi) = (dphi/dv)^T . E(L) o phi, both sides pulled back along the
+    # prolongation u_I -> D_I phi by one substitution, which reads the jets
+    # of L at powers of 2 and above; on random densities and on the shapes
+    # (n, m, order) of the benchmark's ladder
+    rng = random.Random(seed)
+    lag = random_lagrangian(rng, shape=shape)
+    ctx, phi = lag.context, random_fiber_map(rng, lag.context)
+    pulled = LagrangianDensity(
+        ctx, lag.L.substitute(prolonged_fiber_map(phi, lag.L.coordinates())), order=lag.order)
+    E = euler_lagrange(lag)
+    images = prolonged_fiber_map(phi, {c for e in E for c in e.coordinates()})
+    E_phi = [e.substitute(images) for e in E]
+    jacobian = [phi_a.gradient() for phi_a in phi]
+    assert euler_lagrange(pulled) == tuple(
+        Expr.sum([jacobian[a].get(CoordinateId.jet(b), Expr.zero()) * E_phi[a]
+                  for a in range(ctx.m)]) for b in range(ctx.m))
 
 
 def test_euler_lagrange_single_ibp(ctx_1d):
@@ -312,5 +337,5 @@ def test_random_lagrangian_names_only_coordinates_its_context_renders():
     assert {lag.context.n for lag in drawn} == {1, 2, 3}
     for lag in drawn:
         ctx = lag.context
-        assert all(max(c.index.entries, default=-1) < ctx.n for c in lag.L.coordinates())
+        assert all(max(c.index, default=-1) < ctx.n for c in lag.L.coordinates())
         assert parse(render(lag.L, ctx), ctx) == lag.L
