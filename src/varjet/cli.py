@@ -19,7 +19,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .symcore import INDEPENDENT, JetContext, ParseError, VarjetError, render
+from .symcore import INDEPENDENT, JetContext, VarjetError, render
 from .jetcalc import EquationSystem, prolong
 from .variational import LagrangianDensity, euler_lagrange, legendre_form
 from .pdham import (
@@ -290,9 +290,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         _emit(args, text)
     except OSError as exc:
         print(f"varjet: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
-        print(f"varjet: parse error: {exc}", file=sys.stderr)
         return 1
     except VarjetError as exc:
         print(f"varjet: {exc}", file=sys.stderr)

@@ -303,8 +303,6 @@ def _apply_stencil(arr: np.ndarray, axis: int, order: int, h: float,
     elements _stencil_work gives) when they are given, and allocated
     otherwise.  ``out`` must not overlap arr.
     """
-    if order == 0:
-        return arr
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     r = stencil_radius(order)
     n = arr.shape[axis]

@@ -303,9 +303,7 @@ def _restricted_energy(lag: LagrangianDensity, tops: Sequence[CoordinateId],
     gradient = lag.L.gradient()
     parts = [Expr.sum([-free(lag.L)] + _pairings(lag.context, lag.level - 1)).substitute(subs)]
     # each factor P_K - b_K, the momenta free of top jets, is substituted on
-    # its own and multiplied by the image of u_K: one substitution of the
-    # whole sum would re-normalise its growing Horner accumulator once per
-    # solved top jet
+    # its own and multiplied by the image of u_K
     for K in tops:
         factor = -free(_momentum_residual(gradient, K.alpha, K.index))
         parts.append(factor.substitute(subs).scale(Q(1, 2)) * subs.get(K, Expr.coord(K)))

@@ -14,9 +14,10 @@ followed by (|J|, J) for a comma-derivative, and a multiindex the tuple of
 its sorted entries, so monomial dicts and factor sorts hash, compare and
 order coordinates in C.
 
-Every coefficient is a ``Q``, a Fraction subclass whose ``+ - * /``,
-negation, integer powers and ``==`` take a fast path when both operands are
-Q or int; any other operand goes to Fraction's own method.  A Q hashes,
+Every coefficient is a ``Q``, a Fraction subclass that defines only the
+operators the kernel calls, each with a fast path: ``+`` and ``*`` by a Q
+or an int, negation, powers to an int >= 0 and ``==``.  Any other operand
+or operator goes to Fraction's own method and gives a Fraction.  A Q hashes,
 orders and prints as the Fraction of its value.  The kernel converts what
 it is given to Q where a coefficient enters, with one conversion
 (``_as_q``, which refuses a NaN or an infinity): in ``_normal_form`` (so in
@@ -34,10 +35,10 @@ call, ``Expr.sum`` or ``Expr(terms)``, so a result is normalised once, not once
 per partial sum.  Every first partial comes from ``Expr.gradient``: one pass
 over the terms gives the partial by each coordinate that occurs, so a
 construction reads all of a density's partials for the cost of one scan.
-Substitution follows Horner's rule: it collects the terms on their largest
-bound coordinate and makes one product and one normalisation per exponent
-of that coordinate, not one product per monomial; the images of all the
-coordinates are normalised together, once.  An Expr holds its terms alone.
+Substitution collects the terms on their largest bound coordinate and its
+exponent, and makes one product and one normalisation per such group, not
+one product per monomial; the images of all the groups are normalised
+together, once.  An Expr holds its terms alone.
 Negation, scaling by a nonzero rational and powers of a single term keep the
 order and skip it.  A power of a sum is expanded by the multinomial theorem,
 one term per composition of the exponent, with integer numerators and
@@ -350,14 +351,16 @@ _new = object.__new__
 class Q(Fraction):
     """The kernel's coefficient: a Fraction with fast arithmetic among its kind.
 
-    ``+ - * /``, unary ``-``, ``**`` by an integer and ``==`` take a fast
-    path when both operands are Q or int: they work on the reduced
-    numerators and denominators with at most two gcds and build the
+    It defines the operators the kernel calls: ``+`` and ``*`` by a Q or an
+    int, unary ``-``, ``**`` by an int >= 0 and ``==``.  They work on the
+    reduced numerators and denominators with at most two gcds and build the
     result, reduced with a positive denominator, without Fraction's
-    validation.  Any other operand (a stdlib Fraction, a float) and a zero
-    divisor go to Fraction's own method, which answers as it does for a
-    Fraction.  Hashes, order, ``str``, ``float``, pickling and copying are
-    Fraction's, so a Q hashes, sorts and prints as the Fraction of its value.
+    validation.  Any other operand (a stdlib Fraction, a float, a negative
+    exponent) and every other operator (``-`` between two values, ``/``, an
+    int on the left) go to Fraction's own method, which answers as it does
+    for a Fraction, with a Fraction of the same value.  Hashes, order,
+    ``str``, ``float``, pickling and copying are Fraction's, so a Q hashes,
+    sorts and prints as the Fraction of its value.
     The kernel makes a Q from two ints with ``_q``, the parser's terms and
     the multinomial's coefficients among them, so ``Fraction.__new__`` runs
     only for ``Q(value)`` on a value that is not yet a Q.  Kernel code reads
@@ -375,56 +378,12 @@ class Q(Fraction):
             return _sum(a._numerator, a._denominator, b, 1)
         return Fraction.__add__(a, b)
 
-    def __radd__(a, b):
-        if b.__class__ is int:
-            return _sum(b, 1, a._numerator, a._denominator)
-        return Fraction.__radd__(a, b)
-
-    def __sub__(a, b):
-        if b.__class__ is Q:
-            return _sum(a._numerator, a._denominator, -b._numerator, b._denominator)
-        if b.__class__ is int:
-            return _sum(a._numerator, a._denominator, -b, 1)
-        return Fraction.__sub__(a, b)
-
-    def __rsub__(a, b):
-        if b.__class__ is int:
-            return _sum(b, 1, -a._numerator, a._denominator)
-        return Fraction.__rsub__(a, b)
-
     def __mul__(a, b):
         if b.__class__ is Q:
             return _product(a._numerator, a._denominator, b._numerator, b._denominator)
         if b.__class__ is int:
             return _product(a._numerator, a._denominator, b, 1)
         return Fraction.__mul__(a, b)
-
-    def __rmul__(a, b):
-        if b.__class__ is int:
-            return _product(b, 1, a._numerator, a._denominator)
-        return Fraction.__rmul__(a, b)
-
-    def __truediv__(a, b):
-        # a times db/nb, the divisor's sign moved onto its numerator db
-        if b.__class__ is Q:
-            nb, db = b._numerator, b._denominator
-        elif b.__class__ is int:
-            nb, db = b, 1
-        else:
-            return Fraction.__truediv__(a, b)
-        if nb > 0:
-            return _product(a._numerator, a._denominator, db, nb)
-        if nb < 0:
-            return _product(a._numerator, a._denominator, -db, -nb)
-        return Fraction.__truediv__(a, b)  # raises Fraction's ZeroDivisionError
-
-    def __rtruediv__(a, b):
-        na, da = a._numerator, a._denominator
-        if b.__class__ is int and na > 0:
-            return _product(b, 1, da, na)
-        if b.__class__ is int and na < 0:
-            return _product(b, 1, -da, -na)
-        return Fraction.__rtruediv__(a, b)
 
     def __neg__(a):
         q = _new(Q)
@@ -433,18 +392,11 @@ class Q(Fraction):
         return q
 
     def __pow__(a, b):
-        if b.__class__ is Q and b._denominator == 1:
-            b = b._numerator
-        elif b.__class__ is not int:
+        if b.__class__ is not int or b < 0:
             return Fraction.__pow__(a, b)
-        n, d = a._numerator, a._denominator
-        if b < 0:  # the inverse to the power -b
-            if not n:
-                return Fraction.__pow__(a, b)  # raises Fraction's ZeroDivisionError
-            n, d, b = (d, n, -b) if n > 0 else (-d, -n, -b)
         q = _new(Q)
-        q._numerator = n ** b
-        q._denominator = d ** b
+        q._numerator = a._numerator ** b
+        q._denominator = a._denominator ** b
         return q
 
     def __eq__(a, b):
@@ -778,17 +730,16 @@ class Expr:
     def substitute(self, bindings: Mapping[CoordinateId, "Expr"]) -> "Expr":
         """Simultaneous substitution of each bound coordinate by its image.
 
-        Horner's rule: the terms whose largest bound coordinate is x are
-        collected on it, sum_{k>0} x^k e_k, and their image is built as
-        (..(e_K'*X + e_{K-1}')*X + ..)*X^k_min, with e_k' the recursively
-        substituted e_k and X the image of x (raised to the gap where
-        exponents are missing).  X is never substituted again, so images may
-        hold bound coordinates.  This makes one product per bound coordinate
-        and exponent instead of one per monomial; each step ``acc*X + e_k'``
-        is one normalisation, and the images of all the groups and the terms
-        free of bound coordinates are normalised together, once.  The
-        bindings are read as given, an image's terms only where it is used,
-        so one mapping applied to many expressions costs nothing per binding.
+        The terms whose largest bound coordinate is x, at the exponent k, are
+        collected on it, x^k e_k, and their image is built as e_k' * X^k,
+        with e_k' the recursively substituted e_k and X the image of x.  X
+        is never substituted again, so images may hold bound coordinates.
+        This makes one product per bound coordinate and exponent instead of
+        one per monomial; each e_k' is one normalisation, and the images of
+        all the groups and the terms free of bound coordinates are
+        normalised together, once.  The bindings are read as given, an
+        image's terms only where it is used, so one mapping applied to many
+        expressions costs nothing per binding.
         """
         out = _substituted(self.terms, bindings)
         return self if out is None else Expr(out)
@@ -808,45 +759,30 @@ def _product_terms(a: Tuple[Term, ...], b: Tuple[Term, ...]) -> List[Term]:
 def _substituted(terms, images: Mapping[CoordinateId, Expr]) -> Optional[List[Term]]:
     """The terms of ``terms`` (distinct monomials in any order) with every
     coordinate that ``images`` binds replaced by its image's terms, like
-    monomials not yet merged; None when none occurs.  An image's power
-    above the first is built where it is read, and not kept.
+    monomials not yet merged; None when none occurs.
 
-    The terms are grouped by the largest bound coordinate each holds.  A
-    group on x is e = sum_{k>0} x^k e_k, built by Horner's rule as
-    (..(e_K'*X + e_{K-1}')*X + ..)*X^k_min with one normalisation per
-    exponent, the e_k' substituted recursively.  The groups' terms and the
-    terms free of bound coordinates are chained into one list, which the
-    caller normalises once, so a sum linear in many bound coordinates is
-    sorted once, not once per coordinate."""
-    groups: Dict[Optional[CoordinateId], List[Term]] = {}
-    for term in terms:
-        for c, _ in reversed(term[0]):  # factors ascend: the first bound one is the largest
-            if c in images:
+    The terms are grouped in one pass by the largest bound coordinate x each
+    holds and its exponent k.  A group is x^k e_k, built as the product of
+    e_k', the cofactors substituted recursively and normalised once, with
+    the image of x to the k-th power.  The groups' terms and the terms free
+    of bound coordinates are chained into one list, which the caller
+    normalises once, so a sum linear in many bound coordinates is sorted
+    once, not once per coordinate."""
+    out: List[Term] = []
+    groups: Dict[Tuple[CoordinateId, int], List[Term]] = {}  # (x, k) -> cofactor terms
+    for mono, coeff in terms:
+        for k in range(len(mono) - 1, -1, -1):  # factors ascend: the first bound one is the largest
+            if mono[k][0] in images:
+                groups.setdefault(mono[k], []).append((mono[:k] + mono[k + 1:], coeff))
                 break
         else:
-            c = None
-        groups.setdefault(c, []).append(term)
-    out = groups.pop(None, [])
+            out.append((mono, coeff))
     if not groups:
         return None
-    for top, group in groups.items():
-        parts: Dict[int, List[Term]] = {}  # exponent of top -> cofactor terms
-        for mono, coeff in group:
-            for k, (c, e) in enumerate(mono):
-                if c == top:
-                    parts.setdefault(e, []).append((mono[:k] + mono[k + 1:], coeff))
-                    break
-        acc = None
-        for k in sorted(parts, reverse=True):
-            inner = _substituted(parts[k], images)
-            if acc is None:  # a part's own terms are distinct monomials
-                acc = parts[k] if inner is None else _normal_form(inner)
-            else:  # acc*X^(last-k) + e_k', normalised once
-                step = (images[top] ** (last - k)).terms
-                acc = _normal_form(chain(_product_terms(acc, step),
-                                         parts[k] if inner is None else inner))
-            last = k
-        out += _product_terms(acc, (images[top] ** last).terms)
+    for (x, k), part in groups.items():
+        inner = _substituted(part, images)  # a group's cofactors are distinct monomials
+        out += _product_terms(part if inner is None else _normal_form(inner),
+                              (images[x] ** k).terms)
     return out
 
 
@@ -910,7 +846,7 @@ def _add_multiples(row: Dict, pairs: Iterable[Tuple[object, Mapping]]) -> None:
                 b * e if q is None else e * q)
     for col, es in parts.items():
         row[col] = es[0] if len(es) == 1 else \
-            Expr.sum(es) if es[0].__class__ is Expr else sum(es)
+            Expr.sum(es) if es[0].__class__ is Expr else sum(es, _ZERO_Q)
         if _is_zero(row[col]):
             del row[col]
 
@@ -945,7 +881,8 @@ def eliminate(rows: Mapping[Hashable, Mapping], order: Iterable,
             k += 1
             continue
         del pending[labels.pop(k)]
-        scale = _ONE_Q / -_rational(row.pop(c))
+        a = _rational(row.pop(c))
+        scale = _q(-a._denominator, a._numerator)  # -1/a
         solution = solutions[c] = {col: e * scale for col, e in row.items()}
         for other in pending.values():
             if c in other:

@@ -692,6 +692,8 @@ _ROUND_TRIP = textwrap.dedent("""
                             | {c.__class__.__name__ for _, c in e.terms})
     assert pickle.loads(pickle.dumps(e)) == e == copy.deepcopy(e)
     out["hash"] = hash(CoordinateId.jet(1, MultiIndex((0, 2))))
+    out["fallbacks"] = [repr(q) for q in (Q(1, 6) - Q(1, 3), 1 - Q(1, 3), 2 * Q(1, 3),
+                                          Q(3, 4) / Q(-1, 2), 1 / Q(-2, 3), Q(2, 3) ** -2)]
     print(json.dumps(out))
 """)
 
@@ -717,6 +719,9 @@ def _round_trip_matches_here(version, tmp_path):
     assert out["power"][0].startswith("u_x^7 - 128/2187*v^7 + 448/729*u_x*v^6 - ")
     assert out["power"][0].endswith(" + 28/3*u_x^5*v^2 - 14/3*u_x^6*v")
     assert out["product"] == "3/20*t*u_x^2*v^3"
+    # Q's fallbacks run Fraction's own methods, which 3.12 rewrote
+    assert out["fallbacks"] == ["Fraction(-1, 6)", "Fraction(2, 3)", "Fraction(2, 3)",
+                                "Fraction(-3, 2)", "Fraction(-3, 2)", "Fraction(9, 4)"]
 
 
 def test_kernel_round_trip_runs_on_the_python_floor(tmp_path):
@@ -1163,9 +1168,10 @@ def test_mono_mul_matches_reference_mono_mul(pair):
 
 # -- the kernel rational against stdlib Fraction --------------------------------
 #
-# Q's fast paths must give, for Q and int operands, the Fraction its value
-# has (the same numerator, denominator, hash and str) as a Q; any other
-# operand, and a zero divisor, must give what stdlib Fraction gives.
+# Q's own operators (Q + or * a Q or an int, -Q, Q ** an int >= 0) must give
+# the Fraction its value has (the same numerator, denominator, hash and str)
+# as a Q; any other operand and any other operator must give what stdlib
+# Fraction gives, of Fraction's class.
 
 _BIG = 10 ** 300
 _ints = st.one_of(st.integers(min_value=-60, max_value=60),
@@ -1197,15 +1203,25 @@ def _result(op, *args):
         return type(exc), str(exc)
 
 
-def _assert_as_fraction(op, pairs, fast):
-    """op on the operands gives what it gives on their twins; a Q when the
-    operator is Q's own, every operand is a Q or an int, and the twins give
-    a Fraction."""
-    got = _result(op, *[x for x, _ in pairs])
+def _q_own(op, args):
+    """Whether op(*args) runs one of Q's own operators: Q + or * a Q or an
+    int, -Q, or Q ** an int >= 0 (Q's ``==`` answers a bool)."""
+    a, b = args[0], args[-1]
+    if a.__class__ is not symcore.Q:
+        return False
+    if op in (operator.add, operator.mul):
+        return b.__class__ in (symcore.Q, int)
+    return op is operator.neg or op is operator.pow and b.__class__ is int and b >= 0
+
+
+def _assert_as_fraction(op, pairs):
+    """op on the operands gives what it gives on their twins: a Q of the
+    twins' value from Q's own operators, else the twins' class and repr."""
+    args = [x for x, _ in pairs]
+    got = _result(op, *args)
     want = _result(op, *[twin for _, twin in pairs])
-    if fast and all(x.__class__ in (symcore.Q, int) for x, _ in pairs) \
-            and want.__class__ is Fraction:
-        assert got.__class__ is symcore.Q
+    if _q_own(op, args):
+        assert got.__class__ is symcore.Q and want.__class__ is Fraction
         assert (got.numerator, got.denominator, hash(got), str(got)) == \
             (want.numerator, want.denominator, hash(want), str(want))
     else:
@@ -1218,17 +1234,24 @@ _BINARY = [operator.add, operator.sub, operator.mul, operator.truediv, operator.
 @settings(max_examples=300, deadline=None)
 @given(a=_operands(), b=_operands(), op=st.sampled_from(_BINARY))
 def test_q_operators_match_fraction(a, b, op):
-    _assert_as_fraction(op, [a, b], True)
-    _assert_as_fraction(op, [b, a], True)
+    _assert_as_fraction(op, [a, b])
+    _assert_as_fraction(op, [b, a])
     for unary in (operator.neg, bool):
-        _assert_as_fraction(unary, [a], True)
+        _assert_as_fraction(unary, [a])
+
+
+def test_q_defines_only_the_operators_the_kernel_calls():
+    # every other operator is inherited from Fraction and answers a Fraction
+    methods = {name for name, value in vars(symcore.Q).items() if callable(value)}
+    assert methods == {"__add__", "__mul__", "__neg__", "__pow__", "__eq__", "__hash__"}
 
 
 @settings(max_examples=300, deadline=None)
 @given(base=_operands(), exponent=_operands(_small_ints, st.floats(-12, 12)))
 def test_q_power_matches_fraction(base, exponent):
-    # Q ** (an int or an integral Q) is Q's own; int ** Q is Fraction's
-    _assert_as_fraction(operator.pow, [base, exponent], base[0].__class__ is symcore.Q)
+    # Q ** an int >= 0 is Q's own; a negative int, an integral Q and int ** Q
+    # are Fraction's
+    _assert_as_fraction(operator.pow, [base, exponent])
 
 
 @pytest.mark.parametrize("op, a, b", [
@@ -1239,13 +1262,14 @@ def test_q_power_matches_fraction(base, exponent):
     (operator.pow, (-5, 2), (-3, 1)),
     (operator.mul, (_BIG + 1, -(2 * _BIG)), (-6 * _BIG, _BIG - 1)),
     (operator.add, (1, 6), (1, 6)), (operator.sub, (1, 6), (-1, 3)),
+    (operator.pow, (-5, 2), (3, 1)),
 ])
 def test_q_zero_divisors_and_large_values_match_fraction(op, a, b):
     # an (n, d) pair is a Q n/d, its twin Fraction(n, d); an int is itself
     pairs = [(symcore.Q(*x), Fraction(*x)) if isinstance(x, tuple) else (x, x) for x in (a, b)]
-    _assert_as_fraction(op, pairs, op is not operator.pow or pairs[0][0].__class__ is symcore.Q)
+    _assert_as_fraction(op, pairs)
     if op is not operator.pow:
-        _assert_as_fraction(op, pairs[::-1], True)
+        _assert_as_fraction(op, pairs[::-1])
 
 
 @given(n=_ints, d=_ints.filter(bool))
