@@ -7,7 +7,9 @@ is an expression's (symcore.render), which ``energy`` prints indented.
 Every other JSON output is written here.
 Exit codes: 0 on success (a diagnosed non-regular reduction is success),
 1 on domain errors, 2 on usage errors.  Output is byte-deterministic for
-fixed inputs and seed.
+fixed inputs.  The density, its order and the run's settings (the Hessian
+rank's seed and samples, the shift components) are the problem file's
+alone; no option restates them.
 """
 
 from __future__ import annotations
@@ -22,15 +24,8 @@ from typing import List, Optional
 from .symcore import INDEPENDENT, JetContext, VarjetError, render
 from .jetcalc import EquationSystem, prolong
 from .variational import LagrangianDensity, euler_lagrange, legendre_form
-from .pdham import (
-    MAX_RANK_SAMPLES,
-    constraints,
-    elh_system,
-    energy_density,
-    hessian,
-    momentum_shift,
-    reduce_lagrangian,
-)
+from .pdham import (constraints, elh_system, energy_density, hessian, momentum_shift,
+                    reduce_lagrangian)
 from .problemfile import Problem, load_problem
 
 FORMATS = ("plain", "latex", "json")
@@ -82,12 +77,6 @@ def _el_system(lag: LagrangianDensity) -> EquationSystem:
         (f"el:{ctx.dependents[a]}", e) for a, e in enumerate(euler_lagrange(lag))))
 
 
-def _sampling(args, problem: Problem) -> dict:
-    """Samples and seed of the Hessian rank: the command line's, else the problem file's."""
-    return {"samples": args.rank_samples or problem.rank_samples,
-            "seed": args.seed if args.seed is not None else problem.seed}
-
-
 def cmd_el(args, problem: Problem, lag: LagrangianDensity) -> str:
     ctx = lag.context
     source = euler_lagrange(lag)
@@ -116,7 +105,7 @@ def cmd_constraints(args, problem: Problem, lag: LagrangianDensity) -> str:
 
 
 def cmd_hessian(args, problem: Problem, lag: LagrangianDensity) -> str:
-    matrix, report = hessian(lag, **_sampling(args, problem))
+    matrix, report = hessian(lag, samples=problem.rank_samples, seed=problem.seed)
     rows = [[_render(e, lag.context, args.format) for e in row] for row in matrix.entries]
     if args.format == "json":
         return _json_dump({**dataclasses.asdict(report), "matrix": rows})
@@ -147,10 +136,11 @@ def cmd_reduce(args, problem: Problem, lag: LagrangianDensity) -> str:
     hamiltonian = None if red.hamiltonian is None else _render(red.hamiltonian, ctx, fmt)
     system = red.system_hdw
     if fmt == "json":
+        report = hessian(lag, samples=problem.rank_samples, seed=problem.seed)[1]
         payload = {
             "diagnosis": red.diagnosis,
             "regular": red.diagnosis == "regular",
-            "hessian": dataclasses.asdict(hessian(lag, **_sampling(args, problem))[1]),
+            "hessian": dataclasses.asdict(report),
             "p_coords": p_coords,
             "p0_coords": p0_coords,
             "substitutions": dict(substitutions),
@@ -176,7 +166,7 @@ def cmd_reduce(args, problem: Problem, lag: LagrangianDensity) -> str:
 
 def cmd_shift(args, problem: Problem, lag: LagrangianDensity) -> str:
     system = elh_system(lag)
-    rho, where = problem.rho(args.rho)
+    rho, where = problem.rho()
     try:
         shifted = momentum_shift(system, rho)
     except VarjetError as exc:  # a refused component is placed where rho was read
@@ -231,9 +221,8 @@ _COMMANDS = {
 }
 
 
-def _int_in(low: int, high: Optional[int] = None):
-    """The argparse type of an integer option whose values run from low up
-    to high, or without end when high is None."""
+def _int_in(low: int):
+    """The argparse type of an integer option whose values start at low."""
     def bounded(text: str) -> int:
         try:
             value = int(text)
@@ -241,8 +230,6 @@ def _int_in(low: int, high: Optional[int] = None):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
     return bounded
 
@@ -260,19 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("problem", help="problem file")
         p.add_argument("--format", choices=FORMATS, default="plain")
-        p.add_argument("--order", type=_int_in(1), default=None,
-                       help="override the declared density order l+1")
-        if name in ("hessian", "reduce"):
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--rank-samples", type=_int_in(1, MAX_RANK_SAMPLES), default=None)
         if name == "check-solution":
             p.add_argument("--grid", required=True, help="grid file (see docs/gridfile.md)")
             p.add_argument("--momenta", default=None, help="grid file with momentum fields")
             p.add_argument("--system", default="el",
                            choices=("el", "constraints", "elh", "hdw"))
-        if name == "shift":
-            p.add_argument("--rho", default=None,
-                           help="';'-separated shift components, one per independent")
         if name == "prolong":
             p.add_argument("--level", type=_int_in(0), default=1)
         p.add_argument("--out", default=None, help="write output to a file")
@@ -286,12 +265,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--momenta is read only by --system constraints, elh and hdw")
     try:
         problem = load_problem(args.problem)
-        text = _COMMANDS[args.command](args, problem, problem.lagrangian(args.order))
-        _emit(args, text)
-    except OSError as exc:
-        print(f"varjet: {exc}", file=sys.stderr)
-        return 1
-    except VarjetError as exc:
+        _emit(args, _COMMANDS[args.command](args, problem, problem.density))
+    except (OSError, VarjetError) as exc:
         print(f"varjet: {exc}", file=sys.stderr)
         return 1
     return 0

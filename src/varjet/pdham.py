@@ -38,8 +38,8 @@ from .jetcalc import EquationSystem, mixed_total_derivative
 from .variational import LagrangianDensity
 
 
-# the most rank samples hessian takes, and so a file or --rank-samples may
-# ask for: a constant Hessian's rank is repeated once per sample in the report
+# the most rank samples hessian takes, and so a problem file's rank_samples
+# may ask for: a constant Hessian's rank is repeated once per sample in the report
 MAX_RANK_SAMPLES = 1000
 
 
@@ -339,6 +339,13 @@ def reduce_lagrangian(lag: LagrangianDensity) -> ReducedSystem:
     last sum drops and the rest under the solutions is the same Expr as the
     substituted E_l.  Each P_K - b_K has a few terms: its image times the
     solution for u_K is one product, and one sum gathers the products.
+
+    Once both stages succeed the restricted energy reads no top jet, so its
+    check ("restricted energy retains top jets") is a guard no density
+    reaches: dE_l/du_K = -C_K, and the solutions read no top jet but the
+    surviving ones (stage 2's, from rows free of jets, read no jet), so by
+    the chain rule its partial in a surviving top jet is a combination of
+    substituted constraint rows, each 0.
     """
     ctx = lag.context
     l = lag.level

@@ -2,24 +2,24 @@
 
 Lines are ``key = value``; blank lines and ``#`` comments are ignored.
 Recognized keys: independents, dependents (space- or comma-separated names),
-lagrangian (expression), order (declared order l+1), and the options
-seed, rank_samples, rho (one expression per independent variable,
-';'-separated).  No key bounds the jet order: the density and its declared
-order fix which jets each construction reads.  The name rules are
-JetContext's checks, and the density's own rules (the least order, the
-multiindex budget, no momenta or comma-derivatives) LagrangianDensity's;
-the reader places their errors on the file's lines.
+lagrangian (expression), order (declared order l+1), and the run's
+settings seed, rank_samples and rho (one expression per independent
+variable, ';'-separated).  The file is the one place of every setting: the
+command line restates none of them.  No key bounds the jet order: the
+density and its declared order fix which jets each construction reads.
+The name rules are JetContext's checks, and the density's own rules (the
+least order, the multiindex budget, no momenta or comma-derivatives)
+LagrangianDensity's; the reader places their errors on the file's lines.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .pdham import MAX_RANK_SAMPLES
-from .symcore import (ContextError, Expr, JetContext, ParseError, VarjetError, WrongDomainError,
-                      parse)
+from .symcore import ContextError, Expr, JetContext, VarjetError, WrongDomainError, parse
 from .variational import LagrangianDensity
 
 _KNOWN_KEYS = {"independents", "dependents", "lagrangian", "order",
@@ -39,44 +39,31 @@ class Problem:
     def context(self) -> JetContext:
         return self.density.context
 
-    def lagrangian(self, order_override: Optional[int] = None) -> LagrangianDensity:
-        """The file's density, or the same L at order_override (refused at "--order")."""
-        if order_override is None:
-            return self.density
-        try:
-            return LagrangianDensity(self.context, self.density.L, order=order_override)
-        except VarjetError as exc:
-            raise VarjetError(f"--order: {exc}") from None
-
-    def rho(self, text: Optional[str]) -> Tuple[List[Expr], str]:
-        """The shift components, one per independent, and where they were
-        read: text's, a --rho's, if given (at "--rho"), else the file's (at
-        its line).  Every error names that place, a parse error its position there."""
-        if text is None and not self.rho_source[0]:
+    def rho(self) -> Tuple[List[Expr], str]:
+        """The file's shift components, one per independent, and the line
+        they were read from.  Every error names that line, a parse error its
+        column there."""
+        source, where, column = self.rho_source
+        if not source:
             raise VarjetError("problem file declares no rho components (key: rho)")
-        source, where, column = self.rho_source if text is None else (text, "--rho", 1)
-        parts = source.split(";") if source else []
+        parts = source.split(";")
         if len(parts) != self.context.n:
             raise VarjetError(f"{where}: rho needs {self.context.n} ';'-separated components, "
                               f"got {len(parts)}")
         starts = itertools.accumulate((len(part) + 1 for part in parts), initial=column)
-        return [_parse_value(part, self.context, where, start, source)
+        return [_parse_value(part, self.context, where, start)
                 for part, start in zip(parts, starts)], where
 
 
-def _parse_value(text: str, context: JetContext, where: str, column: int,
-                 source: str = "") -> Expr:
-    """parse(text) for a value at the 1-based column of the text named by
-    where ("<file>, line N" or "--rho"), with its errors placed there: by line
-    and column if source, the text the value was cut from, spans lines."""
+def _parse_value(text: str, context: JetContext, where: str, column: int) -> Expr:
+    """parse(text) for a value at the 1-based column of the line named by
+    where ("<file>, line N"), with its errors placed there."""
     try:
         return parse(text, context)
     except VarjetError as exc:  # only the parser's errors carry a position
         if not hasattr(exc, "pos"):
             raise VarjetError(f"{where}: {exc}") from None
-        placed = ParseError(exc.message, source, column - 1 + exc.pos)  # the error in source
-        line = f", line {placed.line}" if "\n" in source else ""
-        raise VarjetError(f"{where}{line}, column {placed.column}: {exc.message}") from None
+        raise VarjetError(f"{where}, column {column + exc.pos}: {exc.message}") from None
 
 
 def parse_problem_text(text: str, source: str = "<problem>") -> Problem:

@@ -936,7 +936,8 @@ def _split_tokens(text: str) -> Optional[List[str]]:
 
 
 def _tokenize(text: str) -> List[str]:
-    """The tokens of text, then "" for its end.
+    """The tokens of text, then "" twice for its end: every token, the
+    first "" too, has a next one.
 
     ``_split_tokens`` reads most texts.  Any other text (a bad character,
     "u_x^ 2", "2^3") is scanned by ``findall``, which skips any character
@@ -954,7 +955,7 @@ def _tokenize(text: str) -> List[str]:
             for m in _PLACED_RE.finditer(text):
                 if m.lastindex == 2:
                     raise ParseError(f"unexpected character {m.group(2)!r}", text, m.start())
-    tokens.append("")
+    tokens += ("", "")
     return tokens
 
 
@@ -981,20 +982,20 @@ class _Parser:
     The reader works on the token strings of ``_tokenize`` and keeps only
     the index of the next token: positions are found by scanning the text
     again, and only for an error.  A name^k token is read as the name to the
-    power k, and each name is resolved once per text.  A term is read into
+    power k, and each name is resolved once per text: one map holds the
+    factor of every name and name^k token read so far.  A term is read into
     one monomial and one integer numerator and denominator: numbers and
     powers of names are multiplied in directly, and only a parenthesised or
     negated factor is an Expr (folded in when it has one term).  The
     factors are appended in the order read and make the monomial as they
     are while each coordinate is above the one before; a repeat or a
     descent has them merged in a dict and sorted.  ``term``
-    reads the plain factors in place from the token list (a name already met
-    in the text, an integer literal, a name already met to an integer power,
-    a name^k token already read); ``factor`` and ``primary`` read every
-    other factor (a unary minus, a parenthesis, the first sight of a name
-    or a name^k token, with the name's resolution and the transcendental
-    check, a power of a number or a group) and raise every error but an
-    exponent's, which ``exponent`` and ``integer`` raise for both paths, a
+    reads the plain factors in place from the token list (a name or a name^k
+    token already read, an integer literal) when the next token is neither
+    "(" nor "^"; ``factor`` and ``primary`` read every other factor (a unary
+    minus, a parenthesis, the first sight of a name or a name^k token, with
+    the name's resolution and the transcendental check, a power) and raise
+    every error but a literal's, which ``integer`` raises for both paths, a
     name^k token's at its first digit.  The coefficient is made
     once per term, from its reduced ints, by ``_q``.  A term whose only
     non-constant factor is a sum is that sum's normal form, scaled unless
@@ -1013,9 +1014,9 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.k = 0  # the index of the next token
         self.depth = 0
-        self.coords: Dict[str, CoordinateId] = {}  # names met so far in this text
-        # the factor of each name^k token read so far: (coordinate, k), or 1
-        self.powers_read: Dict[str, object] = {}
+        # the factor of each name and name^k token read so far in this text:
+        # (coordinate, 1), (coordinate, k), or 1 for k = 0
+        self.read: Dict[str, object] = {}
 
     def error(self, message: str, k: int, cls=ParseError, shift: int = 0) -> VarjetError:
         """A ``cls`` error for ``message`` at the k-th token, or ``shift``
@@ -1072,12 +1073,11 @@ class _Parser:
         non-constant factor is a sum, else its terms, one unless a factor is
         a sum.
 
-        A name met before in the text, an integer literal, a name met
-        before to an integer power and a name^k token read before are read
-        here, from the tokens; ``factor`` reads every other factor, and so
-        finds every error but the exponent's, which ``exponent`` and
-        ``integer`` find for both."""
-        tokens, coords, powers_read = self.tokens, self.coords, self.powers_read
+        A name or a name^k token read before in the text and an integer
+        literal are read here, from the tokens, when the next token is
+        neither "(" nor "^"; ``factor`` reads every other factor, and so
+        finds every error but a literal's, which ``integer`` finds for both."""
+        tokens, read = self.tokens, self.read
         num, den = sign, 1
         factors: List[Tuple[CoordinateId, int]] = []  # (coordinate, exponent) as read
         last = ()  # the last coordinate read, or below every coordinate
@@ -1086,21 +1086,13 @@ class _Parser:
         op = "*"  # the operator before the factor
         k = self.k
         while True:
-            tok = tokens[k]
-            c = coords.get(tok)
-            if c is not None and tokens[k + 1] != "(":  # "(" may call a function
-                if tokens[k + 1] == "^":
-                    e = self.exponent(k + 2)
-                    k += 3
-                    f = (c, e) if e else 1
-                else:
-                    k += 1
-                    f = (c, 1)
-            elif tok.isdecimal() and tokens[k + 1] != "^":
-                f = self.integer(tok, k)
+            tok, after = tokens[k], tokens[k + 1]
+            # a "(" after a name may call a function, a "^" raises it to a power
+            f = read.get(tok) if after != "(" and after != "^" else None
+            if f is not None:
                 k += 1
-            elif tok in powers_read:
-                f = powers_read[tok]
+            elif tok.isdecimal() and after != "^":
+                f = self.integer(tok, k)
                 k += 1
             else:
                 self.k = k
@@ -1221,16 +1213,18 @@ class _Parser:
         if tok and tok not in _OPS:
             i = _power_at(tok)
             name = tok[:i] if i else tok
-            coord = self.coords.get(name)
-            if coord is None:
+            f = self.read.get(name)
+            if f is None:
                 coord = self.ctx._try_resolve(name)
                 if coord is None:
                     raise self.error(f"unknown identifier {name!r}", k)
-                self.coords[name] = coord
+                self.read[name] = (coord, 1)
+            else:
+                coord = f[0]
             if not i:
                 return coord
             e = self.integer(tok[i + 1:], k, i + 1)
-            self.powers_read[tok] = (coord, e) if e else 1  # what factor() makes of it
+            self.read[tok] = (coord, e) if e else 1  # what factor() makes of it
             return coord, e
         raise self.error(f"unexpected token {tok!r}" if tok else "unexpected end of input", k)
 

@@ -134,12 +134,11 @@ def test_energy_latex_runs(capsys, kdv_problem):
 
 def test_shift_uses_problem_rho(capsys, kdv_problem, tmp_path):
     code, out, _ = run(capsys, "shift", kdv_problem)
-    assert code == 0
-    code2, out2, _ = run(capsys, "shift", kdv_problem, "--rho", "0; u^2")
-    assert out2 == out
-    code3, out3, _ = run(capsys, "shift", kdv_problem, "--rho", "0; 0")
     elh = run(capsys, "elh", kdv_problem)[1]
-    assert out3 == elh  # zero shift is the identity
+    assert code == 0 and out != elh
+    path = tmp_path / "zero.problem"
+    path.write_text(KDV_PROBLEM.replace("rho = 0; u^2", "rho = 0; 0"))
+    assert run(capsys, "shift", str(path))[1] == elh  # zero shift is the identity
 
 
 def test_prolong_default_el(capsys, kdv_problem):
@@ -164,26 +163,23 @@ HUGE = "99999999999999999999"
 def test_huge_order_is_refused_before_any_enumeration(capsys, tmp_path, command):
     # refused where the order enters, before any subcommand enumerates multiindices
     path = tmp_path / "wave.problem"
-    path.write_text(WAVE_PROBLEM)
+    path.write_text(WAVE_PROBLEM.replace("order = 1", f"order = {HUGE}"))
     start = time.perf_counter()
-    code, out, err = run(capsys, command, str(path), "--order", HUGE)
+    code, out, err = run(capsys, command, str(path))
     assert time.perf_counter() - start < 1
-    assert (code, out, err) == (1, "", f"varjet: --order: order {HUGE} is too high: the "
-                                       "multiindices up to it would hold more than 50000000 "
-                                       "entries\n")
+    assert (code, out, err) == (1, "", f"varjet: {path}, line 4: order {HUGE} is too high: "
+                                       "the multiindices up to it would hold more than "
+                                       "50000000 entries\n")
 
 
 @pytest.mark.parametrize("command", ["hessian", "reduce"])
 def test_rank_samples_are_bounded(capsys, tmp_path, command):
     # each sample of a constant Hessian repeats its rank in the report, so
-    # the count is bounded; the bound itself is accepted
+    # the count is bounded; the bound itself is accepted (a file's count above
+    # it is refused on its line, see test_malformed_problem_value_is_positioned)
     path = tmp_path / "wave.problem"
-    path.write_text(WAVE_PROBLEM)
-    with pytest.raises(SystemExit) as exc:
-        main([command, str(path), "--rank-samples", "1001"])
-    assert exc.value.code == 2
-    assert "--rank-samples: must be <= 1000, got 1001" in capsys.readouterr().err
-    code, out, _ = run(capsys, command, str(path), "--rank-samples", "1000", "--format", "json")
+    path.write_text(WAVE_PROBLEM + "rank_samples = 1000\n")
+    code, out, _ = run(capsys, command, str(path), "--format", "json")
     report = json.loads(out) if command == "hessian" else json.loads(out)["hessian"]
     assert code == 0 and report["samples"] == 1000 and len(report["ranks"]) == 1000
 
@@ -204,11 +200,12 @@ def test_huge_prolong_level_is_refused(capsys, kdv_problem):
                                        "up to it would hold more than 50000000 entries\n")
 
 
-def test_high_orders_under_the_entry_bound_still_run(capsys, kdv_problem):
+def test_high_orders_under_the_entry_bound_still_run(capsys, tmp_path, kdv_problem):
     # el and legendre read no enumeration: order 400 prints what order 2 does
+    path = tmp_path / "high.problem"
+    path.write_text(KDV_PROBLEM.replace("order = 2", "order = 400"))
     for command in ("el", "legendre"):
-        assert run(capsys, command, kdv_problem, "--order", "400") == \
-            run(capsys, command, kdv_problem)
+        assert run(capsys, command, str(path)) == run(capsys, command, kdv_problem)
 
 
 def test_check_solution_el(capsys, tmp_path, kdv_problem):
@@ -296,17 +293,17 @@ def test_derivation_subcommands_start_without_numpy(kdv_problem):
     assert out == f"{[0] * len(commands)} False\n"
 
 
-@pytest.mark.parametrize("flags, sampling", [((), (7, 3)),
-                                             (("--seed", "3", "--rank-samples", "2"), (3, 2))],
-                         ids=["problem_file", "flags"])
-def test_reduce_json_prints_the_hessian_report(capsys, tmp_path, flags, sampling):
+@pytest.mark.parametrize("lines, sampling", [("seed = 7\nrank_samples = 3\n", (7, 3)),
+                                             ("", (0, 5))],
+                         ids=["problem_file", "defaults"])
+def test_reduce_json_prints_the_hessian_report(capsys, tmp_path, lines, sampling):
     # the "hessian" object of `reduce` is the report of `hessian`, matrix aside,
-    # sampled with the same seed and sample count: the flags', else the file's
+    # sampled with the same seed and sample count: the file's, else the defaults
     path = tmp_path / "kdv.problem"
-    path.write_text(KDV_PROBLEM + "seed = 7\nrank_samples = 3\n")
-    code, out, _ = run(capsys, "reduce", str(path), "--format", "json", *flags)
+    path.write_text(KDV_PROBLEM + lines)
+    code, out, _ = run(capsys, "reduce", str(path), "--format", "json")
     assert code == 0
-    _, report, _ = run(capsys, "hessian", str(path), "--format", "json", *flags)
+    _, report, _ = run(capsys, "hessian", str(path), "--format", "json")
     expected = json.loads(report)
     del expected["matrix"]
     assert (expected["seed"], expected["samples"]) == sampling
@@ -363,14 +360,12 @@ def test_parser_reuse_keeps_no_option_values(capsys, kdv_problem):
     # the parser is built once per process; a later call must not see the
     # option values of an earlier one
     cli.build_parser.cache_clear()
-    fresh = run(capsys, "hessian", kdv_problem, "--format", "json")
-    seeded = run(capsys, "hessian", kdv_problem, "--format", "json",
-                 "--seed", "3", "--rank-samples", "2")
-    again = run(capsys, "hessian", kdv_problem, "--format", "json")
+    fresh = run(capsys, "prolong", kdv_problem)
+    level_0 = run(capsys, "prolong", kdv_problem, "--level", "0", "--format", "json")
+    again = run(capsys, "prolong", kdv_problem)
     assert cli.build_parser() is cli.build_parser()
-    assert again == fresh
-    assert (json.loads(seeded[1])["seed"], json.loads(seeded[1])["samples"]) == (3, 2)
-    assert (json.loads(again[1])["seed"], json.loads(again[1])["samples"]) == (0, 5)
+    assert again == fresh and fresh[1].count("\n") == 3
+    assert len(json.loads(level_0[1])["equations"]) == 1
 
 
 def test_momentum_in_density_is_domain_error(capsys, tmp_path):
@@ -390,10 +385,10 @@ def test_comma_derivative_in_density_or_rho_is_domain_error(capsys, tmp_path):
     path.write_text("independents = t x\ndependents = u\nlagrangian = u,_t^2 + u_x^2\n")
     assert run(capsys, "el", str(path)) == (1, "", f"varjet: {path}, line 3: the density reads "
                                             "u,_t, a comma-derivative, which is not jet-side\n")
-    path.write_text(WAVE_PROBLEM)
-    assert run(capsys, "shift", str(path), "--rho", "u,_t; 0") == \
-        (1, "", "varjet: --rho: a shift component reads u,_t, a comma-derivative, which is "
-                "not jet-side\n")
+    path.write_text(WAVE_PROBLEM + "rho = u,_t; 0\n")
+    assert run(capsys, "shift", str(path)) == \
+        (1, "", f"varjet: {path}, line 5: a shift component reads u,_t, a comma-derivative, "
+                "which is not jet-side\n")
 
 
 @pytest.mark.parametrize("rho, message", [
@@ -401,21 +396,20 @@ def test_comma_derivative_in_density_or_rho_is_domain_error(capsys, tmp_path):
     ("0; u_xxxxxxx", "shift component order 7 too high for momentum level 1"),
 ], ids=["momentum", "order"])
 def test_shift_refusals_of_the_file_rho_are_on_its_line(capsys, tmp_path, rho, message):
-    # the shift's own refusals of the file's rho were printed without its
-    # line; those of a --rho name it
+    # the shift's own refusals of the file's rho were printed without its line
     path = tmp_path / "kdv.problem"
     path.write_text(KDV_PROBLEM.replace("rho = 0; u^2", f"rho = {rho}"))
     assert run(capsys, "shift", str(path)) == (1, "", f"varjet: {path}, line 6: {message}\n")
-    assert run(capsys, "shift", str(path), "--rho", rho) == (1, "", f"varjet: --rho: {message}\n")
 
 
-def test_byte_determinism(capsys, kdv_problem):
-    first = run(capsys, "reduce", kdv_problem, "--format", "json", "--seed", "3")
-    second = run(capsys, "reduce", kdv_problem, "--format", "json", "--seed", "3")
-    assert first == second
-    h1 = run(capsys, "hessian", kdv_problem, "--format", "json", "--seed", "9")
-    h2 = run(capsys, "hessian", kdv_problem, "--format", "json", "--seed", "9")
-    assert h1 == h2
+def test_byte_determinism(capsys, tmp_path):
+    for seed in (3, 9):
+        path = tmp_path / f"seed{seed}.problem"
+        path.write_text(KDV_PROBLEM + f"seed = {seed}\n")
+        for command in ("reduce", "hessian"):
+            first = run(capsys, command, str(path), "--format", "json")
+            assert first == run(capsys, command, str(path), "--format", "json")
+            assert first[0] == 0 and '"seed": %d' % seed in first[1]
 
 
 def test_out_flag_writes_file(capsys, kdv_problem, tmp_path):
@@ -470,32 +464,14 @@ def test_bad_expression_reports_position(capsys, tmp_path):
 
 
 def test_bad_rho_reports_position_on_its_own_line(capsys, tmp_path):
-    # a component is placed on the file's line, and a --rho's on its own
-    # text: the columns of both count the spaces around the components
-    # (a --rho's counted from its component, stripped, before)
+    # a component is placed on the file's line: the columns count the spaces
+    # around and inside the components
     path = tmp_path / "rho.problem"
-    path.write_text("independents = t x\ndependents = u\nlagrangian = u_t^2\n"
-                    "rho = 0;  u_q\n")
-    code, out, err = run(capsys, "shift", str(path))
-    assert (code, out, err) == (1, "", f"varjet: {path}, line 4, column 11: "
-                                       "unknown identifier 'u_q'\n")
-    code, out, err = run(capsys, "shift", str(path), "--rho", "0; u_q")
-    assert (code, out, err) == (1, "", "varjet: --rho, column 4: unknown identifier 'u_q'\n")
-    code, out, err = run(capsys, "shift", str(path), "--rho", "0;   u + w")
-    assert (code, out, err) == (1, "", "varjet: --rho, column 10: unknown identifier 'w'\n")
-
-
-@pytest.mark.parametrize("rho, message", [
-    ("0;\n  u + w", "line 2, column 7: unknown identifier 'w'"),
-    ("w;\n  u", "line 1, column 1: unknown identifier 'w'"),
-    ("0; (u +\n   w)", "line 2, column 4: unknown identifier 'w'"),
-    ("0;\n\n(u", "line 3, column 3: expected ')'"),
-], ids=["second_line", "first_line", "across_lines", "past_the_end"])
-def test_rho_option_over_lines_is_placed_by_line_and_column(capsys, kdv_problem, rho, message):
-    # a --rho that holds a newline is placed by line and column within it,
-    # whichever component the error is in
-    assert run(capsys, "shift", kdv_problem, "--rho", rho) == \
-        (1, "", f"varjet: --rho, {message}\n")
+    for rho, column, name in (("0;  u_q", 11, "u_q"), ("0;   u + w", 16, "w")):
+        path.write_text("independents = t x\ndependents = u\nlagrangian = u_t^2\n"
+                        f"rho = {rho}\n")
+        assert run(capsys, "shift", str(path)) == \
+            (1, "", f"varjet: {path}, line 4, column {column}: unknown identifier '{name}'\n")
 
 
 def test_aliases_of_a_name_are_unknown_identifiers(capsys, tmp_path):
@@ -505,9 +481,11 @@ def test_aliases_of_a_name_are_unknown_identifiers(capsys, tmp_path):
     code, out, err = run(capsys, "el", str(path))
     assert (code, out, err) == (1, "", f"varjet: {path}, line 3, column 22: "
                                        "unknown identifier 'u_'\n")
-    path.write_text("independents = t x\ndependents = u\nlagrangian = u_t^2\n")
-    code, out, err = run(capsys, "shift", str(path), "--rho", "p^u_.t; 0")
-    assert (code, out, err) == (1, "", "varjet: --rho, column 1: unknown identifier 'p^u_.t'\n")
+    path.write_text("independents = t x\ndependents = u\nlagrangian = u_t^2\n"
+                    "rho = p^u_.t; 0\n")
+    code, out, err = run(capsys, "shift", str(path))
+    assert (code, out, err) == (1, "", f"varjet: {path}, line 4, column 7: "
+                                       "unknown identifier 'p^u_.t'\n")
 
 
 def test_deeply_nested_density_is_domain_error(capsys, tmp_path):
@@ -581,25 +559,32 @@ def test_usage_error_exits_2(kdv_problem):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
-    # integer options below the least value they can mean
-    for argv in (["hessian", kdv_problem, "--rank-samples", "0"],
-                 ["constraints", kdv_problem, "--order", "0"],
-                 ["prolong", kdv_problem, "--level", "-1"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2, argv
+    # an integer option below the least value it can mean
+    with pytest.raises(SystemExit) as exc:
+        main(["prolong", kdv_problem, "--level", "-1"])
+    assert exc.value.code == 2
     # each subcommand takes only the flags it reads
-    for argv in (["el", kdv_problem, "--seed", "3"],
-                 ["check-solution", kdv_problem, "--grid", "g", "--seed", "3"],
-                 ["check-solution", kdv_problem, "--grid", "g", "--rank-samples", "2"],
-                 ["energy", kdv_problem, "--grid", "g"],
+    for argv in (["energy", kdv_problem, "--grid", "g"],
                  ["reduce", kdv_problem, "--momenta", "m"],
-                 ["shift", kdv_problem, "--rank-samples", "2"],
                  ["prolong", kdv_problem, "--grid", "g"],
                  ["prolong", kdv_problem, "--system", "s.json"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+@pytest.mark.parametrize("flag, value", [("--order", "3"), ("--seed", "3"),
+                                         ("--rank-samples", "2"), ("--rho", "0; u^2")],
+                         ids=["order", "seed", "rank_samples", "rho"])
+def test_problem_file_settings_are_not_options(capsys, kdv_problem, flag, value):
+    # the order, the rank sampling and the shift components are the problem
+    # file's alone: no subcommand restates them
+    for command in cli._COMMANDS:
+        grid = ["--grid", "g"] if command == "check-solution" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, kdv_problem, *grid, flag, value])
+        assert exc.value.code == 2, command
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err, command
 
 
 def test_check_solution_el_rejects_momenta(capsys, tmp_path, kdv_problem):
@@ -623,25 +608,52 @@ def test_check_solution_requires_grid(capsys, kdv_problem):
     assert "--grid" in capsys.readouterr().err
 
 
-def test_shift_rho_component_count(capsys, kdv_problem, tmp_path):
-    # one reading of rho serves the problem file and --rho, which wins
-    path = tmp_path / "three.problem"
-    path.write_text(KDV_PROBLEM.replace("rho = 0; u^2", "rho = 0; u^2; u"))
-    code, out, err = run(capsys, "shift", str(path))
-    assert (code, out, err) == \
-        (1, "", f"varjet: {path}, line 6: rho needs 2 ';'-separated components, got 3\n")
-    assert run(capsys, "shift", str(path), "--rho", "0; u^2") == run(capsys, "shift", kdv_problem)
-    code, out, err = run(capsys, "shift", kdv_problem, "--rho", "u^2")
-    assert (code, out, err) == \
-        (1, "", "varjet: --rho: rho needs 2 ';'-separated components, got 1\n")
+@pytest.mark.parametrize("lagrangian, grid, message", [
+    ("u_x^3 - 1/2*u_x*u_t + 1/2*u_xx^2", {"axes": ("t", "y")},
+     "grid axes do not match the context independents"),
+    ("u_x^3 - 1/2*u_x*u_t + 1/2*u_xx^2", {"fields": {"v": np.zeros((16, 16))}},
+     "grid is missing the dependent field 'u'"),
+    # the EL equation reads u_xxxxxx, past the order-4 stencils
+    ("1/2*u_xxx^2", {}, "finite-difference prolongation supports order <= 4"),
+], ids=["axes", "missing_field", "order_above_4"])
+def test_check_solution_refuses_a_grid_the_system_cannot_read(capsys, tmp_path, lagrangian,
+                                                               grid, message):
+    path = tmp_path / "p.problem"
+    path.write_text(f"independents = t x\ndependents = u\nlagrangian = {lagrangian}\n")
+    geometry = {"axes": ("t", "x"), "origin": (0.0, 0.0), "spacing": (0.5, 0.5),
+                "fields": {"u": np.zeros((16, 16))}}
+    save_grid(GridFunction(**{**geometry, **grid}), str(tmp_path / "u.grid"))
+    assert run(capsys, "check-solution", str(path), "--grid", str(tmp_path / "u.grid")) == \
+        (1, "", f"varjet: {message}\n")
+
+
+def test_check_solution_hdw_without_an_hdw_system(capsys, tmp_path):
+    # a density cubic in its top jet reduces to no HDW system
+    path = tmp_path / "cubic.problem"
+    path.write_text("independents = t x\ndependents = u\nlagrangian = u_xx^3\n")
+    save_grid(soliton_grid(16, 16, box=8.0), str(tmp_path / "u.grid"))
+    assert run(capsys, "check-solution", str(path), "--grid", str(tmp_path / "u.grid"),
+               "--system", "hdw") == \
+        (1, "", "varjet: reduction did not produce HDW equations "
+                "(irreducible: nonlinear constraints)\n")
+
+
+def test_shift_rho_component_count(capsys, tmp_path):
+    path = tmp_path / "count.problem"
+    for rho, count in (("0; u^2; u", 3), ("u^2", 1)):
+        path.write_text(KDV_PROBLEM.replace("rho = 0; u^2", f"rho = {rho}"))
+        assert run(capsys, "shift", str(path)) == \
+            (1, "", f"varjet: {path}, line 6: rho needs 2 ';'-separated components, "
+                    f"got {count}\n")
 
 
 def test_shift_rho_over_the_momentum_level(capsys, tmp_path):
     path = tmp_path / "wave.problem"
-    path.write_text(WAVE_PROBLEM)
-    code, out, err = run(capsys, "shift", str(path), "--rho", "0; u_xxxxxxxx")
+    path.write_text(WAVE_PROBLEM + "rho = 0; u_xxxxxxxx\n")
+    code, out, err = run(capsys, "shift", str(path))
     assert (code, out) == (1, "")
-    assert err == "varjet: --rho: shift component order 8 too high for momentum level 0\n"
+    assert err == (f"varjet: {path}, line 5: shift component order 8 too high for momentum "
+                   "level 0\n")
 
 
 def test_shift_without_rho(capsys, tmp_path):
@@ -654,20 +666,22 @@ def test_shift_without_rho(capsys, tmp_path):
 
 @pytest.mark.parametrize("problem", ["kdv", "wave"])
 def test_shift_refuses_an_empty_rho(capsys, tmp_path, problem):
-    # an empty --rho has no components: it neither falls back to the file's
-    # rho (kdv declares one) nor reads as a file without rho (wave declares none)
+    # a rho line without a value declares no components, like a file without one
     path = tmp_path / f"{problem}.problem"
-    path.write_text(KDV_PROBLEM if problem == "kdv" else WAVE_PROBLEM)
-    assert run(capsys, "shift", str(path), "--rho", "") == \
-        (1, "", "varjet: --rho: rho needs 2 ';'-separated components, got 0\n")
+    path.write_text(KDV_PROBLEM.replace("rho = 0; u^2", "rho =") if problem == "kdv"
+                    else WAVE_PROBLEM + "rho =  # none\n")
+    assert run(capsys, "shift", str(path)) == \
+        (1, "", "varjet: problem file declares no rho components (key: rho)\n")
 
 
 def test_order_override(capsys, tmp_path):
+    # a declared order overrides the least order the density reads
     path = tmp_path / "wave.problem"
     path.write_text(WAVE_PROBLEM)
     base = run(capsys, "constraints", str(path))[1]
     assert base.count("=") == 2
-    lifted = run(capsys, "constraints", str(path), "--order", "2")[1]
+    path.write_text(WAVE_PROBLEM.replace("order = 1", "order = 2"))
+    lifted = run(capsys, "constraints", str(path))[1]
     assert lifted.count("=") == 3  # three second-order constraint rows
 
 
@@ -686,13 +700,13 @@ def test_declared_order_far_above_the_density_costs_nothing(capsys, tmp_path, mo
         normalise(self, *args)
 
     monkeypatch.setattr(Expr, "__init__", counting)
-    for name, text in (("kdv", KDV_PROBLEM), ("wave", WAVE_PROBLEM)):
-        path = tmp_path / f"{name}.problem"
-        path.write_text(text)
+    for text, order in ((KDV_PROBLEM, "order = 2"), (WAVE_PROBLEM, "order = 1")):
+        path = tmp_path / "order.problem"
         outputs, counts = [], []
-        for order in ([], ["--order", "400"]):
+        for declared in (text, text.replace(order, "order = 400")):
+            path.write_text(declared)
             built.clear()
-            outputs.append(run(capsys, command, str(path), "--format", fmt, *order))
+            outputs.append(run(capsys, command, str(path), "--format", fmt))
             counts.append(len(built))
         assert outputs[0][0] == 0 and outputs[1] == outputs[0]
         assert counts[1] == counts[0]
@@ -740,7 +754,7 @@ def test_malformed_problem_value_is_positioned(capsys, tmp_path, extra, lineno, 
 
 
 @pytest.mark.parametrize("text, lineno, message", [
-    # the file's order reads as --order's, placed on its line
+    # a declared order below the density's least, placed on its line
     ("independents = t x\ndependents = u\nlagrangian = u_xx^2\norder = 1\n", 4,
      "declared order 1 below the minimal order 2 of the density"),
     # an inferred order over the multiindex budget goes on the lagrangian line
@@ -753,13 +767,6 @@ def test_density_errors_are_positioned(capsys, tmp_path, text, lineno, message):
     path = tmp_path / "bad.problem"
     path.write_text(text)
     assert run(capsys, "el", str(path)) == (1, "", f"varjet: {path}, line {lineno}: {message}\n")
-
-
-def test_order_option_below_the_density_reads_as_the_file_order(capsys, tmp_path):
-    path = tmp_path / "kdv.problem"
-    path.write_text("independents = t x\ndependents = u\nlagrangian = u_xx^2\n")
-    assert run(capsys, "el", str(path), "--order", "1") == \
-        (1, "", "varjet: --order: declared order 1 below the minimal order 2 of the density\n")
 
 
 def test_documented_problem_keys_are_the_known_keys():

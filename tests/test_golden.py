@@ -47,14 +47,11 @@ PROBLEMS = {
 GRIDS = {"kdv": lambda: soliton_grid(64, 64, box=8.0), "wave3": lambda: wave3_grid(24)}
 CASES = [(grid, system) for grid in GRIDS for system in ("el", "elh", "hdw")]
 
-# problem name -> (file, extra arguments of `shift`): a problem without rho
-# shifts by one zero per independent
+# problem name -> file; each declares the rho that `shift` reads
 DERIVE_PROBLEMS = {
-    "free_particle": (os.path.join(HERE, "..", "problems", "free_particle.problem"),
-                      ["--rho", "0"]),
-    "kdv": (os.path.join(HERE, "..", "problems", "kdv.problem"), []),
-    "wave": (os.path.join(HERE, "..", "problems", "wave.problem"), ["--rho", "0; 0"]),
-    **{name: (os.path.join(GOLDEN_DIR, "problems", f"{name}.problem"), [])
+    **{name: os.path.join(HERE, "..", "problems", f"{name}.problem")
+       for name in ("free_particle", "kdv", "wave")},
+    **{name: os.path.join(GOLDEN_DIR, "problems", f"{name}.problem")
        for name in ("ladder-regular", "ladder-reducible", "ladder-nonregular",
                     "ladder-assumption")},
 }
@@ -110,12 +107,13 @@ def check_solution_json(workdir: str, grid: str, system: str) -> str:
 
 def derive_stdout(problem: str, command: str, fmt: str) -> str:
     """Stdout of `varjet <command> <problem> --format <fmt>`."""
-    if (problem, command, fmt) == SCALE_CASE:
-        return stdout_of([command, os.path.join(GOLDEN_DIR, "problems", f"{problem}.problem"),
-                          "--format", fmt])
-    path, shift_args = DERIVE_PROBLEMS[problem]
-    extra = shift_args if command == "shift" else []
-    return stdout_of([command, path, "--format", fmt, *extra])
+    return stdout_of([command, problem_path(problem), "--format", fmt])
+
+
+def problem_path(problem: str) -> str:
+    """The file of a derive problem, or of the problem past the ladder."""
+    past_the_ladder = os.path.join(GOLDEN_DIR, "problems", f"{problem}.problem")
+    return DERIVE_PROBLEMS.get(problem, past_the_ladder)
 
 
 def _write(path: str, text: str) -> None:
@@ -181,14 +179,12 @@ def mixed_rows(problem: str, command: str):
     """The density of a golden problem and the rows of the mixed system that
     `command` (elh, shift or reduce) prints for it; reduce's plain and LaTeX
     outputs print these rows twice."""
-    path, shift_args = DERIVE_PROBLEMS.get(
-        problem, (os.path.join(GOLDEN_DIR, "problems", f"{problem}.problem"), []))
-    source = load_problem(path)
-    lag = source.lagrangian()
+    source = load_problem(problem_path(problem))
+    lag = source.density
     if command == "elh":
         return lag, list(elh_system(lag).equations)
     if command == "shift":
-        rho, _ = source.rho(shift_args[1] if shift_args else None)
+        rho, _ = source.rho()
         return lag, list(momentum_shift(elh_system(lag), rho).equations)
     system = reduce_lagrangian(lag).system_hdw
     return lag, [] if system is None else list(system.equations)
@@ -234,7 +230,7 @@ def test_reduce_golden_head_lines_have_one_spelling_per_format(problem, command,
     # the P and P0 coordinates and each eliminated coordinate are spelled as
     # the format spells a coordinate: by latex_name in LaTeX, by name in plain
     # and JSON (JSON keys sort by text)
-    lag = load_problem(DERIVE_PROBLEMS[problem][0]).lagrangian()
+    lag = load_problem(DERIVE_PROBLEMS[problem]).density
     red, ctx = reduce_lagrangian(lag), lag.context
     spell = ctx.latex_name if fmt == "latex" else ctx.name
     eliminated = [spell(c) for c in sorted(red.substitutions)]
@@ -272,7 +268,7 @@ def test_golden_files_are_the_cases():
     problems = os.path.abspath(os.path.join(GOLDEN_DIR, "problems"))
     named = {golden_path(*case) for case in CASES}
     named |= {derive_golden_path(*case) for case in DERIVE_CASES + [SCALE_CASE]}
-    named |= {path for path, _ in DERIVE_PROBLEMS.values()
+    named |= {path for path in DERIVE_PROBLEMS.values()
               if os.path.dirname(os.path.abspath(path)) == problems}
     named.add(os.path.join(problems, f"{SCALE_CASE[0]}.problem"))
     present = {os.path.join(root, name) for root, _, names in os.walk(GOLDEN_DIR)

@@ -1062,7 +1062,11 @@ def test_residual_on_a_grid_file_matches_the_grid_in_memory(ctx_tx, monkeypatch,
      "origin and spacing need one entry per axis, 2 each"),
     (("t",), (0.0,), (1.0, 1.0), {"u": np.zeros(5)},
      "origin and spacing need one entry per axis, 1 each"),
-], ids=["no_fields", "origin_length", "spacing_length"])
+    (("t", "x"), (0.0, 0.0), (1.0, 1.0), {"u": np.zeros((5, 5)), "v": np.zeros((5, 4))},
+     "all field arrays must share one shape"),
+    (("t", "x"), (0.0, 0.0), (1.0, 1.0), {"u": np.zeros(25)},
+     "field 'u' rank does not match the axes"),
+], ids=["no_fields", "origin_length", "spacing_length", "two_shapes", "wrong_rank"])
 def test_grid_in_memory_refuses_a_malformed_layout(axes, origin, spacing, fields, message):
     with pytest.raises(VarjetError, match=f"^{message}$"):
         GridFunction(axes, origin, spacing, fields)

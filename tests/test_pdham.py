@@ -338,6 +338,17 @@ def test_shift_rho_order_too_high(kdv, ctx_tx):
         momentum_shift(elh_system(kdv), [Expr.zero(), parse("u_xx", ctx_tx)])
 
 
+def test_shift_needs_a_mixed_system_and_one_component_per_independent(kdv, ctx_tx):
+    el = EquationSystem(ctx_tx, (("el:u", euler_lagrange(kdv)[0]),))
+    with pytest.raises(VarjetError, match="^momentum_shift needs a mixed system, which "
+                                          "carries its fiber$"):
+        momentum_shift(el, [Expr.zero(), Expr.zero()])
+    for count in (1, 3):
+        with pytest.raises(VarjetError, match=r"^need one shift component per independent "
+                                              r"variable \(2\)$"):
+            momentum_shift(elh_system(kdv), [Expr.zero()] * count)
+
+
 _U, _P = CoordinateId.jet(0), CoordinateId.momentum(0, EMPTY, 0)
 
 
@@ -842,7 +853,7 @@ def certificate_densities():
     them only, plus a cubic polynomial in the lower jets."""
     lags = []
     for name in sorted(os.listdir(PROBLEMS)):
-        lags.append(load_problem(os.path.join(PROBLEMS, name)).lagrangian())
+        lags.append(load_problem(os.path.join(PROBLEMS, name)).density)
     rng = random.Random(97)
     for k in range(24):
         n, m = rng.randint(1, 3), rng.randint(1, 2)
@@ -896,10 +907,10 @@ def test_certificate_holds_on_the_homotopy_density():
     spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    lags = [load_problem(os.path.join(PROBLEMS, name)).lagrangian()
+    lags = [load_problem(os.path.join(PROBLEMS, name)).density
             for name in sorted(os.listdir(PROBLEMS))]
     lags += [parse_problem_text(workloads.problem_text(
-        n, m, order, kind, workloads._rng(1, "x", n, m, order))).lagrangian()
+        n, m, order, kind, workloads._rng(1, "x", n, m, order))).density
         for n, m, order, kind in workloads.LADDER]
     assert len(lags) == 15
     for lag in lags:

@@ -550,6 +550,14 @@ def test_reparse_normalises_each_term_a_bounded_number_of_times(monkeypatch):
     assert counts[1] < 6 * counts[0], counts
 
 
+@pytest.mark.parametrize("text", ["u_x", "u + u_x", "0", "2"])
+def test_negative_power_of_an_expr_is_refused(ctx_tx, text):
+    # the library's power, as the parser's, is polynomial: its exponents are >= 0
+    e = parse(text, ctx_tx)
+    with pytest.raises(UnsupportedExpressionError, match="^negative exponents are not polynomial$"):
+        e ** -1
+
+
 def test_power_normalises_once(monkeypatch):
     # a multinomial power passes each of its terms through normalisation
     # once, and a sum read alone is not normalised again; squaring passed

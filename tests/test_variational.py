@@ -90,7 +90,7 @@ def test_euler_lagrange_of_the_homotopy_density_is_unchanged():
     # so E(L_h) == E(L) exactly; on the sample problems and on three random
     # densities of each (n, m, order) shape of the benchmark's ladder
     problems = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
-    lags = [load_problem(os.path.join(problems, name)).lagrangian()
+    lags = [load_problem(os.path.join(problems, name)).density
             for name in sorted(os.listdir(problems))]
     kdv = homotopy_lagrangian(lags[1])
     assert render(kdv.L, kdv.context) == "1/2*u*u_tx - 2*u*u_x*u_xx + 1/2*u*u_xxxx"
