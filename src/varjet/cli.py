@@ -221,17 +221,15 @@ _COMMANDS = {
 }
 
 
-def _int_in(low: int):
-    """The argparse type of an integer option whose values start at low."""
-    def bounded(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-    return bounded
+def _level(text: str) -> int:
+    """The argparse type of ``prolong --level``: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 @functools.lru_cache(maxsize=None)
@@ -253,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--system", default="el",
                            choices=("el", "constraints", "elh", "hdw"))
         if name == "prolong":
-            p.add_argument("--level", type=_int_in(0), default=1)
+            p.add_argument("--level", type=_level, default=1)
         p.add_argument("--out", default=None, help="write output to a file")
     return parser
 

@@ -213,12 +213,10 @@ class GridFunction:
     def shape(self) -> Tuple[int, ...]:
         return next(iter(self.fields.values())).shape
 
-    def axis_values(self, a: int) -> np.ndarray:
-        return self.origin[a] + self.spacing[a] * np.arange(self.shape[a])
-
     def meshes(self) -> List[np.ndarray]:
         """Coordinate arrays of the grid points, as read-only broadcast views."""
-        return list(np.meshgrid(*(self.axis_values(a) for a in range(len(self.axes))),
+        return list(np.meshgrid(*(o + h * np.arange(n) for o, h, n
+                                  in zip(self.origin, self.spacing, self.shape)),
                                 indexing="ij", copy=False))
 
 
@@ -378,15 +376,6 @@ def _check_prolongation(grid: GridFunction, order: int, ctx: JetContext,
         _check_axis(points, m)
 
 
-def _fields(grid: GridFunction, ctx: JetContext) -> Dict[CoordinateId, np.ndarray]:
-    """The zero jet of every dependent, by its field's array."""
-    return {CoordinateId.jet(alpha): grid.fields[dep] for alpha, dep in enumerate(ctx.dependents)}
-
-
-def _jets_of(exprs) -> set:
-    return {c for e in exprs for c in e.coordinates() if c.kind == JET}
-
-
 Key = Tuple[CoordinateId, Chain]
 
 
@@ -445,7 +434,8 @@ def residual(system: EquationSystem, grid: GridFunction,
             mine, theirs = getattr(momentum_fields, what), getattr(grid, what)
             if mine != theirs:
                 raise VarjetError(f"momentum grid has {what} {mine}, the field grid {theirs}")
-    roots = _fields(grid, ctx)
+    # the zero jet of every dependent is its field
+    roots = {CoordinateId.jet(alpha): grid.fields[dep] for alpha, dep in enumerate(ctx.dependents)}
     for c in sorted(momenta):
         if supplied(c):
             roots[c] = momentum_fields.fields[ctx.name(c)]
@@ -608,7 +598,7 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
     returns.
     """
     shape = grid.shape
-    inputs = {root: {c: _key(c) for c in _jets_of([e])}
+    inputs = {root: {c: _key(c) for c in e.coordinates() if c.kind == JET}
               for root, e in roots.items() if isinstance(e, Expr)}
     # momenta whose coefficient reads no coordinate: a finite float, so every
     # interior point of a pass over one is +0.0

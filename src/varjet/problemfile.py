@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .pdham import MAX_RANK_SAMPLES
 from .symcore import ContextError, Expr, JetContext, VarjetError, WrongDomainError, parse
@@ -31,27 +31,25 @@ class Problem:
     density: LagrangianDensity  # validated once, at the file's order
     seed: int = 0
     rank_samples: int = 5
-    # the file's rho: its ';'-separated shift components, parsed on use,
-    # where they are ("<file>, line N") and their column there
-    rho_source: Tuple[str, str, int] = ("", "<problem>", 1)
-
-    @property
-    def context(self) -> JetContext:
-        return self.density.context
+    # the file's rho, None without the key: its ';'-separated shift
+    # components, parsed on use, where they are ("<file>, line N") and
+    # their column there
+    rho_source: Optional[Tuple[str, str, int]] = None
 
     def rho(self) -> Tuple[List[Expr], str]:
         """The file's shift components, one per independent, and the line
         they were read from.  Every error names that line, a parse error its
-        column there."""
-        source, where, column = self.rho_source
-        if not source:
+        column there; an empty value is one empty component."""
+        if self.rho_source is None:
             raise VarjetError("problem file declares no rho components (key: rho)")
+        source, where, column = self.rho_source
+        context = self.density.context
         parts = source.split(";")
-        if len(parts) != self.context.n:
-            raise VarjetError(f"{where}: rho needs {self.context.n} ';'-separated components, "
+        if len(parts) != context.n:
+            raise VarjetError(f"{where}: rho needs {context.n} ';'-separated components, "
                               f"got {len(parts)}")
         starts = itertools.accumulate((len(part) + 1 for part in parts), initial=column)
-        return [_parse_value(part, self.context, where, start)
+        return [_parse_value(part, context, where, start)
                 for part, start in zip(parts, starts)], where
 
 
@@ -122,13 +120,12 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
         fail("lagrangian", str(exc))
     except VarjetError as exc:  # the order's rules
         fail("order" if "order" in entries else "lagrangian", str(exc))
-    rho_text, rho_line, rho_column = entries.get("rho", ("", 0, 0))
-    return Problem(
-        density=density,
-        seed=seed,
-        rank_samples=rank_samples,
-        rho_source=(rho_text, f"{source}, line {rho_line}", rho_column),
-    )
+    rho_source = None
+    if "rho" in entries:
+        rho_text, rho_line, rho_column = entries["rho"]
+        rho_source = (rho_text, f"{source}, line {rho_line}", rho_column)
+    return Problem(density=density, seed=seed, rank_samples=rank_samples,
+                   rho_source=rho_source)
 
 
 def load_problem(path: str) -> Problem:

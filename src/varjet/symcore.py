@@ -88,17 +88,12 @@ COMMA = "comma"
 _KINDS = (INDEPENDENT, JET, MOMENTUM)
 
 
-def _line_column(text: str, pos: int) -> Tuple[int, int]:
-    """The 1-based line and column of the character at pos."""
-    return 1 + text.count("\n", 0, pos), pos - text.rfind("\n", 0, pos)
-
-
 class ParseError(VarjetError):
     """``message`` at the 0-based ``pos`` of a text, read with its 1-based line and column."""
 
     def __init__(self, message: str, text: str = "", pos: int = 0):
         self.message, self.pos = message, pos
-        self.line, self.column = _line_column(text, pos)
+        self.line, self.column = 1 + text.count("\n", 0, pos), pos - text.rfind("\n", 0, pos)
         super().__init__(f"{message} (line {self.line}, column {self.column})")
 
 
@@ -992,18 +987,19 @@ class _Parser:
     descent has them merged in a dict and sorted.  ``term``
     reads the plain factors in place from the token list (a name or a name^k
     token already read, an integer literal) when the next token is neither
-    "(" nor "^"; ``factor`` and ``primary`` read every other factor (a unary
-    minus, a parenthesis, the first sight of a name or a name^k token, with
-    the name's resolution and the transcendental check, a power) and raise
-    every error but a literal's, which ``integer`` raises for both paths, a
-    name^k token's at its first digit.  The coefficient is made
-    once per term, from its reduced ints, by ``_q``.  A term whose only
-    non-constant factor is a sum is that sum's normal form, scaled unless
-    its coefficient is 1.  An expression of one such term is returned as it
-    is, and one of a single monomial is that term (or zero), without
-    normalisation; any other expression collects its terms and builds one
-    Expr.  Parentheses and unary minus signs nest at most MAX_DEPTH deep,
-    which keeps the recursion well inside the interpreter's stack limit.
+    "(" nor "^"; ``factor`` reads every other factor, its primary and
+    exponent with it (a unary minus, a parenthesis, the first sight of a
+    name or a name^k token, with the name's resolution and the
+    transcendental check, a power) and raises every error but a literal's,
+    which ``integer`` raises for both paths, a name^k token's at its first
+    digit.  The coefficient is made once per term, from its reduced ints,
+    by ``_q``.  A term whose only non-constant factor is a sum is that
+    sum's normal form, scaled unless its coefficient is 1.  An expression
+    of one such term is returned as it is, and one of a single monomial is
+    that term (or zero), without normalisation; any other expression
+    collects its terms and builds one Expr.  Parentheses and unary minus
+    signs nest at most MAX_DEPTH deep, which keeps the recursion well
+    inside the interpreter's stack limit.
     """
 
     MAX_DEPTH = 100
@@ -1150,25 +1146,56 @@ class _Parser:
             return [(mono, coeff)]
         return [(_mono_mul(m, mono), c * coeff) for m, c in sums.terms]
 
+    _TRANSCENDENTAL = {"sin", "cos", "tan", "exp", "log", "ln", "sqrt",
+                       "sinh", "cosh", "tanh", "abs"}
+
     def factor(self):
-        """One factor: an int for a number, (coordinate, exponent) for a power
-        of a name, an Expr for a parenthesised or negated factor."""
+        """One factor: an int for a number, (coordinate, exponent) or 1 for a
+        power of a name, an Expr for a parenthesised or negated factor and for
+        a power of a number or a parenthesis."""
         tokens = self.tokens
-        if tokens[self.k] == "-":
-            self.k += 1
-            inner = self.nested(self.factor, self.k - 1)
+        k = self.k
+        tok = tokens[k]
+        self.k += 1
+        if tok == "-":
+            inner = self.nested(self.factor, k)
             if inner.__class__ is tuple:
                 return _canonical((((inner,), -_ONE_Q),))
             return -inner
-        base = self.primary()
-        if base.__class__ is tuple:  # a name^k token; a "^" after it is no exponent
-            return base if base[1] else 1
+        if tok in self._TRANSCENDENTAL and tokens[self.k] == "(":
+            raise self.error(f"transcendental function {tok!r} is not polynomial", k,
+                             UnsupportedExpressionError)
+        if tok.isdecimal():
+            base = self.integer(tok, k)
+        elif tok == "(":
+            base = self.nested(self.expr, k)
+            if tokens[self.k] != ")":
+                raise self.error("expected ')'", self.k)
+            self.k += 1
+        elif tok and tok not in _OPS:
+            i = _power_at(tok)
+            name = tok[:i] if i else tok
+            f = self.read.get(name)
+            if f is None:
+                coord = self.ctx._try_resolve(name)
+                if coord is None:
+                    raise self.error(f"unknown identifier {name!r}", k)
+                f = self.read[name] = (coord, 1)
+            if i:  # a name^k token; a "^" after it is no exponent
+                e = self.integer(tok[i + 1:], k, i + 1)
+                f = self.read[tok] = (f[0], e) if e else 1
+                return f
+            if tokens[self.k] != "^":
+                return f
+            e = self.exponent(self.k + 1)
+            self.k += 2
+            return (f[0], e) if e else 1
+        else:
+            raise self.error(f"unexpected token {tok!r}" if tok else "unexpected end of input", k)
         if tokens[self.k] != "^":
-            return (base, 1) if base.__class__ is CoordinateId else base
+            return base
         e = self.exponent(self.k + 1)
         self.k += 2
-        if base.__class__ is CoordinateId:
-            return (base, e) if e else 1
         return (Expr.number(base) if base.__class__ is int else base) ** e
 
     def exponent(self, k: int) -> int:
@@ -1189,44 +1216,6 @@ class _Parser:
         except ValueError:  # decimal digits: int() refuses only past the limit
             raise self.error(f"integer literal of {len(digits)} digits, over the limit of "
                              f"{_digit_limit()} digits", k, shift=shift) from None
-
-    _TRANSCENDENTAL = {"sin", "cos", "tan", "exp", "log", "ln", "sqrt",
-                       "sinh", "cosh", "tanh", "abs"}
-
-    def primary(self):
-        """An int, a CoordinateId, (CoordinateId, exponent) for a name^k
-        token or, for a parenthesised expression, an Expr."""
-        k = self.k
-        tok = self.tokens[k]
-        self.k += 1
-        if tok in self._TRANSCENDENTAL and self.tokens[self.k] == "(":
-            raise self.error(f"transcendental function {tok!r} is not polynomial", k,
-                             UnsupportedExpressionError)
-        if tok.isdecimal():
-            return self.integer(tok, k)
-        if tok == "(":
-            e = self.nested(self.expr, k)
-            if self.tokens[self.k] != ")":
-                raise self.error("expected ')'", self.k)
-            self.k += 1
-            return e
-        if tok and tok not in _OPS:
-            i = _power_at(tok)
-            name = tok[:i] if i else tok
-            f = self.read.get(name)
-            if f is None:
-                coord = self.ctx._try_resolve(name)
-                if coord is None:
-                    raise self.error(f"unknown identifier {name!r}", k)
-                self.read[name] = (coord, 1)
-            else:
-                coord = f[0]
-            if not i:
-                return coord
-            e = self.integer(tok[i + 1:], k, i + 1)
-            self.read[tok] = (coord, e) if e else 1  # what factor() makes of it
-            return coord, e
-        raise self.error(f"unexpected token {tok!r}" if tok else "unexpected end of input", k)
 
 
 def parse(text: str, ctx: JetContext) -> Expr:

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +53,16 @@ def soliton_grid(nt, nx, c=1.0, box=16.0):
     T, X = np.meshgrid(t, x, indexing="ij")
     u = -math.sqrt(c) * np.tanh(math.sqrt(c) / 2 * (X - c * T))
     return GridFunction(("t", "x"), (t[0], x[0]), (t[1] - t[0], x[1] - x[0]), {"u": u})
+
+
+def signless(res):
+    """The row with a positive leading coefficient: the row's sign is not its content."""
+    return -res if res.terms and res.terms[0][1] < 0 else res
+
+
+def canon(system):
+    """The nonzero residuals as a multiset, blind to row sign and order."""
+    return Counter(signless(res) for _, res in system.equations if not res.is_zero())
 
 
 def wave3_grid(n, box=3.0):

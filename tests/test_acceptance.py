@@ -12,18 +12,15 @@ The exact deltas against the term-dropping variant are pinned below so the
 convention stays visible and machine-checked.
 """
 
-import math
 import random
 import time
 from collections import Counter
 
-import numpy as np
-
-from conftest import (KDV_EL, KDV_L, jet_pool, random_expr, random_lagrangian,
-                      reference_partial)
+from conftest import (KDV_EL, KDV_L, canon, jet_pool, random_expr, random_lagrangian,
+                      reference_partial, signless, soliton_grid)
 from varjet.jetcalc import EquationSystem, total_derivative
 from varjet.multiindex import EMPTY
-from varjet.numeric import GridFunction, residual
+from varjet.numeric import residual
 from varjet.pdham import (
     constraints,
     elh_system,
@@ -51,26 +48,8 @@ def kdv_setup():
     return ctx, LagrangianDensity(ctx, parse(KDV_L, ctx), order=2)
 
 
-def signless(res):
-    """The row with a positive leading coefficient: the row's sign is not its content."""
-    return -res if res.terms and res.terms[0][1] < 0 else res
-
-
-def canon(system):
-    """The nonzero residuals as a multiset, blind to row sign and order."""
-    return Counter(signless(res) for _, res in system.equations if not res.is_zero())
-
-
 def rows(ctx, texts):
     return Counter(signless(parse(t, ctx)) for t in texts)
-
-
-def soliton_grid(n, box=16.0, c=1.0):
-    t = np.linspace(-box, box, n)
-    x = np.linspace(-box, box, n)
-    T, X = np.meshgrid(t, x, indexing="ij")
-    u = -math.sqrt(c) * np.tanh(math.sqrt(c) / 2 * (X - c * T))
-    return GridFunction(("t", "x"), (t[0], x[0]), (t[1] - t[0], x[1] - x[0]), {"u": u})
 
 
 def test_criterion_01_kdv_euler_lagrange():
@@ -297,14 +276,14 @@ def test_criterion_11_numeric_soliton():
     ctx, lag = kdv_setup()
     el = EquationSystem(ctx, (("el:u", euler_lagrange(lag)[0]),))
 
-    coarse = residual(el, soliton_grid(512))["el:u"]
+    coarse = residual(el, soliton_grid(512, 512))["el:u"]
     assert coarse <= 1e-5
-    fine = residual(el, soliton_grid(1023))["el:u"]  # exactly halves the spacing
+    fine = residual(el, soliton_grid(1023, 1023))["el:u"]  # exactly halves the spacing
     ratio = coarse / fine
     assert 8.0 <= ratio <= 32.0
 
     theta = legendre_form(lag)
-    transport = residual(constraints(lag), soliton_grid(512), legendre=theta)
+    transport = residual(constraints(lag), soliton_grid(512, 512), legendre=theta)
     assert all(v <= 1e-10 for v in transport.values())
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0

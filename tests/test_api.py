@@ -5,8 +5,8 @@ signatures of the momentum-side constructions, the total derivatives and the
 jet context, the fields of an equation system and of a reduction, no unused
 import in a module, no module importing another's private name, no module
 but the kernel importing fractions, one
-elimination routine, one home for the domain refusals' wording, and the
-README's library sketch."""
+elimination routine, one home for the domain refusals' wording, the
+README's library sketch, and the benchmark's map of the modules it traces."""
 
 import ast
 import dataclasses
@@ -231,6 +231,21 @@ def test_one_string_constant_holds_each_domain_refusal():
                     if text in node.value:
                         found.append(os.path.basename(path))
     assert homes == {text: ["symcore.py"] for text in homes}
+
+
+def test_the_benchmark_traces_every_module_of_the_package():
+    # a traced benchmark run imports varjet.<name> for each name in
+    # perfbench/tracing.py's MODULES, so the map names each module file once;
+    # it is read as text, without importing perfbench
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    [modules] = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(target, "id", None) for target in node.targets] == ["MODULES"]]
+    files = [os.path.basename(name)[:-3]
+             for name in glob.glob(os.path.join(os.path.dirname(varjet.__file__), "*.py"))]
+    assert sorted(modules) == sorted(name for name in files if name != "__init__")
 
 
 def test_readme_library_sketch_runs_as_commented():

@@ -573,6 +573,16 @@ def test_usage_error_exits_2(kdv_problem):
         assert exc.value.code == 2, argv
 
 
+@pytest.mark.parametrize("level, message", [("x", "expected an integer, got 'x'"),
+                                            ("-1", "must be >= 0, got -1")],
+                         ids=["not_an_integer", "negative"])
+def test_prolong_level_usage_errors(capsys, kdv_problem, level, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["prolong", kdv_problem, "--level", level])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument --level: {message}\n")
+
+
 @pytest.mark.parametrize("flag, value", [("--order", "3"), ("--seed", "3"),
                                          ("--rank-samples", "2"), ("--rho", "0; u^2")],
                          ids=["order", "seed", "rank_samples", "rho"])
@@ -664,14 +674,15 @@ def test_shift_without_rho(capsys, tmp_path):
     assert err == "varjet: problem file declares no rho components (key: rho)\n"
 
 
-@pytest.mark.parametrize("problem", ["kdv", "wave"])
-def test_shift_refuses_an_empty_rho(capsys, tmp_path, problem):
-    # a rho line without a value declares no components, like a file without one
+@pytest.mark.parametrize("problem, lineno", [("kdv", 6), ("wave", 5)], ids=["kdv", "wave"])
+def test_shift_refuses_an_empty_rho(capsys, tmp_path, problem, lineno):
+    # a rho line without a value holds one empty component, refused on its line
     path = tmp_path / f"{problem}.problem"
     path.write_text(KDV_PROBLEM.replace("rho = 0; u^2", "rho =") if problem == "kdv"
                     else WAVE_PROBLEM + "rho =  # none\n")
     assert run(capsys, "shift", str(path)) == \
-        (1, "", "varjet: problem file declares no rho components (key: rho)\n")
+        (1, "", f"varjet: {path}, line {lineno}: rho needs 2 ';'-separated components, "
+                "got 1\n")
 
 
 def test_order_override(capsys, tmp_path):
@@ -767,6 +778,60 @@ def test_density_errors_are_positioned(capsys, tmp_path, text, lineno, message):
     path = tmp_path / "bad.problem"
     path.write_text(text)
     assert run(capsys, "el", str(path)) == (1, "", f"varjet: {path}, line {lineno}: {message}\n")
+
+
+SHIFT_LINES = BASE_LINES + ["order = 1", "rho = 0; u"]
+BUDGET = "(u + u_t + u_x + u_tt + u_tx + u_xx)^200"
+OVER_BUDGET = "the power 200 of a 6-term sum may have up to 2872408791 terms, over the budget " \
+    "of 1000000"
+
+
+@pytest.mark.parametrize("edits, message", [
+    # parse_problem_text: each refusal on its line, with the column for an
+    # error inside an expression
+    ({4: "order 1"}, "{path}, line 4: expected 'key = value'"),
+    ({6: "seed"}, "{path}, line 6: expected 'key = value'"),
+    ({6: "colour = red"}, "{path}, line 6: unknown key 'colour'"),
+    ({6: "order = 2"}, "{path}, line 6: duplicate key 'order'"),
+    ({1: None}, "{path}: missing required key 'independents'"),
+    ({2: None}, "{path}: missing required key 'dependents'"),
+    ({3: None}, "{path}: missing required key 'lagrangian'"),
+    ({6: "seed = 1e3"}, "{path}, line 6: seed expects an integer, got '1e3'"),
+    ({2: "dependents = t"}, "{path}, line 2: name 't' is declared both as an independent and "
+                            "as a dependent"),
+    ({4: "order = -2"}, "{path}, line 4: order must be >= 1"),
+    ({6: "rank_samples = -1"}, "{path}, line 6: rank_samples must be >= 1"),
+    ({6: "rank_samples = 5000"}, "{path}, line 6: rank_samples must be <= 1000, got 5000"),
+    ({3: "lagrangian = u_t^2 + w"}, "{path}, line 3, column 22: unknown identifier 'w'"),
+    ({3: f"lagrangian = {BUDGET}"}, "{path}, line 3: " + OVER_BUDGET),
+    ({3: "lagrangian = p_.t^2"}, "{path}, line 3: the density reads p_.t, a momentum, which "
+                                 "is not jet-side"),
+    ({3: "lagrangian = u_tt^2"}, "{path}, line 4: declared order 1 below the minimal order 2 "
+                                 "of the density"),
+    ({3: "lagrangian = u_" + "x" * 12000, 4: None}, "{path}, line 3: order 12000 is too high: "
+     "the multiindices up to it would hold more than 50000000 entries"),
+    # Problem.rho, when shift reads the file's rho
+    ({5: None}, "problem file declares no rho components (key: rho)"),
+    ({5: "rho ="}, "{path}, line 5: rho needs 2 ';'-separated components, got 1"),
+    ({5: "rho = 0; u; u"}, "{path}, line 5: rho needs 2 ';'-separated components, got 3"),
+    ({5: "rho = 0;"}, "{path}, line 5, column 9: unexpected end of input"),
+    ({5: "rho = 0; u +* u"}, "{path}, line 5, column 13: unexpected token '*'"),
+    ({5: f"rho = 0; {BUDGET}"}, "{path}, line 5: " + OVER_BUDGET),
+], ids=["no_equals", "no_value_no_equals", "unknown_key", "duplicate_key",
+        "missing_independents", "missing_dependents", "missing_lagrangian", "not_an_integer",
+        "context", "order_below_one", "rank_samples_below_one", "rank_samples_above_bound",
+        "lagrangian_parse", "lagrangian_term_budget", "lagrangian_domain",
+        "order_below_the_density", "inferred_order_over_budget", "rho_absent", "rho_empty",
+        "rho_count", "rho_empty_component", "rho_parse", "rho_term_budget"])
+def test_every_problem_file_refusal_names_the_file_and_line(capsys, tmp_path, edits, message):
+    # SHIFT_LINES with each line numbered in edits replaced (None drops it,
+    # line 6 is appended): each refusal of the reader and of Problem.rho
+    # names "<file>, line N", but a missing key, which has no line, names
+    # the file and the key, and an absent rho names the key
+    lines = {**dict(enumerate(SHIFT_LINES, start=1)), **edits}
+    path = tmp_path / "bad.problem"
+    path.write_text("".join(f"{lines[k]}\n" for k in sorted(lines) if lines[k] is not None))
+    assert run(capsys, "shift", str(path)) == (1, "", f"varjet: {message.format(path=path)}\n")
 
 
 def test_documented_problem_keys_are_the_known_keys():

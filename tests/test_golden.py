@@ -1,7 +1,7 @@
 """Golden CLI outputs: derivation stdout byte for byte, residuals bit for bit.
 
 The derivation goldens (tests/golden/derive/) hold the stdout of every
-derivation subcommand in every format for the three sample problems and three
+derivation subcommand in every format for the three sample problems and four
 derive-ladder problems (tests/golden/problems/), and the plain `reduce` stdout
 of one larger regular density past the ladder.  The `check-solution
 --format json` report prints each max-abs residual with full float

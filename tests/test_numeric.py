@@ -3,9 +3,12 @@
 import dataclasses
 import itertools
 import math
+import mmap
 import os
 import random
+import sys
 import tracemalloc
+import types
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -264,6 +267,13 @@ def test_fd_prolong_grid_too_small():
     g, _ = grid_1d(5, 1.0, lambda x: x)
     with pytest.raises(GridTooSmallError):
         residual(one_row(ctx, "u_xxxx"), g)
+
+
+def test_fd_weights_refuse_a_stencil_narrower_than_the_order():
+    # three points fit no third derivative
+    with pytest.raises(GridTooSmallError, match="^stencil too narrow for the requested "
+                                                "derivative$"):
+        fd_weights(3, 1)
 
 
 def test_fd_prolong_mixed_partial_order_independent():
@@ -603,7 +613,8 @@ def plan_of(system, theta=None):
     read = {c for _, e in system.equations for c in e.coordinates() if c.kind != INDEPENDENT}
     keys = {c: numeric._key(c) for c in read}
     momenta = {c.base for c in read if c.kind != JET and c.base.kind == MOMENTUM}
-    inputs = {m: {c: numeric._key(c) for c in numeric._jets_of([theta.get(m, Expr.zero())])}
+    inputs = {m: {c: numeric._key(c) for c in theta.get(m, Expr.zero()).coordinates()
+                  if c.kind == JET}
               for m in momenta}
     equations = [(label, res, {c: keys[c] for c in res.coordinates() if c in keys})
                  for label, res in system.equations]
@@ -759,6 +770,19 @@ def test_residual_of_constant_rows_maps_an_empty_arena(ctx_1d, monkeypatch):
     g, _ = grid_1d(9, 1.0, np.sin)
     assert residual(system, g) == {"el:u": 0.0}
     assert [nbytes for nbytes, _ in arenas] == [0]
+
+
+@pytest.mark.parametrize("which", ["el", "elh"])
+def test_residual_in_a_shared_mapping_where_mmap_takes_no_flags(ctx_tx, monkeypatch, which):
+    # an mmap module without MAP_PRIVATE (Windows) maps the arena without
+    # flags; the residuals are the same bits
+    system, theta = kdv_system(ctx_tx, which)
+    g = soliton_grid(40, 57, c=0.9, box=5.0)
+    want = residual(system, g, legendre=theta)
+    monkeypatch.setattr(numeric, "mmap", types.SimpleNamespace(mmap=mmap.mmap))
+    got = residual(system, g, legendre=theta)
+    assert {k: int(bits(v)) for k, v in got.items()} == \
+        {k: int(bits(v)) for k, v in want.items()}
 
 
 def test_kdv_el_residual_stencils_only_what_it_reads(ctx_tx, monkeypatch):
@@ -1009,6 +1033,21 @@ def test_load_grid_reads_no_field_data(tmp_path):
     with back.fields["v"].opened() as fh:
         back.fields["v"].read(fh, 7, 12, out)
     assert np.array_equal(out, g.fields["v"][7:12])
+
+
+def test_grid_file_rows_are_byte_swapped_on_a_big_endian_host(monkeypatch, tmp_path):
+    # the file's floats are little-endian: a big-endian host swaps each row's
+    # bytes once read, so on this host the stand-in swaps them away
+    g = soliton_grid(32, 48, box=2.0)
+    path = tmp_path / "u.grid"
+    save_grid(g, str(path))
+    field = load_grid(str(path)).fields["u"]
+    monkeypatch.setattr(numeric, "sys", types.SimpleNamespace(byteorder="big"))
+    out = np.empty((5, 48))
+    with field.opened() as fh:
+        field.read(fh, 7, 12, out)
+    want = g.fields["u"][7:12] if sys.byteorder == "big" else g.fields["u"][7:12].byteswap()
+    assert np.array_equal(bits(out), bits(want))
 
 
 def test_grid_file_read_past_its_end_is_domain_error(tmp_path):

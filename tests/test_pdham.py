@@ -12,8 +12,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import (KDV_L, homotopy_lagrangian, jet_pool, pullback, random_expr,
-                      random_lagrangian, reference_partial)
+from conftest import (KDV_L, canon, homotopy_lagrangian, jet_pool, pullback, random_expr,
+                      random_lagrangian, reference_partial, signless)
 from varjet import cli, pdham
 from varjet.jetcalc import EquationSystem, total_derivative
 from varjet.multiindex import EMPTY, MultiIndex, multiindices, multiindices_up_to
@@ -49,16 +49,6 @@ WORKLOADS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "wor
 
 def rows_by_label(system):
     return dict(system.equations)
-
-
-def signless(res):
-    """The row with a positive leading coefficient: the row's sign is not its content."""
-    return -res if res.terms and res.terms[0][1] < 0 else res
-
-
-def canon(system):
-    """The nonzero residuals as a multiset, blind to row sign and order."""
-    return Counter(signless(res) for _, res in system.equations if not res.is_zero())
 
 
 def expected_rows(system, texts):

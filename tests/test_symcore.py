@@ -123,6 +123,11 @@ def test_parse_zero(ctx_tx):
     assert E(ctx_tx, "0").terms == ()
 
 
+def test_expr_repr_counts_the_terms(ctx_tx):
+    assert [repr(E(ctx_tx, text)) for text in ("0", "3", KDV_L)] == \
+        ["Expr<0 terms>", "Expr<1 terms>", "Expr<3 terms>"]
+
+
 def test_parse_like_term_merge(ctx_tx):
     assert E(ctx_tx, "u + u") == E(ctx_tx, "2*u")
     assert len(E(ctx_tx, "u + u").terms) == 1
