@@ -8,8 +8,8 @@ Every other JSON output is written here.
 Exit codes: 0 on success (a diagnosed non-regular reduction is success),
 1 on domain errors, 2 on usage errors.  Output is byte-deterministic for
 fixed inputs.  The density, its order and the run's settings (the Hessian
-rank's seed and samples, the shift components) are the problem file's
-alone; no option restates them.
+rank's seed, the shift components) are the problem file's alone; no option
+restates them.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def cmd_constraints(args, problem: Problem, lag: LagrangianDensity) -> str:
 
 
 def cmd_hessian(args, problem: Problem, lag: LagrangianDensity) -> str:
-    matrix, report = hessian(lag, samples=problem.rank_samples, seed=problem.seed)
+    matrix, report = hessian(lag, seed=problem.seed)
     rows = [[_render(e, lag.context, args.format) for e in row] for row in matrix.entries]
     if args.format == "json":
         return _json_dump({**dataclasses.asdict(report), "matrix": rows})
@@ -136,7 +136,7 @@ def cmd_reduce(args, problem: Problem, lag: LagrangianDensity) -> str:
     hamiltonian = None if red.hamiltonian is None else _render(red.hamiltonian, ctx, fmt)
     system = red.system_hdw
     if fmt == "json":
-        report = hessian(lag, samples=problem.rank_samples, seed=problem.seed)[1]
+        report = hessian(lag, seed=problem.seed)[1]
         payload = {
             "diagnosis": red.diagnosis,
             "regular": red.diagnosis == "regular",

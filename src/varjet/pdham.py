@@ -38,9 +38,8 @@ from .jetcalc import EquationSystem, mixed_total_derivative
 from .variational import LagrangianDensity
 
 
-# the most rank samples hessian takes, and so a problem file's rank_samples
-# may ask for: a constant Hessian's rank is repeated once per sample in the report
-MAX_RANK_SAMPLES = 1000
+# how many random points hessian samples the rank at
+RANK_SAMPLES = 5
 
 
 def _momentum_label(ctx: JetContext, alpha: int, I: MultiIndex) -> str:
@@ -132,23 +131,18 @@ def _value_at(e: Expr, point: Dict[CoordinateId, Expr]) -> Optional[Q]:
     return e.substitute(point).constant_value() if value is None else value
 
 
-def hessian(lag: LagrangianDensity, *, samples: int = 5,
-            seed: int = 0) -> Tuple[HessianMatrix, RankReport]:
+def hessian(lag: LagrangianDensity, *, seed: int = 0) -> Tuple[HessianMatrix, RankReport]:
     """The Hessian in the jets of order l+1, with a sampled exact-rank report.
 
     The rank is computed by exact elimination after evaluating the jet
     coordinates at random rational points; the report carries the maximum
-    observed rank and whether it stayed constant across samples (the verdict
-    is probabilistic, repetitions and seed configurable).  A Hessian free of
-    coordinates takes one value everywhere: it is evaluated and eliminated
-    once, and that rank is reported for every sample.  The matrix is
-    symmetric: each entry on or above the diagonal is built and evaluated
-    once per sample, from the gradient in the top jets, and mirrored.
-    ``samples`` runs from 1 to MAX_RANK_SAMPLES; any other count is refused
-    before any work.
+    observed rank and whether it stayed constant across the RANK_SAMPLES
+    points (the verdict is probabilistic, the points fixed by the seed).  A
+    Hessian free of coordinates takes one value everywhere: it is evaluated
+    and eliminated once, and that rank is reported for every sample.  The
+    matrix is symmetric: each entry on or above the diagonal is built and
+    evaluated once per sample, from the gradient in the top jets, and mirrored.
     """
-    if not 1 <= samples <= MAX_RANK_SAMPLES:
-        raise VarjetError(f"samples must be from 1 to {MAX_RANK_SAMPLES}, got {samples}")
     ctx = lag.context
     l = lag.level
     idx = [(alpha, I) for alpha in range(ctx.m) for I in multiindices(ctx.n, l + 1)]
@@ -163,7 +157,7 @@ def hessian(lag: LagrangianDensity, *, samples: int = 5,
     coords = sorted({c for row in upper for e in row for c in e.coordinates()})
     rng = random.Random(seed)
     ranks = []
-    for _ in range(samples if coords else 1):
+    for _ in range(RANK_SAMPLES if coords else 1):
         point = {c: Expr.number(Q(rng.randint(-9, 9), rng.randint(1, 9)))
                  for c in coords}
         values = [[_value_at(e, point) for e in row] for row in upper]
@@ -172,11 +166,11 @@ def hessian(lag: LagrangianDensity, *, samples: int = 5,
         rows = {r: dict(enumerate(row)) for r, row in enumerate(_symmetric(values))}
         ranks.append(len(eliminate(rows, range(len(idx)))[0]))
     if not coords:
-        ranks *= samples
+        ranks *= RANK_SAMPLES
     rank = max(ranks)
     report = RankReport(dim=len(idx), rank=rank, regular=(rank == len(idx)),
                         rank_constant=(len(set(ranks)) == 1), ranks=tuple(ranks),
-                        samples=samples, seed=seed)
+                        samples=RANK_SAMPLES, seed=seed)
     return matrix, report
 
 
@@ -224,7 +218,8 @@ def momentum_shift(system: EquationSystem, rho: Sequence[Expr]) -> EquationSyste
         raise VarjetError("momentum_shift needs a mixed system, which carries its fiber")
     ctx, l = system.context, system.level
     if len(rho) != ctx.n:
-        raise VarjetError(f"need one shift component per independent variable ({ctx.n})")
+        raise VarjetError(f"need one shift component per independent variable ({ctx.n}), "
+                          f"got {len(rho)}")
     for r in rho:
         ctx.refuse(r.coordinates(), "a shift component reads", jet_side=True)
         if r.max_jet_order() > l:

@@ -3,13 +3,14 @@
 Lines are ``key = value``; blank lines and ``#`` comments are ignored.
 Recognized keys: independents, dependents (space- or comma-separated names),
 lagrangian (expression), order (declared order l+1), and the run's
-settings seed, rank_samples and rho (one expression per independent
-variable, ';'-separated).  The file is the one place of every setting: the
-command line restates none of them.  No key bounds the jet order: the
-density and its declared order fix which jets each construction reads.
-The name rules are JetContext's checks, and the density's own rules (the
-least order, the multiindex budget, no momenta or comma-derivatives)
-LagrangianDensity's; the reader places their errors on the file's lines.
+settings seed and rho (one expression per independent variable,
+';'-separated).  The file is the one place of every setting: the command
+line restates none of them.  No key bounds the jet order: the density and
+its declared order fix which jets each construction reads.  The reader
+checks the file's own syntax alone.  The name rules are JetContext's
+checks, the density's own rules (the least order, the multiindex budget, no
+momenta or comma-derivatives) LagrangianDensity's and the rho count
+momentum_shift's; their errors are placed on the file's lines.
 """
 
 from __future__ import annotations
@@ -18,38 +19,31 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .pdham import MAX_RANK_SAMPLES
 from .symcore import ContextError, Expr, JetContext, VarjetError, WrongDomainError, parse
 from .variational import LagrangianDensity
 
-_KNOWN_KEYS = {"independents", "dependents", "lagrangian", "order",
-               "seed", "rank_samples", "rho"}
+_KNOWN_KEYS = {"independents", "dependents", "lagrangian", "order", "seed", "rho"}
 
 
 @dataclass
 class Problem:
     density: LagrangianDensity  # validated once, at the file's order
-    seed: int = 0
-    rank_samples: int = 5
-    # the file's rho, None without the key: its ';'-separated shift
-    # components, parsed on use, where they are ("<file>, line N") and
-    # their column there
-    rho_source: Optional[Tuple[str, str, int]] = None
+    seed: int
+    # the file's rho: its ';'-separated shift components, parsed on use,
+    # where they are ("<file>, line N") and their column there; without
+    # the key, (None, "<file>", 0)
+    rho_source: Tuple[Optional[str], str, int]
 
     def rho(self) -> Tuple[List[Expr], str]:
-        """The file's shift components, one per independent, and the line
-        they were read from.  Every error names that line, a parse error its
-        column there; an empty value is one empty component."""
-        if self.rho_source is None:
-            raise VarjetError("problem file declares no rho components (key: rho)")
+        """The file's shift components and the line they were read from.
+        Every error names that line, a parse error its column there; an empty
+        value is one empty component.  momentum_shift counts them."""
         source, where, column = self.rho_source
-        context = self.density.context
+        if source is None:
+            raise VarjetError(f"{where}: problem file declares no rho components (key: rho)")
         parts = source.split(";")
-        if len(parts) != context.n:
-            raise VarjetError(f"{where}: rho needs {context.n} ';'-separated components, "
-                              f"got {len(parts)}")
         starts = itertools.accumulate((len(part) + 1 for part in parts), initial=column)
-        return [_parse_value(part, context, where, start)
+        return [_parse_value(part, self.density.context, where, start)
                 for part, start in zip(parts, starts)], where
 
 
@@ -91,7 +85,7 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
     def names(key: str) -> Tuple[str, ...]:
         return tuple(entries[key][0].replace(",", " ").split())
 
-    def integer(key: str, default: int) -> int:
+    def integer(key: str, default: Optional[int]) -> Optional[int]:
         if key not in entries:
             return default
         try:
@@ -103,29 +97,21 @@ def parse_problem_text(text: str, source: str = "<problem>") -> Problem:
         context = JetContext(names("independents"), names("dependents"))
     except ContextError as exc:
         fail(exc.field, str(exc))
-    order = integer("order", 0)
+    order = integer("order", None)
     seed = integer("seed", 0)
-    rank_samples = integer("rank_samples", 5)
-    if "order" in entries and order < 1:  # the density reads 0 as "infer"
-        fail("order", "order must be >= 1")
-    if rank_samples < 1:
-        fail("rank_samples", "rank_samples must be >= 1")
-    if rank_samples > MAX_RANK_SAMPLES:
-        fail("rank_samples", f"rank_samples must be <= {MAX_RANK_SAMPLES}, got {rank_samples}")
     lagrangian, lineno, column = entries["lagrangian"]
     L = _parse_value(lagrangian, context, f"{source}, line {lineno}", column)
-    try:  # an absent order is 0, which the density infers
+    try:  # an absent order is None, which the density infers
         density = LagrangianDensity(context, L, order=order)
     except WrongDomainError as exc:
         fail("lagrangian", str(exc))
     except VarjetError as exc:  # the order's rules
         fail("order" if "order" in entries else "lagrangian", str(exc))
-    rho_source = None
+    rho_source = (None, source, 0)
     if "rho" in entries:
         rho_text, rho_line, rho_column = entries["rho"]
         rho_source = (rho_text, f"{source}, line {rho_line}", rho_column)
-    return Problem(density=density, seed=seed, rank_samples=rank_samples,
-                   rho_source=rho_source)
+    return Problem(density=density, seed=seed, rho_source=rho_source)
 
 
 def load_problem(path: str) -> Problem:

@@ -15,7 +15,7 @@ by construction and is re-verified on every call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .symcore import (
     JET,
@@ -32,8 +32,8 @@ from .jetcalc import iterated_total_derivative, refuse_long_multiindices, total_
 class LagrangianDensity:
     """The coefficient L of a Lagrangian density L d^n x, with its declared order.
 
-    ``order`` is the declared order l+1.  It defaults to the smallest order
-    admitting L (at least one) and may be overridden upward: the momentum-side
+    ``order`` is the declared order l+1.  None, the default, means the smallest
+    order admitting L (at least one); it may be overridden upward: the momentum-side
     constructions are order-sensitive, so treating a first-order density as
     second order is meaningful and allowed.  The constructions enumerate the
     multiindices up to the order, so an order with too many is refused here.
@@ -41,12 +41,12 @@ class LagrangianDensity:
 
     context: JetContext
     L: Expr
-    order: int = 0
+    order: Optional[int] = None
 
     def __post_init__(self):
         self.context.refuse(self.L.coordinates(), "the density reads", jet_side=True)
         minimal = max(1, self.L.max_jet_order())
-        if self.order == 0:
+        if self.order is None:
             object.__setattr__(self, "order", minimal)
         if self.order < minimal:
             raise VarjetError(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from varjet import numeric
-from varjet.jetcalc import iterated_total_derivative
+from varjet.jetcalc import iterated_total_derivative, total_derivative
 from varjet.multiindex import MultiIndex, multiindices_up_to
 from varjet.numeric import GridFunction
 from varjet.pdham import comma_images
@@ -264,6 +264,24 @@ def random_lagrangian(rng: random.Random, max_n=2, max_m=2, max_order=3,
     if L.is_zero():
         L = Expr.coord(pool[0])
     return LagrangianDensity(ctx, L, order=max(order, max(1, L.max_jet_order())))
+
+
+def random_gauge(rng: random.Random, lag: LagrangianDensity):
+    """A random gauge of lag's momenta (n >= 2, level l >= 1), as the map q
+    of the four momenta it moves: for a dependent a, a multiindex K with
+    |K| <= l-1, i < j and a random jet-side f of order <= l-1,
+    q^{Ki.j} = f, q^{Kj.i} = -f, q^{K.i} = -D_j f and q^{K.j} = D_i f.
+    The ELH rows are blind to p -> p + q: the contraction terms at Kij cancel
+    pairwise, D_j f at Ki and D_i f at Kj cancel the contraction terms there,
+    and the two divergence terms at K cancel each other."""
+    ctx = lag.context
+    a, (i, j) = rng.randrange(ctx.m), sorted(rng.sample(range(ctx.n), 2))
+    K = rng.choice(multiindices_up_to(ctx.n, lag.level - 1))
+    f = random_expr(rng, jet_pool(ctx, lag.level - 1), max_monomials=3, max_factors=2)
+    return {CoordinateId.momentum(a, K.with_index(i), j): f,
+            CoordinateId.momentum(a, K.with_index(j), i): -f,
+            CoordinateId.momentum(a, K, i): -total_derivative(f, j),
+            CoordinateId.momentum(a, K, j): total_derivative(f, i)}
 
 
 def pullback(system, theta):

@@ -78,7 +78,7 @@ def test_criterion_02_kdv_constraints():
 
 def test_criterion_03_kdv_hessian():
     ctx, lag = kdv_setup()
-    matrix, report = hessian(lag, samples=5, seed=0)
+    matrix, report = hessian(lag, seed=0)
     assert report.samples >= 5 and report.seed == 0
     assert report.dim == 3 and report.rank == 1
     assert not report.regular and report.rank_constant

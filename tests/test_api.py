@@ -3,7 +3,8 @@ public names of its numeric layer and the signature of its evaluate, an
 Expr's one slot and substitution's signature, the
 signatures of the momentum-side constructions, the total derivatives and the
 jet context, the fields of an equation system and of a reduction, no unused
-import in a module, no module importing another's private name, no module
+import in a module, no module importing another's private name, the
+problem-file reader importing only the kernel and the density, no module
 but the kernel importing fractions, one
 elimination routine, one home for the domain refusals' wording, the
 README's library sketch, and the benchmark's map of the modules it traces."""
@@ -79,13 +80,13 @@ def test_no_exported_name_is_an_alias():
 
 
 def test_constructions_take_the_level_from_the_density():
-    # the momentum level is the density's order minus one; sampling options
-    # are keyword-only, so a stale positional level cannot pass as samples
+    # the momentum level is the density's order minus one; the rank's seed
+    # is keyword-only, so a stale positional level cannot pass as the seed
     signatures = {
         varjet.elh_system: "(lag: 'LagrangianDensity') -> 'EquationSystem'",
         varjet.constraints: "(lag: 'LagrangianDensity') -> 'EquationSystem'",
         varjet.energy_density: "(lag: 'LagrangianDensity') -> 'Expr'",
-        varjet.hessian: "(lag: 'LagrangianDensity', *, samples: 'int' = 5, seed: 'int' = 0)"
+        varjet.hessian: "(lag: 'LagrangianDensity', *, seed: 'int' = 0)"
                         " -> 'Tuple[HessianMatrix, RankReport]'",
         varjet.reduce_lagrangian: "(lag: 'LagrangianDensity') -> 'ReducedSystem'",
     }
@@ -183,6 +184,17 @@ def test_no_module_imports_another_module_s_private_name():
                 imports += [f"{os.path.basename(path)}:{node.lineno}: {alias.name}"
                             for alias in node.names if alias.name.startswith("_")]
     assert imports == []
+
+
+def test_the_problem_file_reader_imports_the_kernel_and_the_density_alone():
+    # each rule about a setting has one home: the reader checks the file's
+    # syntax and leaves the density's rules to variational and the rho count
+    # to pdham's momentum_shift, so it imports no pdham bound
+    with open(os.path.join(os.path.dirname(varjet.__file__), "problemfile.py"),
+              encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    assert {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and node.level} == {"symcore", "variational"}
 
 
 def test_only_the_kernel_imports_fractions():

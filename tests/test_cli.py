@@ -172,18 +172,6 @@ def test_huge_order_is_refused_before_any_enumeration(capsys, tmp_path, command)
                                        "50000000 entries\n")
 
 
-@pytest.mark.parametrize("command", ["hessian", "reduce"])
-def test_rank_samples_are_bounded(capsys, tmp_path, command):
-    # each sample of a constant Hessian repeats its rank in the report, so
-    # the count is bounded; the bound itself is accepted (a file's count above
-    # it is refused on its line, see test_malformed_problem_value_is_positioned)
-    path = tmp_path / "wave.problem"
-    path.write_text(WAVE_PROBLEM + "rank_samples = 1000\n")
-    code, out, _ = run(capsys, command, str(path), "--format", "json")
-    report = json.loads(out) if command == "hessian" else json.loads(out)["hessian"]
-    assert code == 0 and report["samples"] == 1000 and len(report["ranks"]) == 1000
-
-
 def test_huge_order_in_a_problem_file_is_refused(capsys, tmp_path):
     path = tmp_path / "wave.problem"
     path.write_text(WAVE_PROBLEM.replace("order = 1", f"order = {HUGE}"))
@@ -293,12 +281,11 @@ def test_derivation_subcommands_start_without_numpy(kdv_problem):
     assert out == f"{[0] * len(commands)} False\n"
 
 
-@pytest.mark.parametrize("lines, sampling", [("seed = 7\nrank_samples = 3\n", (7, 3)),
-                                             ("", (0, 5))],
+@pytest.mark.parametrize("lines, sampling", [("seed = 7\n", (7, 5)), ("", (0, 5))],
                          ids=["problem_file", "defaults"])
 def test_reduce_json_prints_the_hessian_report(capsys, tmp_path, lines, sampling):
     # the "hessian" object of `reduce` is the report of `hessian`, matrix aside,
-    # sampled with the same seed and sample count: the file's, else the defaults
+    # sampled with the same seed (the file's, else 0) at pdham.RANK_SAMPLES points
     path = tmp_path / "kdv.problem"
     path.write_text(KDV_PROBLEM + lines)
     code, out, _ = run(capsys, "reduce", str(path), "--format", "json")
@@ -587,8 +574,9 @@ def test_prolong_level_usage_errors(capsys, kdv_problem, level, message):
                                          ("--rank-samples", "2"), ("--rho", "0; u^2")],
                          ids=["order", "seed", "rank_samples", "rho"])
 def test_problem_file_settings_are_not_options(capsys, kdv_problem, flag, value):
-    # the order, the rank sampling and the shift components are the problem
-    # file's alone: no subcommand restates them
+    # the order, the rank's seed and the shift components are the problem
+    # file's alone, and the rank's sample count is a constant: no subcommand
+    # restates them
     for command in cli._COMMANDS:
         grid = ["--grid", "g"] if command == "check-solution" else []
         with pytest.raises(SystemExit) as exc:
@@ -653,8 +641,8 @@ def test_shift_rho_component_count(capsys, tmp_path):
     for rho, count in (("0; u^2; u", 3), ("u^2", 1)):
         path.write_text(KDV_PROBLEM.replace("rho = 0; u^2", f"rho = {rho}"))
         assert run(capsys, "shift", str(path)) == \
-            (1, "", f"varjet: {path}, line 6: rho needs 2 ';'-separated components, "
-                    f"got {count}\n")
+            (1, "", f"varjet: {path}, line 6: need one shift component per independent "
+                    f"variable (2), got {count}\n")
 
 
 def test_shift_rho_over_the_momentum_level(capsys, tmp_path):
@@ -671,18 +659,19 @@ def test_shift_without_rho(capsys, tmp_path):
     path.write_text(WAVE_PROBLEM)
     code, out, err = run(capsys, "shift", str(path))
     assert (code, out) == (1, "")
-    assert err == "varjet: problem file declares no rho components (key: rho)\n"
+    assert err == f"varjet: {path}: problem file declares no rho components (key: rho)\n"
 
 
-@pytest.mark.parametrize("problem, lineno", [("kdv", 6), ("wave", 5)], ids=["kdv", "wave"])
-def test_shift_refuses_an_empty_rho(capsys, tmp_path, problem, lineno):
-    # a rho line without a value holds one empty component, refused on its line
+@pytest.mark.parametrize("problem, lineno, column", [("kdv", 6, 6), ("wave", 5, 8)],
+                         ids=["kdv", "wave"])
+def test_shift_refuses_an_empty_rho(capsys, tmp_path, problem, lineno, column):
+    # a rho line without a value holds one empty component, which the parser
+    # refuses where the value ends
     path = tmp_path / f"{problem}.problem"
     path.write_text(KDV_PROBLEM.replace("rho = 0; u^2", "rho =") if problem == "kdv"
                     else WAVE_PROBLEM + "rho =  # none\n")
     assert run(capsys, "shift", str(path)) == \
-        (1, "", f"varjet: {path}, line {lineno}: rho needs 2 ';'-separated components, "
-                "got 1\n")
+        (1, "", f"varjet: {path}, line {lineno}, column {column}: unexpected end of input\n")
 
 
 def test_order_override(capsys, tmp_path):
@@ -729,7 +718,8 @@ BASE_LINES = ["independents = t x", "dependents = u", "lagrangian = 1/2*u_t^2 - 
 @pytest.mark.parametrize("extra, lineno, message", [
     ("order = abc", 4, "order expects an integer, got 'abc'"),
     ("seed = x", 4, "seed expects an integer, got 'x'"),
-    ("rank_samples = 1.5", 4, "rank_samples expects an integer, got '1.5'"),
+    # rank_samples is no key, whatever its value: the sample count is pdham.RANK_SAMPLES
+    ("rank_samples = 1.5", 4, "unknown key 'rank_samples'"),
     ("dependents = u x", 2, "name 'x' is declared both as an independent and as a dependent"),
     # the context's name rules, each placed on the line of the list it refuses
     ("independents = t x t", 1, "name 't' is declared twice"),
@@ -738,17 +728,18 @@ BASE_LINES = ["independents = t x", "dependents = u", "lagrangian = 1/2*u_t^2 - 
     # u_xx would read as the jet along xx and as the second jet along x
     ("independents = x xx", 1, "independent name 'x' is a prefix of 'xx'"),
     ("independents = tx t", 1, "independent name 't' is a prefix of 'tx'"),
-    ("rank_samples = 0", 4, "rank_samples must be >= 1"),
-    # a constant Hessian's rank is repeated once per sample in the report
-    ("rank_samples = 1001", 4, "rank_samples must be <= 1000, got 1001"),
-    ("order = 0", 4, "order must be >= 1"),
+    ("rank_samples = 0", 4, "unknown key 'rank_samples'"),
+    ("rank_samples = 1001", 4, "unknown key 'rank_samples'"),
+    # the density's order rule, placed on the order line
+    ("order = 0", 4, "declared order 0 below the minimal order 1 of the density"),
     # the density fixes the jet orders, so no key bounds them
     ("max_order = 8", 4, "unknown key 'max_order'"),
     ("auto_extend = true", 4, "unknown key 'auto_extend'"),
+    ("rank_samples = 5", 4, "unknown key 'rank_samples'"),
 ], ids=["order", "seed", "rank_samples", "shared_name", "repeated_name", "invalid_name",
         "no_names", "prefix_names", "prefix_names_reversed", "rank_samples_below_one",
         "rank_samples_above_bound", "order_zero", "unknown_key_max_order",
-        "unknown_key_auto_extend"])
+        "unknown_key_auto_extend", "unknown_key_rank_samples"])
 def test_malformed_problem_value_is_positioned(capsys, tmp_path, extra, lineno, message):
     # a line with a key of BASE_LINES replaces that line, any other is appended
     lines = list(BASE_LINES)
@@ -799,9 +790,10 @@ OVER_BUDGET = "the power 200 of a 6-term sum may have up to 2872408791 terms, ov
     ({6: "seed = 1e3"}, "{path}, line 6: seed expects an integer, got '1e3'"),
     ({2: "dependents = t"}, "{path}, line 2: name 't' is declared both as an independent and "
                             "as a dependent"),
-    ({4: "order = -2"}, "{path}, line 4: order must be >= 1"),
-    ({6: "rank_samples = -1"}, "{path}, line 6: rank_samples must be >= 1"),
-    ({6: "rank_samples = 5000"}, "{path}, line 6: rank_samples must be <= 1000, got 5000"),
+    ({4: "order = -2"}, "{path}, line 4: declared order -2 below the minimal order 1 of the "
+                        "density"),
+    ({6: "rank_samples = -1"}, "{path}, line 6: unknown key 'rank_samples'"),
+    ({6: "rank_samples = 5000"}, "{path}, line 6: unknown key 'rank_samples'"),
     ({3: "lagrangian = u_t^2 + w"}, "{path}, line 3, column 22: unknown identifier 'w'"),
     ({3: f"lagrangian = {BUDGET}"}, "{path}, line 3: " + OVER_BUDGET),
     ({3: "lagrangian = p_.t^2"}, "{path}, line 3: the density reads p_.t, a momentum, which "
@@ -810,10 +802,11 @@ OVER_BUDGET = "the power 200 of a 6-term sum may have up to 2872408791 terms, ov
                                  "of the density"),
     ({3: "lagrangian = u_" + "x" * 12000, 4: None}, "{path}, line 3: order 12000 is too high: "
      "the multiindices up to it would hold more than 50000000 entries"),
-    # Problem.rho, when shift reads the file's rho
-    ({5: None}, "problem file declares no rho components (key: rho)"),
-    ({5: "rho ="}, "{path}, line 5: rho needs 2 ';'-separated components, got 1"),
-    ({5: "rho = 0; u; u"}, "{path}, line 5: rho needs 2 ';'-separated components, got 3"),
+    # Problem.rho, when shift reads the file's rho, and momentum_shift's count
+    ({5: None}, "{path}: problem file declares no rho components (key: rho)"),
+    ({5: "rho ="}, "{path}, line 5, column 6: unexpected end of input"),
+    ({5: "rho = 0; u; u"}, "{path}, line 5: need one shift component per independent "
+                           "variable (2), got 3"),
     ({5: "rho = 0;"}, "{path}, line 5, column 9: unexpected end of input"),
     ({5: "rho = 0; u +* u"}, "{path}, line 5, column 13: unexpected token '*'"),
     ({5: f"rho = 0; {BUDGET}"}, "{path}, line 5: " + OVER_BUDGET),
@@ -826,8 +819,8 @@ OVER_BUDGET = "the power 200 of a 6-term sum may have up to 2872408791 terms, ov
 def test_every_problem_file_refusal_names_the_file_and_line(capsys, tmp_path, edits, message):
     # SHIFT_LINES with each line numbered in edits replaced (None drops it,
     # line 6 is appended): each refusal of the reader and of Problem.rho
-    # names "<file>, line N", but a missing key, which has no line, names
-    # the file and the key, and an absent rho names the key
+    # names "<file>, line N", but a missing key or an absent rho, which has
+    # no line, names the file and the key
     lines = {**dict(enumerate(SHIFT_LINES, start=1)), **edits}
     path = tmp_path / "bad.problem"
     path.write_text("".join(f"{lines[k]}\n" for k in sorted(lines) if lines[k] is not None))
@@ -1155,7 +1148,6 @@ values = {
     "lagrangian": expressions,
     "order": st.integers(min_value=-1, max_value=4).map(str),
     "seed": st.integers(min_value=-3, max_value=3).map(str),
-    "rank_samples": st.integers(min_value=0, max_value=3).map(str),
     "rho": st.lists(expressions, min_size=1, max_size=3).map("; ".join),
 }
 
@@ -1171,7 +1163,7 @@ whole_files = st.builds(
     lambda i, d, lag, rest: "\n".join(
         [f"independents = {i}", f"dependents = {d}", f"lagrangian = {lag}"] + rest),
     st.sampled_from(["t x", "x"]), st.sampled_from(["u", "u v"]), expressions,
-    st.lists(entries(["order", "seed", "rank_samples", "rho"], junk=False),
+    st.lists(entries(["order", "seed", "rho"], junk=False),
              max_size=3, unique_by=lambda line: line.split("=")[0]))
 any_lines = st.lists(st.one_of(entries(sorted(values), junk=True), scraps),
                      max_size=6).map("\n".join)

@@ -1,6 +1,7 @@
 """ELH systems, constraints, Hessian reports, energy, shift, reduction."""
 
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -13,12 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import (KDV_L, canon, homotopy_lagrangian, jet_pool, pullback, random_expr,
-                      random_lagrangian, reference_partial, signless)
+                      random_gauge, random_lagrangian, reference_partial, signless)
 from varjet import cli, pdham
 from varjet.jetcalc import EquationSystem, total_derivative
 from varjet.multiindex import EMPTY, MultiIndex, multiindices, multiindices_up_to
 from varjet.pdham import (
-    MAX_RANK_SAMPLES,
     comma_images,
     RankReport,
     constraints,
@@ -154,7 +154,7 @@ def test_top_level_legendre_agreement_randomized():
 # -- Hessian -------------------------------------------------------------------
 
 def test_hessian_kdv(kdv):
-    matrix, report = hessian(kdv, samples=5, seed=0)
+    matrix, report = hessian(kdv, seed=0)
     assert report.dim == 3 and report.rank == 1 and not report.regular
     assert report.rank_constant
     # single nonzero entry at the (u_xx, u_xx) diagonal position
@@ -183,7 +183,7 @@ def test_hessian_symmetry_randomized():
     rng = random.Random(53)
     for _ in range(20):
         lag = random_lagrangian(rng)
-        matrix, _ = hessian(lag, samples=1)
+        matrix, _ = hessian(lag)
         dim = len(matrix.index)
         for r in range(dim):
             for c in range(dim):
@@ -191,8 +191,8 @@ def test_hessian_symmetry_randomized():
 
 
 def test_hessian_seed_determinism(kdv):
-    _, r1 = hessian(kdv, samples=5, seed=42)
-    _, r2 = hessian(kdv, samples=5, seed=42)
+    _, r1 = hessian(kdv, seed=42)
+    _, r2 = hessian(kdv, seed=42)
     assert r1 == r2
 
 
@@ -210,14 +210,14 @@ def test_hessian_matches_double_partials_randomized():
         L = random_expr(rng, tops + pool, max_monomials=6)
         lag = LagrangianDensity(ctx, L, order=order)
         seed = rng.randint(0, 99)
-        matrix, report = hessian(lag, samples=3, seed=seed)
+        matrix, report = hessian(lag, seed=seed)
         assert [CoordinateId.jet(a, I) for a, I in matrix.index] == tops
         assert matrix.entries == tuple(
             tuple(reference_partial(reference_partial(L, r), c) for c in tops) for r in tops)
         coords = sorted({c for row in matrix.entries for e in row for c in e.coordinates()})
         draws = random.Random(seed)
         ranks = []
-        for _ in range(3):
+        for _ in range(pdham.RANK_SAMPLES):
             point = {c: Expr.number(Fraction(draws.randint(-9, 9), draws.randint(1, 9)))
                      for c in coords}
             values = [[e.substitute(point).constant_value() for e in row]
@@ -244,19 +244,11 @@ def test_constant_hessian_is_eliminated_once(monkeypatch, kdv):
 
     monkeypatch.setattr(pdham, "eliminate", counted)
     monkeypatch.setattr(pdham, "_value_at", counted_value)
-    _, report = hessian(kdv, samples=5, seed=3)
+    _, report = hessian(kdv, seed=3)
     assert len(calls) == 1
     assert len(evaluated) == 6
     assert report == RankReport(dim=3, rank=1, regular=False, rank_constant=True,
                                 ranks=(1,) * 5, samples=5, seed=3)
-
-
-@pytest.mark.parametrize("samples", [-4, 0, MAX_RANK_SAMPLES + 1, 3_000_000])
-def test_hessian_refuses_a_sample_count_out_of_range(kdv, samples):
-    # -4 ran one sample, and 3,000,000 built a report of as many ranks
-    with pytest.raises(VarjetError, match=f"^samples must be from 1 to {MAX_RANK_SAMPLES}, "
-                                          f"got {samples}$"):
-        hessian(kdv, samples=samples)
 
 
 # -- energy density -------------------------------------------------------------
@@ -335,7 +327,7 @@ def test_shift_needs_a_mixed_system_and_one_component_per_independent(kdv, ctx_t
         momentum_shift(el, [Expr.zero(), Expr.zero()])
     for count in (1, 3):
         with pytest.raises(VarjetError, match=r"^need one shift component per independent "
-                                              r"variable \(2\)$"):
+                                              rf"variable \(2\), got {count}$"):
             momentum_shift(elh_system(kdv), [Expr.zero()] * count)
 
 
@@ -889,6 +881,39 @@ def test_certificate_elh_hdw_and_shift_pull_back_to_euler_lagrange():
     assert reduced >= 20
 
 
+def gauged_densities():
+    """Each density of certificate_densities with n >= 2 and l >= 1, where
+    a momentum gauge exists, and 28 seeded random ones of such shapes, each
+    with a seeded random_gauge."""
+    rng = random.Random(22)
+    lags = [lag for lag in certificate_densities() if lag.context.n >= 2 and lag.level >= 1]
+    lags += [random_lagrangian(rng, shape=(rng.randint(2, 3), rng.randint(1, 2),
+                                           rng.randint(2, 3))) for _ in range(28)]
+    return [(lag, random_gauge(rng, lag)) for lag in lags]
+
+
+def test_elh_rows_are_blind_to_a_momentum_gauge():
+    # the paper's formalism is "free from any relevant ambiguity": the
+    # Legendre form is fixed only up to a gauge q of the momenta, and the
+    # ELH rows do not see it, p -> p + q taken through comma_images
+    cases = gauged_densities()
+    assert len(cases) >= 30
+    for lag, q in cases:
+        system = elh_system(lag)
+        mapping = comma_images({p: Expr.coord(p) + e for p, e in q.items()}, lag.context.n)
+        assert [(label, res.substitute(mapping)) for label, res in system.equations] == \
+            list(system.equations)
+
+
+def test_certificate_holds_on_a_gauged_legendre_section():
+    # theta + q is a Legendre section as good as theta: the ELH rows pull
+    # back along it to the Euler-Lagrange equations
+    for lag, q in gauged_densities():
+        theta = legendre_form(lag)
+        gauged = {**theta, **{p: theta.get(p, Expr.zero()) + e for p, e in q.items()}}
+        assert_certified(elh_system(lag), gauged, euler_lagrange(lag), lag)
+
+
 def test_certificate_holds_on_the_homotopy_density():
     # L_h has the Euler-Lagrange equations of L at up to twice its order, so
     # the ELH system of L_h pulls back along L_h's Legendre section to E(L);
@@ -908,6 +933,73 @@ def test_certificate_holds_on_the_homotopy_density():
         assert homotopy.order > lag.order
         assert_certified(elh_system(homotopy), legendre_form(homotopy), euler_lagrange(lag),
                          homotopy)
+
+
+def ostrogradsky_densities(count):
+    """count seeded densities with n = 1, m <= 2 and order k from 1 to 3 that
+    reduce as regular: quadratic in the top jets with constant coefficients,
+    plus a top jet times a polynomial in the lower jets, plus a polynomial in
+    the lower jets."""
+    rng = random.Random(24)
+    lags = []
+    while len(lags) < count:
+        m, order = rng.randint(1, 2), rng.randint(1, 3)
+        ctx = JetContext(("t",), ("u", "v")[:m])
+        tops = [c for c in ctx.jets_up_to(order) if len(c.index) == order]
+        lower = ctx.jets_up_to(order - 1)
+        parts = [Expr.coord(a) * Expr.coord(b) * Fraction(rng.randint(-3, 3), 2)
+                 for a, b in itertools.combinations_with_replacement(tops, 2)]
+        parts += [Expr.coord(rng.choice(tops))
+                  * random_expr(rng, lower, max_monomials=2, max_factors=2),
+                  random_expr(rng, lower, max_monomials=3)]
+        lag = LagrangianDensity(ctx, Expr.sum(parts), order=order)
+        if reduce_lagrangian(lag).diagnosis == "regular":
+            lags.append(lag)
+    return lags
+
+
+def test_reduce_matches_the_ostrogradsky_hamiltonian():
+    # an oracle over sympy alone at n = 1: with q^(j) the j-th derivative
+    # and D the total derivative, Ostrogradsky's momenta are
+    # P_j = sum_{i>=j} (-D)^(i-j) dL/dq^(i) for j = 1..k, which the Legendre
+    # form gives as p^{t^(j-1).t}; solving P_k = dL/dq^(k) for the top
+    # derivatives in H = sum_j P_j q^(j) - L gives reduce's Hamiltonian
+    sympy = pytest.importorskip("sympy")
+    for lag in ostrogradsky_densities(30):
+        m, k = lag.context.m, lag.order
+        qs = [[sympy.Symbol(f"q{a}_{j}") for j in range(2 * k + 1)] for a in range(m)]
+        ps = [[sympy.Symbol(f"P{a}_{j}") for j in range(1, k + 1)] for a in range(m)]
+        table = {CoordinateId.jet(a, MultiIndex((0,) * j)): qs[a][j]
+                 for a in range(m) for j in range(2 * k + 1)}
+        table.update((CoordinateId.momentum(a, MultiIndex((0,) * j), 0), ps[a][j])
+                     for a in range(m) for j in range(k))
+
+        def to_sympy(e: Expr):
+            return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                               * sympy.Mul(*[table[x] ** p for x, p in mono])
+                               for mono, c in e.terms])
+
+        def minus_d(f):
+            return -sum(sympy.diff(f, qs[a][j]) * qs[a][j + 1]
+                        for a in range(m) for j in range(2 * k))
+
+        L = to_sympy(lag.L)
+        theta = legendre_form(lag)
+        for a, j in itertools.product(range(m), range(1, k + 1)):
+            P = 0
+            for i in range(j, k + 1):
+                term = sympy.diff(L, qs[a][i])
+                for _ in range(i - j):
+                    term = minus_d(term)
+                P += term
+            p = CoordinateId.momentum(a, MultiIndex((0,) * (j - 1)), 0)
+            assert sympy.expand(to_sympy(theta.get(p, Expr.zero())) - P) == 0
+        tops = [qs[a][k] for a in range(m)]
+        top_values, = sympy.solve([sympy.diff(L, qs[a][k]) - ps[a][k - 1] for a in range(m)],
+                                  tops, dict=True)
+        H = sum(ps[a][j - 1] * qs[a][j] for a in range(m) for j in range(1, k + 1)) - L
+        assert sympy.expand(to_sympy(reduce_lagrangian(lag).hamiltonian)
+                            - H.subs(top_values)) == 0
 
 
 def test_comma_images_differentiate_on_the_mixed_fiber(ctx_tx):
