@@ -125,10 +125,10 @@ def cmd_energy(args, problem: Problem, lag: LagrangianDensity) -> str:
 def cmd_reduce(args, problem: Problem, lag: LagrangianDensity) -> str:
     red = reduce_lagrangian(lag)
     ctx, fmt = lag.context, args.format
-    spell = ctx.latex_name if fmt == "latex" else ctx.name
-    p_coords = [spell(c) for c in red.p_coordinates]
-    p0_coords = [spell(c) for c in red.p0_coordinates]
-    substitutions = [(spell(c), _render(e, ctx, fmt))
+    names = "latex" if fmt == "latex" else "plain"
+    p_coords = [ctx.spell(c, 1, names) for c in red.p_coordinates]
+    p0_coords = [ctx.spell(c, 1, names) for c in red.p0_coordinates]
+    substitutions = [(ctx.spell(c, 1, names), _render(e, ctx, fmt))
                      for c, e in sorted(red.substitutions.items())]
     # the restricted energy is the Hamiltonian, and the HDW rows are the rows
     # on P: JSON carries each once, and the plain and LaTeX texts print each

@@ -119,10 +119,10 @@ def load_problem(path: str) -> Problem:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # the bytes before the bad one decode; count lines as parse_problem_text does
-        line = len((data[:exc.start] + b".").decode("utf-8").splitlines())
-        raise VarjetError(f"{path}, line {line}: byte 0x{data[exc.start]:02x} is not "
+        # exc.object: data after the mark; count lines as parse_problem_text does
+        line = len((exc.object[:exc.start] + b".").decode("utf-8").splitlines())
+        raise VarjetError(f"{path}, line {line}: byte 0x{exc.object[exc.start]:02x} is not "
                           f"valid UTF-8 ({exc.reason})") from None
     return parse_problem_text(text, source=path)

@@ -60,8 +60,8 @@ before it; an expression that is one sum, such as a power of a sum or a
 product of two, is that sum's normal form and is not normalised again,
 and an expression of one monomial is that term.  A bad character is placed at
 its own start.  The renderers, JSON's included, write their text in one
-pass and spell each coefficient from its integer numerator and
-denominator, read from the Fraction slots.
+pass, each coefficient from its integer numerator and denominator (the
+Fraction slots) and each factor from ``JetContext.spell``'s tables.
 
 All values are immutable; every operation is a pure function.
 """
@@ -185,7 +185,8 @@ class JetContext:
     that name.  No independent name is a prefix of another, so an index word
     (a run of independent names, as in u_xt) splits one way only.  Invalid,
     repeated or missing names are a ContextError that names the field, and so
-    is a str given for either tuple of names.
+    is a str given for either tuple of names.  ``spell`` keeps each factor's
+    text in a table per format that is no field: ==, hash and repr read names.
     """
 
     independents: Tuple[str, ...]
@@ -216,6 +217,7 @@ class JetContext:
                     # an index word such as "xx" would read two ways
                     raise ContextError(f"independent name {short!r} is a prefix of {name!r}",
                                        "independents")
+        object.__setattr__(self, "_spellings", {"plain": {}, "latex": {}, "json": {}})
 
     @property
     def n(self) -> int:
@@ -279,6 +281,26 @@ class JetContext:
             return f"{base}_{{{word}}}" if word else base
         tag = f"[{self.dependents[c.alpha]}]" if self.m > 1 else ""
         return f"p{tag}^{{{word}.{self.independents[c.i]}}}"
+
+    def spell(self, c: CoordinateId, p: int, fmt: str) -> str:
+        """The text of c^p in ``fmt``: plain ``u_x^2``, latex ``u_{x}^{2}`` or json
+        ``["u_x", 2]``, built once per context; a c that ``refuse`` refuses is never stored."""
+        table = self._spellings[fmt]
+        text = table.get((c, p))
+        if text is None:
+            if p == 1 and fmt != "json":
+                self.refuse((c,), "render reads")
+                text = self.latex_name(c) if fmt == "latex" else self.name(c)
+            else:  # on c's name, spelled first, so c is refused unless stored
+                name = self.spell(c, 1, "latex" if fmt == "latex" else "plain")
+                if fmt == "plain":
+                    text = f"{name}^{p}"
+                elif fmt == "json":
+                    text = f'["{name}", {p}]'
+                else:  # a powered momentum is grouped: p^{I.i}^{2} is a double superscript
+                    text = f"{{{name}}}^{{{p}}}" if c.kind == MOMENTUM else f"{name}^{{{p}}}"
+            table[(c, p)] = text
+        return text
 
     # -- resolution -----------------------------------------------------
 
@@ -1241,48 +1263,30 @@ def render(e: Expr, ctx: JetContext, fmt: str = "plain") -> str:
     """Deterministic rendering; the plain format re-parses to the same Expr
     (see docs/grammar.bnf).  The JSON format is the compact text of
     schemas/expression.schema.json, which ``energy --format json`` prints
-    indented.  A coordinate outside ctx is a VarjetError."""
+    indented.  ``ctx.spell`` spells each factor: a coordinate outside ctx is a VarjetError."""
     if fmt == "plain":
-        return _render(e, ctx, _factor_plain, _coeff_plain, "*")
+        return _render(e, ctx, fmt, _coeff_plain, "*")
     if fmt == "latex":
-        return _render(e, ctx, _factor_latex, _coeff_latex, " ")
+        return _render(e, ctx, fmt, _coeff_latex, " ")
     if fmt == "json":
         return _render_json(e, ctx)
     raise VarjetError(f"unknown format {fmt!r}")
 
 
-def _factor_plain(ctx: JetContext, c: CoordinateId, p: int) -> str:
-    return ctx.name(c) + (f"^{p}" if p > 1 else "")
-
-
-def _factor_latex(ctx: JetContext, c: CoordinateId, p: int) -> str:
-    # a powered momentum is grouped, as p^{I.i}^{p} would be a double superscript
-    text = ctx.latex_name(c)
-    if p == 1:
-        return text
-    return f"{{{text}}}^{{{p}}}" if c.kind == MOMENTUM else f"{text}^{{{p}}}"
-
-
-def _render(e: Expr, ctx: JetContext, factor_text, coeff_text, joiner: str) -> str:
+def _render(e: Expr, ctx: JetContext, fmt: str, coeff_text, joiner: str) -> str:
     """The signed terms of e, each its coefficient (unless 1) and its factors
-    joined by ``joiner``; ``factor_text`` spells a coordinate of ctx to a power
-    and ``coeff_text`` a coefficient's magnitude from its numerator and
-    denominator.  Each (coordinate, exponent) is checked and spelled once per
-    call."""
+    joined by ``joiner``; ``coeff_text`` spells a coefficient's magnitude from
+    its numerator and denominator.  A factor is its text in ctx's table for
+    ``fmt``; ``ctx.spell`` is called only for a factor not yet in it."""
     if not e.terms:
         return "0"
-    spelled: Dict[Tuple[CoordinateId, int], str] = {}
+    table = ctx._spellings[fmt]
     parts: List[str] = []
     try:
         for mono, coeff in e.terms:
             factors = []
-            for factor in mono:
-                text = spelled.get(factor)
-                if text is None:
-                    c, p = factor
-                    ctx.refuse((c,), "render reads")
-                    text = spelled[factor] = factor_text(ctx, c, p)
-                factors.append(text)
+            for factor in mono:  # a loop: a comprehension is a call per term before Python 3.12
+                factors.append(table.get(factor) or ctx.spell(*factor, fmt))
             num, den = coeff._numerator, coeff._denominator
             negative = num < 0
             if negative:
@@ -1311,19 +1315,14 @@ def _render_json(e: Expr, ctx: JetContext) -> str:
     is byte-equal to ``json.dumps`` of that value with ``sort_keys=True``: a
     coordinate's name is ASCII without '"' or '\\' (letters, digits and
     "_^.,"), so it needs no escape, and the keys are written in sorted order.
-    Each coordinate is checked, and its ``["name", `` spelled, once per
-    call."""
-    prefixes: Dict[CoordinateId, str] = {}
+    Each factor is its text in ctx's json table, as in ``_render``."""
+    table = ctx._spellings["json"]
     monomials: List[str] = []
     try:
         for mono, coeff in e.terms:
             factors = []
-            for c, p in mono:
-                prefix = prefixes.get(c)
-                if prefix is None:
-                    ctx.refuse((c,), "render reads")
-                    prefix = prefixes[c] = '["' + ctx.name(c) + '", '
-                factors.append(f"{prefix}{p}]")
+            for factor in mono:  # a loop: a comprehension is a call per term before Python 3.12
+                factors.append(table.get(factor) or ctx.spell(*factor, "json"))
             coeff_text = _coeff_plain(coeff._numerator, coeff._denominator)
             monomials.append(f'{{"coeff": "{coeff_text}", "factors": [{", ".join(factors)}]}}')
     except ValueError:  # an int past Python's digit limit on int text

@@ -26,6 +26,8 @@ from varjet.numeric import GridFunction, save_grid
 from varjet.symcore import Expr
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "schemas")
+PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
+BOM = b"\xef\xbb\xbf"
 
 KDV_PROBLEM = """\
 # KdV potential form
@@ -422,13 +424,38 @@ def test_unwritable_out_is_domain_error(capsys, kdv_problem, tmp_path):
 
 
 def test_problem_file_that_is_not_utf8_is_domain_error(capsys, tmp_path):
+    # on the same line with a leading byte-order mark, which is not counted
     path = tmp_path / "latin1.problem"
-    path.write_bytes(b"independents = t x\r\n\ndependents = u\n"
-                     b"lagrangian = 1/2*u_x^2 \xff u_t\n")
-    code, out, err = run(capsys, "el", str(path))
-    assert (code, out) == (1, "")
-    assert err == (f"varjet: {path}, line 4: byte 0xff is not valid UTF-8 "
-                   "(invalid start byte)\n")
+    for mark in (b"", BOM):
+        path.write_bytes(mark + b"independents = t x\r\n\ndependents = u\n"
+                         b"lagrangian = 1/2*u_x^2 \xff u_t\n")
+        code, out, err = run(capsys, "el", str(path))
+        assert (code, out) == (1, "")
+        assert err == (f"varjet: {path}, line 4: byte 0xff is not valid UTF-8 "
+                       "(invalid start byte)\n")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(PROBLEMS)))
+def test_a_leading_byte_order_mark_is_ignored(capsys, tmp_path, name):
+    # a file saved with a UTF-8 byte-order mark was refused for its first
+    # key, read as '\ufeffindependents'
+    source = os.path.join(PROBLEMS, name)
+    path = tmp_path / name
+    with open(source, "rb") as fh:
+        path.write_bytes(BOM + fh.read())
+    for command in ("el", "reduce"):
+        expected = run(capsys, command, source)
+        assert expected[0] == 0 and run(capsys, command, str(path)) == expected
+
+
+def test_a_byte_order_mark_moves_no_column(capsys, tmp_path):
+    path = tmp_path / "bad.problem"
+    errors = []
+    for mark in (b"", BOM):
+        path.write_bytes(mark + b"lagrangian = u_x + w\nindependents = x\ndependents = u\n")
+        errors.append(run(capsys, "el", str(path)))
+    assert errors == [(1, "", f"varjet: {path}, line 1, column 20: "
+                              "unknown identifier 'w'\n")] * 2
 
 
 def test_bad_expression_reports_position(capsys, tmp_path):

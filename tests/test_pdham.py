@@ -914,6 +914,48 @@ def test_certificate_holds_on_a_gauged_legendre_section():
         assert_certified(elh_system(lag), gauged, euler_lagrange(lag), lag)
 
 
+def test_hdw_rows_and_the_hamiltonian_see_a_momentum_gauge_as_a_null_divergence():
+    # on every reduction among the gauged densities, p -> p + q leaves the
+    # HDW rows as they are, and moves H by exactly the null divergence
+    # sum_(K, i<j) (D_i f*u_Kj - D_j f*u_Ki): q^{K.i} = -D_j f and
+    # q^{K.j} = D_i f, the two momenta of q at the lower level, each times
+    # its jet u_{Ki} or u_{Kj}
+    reduced = 0
+    for lag, q in gauged_densities():
+        red = reduce_lagrangian(lag)
+        if red.system_hdw is None:
+            continue
+        reduced += 1
+        system = red.system_hdw
+        mapping = comma_images({p: Expr.coord(p) + e for p, e in q.items()}, lag.context.n)
+        assert [(label, res.substitute(mapping)) for label, res in system.equations] == \
+            list(system.equations)
+        low = min(len(p.index) for p in q)
+        delta = Expr.sum([e * Expr.coord(CoordinateId.jet(p.alpha, p.index.with_index(p.i)))
+                          for p, e in q.items() if len(p.index) == low])
+        H = red.hamiltonian
+        assert H.substitute({p: Expr.coord(p) + e for p, e in q.items()}) - H == delta
+    assert reduced >= 13
+
+
+def test_a_shift_by_a_null_divergence_moves_no_row():
+    # rho^i = sum_j D_j S^{ij}, S antisymmetric of order <= l-1, is a null
+    # divergence (D_i rho^i = 0), so the ELH system of L + D_i rho^i is that
+    # of L, and momentum_shift by rho moves no row
+    rng = random.Random(13)
+    for lag, _ in gauged_densities():
+        ctx = lag.context
+        pool = jet_pool(ctx, lag.level - 1)
+        S = {}
+        for i, j in itertools.combinations(range(ctx.n), 2):
+            f = random_expr(rng, pool, max_monomials=2, max_factors=2)
+            S[i, j], S[j, i] = f, -f
+        rho = [Expr.sum([total_derivative(S[i, j], j) for j in range(ctx.n) if j != i])
+               for i in range(ctx.n)]
+        system = elh_system(lag)
+        assert momentum_shift(system, rho).equations == system.equations
+
+
 def test_certificate_holds_on_the_homotopy_density():
     # L_h has the Euler-Lagrange equations of L at up to twice its order, so
     # the ELH system of L_h pulls back along L_h's Legendre section to E(L);
@@ -935,16 +977,16 @@ def test_certificate_holds_on_the_homotopy_density():
                          homotopy)
 
 
-def ostrogradsky_densities(count):
-    """count seeded densities with n = 1, m <= 2 and order k from 1 to 3 that
-    reduce as regular: quadratic in the top jets with constant coefficients,
-    plus a top jet times a polynomial in the lower jets, plus a polynomial in
-    the lower jets."""
-    rng = random.Random(24)
+def regular_densities(count, seed, shape):
+    """count seeded densities, of the shapes (n, m, order) that shape(rng)
+    draws, that reduce as regular: quadratic in the top jets with constant
+    coefficients, plus a top jet times a polynomial in the lower jets, plus
+    a polynomial in the lower jets."""
+    rng = random.Random(seed)
     lags = []
     while len(lags) < count:
-        m, order = rng.randint(1, 2), rng.randint(1, 3)
-        ctx = JetContext(("t",), ("u", "v")[:m])
+        n, m, order = shape(rng)
+        ctx = JetContext(("t", "x", "y")[:n], ("u", "v")[:m])
         tops = [c for c in ctx.jets_up_to(order) if len(c.index) == order]
         lower = ctx.jets_up_to(order - 1)
         parts = [Expr.coord(a) * Expr.coord(b) * Fraction(rng.randint(-3, 3), 2)
@@ -958,6 +1000,13 @@ def ostrogradsky_densities(count):
     return lags
 
 
+def to_sympy(e: Expr, table):
+    """e as a sympy expression, term by term, each coordinate its symbol in table."""
+    import sympy  # only the oracle tests read sympy, each after importorskip
+    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*[table[x] ** p for x, p in mono]) for mono, c in e.terms])
+
+
 def test_reduce_matches_the_ostrogradsky_hamiltonian():
     # an oracle over sympy alone at n = 1: with q^(j) the j-th derivative
     # and D the total derivative, Ostrogradsky's momenta are
@@ -965,7 +1014,7 @@ def test_reduce_matches_the_ostrogradsky_hamiltonian():
     # form gives as p^{t^(j-1).t}; solving P_k = dL/dq^(k) for the top
     # derivatives in H = sum_j P_j q^(j) - L gives reduce's Hamiltonian
     sympy = pytest.importorskip("sympy")
-    for lag in ostrogradsky_densities(30):
+    for lag in regular_densities(30, 24, lambda rng: (1, rng.randint(1, 2), rng.randint(1, 3))):
         m, k = lag.context.m, lag.order
         qs = [[sympy.Symbol(f"q{a}_{j}") for j in range(2 * k + 1)] for a in range(m)]
         ps = [[sympy.Symbol(f"P{a}_{j}") for j in range(1, k + 1)] for a in range(m)]
@@ -974,16 +1023,11 @@ def test_reduce_matches_the_ostrogradsky_hamiltonian():
         table.update((CoordinateId.momentum(a, MultiIndex((0,) * j), 0), ps[a][j])
                      for a in range(m) for j in range(k))
 
-        def to_sympy(e: Expr):
-            return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
-                               * sympy.Mul(*[table[x] ** p for x, p in mono])
-                               for mono, c in e.terms])
-
         def minus_d(f):
             return -sum(sympy.diff(f, qs[a][j]) * qs[a][j + 1]
                         for a in range(m) for j in range(2 * k))
 
-        L = to_sympy(lag.L)
+        L = to_sympy(lag.L, table)
         theta = legendre_form(lag)
         for a, j in itertools.product(range(m), range(1, k + 1)):
             P = 0
@@ -993,13 +1037,33 @@ def test_reduce_matches_the_ostrogradsky_hamiltonian():
                     term = minus_d(term)
                 P += term
             p = CoordinateId.momentum(a, MultiIndex((0,) * (j - 1)), 0)
-            assert sympy.expand(to_sympy(theta.get(p, Expr.zero())) - P) == 0
+            assert sympy.expand(to_sympy(theta.get(p, Expr.zero()), table) - P) == 0
         tops = [qs[a][k] for a in range(m)]
         top_values, = sympy.solve([sympy.diff(L, qs[a][k]) - ps[a][k - 1] for a in range(m)],
                                   tops, dict=True)
         H = sum(ps[a][j - 1] * qs[a][j] for a in range(m) for j in range(1, k + 1)) - L
-        assert sympy.expand(to_sympy(reduce_lagrangian(lag).hamiltonian)
+        assert sympy.expand(to_sympy(reduce_lagrangian(lag).hamiltonian, table)
                             - H.subs(top_values)) == 0
+
+
+def test_reduce_matches_the_de_donder_weyl_hamiltonian():
+    # an oracle over sympy alone at first order: solving p^{.i}_a = dL/du^a_i,
+    # linear in the first jets u^a_i for these densities, for them in
+    # H = sum p^{.i}_a u^a_i - L gives reduce's Hamiltonian
+    sympy = pytest.importorskip("sympy")
+    lags = regular_densities(22, 48, lambda rng: (rng.randint(2, 3), rng.randint(1, 2), 1))
+    assert {(lag.context.n, lag.context.m) for lag in lags} == {(2, 1), (2, 2), (3, 1), (3, 2)}
+    for lag in lags:
+        ctx = lag.context
+        table = {c: sympy.Symbol(ctx.name(c)) for c in ctx.jets_up_to(1) + ctx.momenta_up_to(0)}
+        firsts = [c for c in ctx.jets_up_to(1) if c.index]
+        us = [table[c] for c in firsts]
+        ps = [table[CoordinateId.momentum(c.alpha, EMPTY, c.index[0])] for c in firsts]
+        L = to_sympy(lag.L, table)
+        solution, = sympy.linsolve([sympy.diff(L, u) - p for u, p in zip(us, ps)], us)
+        H = sum(p * u for u, p in zip(us, ps)) - L
+        assert sympy.expand(to_sympy(reduce_lagrangian(lag).hamiltonian, table)
+                            - H.subs(dict(zip(us, solution)))) == 0
 
 
 def test_comma_images_differentiate_on_the_mixed_fiber(ctx_tx):

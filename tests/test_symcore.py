@@ -492,23 +492,40 @@ def test_render_refuses_an_unknown_format():
 def test_render_refuses_a_coordinate_outside_its_context(ctx_tx, c, fmt):
     # the jet along x and independent 5, which total_derivative(u_x^2, 5)
     # builds, raised IndexError in every format, and a negative dependent
-    # was spelled as the last one
+    # was spelled as the last one; a refused coordinate is never stored, so
+    # the context refuses it again on a second render
     e = E(ctx_tx, "2*u_x") + Expr.coord(c) ** 2
-    with pytest.raises(VarjetError, match=r"^render reads CoordinateId\(.*\), "
-                                          r"which is outside its context$") as info:
-        render(e, ctx_tx, fmt)
-    assert repr(c) in str(info.value)
+    errors = [outcome(render, e, ctx_tx, fmt) for _ in range(2)]
+    assert errors[0] == errors[1] == (VarjetError, errors[0][1], None)
+    assert re.fullmatch(r"render reads CoordinateId\(.*\), which is outside its context",
+                        errors[0][1])
+    assert repr(c) in errors[0][1]
 
 
 def test_render_json_over_the_digit_limit_is_the_plain_error(ctx_tx, digit_limit):
     # a coefficient and an exponent of 5000 digits: every format refuses
-    # them with the same domain error
+    # them with the same domain error, every time, and no spelling of the
+    # exponent is stored
     u_x = C(ctx_tx, "u_x")
     big = 10 ** 4999
     for e in (Expr.number(big) * Expr.coord(u_x), Expr([(((u_x, big),), 1)])):
-        errors = [outcome(render, e, ctx_tx, fmt) for fmt in ("plain", "latex", "json")]
+        errors = [outcome(render, e, ctx_tx, fmt) for fmt in ("plain", "latex", "json") * 2]
         assert errors == [(UnsupportedExpressionError, "a coefficient or exponent of the "
-                           "result is over the limit of 4300 digits", None)] * 3
+                           "result is over the limit of 4300 digits", None)] * 6
+    assert all((u_x, big) not in table for table in ctx_tx._spellings.values())
+
+
+def test_spelling_tables_are_not_part_of_a_contexts_value():
+    # spell keeps its tables outside the dataclass fields: a context that
+    # has rendered in every format is equal to, hashes as and prints as a
+    # fresh one, and finds it as a dict key
+    used, fresh = JetContext(("t", "x"), ("u", "v")), JetContext(("t", "x"), ("u", "v"))
+    e = parse("p^v_x.t^2*u_x - 1/2*v_tt + t", used)
+    for fmt in ("plain", "latex", "json"):
+        render(e, used, fmt)
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert repr(fresh) == "JetContext(independents=('t', 'x'), dependents=('u', 'v'))"
+    assert {used: e}[fresh] is e
 
 
 def test_render_latex_groups_a_powered_momentum():
@@ -1132,8 +1149,13 @@ def _render_exprs(ctx):
 @given(case=st.sampled_from(RENDER_CONTEXTS).flatmap(_render_exprs))
 def test_render_matches_reference_render(case):
     ctx, e = case
+    # a fresh context spells every factor anew, then reads its tables on
+    # the second render; ctx, shared by every example, reads tables that
+    # earlier examples filled
+    fresh = JetContext(ctx.independents, ctx.dependents)
     for fmt in ("plain", "latex", "json"):
-        assert render(e, ctx, fmt) == reference_render(e, ctx, fmt)
+        expected = reference_render(e, ctx, fmt)
+        assert render(e, fresh, fmt) == render(e, fresh, fmt) == render(e, ctx, fmt) == expected
     EXPRESSION_SCHEMA.validate(json.loads(render(e, ctx, "json")))
     assert parse(render(e, ctx), ctx) == e
 
