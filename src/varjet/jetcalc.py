@@ -26,6 +26,7 @@ from .symcore import (
     Term,
     VarjetError,
     WrongDomainError,
+    mono_mul,
 )
 
 
@@ -47,8 +48,9 @@ def total_derivative(e: Expr, i: int) -> Expr:
     """D_i e for a jet-side expression; raises the jet order by at most one.
 
     One pass over the terms: in each, every factor (x^i)^p gives
-    p (x^i)^(p-1) and every factor (u_I^a)^p gives p (u_I^a)^(p-1) u_{Ii}^a,
-    and all the new terms are normalised together.  i is checked against no
+    p (x^i)^(p-1) and every factor (u_I^a)^p gives p (u_I^a)^(p-1) u_{Ii}^a
+    (the kernel's mono_mul multiplies the lowered monomial by u_{Ii}^a), and
+    all the new terms are normalised together.  i is checked against no
     context: JetContext.refuse refuses a jet along an independent that does
     not exist where render, EquationSystem or LagrangianDensity reads it.
     """
@@ -63,46 +65,35 @@ def mixed_total_derivative(e: Expr, i: int) -> Expr:
 
 
 def _derivative(e: Expr, i: int, mixed: bool) -> Expr:
+    """D_i e: each factor c^p that D_i moves is lowered to c^(p-1) in one
+    expression, and for any c but x^i the lowered monomial is multiplied
+    by c's lift, the one-factor monomial of u_{Ii}^a or of c,_i (when
+    ``mixed``), with mono_mul."""
     if i < 0:
         raise VarjetError(f"independent index must be >= 0, got {i}")
-    lifted: Dict[CoordinateId, CoordinateId] = {}  # u_I^a -> u_{Ii}^a, c -> c,_i
+    lifts: Dict[CoordinateId, Monomial] = {}  # u_I^a -> ((u_{Ii}^a, 1),), c -> ((c,_i, 1),)
     out: List[Term] = []
     for mono, coeff in e.terms:
         for k, (c, p) in enumerate(mono):
             kind = c.kind
-            if kind == INDEPENDENT:
-                if c.i == i:
-                    lowered = mono[:k] + ((c, p - 1),) + mono[k + 1:] if p > 1 \
-                        else mono[:k] + mono[k + 1:]
-                    out.append((lowered, coeff * p if p > 1 else coeff))
+            if kind == INDEPENDENT and c.i != i:
                 continue
-            d = lifted.get(c)
-            if d is None:
-                if kind == JET:
-                    d = CoordinateId.jet(c.alpha, c.index.with_index(i))
-                elif mixed:
-                    d = CoordinateId.comma(c, i)
-                else:
-                    raise WrongDomainError(
-                        "total_derivative acts on jet-side expressions; momenta or "
-                        "comma-derivatives present (see mixed_total_derivative)")
-                lifted[c] = d
-            out.append((_lifted(mono, k, d), coeff * p if p > 1 else coeff))
+            lowered = mono[:k] + ((c, p - 1),) + mono[k + 1:] if p > 1 else mono[:k] + mono[k + 1:]
+            if kind != INDEPENDENT:
+                lift = lifts.get(c)
+                if lift is None:
+                    if kind == JET:
+                        lift = ((CoordinateId.jet(c.alpha, c.index.with_index(i)), 1),)
+                    elif mixed:
+                        lift = ((CoordinateId.comma(c, i), 1),)
+                    else:
+                        raise WrongDomainError(
+                            "total_derivative acts on jet-side expressions; momenta or "
+                            "comma-derivatives present (see mixed_total_derivative)")
+                    lifts[c] = lift
+                lowered = mono_mul(lowered, lift)
+            out.append((lowered, coeff * p if p > 1 else coeff))
     return Expr(out)
-
-
-def _lifted(mono: Monomial, k: int, d: CoordinateId) -> Monomial:
-    """mono with the exponent of its k-th factor lowered by one and that of d,
-    a coordinate sorting after the k-th, raised by one."""
-    c, p = mono[k]
-    head = mono[:k] + ((c, p - 1),) if p > 1 else mono[:k]
-    for j in range(k + 1, len(mono)):
-        cj, q = mono[j]
-        if cj >= d:
-            if cj == d:
-                return head + mono[k + 1:j] + ((cj, q + 1),) + mono[j + 1:]
-            return head + mono[k + 1:j] + ((d, 1),) + mono[j:]
-    return head + mono[k + 1:] + ((d, 1),)
 
 
 def iterated_total_derivative(e: Expr, J: MultiIndex) -> Expr:

@@ -450,23 +450,12 @@ def residual(system: EquationSystem, grid: GridFunction,
 
     keys = {c: _key(c) for c in read}
     try:
-        peaks = _stream(system, grid, keys, roots, tuple(margin))
+        return _stream(system, grid, keys, roots, tuple(margin))
     except VarjetError as exc:
         # raised again without _stream's frames and the error it replaced,
         # whose locals would keep the arena alive for as long as it is held
         exc.__context__ = None
         raise exc.with_traceback(None)
-    return _finite(peaks)
-
-
-def _finite(peaks: Dict[str, float]) -> Dict[str, float]:
-    """The residuals _stream returned; an infinite one, which stands for a
-    non-finite value, is a domain error.  It is raised here, once _stream's
-    frame and the arena it held are gone, so that no traceback keeps them."""
-    for label, top in peaks.items():
-        if top == math.inf:
-            raise VarjetError(f"non-finite interior residual for equation {label!r}")
-    return peaks
 
 
 def _schedule(equations, inputs: Dict[CoordinateId, Dict[CoordinateId, Key]]):
@@ -559,12 +548,13 @@ def _read_rows(field, a: int, b: int, out: np.ndarray, files) -> np.ndarray:
 
 
 # an overflow, and the NaN of a difference of infinities, make a row
-# non-finite, which _finite reports as a domain error rather than a warning
+# non-finite, which _stream reports as a domain error rather than a warning
 @np.errstate(over="ignore", invalid="ignore")
 def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId, Key],
             roots: Dict[CoordinateId, object], margin: Tuple[int, ...]) -> Dict[str, float]:
     """Max-abs residuals over the interior ``margin`` leaves, one band of rows
-    along axis 0 at a time; a non-finite one is returned as infinity.
+    along axis 0 at a time.  A row that is non-finite in any band is a
+    domain error, raised after the band loop for the first such row.
 
     ``keys`` maps each jet coordinate the equations read to the (root, pass
     chain) of the array it samples; ``roots`` gives each root (a dependent
@@ -732,6 +722,9 @@ def _stream(system: EquationSystem, grid: GridFunction, keys: Dict[CoordinateId,
                         peak[step] = max(peak[step], top)
                 for key in dead[s]:
                     del arrays[key]
+    for (label, _, _), top in zip(equations, peak):
+        if top == math.inf:  # the mark of a non-finite row
+            raise VarjetError(f"non-finite interior residual for equation {label!r}")
     return {label: top for (label, _, _), top in zip(equations, peak)}
 
 

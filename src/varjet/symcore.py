@@ -35,6 +35,9 @@ call, ``Expr.sum`` or ``Expr(terms)``, so a result is normalised once, not once
 per partial sum.  Every first partial comes from ``Expr.gradient``: one pass
 over the terms gives the partial by each coordinate that occurs, so a
 construction reads all of a density's partials for the cost of one scan.
+Every product of two monomials, in a product, a power, a total derivative
+or a read term, is ``mono_mul``, and every merge of factors out of order
+is its ``_merged``.
 Substitution collects the terms on their largest bound coordinate and its
 exponent, and makes one product and one normalisation per such group, not
 one product per monomial; the images of all the groups are normalised
@@ -55,10 +58,10 @@ integer power written without spaces, ``u_x^2``, is one token, made into
 its factor once per text, and each name is resolved once per text.  It
 reads each product into one term, reading its plain factors (a name met
 before, an integer, a name met before to an integer power) in place, and
-merges and sorts a term's factors only when one is not above the one
-before it; an expression that is one sum, such as a power of a sum or a
-product of two, is that sum's normal form and is not normalised again,
-and an expression of one monomial is that term.  A bad character is placed at
+merges and sorts a term's factors (``_merged``) only when one is not
+above the one before it; an expression that is one sum, such as a power
+of a sum or a product of two, is that sum's normal form and is not
+normalised again, and an expression of one monomial is that term.  A bad character is placed at
 its own start.  The renderers, JSON's included, write their text in one
 pass, each coefficient from its integer numerator and denominator (the
 Fraction slots) and each factor from ``JetContext.spell``'s tables.
@@ -531,11 +534,11 @@ def _mono_key(mono: Monomial):
     return tuple(key)
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """The product of two monomials, its factors ascending.  When every
-    coordinate of one lies below every coordinate of the other, the product
-    is the two factor tuples concatenated, the lower first; otherwise the
-    exponents are merged in a dict and its items sorted."""
+def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """The product of two monomials, its factors ascending: the package's one
+    monomial product.  When every coordinate of one lies below every
+    coordinate of the other, the product is the two factor tuples
+    concatenated, the lower first; otherwise their factors are _merged."""
     if not a:
         return b
     if not b:
@@ -544,8 +547,14 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
         return a + b
     if b[-1][0] < a[0][0]:
         return b + a
-    powers: Dict[CoordinateId, int] = dict(a)
-    for c, e in b:
+    return _merged(a + b)
+
+
+def _merged(factors: Iterable[Tuple[CoordinateId, int]]) -> Monomial:
+    """The monomial of (coordinate, exponent) factors in any order: the
+    exponents of a repeated coordinate summed in a dict, its items sorted."""
+    powers: Dict[CoordinateId, int] = {}
+    for c, e in factors:
         powers[c] = powers.get(c, 0) + e
     return tuple(sorted(powers.items()))
 
@@ -770,7 +779,7 @@ def _product_terms(a: Tuple[Term, ...], b: Tuple[Term, ...]) -> List[Term]:
     if len(a) * len(b) > MAX_TERMS:
         raise _over_budget(f"the product of a {len(a)}-term and a {len(b)}-term expression",
                            len(a) * len(b))
-    return [(_mono_mul(m1, m2), c1 * c2) for m1, c1 in a for m2, c2 in b]
+    return [(mono_mul(m1, m2), c1 * c2) for m1, c1 in a for m2, c2 in b]
 
 
 def _substituted(terms, images: Mapping[CoordinateId, Expr]) -> Optional[List[Term]]:
@@ -827,11 +836,11 @@ def _multinomial_terms(terms: Tuple[Term, ...], e: int) -> List[Term]:
             row = powers[i]
             for k in range(1, left):  # the later terms take the rest
                 m, p, q = row[k]
-                expand(i + 1, left - k, _mono_mul(mono, m), num * comb(left, k) * p, den * q)
+                expand(i + 1, left - k, mono_mul(mono, m), num * comb(left, k) * p, den * q)
             m, p, q = row[left]
-            out.append((_mono_mul(mono, m), _q(num * p, den * q)))
+            out.append((mono_mul(mono, m), _q(num * p, den * q)))
         m, p, q = powers[last][left]
-        out.append((_mono_mul(mono, m), _q(num * p, den * q)))
+        out.append((mono_mul(mono, m), _q(num * p, den * q)))
 
     expand(0, e, (), 1, 1)
     return out
@@ -1156,17 +1165,11 @@ class _Parser:
         self.k = k
         if sums is not None and not factors:
             return sums if num == den else sums.scale(_q(num, den))
-        if ascending:
-            mono = tuple(factors)
-        else:
-            powers: Dict[CoordinateId, int] = {}
-            for c, e in factors:
-                powers[c] = powers.get(c, 0) + e
-            mono = tuple(sorted(powers.items()))
+        mono = tuple(factors) if ascending else _merged(factors)
         coeff = _q(num, den)
         if sums is None:
             return [(mono, coeff)]
-        return [(_mono_mul(m, mono), c * coeff) for m, c in sums.terms]
+        return [(mono_mul(m, mono), c * coeff) for m, c in sums.terms]
 
     _TRANSCENDENTAL = {"sin", "cos", "tan", "exp", "log", "ln", "sqrt",
                        "sinh", "cosh", "tanh", "abs"}

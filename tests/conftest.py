@@ -136,7 +136,7 @@ def reference_normal_form(terms):
 
 def reference_mono_mul(a, b):
     """The product of two monomials by a dict merge of their exponents and
-    one sort of its items: the oracle for symcore._mono_mul."""
+    one sort of its items: the oracle for symcore.mono_mul."""
     powers = dict(a)
     for c, e in b:
         powers[c] = powers.get(c, 0) + e

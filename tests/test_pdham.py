@@ -919,23 +919,31 @@ def test_hdw_rows_and_the_hamiltonian_see_a_momentum_gauge_as_a_null_divergence(
     # HDW rows as they are, and moves H by exactly the null divergence
     # sum_(K, i<j) (D_i f*u_Kj - D_j f*u_Ki): q^{K.i} = -D_j f and
     # q^{K.j} = D_i f, the two momenta of q at the lower level, each times
-    # its jet u_{Ki} or u_{Kj}
-    reduced = 0
+    # its jet u_{Ki} or u_{Kj}.  Each substitution c -> phi moves with c:
+    # phi under p -> p + q is phi + q_c (zero for a top jet), so an
+    # eliminated momentum of q is carried by the substitutions
+    reduced = moved = 0
     for lag, q in gauged_densities():
         red = reduce_lagrangian(lag)
         if red.system_hdw is None:
             continue
         reduced += 1
         system = red.system_hdw
-        mapping = comma_images({p: Expr.coord(p) + e for p, e in q.items()}, lag.context.n)
+        gauge = {p: Expr.coord(p) + e for p, e in q.items()}
+        mapping = comma_images(gauge, lag.context.n)
         assert [(label, res.substitute(mapping)) for label, res in system.equations] == \
             list(system.equations)
         low = min(len(p.index) for p in q)
         delta = Expr.sum([e * Expr.coord(CoordinateId.jet(p.alpha, p.index.with_index(p.i)))
                           for p, e in q.items() if len(p.index) == low])
         H = red.hamiltonian
-        assert H.substitute({p: Expr.coord(p) + e for p, e in q.items()}) - H == delta
+        assert H.substitute(gauge) - H == delta
+        for c, phi in red.substitutions.items():
+            gauged = phi.substitute(gauge)
+            assert gauged == phi + q.get(c, Expr.zero()), c
+            moved += gauged != phi
     assert reduced >= 13
+    assert moved >= 1
 
 
 def test_a_shift_by_a_null_divergence_moves_no_row():
@@ -1012,20 +1020,34 @@ def test_reduce_matches_the_ostrogradsky_hamiltonian():
     # and D the total derivative, Ostrogradsky's momenta are
     # P_j = sum_{i>=j} (-D)^(i-j) dL/dq^(i) for j = 1..k, which the Legendre
     # form gives as p^{t^(j-1).t}; solving P_k = dL/dq^(k) for the top
-    # derivatives in H = sum_j P_j q^(j) - L gives reduce's Hamiltonian
+    # derivatives in H = sum_j P_j q^(j) - L gives reduce's Hamiltonian, and
+    # Hamilton's equations, with ' the comma-derivative along t, are the HDW
+    # rows: mom:a:t^j is -dH/dq^(j) - P_(j+1)' and contact:a:t^j:t is
+    # q^(j)' - dH/dP_(j+1), for j = 0..k-1
     sympy = pytest.importorskip("sympy")
     for lag in regular_densities(30, 24, lambda rng: (1, rng.randint(1, 2), rng.randint(1, 3))):
-        m, k = lag.context.m, lag.order
+        ctx, m, k = lag.context, lag.context.m, lag.order
         qs = [[sympy.Symbol(f"q{a}_{j}") for j in range(2 * k + 1)] for a in range(m)]
         ps = [[sympy.Symbol(f"P{a}_{j}") for j in range(1, k + 1)] for a in range(m)]
-        table = {CoordinateId.jet(a, MultiIndex((0,) * j)): qs[a][j]
-                 for a in range(m) for j in range(2 * k + 1)}
-        table.update((CoordinateId.momentum(a, MultiIndex((0,) * j), 0), ps[a][j])
-                     for a in range(m) for j in range(k))
+        dqs = [[sympy.Symbol(f"dq{a}_{j}") for j in range(k)] for a in range(m)]
+        dps = [[sympy.Symbol(f"dP{a}_{j}") for j in range(1, k + 1)] for a in range(m)]
+        table = {}
+        for a, j in itertools.product(range(m), range(2 * k + 1)):
+            q = CoordinateId.jet(a, MultiIndex((0,) * j))
+            table[q] = qs[a][j]
+            if j < k:
+                p = CoordinateId.momentum(a, MultiIndex((0,) * j), 0)
+                table[p] = ps[a][j]
+                table[CoordinateId.comma(q, 0)] = dqs[a][j]
+                table[CoordinateId.comma(p, 0)] = dps[a][j]
 
         def minus_d(f):
             return -sum(sympy.diff(f, qs[a][j]) * qs[a][j + 1]
                         for a in range(m) for j in range(2 * k))
+
+        def poly(e):
+            """e as a polynomial over the rationals in every symbol of the table."""
+            return sympy.Poly(e, *table.values(), domain=sympy.QQ)
 
         L = to_sympy(lag.L, table)
         theta = legendre_form(lag)
@@ -1039,11 +1061,25 @@ def test_reduce_matches_the_ostrogradsky_hamiltonian():
             p = CoordinateId.momentum(a, MultiIndex((0,) * (j - 1)), 0)
             assert sympy.expand(to_sympy(theta.get(p, Expr.zero()), table) - P) == 0
         tops = [qs[a][k] for a in range(m)]
-        top_values, = sympy.solve([sympy.diff(L, qs[a][k]) - ps[a][k - 1] for a in range(m)],
-                                  tops, dict=True)
-        H = sum(ps[a][j - 1] * qs[a][j] for a in range(m) for j in range(1, k + 1)) - L
-        assert sympy.expand(to_sympy(reduce_lagrangian(lag).hamiltonian, table)
-                            - H.subs(top_values)) == 0
+        solution, = sympy.linsolve([sympy.diff(L, qs[a][k]) - ps[a][k - 1] for a in range(m)],
+                                   tops)
+        H = poly((sum(ps[a][j - 1] * qs[a][j] for a in range(m) for j in range(1, k + 1))
+                  - L).subs(dict(zip(tops, solution))))
+        red = reduce_lagrangian(lag)
+        assert poly(to_sympy(red.hamiltonian, table)) == H
+        expected = []
+        for a, j in itertools.product(range(m), range(k)):
+            word = ctx.index_word(MultiIndex((0,) * j))
+            expected.append((f"mom:{ctx.dependents[a]}:{word}",
+                             -H.diff(qs[a][j]) - poly(dps[a][j])))
+        for a, j in itertools.product(range(m), range(k)):
+            word = ctx.index_word(MultiIndex((0,) * j))
+            expected.append((f"contact:{ctx.dependents[a]}:{word}:t",
+                             poly(dqs[a][j]) - H.diff(ps[a][j])))
+        rows = red.system_hdw.equations
+        assert [label for label, _ in rows] == [label for label, _ in expected]
+        for (label, res), (_, row) in zip(rows, expected):
+            assert poly(to_sympy(res, table)) == row, label
 
 
 def test_reduce_matches_the_de_donder_weyl_hamiltonian():
