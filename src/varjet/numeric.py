@@ -5,9 +5,10 @@ Grid data lives on uniform rectangular grids; jets are estimated with
 composition-order independent), and only interior points ever enter a
 residual: stencil application poisons the boundary band with NaN, evaluation
 trims the accumulated margin and checks that nothing non-finite survives.
-An axis's margin is at least the radius of every stencil pass along it, so
-the grid fits when each axis holds 2 margin + 1 points, the one size check
-``residual`` makes.
+``GridFunction`` checks a grid and ``residual`` checks it against the
+system, each axis's size included: an axis's margin is at least the radius
+of every stencil pass along it, so the grid fits when each axis holds
+2 margin + 1 points, the one size check.
 
 Every differenced array is named by its pass chain: a root array (a
 dependent field or a momentum field) and the sequence of ``(axis, order)``
@@ -58,6 +59,7 @@ import itertools
 import json
 import math
 import mmap
+import numbers
 import os
 import struct
 import sys
@@ -67,7 +69,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .multiindex import MultiIndex
 from .symcore import (
     COMMA,
     INDEPENDENT,
@@ -75,7 +76,6 @@ from .symcore import (
     MOMENTUM,
     CoordinateId,
     Expr,
-    JetContext,
     Q,
     UnsupportedExpressionError,
     VarjetError,
@@ -171,7 +171,9 @@ def _writes_a_term(e: Expr) -> bool:
 @dataclass
 class GridFunction:
     """Uniform rectangular grid with one float64 array per dependent field,
-    or, from load_grid, one _FileField per field, read by rows on demand."""
+    or, from load_grid, one _FileField per field, read by rows on demand.
+    It is the one home of a grid's rules, in memory and in a file alike
+    (docs/gridfile.md lists them), and it never reads a _FileField."""
 
     axes: Tuple[str, ...]
     origin: Tuple[float, ...]
@@ -179,11 +181,19 @@ class GridFunction:
     fields: Dict[str, object]
 
     def __post_init__(self):
+        if not (isinstance(self.axes, (list, tuple)) and all(isinstance(a, str) for a in self.axes)):
+            raise VarjetError("axes must be a list of names")
         self.axes = tuple(self.axes)
-        self.origin = tuple(float(v) for v in self.origin)
-        self.spacing = tuple(float(v) for v in self.spacing)
-        if not len(self.origin) == len(self.spacing) == len(self.axes):
-            raise VarjetError(f"origin and spacing need one entry per axis, {len(self.axes)} each")
+        n = len(self.axes)
+        try:
+            values = [tuple(map(float, v)) for v in (self.origin, self.spacing)
+                      if isinstance(v, (list, tuple)) and len(v) == n and all(
+                          isinstance(x, numbers.Real) and not isinstance(x, bool) for x in v)]
+        except OverflowError:  # an int past the float range
+            values = []
+        if len(values) != 2:
+            raise VarjetError(f"origin and spacing must be lists of {n} numbers")
+        self.origin, self.spacing = values
         if not all(math.isfinite(v) for v in self.origin):
             raise VarjetError(f"grid origins must be finite, got {list(self.origin)}")
         if not all(h > 0 for h in self.spacing):
@@ -199,15 +209,20 @@ class GridFunction:
         if not self.fields:
             raise VarjetError("a grid needs at least one field")
         # a dict of the grid's own: the caller's is left as it was
-        self.fields = {name: arr if isinstance(arr, _FileField)
-                       else np.asarray(arr, dtype=np.float64)
-                       for name, arr in self.fields.items()}
-        shapes = {f.shape for f in self.fields.values()}
-        if len(shapes) > 1:
-            raise VarjetError("all field arrays must share one shape")
+        self.fields = dict(self.fields)
         for name, arr in self.fields.items():
-            if arr.ndim != len(self.axes):
-                raise VarjetError(f"field {name!r} rank does not match the axes")
+            if not isinstance(arr, _FileField):
+                try:
+                    arr = np.asarray(arr)
+                except ValueError:  # a ragged list
+                    arr = None
+                if arr is None or arr.dtype.kind not in "iuf":
+                    raise VarjetError(f"field {name!r} is not a rectangular array of real numbers")
+                self.fields[name] = np.asarray(arr, dtype=np.float64)
+        if len({f.shape for f in self.fields.values()}) > 1:
+            raise VarjetError("all field arrays must share one shape")
+        if len(self.shape) != n:
+            raise VarjetError(f"shape has {len(self.shape)} entries for {n} axes")
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -221,17 +236,15 @@ class GridFunction:
 
 
 @lru_cache(maxsize=None)
-def fd_weights(order: int, radius: int) -> Tuple[float, ...]:
-    """Exact central finite-difference weights for one derivative order.
-
-    Solves the Vandermonde moment system over the rationals on the symmetric
-    stencil [-radius .. radius]; with radius = (order + 3) // 2 the truncation
-    error is O(h^4).
-    """
+def fd_weights(order: int) -> Tuple[float, ...]:
+    """Exact central finite-difference weights for one derivative order, an
+    integer >= 0: the Vandermonde moment system solved over the rationals on
+    the stencil [-r .. r], r = stencil_radius(order), of truncation error O(h^4)."""
+    if not (isinstance(order, numbers.Integral) and not isinstance(order, bool) and order >= 0):
+        raise VarjetError(f"a derivative order must be an integer >= 0, got {order!r}")
+    radius = stencil_radius(order)
     offsets = list(range(-radius, radius + 1))
     npts = len(offsets)
-    if order >= npts:
-        raise GridTooSmallError("stencil too narrow for the requested derivative")
     # row k: sum_j w_j offset_j^k - (order! if k == order else 0) = 0, the
     # constant in column npts; the offsets are distinct, so every w_j is solved
     rows = {k: dict(enumerate([Q(o) ** k for o in offsets]
@@ -253,11 +266,6 @@ def stencil_radius(order: int) -> int:
 # 8 rows and 1.3-1.5x slower on 16 along axes 1 and 2 (2 vCPUs, warm heap: no
 # page faults)
 BAND_ELEMENTS = 1 << 16
-
-
-def _check_axis(n: int, r: int) -> None:
-    if n < 2 * r + 1:
-        raise GridTooSmallError(f"axis of {n} points cannot host a radius-{r} stencil")
 
 
 def _stencil_work(shape: Tuple[int, ...], axis: int, r: int) -> int:
@@ -299,14 +307,14 @@ def _apply_stencil(arr: np.ndarray, axis: int, order: int, h: float,
     rows of arr beyond them.  The result, of b - a rows, is written into
     ``out`` and the q_k buffers are carved from ``work`` (r buffers of the
     elements _stencil_work gives) when they are given, and allocated
-    otherwise.  ``out`` must not overlap arr.
+    otherwise.  ``out`` must not overlap arr, and the axis must hold 2r + 1
+    points (residual checks that once per call).
     """
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     r = stencil_radius(order)
     n = arr.shape[axis]
-    _check_axis(n, r)
     a, b = rows if rows is not None else (0, arr.shape[0])
-    weights = fd_weights(order, r)[r + 1:]  # w_1 .. w_r; w_{-k} = (-1)**order w_k
+    weights = fd_weights(order)[r + 1:]  # w_1 .. w_r; w_{-k} = (-1)**order w_k
     mirror = np.add if order % 2 else np.subtract  # applies tap -k's sign
     scale = h ** order
     if out is None:
@@ -350,43 +358,18 @@ def _apply_stencil(arr: np.ndarray, axis: int, order: int, h: float,
 
 
 Chain = Tuple[Tuple[int, int], ...]
-
-
-def _chain(index: MultiIndex) -> Chain:
-    """The pass chain of the jet u_I: one (axis, count) pass per axis of I, ascending."""
-    return tuple((axis, index.count(axis)) for axis in sorted(set(index)))
-
-
-def _check_prolongation(grid: GridFunction, order: int, ctx: JetContext,
-                        margin: Tuple[int, ...]) -> None:
-    """The eager checks of ``residual``, made before any work: the order bound,
-    the axes, the dependent fields, and that each axis holds 2 margin + 1
-    points.  An axis's margin is at least the radius of every stencil pass
-    along it (a jet's passes have order ``order`` or less, and
-    stencil_radius does not decrease with the order; each comma pass adds
-    its own radius), so that is the one check that the grid fits."""
-    if order > MAX_FD_ORDER:
-        raise VarjetError(f"finite-difference prolongation supports order <= {MAX_FD_ORDER}")
-    if tuple(grid.axes) != ctx.independents:
-        raise VarjetError("grid axes do not match the context independents")
-    for dep in ctx.dependents:
-        if dep not in grid.fields:
-            raise MissingFieldError(f"grid is missing the dependent field {dep!r}")
-    for points, m in zip(grid.shape, margin):
-        _check_axis(points, m)
-
-
 Key = Tuple[CoordinateId, Chain]
 
 
 def _key(c: CoordinateId) -> Key:
     """The (root, pass chain) of the array that samples c: a jet u_I is its
-    dependent's field with one pass per axis of I, a momentum is its own
-    root, and a comma-derivative c,_J appends (axis, 1) to c's chain for
-    each axis of J."""
+    dependent's field with one (axis, count) pass per axis of I, ascending,
+    a momentum is its own root, and a comma-derivative c,_J appends
+    (axis, 1) to c's chain for each axis of J."""
     kind = c.kind
     if kind == JET:
-        return CoordinateId.jet(c.alpha), _chain(c.index)
+        return CoordinateId.jet(c.alpha), tuple((axis, c.index.count(axis))
+                                                for axis in sorted(set(c.index)))
     if kind == COMMA:
         root, chain = _key(c.base)
         return root, chain + tuple((axis, 1) for axis in c.comma_index)
@@ -404,12 +387,13 @@ def residual(system: EquationSystem, grid: GridFunction,
     among them) and of ``legendre``, whichever is highest.
     The momentum unknowns the equations read are either read from
     ``momentum_fields`` (matching plain names, on the field grid's axes,
-    origin and spacing) or generated by evaluating ``legendre``, the map from
-    each momentum to its coefficient that legendre_form returns (an absent
-    momentum is zero), along the prolonged field; comma-derivatives of all
-    unknowns are differenced with the same stencils, through the same pass
-    chains.  The grid checks (see _check_prolongation) run first; the
-    residuals are then computed band by band along axis 0 (see _stream).
+    origin, spacing and shape) or generated by evaluating ``legendre``, the
+    map from each momentum to its jet-side coefficient that legendre_form
+    returns (an absent momentum is zero), along the prolonged field;
+    comma-derivatives of all unknowns are differenced with the same
+    stencils, through the same pass chains.  The rules that relate the grid
+    to the system are checked first; the residuals are then computed band
+    by band along axis 0 (see _stream).
     """
     ctx = system.context
     rows = [res for _, res in system.equations]
@@ -428,9 +412,22 @@ def residual(system: EquationSystem, grid: GridFunction,
     for c in read:  # a comma pass, a first-order stencil, widens the margin on its axis
         for axis in c.comma_index if c.kind == COMMA else ():
             margin[axis] = max(margin[axis], r + c.comma_index.count(axis) * stencil_radius(1))
-    _check_prolongation(grid, need, ctx, tuple(margin))
+    if need > MAX_FD_ORDER:
+        raise VarjetError(f"finite-difference prolongation supports order <= {MAX_FD_ORDER}")
+    if grid.axes != ctx.independents:
+        raise VarjetError("grid axes do not match the context independents")
+    for dep in ctx.dependents:
+        if dep not in grid.fields:
+            raise MissingFieldError(f"grid is missing the dependent field {dep!r}")
+    # An axis's margin is at least the radius of every stencil pass along it
+    # (a jet's passes have order ``need`` or less, and stencil_radius does not
+    # decrease with the order; each comma pass adds its own radius), so 2
+    # margin + 1 points is the one check that the grid fits.
+    for points, m in zip(grid.shape, margin):
+        if points < 2 * m + 1:
+            raise GridTooSmallError(f"axis of {points} points cannot host a radius-{m} stencil")
     if momentum_fields is not None:
-        for what in ("axes", "origin", "spacing"):
+        for what in ("axes", "origin", "spacing", "shape"):
             mine, theirs = getattr(momentum_fields, what), getattr(grid, what)
             if mine != theirs:
                 raise VarjetError(f"momentum grid has {what} {mine}, the field grid {theirs}")
@@ -439,11 +436,10 @@ def residual(system: EquationSystem, grid: GridFunction,
     for c in sorted(momenta):
         if supplied(c):
             roots[c] = momentum_fields.fields[ctx.name(c)]
-            if roots[c].shape != grid.shape:
-                raise VarjetError(f"momentum field {ctx.name(c)} has shape "
-                                  f"{roots[c].shape}, the grid {grid.shape}")
         elif legendre is not None:
             roots[c] = legendre.get(c, Expr.zero())
+            ctx.refuse(roots[c].coordinates(), f"the Legendre coefficient of {ctx.name(c)} reads",
+                       jet_side=True)
         else:
             raise MissingFieldError(
                 f"no field or Legendre form supplies the momentum {ctx.name(c)}")
@@ -744,12 +740,14 @@ def save_grid(grid: GridFunction, path: str) -> None:
         "spacing": list(grid.spacing),
         "fields": names,
     }, sort_keys=True).encode("utf-8")
+    # the fields are read before open() truncates path, which they may be read from
+    data = [np.ascontiguousarray(grid.fields[name], dtype="<f8") for name in names]
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        for name in names:
-            fh.write(np.ascontiguousarray(grid.fields[name], dtype="<f8").tobytes())
+        for arr in data:
+            fh.write(arr.tobytes())
 
 
 def _stamp(st: os.stat_result) -> Tuple[int, ...]:
@@ -769,7 +767,6 @@ class _FileField:
                  stamp: Tuple[int, ...]):
         self.path, self.name, self.offset, self.stamp = path, name, offset, stamp
         self.shape = tuple(shape)
-        self.ndim = len(self.shape)
 
     def _check(self, fh) -> None:
         if _stamp(os.fstat(fh.fileno())) != self.stamp:
@@ -818,10 +815,6 @@ def load_grid(path: str) -> GridFunction:
     def bad(message: str) -> VarjetError:
         return VarjetError(f"{path}: {message}")
 
-    def numbers(value, count: int) -> bool:
-        return isinstance(value, list) and len(value) == count and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise bad("not a varjet grid file")
@@ -844,27 +837,22 @@ def load_grid(path: str) -> GridFunction:
             if key not in header:
                 raise bad(f"header is missing the key {key!r}")
         axes, shape, origin, spacing, names = (header[key] for key in _HEADER_KEYS)
-        if not (isinstance(axes, list) and all(isinstance(a, str) for a in axes)):
-            raise bad("axes must be a list of names")
         if not (isinstance(shape, list)
                 and all(type(k) is int and k > 0 for k in shape)):
             raise bad(f"shape entries must be positive integers, got {shape!r}")
-        if len(shape) != len(axes):
-            raise bad(f"shape has {len(shape)} entries for {len(axes)} axes")
-        if not (numbers(origin, len(axes)) and numbers(spacing, len(axes))):
-            raise bad(f"origin and spacing must be lists of {len(axes)} numbers")
         if not (isinstance(names, list) and names
                 and all(isinstance(f, str) for f in names)
                 and len(set(names)) == len(names)):
             raise bad("fields must be a non-empty list of distinct names")
         nbytes = 8 * math.prod(shape)
+        fields = {name: _FileField(path, name, fh.tell() + k * nbytes, shape, _stamp(stat))
+                  for k, name in enumerate(names)}
+        try:
+            grid = GridFunction(axes, origin, spacing, fields)
+        except VarjetError as exc:
+            raise bad(str(exc)) from None
         present = size - fh.tell()
         if present != nbytes * len(names):
             raise bad(f"field data is {present} bytes, {len(names)} field(s) of "
                       f"shape {tuple(shape)} take {nbytes * len(names)}")
-        fields = {name: _FileField(path, name, fh.tell() + k * nbytes, shape, _stamp(stat))
-                  for k, name in enumerate(names)}
-    try:
-        return GridFunction(tuple(axes), tuple(origin), tuple(spacing), fields)
-    except VarjetError as exc:
-        raise bad(str(exc)) from None
+    return grid

@@ -245,6 +245,29 @@ def test_one_string_constant_holds_each_domain_refusal():
     assert homes == {text: ["symcore.py"] for text in homes}
 
 
+def test_one_function_holds_each_grid_rule():
+    # GridFunction checks a grid, and residual checks it against the system:
+    # each rule's text is a string constant of one function alone
+    homes = {"origin and spacing": set(), "cannot host a radius-": set(),
+             "momentum grid has": set()}
+
+    def visit(node, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Constant) and isinstance(child.value, str):
+                for text, found in homes.items():
+                    if text in child.value:
+                        found.add(where)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{where}.{child.name}" if named else where)
+
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(varjet.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            visit(ast.parse(fh.read()), os.path.basename(path)[:-3])
+    assert homes == {"origin and spacing": {"numeric.GridFunction.__post_init__"},
+                     "cannot host a radius-": {"numeric.residual"},
+                     "momentum grid has": {"numeric.residual"}}
+
+
 def test_the_benchmark_traces_every_module_of_the_package():
     # a traced benchmark run imports varjet.<name> for each name in
     # perfbench/tracing.py's MODULES, so the map names each module file once;

@@ -925,6 +925,10 @@ NORMAL_H4 = "each h**4 must be a normal float (finite, nonzero and not subnormal
     (grid_bytes(shape=[4.0, 6]), "shape entries must be positive integers, got [4.0, 6]"),
     (grid_bytes(origin=[0.0]), "origin and spacing must be lists of 2 numbers"),
     (grid_bytes(spacing=[0.5, "x"]), "origin and spacing must be lists of 2 numbers"),
+    (grid_bytes(origin=[True, 0.0]), "origin and spacing must be lists of 2 numbers"),
+    # ints past the float range: an OverflowError escaped before
+    (grid_bytes(origin=[10 ** 400, 0.0]), "origin and spacing must be lists of 2 numbers"),
+    (grid_bytes(spacing=[0.5, 10 ** 400]), "origin and spacing must be lists of 2 numbers"),
     (grid_bytes(spacing=[0.5, 0.0]), "grid spacings must be positive"),
     (grid_bytes(fields=["u", "u"]), "fields must be a non-empty list of distinct names"),
     (grid_bytes(data=8 * 23), "field data is 184 bytes, 1 field(s) of shape (4, 6) take 192"),
@@ -941,6 +945,7 @@ NORMAL_H4 = "each h**4 must be a normal float (finite, nonzero and not subnormal
         "header_object",
         "no_axes", "no_shape", "no_origin", "no_spacing", "no_fields", "axes_type",
         "rank", "shape_negative", "shape_float", "origin_length", "spacing_type",
+        "origin_bool", "origin_past_float_range", "spacing_past_float_range",
         "spacing_zero", "fields_repeat", "data_short", "data_extra", "spacing_infinite",
         "origin_nan", "spacing_overflow", "spacing_underflow", "spacing_subnormal"])
 @pytest.mark.filterwarnings("error")  # a warning would reach stderr outside the test

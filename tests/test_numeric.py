@@ -6,6 +6,7 @@ import math
 import mmap
 import os
 import random
+import re
 import sys
 import tracemalloc
 import types
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from conftest import KDV_L, jet_pool, random_expr, record_arenas, soliton_grid, wave3_grid
 from varjet import numeric
 from varjet.jetcalc import EquationSystem
-from varjet.multiindex import multiindices_up_to
+from varjet.multiindex import EMPTY, multiindices_up_to
 from varjet.numeric import (
     GridFunction,
     GridTooSmallError,
@@ -196,13 +197,13 @@ def test_evaluate_into_buffers_matches_term_by_term_bitwise(terms, values):
 
 def test_fd_weights_first_derivative():
     # classic 4th-order five-point weights
-    assert fd_weights(1, 2) == pytest.approx((1 / 12, -8 / 12, 0.0, 8 / 12, -1 / 12))
+    assert fd_weights(1) == pytest.approx((1 / 12, -8 / 12, 0.0, 8 / 12, -1 / 12))
 
 
 def test_fd_weights_exact_values():
     # each weight is its exact rational value rounded once, so the values are
     # pinned bit for bit
-    assert [fd_weights(order, stencil_radius(order)) for order in (1, 2, 3, 4)] == [
+    assert [fd_weights(order) for order in (1, 2, 3, 4)] == [
         (0.08333333333333333, -0.6666666666666666, 0.0, 0.6666666666666666,
          -0.08333333333333333),
         (-0.08333333333333333, 1.3333333333333333, -2.5, 1.3333333333333333,
@@ -218,7 +219,7 @@ def test_fd_weights_mirror_exactly():
     # share one product between the taps -k and +k
     for order in (1, 2, 3, 4):
         r = stencil_radius(order)
-        w = fd_weights(order, r)
+        w = fd_weights(order)
         for k in range(1, r + 1):
             assert bits(w[r - k]) == bits((-1) ** order * w[r + k]), (order, k)
 
@@ -227,7 +228,7 @@ def test_fd_weights_reproduce_polynomials():
     # the moment conditions make a radius-r stencil exact on degrees <= 2r
     for m in (1, 2, 3, 4):
         r = stencil_radius(m)
-        w = fd_weights(m, r)
+        w = fd_weights(m)
         for deg in range(0, 2 * r + 1):
             val = sum(wk * (k - r) ** deg for k, wk in enumerate(w))
             expected = float(math.factorial(m)) if deg == m else 0.0
@@ -269,11 +270,12 @@ def test_fd_prolong_grid_too_small():
         residual(one_row(ctx, "u_xxxx"), g)
 
 
-def test_fd_weights_refuse_a_stencil_narrower_than_the_order():
-    # three points fit no third derivative
-    with pytest.raises(GridTooSmallError, match="^stencil too narrow for the requested "
-                                                "derivative$"):
-        fd_weights(3, 1)
+@pytest.mark.parametrize("order", [-1, 2.5, True])
+def test_fd_weights_refuse_an_order_below_zero_or_not_an_integer(order):
+    # -1 and 2.5 gave five zero weights before
+    with pytest.raises(VarjetError, match=rf"^a derivative order must be an integer >= 0, "
+                                          rf"got {order!r}$"):
+        fd_weights(order)
 
 
 def test_fd_prolong_mixed_partial_order_independent():
@@ -299,7 +301,7 @@ def reference_stencil(arr, axis, order, h):
     if n < 2 * r + 1:
         raise GridTooSmallError(
             f"axis of {n} points cannot host a radius-{r} stencil")
-    weights = fd_weights(order, r)
+    weights = fd_weights(order)
     out = np.full_like(arr, np.nan)
     core = [slice(None)] * arr.ndim
     core[axis] = slice(r, n - r)
@@ -961,9 +963,22 @@ def test_residual_momentum_field_of_another_shape_is_error(ctx_tx):
     g = soliton_grid(64, 64)
     for shape in ((50, 64), (80, 64)):
         mom = GridFunction(("t", "x"), g.origin, g.spacing, {"p_.t": np.zeros(shape)})
-        with pytest.raises(VarjetError, match=rf"^momentum field p_.t has shape "
-                           rf"\({shape[0]}, 64\), the grid \(64, 64\)$"):
+        with pytest.raises(VarjetError, match=rf"^momentum grid has shape "
+                           rf"\({shape[0]}, 64\), the field grid \(64, 64\)$"):
             residual(system, g, momentum_fields=mom, legendre=theta)
+
+
+@pytest.mark.parametrize("coordinate, message", [
+    # a bare KeyError and a MissingFieldError before
+    (CoordinateId.jet(5), re.escape(f"{CoordinateId.jet(5)!r}, which is outside its context")),
+    (CoordinateId.momentum(0, EMPTY, 1), "p_.x, a momentum, which is not jet-side"),
+], ids=["outside", "momentum"])
+def test_residual_refuses_a_legendre_coefficient_off_the_jet_side(ctx_tx, coordinate, message):
+    system, theta = kdv_system(ctx_tx, "elh")
+    p = CoordinateId.momentum(0, EMPTY, 0)
+    theta = {**theta, p: theta[p] + Expr.coord(coordinate)}
+    with pytest.raises(VarjetError, match=f"^the Legendre coefficient of p_.t reads {message}$"):
+        residual(system, soliton_grid(64, 64), legendre=theta)
 
 
 def test_residual_missing_momenta_is_error(ctx_tx):
@@ -1035,6 +1050,17 @@ def test_load_grid_reads_no_field_data(tmp_path):
     assert np.array_equal(out, g.fields["v"][7:12])
 
 
+def test_a_grid_saved_over_the_file_it_was_loaded_from_keeps_its_data(tmp_path):
+    # opening the file for writing truncated it before its fields were read
+    path = tmp_path / "u.grid"
+    g = GridFunction(("x",), (0.0,), (0.5,), {"u": [1.0, 2.0, 4.0, 8.0, 16.0]})
+    save_grid(g, str(path))
+    size = path.stat().st_size
+    save_grid(load_grid(str(path)), str(path))
+    assert path.stat().st_size == size
+    assert np.array_equal(np.asarray(load_grid(str(path)).fields["u"]), g.fields["u"])
+
+
 def test_grid_file_rows_are_byte_swapped_on_a_big_endian_host(monkeypatch, tmp_path):
     # the file's floats are little-endian: a big-endian host swaps each row's
     # bytes once read, so on this host the stand-in swaps them away
@@ -1098,14 +1124,26 @@ def test_residual_on_a_grid_file_matches_the_grid_in_memory(ctx_tx, monkeypatch,
 @pytest.mark.parametrize("axes, origin, spacing, fields, message", [
     (("t",), (0.0,), (1.0,), {}, "a grid needs at least one field"),
     (("t", "x"), (0.0,), (1.0, 1.0), {"u": np.zeros((5, 5))},
-     "origin and spacing need one entry per axis, 2 each"),
+     "origin and spacing must be lists of 2 numbers"),
     (("t",), (0.0,), (1.0, 1.0), {"u": np.zeros(5)},
-     "origin and spacing need one entry per axis, 1 each"),
+     "origin and spacing must be lists of 1 numbers"),
     (("t", "x"), (0.0, 0.0), (1.0, 1.0), {"u": np.zeros((5, 5)), "v": np.zeros((5, 4))},
      "all field arrays must share one shape"),
     (("t", "x"), (0.0, 0.0), (1.0, 1.0), {"u": np.zeros(25)},
-     "field 'u' rank does not match the axes"),
-], ids=["no_fields", "origin_length", "spacing_length", "two_shapes", "wrong_rank"])
+     "shape has 1 entries for 2 axes"),
+    # each case below was taken before, or ended in another error
+    ("tx", (0.0, 0.0), (1.0, 1.0), {"u": np.zeros((5, 5))}, "axes must be a list of names"),
+    (("t",), (True,), (1.0,), {"u": np.zeros(5)}, "origin and spacing must be lists of 1 numbers"),
+    (("t",), (0.0,), ("0.5",), {"u": np.zeros(5)}, "origin and spacing must be lists of 1 numbers"),
+    (("t",), (10 ** 400,), (1.0,), {"u": np.zeros(5)},
+     "origin and spacing must be lists of 1 numbers"),
+    (("t",), (0.0,), (1.0,), {"u": np.zeros(5, dtype=complex)},
+     "field 'u' is not a rectangular array of real numbers"),
+    (("t", "x"), (0.0, 0.0), (1.0, 1.0), {"u": [[1.0, 2.0], [3.0]]},
+     "field 'u' is not a rectangular array of real numbers"),
+], ids=["no_fields", "origin_length", "spacing_length", "two_shapes", "wrong_rank",
+        "axes_str", "origin_bool", "spacing_text", "origin_past_float_range", "field_complex",
+        "field_ragged"])
 def test_grid_in_memory_refuses_a_malformed_layout(axes, origin, spacing, fields, message):
     with pytest.raises(VarjetError, match=f"^{message}$"):
         GridFunction(axes, origin, spacing, fields)
