@@ -208,6 +208,8 @@ class GridFunction:
                               "(finite, nonzero and not subnormal)")
         if not self.fields:
             raise VarjetError("a grid needs at least one field")
+        if not (isinstance(self.fields, Mapping) and all(isinstance(k, str) for k in self.fields)):
+            raise VarjetError("fields must be a map from names to arrays")
         # a dict of the grid's own: the caller's is left as it was
         self.fields = dict(self.fields)
         for name, arr in self.fields.items():
@@ -391,11 +393,22 @@ def residual(system: EquationSystem, grid: GridFunction,
     map from each momentum to its jet-side coefficient that legendre_form
     returns (an absent momentum is zero), along the prolonged field;
     comma-derivatives of all unknowns are differenced with the same
-    stencils, through the same pass chains.  The rules that relate the grid
-    to the system are checked first; the residuals are then computed band
-    by band along axis 0 (see _stream).
+    stencils, through the same pass chains.  The argument types and then the
+    rules that relate the grid to the system are checked first; the residuals
+    are then computed band by band along axis 0 (see _stream).
     """
     ctx = system.context
+    for what, g in (("grid", grid), ("momentum_fields", momentum_fields)):
+        if not isinstance(g, GridFunction) and (g is not None or what == "grid"):
+            raise VarjetError(f"{what} must be a GridFunction, not {type(g).__name__}")
+    if not isinstance(legendre, (Mapping, type(None))):
+        raise VarjetError(f"legendre must be a map from momenta to Exprs, not "
+                          f"{type(legendre).__name__}")
+    for c, e in (legendre or {}).items():
+        if not (isinstance(c, CoordinateId) and c.kind == MOMENTUM and ctx.admits(c)):
+            raise VarjetError(f"legendre key {c!r} is not a momentum of the system's context")
+        if not isinstance(e, Expr):
+            raise VarjetError(f"the Legendre coefficient of {ctx.name(c)} is {e!r}, not an Expr")
     rows = [res for _, res in system.equations]
     read = {c for e in rows for c in e.coordinates() if c.kind != INDEPENDENT}
     need = max([len(c.index) for c in read if c.base.kind == JET]

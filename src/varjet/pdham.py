@@ -1,10 +1,13 @@
 """Momentum-side constructions: ELH systems, constraints, Hessian, reduction, HDW.
 
 The mixed first-order systems live in the density's own context.  Each
-carries its fiber: for ELH, all jet coordinates u_I^a with |I| <= l+1 and
-all momenta p_a^{I.i} with |I| <= l.  Its rows read those coordinates and
-their comma-derivatives c,_i, coordinates of the same context that sort
-right after c.
+carries its fiber, in canonical order: for ELH (``_elh_fiber``), the jets
+u_I^a with |I| <= l+1 and the momenta p_a^{I.i} with |I| <= l, as
+JetContext's ``jets_up_to`` and ``momenta_up_to`` list them.  Its rows read
+those coordinates and their comma-derivatives c,_i, coordinates of the same
+context that sort right after c.  Each row list walks one such list: ELH and
+HDW have a momentum row per jet and a contact row per momentum of the fiber,
+and the constraints and the Hessian walk the top jets (``_top_jets``).
 
 The momentum equations carry the contraction term over all distinct (J, i)
 with Ji = I (each counted once), at every level |I| <= l+1; at |I| = l+1 the
@@ -13,7 +16,8 @@ constraints cutting out the constraint manifold.  Reduction solves the
 constraints for top jets where possible, then the leftover pure-momentum
 relations for dependent momenta (both by symcore.eliminate, the one exact
 elimination, which also gives the Hessian its rank), restricts the energy
-density, and emits the Hamilton-de Donder-Weyl equation system.
+density, and emits the Hamilton-de Donder-Weyl equation system.  Each
+constraint row is built once.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .multiindex import MultiIndex, multiindices, multiindices_up_to
+from .multiindex import MultiIndex
 from .symcore import (
     JET,
     MOMENTUM,
@@ -42,50 +46,59 @@ from .variational import LagrangianDensity
 RANK_SAMPLES = 5
 
 
-def _momentum_label(ctx: JetContext, alpha: int, I: MultiIndex) -> str:
-    return f"mom:{ctx.dependents[alpha]}:{ctx.index_word(I)}"
+def _top_jets(lag: LagrangianDensity) -> List[CoordinateId]:
+    """The jets u_K^a with |K| = l+1, in the order of ``jets_up_to(l+1)``."""
+    top = lag.level + 1
+    return [c for c in lag.context.jets_up_to(top) if len(c.index) == top]
 
 
-def _contact_label(ctx: JetContext, alpha: int, I: MultiIndex, i: int) -> str:
-    return f"contact:{ctx.dependents[alpha]}:{ctx.index_word(I)}:{ctx.independents[i]}"
+def _elh_fiber(lag: LagrangianDensity) -> List[CoordinateId]:
+    """The jets u_I^a with |I| <= l+1, then the momenta p_a^{I.i} with |I| <= l."""
+    return lag.context.jets_up_to(lag.level + 1) + lag.context.momenta_up_to(lag.level)
 
 
-def _momentum_residual(gradient: Dict[CoordinateId, Expr], alpha: int, I: MultiIndex) -> Expr:
+def _row_label(ctx: JetContext, c: CoordinateId) -> str:
+    """The label of the row of a fiber coordinate: mom:a:I for the jet u_I^a,
+    contact:a:I:i for the momentum p_a^{I.i} (the contact row of u_I,_i)."""
+    word = f"{ctx.dependents[c.alpha]}:{ctx.index_word(c.index)}"
+    return f"mom:{word}" if c.kind == JET else f"contact:{word}:{ctx.independents[c.i]}"
+
+
+def _momentum_residual(gradient: Dict[CoordinateId, Expr], u: CoordinateId) -> Expr:
     """dL/du_I^a - sum_{Ji=I} p_a^{J.i}, in the base context, from L's gradient."""
-    return Expr.sum([gradient.get(CoordinateId.jet(alpha, I), Expr.zero())] + [
-        -Expr.coord(CoordinateId.momentum(alpha, J, i)) for J, i, _mult in I.removals()])
+    return Expr.sum([gradient.get(u, Expr.zero())] + [
+        -Expr.coord(CoordinateId.momentum(u.alpha, J, i)) for J, i, _mult in u.index.removals()])
 
 
 def elh_system(lag: LagrangianDensity) -> EquationSystem:
     """The mixed first-order system at the density's level l.
 
-    Momentum rows (residual orientation dL/du_I - contraction - divergence):
+    Momentum rows (residual orientation dL/du_I - contraction - divergence),
+    one per jet of the fiber:
 
         d_a^I L - sum_{Ji=I} p_a^{J.i} - sum_i (p_a^{I.i}),_i = 0,   |I| <= l+1,
 
     with the divergence absent at |I| = l+1 (the algebraic constraint rows),
-    and contact rows (u_I),_i - u_{Ii} = 0 for |I| <= l.
+    and contact rows (u_I),_i - u_{Ii} = 0, one per momentum p_I.i of the fiber.
     """
     ctx = lag.context
     l = lag.level
     comma = CoordinateId.comma
     gradient = lag.L.gradient()
+    fiber = _elh_fiber(lag)
     rows: List[Tuple[str, Expr]] = []
-    for alpha in range(ctx.m):
-        for I in multiindices_up_to(ctx.n, l + 1):
-            parts = [_momentum_residual(gradient, alpha, I)]
-            if len(I) <= l:
-                parts += [-Expr.coord(comma(CoordinateId.momentum(alpha, I, i), i))
+    for c in fiber:
+        if c.kind == JET:
+            parts = [_momentum_residual(gradient, c)]
+            if len(c.index) <= l:
+                parts += [-Expr.coord(comma(CoordinateId.momentum(c.alpha, c.index, i), i))
                           for i in range(ctx.n)]
-            rows.append((_momentum_label(ctx, alpha, I), Expr.sum(parts)))
-    for alpha in range(ctx.m):
-        for I in multiindices_up_to(ctx.n, l):
-            for i in range(ctx.n):
-                res = Expr.coord(comma(CoordinateId.jet(alpha, I), i)) \
-                    - Expr.coord(CoordinateId.jet(alpha, I.with_index(i)))
-                rows.append((_contact_label(ctx, alpha, I, i), res))
-    return EquationSystem(ctx, tuple(rows), fiber=ctx.jets_up_to(l + 1) + ctx.momenta_up_to(l),
-                          level=l)
+            res = Expr.sum(parts)
+        else:
+            res = Expr.coord(comma(CoordinateId.jet(c.alpha, c.index), c.i)) \
+                - Expr.coord(CoordinateId.jet(c.alpha, c.index.with_index(c.i)))
+        rows.append((_row_label(ctx, c), res))
+    return EquationSystem(ctx, tuple(rows), fiber=fiber, level=l)
 
 
 def constraints(lag: LagrangianDensity) -> EquationSystem:
@@ -93,9 +106,8 @@ def constraints(lag: LagrangianDensity) -> EquationSystem:
     dL/du_I^a - sum_{Ji=I} p_a^{J.i} = 0 for |I| = l+1, in the base context."""
     ctx = lag.context
     gradient = lag.L.gradient()
-    rows = tuple((f"constraint:{ctx.dependents[alpha]}:{ctx.index_word(I)}",
-                  _momentum_residual(gradient, alpha, I))
-                 for alpha in range(ctx.m) for I in multiindices(ctx.n, lag.level + 1))
+    rows = tuple((f"constraint:{ctx.dependents[u.alpha]}:{ctx.index_word(u.index)}",
+                  _momentum_residual(gradient, u)) for u in _top_jets(lag))
     return EquationSystem(ctx, rows)
 
 
@@ -143,10 +155,8 @@ def hessian(lag: LagrangianDensity, *, seed: int = 0) -> Tuple[HessianMatrix, Ra
     matrix is symmetric: each entry on or above the diagonal is built and
     evaluated once per sample, from the gradient in the top jets, and mirrored.
     """
-    ctx = lag.context
-    l = lag.level
-    idx = [(alpha, I) for alpha in range(ctx.m) for I in multiindices(ctx.n, l + 1)]
-    tops = [CoordinateId.jet(alpha, I) for alpha, I in idx]
+    tops = _top_jets(lag)
+    idx = [(u.alpha, u.index) for u in tops]
     first = lag.L.gradient()
     zero = Expr.zero()
     second = [first.get(top, zero).gradient() for top in tops]
@@ -176,11 +186,8 @@ def hessian(lag: LagrangianDensity, *, seed: int = 0) -> Tuple[HessianMatrix, Ra
 
 def _pairings(ctx: JetContext, level: int) -> List[Expr]:
     """The products p_a^{I.i} u_{Ii}^a for |I| <= level (none below 0)."""
-    return [Expr.coord(CoordinateId.momentum(alpha, I, i))
-            * Expr.coord(CoordinateId.jet(alpha, I.with_index(i)))
-            for alpha in range(ctx.m)
-            for I in multiindices_up_to(ctx.n, level)
-            for i in range(ctx.n)]
+    return [Expr.coord(p) * Expr.coord(CoordinateId.jet(p.alpha, p.index.with_index(p.i)))
+            for p in ctx.momenta_up_to(level)]
 
 
 def energy_density(lag: LagrangianDensity) -> Expr:
@@ -284,24 +291,15 @@ def _row_expr(row: Mapping[Optional[CoordinateId], Expr]) -> Expr:
     return Expr.sum([e if c is None else Expr.coord(c) * e for c, e in row.items()])
 
 
-def _restricted_energy(lag: LagrangianDensity, tops: Sequence[CoordinateId],
+def _restricted_energy(lag: LagrangianDensity, factors: Mapping[CoordinateId, Expr],
                        subs: Dict[CoordinateId, Expr]) -> Expr:
-    """E_l under subs, from its form modulo the constraint rows (see reduce_lagrangian)."""
-    top_set = set(tops)
-
-    def free(e: Expr) -> Expr:
-        """The terms of e free of top jets."""
-        return Expr([t for t in e.terms if top_set.isdisjoint([c for c, _ in t[0]])])
-
-    # L0 = free(L), and b_K = free(dL/du_K) is the coefficient of u_K in the
-    # terms of L of degree one in the top jets
-    gradient = lag.L.gradient()
-    parts = [Expr.sum([-free(lag.L)] + _pairings(lag.context, lag.level - 1)).substitute(subs)]
-    # each factor P_K - b_K, the momenta free of top jets, is substituted on
-    # its own and multiplied by the image of u_K
-    for K in tops:
-        factor = -free(_momentum_residual(gradient, K.alpha, K.index))
-        parts.append(factor.substitute(subs).scale(Q(1, 2)) * subs.get(K, Expr.coord(K)))
+    """E_l under subs, from its form modulo the constraint rows (see
+    reduce_lagrangian), with factors[K] = b_K - P_K for each top jet K."""
+    L0 = Expr([t for t in lag.L.terms if factors.keys().isdisjoint([c for c, _ in t[0]])])
+    parts = [Expr.sum([-L0] + _pairings(lag.context, lag.level - 1)).substitute(subs)]
+    # each factor is substituted on its own and multiplied by the image of u_K
+    parts += [factor.substitute(subs).scale(Q(-1, 2)) * subs.get(K, Expr.coord(K))
+              for K, factor in factors.items()]
     return Expr.sum(parts)
 
 
@@ -316,7 +314,8 @@ def reduce_lagrangian(lag: LagrangianDensity) -> ReducedSystem:
     It cannot fail: a row left by stage 1 keeps -1 on each momentum of its
     own P_K, which no other row reads.  The restricted energy must then be
     free of top jets; it becomes the Hamiltonian on the projected
-    coordinates, where the HDW system is emitted.
+    coordinates P0, where the HDW system is emitted.  P is the ELH fiber less
+    the eliminated coordinates, and P0 is P less its top jets.
 
     The restricted energy is read by Euler's identity, without expanding the
     part of L quadratic in the top jets u_K (|K| = l+1) under the solutions.
@@ -332,8 +331,9 @@ def reduce_lagrangian(lag: LagrangianDensity) -> ReducedSystem:
 
     Every constraint row substitutes to 0 under the final solutions, so the
     last sum drops and the rest under the solutions is the same Expr as the
-    substituted E_l.  Each P_K - b_K has a few terms: its image times the
-    solution for u_K is one product, and one sum gathers the products.
+    substituted E_l.  Each b_K - P_K is the part of C_K free of top jets, as
+    stage 1 splits it off the row: its image times the solution for u_K is
+    one product, and one sum gathers the products.
 
     Once both stages succeed the restricted energy reads no top jet, so its
     check ("restricted energy retains top jets") is a guard no density
@@ -343,14 +343,15 @@ def reduce_lagrangian(lag: LagrangianDensity) -> ReducedSystem:
     substituted constraint rows, each 0.
     """
     ctx = lag.context
-    l = lag.level
-    tops_ordered = [c for c in ctx.jets_up_to(l + 1) if len(c.index) == l + 1]
-    tops = set(tops_ordered)
-    rows = _linear_rows(dict(constraints(lag).equations), tops)
+    tops = _top_jets(lag)
+    top_set = set(tops)
+    rows = _linear_rows(dict(constraints(lag).equations), top_set)
     if rows is None:
         return ReducedSystem("irreducible: nonlinear constraints", (), (), {}, None, None)
+    # b_K - P_K, read before eliminate, which keeps its rows as given anyway
+    factors = {K: row[None] for K, row in zip(tops, rows.values())}
 
-    solutions, left = eliminate(rows, tops_ordered)
+    solutions, left = eliminate(rows, tops)
     subs = {c: _row_expr(solution) for c, solution in solutions.items()}
     left = {label: _row_expr(row) for label, row in left.items()}
     offending = tuple(label for label, res in left.items()
@@ -358,39 +359,32 @@ def reduce_lagrangian(lag: LagrangianDensity) -> ReducedSystem:
     if offending:
         return ReducedSystem("Assumption 1 check failed", (), (), subs, None, None, offending)
     if left:
-        momenta = set(ctx.momenta_up_to(l))
+        momenta = set(ctx.momenta_up_to(lag.level))
         solutions, left = eliminate(_linear_rows(left, momenta), sorted(momenta, reverse=True),
                                     _linear_rows(subs, momenta))
         if left:
             raise AssertionError("internal error: a constraint row has no momentum to solve for")
         subs = {c: _row_expr(solution) for c, solution in solutions.items()}
 
-    energy_p = _restricted_energy(lag, tops_ordered, subs)
-    if any(c in tops for c in energy_p.coordinates()):
+    energy_p = _restricted_energy(lag, factors, subs)
+    if any(c in top_set for c in energy_p.coordinates()):
         return ReducedSystem("Assumption 1 check failed", (), (), subs, None, None,
                              ("restricted energy retains top jets",))
 
-    surviving_tops = [c for c in tops_ordered if c not in subs]
-    lower_jets = ctx.jets_up_to(l)
-    surviving_momenta = [c for c in ctx.momenta_up_to(l) if c not in subs]
-    independents = [CoordinateId.independent(i) for i in range(ctx.n)]
-    p0_fiber = sorted(lower_jets + surviving_momenta)
-    p_fiber = sorted(p0_fiber + surviving_tops)
-
-    system_hdw = EquationSystem(ctx, _reduced_rows(lag, subs, energy_p), fiber=p0_fiber, level=l)
-    regular = not surviving_tops and not any(c.kind == MOMENTUM for c in subs)
-    diagnosis = "regular" if regular else "reducible"
-    return ReducedSystem(
-        diagnosis, tuple(independents + p_fiber), tuple(independents + p0_fiber),
-        subs, energy_p, system_hdw)
+    p_fiber = [c for c in _elh_fiber(lag) if c not in subs]
+    p0_fiber = [c for c in p_fiber if c not in top_set]
+    independents = tuple(CoordinateId.independent(i) for i in range(ctx.n))
+    system_hdw = EquationSystem(ctx, _reduced_rows(ctx, subs, energy_p, p0_fiber),
+                                fiber=p0_fiber, level=lag.level)
+    diagnosis = "regular" if subs.keys() == top_set else "reducible"
+    return ReducedSystem(diagnosis, independents + tuple(p_fiber),
+                         independents + tuple(p0_fiber), subs, energy_p, system_hdw)
 
 
-def _reduced_rows(lag: LagrangianDensity, subs: Dict[CoordinateId, Expr],
-                  energy_p: Expr) -> Tuple[Tuple[str, Expr], ...]:
-    """PD-Hamilton rows of the restricted system on P0, the lower jets and the
-    surviving momenta."""
-    ctx = lag.context
-    l = lag.level
+def _reduced_rows(ctx: JetContext, subs: Dict[CoordinateId, Expr], energy_p: Expr,
+                  p0_fiber: Sequence[CoordinateId]) -> Tuple[Tuple[str, Expr], ...]:
+    """PD-Hamilton rows of the restricted system on P0: a momentum row per
+    lower jet and a contact row per surviving momentum."""
     comma = CoordinateId.comma
     zero = Expr.zero()
     d_energy = energy_p.gradient()
@@ -400,27 +394,17 @@ def _reduced_rows(lag: LagrangianDensity, subs: Dict[CoordinateId, Expr],
     # surviving momenta only; a surviving one's is its own comma-derivative
     images = comma_images(solved, ctx.n)
     rows: List[Tuple[str, Expr]] = []
-    for alpha in range(ctx.m):
-        for I in multiindices_up_to(ctx.n, l):
-            commas = [comma(CoordinateId.momentum(alpha, I, i), i) for i in range(ctx.n)]
-            res = Expr.sum([-d_energy.get(CoordinateId.jet(alpha, I), zero)]
-                           + [-images.get(c, Expr.coord(c)) for c in commas])
-            if not res.is_zero():
-                rows.append((_momentum_label(ctx, alpha, I), res))
-    for alpha in range(ctx.m):
-        for I in multiindices_up_to(ctx.n, l):
-            for j in range(ctx.n):
-                pm = CoordinateId.momentum(alpha, I, j)
-                if pm in solved:
-                    continue
-                parts = [Expr.coord(comma(CoordinateId.jet(alpha, I), j))]
-                for other, gradient in gradients.items():
-                    weight = gradient.get(pm)
-                    if weight is not None:
-                        parts.append(weight * Expr.coord(
-                            comma(CoordinateId.jet(other.alpha, other.index), other.i)))
-                parts.append(-d_energy.get(pm, zero))
-                res = Expr.sum(parts)
-                if not res.is_zero():
-                    rows.append((_contact_label(ctx, alpha, I, j), res))
+    for c in p0_fiber:
+        if c.kind == JET:
+            commas = [comma(CoordinateId.momentum(c.alpha, c.index, i), i) for i in range(ctx.n)]
+            res = Expr.sum([-d_energy.get(c, zero)]
+                           + [-images.get(pc, Expr.coord(pc)) for pc in commas])
+        else:
+            # the chain rule through each eliminated momentum that reads c
+            parts = [gradient[c] * Expr.coord(comma(CoordinateId.jet(o.alpha, o.index), o.i))
+                     for o, gradient in gradients.items() if c in gradient]
+            res = Expr.sum([Expr.coord(comma(CoordinateId.jet(c.alpha, c.index), c.i))]
+                           + parts + [-d_energy.get(c, zero)])
+        if not res.is_zero():
+            rows.append((_row_label(ctx, c), res))
     return tuple(rows)

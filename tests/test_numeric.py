@@ -981,6 +981,30 @@ def test_residual_refuses_a_legendre_coefficient_off_the_jet_side(ctx_tx, coordi
         residual(system, soliton_grid(64, 64), legendre=theta)
 
 
+@pytest.mark.parametrize("arguments, message", [
+    # each ended in an AttributeError, but for the names, which matched no
+    # momentum: every momentum was read as 0, and the residuals were wrong
+    (lambda ctx, g, theta: {"legendre": {ctx.name(p): e for p, e in theta.items()}},
+     "legendre key 'p_.t' is not a momentum of the system's context"),
+    (lambda ctx, g, theta: {"legendre": {**theta, CoordinateId.momentum(0, EMPTY, 0): 0.5}},
+     "the Legendre coefficient of p_.t is 0.5, not an Expr"),
+    (lambda ctx, g, theta: {"legendre": list(theta.values())},
+     "legendre must be a map from momenta to Exprs, not list"),
+    (lambda ctx, g, theta: {"legendre": {CoordinateId.jet(0): Expr.zero()}},
+     re.escape(f"legendre key {CoordinateId.jet(0)!r} is not a momentum of the system's context")),
+    (lambda ctx, g, theta: {"grid": dict(g.fields)}, "grid must be a GridFunction, not dict"),
+    (lambda ctx, g, theta: {"momentum_fields": {"p_.t": g.fields["u"]}},
+     "momentum_fields must be a GridFunction, not dict"),
+], ids=["legendre_names", "legendre_float", "legendre_list", "legendre_jet", "grid_dict",
+        "momentum_fields_dict"])
+def test_residual_refuses_malformed_arguments(ctx_tx, arguments, message):
+    system, theta = kdv_system(ctx_tx, "elh")
+    g = soliton_grid(64, 64)
+    kwargs = {"grid": g, "legendre": theta, **arguments(ctx_tx, g, theta)}
+    with pytest.raises(VarjetError, match=f"^{message}$"):
+        residual(system, **kwargs)
+
+
 def test_residual_missing_momenta_is_error(ctx_tx):
     lag = LagrangianDensity(ctx_tx, parse(KDV_L, ctx_tx), order=2)
     system = elh_system(lag)
@@ -1141,9 +1165,12 @@ def test_residual_on_a_grid_file_matches_the_grid_in_memory(ctx_tx, monkeypatch,
      "field 'u' is not a rectangular array of real numbers"),
     (("t", "x"), (0.0, 0.0), (1.0, 1.0), {"u": [[1.0, 2.0], [3.0]]},
      "field 'u' is not a rectangular array of real numbers"),
+    (("x",), (0.0,), (1.0,), [1.0, 2.0], "fields must be a map from names to arrays"),
+    (("x",), (0.0,), (1.0,), {1: np.zeros(5)}, "fields must be a map from names to arrays"),
+    (("x",), (0.0,), (1.0,), {("p",): np.zeros(5)}, "fields must be a map from names to arrays"),
 ], ids=["no_fields", "origin_length", "spacing_length", "two_shapes", "wrong_rank",
         "axes_str", "origin_bool", "spacing_text", "origin_past_float_range", "field_complex",
-        "field_ragged"])
+        "field_ragged", "fields_list", "field_name_int", "field_name_tuple"])
 def test_grid_in_memory_refuses_a_malformed_layout(axes, origin, spacing, fields, message):
     with pytest.raises(VarjetError, match=f"^{message}$"):
         GridFunction(axes, origin, spacing, fields)

@@ -576,6 +576,8 @@ def test_reduced_rows_on_p_and_p0_agree(kdv):
         tops = tuple(c for c in lag.context.jets_up_to(lag.level + 1)
                      if len(c.index) == lag.level + 1 and c not in red.substitutions)
         assert red.p_coordinates == tuple(sorted(red.p0_coordinates + tops))
+        assert red.p_coordinates == red.p0_coordinates[:lag.context.n] + tuple(
+            c for c in elh_system(lag).fiber if c not in red.substitutions)
 
 
 def test_reduced_json_shape(capsys, tmp_path):
@@ -757,6 +759,23 @@ def test_restricted_energy_is_the_substituted_energy(lag):
     red = reduce_lagrangian(lag)
     assert red.hamiltonian is not None
     assert red.hamiltonian == energy_density(lag).substitute(red.substitutions)
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 2), (2, 2, 3), (3, 2, 2)])
+def test_reduce_reads_the_density_gradient_once(monkeypatch, shape):
+    # each constraint row is built once: the restricted energy reads each
+    # factor b_K - P_K off stage 1's split of the row, not off a second gradient
+    lag, = regular_densities(1, 31, lambda rng: shape)
+    gradient, calls = Expr.gradient, []
+
+    def counted(e):
+        calls.append(e is lag.L)
+        return gradient(e)
+
+    monkeypatch.setattr(Expr, "gradient", counted)
+    red = reduce_lagrangian(lag)
+    assert red.diagnosis == "regular"
+    assert calls.count(True) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -1100,6 +1119,70 @@ def test_reduce_matches_the_de_donder_weyl_hamiltonian():
         H = sum(p * u for u, p in zip(us, ps)) - L
         assert sympy.expand(to_sympy(reduce_lagrangian(lag).hamiltonian, table)
                             - H.subs(dict(zip(us, solution)))) == 0
+
+
+def test_hdw_rows_are_the_euler_lagrange_rows_of_the_hamiltonian_action():
+    # an oracle over sympy alone at n = 2-3 and order 2-3: on P0 the HDW rows
+    # are the Euler-Lagrange rows of L_H = sum phi(p^{I.j}) u_I,_j - H, where
+    # phi(p) is p for a surviving momentum and its substitution for an
+    # eliminated one.  With D_j g = dg/dx^j + sum_f dg/df f,_j over the
+    # fields f of P0, the row of f is dL_H/df - sum_j D_j dL_H/df,_j: the row
+    # mom:a:I for f = u^a_I and contact:a:I:j for f = p_a^{I.j}, absent when
+    # it vanishes.  The oracle reads red through its Hamiltonian, its
+    # substitutions and P0 alone, on sympy's sparse polynomials.  The shapes
+    # (n, m, order) are those with n = 2-3 and order 2-3 but (3, 2, 3), left
+    # out for time
+    sympy = pytest.importorskip("sympy")
+    shapes = [(2, 1, 2), (2, 1, 3), (2, 2, 2), (2, 2, 3), (3, 1, 2), (3, 1, 3), (3, 2, 2)]
+    lags = certificate_densities() + [lag for lag, _ in gauged_densities()]
+    lags += regular_densities(20, 5, lambda rng: rng.choice(shapes))
+    lags = dict.fromkeys(lag for lag in lags
+                         if (lag.context.n, lag.context.m, lag.order) in shapes)
+    comma, reduced = CoordinateId.comma, 0
+    for lag in lags:
+        red = reduce_lagrangian(lag)
+        if red.system_hdw is None:
+            continue
+        reduced += 1
+        ctx = lag.context
+        fields = [c for c in red.p0_coordinates if c.kind != "independent"]
+        coords = list(red.p0_coordinates) + [comma(f, j) for f in fields for j in range(ctx.n)]
+        ring, *gens = sympy.ring([sympy.Symbol(ctx.name(c)) for c in coords], sympy.QQ)
+        at = {c: k for k, c in enumerate(coords)}
+
+        def poly(e):
+            """e in the ring, term by term."""
+            terms = {}
+            for mono, coeff in e.terms:
+                exponents = [0] * len(coords)
+                for c, power in mono:
+                    exponents[at[c]] = power
+                terms[tuple(exponents)] = sympy.QQ(coeff.numerator, coeff.denominator)
+            return ring.from_dict(terms)
+
+        def phi(p):
+            return poly(red.substitutions[p]) if p in red.substitutions else gens[at[p]]
+
+        def D(g, j):
+            return g.diff(at[CoordinateId.independent(j)]) + sum(
+                (g.diff(at[f]) * gens[at[comma(f, j)]] for f in fields if g.degree(at[f])),
+                ring(0))
+
+        L_H = sum((phi(p) * gens[at[comma(CoordinateId.jet(p.alpha, p.index), p.i)]]
+                   for p in ctx.momenta_up_to(lag.level)), -poly(red.hamiltonian))
+        expected = []
+        for f in fields:
+            row = L_H.diff(at[f]) - sum((D(L_H.diff(at[comma(f, j)]), j) for j in range(ctx.n)),
+                                        ring(0))
+            word = f"{ctx.dependents[f.alpha]}:{ctx.index_word(f.index)}"
+            if row:
+                expected.append((f"mom:{word}" if f.kind == "jet"
+                                 else f"contact:{word}:{ctx.independents[f.i]}", row))
+        rows = red.system_hdw.equations
+        assert [label for label, _ in rows] == [label for label, _ in expected]
+        for (label, res), (_, row) in zip(rows, expected):
+            assert poly(res) == row, label
+    assert reduced >= 30
 
 
 def test_comma_images_differentiate_on_the_mixed_fiber(ctx_tx):
